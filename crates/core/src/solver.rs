@@ -12,7 +12,10 @@ use teccl_util::SolveBudget;
 
 use crate::astar::solve_astar_budgeted;
 use crate::config::{SolverConfig, SwitchModel};
-use crate::epochs::{delta_epochs, epoch_duration, estimate_num_epochs, kappa_epochs};
+use crate::epochs::{
+    delta_epochs, epoch_duration, estimate_num_epochs, horizon_lower_bound, kappa_epochs,
+    HORIZON_SLACK,
+};
 use crate::error::TeCclError;
 use crate::extract::{prune_sends, schedule_from_sends};
 use crate::lp_form::LpFormulation;
@@ -122,23 +125,25 @@ impl TeCcl {
         &self.topology
     }
 
-    /// Prepares the (possibly hyper-edge transformed) topology, the epoch
-    /// duration and the epoch count for a demand.
-    fn prepare(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-    ) -> (Topology, Vec<crate::switch::HyperEdgeGroup>, f64, usize) {
+    /// Prepares the (possibly hyper-edge transformed) topology and the epoch
+    /// duration for a demand.
+    fn prepare(&self, chunk_bytes: f64) -> (Topology, Vec<crate::switch::HyperEdgeGroup>, f64) {
         let (topo, groups) = match self.config.switch_model {
             SwitchModel::HyperEdge => hyperedge_transform(&self.topology),
             _ => (self.topology.clone(), Vec::new()),
         };
         let tau = epoch_duration(&topo, chunk_bytes, &self.config);
-        let k = self
-            .config
-            .max_epochs
-            .unwrap_or_else(|| estimate_num_epochs(&topo, demand, chunk_bytes, tau));
-        (topo, groups, tau, k)
+        (topo, groups, tau)
+    }
+
+    /// Fails with [`TeCclError::Budget`] once the attached budget is spent —
+    /// checked around the unbudgeted model builds, so an expired deadline is
+    /// noticed before the next build rather than at the solver's first pivot.
+    fn check_budget(&self) -> Result<(), TeCclError> {
+        match self.budget.as_ref().and_then(SolveBudget::exceeded) {
+            Some(cause) => Err(TeCclError::Budget(cause)),
+            None => Ok(()),
+        }
     }
 
     /// Solves a demand, automatically choosing the formulation:
@@ -192,17 +197,23 @@ impl TeCcl {
         basis: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
-        let (topo, groups, tau, k0) = self.prepare(demand, chunk_bytes);
+        let (topo, groups, tau) = self.prepare(chunk_bytes);
         let options = MilpBuildOptions {
             hyperedge_groups: groups,
             ..Default::default()
         };
 
-        let mut k = k0.max(2);
+        let mut k = self
+            .config
+            .max_epochs
+            .unwrap_or_else(|| estimate_num_epochs(&topo, demand, chunk_bytes, tau))
+            .max(2);
         let mut last_err = TeCclError::NoSolution;
         for _attempt in 0..3 {
+            self.check_budget()?;
             let form =
                 MilpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau, &options)?;
+            self.check_budget()?;
             match form.solve_budgeted(&self.config, basis, self.budget.as_ref()) {
                 Ok(sol) => {
                     let sends = form.sends(&sol);
@@ -241,6 +252,9 @@ impl TeCcl {
     }
 
     /// Solves with the LP formulation (§4.1) — intended for copy-free demands.
+    /// The horizon starts at [`horizon_lower_bound`]` + 1` (or at `max_epochs`,
+    /// never below the bound) and grows by 2, 4, 8, … epochs while the LP is
+    /// infeasible.
     pub fn solve_lp(
         &self,
         demand: &DemandMatrix,
@@ -257,12 +271,28 @@ impl TeCcl {
         basis: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
-        let (topo, _groups, tau, k0) = self.prepare(demand, chunk_bytes);
+        let (topo, _groups, tau) = self.prepare(chunk_bytes);
 
-        let mut k = k0.max(2);
+        // The horizon starts one epoch above the proven bound, and a
+        // configured `max_epochs` below the bound is raised to it: no model
+        // is ever built where the LP is known to be infeasible. (A demand
+        // that copy would help gets the "without copy" LP of Figure 7, for
+        // which the bound holds all the same.)
+        let bound = horizon_lower_bound(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
+        let mut k = self
+            .config
+            .max_epochs
+            .unwrap_or(bound + HORIZON_SLACK)
+            .max(bound);
+        // Still infeasible (buffer limits, whole-epoch staggering): grow by a
+        // doubling *increment*, so a miss costs a few epochs, not a model of
+        // twice the size.
+        let mut step = 2;
         let mut last_err = TeCclError::NoSolution;
-        for _attempt in 0..3 {
+        for _attempt in 0..6 {
+            self.check_budget()?;
             let form = LpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau)?;
+            self.check_budget()?;
             match form.solve_budgeted(&self.config, basis, self.budget.as_ref()) {
                 Ok(sol) => {
                     let sends = form.extract_sends(&sol, demand);
@@ -289,7 +319,8 @@ impl TeCcl {
                 }
                 Err(TeCclError::InfeasibleWithEpochs(_)) => {
                     last_err = TeCclError::InfeasibleWithEpochs(k);
-                    k *= 2;
+                    k += step;
+                    step *= 2;
                 }
                 Err(e) => return Err(e),
             }
@@ -314,7 +345,7 @@ impl TeCcl {
         basis: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
-        let (topo, _groups, tau, _k) = self.prepare(demand, chunk_bytes);
+        let (topo, _groups, tau) = self.prepare(chunk_bytes);
         let out = solve_astar_budgeted(
             &topo,
             demand,

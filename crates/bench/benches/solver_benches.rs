@@ -320,6 +320,15 @@ fn bench_service(h: &mut Harness) {
         "cache hits must not invoke the solver"
     );
 
+    // The same hit with what the wire adds to it: the request line parsed
+    // and the reply rendered, as a connection thread does per request.
+    let (wire_svc, wire_line) = teccl_bench::wire_hit_fixture();
+    let mut wire_reply = String::new();
+    h.bench_function("service/wire_hit", || {
+        teccl_bench::wire_hit(&wire_svc, &wire_line, &mut wire_reply);
+    });
+    wire_svc.shutdown();
+
     let cold_key = pool[0].key().hash;
     h.bench_function("service/throughput", || {
         // 64 requests over 8 keys, one of which was just evicted: exactly

@@ -258,6 +258,16 @@ fn main() {
         );
         assert_eq!(stats.solve_errors, 0);
 
+        // The same hit with what the wire adds to it: the request line
+        // parsed and the reply rendered, as a connection thread does per
+        // request (it aborts, like the row above, if the hit solves).
+        let (wire_svc, wire_line) = teccl_bench::wire_hit_fixture();
+        let mut wire_reply = String::new();
+        h.bench_function("service/wire_hit", || {
+            teccl_bench::wire_hit(&wire_svc, &wire_line, &mut wire_reply);
+        });
+        wire_svc.shutdown();
+
         let cold_key = pool[0].key().hash;
         h.bench_function("service/throughput", || {
             svc.evict_key(cold_key);
@@ -475,7 +485,7 @@ fn main() {
         cold_ns / 1e6
     );
 
-    // Gate 2: >25% regression against the committed medians for the gated LP
+    // Gate 2: >25% regression against the committed medians for the gated
     // rows. Sub-millisecond rows get a 2x allowance instead — at that scale
     // scheduler noise alone crosses 25% on shared CI runners.
     let path = "BENCH_lp.json";
@@ -491,6 +501,7 @@ fn main() {
         "lp/dw_pricing_round",
         "lp/dw_1thread",
         "lp/dw_monolithic",
+        "service/wire_hit",
     ];
     if let Some(committed) = std::fs::read_to_string(path)
         .ok()

@@ -533,6 +533,49 @@ pub fn service_bench_fixture() -> (
     (svc, pool)
 }
 
+/// Fixture for the `service/wire_hit` bench: a service holding the Table-4
+/// `internal1x2` ALLGATHER 16 MB A* entry, and the request line (full
+/// topology document, as `teccl-cli` sends it) that hits it.
+pub fn wire_hit_fixture() -> (teccl_service::ScheduleService, String) {
+    let svc = teccl_service::ScheduleService::start(teccl_service::ServiceConfig {
+        workers: 1,
+        disk_dir: None,
+        fault_plan: Some(String::new()),
+        ..Default::default()
+    })
+    .expect("service starts");
+    let req = teccl_service::SolveRequest::new(
+        teccl_topology::internal1(2),
+        CollectiveKind::AllGather,
+        1,
+        16.0 * 1024.0 * 1024.0,
+    )
+    .with_method(teccl_service::RequestMethod::AStar)
+    .with_config(quick_config());
+    let line = teccl_service::protocol::solve_request_line(&req);
+    svc.request(req).expect("fixture request solves");
+    (svc, line)
+}
+
+/// One cache hit as a connection thread serves it, minus the socket: parse
+/// the line, look the key up, render the reply into the connection's
+/// buffer. Panics if the request leaves the hit path.
+pub fn wire_hit(svc: &teccl_service::ScheduleService, line: &str, reply: &mut String) {
+    use teccl_service::protocol::{parse_request, solve_response, Request};
+    let Ok(Request::Solve(req)) = parse_request(line) else {
+        panic!("fixture line parses as a solve request");
+    };
+    let served = svc.request(*req).expect("hit");
+    assert_eq!(
+        served.cache,
+        teccl_service::CacheStatus::Hit,
+        "wire hit fell off the no-solve path"
+    );
+    reply.clear();
+    teccl_util::json::write_json(&solve_response(&served), reply);
+    reply.push('\n');
+}
+
 /// Fixture for the `service/degraded_fallback_latency` bench: a service plus
 /// a large ALLTOALL request whose deadline is already expired at submission,
 /// so every request descends the degradation ladder straight to the instant

@@ -9,7 +9,9 @@
 //! it.
 //!
 //! Scope: `service.rs` (orchestrator + worker path), `server.rs` (TCP
-//! accept/connection threads), `protocol.rs` (wire parsing).
+//! accept/connection threads), `protocol.rs` (wire parsing), and
+//! `util/src/json.rs` — the parser and writer those run on connection
+//! threads and disk-store probes, over bytes an outsider chose.
 //!
 //! Exempt:
 //! * test spans (`#[cfg(test)]` / `#[test]`),
@@ -27,6 +29,7 @@ const SCOPED_FILES: &[&str] = &[
     "crates/service/src/service.rs",
     "crates/service/src/server.rs",
     "crates/service/src/protocol.rs",
+    "crates/util/src/json.rs",
 ];
 
 /// Method calls that panic.

@@ -413,6 +413,51 @@ mod tests {
     assert!(errors(&o, "panic-hygiene").is_empty(), "{:?}", o.errors);
 }
 
+#[test]
+fn panic_hygiene_covers_the_json_kernels() {
+    // The JSON parser reads wire and disk bytes on threads no catch_unwind
+    // guards: a panicking shortcut there takes a connection (or a store
+    // probe) down with it.
+    let o = analyze_snippets(&[(
+        "crates/util/src/json.rs",
+        r##"
+fn digits(out: &mut String, buf: &[u8]) {
+    out.push_str(std::str::from_utf8(buf).expect("ascii digits"));
+}
+fn hex(h: &str) -> u32 {
+    u32::from_str_radix(h, 16).unwrap()
+}
+"##,
+    )]);
+    assert_eq!(errors(&o, "panic-hygiene").len(), 2, "{:?}", o.errors);
+
+    // The same jobs done with typed errors and lossless fallbacks pass, and
+    // the reference implementation frozen in the test module is exempt.
+    let o = analyze_snippets(&[(
+        "crates/util/src/json.rs",
+        r##"
+fn digits(out: &mut String, buf: &[u8]) {
+    for &d in buf {
+        out.push(d as char);
+    }
+}
+fn hex(h: &str, pos: usize) -> Result<u32, JsonError> {
+    u32::from_str_radix(h, 16).map_err(|_| JsonError { pos, msg: "bad \\u escape".into() })
+}
+fn key(keys: &mut Vec<String>) -> String {
+    keys.pop().unwrap_or_default()
+}
+#[cfg(test)]
+mod tests {
+    mod reference {
+        pub fn parse(t: &str) -> Value { parse_value(t).unwrap() }
+    }
+}
+"##,
+    )]);
+    assert!(errors(&o, "panic-hygiene").is_empty(), "{:?}", o.errors);
+}
+
 // ---------------------------------------------------------------- hash-stability
 
 #[test]

@@ -1,6 +1,6 @@
 //! The paper's evaluation metrics (§6 "Metrics").
 
-use teccl_util::json::{JsonError, Value};
+use teccl_util::json::{self, Emit, JsonError, JsonSink, Value};
 
 /// Metrics of one collective run, mirroring §6 and the columns of Table 8:
 /// epoch duration (ED), collective finish / transfer time (CT), solver
@@ -33,16 +33,10 @@ impl CollectiveMetrics {
         self.algorithmic_bandwidth() / 1e9
     }
 
-    /// Serializes the metrics to JSON.
+    /// Serializes the metrics to JSON: the tree form of
+    /// [`CollectiveMetrics::emit`].
     pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("solver", Value::from(self.solver.clone())),
-            ("epoch_duration", Value::from(self.epoch_duration)),
-            ("transfer_time", Value::from(self.transfer_time)),
-            ("solver_time", Value::from(self.solver_time)),
-            ("output_buffer_bytes", Value::from(self.output_buffer_bytes)),
-            ("bytes_on_wire", Value::from(self.bytes_on_wire)),
-        ])
+        json::to_value(self)
     }
 
     /// Deserializes metrics from the JSON produced by
@@ -69,6 +63,25 @@ impl CollectiveMetrics {
             output_buffer_bytes: num("output_buffer_bytes")?,
             bytes_on_wire: num("bytes_on_wire")?,
         })
+    }
+}
+
+impl Emit for CollectiveMetrics {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_obj();
+        sink.key("solver");
+        sink.str(&self.solver);
+        sink.key("epoch_duration");
+        sink.num(self.epoch_duration);
+        sink.key("transfer_time");
+        sink.num(self.transfer_time);
+        sink.key("solver_time");
+        sink.num(self.solver_time);
+        sink.key("output_buffer_bytes");
+        sink.num(self.output_buffer_bytes);
+        sink.key("bytes_on_wire");
+        sink.num(self.bytes_on_wire);
+        sink.end_obj();
     }
 }
 

@@ -9,7 +9,7 @@
 //! formatting, which is what makes bit-exactness possible without a binary
 //! format.
 
-use teccl_util::json::{JsonError, Value};
+use teccl_util::json::{self, Emit, JsonError, JsonSink, Value};
 
 use crate::metrics::CollectiveMetrics;
 use crate::schedule::Schedule;
@@ -25,12 +25,10 @@ pub struct ScheduleOutput {
 }
 
 impl ScheduleOutput {
-    /// Serializes the output to JSON.
+    /// Serializes the output to JSON: the tree form of
+    /// [`ScheduleOutput::emit`].
     pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("schedule", self.schedule.to_json_value()),
-            ("metrics", self.metrics.to_json_value()),
-        ])
+        json::to_value(self)
     }
 
     /// Deserializes an output from the JSON produced by
@@ -51,6 +49,17 @@ impl ScheduleOutput {
     /// Parses an output from a JSON string.
     pub fn from_json_str(text: &str) -> Result<ScheduleOutput, JsonError> {
         Self::from_json_value(&Value::parse(text)?)
+    }
+}
+
+impl Emit for ScheduleOutput {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_obj();
+        sink.key("schedule");
+        self.schedule.emit(sink);
+        sink.key("metrics");
+        self.metrics.emit(sink);
+        sink.end_obj();
     }
 }
 

@@ -1,7 +1,7 @@
 //! The schedule data model: which chunk crosses which link in which epoch.
 
 use teccl_topology::NodeId;
-use teccl_util::json::{JsonError, Value};
+use teccl_util::json::{self, Emit, JsonError, JsonSink, Value};
 
 /// Identity of a chunk: the source GPU it originates from plus its per-source
 /// chunk index (`(s, c)` in the paper's notation).
@@ -161,32 +161,10 @@ impl Schedule {
         ])
     }
 
-    /// Serializes the full schedule (not the MSCCL export) to JSON.
+    /// Serializes the full schedule (not the MSCCL export) to JSON: the
+    /// tree form of [`Schedule::emit`].
     pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::from(self.name.clone())),
-            ("chunk_bytes", Value::from(self.chunk_bytes)),
-            ("epoch_duration", Value::from(self.epoch_duration)),
-            ("num_epochs", Value::from(self.num_epochs)),
-            ("solver_time", Value::from(self.solver_time)),
-            (
-                "sends",
-                Value::Arr(
-                    self.sends
-                        .iter()
-                        .map(|s| {
-                            Value::obj(vec![
-                                ("source", Value::from(s.chunk.source.0)),
-                                ("chunk", Value::from(s.chunk.chunk)),
-                                ("from", Value::from(s.from.0)),
-                                ("to", Value::from(s.to.0)),
-                                ("epoch", Value::from(s.epoch)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        json::to_value(self)
     }
 
     /// Deserializes a schedule from the JSON produced by
@@ -232,6 +210,40 @@ impl Schedule {
                 .ok_or(bad("missing num_epochs"))?,
         );
         Ok(s)
+    }
+}
+
+impl Emit for Schedule {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_obj();
+        sink.key("name");
+        sink.str(&self.name);
+        sink.key("chunk_bytes");
+        sink.num(self.chunk_bytes);
+        sink.key("epoch_duration");
+        sink.num(self.epoch_duration);
+        sink.key("num_epochs");
+        sink.uint(self.num_epochs);
+        sink.key("solver_time");
+        sink.num(self.solver_time);
+        sink.key("sends");
+        sink.begin_arr();
+        for s in &self.sends {
+            sink.begin_obj();
+            sink.key("source");
+            sink.uint(s.chunk.source.0);
+            sink.key("chunk");
+            sink.uint(s.chunk.chunk);
+            sink.key("from");
+            sink.uint(s.from.0);
+            sink.key("to");
+            sink.uint(s.to.0);
+            sink.key("epoch");
+            sink.uint(s.epoch);
+            sink.end_obj();
+        }
+        sink.end_arr();
+        sink.end_obj();
     }
 }
 

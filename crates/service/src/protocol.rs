@@ -11,7 +11,7 @@
 //!
 //! Responses always carry `"status": "ok" | "error"`.
 
-use teccl_util::json::Value;
+use teccl_util::json::{self, Emit, JsonSink, Value};
 
 use crate::cache::Quality;
 use crate::key::{RequestError, SolveRequest};
@@ -49,33 +49,63 @@ pub fn solve_request_line(req: &SolveRequest) -> String {
     v.to_json()
 }
 
+/// The response to a successful `solve`: a view of the served entry that
+/// renders itself ([`Emit`]) without an intermediate [`Value`] tree.
+#[derive(Debug, Clone, Copy)]
+pub struct SolveResponse<'a>(&'a ServedSchedule);
+
 /// The response to a successful `solve`.
-pub fn solve_response(served: &ServedSchedule) -> Value {
-    let e = &served.entry;
-    Value::obj(vec![
-        ("status", Value::from("ok")),
-        ("cache", Value::from(served.cache.name())),
-        ("quality", Value::from(served.quality.name())),
-        ("key", Value::from(format!("{:016x}", e.key.hash))),
-        ("chunk_bytes", Value::from(e.chunk_bytes)),
-        ("output", e.output.to_json_value()),
-        (
-            "solve",
-            Value::obj(vec![
-                (
-                    "simplex_iterations",
-                    Value::from(e.stats.simplex_iterations),
-                ),
-                ("warm_starts", Value::from(e.stats.warm_starts)),
-                ("cold_starts", Value::from(e.stats.cold_starts)),
-                ("nodes_explored", Value::from(e.stats.nodes_explored)),
-                (
-                    "iteration_limit_hit",
-                    Value::from(e.stats.iteration_limit_hit),
-                ),
-            ]),
-        ),
-    ])
+pub fn solve_response(served: &ServedSchedule) -> SolveResponse<'_> {
+    SolveResponse(served)
+}
+
+impl SolveResponse<'_> {
+    /// The reply line (without the newline), as the server writes it.
+    pub fn to_json(&self) -> String {
+        // A send is ~55 bytes of text; the rest of a reply is ~600.
+        let sends = self.0.entry.output.schedule.sends.len();
+        let mut out = String::with_capacity(1024 + 64 * sends);
+        json::write_json(self, &mut out);
+        out
+    }
+
+    /// The reply as a tree.
+    pub fn to_json_value(&self) -> Value {
+        json::to_value(self)
+    }
+}
+
+impl Emit for SolveResponse<'_> {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        let e = &self.0.entry;
+        sink.begin_obj();
+        sink.key("status");
+        sink.str("ok");
+        sink.key("cache");
+        sink.str(self.0.cache.name());
+        sink.key("quality");
+        sink.str(self.0.quality.name());
+        sink.key("key");
+        sink.str(&format!("{:016x}", e.key.hash));
+        sink.key("chunk_bytes");
+        sink.num(e.chunk_bytes);
+        sink.key("output");
+        e.output.emit(sink);
+        sink.key("solve");
+        sink.begin_obj();
+        sink.key("simplex_iterations");
+        sink.uint(e.stats.simplex_iterations);
+        sink.key("warm_starts");
+        sink.uint(e.stats.warm_starts);
+        sink.key("cold_starts");
+        sink.uint(e.stats.cold_starts);
+        sink.key("nodes_explored");
+        sink.uint(e.stats.nodes_explored);
+        sink.key("iteration_limit_hit");
+        sink.bool(e.stats.iteration_limit_hit);
+        sink.end_obj();
+        sink.end_obj();
+    }
 }
 
 /// The response to `stats`.

@@ -5,18 +5,30 @@
 //! is in flight, so N clients asking for the same schedule cost one solve and
 //! N (cheap) parked threads — the single-flight logic lives in the service,
 //! not here.
+//!
+//! A connection owns one line buffer and one reply buffer for its lifetime;
+//! a reply is rendered into the latter straight from the cache entry
+//! ([`crate::protocol::solve_response`]), so a hit allocates for neither.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use crate::key::RequestError;
 use crate::protocol::{
     error_response, evict_response, parse_request, request_error_response, solve_response,
     stats_response, Request,
 };
 use crate::service::ScheduleService;
+use teccl_util::json::write_json;
+
+/// Longest request line a connection accepts, newline excluded. The largest
+/// builtin topology makes a ~40 kB `solve` line; nothing legitimate comes
+/// near this, and without a cap one newline-free stream grows a buffer
+/// until the daemon is out of memory.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// A running server. Dropping the handle does *not* stop the server; call
 /// [`ServerHandle::shutdown`] (tests) or [`ServerHandle::wait`] (the daemon).
@@ -93,27 +105,53 @@ pub fn serve(
     })
 }
 
-/// Serves one connection until EOF or a write error.
+/// Appends the reply to one request line to `reply`.
+fn respond(service: &ScheduleService, line: &str, reply: &mut String) {
+    match parse_request(line) {
+        Err(e) => write_json(&request_error_response(&e), reply),
+        Ok(Request::Stats) => write_json(&stats_response(&service.stats()), reply),
+        Ok(Request::Evict) => write_json(&evict_response(service.evict()), reply),
+        Ok(Request::Solve(req)) => match service.request(*req) {
+            Ok(served) => write_json(&solve_response(&served), reply),
+            Err(e) => write_json(&error_response(&e.to_string()), reply),
+        },
+    }
+}
+
+/// Serves one connection until EOF, a write error or an over-long line.
 fn handle_connection(stream: TcpStream, service: &ScheduleService) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    // Both buffers live as long as the connection: a request in the steady
+    // state allocates for neither its line nor its reply.
+    let mut line = Vec::new();
+    let mut reply = String::new();
+    // One byte past the cap tells an over-long line from one of exactly the cap.
+    const READ_LIMIT: u64 = MAX_LINE_BYTES as u64 + 1;
+    loop {
+        line.clear();
+        match (&mut reader).take(READ_LIMIT).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let response = match parse_request(&line) {
-            Err(e) => request_error_response(&e),
-            Ok(Request::Stats) => stats_response(&service.stats()),
-            Ok(Request::Evict) => evict_response(service.evict()),
-            Ok(Request::Solve(req)) => match service.request(*req) {
-                Ok(served) => solve_response(&served),
-                Err(e) => error_response(&e.to_string()),
-            },
-        };
+        reply.clear();
+        let too_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        if too_long {
+            let e = RequestError::Json(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+            write_json(&request_error_response(&e), &mut reply);
+        } else {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                break;
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            respond(service, text, &mut reply);
+        }
+        reply.push('\n');
         // Fault injection: hang up instead of answering (the request itself
         // was fully processed — clients must treat a dropped connection as
         // retriable, and a retry is served from cache).
@@ -121,10 +159,19 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService) {
             return;
         }
         if writer
-            .write_all(format!("{}\n", response.to_json()).as_bytes())
+            .write_all(reply.as_bytes())
             .and_then(|_| writer.flush())
             .is_err()
         {
+            break;
+        }
+        if too_long {
+            // The rest of the line cannot be told from the next request, so
+            // the connection ends here. Closing with input unread would
+            // reset it and could take the reply with it: read off (a bounded
+            // amount of) what the peer is still sending first.
+            let _ = writer.shutdown(Shutdown::Write);
+            let _ = std::io::copy(&mut reader.take(READ_LIMIT), &mut std::io::sink());
             break;
         }
     }

@@ -1066,7 +1066,14 @@ mod tests {
         // zero rounds allowed.
         let mut req = tiny_request().with_method(RequestMethod::AStar);
         req.config.astar_max_rounds = 0;
-        let svc = ScheduleService::start(quiet_config()).unwrap();
+        // That solve errors within microseconds — before the second submit,
+        // unless it is held: the slow-solve fault keeps the first ticket in
+        // flight while the second one joins it.
+        let svc = ScheduleService::start(ServiceConfig {
+            fault_plan: Some("slow-solve=250:1".to_string()),
+            ..Default::default()
+        })
+        .unwrap();
         let t1 = svc.submit(req.clone());
         let t2 = svc.submit(req);
         let (r1, r2) = (t1.wait(), t2.wait());

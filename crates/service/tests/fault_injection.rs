@@ -309,7 +309,21 @@ fn slow_solve_falls_to_baseline_then_background_upgrade_restores_exact() {
 /// request falls through to a fresh solve, and the store heals itself.
 #[test]
 fn corrupt_disk_entry_is_quarantined_and_resolved() {
-    let scratch = ScratchDir::new("corrupt");
+    corrupt_entry_is_quarantined("corrupt", "not json at all");
+}
+
+/// So is one nested deeper than the parser's limit: without the limit the
+/// load overflowed the stack of whichever thread probed the store.
+#[test]
+fn deeply_nested_disk_entry_is_quarantined_and_resolved() {
+    corrupt_entry_is_quarantined("nested", &"[".repeat(300_000));
+    let depth = teccl_util::json::MAX_DEPTH + 1;
+    let nested = format!("{{\"output\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+    corrupt_entry_is_quarantined("nested-closed", &nested);
+}
+
+fn corrupt_entry_is_quarantined(tag: &str, content: &str) {
+    let scratch = ScratchDir::new(tag);
     let req = small_request();
     let path = scratch.entry_path(&req);
 
@@ -324,7 +338,7 @@ fn corrupt_disk_entry_is_quarantined_and_resolved() {
     svc.shutdown();
     assert!(path.exists(), "exact solve must persist to disk");
 
-    std::fs::write(&path, "not json at all").unwrap();
+    std::fs::write(&path, content).unwrap();
 
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,

@@ -131,3 +131,105 @@ fn table4_request_roundtrips_over_tcp() {
 
     handle.shutdown();
 }
+
+fn quiet_server() -> teccl_service::ServerHandle {
+    let service = Arc::new(
+        ScheduleService::start(ServiceConfig {
+            workers: 1,
+            fault_plan: Some(String::new()),
+            ..Default::default()
+        })
+        .unwrap(),
+    );
+    serve("127.0.0.1:0", service).unwrap()
+}
+
+/// A request nested deeper than the parser's limit is answered with a typed
+/// error on a connection that keeps working: the parser recurses per level,
+/// and without the limit this one line overflowed the connection thread's
+/// stack and aborted the whole daemon.
+#[test]
+fn deeply_nested_request_is_an_error_not_a_crash() {
+    let handle = quiet_server();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = |request: &str| -> Value {
+        writer
+            .write_all(format!("{request}\n").as_bytes())
+            .and_then(|_| writer.flush())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Value::parse(line.trim()).unwrap()
+    };
+
+    for bomb in [
+        "[".repeat(300_000),
+        "{\"verb\":".repeat(100_000),
+        format!(
+            "{{\"verb\":\"solve\",\"topology\":{}1{}}}",
+            "[".repeat(teccl_util::json::MAX_DEPTH),
+            "]".repeat(teccl_util::json::MAX_DEPTH)
+        ),
+    ] {
+        let v = round_trip(&bomb);
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+        assert_eq!(v.get("code").and_then(Value::as_str), Some("bad_json"));
+        let message = v.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("nesting"), "{message}");
+    }
+
+    let v = round_trip(r#"{"verb":"stats"}"#);
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
+    assert_eq!(
+        v.get("stats")
+            .and_then(|s| s.get("solves"))
+            .and_then(Value::as_usize),
+        Some(0)
+    );
+    handle.shutdown();
+}
+
+/// A stream that never sends a newline gets one error reply once it passes
+/// the line cap and is then disconnected; the daemon keeps serving others.
+#[test]
+fn overlong_line_gets_one_error_and_a_close() {
+    use std::io::Read;
+    use teccl_service::server::MAX_LINE_BYTES;
+
+    let handle = quiet_server();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    // The reply arrives while the tail of the flood is still in flight.
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b' '; 1 << 20];
+        for _ in 0..MAX_LINE_BYTES / chunk.len() + 2 {
+            if stream.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut replies = String::new();
+    reader.read_to_string(&mut replies).unwrap();
+    flood.join().unwrap();
+    assert_eq!(replies.lines().count(), 1, "{replies}");
+    let v = Value::parse(replies.trim()).unwrap();
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+    assert_eq!(v.get("code").and_then(Value::as_str), Some("bad_json"));
+    let message = v.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("exceeds"), "{message}");
+
+    // A line of exactly the cap is still a line (blank here, so skipped),
+    // and the daemon is still there for the next client.
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(&vec![b' '; MAX_LINE_BYTES]).unwrap();
+    writer.write_all(b"\n{\"verb\":\"stats\"}\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let v = Value::parse(line.trim()).unwrap();
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
+    handle.shutdown();
+}

@@ -2,8 +2,19 @@
 //! pretty), and a recursive-descent parser.
 //!
 //! Numbers are stored as `f64`, objects preserve insertion order.
+//!
+//! A document type describes itself once, as a stream of events into a
+//! [`JsonSink`] ([`Emit`]); [`write_json`] turns that stream into compact
+//! text without building a tree and [`to_value`] turns it into a [`Value`],
+//! so the two forms cannot drift apart.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest container nesting [`Value::parse`] accepts. The parser recurses
+/// once per level and reads untrusted wire and disk bytes, so the limit is
+/// what keeps a line of `[` from overflowing the stack of the thread that
+/// parses it.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,82 +90,64 @@ impl Value {
     /// Renders the value as compact JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        write_json(self, &mut out);
         out
     }
 
     /// Renders the value as indented JSON.
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write_pretty(&mut out, 0);
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        const INDENT: usize = 2;
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            for _ in 0..INDENT * depth {
+                out.push(' ');
+            }
         };
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => write_number(out, *n),
-            Value::Str(s) => write_string(out, s),
-            Value::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
+            Value::Arr(items) if !items.is_empty() => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    v.write(out, indent, depth + 1);
+                    newline(out, depth + 1);
+                    v.write_pretty(out, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push(']');
             }
-            Value::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
+            Value::Obj(pairs) if !pairs.is_empty() => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     write_string(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
+                    out.push_str(": ");
+                    v.write_pretty(out, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push('}');
             }
+            // Scalars and empty containers read the same in both forms.
+            _ => write_json(self, out),
         }
     }
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError {
-                pos,
-                msg: "trailing characters".into(),
-            });
+        let mut p = Parser { text, pos: 0 };
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.error("trailing characters"));
         }
         Ok(v)
     }
@@ -207,31 +200,263 @@ impl From<Vec<Value>> for Value {
     }
 }
 
+/// Receives a JSON document as a stream of events. Values arrive in
+/// document order; inside an object every value is preceded by its
+/// [`key`](JsonSink::key).
+pub trait JsonSink {
+    /// `null`
+    fn null(&mut self);
+    /// `true` / `false`
+    fn bool(&mut self, b: bool);
+    /// A number (non-finite values become `null`, as in [`Value::to_json`]).
+    fn num(&mut self, n: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Opens an array.
+    fn begin_arr(&mut self);
+    /// Closes the innermost array.
+    fn end_arr(&mut self);
+    /// Opens an object.
+    fn begin_obj(&mut self);
+    /// The key of the next value of the innermost object.
+    fn key(&mut self, k: &str);
+    /// Closes the innermost object.
+    fn end_obj(&mut self);
+
+    /// A count or index: the number `Value::from(n)` holds.
+    fn uint(&mut self, n: usize) {
+        self.num(n as f64);
+    }
+}
+
+/// A type with one JSON form, described once as events into a [`JsonSink`].
+pub trait Emit {
+    /// Sends the document to `sink`.
+    fn emit<S: JsonSink>(&self, sink: &mut S);
+}
+
+/// Appends the compact JSON text of `doc` to `out`.
+pub fn write_json<T: Emit + ?Sized>(doc: &T, out: &mut String) {
+    doc.emit(&mut TextSink { out, comma: false });
+}
+
+/// The [`Value`] form of `doc`: `to_value(doc).to_json()` is the text
+/// [`write_json`] produces.
+pub fn to_value<T: Emit + ?Sized>(doc: &T) -> Value {
+    let mut sink = TreeSink::default();
+    doc.emit(&mut sink);
+    sink.root.unwrap_or(Value::Null)
+}
+
+impl Emit for Value {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        match self {
+            Value::Null => sink.null(),
+            Value::Bool(b) => sink.bool(*b),
+            Value::Num(n) => sink.num(*n),
+            Value::Str(s) => sink.str(s),
+            Value::Arr(items) => {
+                sink.begin_arr();
+                for v in items {
+                    v.emit(sink);
+                }
+                sink.end_arr();
+            }
+            Value::Obj(pairs) => {
+                sink.begin_obj();
+                for (k, v) in pairs {
+                    sink.key(k);
+                    v.emit(sink);
+                }
+                sink.end_obj();
+            }
+        }
+    }
+}
+
+/// Writes compact text. `comma` is true exactly when the next value or key
+/// has a sibling before it, which one flag can track: opening a container
+/// or writing a key clears it, finishing any value sets it.
+struct TextSink<'a> {
+    out: &'a mut String,
+    comma: bool,
+}
+
+impl TextSink<'_> {
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.separate();
+        self.out.push(bracket);
+        self.comma = false;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+}
+
+impl JsonSink for TextSink<'_> {
+    fn null(&mut self) {
+        self.separate();
+        self.out.push_str("null");
+    }
+    fn bool(&mut self, b: bool) {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+    fn num(&mut self, n: f64) {
+        self.separate();
+        write_number(self.out, n);
+    }
+    fn str(&mut self, s: &str) {
+        self.separate();
+        write_string(self.out, s);
+    }
+    fn begin_arr(&mut self) {
+        self.open('[');
+    }
+    fn end_arr(&mut self) {
+        self.close(']');
+    }
+    fn begin_obj(&mut self) {
+        self.open('{');
+    }
+    fn key(&mut self, k: &str) {
+        self.separate();
+        write_string(self.out, k);
+        self.out.push(':');
+        self.comma = false;
+    }
+    fn end_obj(&mut self) {
+        self.close('}');
+    }
+}
+
+/// Builds a [`Value`]: the open containers, innermost last, and the
+/// finished document.
+#[derive(Default)]
+struct TreeSink {
+    open: Vec<Value>,
+    /// The key announced for the next value of each open object.
+    keys: Vec<String>,
+    root: Option<Value>,
+}
+
+impl TreeSink {
+    fn put(&mut self, v: Value) {
+        match self.open.last_mut() {
+            Some(Value::Arr(items)) => items.push(v),
+            Some(Value::Obj(pairs)) => pairs.push((self.keys.pop().unwrap_or_default(), v)),
+            _ => self.root = Some(v),
+        }
+    }
+
+    fn close(&mut self) {
+        if let Some(v) = self.open.pop() {
+            self.put(v);
+        }
+    }
+}
+
+impl JsonSink for TreeSink {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn bool(&mut self, b: bool) {
+        self.put(Value::Bool(b));
+    }
+    fn num(&mut self, n: f64) {
+        self.put(Value::Num(n));
+    }
+    fn str(&mut self, s: &str) {
+        self.put(Value::Str(s.to_string()));
+    }
+    fn begin_arr(&mut self) {
+        self.open.push(Value::Arr(Vec::new()));
+    }
+    fn end_arr(&mut self) {
+        self.close();
+    }
+    fn begin_obj(&mut self) {
+        // The documents built this way have 5-7 fields per object; a `Vec`
+        // grown from empty would reallocate at the fifth.
+        self.open.push(Value::Obj(Vec::with_capacity(8)));
+    }
+    fn key(&mut self, k: &str) {
+        self.keys.push(k.to_string());
+    }
+    fn end_obj(&mut self) {
+        self.close();
+    }
+}
+
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no inf/NaN; emit null like serde_json's lossy modes would
         // reject — downstream tooling treats null as "not available".
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        write_integer(out, n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        // Shortest round-trip digits, straight into `out`; writing to a
+        // `String` cannot fail.
+        let _ = write!(out, "{n}");
+    }
+}
+
+fn write_integer(out: &mut String, n: i64) {
+    // 9e15 has 16 digits.
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    while at > 0 {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    for &d in &digits[at..] {
+        out.push(d as char);
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Runs between escapes are copied as slices; the bytes that need an
+    // escape are ASCII, so every cut is on a character boundary.
+    let mut copied = 0;
+    for (i, &c) in s.as_bytes().iter().enumerate() {
+        let escape = match c {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        out.push_str(escape);
+        if escape.len() == 4 {
+            out.push(HEX[usize::from(c >> 4)] as char);
+            out.push(HEX[usize::from(c & 0xf)] as char);
         }
+        copied = i + 1;
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 
@@ -252,192 +477,218 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit.as_bytes() {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(JsonError {
-            pos: *pos,
-            msg: format!("expected `{lit}`"),
-        })
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
     }
-}
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err(JsonError {
-            pos: *pos,
-            msg: "unexpected end of input".into(),
-        }),
-        Some(b'n') => expect(b, pos, "null").map(|_| Value::Null),
-        Some(b't') => expect(b, pos, "true").map(|_| Value::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|_| Value::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn error(&self, msg: &str) -> JsonError {
+        JsonError {
+            pos: self.pos,
+            msg: msg.into(),
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected `{lit}`")))
+        }
+    }
+
+    /// Parses one value nested inside `depth` containers.
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.skip_ws();
+        let open = match self.peek() {
+            None => return Err(self.error("unexpected end of input")),
+            Some(b'n') => return self.literal("null").map(|_| Value::Null),
+            Some(b't') => return self.literal("true").map(|_| Value::Bool(true)),
+            Some(b'f') => return self.literal("false").map(|_| Value::Bool(false)),
+            Some(b'"') => return self.string().map(Value::Str),
+            Some(open @ (b'[' | b'{')) => open,
+            Some(_) => return self.number().map(Value::Num),
+        };
+        if depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.pos += 1;
+        if open == b'[' {
             let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
+                items.push(self.value(depth + 1)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
                     Some(b']') => {
-                        *pos += 1;
+                        self.pos += 1;
                         return Ok(Value::Arr(items));
                     }
-                    _ => {
-                        return Err(JsonError {
-                            pos: *pos,
-                            msg: "expected `,` or `]`".into(),
-                        })
-                    }
+                    _ => return Err(self.error("expected `,` or `]`")),
                 }
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
-                pairs.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(pairs));
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            pos: *pos,
-                            msg: "expected `,` or `}`".into(),
-                        })
-                    }
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.literal(":")?;
+            let value = self.value(depth + 1)?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(pairs));
                 }
+                _ => return Err(self.error("expected `,` or `}`")),
             }
         }
-        Some(_) => parse_number(b, pos).map(Value::Num),
     }
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(JsonError {
-            pos: *pos,
-            msg: "expected string".into(),
-        });
+    /// Advances to the next `"` or `\` (or the end of the input) and returns
+    /// the text skipped. Both are ASCII, so the cut is on a character
+    /// boundary.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let run = self.bytes()[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .unwrap_or(self.text.len() - start);
+        self.pos = start + run;
+        &self.text[start..self.pos]
     }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => {
-                return Err(JsonError {
-                    pos: *pos,
-                    msg: "unterminated string".into(),
-                })
-            }
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let bad = |pos: usize| JsonError {
-                            pos,
-                            msg: "bad \\u escape".into(),
-                        };
-                        let read_hex = |b: &[u8], at: usize| {
-                            b.get(at..at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                        };
-                        let mut cp = read_hex(b, *pos + 1).ok_or(bad(*pos))?;
-                        *pos += 4;
-                        // Combine UTF-16 surrogate pairs (how standard
-                        // serializers escape non-BMP characters).
-                        if (0xd800..0xdc00).contains(&cp) {
-                            if b.get(*pos + 1..*pos + 3) != Some(br"\u") {
-                                return Err(bad(*pos));
-                            }
-                            let low = read_hex(b, *pos + 3).ok_or(bad(*pos))?;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err(bad(*pos));
-                            }
-                            cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
-                            *pos += 6;
-                        }
-                        out.push(char::from_u32(cp).ok_or(bad(*pos))?);
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            pos: *pos,
-                            msg: "bad escape".into(),
-                        })
-                    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.error("expected string"));
+        }
+        self.pos += 1;
+        // An escape-free string — every key, nearly every value — is one
+        // slice of the input.
+        let mut out = self.plain_run().to_string();
+        loop {
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xc0) == 0x80 {
-                    *pos += 1;
+                _ => {
+                    self.escape(&mut out)?;
+                    out.push_str(self.plain_run());
                 }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| JsonError {
-                    pos: start,
-                    msg: "invalid UTF-8".into(),
-                })?);
             }
         }
     }
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-        *pos += 1;
+    /// Decodes the escape sequence at `pos` (a `\`) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        let b = self.bytes();
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let bad = |pos: usize| JsonError {
+                    pos,
+                    msg: "bad \\u escape".into(),
+                };
+                let read_hex = |at: usize| {
+                    b.get(at..at + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                };
+                let mut cp = read_hex(self.pos + 1).ok_or(bad(self.pos))?;
+                self.pos += 4;
+                // Combine UTF-16 surrogate pairs (how standard
+                // serializers escape non-BMP characters).
+                if (0xd800..0xdc00).contains(&cp) {
+                    if b.get(self.pos + 1..self.pos + 3) != Some(br"\u") {
+                        return Err(bad(self.pos));
+                    }
+                    let low = read_hex(self.pos + 3).ok_or(bad(self.pos))?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err(bad(self.pos));
+                    }
+                    cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+                    self.pos += 6;
+                }
+                out.push(char::from_u32(cp).ok_or(bad(self.pos))?);
+            }
+            _ => return Err(self.error("bad escape")),
+        }
+        self.pos += 1;
+        Ok(())
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .ok_or(JsonError {
+
+    fn number(&mut self) -> Result<f64, JsonError> {
+        let b = self.bytes();
+        let start = self.pos;
+        let more = |at: usize| {
+            matches!(
+                b.get(at),
+                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            )
+        };
+        // A plain run of at most 15 digits is below 2^53: the integer is the
+        // exact value, with no trip through the float parser.
+        let negative = b.get(start) == Some(&b'-');
+        let first = start + usize::from(negative);
+        let mut end = first;
+        let mut int = 0u64;
+        while end - first < 16 && b.get(end).is_some_and(u8::is_ascii_digit) {
+            int = int * 10 + u64::from(b[end] - b'0');
+            end += 1;
+        }
+        if (1..=15).contains(&(end - first)) && !more(end) {
+            self.pos = end;
+            let n = int as f64;
+            return Ok(if negative { -n } else { n });
+        }
+        while more(end) {
+            end += 1;
+        }
+        self.pos = end;
+        self.text[start..end].parse::<f64>().map_err(|_| JsonError {
             pos: start,
             msg: "invalid number".into(),
         })
+    }
 }
 
 #[cfg(test)]
@@ -509,5 +760,687 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Value::from(3usize).to_json(), "3");
         assert_eq!(Value::from(2.5).to_json(), "2.5");
+    }
+
+    use crate::Rng64;
+
+    /// Strings that exercise every branch of the string kernels.
+    const STRINGS: &[&str] = &[
+        "",
+        "plain",
+        "source",
+        "with \"quotes\" and \\ backslash",
+        "line\nfeed\rreturn\ttab",
+        "\u{0}\u{1}\u{8}\u{c}\u{1f}",
+        "\u{7f} del is not escaped",
+        "caf\u{e9} \u{2603} \u{1f600}",
+        "\u{1f600}\"\u{1f600}\\\u{10ffff}",
+        "/slash",
+        "trailing backslash \\",
+    ];
+
+    /// Numbers on every edge the number kernels branch on.
+    const NUMBERS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        7.0,
+        42.0,
+        0.5,
+        -2.5,
+        1.0 / 3.0,
+        3.3e-6,
+        999_999_999_999_999.0,
+        1e15,
+        -999_999_999_999_999.0,
+        8_999_999_999_999_999.0,
+        9e15,
+        -9e15,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_993.0,
+        -9_007_199_254_740_992.0,
+        1e16,
+        1e21,
+        1e300,
+        -1e300,
+        1e-300,
+        5e-324,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        16.0 * 1024.0 * 1024.0,
+    ];
+
+    fn random_string(rng: &mut Rng64) -> String {
+        if rng.gen_bool(0.5) {
+            return STRINGS[rng.gen_range_usize(STRINGS.len())].to_string();
+        }
+        (0..rng.gen_range_usize(12))
+            .map(|_| match rng.gen_range_usize(6) {
+                0 => char::from(rng.gen_range_usize(0x20) as u8),
+                1 => ['"', '\\', '/', '\u{7f}'][rng.gen_range_usize(4)],
+                2 => char::from_u32(0x80 + rng.gen_range_usize(0x700) as u32).unwrap(),
+                3 => char::from_u32(0x1_0000 + rng.gen_range_usize(0xf_0000) as u32).unwrap(),
+                _ => char::from(b'a' + rng.gen_range_usize(26) as u8),
+            })
+            .collect()
+    }
+
+    fn random_number(rng: &mut Rng64) -> f64 {
+        match rng.gen_range_usize(4) {
+            0 => NUMBERS[rng.gen_range_usize(NUMBERS.len())],
+            1 => rng.gen_range_usize(100) as f64,
+            2 => {
+                (rng.next_u64() >> rng.gen_range_usize(64)) as f64
+                    * [1.0, -1.0][rng.gen_range_usize(2)]
+            }
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    fn random_value(rng: &mut Rng64, depth: usize) -> Value {
+        let kinds = if depth < 4 { 7 } else { 5 };
+        match rng.gen_range_usize(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen_bool(0.5)),
+            2 | 3 => Value::Num(random_number(rng)),
+            4 => Value::Str(random_string(rng)),
+            5 => Value::Arr(
+                (0..rng.gen_range_usize(5))
+                    .map(|_| random_value(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Value::Obj(
+                (0..rng.gen_range_usize(5))
+                    .map(|_| (random_string(rng), random_value(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Rewrites a compact text the way other writers would have produced it:
+    /// whitespace between tokens, `\u` escapes (with surrogate pairs) in place
+    /// of raw characters, `\/`, exponents and signs on numbers.
+    fn restyle(text: &str, rng: &mut Rng64) -> String {
+        let mut out = String::new();
+        let mut in_string = false;
+        // Characters left of the escape sequence being copied.
+        let mut escape = 0;
+        for c in text.chars() {
+            if in_string {
+                if escape > 0 {
+                    escape = if c == 'u' { 4 } else { escape - 1 };
+                    out.push(c);
+                } else if c == '\\' {
+                    escape = 1;
+                    out.push(c);
+                } else if c == '"' {
+                    in_string = false;
+                    out.push(c);
+                } else if c == '/' && rng.gen_bool(0.5) {
+                    out.push_str("\\/");
+                } else if rng.gen_bool(0.2) {
+                    let mut units = [0u16; 2];
+                    for u in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{u:04X}"));
+                    }
+                } else {
+                    out.push(c);
+                }
+                continue;
+            }
+            in_string = c == '"';
+            if matches!(c, ',' | ':' | '[' | ']' | '{' | '}') && rng.gen_bool(0.3) {
+                out.push_str([" ", "\n", "\t ", "\r\n"][rng.gen_range_usize(4)]);
+                out.push(c);
+                out.push(' ');
+            } else {
+                out.push(c);
+            }
+        }
+        out
+    }
+
+    /// One random edit that may or may not leave the text valid.
+    fn mutate(text: &str, rng: &mut Rng64) -> String {
+        let mut chars: Vec<char> = text.chars().collect();
+        const NOISE: &[char] = &[
+            '"',
+            '\\',
+            ',',
+            ':',
+            '[',
+            ']',
+            '{',
+            '}',
+            '-',
+            '+',
+            '.',
+            'e',
+            'E',
+            '0',
+            '9',
+            'u',
+            'n',
+            't',
+            'f',
+            ' ',
+            'd',
+            '8',
+            '\u{e9}',
+            '\u{1f600}',
+        ];
+        let at = rng.gen_range_usize(chars.len() + 1);
+        let noise = NOISE[rng.gen_range_usize(NOISE.len())];
+        match rng.gen_range_usize(3) {
+            0 => chars.insert(at, noise),
+            1 if at < chars.len() => chars[at] = noise,
+            _ if at < chars.len() => drop(chars.remove(at)),
+            _ => chars.push(noise),
+        }
+        chars.into_iter().collect()
+    }
+
+    /// `PartialEq` on `f64` calls NaN unequal to itself and `0.0` equal to
+    /// `-0.0`; the parsers must agree to the bit.
+    fn same(a: &Result<Value, JsonError>, b: &Result<Value, JsonError>) -> bool {
+        fn bits(a: &Value, b: &Value) -> bool {
+            match (a, b) {
+                (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+                (Value::Arr(x), Value::Arr(y)) => {
+                    x.len() == y.len() && x.iter().zip(y).all(|(x, y)| bits(x, y))
+                }
+                (Value::Obj(x), Value::Obj(y)) => {
+                    x.len() == y.len()
+                        && x.iter()
+                            .zip(y)
+                            .all(|((kx, x), (ky, y))| kx == ky && bits(x, y))
+                }
+                _ => a == b,
+            }
+        }
+        match (a, b) {
+            (Ok(a), Ok(b)) => bits(a, b),
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    fn assert_parsers_agree(text: &str) {
+        let (new, old) = (Value::parse(text), reference::parse(text));
+        assert!(same(&new, &old), "{text:?}: {new:?} vs {old:?}");
+    }
+
+    #[test]
+    fn kernels_match_the_reference_on_random_documents() {
+        let mut rng = Rng64::seed_from_u64(0x15);
+        let mut escapes = 0usize;
+        let mut errors = 0usize;
+        for case in 0..12_000 {
+            let v = random_value(&mut rng, 0);
+            let text = v.to_json();
+            assert_eq!(text, reference::to_json(&v), "case {case}");
+            assert_eq!(
+                v.to_json_pretty(),
+                reference::to_json_pretty(&v),
+                "case {case}"
+            );
+            // The sinks are the same document twice.
+            assert_eq!(to_value(&v).to_json(), text, "case {case}");
+            escapes += usize::from(text.contains('\\'));
+
+            assert_parsers_agree(&text);
+            assert_parsers_agree(&v.to_json_pretty());
+            let restyled = restyle(&text, &mut rng);
+            assert_parsers_agree(&restyled);
+            // What was written reads back as what the reference reads.
+            assert!(Value::parse(&restyled).is_ok(), "{restyled:?}");
+
+            // Every prefix on a character boundary, for short texts; a few
+            // random ones for long texts.
+            let cuts: Vec<usize> = if text.len() <= 64 {
+                (0..text.len()).collect()
+            } else {
+                (0..8).map(|_| rng.gen_range_usize(text.len())).collect()
+            };
+            for cut in cuts.into_iter().filter(|&c| text.is_char_boundary(c)) {
+                assert_parsers_agree(&text[..cut]);
+            }
+            for _ in 0..4 {
+                let mutated = mutate(&restyled, &mut rng);
+                errors += usize::from(Value::parse(&mutated).is_err());
+                assert_parsers_agree(&mutated);
+            }
+        }
+        // The generator reaches the slow paths and the error paths.
+        assert!(escapes > 2_000, "{escapes}");
+        assert!(errors > 10_000, "{errors}");
+    }
+
+    #[test]
+    fn number_and_string_edges_match_the_reference() {
+        for &n in NUMBERS {
+            let v = Value::Num(n);
+            assert_eq!(v.to_json(), reference::to_json(&v), "{n:e}");
+            assert_parsers_agree(&v.to_json());
+        }
+        for s in STRINGS {
+            let v = Value::from(*s);
+            assert_eq!(v.to_json(), reference::to_json(&v), "{s:?}");
+            assert_parsers_agree(&v.to_json());
+        }
+        assert_eq!(Value::Num(-0.0).to_json(), "0");
+        assert_eq!(Value::Num(f64::NAN).to_json(), "null");
+        assert_eq!(Value::Num(9e15).to_json(), "9000000000000000");
+        assert_eq!(
+            Value::Num(-8_999_999_999_999_999.0).to_json(),
+            "-8999999999999999"
+        );
+        assert_eq!(Value::Arr(vec![]).to_json(), "[]");
+        assert_eq!(Value::Obj(vec![]).to_json_pretty(), "{}");
+        for text in [
+            "-0",
+            "-0.0",
+            "007",
+            "-",
+            "--1",
+            "+1",
+            "1.",
+            ".5",
+            "1e",
+            "1e5",
+            "1E+2",
+            "123456789012345",
+            "1234567890123456",
+            "12345678901234567890",
+            "-123456789012345",
+            "12-3",
+            "1 2",
+            "1,",
+            "\"\\u+041\"",
+            "\"\\ud83d\\ude00\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d",
+            "\"\\",
+            "\"\\x\"",
+            "\"a\\",
+            "nul",
+            "tru e",
+            "{\"a\" 1}",
+            "{\"a\":1,}",
+            "{,}",
+            "[ ]",
+            "{ }",
+            "",
+            "  ",
+        ] {
+            assert_parsers_agree(text);
+        }
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Objects count too, and a megabyte of `[` is an error, not a crash.
+        let objects = format!("{}1{}", "{\"k\":".repeat(200), "}".repeat(200));
+        assert!(Value::parse(&objects).is_err());
+        assert!(Value::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Value::parse(&"[{\"a\":".repeat(1 << 18)).is_err());
+    }
+
+    /// A document type written against the sink, as the schedule types are.
+    struct Doc;
+
+    impl Emit for Doc {
+        fn emit<S: JsonSink>(&self, sink: &mut S) {
+            sink.begin_obj();
+            sink.key("name");
+            sink.str("a\"b");
+            sink.key("empty");
+            sink.begin_arr();
+            sink.end_arr();
+            sink.key("rows");
+            sink.begin_arr();
+            for i in 0..2 {
+                sink.begin_obj();
+                sink.key("i");
+                sink.uint(i);
+                sink.key("x");
+                sink.num(0.5);
+                sink.end_obj();
+            }
+            sink.null();
+            sink.bool(true);
+            sink.end_arr();
+            sink.key("none");
+            sink.begin_obj();
+            sink.end_obj();
+            sink.end_obj();
+        }
+    }
+
+    #[test]
+    fn text_and_tree_sinks_agree() {
+        let text = r#"{"name":"a\"b","empty":[],"rows":[{"i":0,"x":0.5},{"i":1,"x":0.5},null,true],"none":{}}"#;
+        let mut out = String::from("> ");
+        write_json(&Doc, &mut out);
+        assert_eq!(out, format!("> {text}"));
+        let tree = to_value(&Doc);
+        assert_eq!(tree, Value::parse(text).unwrap());
+        assert_eq!(tree.to_json(), text);
+    }
+
+    /// The writer and parser as they were before the allocation-free
+    /// kernels, frozen: the equivalence tests compare against them byte for
+    /// byte and error for error.
+    mod reference {
+        use super::super::{JsonError, Value};
+
+        pub fn to_json(v: &Value) -> String {
+            let mut out = String::new();
+            write(v, &mut out, None, 0);
+            out
+        }
+
+        pub fn to_json_pretty(v: &Value) -> String {
+            let mut out = String::new();
+            write(v, &mut out, Some(2), 0);
+            out
+        }
+
+        pub fn parse(text: &str) -> Result<Value, JsonError> {
+            let bytes = text.as_bytes();
+            let mut pos = 0usize;
+            let v = parse_value(bytes, &mut pos)?;
+            skip_ws(bytes, &mut pos);
+            if pos != bytes.len() {
+                return Err(JsonError {
+                    pos,
+                    msg: "trailing characters".into(),
+                });
+            }
+            Ok(v)
+        }
+
+        fn write(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+            let (nl, pad, pad_in) = match indent {
+                Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
+                None => ("", String::new(), String::new()),
+            };
+            match v {
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Num(n) => write_number(out, *n),
+                Value::Str(s) => write_string(out, s),
+                Value::Arr(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push_str(nl);
+                        out.push_str(&pad_in);
+                        write(v, out, indent, depth + 1);
+                    }
+                    out.push_str(nl);
+                    out.push_str(&pad);
+                    out.push(']');
+                }
+                Value::Obj(pairs) => {
+                    if pairs.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    out.push('{');
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push_str(nl);
+                        out.push_str(&pad_in);
+                        write_string(out, k);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        write(v, out, indent, depth + 1);
+                    }
+                    out.push_str(nl);
+                    out.push_str(&pad);
+                    out.push('}');
+                }
+            }
+        }
+
+        fn write_number(out: &mut String, n: f64) {
+            if !n.is_finite() {
+                // JSON has no inf/NaN; emit null like serde_json's lossy modes would
+                // reject — downstream tooling treats null as "not available".
+                out.push_str("null");
+            } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                out.push_str(&format!("{}", n as i64));
+            } else {
+                out.push_str(&format!("{n}"));
+            }
+        }
+
+        fn write_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        fn skip_ws(b: &[u8], pos: &mut usize) {
+            while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+                *pos += 1;
+            }
+        }
+
+        fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
+            if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit.as_bytes() {
+                *pos += lit.len();
+                Ok(())
+            } else {
+                Err(JsonError {
+                    pos: *pos,
+                    msg: format!("expected `{lit}`"),
+                })
+            }
+        }
+
+        fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                None => Err(JsonError {
+                    pos: *pos,
+                    msg: "unexpected end of input".into(),
+                }),
+                Some(b'n') => expect(b, pos, "null").map(|_| Value::Null),
+                Some(b't') => expect(b, pos, "true").map(|_| Value::Bool(true)),
+                Some(b'f') => expect(b, pos, "false").map(|_| Value::Bool(false)),
+                Some(b'"') => parse_string(b, pos).map(Value::Str),
+                Some(b'[') => {
+                    *pos += 1;
+                    let mut items = Vec::new();
+                    skip_ws(b, pos);
+                    if b.get(*pos) == Some(&b']') {
+                        *pos += 1;
+                        return Ok(Value::Arr(items));
+                    }
+                    loop {
+                        items.push(parse_value(b, pos)?);
+                        skip_ws(b, pos);
+                        match b.get(*pos) {
+                            Some(b',') => *pos += 1,
+                            Some(b']') => {
+                                *pos += 1;
+                                return Ok(Value::Arr(items));
+                            }
+                            _ => {
+                                return Err(JsonError {
+                                    pos: *pos,
+                                    msg: "expected `,` or `]`".into(),
+                                })
+                            }
+                        }
+                    }
+                }
+                Some(b'{') => {
+                    *pos += 1;
+                    let mut pairs = Vec::new();
+                    skip_ws(b, pos);
+                    if b.get(*pos) == Some(&b'}') {
+                        *pos += 1;
+                        return Ok(Value::Obj(pairs));
+                    }
+                    loop {
+                        skip_ws(b, pos);
+                        let key = parse_string(b, pos)?;
+                        skip_ws(b, pos);
+                        expect(b, pos, ":")?;
+                        let value = parse_value(b, pos)?;
+                        pairs.push((key, value));
+                        skip_ws(b, pos);
+                        match b.get(*pos) {
+                            Some(b',') => *pos += 1,
+                            Some(b'}') => {
+                                *pos += 1;
+                                return Ok(Value::Obj(pairs));
+                            }
+                            _ => {
+                                return Err(JsonError {
+                                    pos: *pos,
+                                    msg: "expected `,` or `}`".into(),
+                                })
+                            }
+                        }
+                    }
+                }
+                Some(_) => parse_number(b, pos).map(Value::Num),
+            }
+        }
+
+        fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+            if b.get(*pos) != Some(&b'"') {
+                return Err(JsonError {
+                    pos: *pos,
+                    msg: "expected string".into(),
+                });
+            }
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match b.get(*pos) {
+                    None => {
+                        return Err(JsonError {
+                            pos: *pos,
+                            msg: "unterminated string".into(),
+                        })
+                    }
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match b.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let bad = |pos: usize| JsonError {
+                                    pos,
+                                    msg: "bad \\u escape".into(),
+                                };
+                                let read_hex = |b: &[u8], at: usize| {
+                                    b.get(at..at + 4)
+                                        .and_then(|h| std::str::from_utf8(h).ok())
+                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                };
+                                let mut cp = read_hex(b, *pos + 1).ok_or(bad(*pos))?;
+                                *pos += 4;
+                                // Combine UTF-16 surrogate pairs (how standard
+                                // serializers escape non-BMP characters).
+                                if (0xd800..0xdc00).contains(&cp) {
+                                    if b.get(*pos + 1..*pos + 3) != Some(br"\u") {
+                                        return Err(bad(*pos));
+                                    }
+                                    let low = read_hex(b, *pos + 3).ok_or(bad(*pos))?;
+                                    if !(0xdc00..0xe000).contains(&low) {
+                                        return Err(bad(*pos));
+                                    }
+                                    cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+                                    *pos += 6;
+                                }
+                                out.push(char::from_u32(cp).ok_or(bad(*pos))?);
+                            }
+                            _ => {
+                                return Err(JsonError {
+                                    pos: *pos,
+                                    msg: "bad escape".into(),
+                                })
+                            }
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        // Consume one UTF-8 character.
+                        let start = *pos;
+                        *pos += 1;
+                        while *pos < b.len() && (b[*pos] & 0xc0) == 0x80 {
+                            *pos += 1;
+                        }
+                        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| {
+                            JsonError {
+                                pos: start,
+                                msg: "invalid UTF-8".into(),
+                            }
+                        })?);
+                    }
+                }
+            }
+        }
+
+        fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
+            let start = *pos;
+            while *pos < b.len()
+                && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            {
+                *pos += 1;
+            }
+            std::str::from_utf8(&b[start..*pos])
+                .ok()
+                .and_then(|s| s.parse::<f64>().ok())
+                .ok_or(JsonError {
+                    pos: start,
+                    msg: "invalid number".into(),
+                })
+        }
     }
 }

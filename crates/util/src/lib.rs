@@ -7,7 +7,8 @@
 //!
 //! * [`json`] — a minimal JSON document model ([`json::Value`]) with a writer
 //!   (compact and pretty) and a parser, used for schedule export and the
-//!   machine-readable benchmark output.
+//!   machine-readable benchmark output; document types describe themselves
+//!   once ([`json::Emit`]) and get both the text and the `Value` form.
 //! * [`rng`] — a tiny deterministic PRNG (splitmix64 seeded xorshift) for the
 //!   randomized baselines and property-style tests.
 //! * [`hash`] — a stable (cross-run, cross-machine) FNV-1a 64-bit hasher with

@@ -557,23 +557,18 @@ pub fn wire_hit_fixture() -> (teccl_service::ScheduleService, String) {
     (svc, line)
 }
 
-/// One cache hit as a connection thread serves it, minus the socket: parse
-/// the line, look the key up, render the reply into the connection's
-/// buffer. Panics if the request leaves the hit path.
+/// One cache hit as a connection thread serves it, minus the socket:
+/// [`teccl_service::server::respond`] (parse the line, look the key up,
+/// render the reply) into the connection's buffer. Panics if the reply is
+/// anything but a hit.
 pub fn wire_hit(svc: &teccl_service::ScheduleService, line: &str, reply: &mut String) {
-    use teccl_service::protocol::{parse_request, solve_response, Request};
-    let Ok(Request::Solve(req)) = parse_request(line) else {
-        panic!("fixture line parses as a solve request");
-    };
-    let served = svc.request(*req).expect("hit");
-    assert_eq!(
-        served.cache,
-        teccl_service::CacheStatus::Hit,
+    reply.clear();
+    teccl_service::server::respond(svc, line, reply);
+    reply.push('\n');
+    assert!(
+        reply.starts_with(r#"{"status":"ok","cache":"hit","#),
         "wire hit fell off the no-solve path"
     );
-    reply.clear();
-    teccl_util::json::write_json(&solve_response(&served), reply);
-    reply.push('\n');
 }
 
 /// Fixture for the `service/degraded_fallback_latency` bench: a service plus

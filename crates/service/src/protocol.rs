@@ -68,11 +68,17 @@ impl SolveResponse<'_> {
         json::write_json(self, &mut out);
         out
     }
+}
 
-    /// The reply as a tree.
-    pub fn to_json_value(&self) -> Value {
-        json::to_value(self)
+/// The 16 lower-case hex digits of a key hash (`{:016x}`) on the stack, so
+/// rendering a reply does not allocate for them.
+fn key_hex(hash: u64) -> [u8; 16] {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[(hash >> (60 - 4 * i)) as usize & 0xf];
     }
+    digits
 }
 
 impl Emit for SolveResponse<'_> {
@@ -86,7 +92,9 @@ impl Emit for SolveResponse<'_> {
         sink.key("quality");
         sink.str(self.0.quality.name());
         sink.key("key");
-        sink.str(&format!("{:016x}", e.key.hash));
+        let hex = key_hex(e.key.hash);
+        // ASCII by construction.
+        sink.str(std::str::from_utf8(&hex).unwrap_or_default());
         sink.key("chunk_bytes");
         sink.num(e.chunk_bytes);
         sink.key("output");
@@ -209,6 +217,24 @@ mod tests {
     use super::*;
     use teccl_collective::CollectiveKind;
     use teccl_topology::ring_topology;
+
+    #[test]
+    fn key_hex_is_the_016x_format() {
+        for hash in [
+            0,
+            1,
+            0xf,
+            0x0123_4567_89ab_cdef,
+            u64::MAX,
+            1 << 63,
+            0xdead_beef,
+        ] {
+            assert_eq!(
+                std::str::from_utf8(&key_hex(hash)),
+                Ok(format!("{hash:016x}").as_str())
+            );
+        }
+    }
 
     #[test]
     fn request_lines_roundtrip() {

@@ -9,6 +9,7 @@
 //! A connection owns one line buffer and one reply buffer for its lifetime;
 //! a reply is rendered into the latter straight from the cache entry
 //! ([`crate::protocol::solve_response`]), so a hit allocates for neither.
+//! Capacity past [`KEEP_BUFFER_BYTES`] is handed back after each request.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -29,6 +30,12 @@ use teccl_util::json::write_json;
 /// near this, and without a cap one newline-free stream grows a buffer
 /// until the daemon is out of memory.
 pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Buffer capacity a connection keeps between requests: above every builtin
+/// request line (~40 kB) and far below [`MAX_LINE_BYTES`], so one outsized
+/// line does not pin megabytes for the life of an idle connection; a larger
+/// line or reply regrows its buffer each time.
+pub const KEEP_BUFFER_BYTES: usize = 64 << 10;
 
 /// A running server. Dropping the handle does *not* stop the server; call
 /// [`ServerHandle::shutdown`] (tests) or [`ServerHandle::wait`] (the daemon).
@@ -105,8 +112,9 @@ pub fn serve(
     })
 }
 
-/// Appends the reply to one request line to `reply`.
-fn respond(service: &ScheduleService, line: &str, reply: &mut String) {
+/// Appends the reply to one request line to `reply` (no newline): what a
+/// connection thread does between reading a line and writing the answer.
+pub fn respond(service: &ScheduleService, line: &str, reply: &mut String) {
     match parse_request(line) {
         Err(e) => write_json(&request_error_response(&e), reply),
         Ok(Request::Stats) => write_json(&stats_response(&service.stats()), reply),
@@ -133,11 +141,13 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService) {
     const READ_LIMIT: u64 = MAX_LINE_BYTES as u64 + 1;
     loop {
         line.clear();
+        line.shrink_to(KEEP_BUFFER_BYTES);
+        reply.clear();
+        reply.shrink_to(KEEP_BUFFER_BYTES);
         match (&mut reader).take(READ_LIMIT).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        reply.clear();
         let too_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
         if too_long {
             let e = RequestError::Json(format!("request line exceeds {MAX_LINE_BYTES} bytes"));

@@ -315,6 +315,17 @@ impl JsonSink for TextSink<'_> {
         self.separate();
         write_number(self.out, n);
     }
+    fn uint(&mut self, n: usize) {
+        // Below `write_number`'s integer bound `n as f64` is exact and takes
+        // the digit loop; go there without the float round trip.
+        match i64::try_from(n) {
+            Ok(i) if i < 9_000_000_000_000_000 => {
+                self.separate();
+                write_integer(self.out, i);
+            }
+            _ => self.num(n as f64),
+        }
+    }
     fn str(&mut self, s: &str) {
         self.separate();
         write_string(self.out, s);
@@ -1135,6 +1146,34 @@ mod tests {
         let tree = to_value(&Doc);
         assert_eq!(tree, Value::parse(text).unwrap());
         assert_eq!(tree.to_json(), text);
+    }
+
+    #[test]
+    fn text_sink_uint_is_the_number_value_from_holds() {
+        struct Count(usize);
+        impl Emit for Count {
+            fn emit<S: JsonSink>(&self, sink: &mut S) {
+                sink.uint(self.0);
+            }
+        }
+        const BOUND: usize = 9_000_000_000_000_000;
+        for n in [
+            0,
+            7,
+            10,
+            65_535,
+            BOUND - 1,
+            BOUND,
+            BOUND + 1,
+            1 << 53,
+            (1 << 53) + 1,
+            usize::MAX,
+        ] {
+            let mut out = String::new();
+            write_json(&Count(n), &mut out);
+            assert_eq!(out, Value::from(n).to_json(), "{n}");
+            assert_eq!(to_value(&Count(n)), Value::from(n), "{n}");
+        }
     }
 
     /// The writer and parser as they were before the allocation-free

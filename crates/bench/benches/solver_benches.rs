@@ -268,7 +268,7 @@ fn bench_lu_refactor(h: &mut Harness) {
                 w[i] = basis_cols[r].values[pos];
             }
             lu.ftran(&mut w);
-            lu.update(&w, r).unwrap();
+            lu.update(&teccl_lp::IndexedVec::from_dense(w), r).unwrap();
             r = (r + 1) % m;
         }
         let fresh = teccl_lp::LuFactors::factorize(m, &basis_cols).unwrap();
@@ -409,6 +409,7 @@ fn main() {
     bench_parallel_solving(&mut h);
     bench_dantzig_wolfe(&mut h);
     bench_lu_refactor(&mut h);
+    teccl_bench::bench_dual_pivot_rows(&mut h);
     bench_presolve_warm_rounds(&mut h);
     bench_service(&mut h);
     bench_baselines(&mut h);

@@ -94,6 +94,11 @@ fn main() {
         );
     });
 
+    // What a warm dual pivot costs on an A* round (per pivot), and the two
+    // solves inside it on that round's optimal basis, sparse kernel and
+    // dense kernel side by side.
+    teccl_bench::bench_dual_pivot_rows(&mut h);
+
     // Parallel branch-and-bound: the same wide-tree knapsack at 1 and 4
     // threads. The speedup ratio is pushed into BENCH_lp.json as
     // `lp/parallel_bnb_speedup`; the >=1.5x gate only arms on machines that
@@ -339,7 +344,7 @@ fn main() {
             // Replacing column r with itself: w = B⁻¹ B e_r = e_r, so the
             // update is always well-pivoted and the basis never degrades.
             lu.ftran(&mut w);
-            lu.update(&w, r).unwrap();
+            lu.update(&teccl_lp::IndexedVec::from_dense(w), r).unwrap();
             r = (r + 1) % lu_m;
         }
         let fresh = teccl_lp::LuFactors::factorize(lu_m, &basis_cols).unwrap();
@@ -494,6 +499,9 @@ fn main() {
         "lp/degenerate_alltoall",
         "lp/steepest_edge_phase2",
         "lp/lu_refactor_fill",
+        "lp/dual_pivot_astar_round",
+        "lp/btran_unit",
+        "lp/ftran_col",
         "lp/presolve_warm_rounds",
         "lp/presolve_cold_rounds",
         "lp/parallel_bnb_1thread",

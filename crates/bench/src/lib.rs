@@ -461,19 +461,135 @@ pub fn lu_refactor_fixture() -> (usize, Vec<teccl_lp::SparseVec>) {
     let (sf, nv, _budget) = degenerate_alltoall_fixture();
     let sol = teccl_lp::solve_standard_form(&sf, nv).expect("degenerate fixture solves");
     let basis = sol.basis.expect("optimal LP returns a basis");
+    (sf.num_rows(), basis_columns(&sf, &basis))
+}
+
+/// The columns of `basis` as [`teccl_lp::LuFactors::factorize`] takes them; a
+/// phase-1 artificial lingering in a degenerate basis is the unit column of
+/// its row.
+fn basis_columns(
+    sf: &teccl_lp::StandardForm,
+    basis: &teccl_lp::SimplexBasis,
+) -> Vec<teccl_lp::SparseVec> {
     let n_cols = sf.num_cols();
-    let cols: Vec<teccl_lp::SparseVec> = basis
+    basis
         .basic
         .iter()
-        .map(|&j| {
-            if j < n_cols {
-                sf.a.col(j).clone()
-            } else {
-                teccl_lp::SparseVec::from_pairs(&[(j - n_cols, 1.0)])
-            }
+        .map(|&j| match j.checked_sub(n_cols) {
+            None => sf.a.col(j).clone(),
+            Some(row) => teccl_lp::SparseVec::from_pairs(&[(row, 1.0)]),
         })
-        .collect();
-    (sf.num_rows(), cols)
+        .collect()
+}
+
+/// Fixture for the **dual pivot** rows (`lp/dual_pivot_astar_round`,
+/// `lp/btran_unit`, `lp/ftran_col`): the second A\* round of the 16-GPU
+/// internal2(8) ALLGATHER at 16 MB — the `allgather_copy` benchmark shape
+/// with the most pivots per request — rebuilt outside the solver with
+/// [`teccl_core::astar::RoundState`]. Returns the round's presolved standard
+/// form, its structural column count, and the first round's root basis: the
+/// warm dual re-solve of the one from the other is what every A\* round
+/// after the first starts with.
+pub fn astar_round_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::SimplexBasis) {
+    use teccl_core::astar::RoundState;
+    use teccl_core::milp_form::MilpFormulation;
+    let topo = teccl_topology::internal2(8);
+    let kind = CollectiveKind::AllGather;
+    let gpus: Vec<NodeId> = topo.gpus().collect();
+    let demand = DemandMatrix::for_collective(kind, topo.num_nodes(), &gpus, 1);
+    let chunk_bytes = teccl_collective::CollectiveSizing::new(kind, gpus.len())
+        .transfer_bytes_for_output_buffer(16.0 * 1024.0 * 1024.0);
+    let config = SolverConfig::default();
+    let tau = teccl_core::epochs::epoch_duration(&topo, chunk_bytes, &config);
+    let mut state = RoundState::new(&topo, &demand, chunk_bytes, &config, tau);
+    let options = |state: &RoundState| {
+        let (remaining, open) = state.remaining(&demand);
+        assert!(open > 0, "fixture must need a second round");
+        state.build_options(&topo, &demand, &remaining, &config, true)
+    };
+    let mut form = MilpFormulation::build(
+        &topo,
+        &demand,
+        chunk_bytes,
+        &config,
+        state.epochs_per_round,
+        tau,
+        &options(&state),
+    )
+    .expect("first round builds");
+    let first = form.solve(&config).expect("first round solves");
+    state.absorb(&topo, &form.sends(&first));
+    assert!(
+        form.update_round(&demand, &config, &options(&state)),
+        "warm rounds keep the layout"
+    );
+    let (red, post) = teccl_lp::presolve::presolve(&form.model).expect("presolve");
+    let mut sf = teccl_lp::StandardForm::from_model(&red);
+    post.relax_free_rows(&mut sf);
+    let basis = first.basis.expect("first round publishes its root basis");
+    (sf, red.num_vars(), basis)
+}
+
+/// The dual-pivot rows on [`astar_round_fixture`]: `lp/dual_pivot_astar_round`
+/// is nanoseconds **per dual pivot** of the warm round re-solve;
+/// `lp/btran_unit` / `lp/ftran_col` are nanoseconds per solve on the
+/// re-solved round's optimal basis through the sparse-right-hand-side
+/// kernels — unit vectors as the dual's row pricing issues them, structural
+/// columns as the entering column does — with the dense kernels on the same
+/// right-hand sides beside them as `*_dense`.
+pub fn bench_dual_pivot_rows(h: &mut microbench::Harness) {
+    let (sf, nv, basis) = astar_round_fixture();
+    let resolve = || {
+        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &[], Some(&basis)).unwrap();
+        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
+        assert_eq!(sol.stats.warm_starts, 1, "round re-solve fell cold");
+        sol
+    };
+    let sol = resolve();
+    let pivots = sol.stats.dual_iterations;
+    assert!(
+        pivots > 100,
+        "round re-solve took only {pivots} dual pivots"
+    );
+    h.bench_function("lp/dual_pivot_astar_round", || {
+        resolve();
+    });
+    h.per_unit(pivots);
+
+    let m = sf.num_rows();
+    let optimal = sol.basis.expect("optimal re-solve returns its basis");
+    let mut lu = teccl_lp::LuFactors::factorize(m, &basis_columns(&sf, &optimal))
+        .expect("optimal basis factorizes");
+    let mut v = teccl_lp::IndexedVec::zeros(m);
+    let mut dense = vec![0.0; m];
+    let mut k = 0usize;
+    h.bench_function("lp/btran_unit", || {
+        k = (k + 53) % m;
+        v.set_unit(k);
+        lu.btran_sparse(&mut v);
+    });
+    h.bench_function("lp/btran_unit_dense", || {
+        k = (k + 53) % m;
+        dense.fill(0.0);
+        dense[k] = 1.0;
+        lu.btran(&mut dense);
+    });
+    h.bench_function("lp/ftran_col", || {
+        k = (k + 37) % sf.num_structural;
+        v.clear();
+        for (i, x) in sf.a.col(k).iter() {
+            v.add(i, x);
+        }
+        lu.ftran_sparse(&mut v);
+    });
+    h.bench_function("lp/ftran_col_dense", || {
+        k = (k + 37) % sf.num_structural;
+        dense.fill(0.0);
+        for (i, x) in sf.a.col(k).iter() {
+            dense[i] = x;
+        }
+        lu.ftran(&mut dense);
+    });
 }
 
 /// Fixture for the **A\* cross-round warm-start** benches

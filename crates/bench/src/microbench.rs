@@ -101,6 +101,20 @@ impl Harness {
         self.results.last().unwrap()
     }
 
+    /// Re-expresses the last recorded result per unit of work, for a closure
+    /// that does `units` of them per call (pivots of a fixed re-solve, say).
+    pub fn per_unit(&mut self, units: usize) {
+        if let Some(last) = self.results.last_mut() {
+            last.median_ns /= units as f64;
+            last.min_ns /= units as f64;
+            println!(
+                "{:<44} = {} per unit ({units} units per iteration)",
+                last.name,
+                format_ns(last.median_ns)
+            );
+        }
+    }
+
     /// All recorded results.
     pub fn results(&self) -> &[BenchResult] {
         &self.results

@@ -47,6 +47,179 @@ pub struct AStarOutcome {
     pub final_basis: Option<SimplexBasis>,
 }
 
+/// What A* carries from round to round — who holds which chunk, what is still
+/// on the wire — and the two things a round does with it: derive the build
+/// options of its MILP, and absorb the sends that MILP chose. Public so one
+/// round can be rebuilt outside the solver (the `lp/dual_pivot_astar_round`
+/// bench re-solves round 1 from round 0's basis this way).
+#[derive(Debug, Clone)]
+pub struct RoundState {
+    /// Epochs per round: large enough that a chunk sent in a round arrives at
+    /// most one round later (§4.2 "we set the number of epochs such that
+    /// chunks do not arrive later than one round in the future").
+    pub epochs_per_round: usize,
+    /// Effective per-link delay in epochs.
+    eff_delta: Vec<usize>,
+    /// Distance matrix for the heuristic reward (per-link cost in epochs).
+    pm: teccl_topology::PathMatrix,
+    holders: HashMap<(usize, usize), Vec<NodeId>>,
+    /// `(source, chunk, node, epochs into the next round)` per flying chunk.
+    in_flight: Vec<(NodeId, usize, NodeId, usize)>,
+}
+
+impl RoundState {
+    /// The state before the first round: every source holds its own chunks.
+    pub fn new(
+        topology: &Topology,
+        demand: &DemandMatrix,
+        chunk_bytes: f64,
+        config: &SolverConfig,
+        tau: f64,
+    ) -> Self {
+        let eff_delta: Vec<usize> = topology
+            .links
+            .iter()
+            .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
+            .collect();
+        let max_delta = eff_delta.iter().copied().max().unwrap_or(0);
+        let epochs_per_round = config
+            .astar_epochs_per_round
+            .unwrap_or((max_delta + 2).max(4));
+        let pm = teccl_topology::floyd_warshall(topology, |l| (eff_delta[l.id.0] + 1) as f64);
+        let mut holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
+        for (s, c, _d) in demand.iter() {
+            holders.entry((s.0, c)).or_insert_with(|| vec![s]);
+        }
+        RoundState {
+            epochs_per_round,
+            eff_delta,
+            pm,
+            holders,
+            in_flight: Vec::new(),
+        }
+    }
+
+    /// The demands still open — a triple is satisfied once the destination
+    /// holds the chunk (or it is in flight towards it) — and their count.
+    pub fn remaining(&self, demand: &DemandMatrix) -> (DemandMatrix, usize) {
+        let mut remaining = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
+        let mut remaining_count = 0usize;
+        for (s, c, d) in demand.iter() {
+            let held = self.holders.get(&(s.0, c)).is_some_and(|h| h.contains(&d));
+            let flying = self
+                .in_flight
+                .iter()
+                .any(|(fs, fc, fd, _)| *fs == s && *fc == c && *fd == d);
+            if !held && !flying {
+                remaining.set(s, c, d);
+                remaining_count += 1;
+            }
+        }
+        (remaining, remaining_count)
+    }
+
+    /// The build options of this round's MILP. `warm_rounds` says the model
+    /// keeps every commodity round after round (see [`solve_astar_budgeted`]).
+    pub fn build_options(
+        &self,
+        topology: &Topology,
+        demand: &DemandMatrix,
+        remaining: &DemandMatrix,
+        config: &SolverConfig,
+        warm_rounds: bool,
+    ) -> MilpBuildOptions {
+        // Terminal rewards: for every unsatisfied commodity and every GPU,
+        // reward ending the round with the chunk near a destination.
+        let mut terminal_rewards = Vec::new();
+        for s in topology.gpus() {
+            for c in 0..demand.num_chunks {
+                let dests: Vec<NodeId> = remaining.destinations_of(s, c);
+                if dests.is_empty() {
+                    continue;
+                }
+                for n in topology.gpus() {
+                    let dist = dests
+                        .iter()
+                        .map(|&d| self.pm.distance(n, d))
+                        .fold(f64::INFINITY, f64::min);
+                    if dist.is_finite() {
+                        let w = config.astar_gamma / (1.0 + dist);
+                        terminal_rewards.push((s, c, n, w));
+                    }
+                }
+            }
+        }
+
+        // Extra initial holders: everything beyond the original source.
+        let mut extra_initial = Vec::new();
+        for (&(s, c), hs) in &self.holders {
+            for &h in hs {
+                if h.0 != s {
+                    extra_initial.push((NodeId(s), c, h));
+                }
+            }
+        }
+
+        // Under warm rounds the model keeps every commodity, so pin the flows
+        // of fully-delivered ones to zero: the layout stays identical (the
+        // carried basis survives) while presolve eliminates their columns
+        // from the actual solve — late rounds then cost what the shrinking
+        // remaining-demand builds used to, without re-shaping the model.
+        let mut frozen: Vec<(NodeId, usize)> = Vec::new();
+        if warm_rounds {
+            for s in topology.gpus() {
+                for c in 0..demand.num_chunks {
+                    if demand.chunk_in_use(s, c) && remaining.destinations_of(s, c).is_empty() {
+                        frozen.push((s, c));
+                    }
+                }
+            }
+        }
+        MilpBuildOptions {
+            relax_completion: true,
+            extra_initial,
+            in_flight: self.in_flight.clone(),
+            terminal_rewards,
+            hyperedge_groups: Vec::new(),
+            frozen,
+        }
+    }
+
+    /// Applies a round's sends (epochs local to the round): what was in
+    /// flight has landed, sends that arrive inside the round land too, the
+    /// rest are in flight for the next one.
+    pub fn absorb(&mut self, topology: &Topology, round_sends: &[Send]) {
+        for (s, c, n, _vis) in self.in_flight.drain(..) {
+            let h = self.holders.entry((s.0, c)).or_default();
+            if !h.contains(&n) {
+                h.push(n);
+            }
+        }
+        for snd in round_sends {
+            let link = topology
+                .link_between(snd.from, snd.to)
+                .expect("send uses a topology link");
+            let arrival = snd.epoch + self.eff_delta[link.id.0] + 1;
+            if arrival <= self.epochs_per_round {
+                let h = self
+                    .holders
+                    .entry((snd.chunk.source.0, snd.chunk.chunk))
+                    .or_default();
+                if !h.contains(&snd.to) {
+                    h.push(snd.to);
+                }
+            } else {
+                self.in_flight.push((
+                    snd.chunk.source,
+                    snd.chunk.chunk,
+                    snd.to,
+                    arrival - self.epochs_per_round,
+                ));
+            }
+        }
+    }
+}
+
 /// Solves `demand` with the A* technique. `tau` is the epoch duration.
 pub fn solve_astar(
     topology: &Topology,
@@ -103,31 +276,9 @@ pub fn solve_astar_budgeted(
     }
     let start = Instant::now();
 
-    // Effective per-link delay and the number of epochs per round: large
-    // enough that a chunk sent in a round arrives at most one round later
-    // (§4.2 "we set the number of epochs such that chunks do not arrive later
-    // than one round in the future").
-    let eff_delta: Vec<usize> = topology
-        .links
-        .iter()
-        .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
-        .collect();
-    let max_delta = eff_delta.iter().copied().max().unwrap_or(0);
-    let epochs_per_round = config
-        .astar_epochs_per_round
-        .unwrap_or((max_delta + 2).max(4));
-
-    // Distance matrix for the heuristic reward (per-link cost in epochs).
-    let pm = teccl_topology::floyd_warshall(topology, |l| (eff_delta[l.id.0] + 1) as f64);
-
-    // Mutable state carried across rounds.
-    let mut holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
-    let mut initial_holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
-    for (s, c, _d) in demand.iter() {
-        holders.entry((s.0, c)).or_insert_with(|| vec![s]);
-        initial_holders.entry((s.0, c)).or_insert_with(|| vec![s]);
-    }
-    let mut in_flight: Vec<(NodeId, usize, NodeId, usize)> = Vec::new();
+    let mut state = RoundState::new(topology, demand, chunk_bytes, config, tau);
+    let epochs_per_round = state.epochs_per_round;
+    let initial_holders = state.holders.clone();
     let mut all_sends: Vec<Send> = Vec::new();
     let mut stalls = 0usize;
     let mut stats = SolveStats::default();
@@ -158,20 +309,7 @@ pub fn solve_astar_budgeted(
                 return Err(TeCclError::Budget(cause));
             }
         }
-        // Remaining demands: a triple is satisfied once the destination holds
-        // the chunk (or it is in flight towards it).
-        let mut remaining = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
-        let mut remaining_count = 0usize;
-        for (s, c, d) in demand.iter() {
-            let held = holders.get(&(s.0, c)).is_some_and(|h| h.contains(&d));
-            let flying = in_flight
-                .iter()
-                .any(|(fs, fc, fd, _)| *fs == s && *fc == c && *fd == d);
-            if !held && !flying {
-                remaining.set(s, c, d);
-                remaining_count += 1;
-            }
-        }
+        let (remaining, remaining_count) = state.remaining(demand);
         if remaining_count == 0 {
             return Ok(AStarOutcome {
                 sends: all_sends,
@@ -183,62 +321,7 @@ pub fn solve_astar_budgeted(
                 final_basis,
             });
         }
-
-        // Terminal rewards: for every unsatisfied commodity and every GPU,
-        // reward ending the round with the chunk near a destination.
-        let mut terminal_rewards = Vec::new();
-        for s in topology.gpus() {
-            for c in 0..demand.num_chunks {
-                let dests: Vec<NodeId> = remaining.destinations_of(s, c);
-                if dests.is_empty() {
-                    continue;
-                }
-                for n in topology.gpus() {
-                    let dist = dests
-                        .iter()
-                        .map(|&d| pm.distance(n, d))
-                        .fold(f64::INFINITY, f64::min);
-                    if dist.is_finite() {
-                        let w = config.astar_gamma / (1.0 + dist);
-                        terminal_rewards.push((s, c, n, w));
-                    }
-                }
-            }
-        }
-
-        // Extra initial holders: everything beyond the original source.
-        let mut extra_initial = Vec::new();
-        for (&(s, c), hs) in &holders {
-            for &h in hs {
-                if h.0 != s {
-                    extra_initial.push((NodeId(s), c, h));
-                }
-            }
-        }
-
-        // Under warm rounds the model keeps every commodity, so pin the flows
-        // of fully-delivered ones to zero: the layout stays identical (the
-        // carried basis survives) while presolve eliminates their columns
-        // from the actual solve — late rounds then cost what the shrinking
-        // remaining-demand builds used to, without re-shaping the model.
-        let mut frozen: Vec<(NodeId, usize)> = Vec::new();
-        if warm_rounds {
-            for s in topology.gpus() {
-                for c in 0..demand.num_chunks {
-                    if demand.chunk_in_use(s, c) && remaining.destinations_of(s, c).is_empty() {
-                        frozen.push((s, c));
-                    }
-                }
-            }
-        }
-        let options = MilpBuildOptions {
-            relax_completion: true,
-            extra_initial,
-            in_flight: in_flight.clone(),
-            terminal_rewards,
-            hyperedge_groups: Vec::new(),
-            frozen,
-        };
+        let options = state.build_options(topology, demand, &remaining, config, warm_rounds);
         // Under warm rounds the model is built from the *full* demand so the
         // commodity set (and with it the layout) never changes; demands that
         // are already satisfied only contribute constant reward terms (their
@@ -303,55 +386,17 @@ pub fn solve_astar_budgeted(
         stalls = 0;
 
         // Update state and record sends with global epoch numbers.
-        let mut new_in_flight: Vec<(NodeId, usize, NodeId, usize)> = Vec::new();
-        // Previously in-flight chunks have now landed.
-        for (s, c, n, _vis) in in_flight.drain(..) {
-            let h = holders.entry((s.0, c)).or_default();
-            if !h.contains(&n) {
-                h.push(n);
-            }
-        }
-        for snd in &round_sends {
-            let link = topology
-                .link_between(snd.from, snd.to)
-                .expect("send uses a topology link");
-            let arrival = snd.epoch + eff_delta[link.id.0] + 1;
-            if arrival <= epochs_per_round {
-                let h = holders
-                    .entry((snd.chunk.source.0, snd.chunk.chunk))
-                    .or_default();
-                if !h.contains(&snd.to) {
-                    h.push(snd.to);
-                }
-            } else {
-                new_in_flight.push((
-                    snd.chunk.source,
-                    snd.chunk.chunk,
-                    snd.to,
-                    arrival - epochs_per_round,
-                ));
-            }
-            all_sends.push(Send {
-                chunk: snd.chunk,
-                from: snd.from,
-                to: snd.to,
-                epoch: snd.epoch + round * epochs_per_round,
-            });
-        }
-        in_flight = new_in_flight;
+        state.absorb(topology, &round_sends);
+        all_sends.extend(round_sends.iter().map(|snd| Send {
+            chunk: snd.chunk,
+            from: snd.from,
+            to: snd.to,
+            epoch: snd.epoch + round * epochs_per_round,
+        }));
     }
 
     // Final check after exhausting rounds.
-    let mut remaining_count = 0usize;
-    for (s, c, d) in demand.iter() {
-        let held = holders.get(&(s.0, c)).is_some_and(|h| h.contains(&d));
-        let flying = in_flight
-            .iter()
-            .any(|(fs, fc, fd, _)| *fs == s && *fc == c && *fd == d);
-        if !held && !flying {
-            remaining_count += 1;
-        }
-    }
+    let (_, remaining_count) = state.remaining(demand);
     if remaining_count == 0 {
         Ok(AStarOutcome {
             sends: all_sends,

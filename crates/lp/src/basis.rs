@@ -30,7 +30,7 @@
 //! cap bounding numerical drift on very sparse bases.
 
 use crate::error::LpError;
-use crate::sparse::SparseVec;
+use crate::sparse::{IndexedVec, SparseVec};
 
 /// Fill-aware refactorization trigger: refactorize once the eta file holds
 /// more than this multiple of the factor non-zeros ([`LuFactors::fill_nnz`]).
@@ -151,8 +151,130 @@ impl SimplexBasis {
 struct Eta {
     r: usize,
     pivot: f64,
-    /// `(row, w[row])` for rows other than `r` with `w[row] != 0`.
+    /// `(row, w[row])` for rows other than `r` with `w[row] != 0`, ascending.
     col: Vec<(usize, f64)>,
+}
+
+/// A basis column borrowed for [`LuFactors::factorize_from`]: a column of the
+/// constraint matrix, or the unit column of a phase-1 artificial.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ColRef<'a> {
+    /// A stored column.
+    Sparse(&'a SparseVec),
+    /// `value · e_row`.
+    Unit { row: usize, value: f64 },
+}
+
+impl ColRef<'_> {
+    /// The column's `(indices, values)`, indices strictly increasing.
+    fn entries(&self) -> (&[usize], &[f64]) {
+        match self {
+            ColRef::Sparse(col) => (&col.indices, &col.values),
+            ColRef::Unit { row, value } => (std::slice::from_ref(row), std::slice::from_ref(value)),
+        }
+    }
+}
+
+/// Rows of a sparse matrix in one flat allocation: row `s` spans
+/// `ptr[s]..ptr[s + 1]` of `idx` (and of `val`, which a purely symbolic view
+/// leaves empty).
+#[derive(Debug, Clone, Default)]
+struct RowView {
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<f64>,
+}
+
+impl RowView {
+    /// Transposes `cols` — per column, `(position, value)` entries — into
+    /// rows; `row_of` maps an entry's position to its row. Columns are taken
+    /// in ascending order, so every row lists its entries by ascending
+    /// column. `numeric` keeps the values, otherwise the view is symbolic.
+    fn transpose(
+        cols: &[Vec<(usize, f64)>],
+        numeric: bool,
+        row_of: impl Fn(usize) -> usize,
+    ) -> Self {
+        let m = cols.len();
+        let mut ptr = vec![0usize; m + 1];
+        for col in cols {
+            for &(i, _) in col {
+                ptr[row_of(i) + 1] += 1;
+            }
+        }
+        for s in 0..m {
+            ptr[s + 1] += ptr[s];
+        }
+        let mut next = ptr[..m].to_vec();
+        let mut idx = vec![0usize; ptr[m]];
+        let mut val = vec![0.0; if numeric { ptr[m] } else { 0 }];
+        for (j, col) in cols.iter().enumerate() {
+            for &(i, v) in col {
+                let at = &mut next[row_of(i)];
+                idx[*at] = j;
+                if numeric {
+                    val[*at] = v;
+                }
+                *at += 1;
+            }
+        }
+        RowView { ptr, idx, val }
+    }
+
+    fn indices(&self, s: usize) -> &[usize] {
+        &self.idx[self.ptr[s]..self.ptr[s + 1]]
+    }
+
+    fn values(&self, s: usize) -> &[f64] {
+        &self.val[self.ptr[s]..self.ptr[s + 1]]
+    }
+}
+
+/// The sparse solves run while a vector holds at most `m /` this many
+/// non-zeros (and the symbolic reach of a stage stays under the same cap);
+/// past it the dense kernels' sequential passes are cheaper than list
+/// bookkeeping. The same 1/8 the primal's row-wise pivot-row gather uses.
+const SPARSE_DIVISOR: usize = 8;
+
+/// `acc / div` with a zero quotient normalized to `+0.0` (`-0.0 + 0.0` is
+/// `+0.0`; every other value is unchanged by the addition). The BTRAN stages
+/// finish every entry through this, so an entry no non-zero reached is `+0.0`
+/// in the dense kernels — whatever the sign of the divisor — exactly as in
+/// the sparse ones, which never visit it. An addition rather than a
+/// compare-and-select: the compiler turns a select around a division into a
+/// branch, which mispredicts on the irregular fill of a dense solve (+60 % on
+/// `btran2` when tried).
+#[inline]
+fn settle(acc: f64, div: f64) -> f64 {
+    acc / div + 0.0
+}
+
+/// Closes `list` — whose entries are already set in `mark` — under `adj`
+/// (breadth first, the list is its own queue). Returns `false`, with every
+/// mark cleared again, as soon as the list outgrows `cap`.
+fn close_reach<I: Iterator<Item = usize>>(
+    list: &mut Vec<usize>,
+    mark: &mut [bool],
+    cap: usize,
+    adj: impl Fn(usize) -> I,
+) -> bool {
+    let mut head = 0;
+    while head < list.len() {
+        if list.len() > cap {
+            for &s in list.iter() {
+                mark[s] = false;
+            }
+            return false;
+        }
+        for t in adj(list[head]) {
+            if !mark[t] {
+                mark[t] = true;
+                list.push(t);
+            }
+        }
+        head += 1;
+    }
+    true
 }
 
 /// A sparse LU factorization `B = L·U` (with row permutation) plus an eta file.
@@ -161,12 +283,24 @@ pub struct LuFactors {
     m: usize,
     /// `pivot_row[k]` — the original row eliminated at step `k`.
     pivot_row: Vec<usize>,
+    /// Inverse of `pivot_row`: the step at which each original row pivots.
+    step_of_row: Vec<usize>,
     /// L columns: multipliers `(original_row, l)` with unit diagonal implicit.
     lcols: Vec<Vec<(usize, f64)>>,
     /// U columns: `(step, u)` entries strictly above the diagonal.
     ucols: Vec<Vec<(usize, f64)>>,
     /// U diagonal per step.
     udiag: Vec<f64>,
+    /// Row-wise copy of `ucols`: row `s` lists `(j, U[s, j])` by ascending
+    /// `j`. The sparse BTRAN's `Uᵀ` solve scatters along it. Both row views
+    /// are built by the first sparse BTRAN after a factorization
+    /// ([`LuFactors::ensure_row_views`]), so a basis that only ever sees
+    /// dense solves never pays for them.
+    urows: RowView,
+    /// Symbolic row view of L in step space: `lrows[t]` lists the steps
+    /// `s < t` whose L column has an entry in row `pivot_row[t]` — the steps
+    /// a non-zero at step `t` reaches in the `Lᵀ` solve.
+    lrows: RowView,
     etas: Vec<Eta>,
     /// Non-zeros accumulated in `etas` (pivots + off-pivot entries): the
     /// fill-aware refactorization signal.
@@ -180,6 +314,17 @@ pub struct LuFactors {
     scratch_b: Vec<f64>,
     scratch_c: Vec<f64>,
     scratch_d: Vec<f64>,
+    /// Sparse-solve scratch, all `+0.0` / all `false` between calls.
+    work: Vec<f64>,
+    mark: Vec<bool>,
+    /// The last sparse-entry FTRAN / BTRAN produced a dense result, so the
+    /// next one skips the symbolic attempt and runs the dense kernel.
+    ftran_dense: bool,
+    btran_dense: bool,
+    /// Sparse-entry solves that ran their last stage through the list — the
+    /// equivalence fuzz checks it is exercising the sparse stages at all.
+    #[cfg(test)]
+    sparse_finishes: usize,
 }
 
 impl LuFactors {
@@ -188,12 +333,25 @@ impl LuFactors {
     /// the matrix is (numerically) singular.
     pub fn factorize(m: usize, cols: &[SparseVec]) -> Result<Self, LpError> {
         debug_assert_eq!(cols.len(), m);
+        Self::factorize_from(m, |k| ColRef::Sparse(&cols[k]))
+    }
+
+    /// [`LuFactors::factorize`] over borrowed columns: `col_at(k)` is the
+    /// column at basis position `k`. The simplex refactorizes through this so
+    /// a refresh copies no column.
+    pub(crate) fn factorize_from<'a>(
+        m: usize,
+        col_at: impl Fn(usize) -> ColRef<'a>,
+    ) -> Result<Self, LpError> {
         let mut lu = LuFactors {
             m,
             pivot_row: Vec::with_capacity(m),
+            step_of_row: vec![0; m],
             lcols: Vec::with_capacity(m),
             ucols: Vec::with_capacity(m),
             udiag: Vec::with_capacity(m),
+            urows: RowView::default(),
+            lrows: RowView::default(),
             etas: Vec::new(),
             eta_nnz: 0,
             factor_nnz: 2 * m,
@@ -201,6 +359,12 @@ impl LuFactors {
             scratch_b: vec![0.0; m],
             scratch_c: vec![0.0; m],
             scratch_d: vec![0.0; m],
+            work: vec![0.0; m],
+            mark: vec![false; m],
+            ftran_dense: false,
+            btran_dense: false,
+            #[cfg(test)]
+            sparse_finishes: 0,
         };
         // `pivoted[row] = Some(step)` once a row has been chosen as pivot.
         let mut pivoted: Vec<Option<usize>> = vec![None; m];
@@ -216,15 +380,17 @@ impl LuFactors {
         // Markowitz tie-breaking signal (rows touched by few columns create
         // little fill when eliminated early).
         let mut row_count = vec![0usize; m];
-        for col in cols {
-            for (i, _) in col.iter() {
+        for k in 0..m {
+            for &i in col_at(k).entries().0 {
                 row_count[i] += 1;
             }
         }
 
-        for (k, col) in cols.iter().enumerate() {
+        for k in 0..m {
+            let col = col_at(k);
+            let (col_rows, col_vals) = col.entries();
             // Scatter the column into the dense work vector.
-            for (i, v) in col.iter() {
+            for (&i, &v) in col_rows.iter().zip(col_vals) {
                 if !in_touched[i] {
                     in_touched[i] = true;
                     touched.push(i);
@@ -240,7 +406,7 @@ impl LuFactors {
             // is a topological order for the numeric replay. Cost is
             // proportional to the reach, not to `k`.
             reach.clear();
-            for (i, _) in col.iter() {
+            for &i in col_rows {
                 if let Some(s) = pivoted[i] {
                     if !step_seen[s] {
                         step_seen[s] = true;
@@ -330,6 +496,7 @@ impl LuFactors {
                 }
             }
             pivoted[prow] = Some(k);
+            lu.step_of_row[prow] = k;
             lu.pivot_row.push(prow);
             lu.udiag.push(pval);
             lu.ucols.push(ucol);
@@ -377,11 +544,28 @@ impl LuFactors {
         self.etas.len() >= ETA_PIVOT_BACKSTOP || self.eta_nnz > ETA_FILL_FACTOR * self.factor_nnz
     }
 
+    // ---- Dense kernels -----------------------------------------------------
+    //
+    // Each solve is three stages, and each stage exists once densely (below)
+    // and once over a non-zero list (the `_sparse` entry points further
+    // down). The two forms perform the same floating-point operations in the
+    // same order on every entry that is structurally non-zero, and the dense
+    // form leaves an entry no non-zero reaches at `+0.0` — FTRAN skips zeros,
+    // BTRAN finishes entries through [`settle`] — just as the sparse form,
+    // which never visits it. So the results agree to the bit, and that is
+    // what lets a solve start sparse and finish dense.
+
     /// FTRAN: solves `B x = rhs` in place. On input `rhs` is in original row
     /// space; on output it holds `x` indexed by basis position.
     pub fn ftran(&mut self, rhs: &mut [f64]) {
         debug_assert_eq!(rhs.len(), self.m);
-        // Forward elimination: replay L.
+        self.ftran_l(rhs);
+        self.ftran_u(rhs);
+        self.ftran_etas(rhs);
+    }
+
+    /// Forward elimination: replays L (row space, in place).
+    fn ftran_l(&self, rhs: &mut [f64]) {
         for step in 0..self.m {
             let t = rhs[self.pivot_row[step]];
             if t == 0.0 {
@@ -391,13 +575,19 @@ impl LuFactors {
                 rhs[i] -= l * t;
             }
         }
-        // Back substitution on U (columns hold entries above the diagonal).
-        // x lives in step space; gather from pivot rows first.
+    }
+
+    /// Back substitution on U (columns hold entries above the diagonal): row
+    /// space in, step (= basis position) space out.
+    fn ftran_u(&mut self, rhs: &mut [f64]) {
         let x = &mut self.scratch_a;
         for step in 0..self.m {
             x[step] = rhs[self.pivot_row[step]];
         }
         for j in (0..self.m).rev() {
+            if x[j] == 0.0 {
+                continue;
+            }
             let xj = x[j] / self.udiag[j];
             x[j] = xj;
             if xj != 0.0 {
@@ -407,7 +597,10 @@ impl LuFactors {
             }
         }
         rhs.copy_from_slice(x);
-        // Replay the eta file.
+    }
+
+    /// Replays the eta file.
+    fn ftran_etas(&self, rhs: &mut [f64]) {
         for eta in &self.etas {
             let num = rhs[eta.r];
             if num != 0.0 {
@@ -424,27 +617,38 @@ impl LuFactors {
     /// position; on output it holds `y` in original row space.
     pub fn btran(&mut self, c: &mut [f64]) {
         debug_assert_eq!(c.len(), self.m);
-        // Transposed etas, in reverse order.
+        self.btran_etas(c);
+        self.btran_u(c);
+        self.btran_l(c);
+    }
+
+    /// Transposed etas, in reverse order.
+    fn btran_etas(&self, c: &mut [f64]) {
         for eta in self.etas.iter().rev() {
             let mut acc = c[eta.r];
             for &(i, w) in &eta.col {
                 acc -= w * c[i];
             }
-            c[eta.r] = acc / eta.pivot;
+            c[eta.r] = settle(acc, eta.pivot);
         }
-        // Solve Uᵀ z = c (forward over steps).
-        let z = &mut self.scratch_a;
+    }
+
+    /// Solves `Uᵀ z = c` in place (forward over steps).
+    fn btran_u(&self, c: &mut [f64]) {
         for j in 0..self.m {
             let mut acc = c[j];
             for &(step, u) in &self.ucols[j] {
-                acc -= u * z[step];
+                acc -= u * c[step];
             }
-            z[j] = acc / self.udiag[j];
+            c[j] = settle(acc, self.udiag[j]);
         }
-        // Solve Lᵀ y = z, scattering back to original row space.
+    }
+
+    /// Solves `Lᵀ y = z`: step space in, original row space out.
+    fn btran_l(&mut self, c: &mut [f64]) {
         let y = &mut self.scratch_b;
         for step in 0..self.m {
-            y[self.pivot_row[step]] = z[step];
+            y[self.pivot_row[step]] = c[step];
         }
         for step in (0..self.m).rev() {
             let prow = self.pivot_row[step];
@@ -459,10 +663,11 @@ impl LuFactors {
 
     /// BTRAN on two right-hand sides in lockstep: every eta and factor entry
     /// is loaded once and applied to both systems, roughly halving the memory
-    /// traffic of two back-to-back [`LuFactors::btran`] calls. The simplex
-    /// pivot loop solves ρ = B⁻ᵀe_r and τ = B⁻ᵀw together on this path —
-    /// on the big ALLTOALL forms the two solves are the largest single
-    /// per-iteration cost.
+    /// traffic of two back-to-back [`LuFactors::btran`] calls (whose results
+    /// it reproduces exactly). The primal pivot loop solves ρ = B⁻ᵀe_r and
+    /// τ = B⁻ᵀw together on this path while they are dense — on the big
+    /// ALLTOALL forms the two solves are the largest single per-iteration
+    /// cost.
     pub fn btran2(&mut self, c1: &mut [f64], c2: &mut [f64]) {
         debug_assert_eq!(c1.len(), self.m);
         debug_assert_eq!(c2.len(), self.m);
@@ -474,8 +679,8 @@ impl LuFactors {
                 a1 -= w * c1[i];
                 a2 -= w * c2[i];
             }
-            c1[eta.r] = a1 / eta.pivot;
-            c2[eta.r] = a2 / eta.pivot;
+            c1[eta.r] = settle(a1, eta.pivot);
+            c2[eta.r] = settle(a2, eta.pivot);
         }
         // Solve Uᵀ z = c (forward over steps).
         let z1 = &mut self.scratch_a;
@@ -487,8 +692,8 @@ impl LuFactors {
                 a1 -= u * z1[step];
                 a2 -= u * z2[step];
             }
-            z1[j] = a1 / self.udiag[j];
-            z2[j] = a2 / self.udiag[j];
+            z1[j] = settle(a1, self.udiag[j]);
+            z2[j] = settle(a2, self.udiag[j]);
         }
         // Solve Lᵀ y = z, scattering back to original row space.
         let y1 = &mut self.scratch_b;
@@ -512,23 +717,270 @@ impl LuFactors {
         c2.copy_from_slice(y2);
     }
 
+    // ---- Sparse-right-hand-side kernels ------------------------------------
+    //
+    // A stage first closes the non-zero list under the factor's dependency
+    // graph (which steps can a non-zero reach), sorts the reached steps, and
+    // replays exactly those in the dense kernel's order. Every edge of the
+    // graphs below leads to a later (FTRAN-L, BTRAN-Uᵀ) or an earlier
+    // (FTRAN-U, BTRAN-Lᵀ) step, so sorted order is a topological order. If a
+    // reach outgrows `m / SPARSE_DIVISOR` the remaining stages run densely —
+    // free of charge in accuracy because the two forms agree to the bit.
+
+    /// [`LuFactors::ftran`] for a right-hand side given with its non-zero
+    /// list (duplicates in `v.nz` are tolerated on input). The result is
+    /// bit-identical to the dense solve; on return `v` either lists a sorted
+    /// superset of its non-zeros or is marked dense.
+    pub fn ftran_sparse(&mut self, v: &mut IndexedVec) {
+        debug_assert_eq!(v.values.len(), self.m);
+        let cap = self.m / SPARSE_DIVISOR;
+        let IndexedVec {
+            values: rhs,
+            nz,
+            dense,
+        } = v;
+        // Stages already applied through the list.
+        let mut done = 0;
+        let mut sparse = !*dense && !self.ftran_dense && nz.len() <= cap;
+        if sparse {
+            // Row space → step space, dropping duplicates.
+            let (mark, step_of_row, lcols) = (&mut self.mark, &self.step_of_row, &self.lcols);
+            nz.retain_mut(|i| {
+                *i = step_of_row[*i];
+                !std::mem::replace(&mut mark[*i], true)
+            });
+            sparse = close_reach(nz, mark, cap, |s| {
+                lcols[s].iter().map(|&(i, _)| step_of_row[i])
+            });
+        }
+        if sparse {
+            nz.sort_unstable();
+            for &s in nz.iter() {
+                let t = rhs[self.pivot_row[s]];
+                if t != 0.0 {
+                    for &(i, l) in &self.lcols[s] {
+                        rhs[i] -= l * t;
+                    }
+                }
+            }
+            done = 1;
+            let ucols = &self.ucols;
+            sparse = close_reach(nz, &mut self.mark, cap, |j| {
+                ucols[j].iter().map(|&(s, _)| s)
+            });
+        }
+        if sparse {
+            nz.sort_unstable();
+            let x = &mut self.work;
+            for &s in nz.iter() {
+                let prow = self.pivot_row[s];
+                x[s] = rhs[prow];
+                rhs[prow] = 0.0;
+            }
+            for &j in nz.iter().rev() {
+                if x[j] == 0.0 {
+                    continue;
+                }
+                let xj = x[j] / self.udiag[j];
+                x[j] = xj;
+                if xj != 0.0 {
+                    for &(step, u) in &self.ucols[j] {
+                        x[step] -= u * xj;
+                    }
+                }
+            }
+            for &j in nz.iter() {
+                rhs[j] = x[j];
+                x[j] = 0.0;
+            }
+            for eta in &self.etas {
+                let num = rhs[eta.r];
+                if num != 0.0 {
+                    let t = num / eta.pivot;
+                    rhs[eta.r] = t;
+                    for &(i, w) in &eta.col {
+                        rhs[i] -= w * t;
+                        if !self.mark[i] {
+                            self.mark[i] = true;
+                            nz.push(i);
+                        }
+                    }
+                }
+            }
+            nz.sort_unstable();
+            for &i in nz.iter() {
+                self.mark[i] = false;
+            }
+            self.ftran_dense = nz.len() > cap;
+            #[cfg(test)]
+            {
+                self.sparse_finishes += 1;
+            }
+            return;
+        }
+        if done < 1 {
+            self.ftran_l(rhs);
+        }
+        self.ftran_u(rhs);
+        self.ftran_etas(rhs);
+        self.ftran_dense = v.reindex(cap);
+    }
+
+    /// [`LuFactors::btran`] for a right-hand side given with its non-zero
+    /// list; same contract as [`LuFactors::ftran_sparse`].
+    pub fn btran_sparse(&mut self, v: &mut IndexedVec) {
+        let try_sparse = !self.btran_dense;
+        self.btran_dense = self.btran_indexed(v, try_sparse);
+    }
+
+    /// [`LuFactors::btran2`] for two indexed right-hand sides: lockstep dense
+    /// while the solves have been coming out dense, two sparse solves
+    /// otherwise — the same values either way.
+    pub fn btran2_sparse(&mut self, v1: &mut IndexedVec, v2: &mut IndexedVec) {
+        let cap = self.m / SPARSE_DIVISOR;
+        let listed = |v: &IndexedVec| !v.dense && v.nz.len() <= cap;
+        if self.btran_dense || !listed(v1) || !listed(v2) {
+            self.btran2(&mut v1.values, &mut v2.values);
+            // One census decides both while the first is dense: the second
+            // (τ = B⁻ᵀw in the primal) is never the sparser of the two.
+            self.btran_dense = v1.reindex(cap);
+            if self.btran_dense {
+                v2.nz.clear();
+                v2.dense = true;
+            } else {
+                self.btran_dense = v2.reindex(cap);
+            }
+        } else {
+            let d1 = self.btran_indexed(v1, true);
+            let d2 = self.btran_indexed(v2, true);
+            self.btran_dense = d1 || d2;
+        }
+    }
+
+    /// Builds the row views on first use: each U row lists its entries by
+    /// ascending column — the order the dense `Uᵀ` solve subtracts them in.
+    /// An L entry sits in an original row; its row in step space is the step
+    /// that row pivots at.
+    fn ensure_row_views(&mut self) {
+        if self.urows.ptr.is_empty() {
+            self.urows = RowView::transpose(&self.ucols, true, |s| s);
+            let step_of_row = &self.step_of_row;
+            self.lrows = RowView::transpose(&self.lcols, false, |i| step_of_row[i]);
+        }
+    }
+
+    /// The BTRAN behind both sparse entry points; returns whether the result
+    /// came out dense.
+    fn btran_indexed(&mut self, v: &mut IndexedVec, try_sparse: bool) -> bool {
+        debug_assert_eq!(v.values.len(), self.m);
+        let cap = self.m / SPARSE_DIVISOR;
+        let IndexedVec {
+            values: c,
+            nz,
+            dense,
+        } = v;
+        let mut done = 0;
+        let mut sparse = try_sparse && !*dense && nz.len() <= cap;
+        if sparse {
+            self.ensure_row_views();
+            let mark = &mut self.mark;
+            nz.retain(|&i| !std::mem::replace(&mut mark[i], true));
+            // The transposed etas have no reach to exploit: each one is a
+            // dot product over its own entries, whatever `c` holds.
+            for eta in self.etas.iter().rev() {
+                let mut acc = c[eta.r];
+                for &(i, w) in &eta.col {
+                    acc -= w * c[i];
+                }
+                c[eta.r] = settle(acc, eta.pivot);
+                if acc != 0.0 && !mark[eta.r] {
+                    mark[eta.r] = true;
+                    nz.push(eta.r);
+                }
+            }
+            done = 1;
+            let urows = &self.urows;
+            sparse = close_reach(nz, mark, cap, |s| urows.indices(s).iter().copied());
+        }
+        if sparse {
+            // Uᵀ by rows: once z_s is final it is scattered along row s of U,
+            // so each later entry receives its subtractions by ascending s —
+            // the order the dense column dot takes them in.
+            nz.sort_unstable();
+            for &s in nz.iter() {
+                let z = settle(c[s], self.udiag[s]);
+                c[s] = z;
+                if z != 0.0 {
+                    for (&j, &u) in self.urows.indices(s).iter().zip(self.urows.values(s)) {
+                        c[j] -= u * z;
+                    }
+                }
+            }
+            done = 2;
+            let lrows = &self.lrows;
+            sparse = close_reach(nz, &mut self.mark, cap, |t| {
+                lrows.indices(t).iter().copied()
+            });
+        }
+        if sparse {
+            // Lᵀ: the reached steps, latest first, each with the dense
+            // kernel's full dot over its L column.
+            nz.sort_unstable();
+            let y = &mut self.work;
+            for &s in nz.iter() {
+                y[self.pivot_row[s]] = c[s];
+                c[s] = 0.0;
+            }
+            for &s in nz.iter().rev() {
+                let prow = self.pivot_row[s];
+                let mut acc = y[prow];
+                for &(i, l) in &self.lcols[s] {
+                    acc -= l * y[i];
+                }
+                y[prow] = acc;
+            }
+            for s in nz.iter_mut() {
+                self.mark[*s] = false;
+                *s = self.pivot_row[*s];
+                c[*s] = y[*s];
+                y[*s] = 0.0;
+            }
+            nz.sort_unstable();
+            #[cfg(test)]
+            {
+                self.sparse_finishes += 1;
+            }
+            return nz.len() > cap;
+        }
+        if done < 1 {
+            self.btran_etas(c);
+        }
+        if done < 2 {
+            self.btran_u(c);
+        }
+        self.btran_l(c);
+        v.reindex(cap)
+    }
+
     /// Records a basis change: the column entering at basis position `r` has
-    /// transformed column `w` (`= B⁻¹ a_enter`, basis-position space). Returns
-    /// an error if the pivot element is numerically unusable, in which case
-    /// the caller must refactorize.
-    pub fn update(&mut self, w: &[f64], r: usize) -> Result<(), LpError> {
-        let pivot = w[r];
+    /// transformed column `w` (`= B⁻¹ a_enter`, basis-position space). The
+    /// eta is built from `w`'s non-zero list. Returns an error if the pivot
+    /// element is numerically unusable, in which case the caller must
+    /// refactorize.
+    pub fn update(&mut self, w: &IndexedVec, r: usize) -> Result<(), LpError> {
+        let pivot = w.values[r];
         if pivot.abs() <= PIVOT_TOL {
             return Err(LpError::Numerical(format!(
                 "eta pivot too small ({pivot:.3e})"
             )));
         }
-        let col: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
+        let mut col: Vec<(usize, f64)> = Vec::new();
+        w.indices().for_each(|i| {
+            let v = w.values[i];
+            if i != r && v != 0.0 {
+                col.push((i, v));
+            }
+        });
         self.eta_nnz += col.len() + 1;
         self.etas.push(Eta { r, pivot, col });
         Ok(())
@@ -608,7 +1060,7 @@ mod tests {
         let mut lu = LuFactors::factorize(3, &dense_cols(&cols)).unwrap();
         let mut w = vec![1.0, -1.0, 2.0];
         lu.ftran(&mut w);
-        lu.update(&w, 2).unwrap();
+        lu.update(&IndexedVec::from_dense(w), 2).unwrap();
         let c1 = vec![1.0, -2.0, 0.5];
         let c2 = vec![-3.0, 0.0, 4.0];
         let (mut s1, mut s2) = (c1.clone(), c2.clone());
@@ -654,7 +1106,7 @@ mod tests {
         let a = vec![1.0, 2.0, 0.0];
         let mut w = a.clone();
         lu.ftran(&mut w); // w = a since B = I
-        lu.update(&w, 1).unwrap();
+        lu.update(&IndexedVec::from_dense(w), 1).unwrap();
         assert_eq!(lu.eta_count(), 1);
 
         let new_cols = vec![vec![1.0, 0.0, 0.0], a.clone(), vec![0.0, 0.0, 1.0]];
@@ -707,7 +1159,7 @@ mod tests {
             if w[r].abs() < 1e-8 {
                 continue;
             }
-            lu.update(&w, r).unwrap();
+            lu.update(&IndexedVec::from_dense(w), r).unwrap();
             cols[r] = a;
             let mut fresh = LuFactors::factorize(m, &dense_cols(&cols)).unwrap();
             let rhs: Vec<f64> = (0..m).map(|_| next()).collect();
@@ -761,6 +1213,163 @@ mod tests {
         );
     }
 
+    /// Values whose sums and products stay exact in `f64`, so eliminations
+    /// cancel to exact zeros as they do on TE-CCL's ±1 matrices.
+    const EXACT: [f64; 6] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5];
+
+    /// A random sparse column over `m` rows with `k` entries (duplicates
+    /// merged, zeros dropped).
+    fn random_col(rng: &mut teccl_util::Rng64, m: usize, k: usize, exact: bool) -> SparseVec {
+        let pairs: Vec<(usize, f64)> = (0..k)
+            .map(|_| {
+                let v = if exact {
+                    EXACT[rng.gen_range_usize(EXACT.len())]
+                } else {
+                    rng.gen_range_f64(-2.0, 2.0)
+                };
+                (rng.gen_range_usize(m), v)
+            })
+            .collect();
+        SparseVec::from_pairs(&pairs)
+    }
+
+    /// What every sparse-entry solve must leave behind: the dense kernel's
+    /// result to the bit, a truthful index, and clean scratch.
+    fn assert_same_solve(what: &str, lu: &LuFactors, sparse: &IndexedVec, dense: &[f64]) {
+        for (i, (a, b)) in sparse.values.iter().zip(dense).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: entry {i}: {a:e} vs {b:e}"
+            );
+        }
+        if !sparse.dense {
+            assert!(
+                sparse.nz.windows(2).all(|p| p[0] < p[1]),
+                "{what}: index list not strictly ascending: {:?}",
+                sparse.nz
+            );
+            for (i, v) in sparse.values.iter().enumerate() {
+                if sparse.nz.binary_search(&i).is_err() {
+                    assert_eq!(v.to_bits(), 0, "{what}: unlisted entry {i} holds {v:e}");
+                }
+            }
+        }
+        assert!(
+            lu.work.iter().all(|v| v.to_bits() == 0) && lu.mark.iter().all(|b| !b),
+            "{what}: scratch left dirty"
+        );
+    }
+
+    #[test]
+    fn sparse_solves_match_dense_bit_for_bit() {
+        let mut rng = teccl_util::Rng64::seed_from_u64(0x005b_a5e5);
+        let (mut bases, mut solves, mut sparse_finishes) = (0usize, 0usize, 0usize);
+        let mut case = 0usize;
+        while bases < 2_000 {
+            case += 1;
+            // m 5–400, mostly small; eta-file lengths cycle 0 / 1 / 50 / 256.
+            let m = match case % 8 {
+                0 => 5 + rng.gen_range_usize(396),
+                1..=4 => 64 + rng.gen_range_usize(96),
+                _ => 5 + rng.gen_range_usize(60),
+            };
+            let etas = [0, 1, 50, 256][case % 4];
+            let exact = !case.is_multiple_of(3);
+            // A row-permuted diagonal plus zero to two off-diagonal entries
+            // per column: around the density where a solve's reach tips from
+            // a handful of steps to most of them, so both regimes occur.
+            let mut perm: Vec<usize> = (0..m).collect();
+            for i in (1..m).rev() {
+                perm.swap(i, rng.gen_range_usize(i + 1));
+            }
+            let cols: Vec<SparseVec> = (0..m)
+                .map(|j| {
+                    let extra = rng.gen_range_usize(2 + case % 2);
+                    let mut col = random_col(&mut rng, m, extra, exact).to_dense(m);
+                    col[perm[j]] = if exact { 2.0 } else { 3.0 + rng.gen_f64() };
+                    dense_cols(&[col]).remove(0)
+                })
+                .collect();
+            let Ok(mut lu) = LuFactors::factorize(m, &cols) else {
+                continue; // singular draw
+            };
+            bases += 1;
+            // Grow the eta file through the sparse FTRAN itself.
+            let mut tries = 0;
+            while lu.eta_count() < etas && tries < 4 * etas {
+                tries += 1;
+                let r = rng.gen_range_usize(m);
+                let k = 1 + rng.gen_range_usize(3);
+                let a = random_col(&mut rng, m, k, exact);
+                let mut w = IndexedVec::zeros(m);
+                for (i, v) in a.iter() {
+                    w.add(i, v);
+                }
+                lu.ftran_sparse(&mut w);
+                if w.values[r].abs() > 0.25 {
+                    lu.update(&w, r).unwrap();
+                }
+            }
+            for probe in 0..6 {
+                // Unit, column-of-the-basis and multi-entry right-hand sides.
+                let rhs = match probe % 3 {
+                    0 => SparseVec::from_pairs(&[(rng.gen_range_usize(m), 1.0)]),
+                    1 => cols[rng.gen_range_usize(m)].clone(),
+                    _ => {
+                        let k = 2 + rng.gen_range_usize(m.min(12));
+                        random_col(&mut rng, m, k, exact)
+                    }
+                };
+                let mut v = IndexedVec::zeros(m);
+                for (i, x) in rhs.iter() {
+                    v.add(i, x);
+                }
+                if probe == 5 {
+                    v.nz.extend_from_slice(&rhs.indices); // duplicates tolerated
+                }
+                let mut dense = v.values.clone();
+                // Half the probes start from a clean density history, half
+                // inherit whatever the previous solve observed.
+                if probe < 3 {
+                    (lu.ftran_dense, lu.btran_dense) = (false, false);
+                }
+                let before = lu.sparse_finishes;
+                let what = format!("case {case} m {m} etas {} probe {probe}", lu.eta_count());
+                if probe % 2 == 0 {
+                    lu.ftran(&mut dense);
+                    lu.ftran_sparse(&mut v);
+                    assert_same_solve(&format!("ftran {what}"), &lu, &v, &dense);
+                } else {
+                    lu.btran(&mut dense);
+                    lu.btran_sparse(&mut v);
+                    assert_same_solve(&format!("btran {what}"), &lu, &v, &dense);
+                }
+                solves += 1;
+                sparse_finishes += lu.sparse_finishes - before;
+            }
+            // The lockstep pair agrees with two single solves either way.
+            let (r, j) = (rng.gen_range_usize(m), rng.gen_range_usize(m));
+            let (mut d1, mut d2) = (vec![0.0; m], cols[j].to_dense(m));
+            d1[r] = 1.0;
+            let (mut v1, mut v2) = (IndexedVec::zeros(m), IndexedVec::zeros(m));
+            v1.set_unit(r);
+            for (i, x) in cols[j].iter() {
+                v2.add(i, x);
+            }
+            lu.btran2(&mut d1, &mut d2);
+            lu.btran2_sparse(&mut v1, &mut v2);
+            assert_same_solve(&format!("btran2/1 case {case}"), &lu, &v1, &d1);
+            assert_same_solve(&format!("btran2/2 case {case}"), &lu, &v2, &d2);
+        }
+        // The fuzz is only worth its name if both regimes ran: most solves
+        // finish on the list, a fair share fall back to the dense stages.
+        assert!(
+            sparse_finishes * 3 > solves && sparse_finishes * 20 < solves * 19,
+            "{sparse_finishes} of {solves} solves finished sparse"
+        );
+    }
+
     #[test]
     fn refactor_trigger_is_fill_aware() {
         // Identity basis: factor_nnz = 2m. Dense etas accumulate nnz fast, so
@@ -775,7 +1384,7 @@ mod tests {
         let mut pivots = 0usize;
         while !lu.needs_refactor() {
             let w: Vec<f64> = (0..m).map(|i| 1.0 + i as f64 * 0.01).collect();
-            lu.update(&w, pivots % m).unwrap();
+            lu.update(&IndexedVec::from_dense(w), pivots % m).unwrap();
             pivots += 1;
             assert!(pivots <= ETA_PIVOT_BACKSTOP, "trigger never fired");
         }
@@ -793,8 +1402,8 @@ mod tests {
         let mut lu2 = LuFactors::factorize(m, &dense_cols(&eye)).unwrap();
         let mut sparse_pivots = 0usize;
         while !lu2.needs_refactor() {
-            let mut w = vec![0.0; m];
-            w[sparse_pivots % m] = 1.5;
+            let mut w = IndexedVec::zeros(m);
+            w.add(sparse_pivots % m, 1.5);
             lu2.update(&w, sparse_pivots % m).unwrap();
             sparse_pivots += 1;
             assert!(sparse_pivots <= ETA_PIVOT_BACKSTOP, "trigger never fired");

@@ -28,7 +28,8 @@
 
 use crate::basis::VarStatus;
 use crate::error::LpError;
-use crate::simplex::{SimplexState, DTOL, FEAS_TOL, PIV_TOL, REFRESH_INTERVAL};
+use crate::simplex::{PivotRow, SimplexState, DTOL, FEAS_TOL, PIV_TOL, REFRESH_INTERVAL};
+use crate::sparse::IndexedVec;
 
 /// Result of a dual-simplex run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,11 +149,36 @@ pub(crate) fn dual_simplex(
     };
     let mut y: Vec<f64> = Vec::with_capacity(m);
 
-    let mut rho: Vec<f64> = Vec::with_capacity(m);
-    let mut w: Vec<f64> = Vec::with_capacity(m);
-    let mut delta_rhs: Vec<f64> = Vec::with_capacity(m);
-    let mut alpha: Vec<(usize, f64)> = Vec::new(); // (col, rho·A_j) per non-basic
+    // Hot-loop buffers. ρ, w and the flip batch travel with their non-zero
+    // lists, so every pass below — pivot row, x-update, weights, eta, buffer
+    // clearing — runs over what the vectors hold, not over `0..m`.
+    let mut rho = IndexedVec::zeros(m);
+    let mut w = IndexedVec::zeros(m);
+    let mut delta_rhs = IndexedVec::zeros(m);
+    let mut pivot_row = PivotRow::new(ncols);
+    let mut alpha: Vec<(usize, f64)> = Vec::new(); // (col, α̂_j) per non-basic
+    let mut breakpoints: Vec<(f64, usize, f64)> = Vec::new(); // (ratio, col, α̂_j)
     let mut flips: Vec<usize> = Vec::new();
+
+    // Leaving-row candidates: every primal-infeasible row is listed (and
+    // flagged in `in_infeas`); the pricing scan drops rows that turned
+    // feasible, and each pivot re-checks only the rows whose basic value it
+    // moved. `infeas_stale` — set whenever the basic values are recomputed
+    // wholesale — makes the next scan start from all rows again.
+    let row_violation = |state: &SimplexState, r: usize| -> f64 {
+        let bvar = state.basis[r];
+        if state.x[bvar] < state.lb[bvar] - PRIMAL_FEAS_TOL {
+            state.x[bvar] - state.lb[bvar] // negative: below lower
+        } else if state.x[bvar] > state.ub[bvar] + PRIMAL_FEAS_TOL {
+            state.x[bvar] - state.ub[bvar] // positive: above upper
+        } else {
+            0.0
+        }
+    };
+    let mut infeas: Vec<usize> = Vec::with_capacity(m);
+    let mut in_infeas = vec![false; m];
+    let mut infeas_sorted = true;
+    let mut infeas_stale = true;
 
     // Anti-stall: if the total primal infeasibility stops shrinking, disable
     // bound flipping and switch to a Bland-flavoured ratio test (lowest column
@@ -187,6 +213,7 @@ pub(crate) fn dual_simplex(
             state.refactorize()?;
             state.recompute_basic_values();
             recompute_d(state, &mut d, &mut y);
+            infeas_stale = true;
         }
 
         // ---- Row pricing: largest scaled infeasibility. ----
@@ -198,24 +225,38 @@ pub(crate) fn dual_simplex(
         // a full refactorization per spin. Violations under the threshold are
         // accepted as noise, like the EXPAND drift, and clamped at
         // extraction.
+        //
+        // The candidates are walked in ascending row order, so the first
+        // maximum wins and `total_infeas` sums in the order a scan over all
+        // rows would.
+        if infeas_stale {
+            infeas.clear();
+            infeas.extend(0..m);
+            in_infeas.fill(true);
+            infeas_stale = false;
+        } else if !infeas_sorted {
+            infeas.sort_unstable();
+        }
+        infeas_sorted = true;
         let mut leave: Option<(usize, f64, f64)> = None; // (row, violation, score)
         let mut total_infeas = 0.0;
-        #[allow(clippy::needless_range_loop)] // r indexes basis and row_weight
-        for r in 0..m {
-            let bvar = state.basis[r];
-            let v = if state.x[bvar] < state.lb[bvar] - PRIMAL_FEAS_TOL {
-                state.x[bvar] - state.lb[bvar] // negative: below lower
-            } else if state.x[bvar] > state.ub[bvar] + PRIMAL_FEAS_TOL {
-                state.x[bvar] - state.ub[bvar] // positive: above upper
-            } else {
+        let mut keep = 0usize;
+        for idx in 0..infeas.len() {
+            let r = infeas[idx];
+            let v = row_violation(state, r);
+            if v == 0.0 {
+                in_infeas[r] = false;
                 continue;
-            };
+            }
+            infeas[keep] = r;
+            keep += 1;
             total_infeas += v.abs();
             let score = v * v / row_weight[r];
             if leave.as_ref().is_none_or(|&(_, _, s)| score > s) {
                 leave = Some((r, v, score));
             }
         }
+        infeas.truncate(keep);
         let Some((r, violation, _)) = leave else {
             let _ = charge_batch.flush();
             return Ok(DualOutcome::Optimal); // primal feasible
@@ -251,17 +292,23 @@ pub(crate) fn dual_simplex(
         // coefficient can close a violation the certificate would otherwise
         // declare unclosable, so that capacity is tallied separately and
         // blocks the Infeasible verdict below.
-        rho.clear();
-        rho.resize(m, 0.0);
-        rho[r] = 1.0;
-        state.lu.btran(&mut rho);
+        //
+        // The row is gathered over ρ's non-zeros; its columns are then taken
+        // in ascending order, so the breakpoint sort sees the candidates in
+        // the order a scan over all columns would produce and breaks ties
+        // the same way.
+        rho.set_unit(r);
+        state.lu.btran_sparse(&mut rho);
+        pivot_row.compute(state, &rho);
+        pivot_row.touched.sort_unstable();
         alpha.clear();
         let mut tiny_capacity = 0.0f64;
-        for j in 0..ncols {
+        for &ju in &pivot_row.touched {
+            let j = ju as usize;
             if state.status[j] == VarStatus::Basic || state.ub[j] - state.lb[j] < DTOL {
                 continue;
             }
-            let a = sigma * state.row_dot_col(j, &rho);
+            let a = sigma * pivot_row.alpha[j];
             if a.abs() > PIV_TOL {
                 alpha.push((j, a));
             } else if a != 0.0 {
@@ -293,11 +340,13 @@ pub(crate) fn dual_simplex(
                 VarStatus::Basic => false,
             }
         };
-        let mut breakpoints: Vec<(f64, usize, f64)> = alpha
-            .iter()
-            .filter(|&&(j, a)| eligible(state.status[j], a))
-            .map(|&(j, a)| ((d[j] / a).max(0.0), j, a))
-            .collect();
+        breakpoints.clear();
+        breakpoints.extend(
+            alpha
+                .iter()
+                .filter(|&&(j, a)| eligible(state.status[j], a))
+                .map(|&(j, a)| ((d[j] / a).max(0.0), j, a)),
+        );
         if conservative {
             // Bland-flavoured: strict ratio order, ties by column index, no
             // flipping (each pivot is a plain minimal-ratio dual pivot).
@@ -362,6 +411,7 @@ pub(crate) fn dual_simplex(
             }
             // Noise, or stale numbers: refresh the reduced costs and retry.
             recompute_d(state, &mut d, &mut y);
+            infeas_stale = true;
             continue;
         };
 
@@ -371,7 +421,6 @@ pub(crate) fn dual_simplex(
         // ---- Apply the bound flips (batched single FTRAN). ----
         if !flips.is_empty() {
             delta_rhs.clear();
-            delta_rhs.resize(m, 0.0);
             for &j in &flips {
                 let (old, new, st) = match state.status[j] {
                     VarStatus::AtLower => (state.lb[j], state.ub[j], VarStatus::AtUpper),
@@ -383,32 +432,33 @@ pub(crate) fn dual_simplex(
                 state.x[j] = new;
                 if j < state.n {
                     for (i, v) in state.sf.a.col(j).iter() {
-                        delta_rhs[i] += v * dx;
+                        delta_rhs.add(i, v * dx);
                     }
                 } else {
-                    delta_rhs[j - state.n] += state.art_sign[j - state.n] * dx;
+                    delta_rhs.add(j - state.n, state.art_sign[j - state.n] * dx);
                 }
             }
-            state.lu.ftran(&mut delta_rhs);
-            for (i, &dv) in delta_rhs.iter().enumerate() {
+            state.lu.ftran_sparse(&mut delta_rhs);
+            for i in delta_rhs.indices() {
                 let bvar = state.basis[i];
-                state.x[bvar] -= dv;
+                state.x[bvar] -= delta_rhs.values[i];
             }
         }
 
         // ---- Pivot: `enter` replaces the row-r basic variable. ----
         state.ftran_col_into(enter, &mut w);
-        if w[r].abs() <= PIV_TOL {
+        if w.values[r].abs() <= PIV_TOL {
             // ρ-based and FTRAN-based pivots disagree badly: refactorize and
             // retry from clean numbers; a second failure aborts to cold.
             state.refactorize()?;
             state.recompute_basic_values();
             recompute_d(state, &mut d, &mut y);
+            infeas_stale = true;
             state.ftran_col_into(enter, &mut w);
-            if w[r].abs() <= PIV_TOL {
+            if w.values[r].abs() <= PIV_TOL {
                 return Err(LpError::Numerical(format!(
                     "dual pivot too small ({:.3e})",
-                    w[r]
+                    w.values[r]
                 )));
             }
         }
@@ -420,10 +470,10 @@ pub(crate) fn dual_simplex(
         } else {
             state.lb[leaving]
         };
-        let dx_enter = (state.x[leaving] - target) / w[r];
-        for (i, &wi) in w.iter().enumerate().take(m) {
+        let dx_enter = (state.x[leaving] - target) / w.values[r];
+        for i in w.indices() {
             let bvar = state.basis[i];
-            state.x[bvar] -= wi * dx_enter;
+            state.x[bvar] -= w.values[i] * dx_enter;
         }
         state.x[enter] += dx_enter;
         state.x[leaving] = target;
@@ -448,9 +498,10 @@ pub(crate) fn dual_simplex(
         d[leaving] = -sigma * theta_d;
 
         // Dual-devex weight update from the pivot column spike.
-        let wr = w[r];
+        let wr = w.values[r];
         let gamma_r = row_weight[r].max(1.0);
-        for (i, &wi) in w.iter().enumerate().take(m) {
+        for i in w.indices() {
+            let wi = w.values[i];
             if i == r || wi == 0.0 {
                 continue;
             }
@@ -466,6 +517,21 @@ pub(crate) fn dual_simplex(
             state.refactorize()?;
             state.recompute_basic_values();
             recompute_d(state, &mut d, &mut y);
+            infeas_stale = true;
+        }
+
+        // Basic values moved only in the rows the flip batch and w reach
+        // (row r, now holding the entering variable, is one of w's): list
+        // the ones that are infeasible now.
+        if !infeas_stale {
+            let flipped = (!flips.is_empty()).then_some(&delta_rhs);
+            for i in flipped.into_iter().chain([&w]).flat_map(|v| v.indices()) {
+                if !in_infeas[i] && row_violation(state, i) != 0.0 {
+                    in_infeas[i] = true;
+                    infeas.push(i);
+                    infeas_sorted = false;
+                }
+            }
         }
     }
 }

@@ -76,7 +76,7 @@ pub use simplex::{
     solve_standard_form_with_options, PricingRule, SimplexOptions,
 };
 pub use solution::{Solution, SolveStats, SolveStatus};
-pub use sparse::{SparseMatrix, SparseVec};
+pub use sparse::{IndexedVec, RowMajor, SparseMatrix, SparseVec};
 pub use standard::StandardForm;
 pub use teccl_util::json::Value;
 pub use teccl_util::{BudgetExceeded, SolveBudget};

@@ -7,7 +7,13 @@
 //! BTRANs (the pivot row, plus `B⁻ᵀw` for the steepest-edge update), and an
 //! `O(nnz)` eta append, with a **fill-aware refactorization** (the eta file is
 //! folded back in when its accumulated non-zeros exceed a multiple of the
-//! frozen factor size, not after a fixed pivot count).
+//! frozen factor size, not after a fixed pivot count). The solves exchange
+//! [`IndexedVec`]s — values plus a non-zero list — so on the small A* and
+//! B&B models, where `w`, `ρ` and `τ` hold a few dozen entries out of
+//! thousands, the ratio test, the updates and the pivot row ([`PivotRow`],
+//! shared with the dual) cost what those entries cost; on the big ALLTOALL
+//! forms the vectors come back marked dense and the loops walk `0..m` as
+//! before.
 //!
 //! Pricing is **projected steepest edge** (Forrest & Goldfarb): reference
 //! weights `γ_j ≈ 1 + ‖B⁻¹a_j‖²` start at 1 when a phase begins and are then
@@ -49,12 +55,12 @@
 //! re-optimize with the same dual machinery — the hot path for
 //! branch-and-bound children.
 
-use crate::basis::{LuFactors, SimplexBasis, VarStatus};
+use crate::basis::{ColRef, LuFactors, SimplexBasis, VarStatus};
 use crate::dual::{self, DualOutcome};
 use crate::error::LpError;
 use crate::model::Model;
 use crate::solution::{Solution, SolveStats, SolveStatus};
-use crate::sparse::SparseVec;
+use crate::sparse::IndexedVec;
 use crate::standard::StandardForm;
 use teccl_util::budget::{BudgetExceeded, ChargeBatcher, SolveBudget};
 
@@ -146,15 +152,59 @@ pub(crate) struct SimplexState<'a> {
     /// Pricing reference weights, one per column (steepest-edge `γ_j` or
     /// devex weights depending on the active [`PricingRule`]).
     weights: Vec<f64>,
-    /// Row-major copy of `sf.a` — for each row, the `(column, value)` pairs
-    /// over the structural + slack columns (artificials stay implicit). Built
-    /// lazily at the first primal pivot: the per-pivot reduced-cost/weight
-    /// update accumulates the pivot row `α = ρᵀA` over the non-zeros of `ρ`
-    /// in O(touched entries) instead of dotting `ρ` against every column —
-    /// the difference between O(nnz(pivot rows)) and O(ncols · nnz/col) per
-    /// iteration, which dominates wall clock on the big ALLTOALL forms.
-    /// Pivot-free solves (warm re-certifications) never pay the build.
-    rows_a: Option<Vec<Vec<(u32, f64)>>>,
+}
+
+/// The pivot row `α = ρᵀ[A | artificials]`, gathered over the non-zeros of
+/// `ρ = B⁻ᵀe_r` from the standard form's row-major copy of `A` — the one
+/// pivot-row kernel, under the primal's reduced-cost / weight update and the
+/// dual's ratio test alike. Cost is the entries of the rows `ρ` touches, not
+/// `ncols` column dots. Rows are taken in ascending order, so each `α_j`
+/// sums the same products in the same order as `ρ · a_j` over the stored
+/// column ([`SimplexState::row_dot_col`]) and equals it exactly.
+pub(crate) struct PivotRow {
+    /// `α_j` per column; zero outside `touched`.
+    pub(crate) alpha: Vec<f64>,
+    /// Columns some listed row has an entry in, in discovery order.
+    pub(crate) touched: Vec<u32>,
+    mark: Vec<bool>,
+}
+
+impl PivotRow {
+    pub(crate) fn new(ncols: usize) -> Self {
+        PivotRow {
+            alpha: vec![0.0; ncols],
+            touched: Vec::with_capacity(256),
+            mark: vec![false; ncols],
+        }
+    }
+
+    /// Computes the row for `rho`, replacing the previous one.
+    pub(crate) fn compute(&mut self, state: &SimplexState, rho: &IndexedVec) {
+        for &j in &self.touched {
+            self.alpha[j as usize] = 0.0;
+            self.mark[j as usize] = false;
+        }
+        self.touched.clear();
+        let mut add = |j: usize, term: f64| {
+            if !self.mark[j] {
+                self.mark[j] = true;
+                self.touched.push(j as u32);
+            }
+            self.alpha[j] += term;
+        };
+        for i in rho.indices() {
+            let ri = rho.values[i];
+            if ri == 0.0 {
+                continue;
+            }
+            for (j, v) in state.sf.rows.row(i) {
+                add(j, ri * v);
+            }
+            // Row i's implicit artificial column sits at n + i with the
+            // single entry art_sign[i].
+            add(state.n + i, ri * state.art_sign[i]);
+        }
+    }
 }
 
 /// Solves the LP relaxation of `model` (integrality ignored) with the
@@ -555,7 +605,6 @@ fn build_initial_state<'a>(
         dual_iterations: 0,
         factorizations: 0,
         weights: vec![1.0; n + m],
-        rows_a: None,
     };
     state.refactorize()?;
     Ok(state)
@@ -644,7 +693,6 @@ fn try_warm_solve(
         dual_iterations: 0,
         factorizations: 0,
         weights: vec![1.0; n + m],
-        rows_a: None,
     };
     let fallback = |state: &SimplexState| WarmFallback {
         iterations: state.iterations,
@@ -934,32 +982,16 @@ impl<'a> SimplexState<'a> {
 
     /// `w = B⁻¹ A_j` for any column (structural, slack, or artificial),
     /// written into the caller's reusable buffer.
-    pub(crate) fn ftran_col_into(&mut self, j: usize, w: &mut Vec<f64>) {
+    pub(crate) fn ftran_col_into(&mut self, j: usize, w: &mut IndexedVec) {
         w.clear();
-        w.resize(self.m, 0.0);
         if j < self.n {
             for (i, v) in self.sf.a.col(j).iter() {
-                w[i] += v;
+                w.add(i, v);
             }
         } else {
-            w[j - self.n] += self.art_sign[j - self.n];
+            w.add(j - self.n, self.art_sign[j - self.n]);
         }
-        self.lu.ftran(w);
-    }
-
-    /// Builds the row-major copy of the constraint matrix on first use (see
-    /// the field docs on [`SimplexState::rows_a`]).
-    pub(crate) fn ensure_row_major(&mut self) {
-        if self.rows_a.is_some() {
-            return;
-        }
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.m];
-        for (j, col) in self.sf.a.cols.iter().enumerate() {
-            for (i, v) in col.iter() {
-                rows[i].push((j as u32, v));
-            }
-        }
-        self.rows_a = Some(rows);
+        self.lu.ftran_sparse(w);
     }
 
     /// `rho · A_j` — one entry of a tableau row, given `rho = B⁻ᵀ e_r`.
@@ -989,18 +1021,17 @@ impl<'a> SimplexState<'a> {
         }
     }
 
-    /// A materialized basis column (used only when refactorizing).
-    fn basis_col(&self, j: usize) -> SparseVec {
-        if j < self.n {
-            self.sf.a.col(j).clone()
-        } else {
-            SparseVec::from_pairs(&[(j - self.n, self.art_sign[j - self.n])])
-        }
-    }
-
+    /// Refactorizes the current basis from its columns where they live — the
+    /// form's matrix and the implicit artificials — copying none of them.
     pub(crate) fn refactorize(&mut self) -> Result<(), LpError> {
-        let cols: Vec<SparseVec> = self.basis.iter().map(|&j| self.basis_col(j)).collect();
-        self.lu = LuFactors::factorize(self.m, &cols)?;
+        let (sf, n, basis, art_sign) = (self.sf, self.n, &self.basis, &self.art_sign);
+        self.lu = LuFactors::factorize_from(self.m, |k| match basis[k] {
+            j if j < n => ColRef::Sparse(sf.a.col(j)),
+            j => ColRef::Unit {
+                row: j - n,
+                value: art_sign[j - n],
+            },
+        })?;
         self.factorizations += 1;
         Ok(())
     }
@@ -1102,15 +1133,10 @@ fn run_phase(
     let mut d_fresh = true;
 
     // Hot-loop buffers, allocated once per phase and reused every iteration.
-    let mut w: Vec<f64> = Vec::with_capacity(m);
-    let mut rho: Vec<f64> = Vec::with_capacity(m);
-    let mut tau: Vec<f64> = Vec::with_capacity(m);
-    // Sparse pivot-row scratch: dense accumulators indexed by column plus the
-    // list of columns actually touched this pivot (cleared after each use, so
-    // the per-pivot cost is proportional to the touched set, not ncols).
-    let mut alpha: Vec<f64> = vec![0.0; ncols];
-    let mut amark: Vec<bool> = vec![false; ncols];
-    let mut touched: Vec<u32> = Vec::with_capacity(256);
+    let mut w = IndexedVec::zeros(m);
+    let mut rho = IndexedVec::zeros(m);
+    let mut tau = IndexedVec::zeros(m);
+    let mut pivot_row = PivotRow::new(ncols);
     // Pricing candidates: every non-basic column that can move (see the scan
     // below for the maintenance protocol).
     let mut active: Vec<u32> = (0..ncols)
@@ -1270,8 +1296,8 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                                                            // Room a blocking row has before its bound in the movement direction,
                                                            // `None` when the row does not block (shared by both passes so the
                                                            // expanded and true ratio tests can never desynchronize).
-        let blocking_room = |r: usize, w: &[f64]| -> Option<(f64, f64)> {
-            let rate = -dir * w[r];
+        let blocking_room = |r: usize, w: &IndexedVec| -> Option<(f64, f64)> {
+            let rate = -dir * w.values[r];
             let bvar = state.basis[r];
             if rate < -PIV_TOL {
                 state.lb[bvar]
@@ -1290,30 +1316,32 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
         } else {
             f64::INFINITY
         };
-        for r in 0..m {
+        w.indices().for_each(|r| {
             if let Some((room, rate)) = blocking_room(r, &w) {
                 let t = (room + tol_work).max(0.0) / rate.abs();
                 if t < t_exp {
                     t_exp = t;
                 }
             }
-        }
+        });
 
         let mut leave_row: Option<(usize, f64)> = None; // (row, true ratio)
         if t_exp.is_finite() {
-            for r in 0..m {
+            w.indices().for_each(|r| {
                 if let Some((room, rate)) = blocking_room(r, &w) {
                     let t = room.max(0.0) / rate.abs();
-                    if t <= t_exp && leave_row.is_none_or(|(cur, _)| w[r].abs() > w[cur].abs()) {
+                    if t <= t_exp
+                        && leave_row.is_none_or(|(cur, _)| w.values[r].abs() > w.values[cur].abs())
+                    {
                         leave_row = Some((r, t));
                     }
                 }
-            }
+            });
         }
 
         // Decide between a basis pivot and a bound flip of the entering
         // column; an unbounded ray is the remaining case.
-        let (t, pivot_row) = match leave_row {
+        let (t, leave_at) = match leave_row {
             Some((r, t_true)) => {
                 // Strictly positive minimum step (the EXPAND anti-cycling
                 // guarantee), capped at `t_exp`: past that cap, rows outside
@@ -1322,7 +1350,7 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                 // inflate the minimum step arbitrarily and break the drift
                 // bound the module documents).
                 let t = t_true
-                    .max(EXPAND_DELTA / w[r].abs().max(PIV_TOL))
+                    .max(EXPAND_DELTA / w.values[r].abs().max(PIV_TOL))
                     .min(t_exp);
                 if own_range <= t {
                     (own_range, None) // the entering column flips first
@@ -1340,17 +1368,17 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
         };
 
         // Apply the step to all basic variables and the entering variable.
-        for (r, &wr) in w.iter().enumerate().take(m) {
+        w.indices().for_each(|r| {
             let bvar = state.basis[r];
-            state.x[bvar] += -dir * wr * t;
-        }
+            state.x[bvar] += -dir * w.values[r] * t;
+        });
         state.x[enter] += dir * t;
         lap(&mut t_ratio, t0);
         if t < 1e-9 {
             degen_iters += 1;
         }
 
-        match pivot_row {
+        match leave_at {
             None => {
                 flip_iters += 1;
                 // Bound flip: the entering variable traversed its whole range.
@@ -1368,7 +1396,7 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
             Some(r) => {
                 let leaving = state.basis[r];
                 debug_assert_ne!(leaving, enter);
-                let rate = -dir * w[r];
+                let rate = -dir * w.values[r];
                 // Snap the leaving variable onto the bound it reached (any
                 // overshoot from the minimum step lands on the other basic
                 // variables, bounded by `tol_work`).
@@ -1403,76 +1431,51 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                 // leaving column's exact new weight (‖w‖² + 1)/α_q² is set
                 // directly — its stale nonbasic γ would poison the formula.
                 let mut need_reset = false;
-                let alpha_q = w[r];
+                let alpha_q = w.values[r];
                 let theta_d = d_enter / alpha_q;
-                let wnorm2: f64 = w.iter().map(|v| v * v).sum();
+                let wnorm2: f64 = w.indices().map(|i| w.values[i] * w.values[i]).sum();
                 if alpha_q.abs() > PIV_TOL && theta_d.is_finite() && wnorm2.is_finite() {
                     let gamma_q = state.weights[enter].max(1.0);
                     let t0 = clk(trace);
-                    rho.clear();
-                    rho.resize(m, 0.0);
-                    rho[r] = 1.0;
+                    rho.set_unit(r);
                     let se = pricing == PricingRule::SteepestEdge;
                     if se {
-                        tau.clear();
-                        tau.extend_from_slice(&w);
-                        // One lockstep pass over the factors for both solves.
-                        state.lu.btran2(&mut rho, &mut tau);
+                        tau.copy_from(&w);
+                        // Dense: one lockstep pass over the factors for both
+                        // solves. Sparse: one list-driven solve each.
+                        state.lu.btran2_sparse(&mut rho, &mut tau);
                     } else {
-                        state.lu.btran(&mut rho);
+                        state.lu.btran_sparse(&mut rho);
                     }
                     lap(&mut t_btran, t0);
                     let t0 = clk(trace);
                     // The pivot row α = ρᵀA (and for SE, g_j = a_j·τ) has two
                     // evaluation strategies keyed on the density of ρ = B⁻ᵀe_r:
                     //
-                    // * ρ sparse (common in phase 1 and right after a refresh):
-                    //   gather α over the non-zeros of ρ via the row-major copy
-                    //   of A — cost ∝ entries of the rows ρ touches, and g_j is
-                    //   computed per *touched* column only (η = 0 leaves γ_j
-                    //   unchanged, so untouched columns need nothing).
+                    // * ρ sparse — at most m/8 non-zeros, the solve kept its
+                    //   list (common in phase 1, right after a refresh, and
+                    //   throughout the small A* / B&B models): the shared
+                    //   [`PivotRow`] gather — cost ∝ entries of the rows ρ
+                    //   touches, and g_j is computed per *touched* column
+                    //   only (η = 0 leaves γ_j unchanged, so untouched
+                    //   columns need nothing).
                     // * ρ dense (deep degenerate phase-2 walks fill it in):
-                    //   the direct per-column loop, skipping basic and
-                    //   presolve-pinned columns before any arithmetic and
-                    //   computing α_j and g_j in a single traversal of each
-                    //   column. A gather would pay list bookkeeping on every
-                    //   one of nnz(A) entries for no skip.
-                    let rho_nnz = rho.iter().filter(|v| **v != 0.0).count();
-                    if rho_nnz * 8 <= m {
-                        state.ensure_row_major();
-                        {
-                            let rows = state.rows_a.as_ref().expect("just built");
-                            let nstruct = state.n;
-                            for (i, &ri) in rho.iter().enumerate() {
-                                if ri == 0.0 {
-                                    continue;
-                                }
-                                for &(j, v) in &rows[i] {
-                                    let j = j as usize;
-                                    if !amark[j] {
-                                        amark[j] = true;
-                                        touched.push(j as u32);
-                                    }
-                                    alpha[j] += ri * v;
-                                }
-                                // Row i's implicit artificial column sits at
-                                // nstruct + i with the single entry art_sign[i].
-                                let ja = nstruct + i;
-                                if !amark[ja] {
-                                    amark[ja] = true;
-                                    touched.push(ja as u32);
-                                }
-                                alpha[ja] += ri * state.art_sign[i];
-                            }
-                        }
+                    //   no row is materialized; a fused per-column update
+                    //   pass skips basic and presolve-pinned columns before
+                    //   any arithmetic and computes α_j and g_j in a single
+                    //   traversal of each column. A gather would pay list
+                    //   bookkeeping on every one of nnz(A) entries for no
+                    //   skip.
+                    //
+                    // Both produce the same α_j and g_j for the same columns,
+                    // so which one runs never changes a pivot.
+                    if !rho.dense {
+                        pivot_row.compute(state, &rho);
                         // Scatter: apply the reduced-cost and weight updates
-                        // to the touched non-basic columns, clearing the
-                        // scratch accumulators as we go.
-                        for &ju in &touched {
+                        // to the touched non-basic columns.
+                        for &ju in &pivot_row.touched {
                             let j = ju as usize;
-                            let alpha_j = alpha[j];
-                            alpha[j] = 0.0;
-                            amark[j] = false;
+                            let alpha_j = pivot_row.alpha[j];
                             if state.status[j] == VarStatus::Basic
                                 || state.ub[j] - state.lb[j] < DTOL
                                 || alpha_j == 0.0
@@ -1482,7 +1485,7 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                             d[j] -= theta_d * alpha_j;
                             let eta = alpha_j / alpha_q;
                             if se {
-                                let g_j = state.row_dot_col(j, &tau);
+                                let g_j = state.row_dot_col(j, &tau.values);
                                 let cand =
                                     state.weights[j] - 2.0 * eta * g_j + eta * eta * (wnorm2 + 1.0);
                                 state.weights[j] = cand.max(1.0 + eta * eta);
@@ -1493,7 +1496,6 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                                 }
                             }
                         }
-                        touched.clear();
                     } else {
                         // The pricing list is exactly the set of columns this
                         // pass can affect (stale Basic entries fall to the
@@ -1506,7 +1508,8 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                                 continue;
                             }
                             if se {
-                                let (alpha_j, g_j) = state.row_dot_col2(j, &rho, &tau);
+                                let (alpha_j, g_j) =
+                                    state.row_dot_col2(j, &rho.values, &tau.values);
                                 if alpha_j == 0.0 {
                                     continue;
                                 }
@@ -1516,7 +1519,7 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                                     state.weights[j] - 2.0 * eta * g_j + eta * eta * (wnorm2 + 1.0);
                                 state.weights[j] = cand.max(1.0 + eta * eta);
                             } else {
-                                let alpha_j = state.row_dot_col(j, &rho);
+                                let alpha_j = state.row_dot_col(j, &rho.values);
                                 if alpha_j == 0.0 {
                                     continue;
                                 }
@@ -1933,6 +1936,68 @@ mod tests {
             }
         }
         assert!(verified, "no cap tripped inside the perturbed pre-pass");
+    }
+
+    #[test]
+    fn pivot_row_kernel_matches_per_column_dots() {
+        // The shared row-wise gather against `row_dot_col`, column by column
+        // (artificials included, some with sign −1), for ρ of every density,
+        // listed and dense alike.
+        let mut rng = teccl_util::Rng64::seed_from_u64(0x9e37);
+        let mut negative_artificials = 0usize;
+        for case in 0..60 {
+            let (rows, vars) = (8 + rng.gen_range_usize(40), 10 + rng.gen_range_usize(60));
+            let mut model = Model::new(Sense::Minimize);
+            let xs: Vec<_> = (0..vars)
+                .map(|j| model.add_var(format!("x{j}"), 0.0, 4.0, rng.gen_f64(), false))
+                .collect();
+            for i in 0..rows {
+                let terms: Vec<_> = (0..1 + rng.gen_range_usize(5))
+                    .map(|_| (xs[rng.gen_range_usize(vars)], rng.gen_range_f64(-2.0, 2.0)))
+                    .collect();
+                // Equality rows with either sign of right-hand side: the
+                // slack cannot absorb the residual, so artificials of both
+                // signs appear.
+                let op = [ConstraintOp::Eq, ConstraintOp::Le, ConstraintOp::Ge][i % 3];
+                model.add_cons(format!("c{i}"), &terms, op, rng.gen_range_f64(-3.0, 3.0));
+            }
+            let sf = StandardForm::from_model(&model);
+            let state = build_initial_state(&sf, &sf.lb, &sf.ub, false).unwrap();
+            negative_artificials += state.art_sign.iter().filter(|s| **s < 0.0).count();
+            let (m, ncols) = (state.m, state.n + state.m);
+            let mut row = PivotRow::new(ncols);
+            for density in [0.0, 0.02, 0.1, 0.5, 1.0] {
+                let mut rho = IndexedVec::zeros(m);
+                for i in 0..m {
+                    if rng.gen_bool(density) || (density > 0.0 && i == case % m) {
+                        rho.add(i, rng.gen_range_f64(-1.0, 1.0));
+                    }
+                }
+                for as_dense in [false, true] {
+                    let mut rho = rho.clone();
+                    if as_dense {
+                        rho.nz.clear();
+                        rho.dense = true;
+                    }
+                    row.compute(&state, &rho);
+                    let mut touched = vec![false; ncols];
+                    for &j in &row.touched {
+                        assert!(!std::mem::replace(&mut touched[j as usize], true));
+                    }
+                    for (j, &listed) in touched.iter().enumerate() {
+                        let (got, want) = (row.alpha[j], state.row_dot_col(j, &rho.values));
+                        // Bit for bit; an untouched artificial of sign −1 is
+                        // `0·(−1) = −0.0` by the column formula, `+0.0` here.
+                        assert!(
+                            got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
+                            "case {case} density {density} column {j}: {got:e} vs {want:e}"
+                        );
+                        assert!(listed || got.to_bits() == 0, "column {j} not listed");
+                    }
+                }
+            }
+        }
+        assert!(negative_artificials > 20, "{negative_artificials}");
     }
 
     #[test]

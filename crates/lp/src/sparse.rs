@@ -1,8 +1,11 @@
 //! Minimal sparse linear-algebra types used by the simplex implementation.
 //!
-//! The constraint matrix is stored column-wise ([`SparseMatrix`]) because the
-//! revised simplex only ever needs `B^{-1} A_j` for single columns `A_j` and
-//! reduced-cost pricing over columns. Row-wise access is not required.
+//! The constraint matrix is stored column-wise ([`SparseMatrix`]): the revised
+//! simplex needs `B^{-1} A_j` for single columns `A_j` and reduced-cost
+//! pricing over columns. The one row-wise consumer — the pivot row
+//! `α = ρᵀA` gathered over the non-zeros of `ρ` — reads a [`RowMajor`] copy
+//! built once per standard form. [`IndexedVec`] is the dense-vector-plus-
+//! non-zero-list the sparse FTRAN/BTRAN kernels exchange with the pivot loops.
 
 /// A sparse vector stored as parallel `(index, value)` arrays.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -182,6 +185,190 @@ impl SparseMatrix {
     }
 }
 
+/// A row-major (CSR) copy of a [`SparseMatrix`]: per row, the column indices
+/// (ascending) and values of its non-zeros.
+#[derive(Debug, Clone, Default)]
+pub struct RowMajor {
+    ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl RowMajor {
+    /// Transposes the storage of `a` with one counting pass and one fill
+    /// pass. Columns are visited in ascending order, so every row lists its
+    /// entries by ascending column.
+    pub fn from_columns(a: &SparseMatrix) -> Self {
+        let mut ptr = vec![0usize; a.rows + 1];
+        for col in &a.cols {
+            for &i in &col.indices {
+                ptr[i + 1] += 1;
+            }
+        }
+        for i in 0..a.rows {
+            ptr[i + 1] += ptr[i];
+        }
+        let mut next = ptr[..a.rows].to_vec();
+        let mut cols = vec![0u32; ptr[a.rows]];
+        let mut vals = vec![0.0; ptr[a.rows]];
+        for (j, col) in a.cols.iter().enumerate() {
+            for (i, v) in col.iter() {
+                cols[next[i]] = j as u32;
+                vals[next[i]] = v;
+                next[i] += 1;
+            }
+        }
+        RowMajor { ptr, cols, vals }
+    }
+
+    /// Iterates over the `(column, value)` non-zeros of row `i`, by ascending
+    /// column.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let span = self.ptr[i]..self.ptr[i + 1];
+        self.cols[span.clone()]
+            .iter()
+            .map(|&j| j as usize)
+            .zip(self.vals[span].iter().copied())
+    }
+}
+
+/// A dense vector that also knows where its non-zeros are: the currency of
+/// the sparse-right-hand-side solves in [`crate::basis::LuFactors`].
+///
+/// While `dense` is `false`, `nz` is a sorted, duplicate-free **superset** of
+/// the positions holding a non-zero (an entry that cancelled to exact zero
+/// may stay listed) and every unlisted position is `+0.0`. Once a solve finds
+/// the vector too full for the list to pay, it sets `dense` and stops
+/// maintaining `nz`; [`IndexedVec::indices`] then walks every position.
+#[derive(Debug, Clone, Default)]
+pub struct IndexedVec {
+    /// The values, one per position.
+    pub values: Vec<f64>,
+    /// Positions that may hold a non-zero (meaningful while `!dense`).
+    pub nz: Vec<usize>,
+    /// `nz` is not maintained: any position may hold a non-zero.
+    pub dense: bool,
+}
+
+/// Positions of an [`IndexedVec`] that may hold a non-zero, ascending.
+pub enum Indices<'a> {
+    /// Every position (the vector is dense).
+    All(std::ops::Range<usize>),
+    /// The listed positions.
+    Listed(std::slice::Iter<'a, usize>),
+}
+
+impl Iterator for Indices<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Indices::All(r) => r.next(),
+            Indices::Listed(it) => it.next().copied(),
+        }
+    }
+
+    /// Internal iteration (`for_each`, `sum`, …) picks the variant once, not
+    /// per position: on a dense vector it compiles to the plain `0..len`
+    /// loop the pivot code ran before the lists existed.
+    #[inline]
+    fn fold<B, F: FnMut(B, usize) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Indices::All(r) => r.fold(init, f),
+            Indices::Listed(it) => it.copied().fold(init, f),
+        }
+    }
+}
+
+impl IndexedVec {
+    /// An all-zero vector of length `len`.
+    pub fn zeros(len: usize) -> Self {
+        IndexedVec {
+            values: vec![0.0; len],
+            nz: Vec::new(),
+            dense: false,
+        }
+    }
+
+    /// Wraps a dense vector whose non-zero positions are not known.
+    pub fn from_dense(values: Vec<f64>) -> Self {
+        IndexedVec {
+            values,
+            nz: Vec::new(),
+            dense: true,
+        }
+    }
+
+    /// Zeroes the vector — over the list when it is maintained, so clearing
+    /// costs what the vector holds, not its length.
+    pub fn clear(&mut self) {
+        if self.dense {
+            self.values.fill(0.0);
+            self.dense = false;
+        } else {
+            for &i in &self.nz {
+                self.values[i] = 0.0;
+            }
+        }
+        self.nz.clear();
+    }
+
+    /// Adds `value` at position `i` and lists the position. A position may
+    /// be listed more than once while a right-hand side is being assembled;
+    /// the solves drop the duplicates.
+    #[inline]
+    pub fn add(&mut self, i: usize, value: f64) {
+        self.values[i] += value;
+        self.nz.push(i);
+    }
+
+    /// Makes the vector the unit vector `e_i`.
+    pub fn set_unit(&mut self, i: usize) {
+        self.clear();
+        self.add(i, 1.0);
+    }
+
+    /// Makes the vector a copy of `other` (same length).
+    pub fn copy_from(&mut self, other: &IndexedVec) {
+        if other.dense {
+            self.values.copy_from_slice(&other.values);
+            self.nz.clear();
+            self.dense = true;
+        } else {
+            self.clear();
+            for &i in &other.nz {
+                self.values[i] = other.values[i];
+            }
+            self.nz.extend_from_slice(&other.nz);
+        }
+    }
+
+    /// The positions that may hold a non-zero, ascending.
+    pub fn indices(&self) -> Indices<'_> {
+        if self.dense {
+            Indices::All(0..self.values.len())
+        } else {
+            Indices::Listed(self.nz.iter())
+        }
+    }
+
+    /// Re-derives the index state from the values after a dense kernel wrote
+    /// them: the list is rebuilt when at most `cap` positions are non-zero,
+    /// otherwise the vector is marked dense. Returns whether it is dense.
+    pub(crate) fn reindex(&mut self, cap: usize) -> bool {
+        let count = self.values.iter().filter(|v| **v != 0.0).count();
+        self.nz.clear();
+        self.dense = count > cap;
+        if !self.dense {
+            let values = &self.values;
+            self.nz
+                .extend((0..values.len()).filter(|&i| values[i] != 0.0));
+        }
+        self.dense
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +407,46 @@ mod tests {
         assert_eq!(yt, vec![1.0, 5.0]);
         assert_eq!(m.nnz(), 3);
         assert_eq!(m.ncols(), 2);
+    }
+}
+
+#[cfg(test)]
+mod indexed_tests {
+    use super::*;
+
+    #[test]
+    fn row_major_lists_each_row_by_ascending_column() {
+        // [1 2 0; 0 3 4] by columns.
+        let a = SparseMatrix::from_triplets(
+            2,
+            3,
+            &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0), (1, 2, 4.0)],
+        );
+        let r = RowMajor::from_columns(&a);
+        assert_eq!(r.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (1, 2.0)]);
+        assert_eq!(r.row(1).collect::<Vec<_>>(), vec![(1, 3.0), (2, 4.0)]);
+        // A matrix without rows transposes to nothing (the m = 0 solve path).
+        let _ = RowMajor::from_columns(&SparseMatrix::new(0));
+    }
+
+    #[test]
+    fn indexed_vec_clears_by_list_and_reindexes_by_density() {
+        let mut v = IndexedVec::zeros(8);
+        v.set_unit(3);
+        assert_eq!(v.indices().collect::<Vec<_>>(), vec![3]);
+        v.values[5] = 2.0; // written by a dense kernel, not listed
+        assert!(!v.reindex(2));
+        assert_eq!(v.nz, vec![3, 5]);
+        assert!(v.reindex(1));
+        assert_eq!(v.indices().count(), 8);
+        let mut w = IndexedVec::zeros(8);
+        w.copy_from(&v);
+        assert!(w.dense && w.values == v.values);
+        v.clear();
+        assert!(!v.dense && v.values.iter().all(|x| *x == 0.0));
+        w.reindex(4);
+        v.copy_from(&w);
+        assert_eq!((v.nz.clone(), v.values[5]), (vec![3, 5], 2.0));
     }
 }
 

@@ -12,13 +12,18 @@
 //! Maximization objectives are negated (and the sign restored when reporting).
 
 use crate::model::{ConstraintOp, Model, Sense};
-use crate::sparse::SparseMatrix;
+use crate::sparse::{RowMajor, SparseMatrix};
 
 /// A model in computational standard form.
 #[derive(Debug, Clone)]
 pub struct StandardForm {
     /// Constraint matrix (m rows, n columns = structural + slack).
     pub a: SparseMatrix,
+    /// Row-major copy of `a`, built once here and shared by every solve of
+    /// the form — B&B nodes, warm re-solves, both simplex methods gather
+    /// their pivot rows from it. Code that edits `a` after construction must
+    /// rebuild it with [`RowMajor::from_columns`].
+    pub rows: RowMajor,
     /// Right-hand side (length m).
     pub b: Vec<f64>,
     /// Minimization objective (length n).
@@ -71,6 +76,7 @@ impl StandardForm {
             triplets.push((row, n_struct + row, 1.0));
         }
         let a = SparseMatrix::from_triplets(m, n_struct + m, &triplets);
+        let rows = RowMajor::from_columns(&a);
 
         for var in &model.vars {
             c.push(obj_sign * var.obj);
@@ -94,6 +100,7 @@ impl StandardForm {
 
         StandardForm {
             a,
+            rows,
             b,
             c,
             lb,
@@ -163,6 +170,11 @@ mod tests {
             assert_eq!(sf.a.col(k).values, vec![1.0]);
         }
         assert_eq!(sf.b, vec![14.0, 0.0, 6.0]);
+        // The row-major copy holds the same entries: row 1 is 3x − y + slack.
+        assert_eq!(
+            sf.rows.row(1).collect::<Vec<_>>(),
+            vec![(0, 3.0), (1, -1.0), (3, 1.0)]
+        );
     }
 
     #[test]

@@ -1,0 +1,67 @@
+//! The eight `allgather_copy` benchmark shapes, solved the way the service
+//! solves a cold request, with their pivot counts pinned.
+//!
+//! The sparse FTRAN/BTRAN kernels, the shared pivot-row gather and the
+//! incremental dual row pricing are admitted on one condition: they change
+//! what a pivot costs, never which pivot is taken. A schedule that still
+//! validates would not notice a changed walk; these counts do. A change that
+//! is *meant* to alter the walk re-pins them and says so.
+//!
+//! Release-only (the `dgx1` MILP alone is ~10 s in a debug build); CI runs it
+//! with `--release -- --ignored`.
+
+use teccl_collective::CollectiveKind;
+use teccl_core::TeCcl;
+use teccl_schedule::{simulate, validate};
+use teccl_service::{builtin_topology, RequestMethod, SolveRequest};
+
+/// `(topology, chunks, method, [iterations, dual iterations, B&B nodes,
+/// factorizations])` at a 16 MiB output buffer.
+const SHAPES: [(&str, usize, RequestMethod, [usize; 4]); 8] = [
+    ("internal1x2", 1, RequestMethod::AStar, [763, 644, 5, 11]),
+    ("internal1x2", 2, RequestMethod::AStar, [1730, 1474, 10, 22]),
+    ("internal1x3", 1, RequestMethod::AStar, [2015, 1589, 8, 19]),
+    ("internal2x4", 2, RequestMethod::AStar, [1544, 1134, 14, 29]),
+    ("internal2x8", 1, RequestMethod::AStar, [3712, 2844, 15, 36]),
+    ("dgx2", 1, RequestMethod::AStar, [5978, 4750, 6, 32]),
+    ("internal1x4", 1, RequestMethod::AStar, [4543, 3968, 11, 35]),
+    ("dgx1", 1, RequestMethod::Milp, [6492, 5782, 1, 98]),
+];
+
+#[test]
+#[ignore = "release-only"]
+fn allgather_copy_shapes_keep_their_pivot_counts() {
+    for (name, chunks, method, pinned) in SHAPES {
+        let topology = builtin_topology(name).expect("builtin topology");
+        let request = SolveRequest::new(
+            topology,
+            CollectiveKind::AllGather,
+            chunks,
+            16.0 * 1024.0 * 1024.0,
+        )
+        .with_method(method);
+        let demand = request.demand();
+        let solver = TeCcl::new(request.topology.clone(), request.config.clone());
+        let outcome = match method {
+            RequestMethod::Milp => solver.solve_milp(&demand, request.chunk_bytes()),
+            _ => solver.solve_astar(&demand, request.chunk_bytes()),
+        }
+        .unwrap_or_else(|e| panic!("{name} c{chunks}: {e}"));
+        let report = validate(&outcome.topology_used, &demand, &outcome.schedule, false);
+        assert!(report.is_valid(), "{name} c{chunks}: {report:?}");
+        let sim = simulate(&outcome.topology_used, &demand, &outcome.schedule)
+            .unwrap_or_else(|e| panic!("{name} c{chunks}: {e:?}"));
+        assert!(sim.transfer_time > 0.0, "{name} c{chunks}");
+        let stats = &outcome.stats;
+        assert_eq!(
+            [
+                stats.simplex_iterations,
+                stats.dual_iterations,
+                stats.nodes_explored,
+                stats.factorizations,
+            ],
+            pinned,
+            "{name} c{chunks}: iterations / dual / nodes / factorizations moved"
+        );
+    }
+}

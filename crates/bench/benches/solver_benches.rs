@@ -85,9 +85,7 @@ fn bench_dual_and_degenerate(h: &mut Harness) {
     // The same instance with the perturbed pre-pass disabled: the pure
     // projected-steepest-edge phase-2 walk, isolating the pricing core.
     let se_opts = teccl_lp::SimplexOptions {
-        pricing: teccl_lp::PricingRule::SteepestEdge,
         perturb_min_rows: usize::MAX,
-        perturb_seed: 0,
     };
     h.bench_function("lp/steepest_edge_phase2", || {
         let sol = teccl_lp::solve_standard_form_with_options(&gsf, gnv, &[], None, None, &se_opts)
@@ -96,161 +94,13 @@ fn bench_dual_and_degenerate(h: &mut Harness) {
     });
 }
 
-/// Intra-request multi-core rows: the wide-tree knapsack B&B at 1 vs 4
-/// threads (with the >=1.5x speedup gate armed only where 4 cores exist —
-/// elsewhere the skip is printed, never silent), and the 2-racer LP
-/// portfolio on the degenerate ALLTOALL against the solo solve it replaces.
-fn bench_parallel_solving(h: &mut Harness) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let bnb = teccl_bench::parallel_bnb_fixture();
-    let solve_bnb = |threads: usize| {
-        let sol = bnb
-            .solve_with(&teccl_lp::MilpConfig {
-                threads,
-                ..Default::default()
-            })
-            .unwrap();
+/// The 8-GPU internal1(2) ALLTOALL copy-free LP, solved monolithically.
+fn bench_internal1x2_alltoall(h: &mut Harness) {
+    let form = teccl_bench::internal1x2_alltoall_fixture();
+    h.bench_function("lp/internal1x2_alltoall", || {
+        let sol = form.model.solve_lp_relaxation().unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-        sol.objective
-    };
-    assert!(
-        (solve_bnb(1) - solve_bnb(4)).abs() < 1e-6,
-        "thread-count invariance broken on the bench instance"
-    );
-    let seq = h
-        .bench_function("lp/parallel_bnb_1thread", || {
-            solve_bnb(1);
-        })
-        .median_ns;
-    let par = h
-        .bench_function("lp/parallel_bnb_4threads", || {
-            solve_bnb(4);
-        })
-        .median_ns;
-    let speedup = seq / par;
-    if cores >= 4 {
-        assert!(
-            speedup >= 1.5,
-            "parallel B&B speedup gate: {speedup:.2}x at 4 threads on {cores} cores (need >=1.5x)"
-        );
-        println!(
-            "lp/parallel_bnb_speedup: {speedup:.2}x at 4 threads ({cores} cores) — gate passed"
-        );
-    } else {
-        println!(
-            "lp/parallel_bnb_speedup: {speedup:.2}x at 4 threads — gate SKIPPED ({cores} core(s) available, need 4)"
-        );
-    }
-
-    let (gsf, gnv, _budget) = teccl_bench::degenerate_alltoall_fixture();
-    let solo = h
-        .bench_function("lp/portfolio_race_solo_baseline", || {
-            let sol = teccl_lp::solve_standard_form(&gsf, gnv).unwrap();
-            assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-        })
-        .median_ns;
-    let race = h
-        .bench_function("lp/portfolio_race", || {
-            let sol = teccl_lp::race_lp(&gsf, gnv, &[], None, None, 2).unwrap();
-            assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-        })
-        .median_ns;
-    if cores >= 2 {
-        assert!(
-            race <= solo * 1.25,
-            "portfolio race slower than solo: {:.2} ms vs {:.2} ms",
-            race / 1e6,
-            solo / 1e6
-        );
-    } else {
-        println!(
-            "lp/portfolio_race: {:.2} ms vs solo {:.2} ms — gate SKIPPED ({cores} core(s) available, need 2)",
-            race / 1e6,
-            solo / 1e6
-        );
-    }
-}
-
-/// Dantzig-Wolfe rows on the 8-GPU internal1(2) ALLTOALL: one warm pricing
-/// round (the per-round unit of work the parallel pricing pool amortizes),
-/// the full decomposed solve at 1 and 4 pricing threads, and the monolithic
-/// solve of the same model. The >=1.5x pricing-speedup gate arms only where
-/// 4 cores exist; elsewhere the skip is printed, never silent.
-fn bench_dantzig_wolfe(h: &mut Harness) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let form = teccl_bench::dw_alltoall_fixture();
-    let structure = form.block_structure().expect("fixture splits into blocks");
-    let mono = form
-        .model
-        .solve_lp_relaxation()
-        .expect("monolithic baseline solves");
-    let solve_dw = |threads: usize| {
-        let sol = teccl_lp::solve_decomposed(
-            &form.model,
-            &structure,
-            None,
-            &teccl_lp::DecompOptions {
-                threads,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-        assert!(
-            sol.stats.dw_rounds > 0,
-            "bench row must genuinely decompose"
-        );
-        assert!(
-            (sol.objective - mono.objective).abs() <= 1e-6 * mono.objective.abs().max(1.0),
-            "decomposed bench row drifted from monolithic"
-        );
-    };
-    solve_dw(1);
-    solve_dw(4);
-
-    // One *warm* pricing round: per-block re-solves under alternating
-    // coupling duals, each restarting from the previous round's basis.
-    let nblocks = structure.num_blocks;
-    let mut probs: Vec<teccl_lp::decomp::pricing::PricingProblem> = (0..nblocks)
-        .map(|s| teccl_lp::decomp::pricing::PricingProblem::build(&form.model, &structure, s))
-        .collect();
-    let zeros = vec![0.0; structure.coupling_rows.len()];
-    let ones = vec![1.0; structure.coupling_rows.len()];
-    teccl_lp::decomp::pricing::price_round(&mut probs, &zeros, 4, None);
-    let mut flip = false;
-    h.bench_function("lp/dw_pricing_round", || {
-        flip = !flip;
-        let y = if flip { &ones } else { &zeros };
-        let out = teccl_lp::decomp::pricing::price_round(&mut probs, y, 4, None);
-        assert!(out.iter().all(|r| r.is_ok()));
     });
-
-    let dw_1t = h.bench_function("lp/dw_1thread", || solve_dw(1)).median_ns;
-    let dw_4t = h.bench_function("lp/dw_4threads", || solve_dw(4)).median_ns;
-    let mono_ns = h
-        .bench_function("lp/dw_monolithic", || {
-            let sol = form.model.solve_lp_relaxation().unwrap();
-            assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-        })
-        .median_ns;
-    let speedup = dw_1t / dw_4t;
-    println!(
-        "lp/dw_vs_monolithic: monolithic {:.2} ms vs decomposed@4 {:.2} ms ({:.2}x)",
-        mono_ns / 1e6,
-        dw_4t / 1e6,
-        mono_ns / dw_4t
-    );
-    if cores >= 4 {
-        assert!(
-            speedup >= 1.5,
-            "DW pricing speedup gate: {speedup:.2}x at 4 threads on {cores} cores (need >=1.5x)"
-        );
-        println!("lp/dw_speedup: {speedup:.2}x at 4 threads ({cores} cores) — gate passed");
-    } else {
-        println!(
-            "lp/dw_speedup: {speedup:.2}x at 4 threads — gate SKIPPED ({cores} core(s) available, need 4)"
-        );
-    }
 }
 
 /// The eta-accumulation → fill-triggered-refactorization cycle on the
@@ -406,8 +256,7 @@ fn main() {
     bench_astar_allgather(&mut h);
     bench_simplex_warm_vs_cold(&mut h);
     bench_dual_and_degenerate(&mut h);
-    bench_parallel_solving(&mut h);
-    bench_dantzig_wolfe(&mut h);
+    bench_internal1x2_alltoall(&mut h);
     bench_lu_refactor(&mut h);
     teccl_bench::bench_dual_pivot_rows(&mut h);
     bench_presolve_warm_rounds(&mut h);

@@ -110,9 +110,6 @@ pub struct RunResult {
     /// Bound tightenings derived by the per-node presolve inside the
     /// branch-and-bound tree.
     pub node_tightenings: usize,
-    /// Dantzig-Wolfe column-generation rounds (0 on the monolithic path —
-    /// including when `solve_decomposed` fell back to it).
-    pub dw_rounds: usize,
     /// Whether any simplex pass exhausted its iteration budget: the reported
     /// numbers then rest on an uncertified incumbent and the row must be
     /// labelled as such, never printed as converged.
@@ -197,7 +194,6 @@ pub fn run_teccl(scenario: &Scenario, config: &SolverConfig, method: Method) -> 
         cols_fixed: outcome.stats.cols_fixed,
         rows_freed: outcome.stats.rows_freed,
         node_tightenings: outcome.stats.node_tightenings,
-        dw_rounds: outcome.stats.dw_rounds,
         iteration_limit_hit: outcome.stats.iteration_limit_hit,
     })
 }
@@ -395,14 +391,11 @@ pub fn degenerate_alltoall_fixture() -> (teccl_lp::StandardForm, usize, usize) {
     (sf, red.num_vars(), 25_000)
 }
 
-/// Fixture for the **Dantzig-Wolfe** benches (`lp/dw_pricing_round`,
-/// `lp/dw_1thread`, `lp/dw_4threads`, `lp/dw_monolithic`): the copy-free LP
-/// of the 8-GPU internal1(2) ALLTOALL — the two-chassis ring-plus-switch
-/// row whose per-source blocks the decomposer prices in parallel — at a
-/// 4 MB output buffer so one solve stays in bench territory (the 16 MB
-/// acceptance row lives in `crates/core/tests/decompose.rs`). Returns the
-/// formulation; callers take `form.model` and `form.block_structure()`.
-pub fn dw_alltoall_fixture() -> teccl_core::lp_form::LpFormulation {
+/// Fixture for the `lp/internal1x2_alltoall` bench: the copy-free LP of the
+/// 8-GPU internal1(2) ALLTOALL — the two-chassis ring-plus-switch row — at a
+/// 4 MB output buffer so one solve stays in bench territory. Returns the
+/// formulation; callers solve `form.model`.
+pub fn internal1x2_alltoall_fixture() -> teccl_core::lp_form::LpFormulation {
     let topo = teccl_topology::internal1(2);
     let gpus: Vec<NodeId> = topo.gpus().collect();
     let n = gpus.len();
@@ -413,43 +406,7 @@ pub fn dw_alltoall_fixture() -> teccl_core::lp_form::LpFormulation {
     let tau = teccl_core::epochs::epoch_duration(&topo, transfer, &config);
     let k = teccl_core::epochs::estimate_num_epochs(&topo, &demand, transfer, tau);
     teccl_core::lp_form::LpFormulation::build(&topo, &demand, transfer, &config, k.max(2), tau)
-        .expect("DW fixture builds")
-}
-
-/// Fixture for the **parallel branch-and-bound** benches
-/// (`lp/parallel_bnb_1thread` / `lp/parallel_bnb_4threads`): a strongly
-/// correlated 0/1 knapsack with a cardinality side-constraint — the classic
-/// wide-tree shape where the LP bound is weak everywhere, so the open-node
-/// pool stays deep enough for extra workers to matter. Deterministic
-/// (seeded LCG); solves to `Optimal` with the same objective at every
-/// thread count (the invariance the `thread_invariance` suite checks on a
-/// random corpus, pinned here on the bench instance).
-pub fn parallel_bnb_fixture() -> teccl_lp::model::Model {
-    use teccl_lp::model::{ConstraintOp, Model, Sense};
-    let mut m = Model::new(Sense::Maximize);
-    let mut state = 0x5eed_c0de_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let n = 30usize;
-    let mut weights = Vec::with_capacity(n);
-    let mut vars = Vec::with_capacity(n);
-    for j in 0..n {
-        // Strongly correlated with a narrow weight band (subset-sum-like):
-        // the LP relaxation ranks every item almost identically, its bound
-        // is weak everywhere, and proving optimality needs deep branching.
-        let w = 100.0 + (next() % 900) as f64;
-        let p = w + 50.0;
-        vars.push(m.add_binary_var(format!("x{j}"), p));
-        weights.push(w);
-    }
-    let total: f64 = weights.iter().sum();
-    let cap_terms: Vec<_> = vars.iter().copied().zip(weights.iter().copied()).collect();
-    m.add_cons("cap", &cap_terms, ConstraintOp::Le, (total / 2.0).floor());
-    m
+        .expect("internal1x2 ALLTOALL fixture builds")
 }
 
 /// Fixture for the **LU refactorization** bench (`lp/lu_refactor_fill`):
@@ -700,7 +657,6 @@ pub fn degraded_fallback_fixture() -> (teccl_service::ScheduleService, teccl_ser
         disk_dir: None,
         background_upgrade: false,
         fault_plan: Some(String::new()),
-        core_budget: None,
     })
     .expect("service starts");
     let req = teccl_service::SolveRequest::new(
@@ -736,7 +692,6 @@ pub fn run_taccl(scenario: &Scenario, seed: u64) -> Option<RunResult> {
         cols_fixed: 0,
         rows_freed: 0,
         node_tightenings: 0,
-        dw_rounds: 0,
         iteration_limit_hit: false,
     })
 }
@@ -760,7 +715,6 @@ pub fn run_sccl(scenario: &Scenario) -> Option<RunResult> {
         cols_fixed: 0,
         rows_freed: 0,
         node_tightenings: 0,
-        dw_rounds: 0,
         iteration_limit_hit: false,
     })
 }
@@ -786,7 +740,6 @@ pub fn run_shortest_path(scenario: &Scenario) -> Option<RunResult> {
         cols_fixed: 0,
         rows_freed: 0,
         node_tightenings: 0,
-        dw_rounds: 0,
         iteration_limit_hit: false,
     })
 }
@@ -1042,76 +995,6 @@ pub fn table4_rows() -> Vec<Row> {
             });
         }
     }
-    rows
-}
-
-/// Thread sweep (EXPERIMENTS.md): solver wall-clock for the 8-GPU Table-4
-/// scenarios plus the wide-tree knapsack B&B fixture, at each thread count
-/// in `threads`. One row per case; one `solver_s` column per thread count.
-/// The 16-GPU ALLTOALL row is deliberately absent: at ~375 s per solve a
-/// 4-config sweep is a CI-hostile 25 minutes, and its parallel behaviour
-/// (the LP portfolio race) is already covered by the 8-GPU ALLTOALL rows.
-pub fn thread_sweep_rows(threads: &[usize]) -> Vec<Row> {
-    let cases: Vec<(String, Topology, CollectiveKind, Method)> = vec![
-        (
-            "Internal1 AG (A*)".into(),
-            teccl_topology::internal1(2),
-            CollectiveKind::AllGather,
-            Method::AStar,
-        ),
-        (
-            "Internal1 AtoA (LP)".into(),
-            teccl_topology::internal1(2),
-            CollectiveKind::AllToAll,
-            Method::Lp,
-        ),
-        (
-            "Internal2 AG (A*)".into(),
-            teccl_topology::internal2(4),
-            CollectiveKind::AllGather,
-            Method::AStar,
-        ),
-        (
-            "Internal2 AtoA (LP)".into(),
-            teccl_topology::internal2(4),
-            CollectiveKind::AllToAll,
-            Method::Lp,
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (name, topo, kind, method) in cases {
-        let scenario = Scenario::collective(name.clone(), topo, kind, 1, 16.0 * 1024.0 * 1024.0);
-        let mut values = Vec::new();
-        for &t in threads {
-            let mut config = quick_config();
-            config.threads = t;
-            let secs = run_teccl(&scenario, &config, method).map_or(f64::NAN, |o| o.solver_time);
-            values.push(secs);
-        }
-        rows.push(Row {
-            labels: vec![name],
-            values,
-        });
-    }
-    // The knapsack B&B fixture: the one case whose tree is wide enough for
-    // the shared open-node pool to matter.
-    let bnb = parallel_bnb_fixture();
-    let mut values = Vec::new();
-    for &t in threads {
-        let t0 = std::time::Instant::now();
-        let sol = bnb
-            .solve_with(&teccl_lp::MilpConfig {
-                threads: t,
-                ..Default::default()
-            })
-            .expect("knapsack fixture solves");
-        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-        values.push(t0.elapsed().as_secs_f64());
-    }
-    rows.push(Row {
-        labels: vec!["Knapsack B&B (MILP)".into()],
-        values,
-    });
     rows
 }
 
@@ -1399,27 +1282,6 @@ mod tests {
         assert!(sccl.transfer_time > 0.0);
         let taccl = run_taccl(&scenario, 1).unwrap();
         assert!(taccl.transfer_time > 0.0);
-    }
-
-    #[test]
-    fn dw_fixture_certifies_against_monolithic() {
-        let form = dw_alltoall_fixture();
-        let structure = form.block_structure().unwrap();
-        let mono = form.model.solve_lp_relaxation().unwrap();
-        let dw = teccl_lp::solve_decomposed(
-            &form.model,
-            &structure,
-            None,
-            &teccl_lp::DecompOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(dw.status, mono.status);
-        assert!(
-            dw.stats.dw_rounds > 0,
-            "bench fixture must genuinely decompose"
-        );
-        let scale = mono.objective.abs().max(1.0);
-        assert!((dw.objective - mono.objective).abs() <= 1e-6 * scale);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-pub use teccl_lp::Decompose;
-
 /// How the epoch duration is derived from the topology (§5 "Epoch durations
 /// and chunk sizes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,25 +101,6 @@ pub struct SolverConfig {
     /// cross-round reuse to amortize the full-commodity build — disable it
     /// there if the difference matters.
     pub astar_warm_rounds: bool,
-    /// Worker threads a single solve may use: branch-and-bound explores the
-    /// tree from a shared open-node pool with this many workers, and large
-    /// pure-LP solves race that many (capped at 4) pricing/perturbation
-    /// configurations, first certified result wins. `1` (the default) is the
-    /// sequential solver. The *answer* is thread-count invariant; only
-    /// latency and exploration order change, which is why the schedule cache
-    /// key deliberately excludes this knob (see `teccl-service`). Like the
-    /// budget, this is a *how* knob, not a *what* knob.
-    pub threads: usize,
-    /// Whether the copy-free LP path may solve by Dantzig-Wolfe
-    /// decomposition: the time-expanded multi-commodity flow splits into one
-    /// pricing subproblem per commodity source coupled only by the link
-    /// capacity (and buffer-limit) rows, and the subproblems re-solve in
-    /// parallel across [`SolverConfig::threads`] workers. `Auto` (the
-    /// default) engages only when it should win — pure LP, big enough, more
-    /// than one thread — mirroring the portfolio-race gate. Like `threads`,
-    /// this is a *how* knob: the certified answer is identical either way,
-    /// so the schedule cache key deliberately excludes it.
-    pub decompose: Decompose,
 }
 
 impl Default for SolverConfig {
@@ -140,8 +119,6 @@ impl Default for SolverConfig {
             chunk_priorities: None,
             warm_start: true,
             astar_warm_rounds: true,
-            threads: 1,
-            decompose: Decompose::Auto,
         }
     }
 }
@@ -191,18 +168,6 @@ impl SolverConfig {
     /// Sets the per-solve time limit.
     pub fn with_time_limit(mut self, d: Duration) -> Self {
         self.time_limit = Some(d);
-        self
-    }
-
-    /// Sets the intra-solve thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the Dantzig-Wolfe decomposition mode for the copy-free LP path.
-    pub fn with_decompose(mut self, d: Decompose) -> Self {
-        self.decompose = d;
         self
     }
 

@@ -102,7 +102,7 @@ pub fn schedule_from_sends(
     schedule
 }
 
-/// Decomposes an LP rate solution into per-chunk paths (the "straight-forward
+/// Splits an LP rate solution into per-chunk paths (the "straight-forward
 /// algorithm" §4.1 refers to): the time-expanded flow of each source is peeled
 /// into unit-chunk paths from the source to each destination, greedily
 /// following the largest remaining flow, and each demanded chunk is assigned

@@ -48,6 +48,6 @@ pub mod milp_form;
 pub mod solver;
 pub mod switch;
 
-pub use config::{BufferMode, Decompose, EpochStrategy, SolverConfig, SwitchModel};
+pub use config::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
 pub use error::TeCclError;
 pub use solver::{SolveOutcome, TeCcl};

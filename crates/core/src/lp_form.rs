@@ -7,10 +7,9 @@
 //! solvable and far more scalable — that is still optimal for these demands.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use teccl_collective::DemandMatrix;
-use teccl_lp::{ConstraintOp, MilpConfig, Model, Sense, Solution, SolveStatus, VarId};
+use teccl_lp::{ConstraintOp, Model, Sense, Solution, SolveStatus, VarId};
 use teccl_schedule::Send;
 use teccl_topology::{NodeId, Topology};
 
@@ -39,11 +38,6 @@ pub struct LpFormulation {
     r_vars: HashMap<(usize, usize, usize), VarId>,
     /// Per-link α-delay in epochs.
     delta: Vec<usize>,
-    /// Block label of each variable for the Dantzig-Wolfe path: every
-    /// `F`/`B`/`r` column belongs to exactly one commodity source, so the
-    /// builder records the source's index (in its active-source list) as the
-    /// variable is added. Length is exactly `model.num_vars()`.
-    var_block: Vec<usize>,
 }
 
 impl LpFormulation {
@@ -97,10 +91,9 @@ impl LpFormulation {
         let mut f_vars = HashMap::new();
         let mut b_vars = HashMap::new();
         let mut r_vars = HashMap::new();
-        let mut var_block = Vec::new();
 
         // ----- Variables ------------------------------------------------------
-        for (block, &s) in sources.iter().enumerate() {
+        for &s in &sources {
             for link in &topology.links {
                 for k in 0..k_max {
                     let v = model.add_var(
@@ -111,7 +104,6 @@ impl LpFormulation {
                         false,
                     );
                     f_vars.insert((s.0, link.id.0, k), v);
-                    var_block.push(block);
                 }
             }
             for n in topology.gpus() {
@@ -130,7 +122,6 @@ impl LpFormulation {
                     let v =
                         model.add_var(format!("B[{s},{n},{k}]"), 0.0, f64::INFINITY, 0.0, false);
                     b_vars.insert((s.0, n.0, k), v);
-                    var_block.push(block);
                 }
             }
             for d in topology.gpus() {
@@ -145,7 +136,6 @@ impl LpFormulation {
                     let v =
                         model.add_var(format!("r[{s},{d},{k}]"), 0.0, f64::INFINITY, weight, false);
                     r_vars.insert((s.0, d.0, k), v);
-                    var_block.push(block);
                 }
             }
         }
@@ -323,22 +313,12 @@ impl LpFormulation {
             b_vars,
             r_vars,
             delta,
-            var_block,
         })
     }
 
-    /// The block-angular split of this formulation: one block per active
-    /// commodity source, coupled by the capacity (and buffer-limit) rows.
-    pub fn block_structure(&self) -> Result<teccl_lp::BlockStructure, TeCclError> {
-        Ok(teccl_lp::BlockStructure::infer(
-            &self.model,
-            &self.var_block,
-        )?)
-    }
-
     /// Solves the LP.
-    pub fn solve(&self, config: &SolverConfig) -> Result<Solution, TeCclError> {
-        self.solve_from(config, None)
+    pub fn solve(&self) -> Result<Solution, TeCclError> {
+        self.solve_from(None)
     }
 
     /// Solves the LP, optionally warm-starting from the basis of a previous
@@ -347,10 +327,9 @@ impl LpFormulation {
     /// degrades to a cold start.
     pub fn solve_from(
         &self,
-        config: &SolverConfig,
         warm: Option<&teccl_lp::SimplexBasis>,
     ) -> Result<Solution, TeCclError> {
-        self.solve_budgeted(config, warm, None)
+        self.solve_budgeted(warm, None)
     }
 
     /// [`LpFormulation::solve_from`] under a cooperative [`SolveBudget`]:
@@ -359,38 +338,10 @@ impl LpFormulation {
     /// suboptimal schedule) with `stats.budget_stop` set.
     pub fn solve_budgeted(
         &self,
-        config: &SolverConfig,
         warm: Option<&teccl_lp::SimplexBasis>,
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, TeCclError> {
-        let structure = self.block_structure()?;
-        let threads = config.threads.max(1);
-        let sol = if teccl_lp::should_decompose(
-            config.decompose,
-            &self.model,
-            &structure,
-            threads,
-            budget,
-        ) {
-            // Dantzig-Wolfe path: one pricing subproblem per commodity
-            // source, priced in parallel. Uncertifiable runs fall back to
-            // the monolithic simplex *inside* the call, so the status map
-            // below sees the same contract either way.
-            let opts = teccl_lp::DecompOptions {
-                threads,
-                ..Default::default()
-            };
-            teccl_lp::solve_decomposed(&self.model, &structure, budget, &opts)?
-        } else {
-            let milp_config = MilpConfig {
-                time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-                warm_start: config.warm_start,
-                budget: budget.cloned(),
-                threads,
-                ..Default::default()
-            };
-            self.model.solve_with_warm(&milp_config, warm)?
-        };
+        let sol = self.model.solve_lp_relaxation_budgeted(warm, budget)?;
         match sol.status {
             SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
             SolveStatus::Unbounded => Err(TeCclError::NoSolution),
@@ -506,7 +457,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(3, &gpus, 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 3, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve().unwrap();
         assert_eq!(form.completion_epoch(&sol), 0);
         // Each destination reads exactly its demand.
         let total_read: f64 = (0..3)
@@ -532,7 +483,7 @@ mod tests {
         let demand = DemandMatrix::scatter(4, &gpus, NodeId(0), 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve().unwrap();
         let completion = form.completion_epoch(&sol);
         assert!(completion >= 2, "completion epoch {completion} too early");
         // All 3 chunks eventually read.
@@ -555,7 +506,7 @@ mod tests {
         // 6 chunks over a 1-chunk/epoch bottleneck cannot finish in 2 epochs.
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3).unwrap();
         assert!(matches!(
-            form.solve(&config),
+            form.solve(),
             Err(TeCclError::InfeasibleWithEpochs(2))
         ));
     }
@@ -567,7 +518,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(4, &gpus, 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve().unwrap();
         let sends = form.extract_sends(&sol, &demand);
         // Each of the 12 (s, d) pairs gets at least one send of its chunk; the
         // chunk of a far destination needs several hops.
@@ -590,7 +541,7 @@ mod tests {
         demand.set(a, 0, b);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve().unwrap();
         // Earliest read: sent at epoch 0, arrives by end of epoch 3, readable
         // at epoch 3 (flow conservation consumes arrivals in the same epoch).
         let completion = form.completion_epoch(&sol);
@@ -613,7 +564,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(3, &gpus, 1);
         let config = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(2));
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 6, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve().unwrap();
         assert!(sol.has_solution());
     }
 }

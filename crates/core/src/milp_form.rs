@@ -822,7 +822,6 @@ impl MilpFormulation {
             time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
             warm_start: config.warm_start,
             budget: budget.cloned(),
-            threads: config.threads.max(1),
             ..Default::default()
         };
         let sol = self.model.solve_with_warm(&milp_config, warm)?;

@@ -293,7 +293,7 @@ impl TeCcl {
             self.check_budget()?;
             let form = LpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau)?;
             self.check_budget()?;
-            match form.solve_budgeted(&self.config, basis, self.budget.as_ref()) {
+            match form.solve_budgeted(basis, self.budget.as_ref()) {
                 Ok(sol) => {
                     let sends = form.extract_sends(&sol, demand);
                     let mut schedule = schedule_from_sends(

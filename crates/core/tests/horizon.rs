@@ -62,7 +62,7 @@ fn assert_refuted_below_bound(
     }
     let tau = epoch_duration(topo, chunk_bytes, config);
     let form = LpFormulation::build(topo, demand, chunk_bytes, config, bound - 1, tau).unwrap();
-    match form.solve(config) {
+    match form.solve() {
         Err(TeCclError::InfeasibleWithEpochs(k)) => assert_eq!(k, bound - 1),
         other => panic!(
             "{what}: K = {} is below the bound {bound} yet gave {other:?}",
@@ -313,7 +313,7 @@ fn retry_ladder_grows_by_increments_not_by_doubling() {
     let feasible_at = |k| {
         LpFormulation::build(&topo, &demand, 1e6, &config, k, tau)
             .unwrap()
-            .solve(&config)
+            .solve()
             .is_ok()
     };
     assert!(

@@ -13,7 +13,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `lock-discipline` | no raw `.lock()`/`.wait(g)` in `teccl-service` outside `sync.rs`, nor in `teccl-lp` outside `par.rs` |
+//! | `lock-discipline` | no raw `.lock()`/`.wait(g)` in `teccl-service` outside `sync.rs`, nor anywhere in `teccl-lp` |
 //! | `lock-order` | the static lock-acquisition graph is acyclic and follows `LockRank` |
 //! | `budget-coverage` | every hot solver loop charges/checks the `SolveBudget` |
 //! | `panic-hygiene` | no panicking constructs outside the `catch_unwind` boundary |

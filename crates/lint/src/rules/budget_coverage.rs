@@ -10,11 +10,7 @@
 //! Scope — the designated hot-loop files:
 //! * `crates/lp/src/simplex.rs` (primal pivot loops)
 //! * `crates/lp/src/dual.rs` (dual pivot loop)
-//! * `crates/lp/src/milp.rs` (B&B node loops, sequential and parallel)
-//! * `crates/lp/src/par.rs` (the shared node pool's wait loop)
-//! * `crates/lp/src/decomp/mod.rs` (the column-generation round loop)
-//! * `crates/lp/src/decomp/pricing.rs` (per-block pricing rounds)
-//! * `crates/lp/src/decomp/master.rs` (restricted-master solves)
+//! * `crates/lp/src/milp.rs` (B&B node loop)
 //! * `crates/core/src/astar.rs` (round loop)
 //!
 //! Every `loop` / `while` in these files must contain a `charge(` or
@@ -33,10 +29,6 @@ pub const HOT_FILES: &[&str] = &[
     "crates/lp/src/simplex.rs",
     "crates/lp/src/dual.rs",
     "crates/lp/src/milp.rs",
-    "crates/lp/src/par.rs",
-    "crates/lp/src/decomp/mod.rs",
-    "crates/lp/src/decomp/pricing.rs",
-    "crates/lp/src/decomp/master.rs",
     "crates/core/src/astar.rs",
 ];
 

@@ -1,5 +1,5 @@
 //! **lock-discipline** — raw lock primitives are forbidden in
-//! `teccl-service` outside `sync.rs` and in `teccl-lp` outside `par.rs`.
+//! `teccl-service` outside `sync.rs` and anywhere in `teccl-lp`.
 //!
 //! PR 5 made every service lock poison-recovering (`lock_recover`) and every
 //! condvar wait recovery-aware (`wait_recover`): a worker that panics while
@@ -8,12 +8,10 @@
 //! one refactor that reintroduces a plain `.lock()` elsewhere silently
 //! regresses it. This rule makes that refactor a CI failure.
 //!
-//! The parallel-solver PR extends the same confinement to `teccl-lp`: the
-//! shared node pool, incumbent cell and portfolio racer in
-//! `crates/lp/src/par.rs` are the *only* place the solver may touch raw
-//! `Mutex`/`Condvar` primitives (via its poison-clearing `lock_unpoisoned`).
-//! A raw lock sprinkled into `milp.rs` or `model.rs` would bypass both the
-//! poison recovery and the one-place-to-audit property.
+//! `teccl-lp` has no locking module at all: every solve runs on one thread
+//! and shares nothing, and the service's worker pool is the only
+//! parallelism. A raw lock anywhere in the solver is a design change, not a
+//! local edit, so the whole crate is in scope with no exemption.
 //!
 //! Matched: `.lock()`, `.try_lock()`, `.wait(guard)` (one or more
 //! arguments — `Ticket::wait()` and `Barrier::wait()` take none and are
@@ -24,19 +22,19 @@ use crate::scan::SourceFile;
 
 const RULE: &str = "lock-discipline";
 
-/// True for files this rule audits, with the crate's designated lock module
-/// (the one place raw primitives are allowed) exempted.
+/// True for files this rule audits: the service minus its designated lock
+/// module (the one place raw primitives are allowed), and all of the solver.
 fn in_scope(rel: &str) -> bool {
     let service = rel.starts_with("crates/service/") && !rel.ends_with("/sync.rs");
-    let lp = rel.starts_with("crates/lp/") && !rel.ends_with("/par.rs");
+    let lp = rel.starts_with("crates/lp/");
     (service || lp) && rel.ends_with(".rs")
 }
 
 /// The crate-appropriate remedy for a raw-primitive finding.
 fn remedy(rel: &str) -> &'static str {
     if rel.starts_with("crates/lp/") {
-        "confine raw Mutex/Condvar use to `par.rs` (its `lock_unpoisoned` \
-         clears poison) so the solver has one audited locking module"
+        "the solver is single-threaded and shares no state; run independent \
+         solves on the service's worker pool instead of locking inside one"
     } else {
         "use `sync::lock_recover` / `sync::wait_recover` so poisoned locks \
          recover instead of cascading panics"

@@ -69,6 +69,20 @@ fn lock_discipline_passes_zero_arg_wait_and_sync_rs() {
     assert!(errors(&o, "lock-discipline").is_empty(), "{:?}", o.errors);
 }
 
+/// Asserts that every lock-discipline finding in `o` carries the solver's
+/// remedy, and returns how many there are.
+fn lp_lock_findings(o: &Outcome) -> usize {
+    let f = errors(o, "lock-discipline");
+    for finding in &f {
+        assert!(
+            finding.message.contains("single-threaded"),
+            "lp findings must point at the lp remedy: {:?}",
+            finding.message
+        );
+    }
+    f.len()
+}
+
 #[test]
 fn lock_discipline_fires_in_lp_outside_par_rs() {
     let o = analyze_snippets(&[(
@@ -80,24 +94,18 @@ fn steal(&self) -> Node {
 }
 "##,
     )]);
-    let f = errors(&o, "lock-discipline");
-    assert_eq!(f.len(), 1, "{:?}", o.errors);
-    assert!(
-        f[0].message.contains("par.rs"),
-        "lp findings must point at the lp remedy: {:?}",
-        f[0].message
-    );
+    assert_eq!(lp_lock_findings(&o), 1, "{:?}", o.errors);
 }
 
 #[test]
-fn lock_discipline_passes_par_rs() {
-    // par.rs is the lp crate's designated locking module, exactly as sync.rs
-    // is the service's.
+fn lock_discipline_fires_in_par_rs() {
+    // The solver has no designated locking module any more: the path that
+    // used to hold the exemption is audited like every other lp file.
     let o = analyze_snippets(&[(
         "crates/lp/src/par.rs",
         "fn raw(m: &M) -> G { m.lock().unwrap_or_else(|p| p.into_inner()) }\n",
     )]);
-    assert!(errors(&o, "lock-discipline").is_empty(), "{:?}", o.errors);
+    assert_eq!(lp_lock_findings(&o), 1, "{:?}", o.errors);
 }
 
 // ---------------------------------------------------------------- lock-order
@@ -309,28 +317,6 @@ fn renumber(&mut self) {
     let f = errors(&o, "budget-coverage");
     assert_eq!(f.len(), 1, "{:?}", o.errors);
     assert_eq!(f[0].line, 3);
-}
-
-#[test]
-fn budget_coverage_covers_the_parallel_pool_wait_loop() {
-    // par.rs is a designated hot file: a worker parked on the shared node
-    // pool must still observe the budget each wakeup, or a cancelled solve
-    // would wait out its full deadline.
-    let o = analyze_snippets(&[(
-        "crates/lp/src/par.rs",
-        r##"
-fn pop(&self) -> Option<Node> {
-    let mut st = self.lock_state();
-    loop {
-        if let Some(n) = st.heap_pop() { return Some(n); }
-        st = self.park(st);
-    }
-}
-"##,
-    )]);
-    let f = errors(&o, "budget-coverage");
-    assert_eq!(f.len(), 1, "{:?}", o.errors);
-    assert_eq!(f[0].line, 4);
 }
 
 #[test]

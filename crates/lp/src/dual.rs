@@ -191,8 +191,8 @@ pub(crate) fn dual_simplex(
     let mut local_iters = 0usize;
 
     // Batched budget accounting, same rationale as the primal loop: local
-    // tally flushed every 64 pivots so parallel workers stop contending on
-    // the shared counter; the cancel flag is still read every pivot.
+    // tally flushed every 64 pivots; the cancel flag is still read every
+    // pivot.
     let mut charge_batch = teccl_util::ChargeBatcher::new(budget);
 
     loop {

@@ -18,7 +18,7 @@
 //!   near the time boundaries, so the reductions matter a lot),
 //! * a **two-phase bounded-variable revised simplex** ([`simplex`]) on a sparse
 //!   LU-factorized basis with eta updates and Markowitz-tie-broken pivoting
-//!   ([`basis`]), a crash slack basis, devex candidate-list pricing, an
+//!   ([`basis`]), a crash slack basis, projected steepest-edge pricing, an
 //!   EXPAND anti-cycling ratio test, and **warm starts** from a prior basis
 //!   ([`simplex::solve_standard_form_from`]) re-optimized by a dual simplex,
 //! * a **branch-and-bound MILP solver** ([`milp`]) with a rounding heuristic,
@@ -28,8 +28,10 @@
 //!   all-artificial phase 1), and **per-node presolve** (bound propagation
 //!   plus light probing feeding the dual re-solve's override list).
 //!
-//! The solver is deterministic: the same model always produces the same
-//! solution, mirroring the reliability claim TE-CCL makes versus TACCL.
+//! The solver is deterministic and single-threaded: the same model always
+//! produces the same solution, mirroring the reliability claim TE-CCL makes
+//! versus TACCL. Parallelism lives one level up, in the schedule service's
+//! worker pool, which runs independent solves side by side.
 //!
 //! ## Quick example
 //!
@@ -49,12 +51,10 @@
 //! ```
 
 pub mod basis;
-pub mod decomp;
 pub(crate) mod dual;
 pub mod error;
 pub mod milp;
 pub mod model;
-pub mod par;
 pub mod presolve;
 pub mod simplex;
 pub mod solution;
@@ -62,18 +62,12 @@ pub mod sparse;
 pub mod standard;
 
 pub use basis::{LuFactors, SimplexBasis, VarStatus};
-pub use decomp::{
-    should_decompose, solve_decomposed, BlockStructure, DecompOptions, Decompose, DECOMP_MIN_ROWS,
-};
 pub use error::LpError;
 pub use milp::{MilpConfig, MilpSolver};
 pub use model::{ConstraintOp, Model, Sense, VarId};
-pub use par::{
-    race_lp, FirstWin, NodePool, PoolStop, Popped, ScoredNode, SharedBest, RACE_MIN_ROWS,
-};
 pub use simplex::{
     solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from,
-    solve_standard_form_with_options, PricingRule, SimplexOptions,
+    solve_standard_form_with_options, SimplexOptions,
 };
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use sparse::{IndexedVec, RowMajor, SparseMatrix, SparseVec};

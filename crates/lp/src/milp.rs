@@ -24,14 +24,12 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::basis::SimplexBasis;
 use crate::error::LpError;
 use crate::model::{Model, Sense};
-use crate::par;
 use crate::presolve;
 use crate::simplex;
 use crate::solution::{Solution, SolveStats, SolveStatus};
@@ -67,14 +65,6 @@ pub struct MilpConfig {
     /// [`SolveStats::budget_stop`] set; with no incumbent the solve fails
     /// with [`LpError::Budget`].
     pub budget: Option<SolveBudget>,
-    /// Worker threads exploring the branch-and-bound tree (and racers in the
-    /// pure-LP portfolio race). `1` (the default) runs the sequential path,
-    /// byte-identical to the solver before parallelism existed; higher
-    /// values share the open-node pool across that many threads. The
-    /// *answer* is thread-count invariant (identical statuses, objectives
-    /// equal to tolerance); the exploration order, node counts, and which of
-    /// several equally-optimal vertices is reported may differ.
-    pub threads: usize,
 }
 
 impl Default for MilpConfig {
@@ -87,7 +77,6 @@ impl Default for MilpConfig {
             warm_start: true,
             node_presolve: true,
             budget: None,
-            threads: 1,
         }
     }
 }
@@ -250,25 +239,6 @@ impl MilpSolver {
                 return Ok(sol);
             }
             _ => {}
-        }
-
-        // Multi-core path: share the open-node pool across `threads` workers.
-        // Requires a cleanly-solved root (a budget-stopped root carries a
-        // feasible point the sequential harvest below must get to see, and
-        // there is no budget left to parallelize with anyway).
-        if self.config.threads > 1 && !root_budget_stopped {
-            return self.branch_parallel(
-                model,
-                &red,
-                &post,
-                &sf,
-                num_red_vars,
-                &int_vars,
-                root,
-                carried_basis,
-                stats,
-                start,
-            );
         }
 
         let mut incumbent: Option<Solution> = None;
@@ -540,343 +510,6 @@ impl MilpSolver {
                     stats,
                     basis: carried_basis,
                 })
-            }
-        }
-    }
-
-    /// The multi-core branch-and-bound driver: the already-solved root is
-    /// expanded inline, its children seeded into a shared best-first
-    /// [`par::NodePool`], and `threads` scoped workers pop/solve/branch until
-    /// the pool drains or a stop cause (gap, limit, budget, error) lands.
-    /// Workers prune against a [`par::SharedBest`] incumbent whose score is
-    /// one atomic load, re-solve warm from their parent's `Arc`'d basis like
-    /// the sequential path, and charge the same shared [`SolveBudget`].
-    ///
-    /// Termination: each popped node is either finished (children pushed
-    /// before `finish`, so the pool can never look drained while a worker
-    /// may still add work) or ends the worker with a sticky stop cause that
-    /// wakes everyone. The global bound is the max over open and in-flight
-    /// node scores — valid because a child's bound never beats its parent's.
-    #[allow(clippy::too_many_arguments)]
-    fn branch_parallel(
-        &self,
-        model: &Model,
-        red: &Model,
-        post: &presolve::PostSolve,
-        sf: &StandardForm,
-        num_red_vars: usize,
-        int_vars: &[usize],
-        root: Solution,
-        carried_basis: Option<SimplexBasis>,
-        mut stats: SolveStats,
-        start: Instant,
-    ) -> Result<Solution, LpError> {
-        let maximize = model.sense == Sense::Maximize;
-        let score = |obj: f64| if maximize { obj } else { -obj };
-        let budget = self.config.budget.as_ref();
-        let rel_gap = self.config.rel_gap;
-        let time_limit = self.config.time_limit;
-        // The root consumed one node of the limit before the pool existed.
-        let node_limit = self.config.node_limit.saturating_sub(1);
-        let rounding = self.config.rounding_heuristic;
-        let warm_enabled = self.config.warm_start;
-        let use_node_presolve = self.config.node_presolve;
-
-        let pool: par::NodePool<Node> = par::NodePool::new();
-        let best: par::SharedBest<Solution> = par::SharedBest::new();
-        let first_err: par::FirstWin<LpError> = par::FirstWin::new();
-        let next_id = AtomicUsize::new(1);
-
-        let root_obj = root.objective;
-        expand_relaxation(
-            model,
-            red,
-            int_vars,
-            rounding,
-            maximize,
-            &root,
-            &[],
-            &pool,
-            &best,
-            &next_id,
-        );
-
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.config.threads)
-                .map(|_| {
-                    let (pool, best, first_err, next_id) = (&pool, &best, &first_err, &next_id);
-                    s.spawn(move || {
-                        let mut local = SolveStats::default();
-                        let mut np =
-                            use_node_presolve.then(|| presolve::NodePresolver::new(red, post));
-                        loop {
-                            // Between-node budget and wall-clock checks, the
-                            // same cooperative points the sequential loop
-                            // has; `pop` re-checks `exceeded(` while waiting.
-                            if let Some(b) = budget {
-                                if let Some(cause) = b.exceeded() {
-                                    pool.stop(par::PoolStop::Budget(cause));
-                                }
-                            }
-                            if let Some(limit) = time_limit {
-                                if start.elapsed() > limit {
-                                    pool.stop(par::PoolStop::Limit);
-                                }
-                            }
-                            let popped = match pool.pop(node_limit, budget) {
-                                par::Popped::Node(n) => n,
-                                par::Popped::Drained | par::Popped::Stopped(_) => break,
-                            };
-                            let node_score = popped.score;
-                            let mut node = popped.item;
-
-                            let inc_score = best.score();
-                            if inc_score.is_finite() {
-                                // Scores are sign-normalized, so the gap in
-                                // score space equals the gap in objective
-                                // space (both numerator and denominator are
-                                // absolute values).
-                                let bound =
-                                    pool.global_bound().unwrap_or(node_score).max(node_score);
-                                if gap(bound, inc_score) <= rel_gap {
-                                    pool.stop(par::PoolStop::GapReached);
-                                    pool.finish(node_score);
-                                    break;
-                                }
-                                if node_score <= inc_score + 1e-9 {
-                                    pool.finish(node_score); // prune by bound
-                                    continue;
-                                }
-                            }
-
-                            if let Some(np) = np.as_mut() {
-                                match np.tighten(&mut node.overrides) {
-                                    None => {
-                                        pool.finish(node_score); // infeasible by propagation
-                                        continue;
-                                    }
-                                    Some(t) => local.node_tightenings += t,
-                                }
-                            }
-                            let warm = if warm_enabled {
-                                node.warm.as_deref()
-                            } else {
-                                None
-                            };
-                            let red_sol = match simplex::solve_standard_form_budgeted(
-                                sf,
-                                num_red_vars,
-                                &node.overrides,
-                                warm,
-                                budget,
-                            ) {
-                                Ok(sol) => sol,
-                                Err(LpError::Budget(cause)) => {
-                                    pool.stop(par::PoolStop::Budget(cause));
-                                    pool.finish(node_score);
-                                    break;
-                                }
-                                Err(e) => {
-                                    first_err.set_if_empty(e);
-                                    pool.stop(par::PoolStop::Error);
-                                    pool.finish(node_score);
-                                    break;
-                                }
-                            };
-                            local.absorb(&red_sol.stats);
-                            let budget_stopped = red_sol.stats.budget_stop;
-                            let relax = post.recover(red_sol, model);
-                            if let Some(cause) = budget_stopped {
-                                // A budget stop inside the LP left a feasible
-                                // point that is not a valid bound: harvest it
-                                // when integral (the sequential behaviour),
-                                // then stop the search.
-                                if relax.status.has_solution() {
-                                    let integral = int_vars.iter().all(|&j| {
-                                        (relax.values[j] - relax.values[j].round()).abs() <= INT_TOL
-                                    });
-                                    if integral {
-                                        let mut cand = relax.clone();
-                                        round_integrals(&mut cand, int_vars);
-                                        cand.objective = model.eval_objective(&cand.values);
-                                        cand.basis = None;
-                                        best.offer(score(cand.objective), cand);
-                                    }
-                                }
-                                pool.stop(par::PoolStop::Budget(cause));
-                                pool.finish(node_score);
-                                break;
-                            }
-                            if !relax.status.has_solution() {
-                                pool.finish(node_score); // infeasible branch
-                                continue;
-                            }
-                            if score(relax.objective) <= best.score() + 1e-9 {
-                                pool.finish(node_score); // prune on fresh bound
-                                continue;
-                            }
-                            expand_relaxation(
-                                model,
-                                red,
-                                int_vars,
-                                rounding,
-                                maximize,
-                                &relax,
-                                &node.overrides,
-                                pool,
-                                best,
-                                next_id,
-                            );
-                            pool.finish(node_score);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(local) => stats.absorb(&local),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-
-        let stop = pool.stop_cause();
-        if matches!(stop, Some(par::PoolStop::Error)) {
-            if let Some(e) = first_err.take() {
-                return Err(e);
-            }
-        }
-        let hit_limit = matches!(stop, Some(par::PoolStop::Limit | par::PoolStop::Budget(_)));
-        if let Some(par::PoolStop::Budget(cause)) = stop {
-            stats.budget_stop = stats.budget_stop.or(Some(cause));
-        }
-        stats.nodes_explored += 1 + pool.popped();
-
-        // Final global bound: pool max while open nodes remain (gap stop,
-        // limits), collapsing to the incumbent on a full drain — the same
-        // rule the sequential heap applies.
-        let unscore = |s: f64| if maximize { s } else { -s };
-        let pool_bound = pool.global_bound().map(unscore);
-        let incumbent = best.take();
-        let best_bound = match pool_bound {
-            Some(b) => b,
-            None => incumbent.as_ref().map_or(root_obj, |inc| inc.objective),
-        };
-
-        stats.solve_time = start.elapsed();
-        stats.best_bound = best_bound;
-
-        match incumbent {
-            Some(mut inc) => {
-                let g = gap(best_bound, inc.objective);
-                stats.mip_gap = g;
-                inc.status = if g <= self.config.rel_gap.max(1e-6) && !hit_limit {
-                    SolveStatus::Optimal
-                } else {
-                    SolveStatus::Feasible
-                };
-                inc.duals = Vec::new();
-                inc.stats = stats;
-                inc.basis = carried_basis;
-                Ok(inc)
-            }
-            None => {
-                if let Some(cause) = stats.budget_stop {
-                    return Err(LpError::Budget(cause));
-                }
-                stats.mip_gap = f64::INFINITY;
-                Ok(Solution {
-                    status: if hit_limit {
-                        SolveStatus::LimitReached
-                    } else {
-                        SolveStatus::Infeasible
-                    },
-                    objective: f64::NAN,
-                    values: vec![0.0; model.num_vars()],
-                    duals: Vec::new(),
-                    stats,
-                    basis: carried_basis,
-                })
-            }
-        }
-    }
-}
-
-/// Processes one solved node relaxation for the parallel driver: harvests an
-/// integral point (or a rounding-heuristic point) into the shared incumbent
-/// and pushes the two branching children into the pool. Mirrors the
-/// branching arm of the sequential loop exactly — most-fractional variable,
-/// lowest index on ties, children warm-started from this relaxation's basis.
-#[allow(clippy::too_many_arguments)]
-fn expand_relaxation(
-    model: &Model,
-    red: &Model,
-    int_vars: &[usize],
-    rounding: bool,
-    maximize: bool,
-    relax: &Solution,
-    overrides: &[(usize, f64, f64)],
-    pool: &par::NodePool<Node>,
-    best: &par::SharedBest<Solution>,
-    next_id: &AtomicUsize,
-) {
-    let score = |obj: f64| if maximize { obj } else { -obj };
-    let mut branch_var: Option<(usize, f64)> = None;
-    for &j in int_vars {
-        let v = relax.values[j];
-        let frac = (v - v.round()).abs();
-        if frac > INT_TOL {
-            let distance_to_half = (frac - 0.5).abs();
-            match branch_var {
-                Some((_, best_d)) if distance_to_half >= best_d => {}
-                _ => branch_var = Some((j, distance_to_half)),
-            }
-        }
-    }
-    match branch_var {
-        None => {
-            // Integral relaxation → candidate incumbent.
-            let mut cand = relax.clone();
-            round_integrals(&mut cand, int_vars);
-            cand.objective = model.eval_objective(&cand.values);
-            cand.basis = None;
-            best.offer(score(cand.objective), cand);
-        }
-        Some((j, _)) => {
-            if rounding {
-                if let Some(h) = rounding_heuristic(model, relax, int_vars) {
-                    best.offer(score(h.objective), h);
-                }
-            }
-            // Presolve preserves the column layout, so the model index IS
-            // the standard-form column.
-            let red_j = j;
-            let v = relax.values[j];
-            let floor = v.floor();
-            let ceil = v.ceil();
-            let (cur_lb, cur_ub) = current_bounds(red, overrides, red_j);
-            let warm = relax.basis.clone().map(Arc::new);
-
-            let mut down = overrides.to_vec();
-            down.push((red_j, cur_lb, floor.min(cur_ub)));
-            let mut up = overrides.to_vec();
-            up.push((red_j, ceil.max(cur_lb), cur_ub));
-
-            for child in [down, up] {
-                let (_, lo, hi) = child.last().copied().unwrap();
-                if lo > hi + 1e-9 {
-                    continue; // empty branch
-                }
-                pool.push(
-                    score(relax.objective),
-                    Node {
-                        overrides: child,
-                        parent_bound: relax.objective,
-                        id: next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                        warm: warm.clone(),
-                    },
-                );
             }
         }
     }

@@ -247,24 +247,6 @@ impl Model {
         warm: Option<&crate::basis::SimplexBasis>,
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, LpError> {
-        self.solve_lp_relaxation_threaded(warm, budget, 1)
-    }
-
-    /// [`Model::solve_lp_relaxation_budgeted`] with a thread count: with
-    /// `threads > 1` and a large enough LP (at least
-    /// [`crate::par::RACE_MIN_ROWS`] standard-form rows), the solve becomes a
-    /// [`crate::par::race_lp`] portfolio race across pricing/perturbation
-    /// configurations, first certified result wins. The race is skipped when
-    /// the budget carries an iteration cap — racers duplicate pivots against
-    /// the shared counter and would trip the cap early — and for small LPs,
-    /// where spawn overhead can only lose; both fall back to the solo
-    /// steepest-edge solve, so the answer is identical either way.
-    pub fn solve_lp_relaxation_threaded(
-        &self,
-        warm: Option<&crate::basis::SimplexBasis>,
-        budget: Option<&teccl_util::SolveBudget>,
-        threads: usize,
-    ) -> Result<Solution, LpError> {
         self.validate()?;
         let start = std::time::Instant::now();
         let (tightened, post) = presolve::presolve(self)?;
@@ -273,14 +255,7 @@ impl Model {
         } else {
             let mut sf = crate::standard::StandardForm::from_model(&tightened);
             post.relax_free_rows(&mut sf);
-            let race = threads > 1
-                && sf.num_rows() >= crate::par::RACE_MIN_ROWS
-                && budget.is_none_or(|b| !b.has_iteration_cap());
-            if race {
-                crate::par::race_lp(&sf, tightened.num_vars(), &[], warm, budget, threads)?
-            } else {
-                simplex::solve_standard_form_budgeted(&sf, tightened.num_vars(), &[], warm, budget)?
-            }
+            simplex::solve_standard_form_budgeted(&sf, tightened.num_vars(), &[], warm, budget)?
         };
         sol = post.recover(sol, self);
         sol.stats.solve_time = start.elapsed();
@@ -315,7 +290,7 @@ impl Model {
         if self.is_mip() {
             MilpSolver::new(config.clone()).solve_from(self, warm)
         } else {
-            self.solve_lp_relaxation_threaded(warm, config.budget.as_ref(), config.threads)
+            self.solve_lp_relaxation_budgeted(warm, config.budget.as_ref())
         }
     }
 

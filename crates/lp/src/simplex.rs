@@ -24,9 +24,7 @@
 //! is only ever declared after a scan over freshly recomputed reduced costs,
 //! so correctness does not rest on the incremental updates. On numerical
 //! trouble (a non-finite weight or step) the weights devex-reset to 1 and the
-//! reduced costs are recomputed. [`PricingRule::Devex`] keeps the classic
-//! devex update as a cross-check mode (the fuzz suite runs both and demands
-//! agreement).
+//! reduced costs are recomputed.
 //!
 //! The primal ratio test is **EXPAND-style** (Gill, Murray, Saunders &
 //! Wright): a working feasibility tolerance grows by a tiny increment each
@@ -80,48 +78,25 @@ pub(crate) const FEAS_TOL: f64 = 1e-9;
 /// Iterations between basic-value / objective refreshes.
 pub(crate) const REFRESH_INTERVAL: usize = 256;
 
-/// Entering-column pricing rule for the primal phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PricingRule {
-    /// Projected steepest edge (Forrest–Goldfarb): reference weights start at
-    /// 1 per phase and are maintained exactly through basis changes. The
-    /// default; measurably fewer pivots on the degenerate ALLTOALL LPs.
-    #[default]
-    SteepestEdge,
-    /// Classic devex reference weights (the pre-steepest-edge rule), kept as
-    /// an independent cross-check for the fuzz agreement suite.
-    Devex,
-}
-
 /// Tuning knobs for the simplex solve entry points. [`Default`] is what every
 /// production caller uses; tests and benches override individual fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplexOptions {
-    /// Entering-column pricing rule.
-    pub pricing: PricingRule,
     /// Minimum row count before the anti-degeneracy perturbed phase-2
     /// pre-pass engages on cold solves. Small LPs never stall on degeneracy,
     /// so perturbing them would only add a second (pointless) pass;
     /// `usize::MAX` disables the pre-pass entirely.
     pub perturb_min_rows: usize,
-    /// Seed mixed into the deterministic perturbation pattern of the phase-2
-    /// pre-pass. `0` reproduces the historical pattern exactly; the LP
-    /// portfolio race gives each racer a different seed so they walk
-    /// different tie-breaking paths across the same degenerate plateau.
-    /// Correctness never rests on the perturbation (the true-cost pass
-    /// certifies), so any seed yields the same certified optimum.
-    pub perturb_seed: u64,
 }
 
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
-            pricing: PricingRule::SteepestEdge,
             perturb_min_rows: 64,
-            perturb_seed: 0,
         }
     }
 }
+
 /// EXPAND: per-iteration growth of the working feasibility tolerance, and the
 /// scale of the guaranteed minimum step. The tolerance is reset at every
 /// refresh, so the accumulated drift stays below
@@ -149,8 +124,7 @@ pub(crate) struct SimplexState<'a> {
     pub(crate) iterations: usize,
     pub(crate) dual_iterations: usize,
     pub(crate) factorizations: usize,
-    /// Pricing reference weights, one per column (steepest-edge `γ_j` or
-    /// devex weights depending on the active [`PricingRule`]).
+    /// Steepest-edge reference weights `γ_j`, one per column.
     weights: Vec<f64>,
 }
 
@@ -395,7 +369,7 @@ fn cold_solve(
     // exists yet, so there is no incumbent to hand back.
     let mut phase1_cost = vec![0.0; n + m];
     phase1_cost[n..].fill(1.0);
-    let outcome = run_phase(&mut state, &phase1_cost, max_iters, budget, opts.pricing)?;
+    let outcome = run_phase(&mut state, &phase1_cost, max_iters, budget)?;
     // Phase 1 objective is bounded below by zero, so "unbounded" here is a
     // numerical failure.
     if outcome == PhaseOutcome::Unbounded {
@@ -796,8 +770,7 @@ fn finish_phase2(
     if perturb && m > opts.perturb_min_rows {
         let mut pcost = phase2_cost.clone();
         for (j, c) in pcost.iter_mut().enumerate().take(n) {
-            // XOR keeps seed 0 byte-identical to the historical pattern.
-            let h = ((j as u64) ^ opts.perturb_seed).wrapping_mul(0x9e3779b97f4a7c15);
+            let h = (j as u64).wrapping_mul(0x9e3779b97f4a7c15);
             let r = 1.0 + (h >> 40) as f64 / (1u64 << 24) as f64;
             *c += 1e-7 * r * (1.0 + c.abs());
         }
@@ -806,7 +779,7 @@ fn finish_phase2(
         // limit here just means the true-cost pass starts from wherever the
         // perturbed walk got to (still primal feasible). An exhausted budget
         // is still recorded so callers can flag the row as uncertified.
-        match run_phase(state, &pcost, max_iters, budget, opts.pricing) {
+        match run_phase(state, &pcost, max_iters, budget) {
             Ok(_) => {}
             Err(LpError::IterationLimit(_)) => iteration_limit_hit = true,
             Err(LpError::Budget(cause)) => budget_stop = Some(cause),
@@ -825,7 +798,7 @@ fn finish_phase2(
         }
         PhaseOutcome::Optimal
     } else {
-        match run_phase(state, &phase2_cost, max_iters, budget, opts.pricing) {
+        match run_phase(state, &phase2_cost, max_iters, budget) {
             Ok(o) => o,
             Err(LpError::Budget(cause)) => {
                 budget_stop = Some(cause);
@@ -1090,7 +1063,6 @@ fn run_phase(
     cost: &[f64],
     max_iters: usize,
     budget: Option<&SolveBudget>,
-    pricing: PricingRule,
 ) -> Result<PhaseOutcome, LpError> {
     let m = state.m;
     let ncols = state.n + state.m;
@@ -1158,12 +1130,11 @@ fn run_phase(
     let (mut t_refresh, mut t_scan, mut t_ftran, mut t_ratio, mut t_btran, mut t_upd, mut t_eta) =
         (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
 
-    // Batched budget accounting: the shared counter's `fetch_add` would
-    // serialize every parallel worker's pivot loop on one cache line, so
-    // pivots are tallied locally and flushed every 64 (early when the
-    // iteration cap is near). The batcher still loads the cancel flag on
-    // every pivot — cancellation latency is unchanged; only deadline trips
-    // coarsen to the flush granularity.
+    // Batched budget accounting: pivots are tallied locally and flushed
+    // every 64 (early when the iteration cap is near), so a pivot pays one
+    // relaxed load instead of an atomic add plus a clock read. The batcher
+    // still loads the cancel flag on every pivot — cancellation latency is
+    // unchanged; only deadline trips coarsen to the flush granularity.
     let mut charge_batch = ChargeBatcher::new(budget);
 
     loop {
@@ -1435,21 +1406,15 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                 let theta_d = d_enter / alpha_q;
                 let wnorm2: f64 = w.indices().map(|i| w.values[i] * w.values[i]).sum();
                 if alpha_q.abs() > PIV_TOL && theta_d.is_finite() && wnorm2.is_finite() {
-                    let gamma_q = state.weights[enter].max(1.0);
                     let t0 = clk(trace);
                     rho.set_unit(r);
-                    let se = pricing == PricingRule::SteepestEdge;
-                    if se {
-                        tau.copy_from(&w);
-                        // Dense: one lockstep pass over the factors for both
-                        // solves. Sparse: one list-driven solve each.
-                        state.lu.btran2_sparse(&mut rho, &mut tau);
-                    } else {
-                        state.lu.btran_sparse(&mut rho);
-                    }
+                    tau.copy_from(&w);
+                    // Dense: one lockstep pass over the factors for both
+                    // solves. Sparse: one list-driven solve each.
+                    state.lu.btran2_sparse(&mut rho, &mut tau);
                     lap(&mut t_btran, t0);
                     let t0 = clk(trace);
-                    // The pivot row α = ρᵀA (and for SE, g_j = a_j·τ) has two
+                    // The pivot row α = ρᵀA (and g_j = a_j·τ) has two
                     // evaluation strategies keyed on the density of ρ = B⁻ᵀe_r:
                     //
                     // * ρ sparse — at most m/8 non-zeros, the solve kept its
@@ -1484,17 +1449,10 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                             }
                             d[j] -= theta_d * alpha_j;
                             let eta = alpha_j / alpha_q;
-                            if se {
-                                let g_j = state.row_dot_col(j, &tau.values);
-                                let cand =
-                                    state.weights[j] - 2.0 * eta * g_j + eta * eta * (wnorm2 + 1.0);
-                                state.weights[j] = cand.max(1.0 + eta * eta);
-                            } else {
-                                let cand = eta * eta * gamma_q;
-                                if cand > state.weights[j] {
-                                    state.weights[j] = cand;
-                                }
-                            }
+                            let g_j = state.row_dot_col(j, &tau.values);
+                            let cand =
+                                state.weights[j] - 2.0 * eta * g_j + eta * eta * (wnorm2 + 1.0);
+                            state.weights[j] = cand.max(1.0 + eta * eta);
                         }
                     } else {
                         // The pricing list is exactly the set of columns this
@@ -1507,29 +1465,15 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                             {
                                 continue;
                             }
-                            if se {
-                                let (alpha_j, g_j) =
-                                    state.row_dot_col2(j, &rho.values, &tau.values);
-                                if alpha_j == 0.0 {
-                                    continue;
-                                }
-                                d[j] -= theta_d * alpha_j;
-                                let eta = alpha_j / alpha_q;
-                                let cand =
-                                    state.weights[j] - 2.0 * eta * g_j + eta * eta * (wnorm2 + 1.0);
-                                state.weights[j] = cand.max(1.0 + eta * eta);
-                            } else {
-                                let alpha_j = state.row_dot_col(j, &rho.values);
-                                if alpha_j == 0.0 {
-                                    continue;
-                                }
-                                d[j] -= theta_d * alpha_j;
-                                let eta = alpha_j / alpha_q;
-                                let cand = eta * eta * gamma_q;
-                                if cand > state.weights[j] {
-                                    state.weights[j] = cand;
-                                }
+                            let (alpha_j, g_j) = state.row_dot_col2(j, &rho.values, &tau.values);
+                            if alpha_j == 0.0 {
+                                continue;
                             }
+                            d[j] -= theta_d * alpha_j;
+                            let eta = alpha_j / alpha_q;
+                            let cand =
+                                state.weights[j] - 2.0 * eta * g_j + eta * eta * (wnorm2 + 1.0);
+                            state.weights[j] = cand.max(1.0 + eta * eta);
                         }
                     }
                     lap(&mut t_upd, t0);
@@ -1538,11 +1482,8 @@ ftran={t_ftran:.2}s ratio={t_ratio:.2}s btran={t_btran:.2}s upd={t_upd:.2}s eta=
                     // under the old basis), so the pass above already set
                     // d[leaving] = −θ_d; only its weight needs the exact
                     // override.
-                    state.weights[leaving] = if se {
-                        ((wnorm2 + 1.0) / (alpha_q * alpha_q)).max(1.0 + 1.0 / (alpha_q * alpha_q))
-                    } else {
-                        (gamma_q / (alpha_q * alpha_q)).max(1.0)
-                    };
+                    state.weights[leaving] =
+                        ((wnorm2 + 1.0) / (alpha_q * alpha_q)).max(1.0 + 1.0 / (alpha_q * alpha_q));
                     d_fresh = false;
                     // Devex-style reset on numerical trouble: a non-finite
                     // weight means the exact recurrence broke down — restart
@@ -1908,7 +1849,6 @@ mod tests {
         let sf = transportation_lp(n);
         let opts = SimplexOptions {
             perturb_min_rows: 16,
-            ..Default::default()
         };
         let mut verified = false;
         for cap in 1..5000u64 {

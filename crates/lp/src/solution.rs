@@ -76,15 +76,6 @@ pub struct SolveStats {
     /// the best incumbent found before the stop, with `status::Feasible` at
     /// best — never `Optimal`.
     pub budget_stop: Option<BudgetExceeded>,
-    /// Column-generation rounds of a Dantzig-Wolfe decomposed solve
-    /// (`teccl_lp::decomp`). `0` for monolithic solves — including solves
-    /// where the decomposition engaged but fell back to the monolithic path,
-    /// so `dw_rounds > 0` means the answer really came out of the
-    /// master/pricing loop.
-    pub dw_rounds: usize,
-    /// Columns in the restricted master at termination of a decomposed
-    /// solve (`0` for monolithic solves, as for `dw_rounds`).
-    pub dw_columns: usize,
 }
 
 impl SolveStats {
@@ -102,8 +93,6 @@ impl SolveStats {
         self.node_tightenings += other.node_tightenings;
         self.iteration_limit_hit |= other.iteration_limit_hit;
         self.budget_stop = self.budget_stop.or(other.budget_stop);
-        self.dw_rounds += other.dw_rounds;
-        self.dw_columns += other.dw_columns;
     }
 }
 

@@ -1,93 +1,14 @@
-//! Oversubscription smoke test: more worker threads than cores is a *load*
-//! condition, never a *correctness* condition.
+//! Oversubscription smoke test: more concurrent solves than cores is a
+//! *load* condition, never a *correctness* condition.
 //!
-//! The dev container this suite must pass on has a single core, so asking
-//! for `threads = 4` oversubscribes it by construction: every parallel path
-//! — branch-and-bound over the shared node pool, the LP portfolio race, and
-//! the Dantzig-Wolfe pricing round — degenerates to heavy time-slicing. The
-//! statuses and objectives must not notice. On bigger machines the same
-//! assertions run with `threads` pinned *above* the detected parallelism, so
-//! the oversubscribed regime is exercised regardless of the host.
+//! A service with more workers than cores time-slices its solves. Here more
+//! OS threads than the host has cores each branch-and-bound the whole
+//! corpus at once, and every solve must still match the sequential one bit
+//! for bit.
 
-use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::simplex::solve_standard_form;
-use teccl_lp::standard::StandardForm;
-use teccl_lp::{race_lp, MilpConfig, SolveStatus};
+mod common;
 
-/// Small deterministic LCG so the corpus is stable across runs and platforms.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    fn f(&mut self) -> f64 {
-        (self.next_u64() & ((1 << 53) - 1)) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f() * (hi - lo)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
-/// A random bounded MILP (the `thread_invariance` recipe, smaller corpus —
-/// this file is about the oversubscribed regime, not coverage breadth).
-fn random_milp(rng: &mut Lcg) -> Model {
-    let nvars = 3 + rng.below(7);
-    let ncons = 1 + rng.below(5);
-    let sense = if rng.f() < 0.5 {
-        Sense::Minimize
-    } else {
-        Sense::Maximize
-    };
-    let mut m = Model::new(sense);
-    let mut vars = Vec::new();
-    for j in 0..nvars {
-        let obj = rng.range(-5.0, 5.0);
-        let v = match rng.below(3) {
-            0 => m.add_binary_var(format!("x{j}"), obj),
-            1 => {
-                let lb = rng.below(4) as f64 - 2.0;
-                let ub = lb + rng.below(6) as f64;
-                m.add_var(format!("x{j}"), lb, ub, obj, true)
-            }
-            _ => {
-                let lb = rng.range(-8.0, 4.0);
-                let ub = lb + rng.range(0.0, 12.0);
-                m.add_var(format!("x{j}"), lb, ub, obj, false)
-            }
-        };
-        vars.push(v);
-    }
-    for i in 0..ncons {
-        let mut terms = Vec::new();
-        for &v in &vars {
-            if rng.f() < 0.7 {
-                terms.push((v, rng.range(-4.0, 4.0)));
-            }
-        }
-        if terms.is_empty() {
-            terms.push((vars[0], 1.0));
-        }
-        let op = match rng.below(4) {
-            0 => ConstraintOp::Ge,
-            1 => ConstraintOp::Eq,
-            _ => ConstraintOp::Le,
-        };
-        let rhs = rng.range(-10.0, 25.0);
-        m.add_cons(format!("c{i}"), &terms, op, rhs);
-    }
-    m
-}
+use common::{corpus, solve, solve_concurrently};
 
 /// A thread count guaranteed to oversubscribe this host: at least 4, and
 /// strictly above whatever parallelism the machine actually has.
@@ -101,66 +22,25 @@ fn oversubscribed_threads() -> usize {
 #[test]
 fn oversubscribed_bnb_matches_sequential() {
     let threads = oversubscribed_threads();
-    let mut rng = Lcg(0x5_0b5c41be);
-    let mut solved = 0usize;
-    for case in 0..40 {
-        let m = random_milp(&mut rng);
-        let solve_at = |threads: usize| {
-            m.solve_with(&MilpConfig {
-                threads,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("case {case} at {threads} threads: {e}"))
-        };
-        let base = solve_at(1);
-        let over = solve_at(threads);
+    let models = corpus(0x5_0b5c_41be, 40);
+    let base: Vec<_> = models
+        .iter()
+        .enumerate()
+        .map(|(case, m)| solve(case, m))
+        .collect();
+    // Every thread solves every case, so all of them contend at once.
+    let cases: Vec<usize> = (0..threads).flat_map(|_| 0..models.len()).collect();
+    let over = solve_concurrently(&models, &cases, threads);
+    assert_eq!(over.len(), cases.len());
+    for (case, fp) in over {
         assert_eq!(
-            over.status,
-            base.status,
-            "case {case}: {threads} threads on {} core(s) changed the status",
-            threads - 1
+            fp, base[case],
+            "case {case}: {threads} concurrent solves differ from sequential"
         );
-        if base.status.has_solution() {
-            assert!(
-                (over.objective - base.objective).abs() < 1e-6,
-                "case {case}: oversubscribed objective {} vs sequential {}",
-                over.objective,
-                base.objective
-            );
-            solved += 1;
-        }
     }
+    let solved = base.iter().filter(|f| f.status.has_solution()).count();
     assert!(
         solved >= 10,
         "only {solved} solved MILPs in the smoke corpus"
     );
-}
-
-#[test]
-fn oversubscribed_race_matches_solo() {
-    let threads = oversubscribed_threads();
-    let mut rng = Lcg(0xbadc_a5e5);
-    let mut solved = 0usize;
-    for case in 0..25 {
-        let mut m = random_milp(&mut rng);
-        for v in m.vars.iter_mut() {
-            v.integer = false;
-        }
-        let sf = StandardForm::from_model(&m);
-        let nv = m.num_vars();
-        let solo = solve_standard_form(&sf, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        let raced = race_lp(&sf, nv, &[], None, None, threads)
-            .unwrap_or_else(|e| panic!("case {case} oversubscribed: {e}"));
-        assert_eq!(raced.status, solo.status, "case {case}");
-        if solo.status == SolveStatus::Optimal {
-            assert!(
-                (raced.objective - solo.objective).abs() < 1e-6,
-                "case {case}: raced {} vs solo {}",
-                raced.objective,
-                solo.objective
-            );
-            solved += 1;
-        }
-    }
-    assert!(solved >= 6, "only {solved} optimal LPs in the smoke corpus");
 }

@@ -1,171 +1,41 @@
-//! Thread-count invariance: the `threads` knob is a *how*, never a *what*.
+//! Thread-count invariance: every solve runs on one thread and shares no
+//! state, so how many solves run side by side is a *how*, never a *what*.
 //!
-//! Over a seeded random-MILP corpus, solving at 1/2/4/8 threads must report
-//! identical statuses and objectives equal to 1e-6 (the parallel tree may
-//! visit different nodes and report a different equally-optimal vertex, but
-//! never a different optimum). Likewise the LP portfolio race must agree
-//! with the solo steepest-edge solve it would replace.
+//! The service's worker pool is the solver's only parallelism. Over a seeded
+//! random-MILP corpus, solving the cases spread over 2 and 4 concurrent OS
+//! threads must reproduce the sequential solves bit for bit: same status,
+//! same objective and values, same pivots and nodes.
 
-use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::simplex::solve_standard_form;
-use teccl_lp::standard::StandardForm;
-use teccl_lp::{race_lp, MilpConfig, SolveStatus};
+mod common;
 
-/// Small deterministic LCG so the corpus is stable across runs and platforms.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    /// Uniform in [0, 1).
-    fn f(&mut self) -> f64 {
-        (self.next_u64() & ((1 << 53) - 1)) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f() * (hi - lo)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
-/// A random bounded MILP mixing binary, general-integer and continuous
-/// columns. Feasibility is not guaranteed — every thread count must agree on
-/// infeasibility too.
-fn random_milp(rng: &mut Lcg) -> Model {
-    let nvars = 3 + rng.below(7);
-    let ncons = 1 + rng.below(5);
-    let sense = if rng.f() < 0.5 {
-        Sense::Minimize
-    } else {
-        Sense::Maximize
-    };
-    let mut m = Model::new(sense);
-    let mut vars = Vec::new();
-    for j in 0..nvars {
-        let obj = rng.range(-5.0, 5.0);
-        let v = match rng.below(3) {
-            0 => m.add_binary_var(format!("x{j}"), obj),
-            1 => {
-                let lb = rng.below(4) as f64 - 2.0;
-                let ub = lb + rng.below(6) as f64;
-                m.add_var(format!("x{j}"), lb, ub, obj, true)
-            }
-            _ => {
-                let lb = rng.range(-8.0, 4.0);
-                let ub = lb + rng.range(0.0, 12.0);
-                m.add_var(format!("x{j}"), lb, ub, obj, false)
-            }
-        };
-        vars.push(v);
-    }
-    for i in 0..ncons {
-        let mut terms = Vec::new();
-        for &v in &vars {
-            if rng.f() < 0.7 {
-                terms.push((v, rng.range(-4.0, 4.0)));
-            }
-        }
-        if terms.is_empty() {
-            terms.push((vars[0], 1.0));
-        }
-        let op = match rng.below(4) {
-            0 => ConstraintOp::Ge,
-            1 => ConstraintOp::Eq,
-            _ => ConstraintOp::Le, // bias towards feasible instances
-        };
-        let rhs = rng.range(-10.0, 25.0);
-        m.add_cons(format!("c{i}"), &terms, op, rhs);
-    }
-    m
-}
+use common::{corpus, solve, solve_concurrently, Fingerprint};
+use teccl_lp::SolveStatus;
 
 #[test]
 fn milp_statuses_and_objectives_are_thread_count_invariant() {
-    let mut rng = Lcg(0x7452_ead5);
-    let mut solved = 0usize;
-    let mut infeasible = 0usize;
-    for case in 0..200 {
-        let m = random_milp(&mut rng);
-        let solve_at = |threads: usize| {
-            m.solve_with(&MilpConfig {
-                threads,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("case {case} at {threads} threads: {e}"))
-        };
-        let base = solve_at(1);
-        for threads in [2, 4, 8] {
-            let par = solve_at(threads);
+    let models = corpus(0x7452_ead5, 200);
+    let base: Vec<Fingerprint> = models
+        .iter()
+        .enumerate()
+        .map(|(case, m)| solve(case, m))
+        .collect();
+    let cases: Vec<usize> = (0..models.len()).collect();
+    for threads in [2, 4] {
+        let par = solve_concurrently(&models, &cases, threads);
+        assert_eq!(par.len(), models.len());
+        for (case, fp) in par {
             assert_eq!(
-                par.status, base.status,
-                "case {case}: {threads} threads {:?} vs sequential {:?}",
-                par.status, base.status
+                fp, base[case],
+                "case {case}: {threads} threads differ from sequential"
             );
-            if base.status.has_solution() {
-                assert!(
-                    (par.objective - base.objective).abs() < 1e-6,
-                    "case {case}: {threads} threads {} vs sequential {}",
-                    par.objective,
-                    base.objective
-                );
-            }
-        }
-        match base.status {
-            s if s.has_solution() => solved += 1,
-            SolveStatus::Infeasible => infeasible += 1,
-            _ => {}
         }
     }
     // The corpus must exercise both agreement modes.
+    let solved = base.iter().filter(|f| f.status.has_solution()).count();
+    let infeasible = base
+        .iter()
+        .filter(|f| f.status == SolveStatus::Infeasible)
+        .count();
     assert!(solved >= 60, "only {solved} solved MILPs");
     assert!(infeasible >= 10, "only {infeasible} infeasible MILPs");
-}
-
-/// The portfolio race must return exactly what the solo steepest-edge solve
-/// (racer 0's configuration) would: same status, objective to 1e-6, on every
-/// instance of a fixed LP corpus — whichever racer happens to certify first.
-#[test]
-fn portfolio_race_matches_solo_steepest_edge_on_fixed_lp_set() {
-    let mut rng = Lcg(0x7ace_0ff5);
-    let mut solved = 0usize;
-    for case in 0..60 {
-        let mut m = random_milp(&mut rng);
-        // Race the *relaxation*: integrality is the MILP layer's business.
-        for v in m.vars.iter_mut() {
-            v.integer = false;
-        }
-        let sf = StandardForm::from_model(&m);
-        let nv = m.num_vars();
-        let solo = solve_standard_form(&sf, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        for threads in [2, 4] {
-            let raced = race_lp(&sf, nv, &[], None, None, threads)
-                .unwrap_or_else(|e| panic!("case {case} at {threads} racers: {e}"));
-            assert_eq!(
-                raced.status, solo.status,
-                "case {case}: race at {threads} {:?} vs solo {:?}",
-                raced.status, solo.status
-            );
-            if solo.status == SolveStatus::Optimal {
-                assert!(
-                    (raced.objective - solo.objective).abs() < 1e-6,
-                    "case {case}: race at {threads} {} vs solo {}",
-                    raced.objective,
-                    solo.objective
-                );
-            }
-        }
-        if solo.status == SolveStatus::Optimal {
-            solved += 1;
-        }
-    }
-    assert!(solved >= 15, "only {solved} optimal LPs");
 }

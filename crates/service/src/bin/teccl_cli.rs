@@ -58,21 +58,15 @@ fn print_help() {
          solve  --topology SPEC --collective KIND --buffer SIZE\n         \
          [--chunks N] [--method auto|milp|lp|astar] [--addr H:P]\n         \
          [--max-epochs K] [--early-stop GAP] [--time-limit-s S]\n         \
-         [--deadline-ms D] [--threads N] [--decompose auto|on|off]\n  \
-         batch  --file requests.jsonl [--repeat N] [--deadline-ms D]\n         \
-         [--threads N] [--decompose auto|on|off] [--addr H:P]\n  \
+         [--deadline-ms D]\n  \
+         batch  --file requests.jsonl [--repeat N] [--deadline-ms D] [--addr H:P]\n  \
          stats  [--addr H:P]\n  \
          evict  [--addr H:P]\n\n\
          SPEC is a builtin name (dgx1, ndv2x2, internal1x2, …) or @FILE.json;\n\
          SIZE accepts 16M / 64K / 1G suffixes.\n\
          --deadline-ms asks the server for its best answer within D ms; the\n\
          reply's quality tag (exact/incumbent/stale/baseline) says what it\n\
-         had to settle for.\n\
-         --threads asks the server to solve with up to N worker threads\n\
-         (granted subject to its --core-budget; the answer is unchanged).\n\
-         --decompose controls the copy-free LP's Dantzig-Wolfe path: auto\n\
-         (default) engages it when it should win, on/off force it; the\n\
-         certified answer is identical either way."
+         had to settle for."
     );
 }
 
@@ -234,8 +228,6 @@ fn cmd_solve(args: &[String]) {
             "--deadline-ms" => {
                 deadline = Some(Duration::from_millis(parse_num(value, "--deadline-ms")))
             }
-            "--threads" => config.threads = parse_threads(value),
-            "--decompose" => config.decompose = parse_decompose(value),
             other => die(&format!("unknown flag `{other}` for solve")),
         }
     }
@@ -278,8 +270,6 @@ fn cmd_batch(args: &[String]) {
     let mut file = None;
     let mut repeat = 1usize;
     let mut deadline = None;
-    let mut threads = None;
-    let mut decompose = None;
     for (flag, value) in &rest {
         match flag.as_str() {
             "--file" => file = Some(value.clone()),
@@ -287,16 +277,13 @@ fn cmd_batch(args: &[String]) {
             "--deadline-ms" => {
                 deadline = Some(Duration::from_millis(parse_num(value, "--deadline-ms")))
             }
-            "--threads" => threads = Some(parse_threads(value)),
-            "--decompose" => decompose = Some(parse_decompose(value)),
             other => die(&format!("unknown flag `{other}` for batch")),
         }
     }
     let file = file.unwrap_or_else(|| die("--file is required"));
     let text = std::fs::read_to_string(&file).unwrap_or_else(|e| die(&format!("read {file}: {e}")));
     // Pre-parse every line so a malformed file fails before any traffic.
-    // `--deadline-ms` and `--threads` override whatever each line says (or
-    // doesn't).
+    // `--deadline-ms` overrides whatever each line says (or doesn't).
     let requests: Vec<String> = text
         .lines()
         .map(str::trim)
@@ -307,12 +294,6 @@ fn cmd_batch(args: &[String]) {
                 .unwrap_or_else(|e| die(&format!("bad request line: {e}")));
             if let Some(d) = deadline {
                 req.deadline = Some(d);
-            }
-            if let Some(t) = threads {
-                req.config.threads = t;
-            }
-            if let Some(d) = decompose {
-                req.config.decompose = d;
             }
             solve_request_line(&req)
         })
@@ -421,21 +402,6 @@ fn resolve_topology(spec: &str) -> Topology {
             .unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
     }
     builtin_topology(spec).unwrap_or_else(|| die(&format!("unknown builtin topology `{spec}`")))
-}
-
-/// Parses `--threads`: a positive integer (the wire format rejects zero).
-fn parse_threads(value: &str) -> usize {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| die("--threads must be a positive integer"))
-}
-
-/// Parses `--decompose`: one of the wire names `auto`, `on`, `off`.
-fn parse_decompose(value: &str) -> teccl_core::Decompose {
-    teccl_core::Decompose::from_name(value)
-        .unwrap_or_else(|| die("--decompose must be auto, on or off"))
 }
 
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> T {

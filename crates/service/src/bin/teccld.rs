@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! teccld [--addr 127.0.0.1:7677] [--workers N] [--cache-capacity N]
-//!        [--core-budget N] [--disk-cache DIR] [--fault-plan SPEC]
+//!        [--disk-cache DIR] [--fault-plan SPEC]
 //! ```
 //!
 //! `--fault-plan` (or the `TECCL_FAULT_PLAN` env var) injects deterministic
@@ -38,26 +38,14 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| die("--cache-capacity must be a positive integer"));
             }
-            "--core-budget" => {
-                config.core_budget = Some(
-                    value("--core-budget")
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--core-budget must be a positive integer")),
-                );
-            }
             "--disk-cache" => config.disk_dir = Some(value("--disk-cache").into()),
             "--fault-plan" => config.fault_plan = Some(value("--fault-plan")),
             "--help" | "-h" => {
                 println!(
                     "teccld — TE-CCL schedule server\n\n\
                      USAGE:\n  teccld [--addr HOST:PORT] [--workers N] \
-                     [--cache-capacity N] [--core-budget N] [--disk-cache DIR] \
-                     [--fault-plan SPEC]\n\n\
-                     --core-budget caps the solver threads handed out across \
-                     concurrently active solves (default: the machine's \
-                     available parallelism).\n\n\
+                     [--cache-capacity N] [--disk-cache DIR] [--fault-plan SPEC]\n\n\
+                     Each worker runs one single-threaded solve at a time.\n\n\
                      Protocol: one JSON request per line over TCP; verbs \
                      `solve`, `stats`, `evict`.\nSee crates/service/README.md."
                 );

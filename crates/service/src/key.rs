@@ -20,7 +20,7 @@
 //! buckets for warm starting.
 
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
-use teccl_core::{BufferMode, Decompose, EpochStrategy, SolverConfig, SwitchModel};
+use teccl_core::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
 use teccl_topology::{NodeId, Topology};
 use teccl_util::hash::{size_bucket, StableHasher};
 use teccl_util::json::{JsonError, Value};
@@ -385,12 +385,6 @@ fn hash_config(h: &mut StableHasher, c: &SolverConfig) {
             }
         }
     }
-    // `c.threads` and `c.decompose` are deliberately NOT hashed: like the
-    // per-request deadline, they change how fast the answer arrives, never
-    // what the answer is (solves are thread-count invariant, and the
-    // Dantzig-Wolfe path certifies the same optimum as the monolithic
-    // simplex), so a 1-thread and an 8-thread-decomposed request for the
-    // same problem must share one cache entry.
 }
 
 /// Serializes a solver configuration for the wire protocol.
@@ -444,14 +438,6 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
             "chunk_priorities",
             Value::Arr(p.iter().map(|&w| Value::from(w)).collect()),
         ));
-    }
-    // Only serialized when non-default so pre-threads golden documents stay
-    // byte-identical.
-    if c.threads != 1 {
-        pairs.push(("threads", Value::from(c.threads)));
-    }
-    if c.decompose != Decompose::Auto {
-        pairs.push(("decompose", Value::from(c.decompose.name())));
     }
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -528,17 +514,6 @@ pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
                 .map(|w| w.as_f64().ok_or(bad("bad chunk_priorities entry")))
                 .collect::<Result<Vec<f64>, _>>()?,
         );
-    }
-    if let Some(t) = v.get("threads") {
-        let t = t.as_usize().filter(|&t| t >= 1).ok_or(bad("bad threads"))?;
-        c.threads = t;
-    }
-    if let Some(d) = v.get("decompose") {
-        let d = d
-            .as_str()
-            .and_then(Decompose::from_name)
-            .ok_or(bad("bad decompose"))?;
-        c.decompose = d;
     }
     Ok(c)
 }
@@ -679,58 +654,49 @@ mod tests {
         assert!(SolveRequest::from_json_value(&Value::parse(neg).unwrap()).is_err());
     }
 
-    #[test]
-    fn decompose_rides_the_wire_but_not_the_key() {
-        let auto = base_request();
-        let mut forced = base_request();
-        forced.config.decompose = Decompose::On;
-        assert_eq!(
-            forced.key(),
-            auto.key(),
-            "decompose mode must not split the cache (answers are invariant)"
+    /// Older clients send the retired `threads` / `decompose` solver knobs.
+    /// Such a request is accepted, the fields are ignored, and it maps to the
+    /// same cache entry as the request without them.
+    fn assert_retired_config_is_ignored(config: &str) {
+        let plain =
+            r#"{"topology":"internal2x2","collective":"all_to_all","output_buffer":1048576}"#;
+        let legacy = format!(
+            r#"{{"topology":"internal2x2","collective":"all_to_all","output_buffer":1048576,"config":{config}}}"#
         );
-        let back = SolveRequest::from_json_value(&forced.to_json_value()).unwrap();
-        assert_eq!(
-            back.config.decompose,
-            Decompose::On,
-            "decompose must survive the wire"
-        );
-        let back = SolveRequest::from_json_value(&auto.to_json_value()).unwrap();
-        assert_eq!(back.config.decompose, Decompose::Auto);
+        let parse = |line: &str| SolveRequest::from_json_value(&Value::parse(line).unwrap());
+        let legacy = parse(&legacy).expect("retired knobs must not be rejected");
+        assert_eq!(legacy.key(), parse(plain).unwrap().key(), "{config}");
+        let echoed = legacy.to_json_value().to_json();
         assert!(
-            !auto.to_json_value().to_json().contains("decompose"),
-            "default decompose mode stays off the wire for golden stability"
-        );
-        let junk = r#"{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"config":{"decompose":"sideways"}}"#;
-        assert!(
-            SolveRequest::from_json_value(&Value::parse(junk).unwrap()).is_err(),
-            "unknown decompose mode must be rejected"
+            !echoed.contains("threads") && !echoed.contains("decompose"),
+            "{echoed}"
         );
     }
 
     #[test]
     fn threads_ride_the_wire_but_not_the_key() {
-        let solo = base_request();
-        let mut wide = base_request();
-        wide.config.threads = 8;
-        assert_eq!(
-            wide.key(),
-            solo.key(),
-            "thread count must not split the cache (answers are invariant)"
-        );
-        let back = SolveRequest::from_json_value(&wide.to_json_value()).unwrap();
-        assert_eq!(back.config.threads, 8, "threads must survive the wire");
-        let back = SolveRequest::from_json_value(&solo.to_json_value()).unwrap();
-        assert_eq!(back.config.threads, 1);
-        assert!(
-            !solo.to_json_value().to_json().contains("threads"),
-            "default thread count stays off the wire for golden stability"
-        );
-        let zero = r#"{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"config":{"threads":0}}"#;
-        assert!(
-            SolveRequest::from_json_value(&Value::parse(zero).unwrap()).is_err(),
-            "threads: 0 must be rejected"
-        );
+        assert_retired_config_is_ignored(r#"{"threads":4}"#);
+    }
+
+    #[test]
+    fn decompose_rides_the_wire_but_not_the_key() {
+        assert_retired_config_is_ignored(r#"{"decompose":"on"}"#);
+    }
+
+    #[test]
+    fn retired_solver_knobs_are_accepted_and_ignored() {
+        assert_retired_config_is_ignored(r#"{"threads":4,"decompose":"on"}"#);
+    }
+
+    /// Disk entries are addressed by `key().hash`; these literals were
+    /// computed before the solver knobs were retired, so entries written
+    /// then stay addressable. A change here orphans every stored schedule.
+    #[test]
+    fn key_hash_and_family_are_pinned() {
+        let k = base_request().key();
+        assert_eq!(k.family, 0xb5bb_030d_c0b8_e4cd);
+        assert_eq!(k.hash, 0xd1b8_2032_e04f_4204);
+        assert_eq!(k.size_bucket, 40);
     }
 
     #[test]

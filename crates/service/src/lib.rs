@@ -44,7 +44,6 @@ pub use server::{serve, ServerHandle};
 pub use service::{
     CacheStatus, ScheduleService, ServedSchedule, ServiceConfig, ServiceError, ServiceStats, Ticket,
 };
-pub use teccl_core::Decompose;
 
 #[cfg(test)]
 mod thread_safety_tests {

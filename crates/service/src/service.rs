@@ -156,12 +156,6 @@ pub struct ServiceStats {
     pub cached_entries: u64,
     /// Workers currently inside a solve (gauge).
     pub active_solves: u64,
-    /// Solver threads currently granted to active solves against the core
-    /// budget (gauge).
-    pub cores_in_use: u64,
-    /// The service-wide solver-thread budget the core ledger arbitrates
-    /// (gauge; constant for the service's lifetime).
-    pub cores_total: u64,
     /// Names of the worker threads currently inside a solve, sorted (gauge).
     pub workers_active: Vec<String>,
 }
@@ -190,8 +184,6 @@ impl ServiceStats {
             ("disk_quarantined", Value::from(self.disk_quarantined)),
             ("cached_entries", Value::from(self.cached_entries)),
             ("active_solves", Value::from(self.active_solves)),
-            ("cores_in_use", Value::from(self.cores_in_use)),
-            ("cores_total", Value::from(self.cores_total)),
             (
                 "workers_active",
                 Value::Arr(
@@ -225,8 +217,6 @@ impl ServiceStats {
             disk_quarantined: num("disk_quarantined") as u64,
             cached_entries: num("cached_entries") as u64,
             active_solves: num("active_solves") as u64,
-            cores_in_use: num("cores_in_use") as u64,
-            cores_total: num("cores_total") as u64,
             workers_active: v
                 .get("workers_active")
                 .and_then(Value::as_arr)
@@ -256,12 +246,6 @@ pub struct ServiceConfig {
     /// `TECCL_FAULT_PLAN` environment variable; `Some("")` is explicitly
     /// inert regardless of the environment.
     pub fault_plan: Option<String>,
-    /// Solver threads the whole service may hand out to concurrently active
-    /// solves (the intra-solve `threads` knob is clamped to what this budget
-    /// has left). `None` uses the machine's available parallelism. A solve is
-    /// never starved below one thread, so the budget bounds *extra*
-    /// parallelism, not admission.
-    pub core_budget: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -272,7 +256,6 @@ impl Default for ServiceConfig {
             disk_dir: None,
             background_upgrade: true,
             fault_plan: None,
-            core_budget: None,
         }
     }
 }
@@ -325,21 +308,10 @@ struct State {
     cache: ScheduleCache,
     /// `(family, size bucket)` → last published warm-start basis.
     basis_book: HashMap<(u64, i64), SimplexBasis>,
+    /// Names of the worker threads currently inside a solve.
+    active: Vec<String>,
     stats: ServiceStats,
     shutdown: bool,
-}
-
-/// The intra-solve core ledger: how many solver threads the in-flight solves
-/// have been granted, against a fixed service-wide budget. Guarded at
-/// [`LockRank::Cores`] — the highest rank, so a worker can settle its grant
-/// regardless of what else it holds.
-struct CoreLedger {
-    /// Service-wide solver-thread budget (constant after startup).
-    total: usize,
-    /// Threads currently granted to in-flight solves.
-    in_use: usize,
-    /// Worker-thread names currently inside a solve.
-    active: Vec<String>,
 }
 
 struct Inner {
@@ -348,32 +320,6 @@ struct Inner {
     disk: Option<DiskStore>,
     fault: Arc<FaultPlan>,
     background_upgrade: bool,
-    cores: Mutex<CoreLedger>,
-}
-
-impl Inner {
-    /// Grants the named worker up to `requested` solver threads, clamped to
-    /// what the core budget has left. Never blocks and never grants zero — a
-    /// solve always proceeds, at worst single-threaded — so the ledger bounds
-    /// *extra* parallelism without becoming an admission queue.
-    fn acquire_cores(&self, worker: &str, requested: usize) -> usize {
-        let mut ledger = lock_recover(&self.cores, LockRank::Cores);
-        let spare = ledger.total.saturating_sub(ledger.in_use);
-        let grant = requested.max(1).min(spare.max(1));
-        ledger.in_use += grant;
-        ledger.active.push(worker.to_string());
-        grant
-    }
-
-    /// Returns a grant to the ledger once the solve is over (success, budget
-    /// stop, or panic alike).
-    fn release_cores(&self, worker: &str, grant: usize) {
-        let mut ledger = lock_recover(&self.cores, LockRank::Cores);
-        ledger.in_use = ledger.in_use.saturating_sub(grant);
-        if let Some(i) = ledger.active.iter().position(|w| w == worker) {
-            ledger.active.swap_remove(i);
-        }
-    }
 }
 
 /// The schedule service: submit [`SolveRequest`]s, receive validated,
@@ -401,6 +347,7 @@ impl ScheduleService {
                 inflight: HashMap::new(),
                 cache: ScheduleCache::new(config.cache_capacity),
                 basis_book: HashMap::new(),
+                active: Vec::new(),
                 stats: ServiceStats::default(),
                 shutdown: false,
             }),
@@ -408,14 +355,6 @@ impl ScheduleService {
             disk,
             fault,
             background_upgrade: config.background_upgrade,
-            cores: Mutex::new(CoreLedger {
-                total: config
-                    .core_budget
-                    .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-                    .max(1),
-                in_use: 0,
-                active: Vec::new(),
-            }),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| spawn_worker(Arc::clone(&inner), format!("teccl-worker-{i}")))
@@ -579,17 +518,13 @@ impl ScheduleService {
             let st = lock_recover(&self.inner.state, LockRank::State);
             let mut s = st.stats.clone();
             s.cached_entries = st.cache.len() as u64;
+            s.active_solves = st.active.len() as u64;
+            s.workers_active = st.active.clone();
             s
         };
         if let Some(store) = &self.inner.disk {
             s.disk_quarantined = store.quarantined();
         }
-        let ledger = lock_recover(&self.inner.cores, LockRank::Cores);
-        s.active_solves = ledger.active.len() as u64;
-        s.cores_in_use = ledger.in_use as u64;
-        s.cores_total = ledger.total as u64;
-        s.workers_active = ledger.active.clone();
-        drop(ledger);
         s.workers_active.sort();
         s
     }
@@ -668,6 +603,10 @@ enum SolveFail {
 /// out, validate, cache, publish the basis, fan the result out to every
 /// waiter, and enqueue a background exact upgrade for degraded answers.
 fn worker_loop(inner: &Inner) {
+    let worker = std::thread::current()
+        .name()
+        .unwrap_or("teccl-worker")
+        .to_string();
     loop {
         let (job, hint) = {
             let mut st = lock_recover(&inner.state, LockRank::State);
@@ -684,6 +623,7 @@ fn worker_loop(inner: &Inner) {
             if hint.is_some() {
                 st.stats.hinted_solves += 1;
             }
+            st.active.push(worker.clone());
             (job, hint)
         };
 
@@ -694,19 +634,14 @@ fn worker_loop(inner: &Inner) {
             .request
             .deadline
             .map(|d| SolveBudget::with_deadline(d.saturating_sub(job.submitted.elapsed())));
-        // Intra-solve parallelism is arbitrated through the core ledger: the
-        // request *asks* for `config.threads`, the ledger grants what the
-        // service-wide budget has left (at least one). Released no matter how
-        // the solve ends — the grant outlives even a panic.
-        let worker = std::thread::current()
-            .name()
-            .unwrap_or("teccl-worker")
-            .to_string();
-        let grant = inner.acquire_cores(&worker, job.request.config.threads);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            solve_job(&job, hint.as_ref(), budget.as_ref(), grant, &inner.fault)
+            solve_job(&job, hint.as_ref(), budget.as_ref(), &inner.fault)
         }));
-        inner.release_cores(&worker, grant);
+        // The worker leaves the active set however the solve ended, a
+        // contained panic included.
+        lock_recover(&inner.state, LockRank::State)
+            .active
+            .retain(|w| *w != worker);
 
         let panicked = attempt.is_err();
         let result: JobResult = match attempt {
@@ -900,7 +835,6 @@ fn solve_job(
     job: &Job,
     hint: Option<&SimplexBasis>,
     budget: Option<&SolveBudget>,
-    threads: usize,
     fault: &FaultPlan,
 ) -> Result<(Arc<CacheEntry>, Option<SimplexBasis>, usize, Quality), SolveFail> {
     if let Some(delay) = fault.slow_solve_delay() {
@@ -919,11 +853,7 @@ fn solve_job(
     let req = &job.request;
     let demand = req.demand();
     let chunk_bytes = req.chunk_bytes();
-    // The granted thread count replaces the requested one: the request says
-    // how parallel it *wants* to be, the ledger says how parallel it gets.
-    let mut config = req.config.clone();
-    config.threads = threads.max(1);
-    let mut solver = TeCcl::new(req.topology.clone(), config);
+    let mut solver = TeCcl::new(req.topology.clone(), req.config.clone());
     if let Some(b) = budget {
         solver = solver.with_budget(b.clone());
     }
@@ -1149,50 +1079,57 @@ mod tests {
     }
 
     #[test]
-    fn core_ledger_clamps_grants_and_settles() {
+    fn panicked_solve_leaves_no_active_worker() {
         let svc = ScheduleService::start(ServiceConfig {
-            core_budget: Some(4),
-            ..quiet_config()
+            fault_plan: Some("panic-in-solve=1".to_string()),
+            ..Default::default()
         })
         .unwrap();
-        // First solve asks for 3 of 4: granted in full.
-        assert_eq!(svc.inner.acquire_cores("w0", 3), 3);
-        // Second asks for 4 with only 1 spare: clamped.
-        assert_eq!(svc.inner.acquire_cores("w1", 4), 1);
-        // Third arrives with nothing spare: still granted one thread — the
-        // ledger never starves a solve, it only bounds extra parallelism.
-        assert_eq!(svc.inner.acquire_cores("w2", 8), 1);
+        let r = svc.request(tiny_request());
+        assert!(matches!(r, Err(ServiceError::WorkerPanicked(_))), "{r:?}");
         let stats = svc.stats();
-        assert_eq!(stats.cores_total, 4);
-        assert_eq!(stats.cores_in_use, 5);
-        assert_eq!(stats.active_solves, 3);
-        assert_eq!(stats.workers_active, vec!["w0", "w1", "w2"]);
-        svc.inner.release_cores("w1", 1);
-        svc.inner.release_cores("w0", 3);
-        svc.inner.release_cores("w2", 1);
-        let stats = svc.stats();
-        assert_eq!(stats.cores_in_use, 0);
+        assert_eq!(stats.worker_panics, 1);
         assert_eq!(stats.active_solves, 0);
-        assert!(stats.workers_active.is_empty());
+        assert!(
+            stats.workers_active.is_empty(),
+            "{:?}",
+            stats.workers_active
+        );
+        // The same worker pool keeps serving.
+        assert_eq!(
+            svc.request(tiny_request()).unwrap().cache,
+            CacheStatus::Miss
+        );
+        assert!(svc.stats().workers_active.is_empty());
     }
 
+    /// A request that still asks for `threads: 4` (an older client) is solved
+    /// on one worker like any other, hands its worker slot back, and shares
+    /// its cache entry with the plain request.
     #[test]
     fn threaded_request_solves_and_returns_its_grant() {
-        let svc = ScheduleService::start(ServiceConfig {
-            core_budget: Some(8),
-            ..quiet_config()
-        })
-        .unwrap();
-        let mut req = tiny_request();
-        req.config.threads = 4;
+        let svc = ScheduleService::start(quiet_config()).unwrap();
+        let mut wire = tiny_request().to_json_value();
+        if let Value::Obj(pairs) = &mut wire {
+            for (k, v) in pairs.iter_mut() {
+                if let (true, Value::Obj(config)) = (k == "config", v) {
+                    config.push(("threads".to_string(), Value::from(4usize)));
+                }
+            }
+        }
+        assert!(wire.to_json().contains("\"threads\":4"));
+        let req = SolveRequest::from_json_value(&wire).unwrap();
         let served = svc.request(req).unwrap();
         assert_eq!(served.cache, CacheStatus::Miss);
         assert_eq!(served.quality, Quality::Exact);
         let stats = svc.stats();
         assert_eq!(stats.solves, 1);
-        assert_eq!(stats.cores_in_use, 0, "the grant must be returned");
         assert_eq!(stats.active_solves, 0);
-        // A 1-thread ask for the same problem is the same cache key.
+        assert!(
+            stats.workers_active.is_empty(),
+            "the worker slot must be returned: {:?}",
+            stats.workers_active
+        );
         let again = svc.request(tiny_request()).unwrap();
         assert_eq!(again.cache, CacheStatus::Hit);
     }
@@ -1202,8 +1139,6 @@ mod tests {
         let stats = ServiceStats {
             requests: 7,
             active_solves: 2,
-            cores_in_use: 5,
-            cores_total: 8,
             workers_active: vec!["teccl-worker-0".into(), "teccl-worker-1".into()],
             ..Default::default()
         };

@@ -35,12 +35,8 @@ pub enum LockRank {
     /// [`crate::ScheduleService`]'s worker-handle table (`workers`).
     Workers = 0,
     /// The orchestrator state mutex (`Inner::state`): queue, cache, in-flight
-    /// map, basis book, stats.
+    /// map, basis book, active workers, stats.
     State = 1,
-    /// The intra-solve core-budget ledger (`Inner::cores`): how many solver
-    /// threads each active worker was granted. Highest rank so a worker may
-    /// settle its grant while the state lock is held.
-    Cores = 2,
 }
 
 impl LockRank {
@@ -51,7 +47,6 @@ impl LockRank {
         match self {
             LockRank::Workers => "Workers",
             LockRank::State => "State",
-            LockRank::Cores => "Cores",
         }
     }
 }

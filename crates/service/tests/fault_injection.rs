@@ -145,50 +145,6 @@ fn deadline_on_large_alltoall_serves_validated_degraded_schedule() {
     svc.shutdown();
 }
 
-/// Same deadline scenario but with the Dantzig-Wolfe path *forced on*: the
-/// column-generation solve trips its budget mid-run and the reply must still
-/// be a validated, honestly-tagged schedule — `incumbent` when the master
-/// had an artificial-free point in hand (the RMP incumbent is fed through
-/// the same `budget_stop` contract as the monolithic solver), a lower rung
-/// otherwise, never a silently-wrong `exact`.
-#[test]
-fn deadline_on_decomposed_alltoall_tags_quality_honestly() {
-    let svc = ScheduleService::start(ServiceConfig {
-        workers: 2,
-        background_upgrade: false,
-        fault_plan: Some(String::new()),
-        ..Default::default()
-    })
-    .unwrap();
-    let mut req = SolveRequest::new(
-        teccl_topology::internal1(2),
-        CollectiveKind::AllToAll,
-        1,
-        16.0 * 1024.0 * 1024.0,
-    )
-    .with_deadline(Duration::from_millis(150));
-    req.config.decompose = teccl_service::Decompose::On;
-    req.config.threads = 2;
-
-    let served = svc.request(req.clone()).unwrap();
-    assert_ne!(
-        served.quality,
-        Quality::Exact,
-        "a 150 ms deadline cannot certify this solve exactly"
-    );
-    // Whatever rung answered — incumbent, stale or baseline — the schedule
-    // must hold up to external validation on the request topology.
-    let report = validate(
-        &req.topology,
-        &req.demand(),
-        &served.entry.output.schedule,
-        false,
-    );
-    assert!(report.is_valid(), "{:?}", report.errors);
-    assert!(svc.stats().degraded >= 1 || served.quality == Quality::Incumbent);
-    svc.shutdown();
-}
-
 /// The ISSUE acceptance scenario in full: the deadline-bearing request
 /// degrades, the patient request still certifies `exact`. The exact ALLTOALL
 /// solve takes ~20 s in release (minutes in debug), so this runs ignored;

@@ -64,21 +64,12 @@ impl BudgetExceeded {
 /// `Clone` is shallow: all clones share the cancel flag and the iteration
 /// counter, so a budget handed to a B&B node and the one held by the
 /// service worker are the same budget.
-///
-/// [`SolveBudget::child`] derives a budget with a **private** cancel flag
-/// layered over the parent's: cancelling the child stops only that child,
-/// while a parent cancel still stops every descendant. This is what the LP
-/// portfolio race uses — the winning racer cancels its siblings without
-/// revoking the request's own budget.
 #[derive(Debug, Clone, Default)]
 pub struct SolveBudget {
     deadline: Option<Instant>,
     iteration_cap: Option<u64>,
     cancel: Arc<AtomicBool>,
     iterations: Arc<AtomicU64>,
-    /// Cancel flags of every ancestor budget this one was [`SolveBudget::child`]ed
-    /// from, outermost first. Observed (never set) by this budget's checks.
-    ancestors: Vec<Arc<AtomicBool>>,
 }
 
 impl SolveBudget {
@@ -116,41 +107,15 @@ impl SolveBudget {
         self
     }
 
-    /// Derives a child budget: same deadline and iteration accounting (the
-    /// child's work charges the shared counter), but a **new** cancel flag.
-    /// Cancelling the child leaves the parent — and the child's siblings —
-    /// running; cancelling the parent still trips the child. Children of
-    /// children keep observing the whole ancestor chain.
-    pub fn child(&self) -> SolveBudget {
-        let mut ancestors = self.ancestors.clone();
-        ancestors.push(Arc::clone(&self.cancel));
-        SolveBudget {
-            deadline: self.deadline,
-            iteration_cap: self.iteration_cap,
-            cancel: Arc::new(AtomicBool::new(false)),
-            iterations: Arc::clone(&self.iterations),
-            ancestors,
-        }
-    }
-
-    /// Whether an iteration cap is configured (racing duplicates work across
-    /// threads, so callers skip the race when total-iteration accounting is
-    /// what bounds the solve).
-    pub fn has_iteration_cap(&self) -> bool {
-        self.iteration_cap.is_some()
-    }
-
     /// Revokes the budget: every holder's next `charge`/`exceeded` call
     /// reports [`BudgetExceeded::Cancelled`].
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`SolveBudget::cancel`] has been called on this budget or any
-    /// ancestor it was derived from.
+    /// Whether [`SolveBudget::cancel`] has been called on any clone.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.load(Ordering::Relaxed)
-            || self.ancestors.iter().any(|a| a.load(Ordering::Relaxed))
     }
 
     /// Total iterations charged so far across all clones.
@@ -193,20 +158,17 @@ impl SolveBudget {
 
 /// Batches [`SolveBudget::charge`] calls from one hot loop.
 ///
-/// Under multi-thread solves the shared `fetch_add` in `charge` serializes
-/// the pivot loops of every worker on one cache line. The batcher keeps a
-/// thread-local pending count and flushes it to the shared counter every
+/// A full `charge` is an atomic add plus a clock read. The batcher keeps a
+/// local pending count and flushes it to the shared counter every
 /// [`ChargeBatcher::FLUSH_EVERY`] ticks; the cancel flag is still read on
-/// **every** tick (a relaxed load of a shared-read line — cheap and
-/// contention-free), so cancellation latency stays one pivot.
+/// **every** tick (one relaxed load), so cancellation latency stays one
+/// pivot.
 ///
 /// Iteration-cap precision is preserved through a local snapshot of the
 /// shared counter (refreshed at each flush): a flush is forced as soon as
-/// `snapshot + pending` would cross the cap, so a single-threaded solve
-/// trips on exactly the same pivot as unbatched charging, and a
-/// multi-threaded one at most `FLUSH_EVERY - 1` sibling pivots late.
-/// Deadline trips coarsen to the flush granularity — far below anything the
-/// solver's deadline ladder can resolve.
+/// `snapshot + pending` would cross the cap, so the batcher trips on exactly
+/// the same pivot as unbatched charging. Deadline trips coarsen to the flush
+/// granularity — far below anything the solver's deadline ladder can resolve.
 ///
 /// Call [`ChargeBatcher::flush`] before dropping the batcher (or on leaving
 /// the loop) so the shared accounting stays exact; an unflushed remainder
@@ -216,8 +178,7 @@ pub struct ChargeBatcher<'a> {
     budget: Option<&'a SolveBudget>,
     pending: u64,
     /// `iterations_used()` as of the last flush; `snapshot + pending` is the
-    /// exact used count when no sibling thread is charging, and a lower
-    /// bound otherwise.
+    /// exact used count while nothing else charges the same budget.
     snapshot: u64,
 }
 
@@ -320,35 +281,6 @@ mod tests {
         b.cancel();
         std::thread::sleep(Duration::from_millis(1));
         assert_eq!(b.charge(1), Err(BudgetExceeded::Cancelled));
-    }
-
-    #[test]
-    fn child_cancel_is_private_but_parent_cancel_propagates() {
-        let parent = SolveBudget::unlimited();
-        let a = parent.child();
-        let b = parent.child();
-        a.cancel();
-        assert_eq!(a.charge(1), Err(BudgetExceeded::Cancelled));
-        assert_eq!(b.charge(1), Ok(()), "sibling unaffected");
-        assert_eq!(parent.charge(1), Ok(()), "parent unaffected");
-        parent.cancel();
-        assert_eq!(b.charge(1), Err(BudgetExceeded::Cancelled));
-        // Grandchildren observe the whole chain.
-        let fresh = SolveBudget::unlimited();
-        let mid = fresh.child();
-        let leaf = mid.child();
-        fresh.cancel();
-        assert!(leaf.is_cancelled());
-    }
-
-    #[test]
-    fn child_shares_iteration_accounting() {
-        let parent = SolveBudget::with_iteration_cap(10);
-        assert!(parent.has_iteration_cap());
-        let kid = parent.child();
-        assert_eq!(kid.charge(6), Ok(()));
-        assert_eq!(parent.iterations_used(), 6);
-        assert_eq!(parent.charge(5), Err(BudgetExceeded::IterationCap));
     }
 
     #[test]

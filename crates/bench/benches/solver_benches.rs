@@ -82,16 +82,6 @@ fn bench_dual_and_degenerate(h: &mut Harness) {
         assert!(!sol.stats.iteration_limit_hit);
         assert!(sol.stats.simplex_iterations <= budget);
     });
-    // The same instance with the perturbed pre-pass disabled: the pure
-    // projected-steepest-edge phase-2 walk, isolating the pricing core.
-    let se_opts = teccl_lp::SimplexOptions {
-        perturb_min_rows: usize::MAX,
-    };
-    h.bench_function("lp/steepest_edge_phase2", || {
-        let sol = teccl_lp::solve_standard_form_with_options(&gsf, gnv, &[], None, None, &se_opts)
-            .unwrap();
-        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-    });
 }
 
 /// The 8-GPU internal1(2) ALLTOALL copy-free LP, solved monolithically.
@@ -127,19 +117,14 @@ fn bench_lu_refactor(h: &mut Harness) {
 }
 
 /// A* cross-round warm starts with presolve on (the layout-preserving
-/// presolve keeps the carried root basis valid): warm rounds must stay on the
-/// warm path and cost no more simplex iterations than all-cold rounds.
+/// presolve keeps the carried root basis valid): rounds must stay on the warm
+/// path.
 fn bench_presolve_warm_rounds(h: &mut Harness) {
-    let (scenario, warm_cfg, cold_cfg) = teccl_bench::warm_rounds_fixture();
-    let cold = run_teccl(&scenario, &cold_cfg, Method::AStar).expect("fixture solves cold");
-    h.bench_function("lp/presolve_cold_rounds", || {
-        run_teccl(&scenario, &cold_cfg, Method::AStar).unwrap();
-    });
+    let (scenario, config) = teccl_bench::warm_rounds_fixture();
     h.bench_function("lp/presolve_warm_rounds", || {
-        let warm = run_teccl(&scenario, &warm_cfg, Method::AStar).unwrap();
+        let warm = run_teccl(&scenario, &config, Method::AStar).unwrap();
         assert!(warm.warm_starts > 0, "A* rounds fell off the warm path");
         assert!(warm.cold_starts <= 1, "only the first round may start cold");
-        assert!(warm.simplex_iterations <= cold.simplex_iterations);
     });
 }
 

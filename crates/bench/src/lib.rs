@@ -462,7 +462,7 @@ pub fn astar_round_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::Simple
     let options = |state: &RoundState| {
         let (remaining, open) = state.remaining(&demand);
         assert!(open > 0, "fixture must need a second round");
-        state.build_options(&topo, &demand, &remaining, &config, true)
+        state.build_options(&topo, &demand, &remaining, &config)
     };
     let mut form = MilpFormulation::build(
         &topo,
@@ -549,14 +549,12 @@ pub fn bench_dual_pivot_rows(h: &mut microbench::Harness) {
     });
 }
 
-/// Fixture for the **A\* cross-round warm-start** benches
-/// (`lp/presolve_warm_rounds` vs `lp/presolve_cold_rounds`): a Table-4 A\*
-/// scenario forced through several rounds, one config carrying the root basis
-/// across rounds (`astar_warm_rounds`) and one solving every round cold.
-/// Presolve runs in *both* — the layout-preserving presolve is exactly what
-/// lets the carried basis survive it. Returns
-/// `(scenario, warm_config, cold_config)`.
-pub fn warm_rounds_fixture() -> (Scenario, SolverConfig, SolverConfig) {
+/// Fixture for the **A\* cross-round warm-start** bench
+/// (`lp/presolve_warm_rounds`): a Table-4 A\* scenario forced through several
+/// rounds, each re-optimizing from the previous round's root basis. Presolve
+/// runs every round — the layout-preserving presolve is exactly what lets the
+/// carried basis survive it. Returns `(scenario, config)`.
+pub fn warm_rounds_fixture() -> (Scenario, SolverConfig) {
     let scenario = Scenario::collective(
         "astar-internal1x2-ag-16M",
         teccl_topology::internal1(2),
@@ -564,11 +562,7 @@ pub fn warm_rounds_fixture() -> (Scenario, SolverConfig, SolverConfig) {
         1,
         16.0 * 1024.0 * 1024.0,
     );
-    let mut warm = quick_config();
-    warm.astar_warm_rounds = true;
-    let mut cold = quick_config();
-    cold.astar_warm_rounds = false;
-    (scenario, warm, cold)
+    (scenario, quick_config())
 }
 
 /// Fixture for the schedule-service benches (`service/throughput`,

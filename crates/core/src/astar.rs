@@ -19,7 +19,7 @@ use teccl_lp::{SimplexBasis, SolveStats};
 use teccl_schedule::Send;
 use teccl_topology::{NodeId, Topology};
 
-use crate::config::SolverConfig;
+use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{delta_epochs, kappa_epochs};
 use crate::error::TeCclError;
 use crate::milp_form::{MilpBuildOptions, MilpFormulation};
@@ -45,6 +45,17 @@ pub struct AStarOutcome {
     /// cache-adjacent request in the schedule service — can start from it via
     /// [`solve_astar_from`].
     pub final_basis: Option<SimplexBasis>,
+}
+
+/// Whether consecutive rounds share one model layout and carry the root
+/// relaxation's basis from round to round: the model is built from the full
+/// demand every round (delivered commodities get their flows *bound-pinned*,
+/// not removed) and presolve is layout-preserving, so round `t+1`
+/// re-optimizes dually from round `t`'s basis through the normal pipeline.
+/// The no-store-and-forward buffer mode derives its variable set from the
+/// round state, so it alone keeps per-round (remaining-demand, cold) builds.
+fn warm_rounds(config: &SolverConfig) -> bool {
+    !matches!(config.buffer_mode, BufferMode::NoStoreAndForward)
 }
 
 /// What A* carries from round to round — who holds which chunk, what is still
@@ -118,15 +129,13 @@ impl RoundState {
         (remaining, remaining_count)
     }
 
-    /// The build options of this round's MILP. `warm_rounds` says the model
-    /// keeps every commodity round after round (see [`solve_astar_budgeted`]).
+    /// The build options of this round's MILP.
     pub fn build_options(
         &self,
         topology: &Topology,
         demand: &DemandMatrix,
         remaining: &DemandMatrix,
         config: &SolverConfig,
-        warm_rounds: bool,
     ) -> MilpBuildOptions {
         // Terminal rewards: for every unsatisfied commodity and every GPU,
         // reward ending the round with the chunk near a destination.
@@ -160,13 +169,13 @@ impl RoundState {
             }
         }
 
-        // Under warm rounds the model keeps every commodity, so pin the flows
+        // Warm rounds keep every commodity in the model, so pin the flows
         // of fully-delivered ones to zero: the layout stays identical (the
         // carried basis survives) while presolve eliminates their columns
         // from the actual solve — late rounds then cost what the shrinking
         // remaining-demand builds used to, without re-shaping the model.
         let mut frozen: Vec<(NodeId, usize)> = Vec::new();
-        if warm_rounds {
+        if warm_rounds(config) {
             for s in topology.gpus() {
                 for c in 0..demand.num_chunks {
                     if demand.chunk_in_use(s, c) && remaining.destinations_of(s, c).is_empty() {
@@ -232,9 +241,9 @@ pub fn solve_astar(
 }
 
 /// [`solve_astar`] with an externally supplied basis for the first round's
-/// root relaxation (rounds then carry their own basis as usual when
-/// `astar_warm_rounds` is on). A basis whose shape does not match the first
-/// round's model silently falls back to a cold start inside the LP layer.
+/// root relaxation (later rounds carry their own basis as usual). A basis
+/// whose shape does not match the first round's model silently falls back to
+/// a cold start inside the LP layer.
 pub fn solve_astar_from(
     topology: &Topology,
     demand: &DemandMatrix,
@@ -283,20 +292,12 @@ pub fn solve_astar_budgeted(
     let mut stalls = 0usize;
     let mut stats = SolveStats::default();
 
-    // Cross-round warm starting: built from the full demand, every round's
-    // MILP has the same shape — the builder always creates the complete
-    // variable set (reachability pruning is bound fixing) and presolve is
-    // layout-preserving, so only bounds, right-hand sides, and objective
-    // weights change between rounds and round t+1's root relaxation
-    // re-optimizes dually from round t's root basis with the normal pipeline
-    // (presolve on, no special cases). The no-store-and-forward buffer mode
-    // derives its variable set from the round state, so it keeps the
-    // per-round (remaining-demand, cold) builds.
-    let warm_rounds = config.astar_warm_rounds
-        && !matches!(
-            config.buffer_mode,
-            crate::config::BufferMode::NoStoreAndForward
-        );
+    // Cross-round warm starting (see [`warm_rounds`]): built from the full
+    // demand, every round's MILP has the same shape — the builder always
+    // creates the complete variable set (reachability pruning is bound
+    // fixing) — so only bounds, right-hand sides, and objective weights
+    // change between rounds.
+    let warm = warm_rounds(config);
     let mut carried_basis: Option<SimplexBasis> = initial_basis.cloned();
     let mut final_basis: Option<SimplexBasis> = None;
     let mut cached_form: Option<MilpFormulation> = None;
@@ -321,7 +322,7 @@ pub fn solve_astar_budgeted(
                 final_basis,
             });
         }
-        let options = state.build_options(topology, demand, &remaining, config, warm_rounds);
+        let options = state.build_options(topology, demand, &remaining, config);
         // Under warm rounds the model is built from the *full* demand so the
         // commodity set (and with it the layout) never changes; demands that
         // are already satisfied only contribute constant reward terms (their
@@ -329,8 +330,8 @@ pub fn solve_astar_budgeted(
         // The identical layout also means later rounds skip the build
         // entirely: the first round's formulation is cached and only its
         // bounds / rhs / objective are rewritten in place.
-        let build_demand = if warm_rounds { demand } else { &remaining };
-        let reused = warm_rounds
+        let build_demand = if warm { demand } else { &remaining };
+        let reused = warm
             && cached_form
                 .as_mut()
                 .is_some_and(|f| f.update_round(build_demand, config, &options));
@@ -354,7 +355,7 @@ pub fn solve_astar_budgeted(
             return Err(TeCclError::Budget(cause));
         }
         stats.absorb(&sol.stats);
-        if warm_rounds {
+        if warm {
             // A round that produced no basis (e.g. a presolve-trivial or
             // basis-less outcome) keeps the previous one rather than dropping
             // the warm chain for the rest of the run.
@@ -469,15 +470,20 @@ mod tests {
             ..Default::default()
         };
         let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        assert_valid(&topo, &demand, &out);
+    }
+
+    /// Prunes and validates an A* outcome's sends against `demand`.
+    fn assert_valid(topo: &Topology, demand: &DemandMatrix, out: &AStarOutcome) {
         let pruned =
-            crate::extract::prune_sends(&out.sends, &demand, &out.initial_holders, |a, b| {
+            crate::extract::prune_sends(&out.sends, demand, &out.initial_holders, |a, b| {
                 topo.link_between(a, b)
                     .map(|l| delta_epochs(l, 1e-3))
                     .unwrap_or(0)
             });
         let schedule =
             crate::extract::schedule_from_sends("astar", 1e6, 1e-3, pruned, out.solver_time);
-        let report = teccl_schedule::validate(&topo, &demand, &schedule, false);
+        let report = teccl_schedule::validate(topo, demand, &schedule, false);
         assert!(report.is_valid(), "{:?}", report.errors);
     }
 
@@ -490,34 +496,41 @@ mod tests {
         let demand = DemandMatrix::all_gather(4, &gpus, 1);
         let config = SolverConfig {
             astar_epochs_per_round: Some(2),
-            astar_warm_rounds: true,
             ..Default::default()
         };
         let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
         assert!(out.rounds >= 2, "need several rounds, got {}", out.rounds);
         assert!(
-            out.stats.warm_starts > 0,
+            out.stats.warm_starts > 0 && out.stats.cold_starts <= 1,
             "round 2+ must warm-start (stats: {:?})",
             out.stats
         );
-        let cold_cfg = SolverConfig {
+        assert_valid(&topo, &demand, &out);
+    }
+
+    #[test]
+    fn no_store_and_forward_rounds_build_and_solve_cold() {
+        // The one buffer mode whose variable set follows the round state:
+        // every round is a fresh remaining-demand build whose root starts
+        // cold (no round here branches, so nothing re-solves warm), and the
+        // schedule still validates.
+        let topo = line_topology(4, 1e9, 0.0);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let demand = DemandMatrix::all_gather(4, &gpus, 1);
+        let config = SolverConfig {
             astar_epochs_per_round: Some(2),
-            astar_warm_rounds: false,
+            buffer_mode: BufferMode::NoStoreAndForward,
             ..Default::default()
         };
-        let cold = solve_astar(&topo, &demand, 1e6, &cold_cfg, 1e-3).unwrap();
-        // Both variants deliver every demand within the same round budget.
-        assert_eq!(out.rounds, cold.rounds);
-        let pruned =
-            crate::extract::prune_sends(&out.sends, &demand, &out.initial_holders, |a, b| {
-                topo.link_between(a, b)
-                    .map(|l| delta_epochs(l, 1e-3))
-                    .unwrap_or(0)
-            });
-        let schedule =
-            crate::extract::schedule_from_sends("astar-warm", 1e6, 1e-3, pruned, out.solver_time);
-        let report = teccl_schedule::validate(&topo, &demand, &schedule, false);
-        assert!(report.is_valid(), "{:?}", report.errors);
+        assert!(!warm_rounds(&config));
+        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        assert!(out.rounds >= 2, "need several rounds, got {}", out.rounds);
+        assert!(
+            out.stats.warm_starts == 0 && out.stats.cold_starts == out.rounds,
+            "every round's root must start cold (stats: {:?})",
+            out.stats
+        );
+        assert_valid(&topo, &demand, &out);
     }
 
     #[test]

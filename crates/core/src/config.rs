@@ -1,4 +1,5 @@
-//! Solver configuration: the knobs §5 of the paper exposes.
+//! Solver configuration: the knobs §5 of the paper exposes. The solver's own
+//! machinery (warm node re-solves, warm A\* rounds) has no switch.
 
 use std::time::Duration;
 
@@ -78,29 +79,6 @@ pub struct SolverConfig {
     /// Per-chunk objective weights for multi-tenant priorities (§5); indexed
     /// by chunk id, missing entries default to 1.0.
     pub chunk_priorities: Option<Vec<f64>>,
-    /// Whether branch-and-bound nodes re-solve from their parent's simplex
-    /// basis (Gurobi-style warm starts). On by default; disable only to
-    /// measure the cold-start cost.
-    pub warm_start: bool,
-    /// Whether consecutive A* rounds carry the root relaxation's simplex
-    /// basis so round `t+1` re-optimizes dually from round `t`'s basis.
-    /// Rounds are built from the full commodity set (delivered commodities
-    /// get their flows *bound-pinned*, not removed) and presolve is
-    /// layout-preserving, so the carried basis stays valid through the
-    /// normal pipeline — presolve and reachability pruning stay on.
-    /// Requires an unlimited/limited buffer mode (the no-store-and-forward
-    /// variable set depends on the round state); the A* solver silently
-    /// falls back to per-round cold solves otherwise.
-    ///
-    /// On by default: re-measured after the layout-preserving presolve
-    /// landed, warm rounds cut simplex iterations by ~35-45% and win wall
-    /// clock on the Table-4 A* scenarios (median of 7: internal1(2) AG 16 MB
-    /// 67.6 → 62.7 ms, internal2(2) AG 16 MB 4.7 → 3.8 ms, internal2(4) AG
-    /// 16 MB 60.8 → 56.9 ms). The exception is very short runs (2 rounds,
-    /// e.g. NDv2 x1 AG 4 MB: 35.6 → 42.8 ms) where there is almost no
-    /// cross-round reuse to amortize the full-commodity build — disable it
-    /// there if the difference matters.
-    pub astar_warm_rounds: bool,
 }
 
 impl Default for SolverConfig {
@@ -117,8 +95,6 @@ impl Default for SolverConfig {
             astar_gamma: 0.5,
             astar_max_rounds: 64,
             chunk_priorities: None,
-            warm_start: true,
-            astar_warm_rounds: true,
         }
     }
 }

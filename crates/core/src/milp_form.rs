@@ -820,9 +820,7 @@ impl MilpFormulation {
         let milp_config = MilpConfig {
             rel_gap: config.early_stop_gap.unwrap_or(1e-6),
             time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-            warm_start: config.warm_start,
             budget: budget.cloned(),
-            ..Default::default()
         };
         let sol = self.model.solve_with_warm(&milp_config, warm)?;
         match sol.status {

@@ -65,10 +65,7 @@ pub use basis::{LuFactors, SimplexBasis, VarStatus};
 pub use error::LpError;
 pub use milp::{MilpConfig, MilpSolver};
 pub use model::{ConstraintOp, Model, Sense, VarId};
-pub use simplex::{
-    solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from,
-    solve_standard_form_with_options, SimplexOptions,
-};
+pub use simplex::{solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from};
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use sparse::{IndexedVec, RowMajor, SparseMatrix, SparseVec};
 pub use standard::StandardForm;

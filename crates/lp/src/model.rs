@@ -269,7 +269,7 @@ impl Model {
     }
 
     /// Solves the model with an explicit MILP configuration (time limit,
-    /// relative-gap early stop, node limit). For pure LPs only the
+    /// relative-gap early stop, budget). For pure LPs only the
     /// cooperative budget is honoured; the B&B knobs are ignored.
     pub fn solve_with(&self, config: &MilpConfig) -> Result<Solution, LpError> {
         self.solve_with_warm(config, None)

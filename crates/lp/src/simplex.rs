@@ -78,24 +78,10 @@ pub(crate) const FEAS_TOL: f64 = 1e-9;
 /// Iterations between basic-value / objective refreshes.
 pub(crate) const REFRESH_INTERVAL: usize = 256;
 
-/// Tuning knobs for the simplex solve entry points. [`Default`] is what every
-/// production caller uses; tests and benches override individual fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimplexOptions {
-    /// Minimum row count before the anti-degeneracy perturbed phase-2
-    /// pre-pass engages on cold solves. Small LPs never stall on degeneracy,
-    /// so perturbing them would only add a second (pointless) pass;
-    /// `usize::MAX` disables the pre-pass entirely.
-    pub perturb_min_rows: usize,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            perturb_min_rows: 64,
-        }
-    }
-}
+/// Minimum row count before the anti-degeneracy perturbed phase-2 pre-pass
+/// engages on cold solves. Small LPs never stall on degeneracy, so perturbing
+/// them would only add a second (pointless) pass.
+const PERTURB_MIN_ROWS: usize = 64;
 
 /// EXPAND: per-iteration growth of the working feasibility tolerance, and the
 /// scale of the guaranteed minimum step. The tolerance is reset at every
@@ -230,26 +216,6 @@ pub fn solve_standard_form_budgeted(
     warm: Option<&SimplexBasis>,
     budget: Option<&SolveBudget>,
 ) -> Result<Solution, LpError> {
-    solve_standard_form_with_options(
-        sf,
-        num_model_vars,
-        overrides,
-        warm,
-        budget,
-        &SimplexOptions::default(),
-    )
-}
-
-/// [`solve_standard_form_budgeted`] with explicit [`SimplexOptions`]. The
-/// other entry points all funnel here with the default options.
-pub fn solve_standard_form_with_options(
-    sf: &StandardForm,
-    num_model_vars: usize,
-    overrides: &[(usize, f64, f64)],
-    warm: Option<&SimplexBasis>,
-    budget: Option<&SolveBudget>,
-    opts: &SimplexOptions,
-) -> Result<Solution, LpError> {
     let m = sf.num_rows();
     let n = sf.num_cols();
 
@@ -272,7 +238,7 @@ pub fn solve_standard_form_with_options(
     let mut wasted = WarmFallback::default();
     if let Some(wb) = warm {
         if wb.basic.len() == m && wb.status.len() == n {
-            match try_warm_solve(sf, &lb, &ub, wb, num_model_vars, budget, opts) {
+            match try_warm_solve(sf, &lb, &ub, wb, num_model_vars, budget) {
                 Ok(sol) => return Ok(sol),
                 // A budget stop inside the warm attempt must not silently
                 // escalate into a (more expensive) cold start.
@@ -287,7 +253,7 @@ pub fn solve_standard_form_with_options(
             }
         }
     }
-    let mut sol = cold_solve(sf, &lb, &ub, num_model_vars, budget, opts)?;
+    let mut sol = cold_solve(sf, &lb, &ub, num_model_vars, budget)?;
     sol.stats.simplex_iterations += wasted.iterations;
     sol.stats.dual_iterations += wasted.dual_iterations;
     sol.stats.factorizations += wasted.factorizations;
@@ -329,7 +295,6 @@ fn cold_solve(
     ub: &[f64],
     num_model_vars: usize,
     budget: Option<&SolveBudget>,
-    opts: &SimplexOptions,
 ) -> Result<Solution, LpError> {
     let m = sf.num_rows();
     let n = sf.num_cols();
@@ -348,7 +313,7 @@ fn cold_solve(
     // failure falls back to the artificial primal phase 1 below, carrying the
     // burned work so the counters stay honest.
     let mut burned = WarmFallback::default();
-    match dual_phase1(sf, lb, ub, num_model_vars, budget, opts, max_iters) {
+    match dual_phase1(sf, lb, ub, num_model_vars, budget, max_iters) {
         Ok(Some(sol)) => return Ok(sol),
         Ok(None) => {}
         Err(fb) => {
@@ -392,7 +357,7 @@ fn cold_solve(
         }
     }
 
-    let mut sol = finish_phase2(&mut state, max_iters, num_model_vars, true, budget, opts)?;
+    let mut sol = finish_phase2(&mut state, max_iters, num_model_vars, true, budget)?;
     sol.stats.cold_starts = 1;
     Ok(sol)
 }
@@ -408,7 +373,6 @@ fn dual_phase1(
     ub: &[f64],
     num_model_vars: usize,
     budget: Option<&SolveBudget>,
-    opts: &SimplexOptions,
     max_iters: usize,
 ) -> Result<Option<Solution>, WarmFallback> {
     let n = sf.num_cols();
@@ -476,7 +440,7 @@ fn dual_phase1(
         }
         Err(_) => return Err(fallback(&state)),
     }
-    match finish_phase2(&mut state, max_iters, num_model_vars, true, budget, opts) {
+    match finish_phase2(&mut state, max_iters, num_model_vars, true, budget) {
         Ok(mut sol) => {
             sol.stats.cold_starts = 1;
             Ok(Some(sol))
@@ -595,7 +559,6 @@ fn try_warm_solve(
     warm: &SimplexBasis,
     num_model_vars: usize,
     budget: Option<&SolveBudget>,
-    opts: &SimplexOptions,
 ) -> Result<Solution, WarmFallback> {
     let m = sf.num_rows();
     let n = sf.num_cols();
@@ -728,7 +691,7 @@ fn try_warm_solve(
     // Certify with the true costs (the dual may have run against shifted
     // costs; the basis it leaves behind is primal feasible, so phase 2 needs
     // no perturbation pre-pass and typically terminates in one pricing scan).
-    match finish_phase2(&mut state, max_iters, num_model_vars, false, budget, opts) {
+    match finish_phase2(&mut state, max_iters, num_model_vars, false, budget) {
         Ok(mut sol) => {
             sol.stats.warm_starts = 1;
             Ok(sol)
@@ -752,7 +715,6 @@ fn finish_phase2(
     num_model_vars: usize,
     perturb: bool,
     budget: Option<&SolveBudget>,
-    opts: &SimplexOptions,
 ) -> Result<Solution, LpError> {
     let sf = state.sf;
     let n = state.n;
@@ -767,7 +729,7 @@ fn finish_phase2(
     // with the true costs then certifies optimality, so correctness never
     // rests on the perturbation. (Phase 1 is left unperturbed: its artificial
     // objective is what drives feasibility.)
-    if perturb && m > opts.perturb_min_rows {
+    if perturb && m > PERTURB_MIN_ROWS {
         let mut pcost = phase2_cost.clone();
         for (j, c) in pcost.iter_mut().enumerate().take(n) {
             let h = (j as u64).wrapping_mul(0x9e3779b97f4a7c15);
@@ -1838,22 +1800,21 @@ mod tests {
 
     #[test]
     fn exhausted_perturbed_walk_still_charges_the_certify_pass() {
-        // Force the perturbed phase-2 pre-pass on (the transportation LP has
-        // m = 40 rows, above the lowered threshold) and sweep iteration caps
-        // upward. Caps that trip before primal feasibility are hard budget
-        // errors; the first cap that comes back `Ok` with `budget_stop` set
-        // tripped inside the perturbed walk, which skips the true-cost
-        // certify pass — and that skip must still charge the budget for the
-        // extraction work (the PR-5 bug class: silent uncharged exits).
-        let n = 20;
+        // The 40x40 transportation LP has m = 80 rows, above
+        // `PERTURB_MIN_ROWS`, so its cold solve runs the perturbed phase-2
+        // pre-pass. Sweep iteration caps upward. Caps that trip before primal
+        // feasibility are hard budget errors; the first cap that comes back
+        // `Ok` with `budget_stop` set tripped inside the perturbed walk,
+        // which skips the true-cost certify pass — and that skip must still
+        // charge the budget for the extraction work (no silent uncharged
+        // exits).
+        let n = 40;
         let sf = transportation_lp(n);
-        let opts = SimplexOptions {
-            perturb_min_rows: 16,
-        };
+        assert!(sf.num_rows() > PERTURB_MIN_ROWS);
         let mut verified = false;
         for cap in 1..5000u64 {
             let budget = SolveBudget::with_iteration_cap(cap);
-            match solve_standard_form_with_options(&sf, n * n, &[], None, Some(&budget), &opts) {
+            match solve_standard_form_budgeted(&sf, n * n, &[], None, Some(&budget)) {
                 Err(LpError::Budget(_)) => continue, // tripped before feasibility
                 Err(e) => panic!("unexpected error at cap {cap}: {e:?}"),
                 Ok(sol) => {

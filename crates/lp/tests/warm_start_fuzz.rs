@@ -2,7 +2,8 @@
 //! against cold solves: on a corpus of small bounded LPs, a warm re-solve
 //! after a bound change must agree with a from-scratch solve to 1e-6. Cold
 //! optima are also certified against the original model by a checker that
-//! shares no code with the simplex.
+//! shares no code with the simplex, and branch-and-bound results on small
+//! binary corpora against enumeration of every point.
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
 use teccl_lp::simplex::{solve_standard_form, solve_standard_form_from};
@@ -541,21 +542,66 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
     assert!(crossed >= 60, "only {crossed} cross-presolve warm starts");
 }
 
-/// Per-node presolve on-vs-off agreement over the random-MILP corpus, with
-/// B&B chains deep enough to exercise the propagation: statuses and
-/// objectives must match to 1e-6, and the tightening machinery must actually
-/// fire somewhere in the corpus.
+/// The optimum of an all-binary `m` by enumeration: every one of the 2ⁿ
+/// points is checked with [`Model::is_feasible`] and the best objective in
+/// the model's sense wins. `None` means no point is feasible. Shares nothing
+/// with the branch-and-bound it referees.
+fn brute_force_optimum(m: &Model) -> Option<f64> {
+    let n = m.num_vars();
+    assert!(n <= 12, "enumeration is for small corpora ({n} binaries)");
+    let mut best: Option<f64> = None;
+    let mut x = vec![0.0; n];
+    for bits in 0u32..1 << n {
+        for (j, xj) in x.iter_mut().enumerate() {
+            *xj = f64::from((bits >> j) & 1);
+        }
+        if !m.is_feasible(&x, 1e-9) {
+            continue;
+        }
+        let obj = m.eval_objective(&x);
+        let improves = |b: f64| match m.sense {
+            Sense::Maximize => obj > b,
+            Sense::Minimize => obj < b,
+        };
+        if best.is_none_or(improves) {
+            best = Some(obj);
+        }
+    }
+    best
+}
+
+/// Solves `m` with the default B&B and checks the result against
+/// [`brute_force_optimum`]: the same status, and the objective within 1e-6.
+/// Returns the solution for the caller's machinery counters.
+fn assert_matches_brute_force(m: &Model, case: usize) -> Solution {
+    let sol = m.solve().unwrap_or_else(|e| panic!("case {case}: {e}"));
+    match brute_force_optimum(m) {
+        None => assert_eq!(sol.status, SolveStatus::Infeasible, "case {case}"),
+        Some(best) => {
+            assert_eq!(sol.status, SolveStatus::Optimal, "case {case}");
+            assert!(
+                (sol.objective - best).abs() < 1e-6,
+                "case {case}: B&B {} vs enumeration {best}",
+                sol.objective
+            );
+            assert!(m.is_feasible(&sol.values, 1e-6), "case {case}");
+        }
+    }
+    sol
+}
+
+/// Knapsacks with a cardinality side constraint and mixed weights: branching
+/// one binary shrinks the residual capacity, which is what the per-node
+/// presolve's row-activity propagation converts into fixings of the others.
+/// Every result matches enumeration, and the tightening machinery must
+/// actually fire somewhere in the corpus.
 #[test]
-fn node_presolve_on_and_off_agree_on_random_milps() {
-    use teccl_lp::MilpConfig;
+fn node_presolved_milps_match_brute_force() {
     let mut rng = Lcg(0x9e0d_e135);
     let mut solved = 0usize;
     let mut tightenings = 0usize;
-    let mut nodes_with_tightening = 0usize;
+    let mut runs_with_tightening = 0usize;
     for case in 0..40 {
-        // Knapsacks with a cardinality side constraint and mixed weights:
-        // branching one binary shrinks the residual capacity, which is what
-        // the row-activity propagation converts into fixings of the others.
         let nvars = 4 + rng.below(8);
         let mut m = Model::new(Sense::Maximize);
         let xs: Vec<_> = (0..nvars)
@@ -570,52 +616,29 @@ fn node_presolve_on_and_off_agree_on_random_milps() {
             ConstraintOp::Le,
             (2 + rng.below(nvars / 2)) as f64,
         );
-        let on = m
-            .solve_with(&MilpConfig {
-                rounding_heuristic: false,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        let off = m
-            .solve_with(&MilpConfig {
-                rounding_heuristic: false,
-                node_presolve: false,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert_eq!(on.status, off.status, "case {case}");
-        if on.status.has_solution() {
-            assert!(
-                (on.objective - off.objective).abs() < 1e-6,
-                "case {case}: node-presolve on {} vs off {}",
-                on.objective,
-                off.objective
-            );
+        let sol = assert_matches_brute_force(&m, case);
+        if sol.status.has_solution() {
             solved += 1;
         }
-        tightenings += on.stats.node_tightenings;
-        if on.stats.node_tightenings > 0 {
-            nodes_with_tightening += 1;
+        tightenings += sol.stats.node_tightenings;
+        if sol.stats.node_tightenings > 0 {
+            runs_with_tightening += 1;
         }
-        assert_eq!(
-            off.stats.node_tightenings, 0,
-            "case {case}: off must not tighten"
-        );
     }
     assert!(solved >= 30, "only {solved} solved MILPs");
     assert!(
-        tightenings > 0 && nodes_with_tightening >= 5,
-        "per-node presolve never fired: {tightenings} tightenings in {nodes_with_tightening} runs"
+        tightenings > 0 && runs_with_tightening >= 5,
+        "per-node presolve never fired: {tightenings} tightenings in {runs_with_tightening} runs"
     );
 }
 
+/// Random small knapsack-ish MILPs, every result checked against
+/// enumeration.
 #[test]
-fn milp_warm_and_cold_nodes_agree_on_random_corpus() {
-    use teccl_lp::MilpConfig;
+fn milps_match_brute_force_on_random_corpus() {
     let mut rng = Lcg(0xdead_beef);
     let mut solved = 0usize;
     for case in 0..40 {
-        // Random small knapsack-ish MILPs.
         let nvars = 3 + rng.below(6);
         let mut m = Model::new(Sense::Maximize);
         let xs: Vec<_> = (0..nvars)
@@ -628,25 +651,7 @@ fn milp_warm_and_cold_nodes_agree_on_random_corpus() {
             let t2: Vec<_> = xs.iter().map(|&x| (x, 1.0)).collect();
             m.add_cons("card", &t2, ConstraintOp::Le, (nvars / 2) as f64);
         }
-        let warm_cfg = MilpConfig::default();
-        let cold_cfg = MilpConfig {
-            warm_start: false,
-            ..Default::default()
-        };
-        let warm = m
-            .solve_with(&warm_cfg)
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        let cold = m
-            .solve_with(&cold_cfg)
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert_eq!(warm.status, cold.status, "case {case}");
-        if warm.status.has_solution() {
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "case {case}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
+        if assert_matches_brute_force(&m, case).status.has_solution() {
             solved += 1;
         }
     }

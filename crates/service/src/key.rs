@@ -372,8 +372,10 @@ fn hash_config(h: &mut StableHasher, c: &SolverConfig) {
     h.write_i64(c.astar_epochs_per_round.map(|e| e as i64).unwrap_or(-1));
     h.write_f64_quantized(c.astar_gamma, 1e9);
     h.write_usize(c.astar_max_rounds);
-    h.write_u64(c.warm_start as u64);
-    h.write_u64(c.astar_warm_rounds as u64);
+    // The slots of the retired `warm_start` / `astar_warm_rounds` switches
+    // keep the value they always had, so existing keys stay addressable.
+    h.write_u64(1);
+    h.write_u64(1);
     match &c.chunk_priorities {
         None => {
             h.write_i64(-1);
@@ -418,8 +420,6 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
         ),
         ("astar_gamma", Value::from(c.astar_gamma)),
         ("astar_max_rounds", Value::from(c.astar_max_rounds)),
-        ("warm_start", Value::from(c.warm_start)),
-        ("astar_warm_rounds", Value::from(c.astar_warm_rounds)),
     ];
     if let Some(k) = c.max_epochs {
         pairs.push(("max_epochs", Value::from(k)));
@@ -443,31 +443,29 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
 }
 
 /// Deserializes a solver configuration; absent fields keep their defaults.
+///
+/// A field that is present must have the right type and a finite, in-range
+/// value, or the whole request is refused (`bad_field`) before it is keyed
+/// or solved. The retired solver switches (`threads`, `decompose`,
+/// `warm_start`, `astar_warm_rounds`) are accepted in any form and ignored.
 pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
-    let bad = |msg: &str| JsonError {
-        pos: 0,
-        msg: msg.to_string(),
-    };
     let mut c = SolverConfig::default();
-    if let Some(s) = v.get("epoch_strategy").and_then(Value::as_str) {
+    if let Some(s) = field(v, "epoch_strategy", Value::as_str)? {
         c.epoch_strategy = match s {
             "slowest_link" => EpochStrategy::SlowestLink,
             "fastest_link" => EpochStrategy::FastestLink,
-            _ => return Err(bad("unknown epoch_strategy")),
+            _ => return Err(bad_config("epoch_strategy")),
         };
     }
-    if let Some(m) = v.get("epoch_multiplier").and_then(Value::as_f64) {
-        if m < 1.0 || m.is_nan() {
-            return Err(bad("epoch_multiplier must be >= 1"));
-        }
+    if let Some(m) = field(v, "epoch_multiplier", |x| finite(x).filter(|m| *m >= 1.0))? {
         c.epoch_multiplier = m;
     }
-    if let Some(s) = v.get("switch_model").and_then(Value::as_str) {
+    if let Some(s) = field(v, "switch_model", Value::as_str)? {
         c.switch_model = match s {
             "copy_capable" => SwitchModel::CopyCapable,
             "non_copy" => SwitchModel::NonCopy,
             "hyper_edge" => SwitchModel::HyperEdge,
-            _ => return Err(bad("unknown switch_model")),
+            _ => return Err(bad_config("switch_model")),
         };
     }
     if let Some(b) = v.get("buffer_mode") {
@@ -476,46 +474,53 @@ pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
             Value::Str(s) if s == "no_store_and_forward" => BufferMode::NoStoreAndForward,
             other => match other.get("limited_chunks").and_then(Value::as_usize) {
                 Some(n) => BufferMode::LimitedChunks(n),
-                None => return Err(bad("unknown buffer_mode")),
+                None => return Err(bad_config("buffer_mode")),
             },
         };
     }
-    if let Some(k) = v.get("max_epochs") {
-        c.max_epochs = Some(k.as_usize().ok_or(bad("bad max_epochs"))?);
-    }
-    if let Some(g) = v.get("early_stop_gap") {
-        c.early_stop_gap = Some(g.as_f64().ok_or(bad("bad early_stop_gap"))?);
-    }
-    if let Some(d) = v.get("time_limit_s") {
-        let secs = d
-            .as_f64()
-            .filter(|s| *s > 0.0)
-            .ok_or(bad("bad time_limit_s"))?;
+    c.max_epochs = field(v, "max_epochs", Value::as_usize)?;
+    c.early_stop_gap = field(v, "early_stop_gap", |x| finite(x).filter(|g| *g >= 0.0))?;
+    if let Some(secs) = field(v, "time_limit_s", |x| finite(x).filter(|s| *s > 0.0))? {
         c.time_limit = Some(std::time::Duration::from_secs_f64(secs));
     }
-    if let Some(e) = v.get("astar_epochs_per_round") {
-        c.astar_epochs_per_round = Some(e.as_usize().ok_or(bad("bad astar_epochs_per_round"))?);
-    }
-    if let Some(g) = v.get("astar_gamma").and_then(Value::as_f64) {
+    c.astar_epochs_per_round = field(v, "astar_epochs_per_round", Value::as_usize)?;
+    // Appendix D: the distance reward is discounted by γ ∈ [0, 1).
+    if let Some(g) = field(v, "astar_gamma", |x| {
+        finite(x).filter(|g| (0.0..1.0).contains(g))
+    })? {
         c.astar_gamma = g;
     }
-    if let Some(r) = v.get("astar_max_rounds").and_then(Value::as_usize) {
+    if let Some(r) = field(v, "astar_max_rounds", Value::as_usize)? {
         c.astar_max_rounds = r;
     }
-    if let Some(w) = v.get("warm_start").and_then(Value::as_bool) {
-        c.warm_start = w;
-    }
-    if let Some(w) = v.get("astar_warm_rounds").and_then(Value::as_bool) {
-        c.astar_warm_rounds = w;
-    }
-    if let Some(p) = v.get("chunk_priorities").and_then(Value::as_arr) {
-        c.chunk_priorities = Some(
-            p.iter()
-                .map(|w| w.as_f64().ok_or(bad("bad chunk_priorities entry")))
-                .collect::<Result<Vec<f64>, _>>()?,
-        );
-    }
+    c.chunk_priorities = field(v, "chunk_priorities", |x| {
+        x.as_arr()?.iter().map(finite).collect()
+    })?;
     Ok(c)
+}
+
+/// The config field `name` through `get` when present (`Ok(None)` when
+/// absent); a present value that `get` rejects is a `bad {name}` error.
+fn field<'a, T>(
+    v: &'a Value,
+    name: &str,
+    get: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<Option<T>, JsonError> {
+    v.get(name)
+        .map(|x| get(x).ok_or_else(|| bad_config(name)))
+        .transpose()
+}
+
+/// A finite number (JSON such as `1e999` parses to infinity).
+fn finite(x: &Value) -> Option<f64> {
+    x.as_f64().filter(|x| x.is_finite())
+}
+
+fn bad_config(name: &str) -> JsonError {
+    JsonError {
+        pos: 0,
+        msg: format!("bad {name}"),
+    }
 }
 
 /// Resolves the name of a prebuilt topology, e.g. `"dgx1"`, `"ndv2x2"`,
@@ -654,9 +659,10 @@ mod tests {
         assert!(SolveRequest::from_json_value(&Value::parse(neg).unwrap()).is_err());
     }
 
-    /// Older clients send the retired `threads` / `decompose` solver knobs.
-    /// Such a request is accepted, the fields are ignored, and it maps to the
-    /// same cache entry as the request without them.
+    /// Older clients send the retired solver knobs (`threads`, `decompose`,
+    /// `warm_start`, `astar_warm_rounds`). Such a request is accepted, the
+    /// fields are ignored, and it maps to the same cache entry as the
+    /// request without them.
     fn assert_retired_config_is_ignored(config: &str) {
         let plain =
             r#"{"topology":"internal2x2","collective":"all_to_all","output_buffer":1048576}"#;
@@ -667,10 +673,9 @@ mod tests {
         let legacy = parse(&legacy).expect("retired knobs must not be rejected");
         assert_eq!(legacy.key(), parse(plain).unwrap().key(), "{config}");
         let echoed = legacy.to_json_value().to_json();
-        assert!(
-            !echoed.contains("threads") && !echoed.contains("decompose"),
-            "{echoed}"
-        );
+        for retired in ["threads", "decompose", "warm_start", "astar_warm_rounds"] {
+            assert!(!echoed.contains(retired), "{echoed}");
+        }
     }
 
     #[test]
@@ -686,6 +691,51 @@ mod tests {
     #[test]
     fn retired_solver_knobs_are_accepted_and_ignored() {
         assert_retired_config_is_ignored(r#"{"threads":4,"decompose":"on"}"#);
+    }
+
+    #[test]
+    fn retired_warm_start_switches_ride_the_wire_but_not_the_key() {
+        assert_retired_config_is_ignored(r#"{"warm_start":false}"#);
+        assert_retired_config_is_ignored(r#"{"astar_warm_rounds":false}"#);
+        assert_retired_config_is_ignored(r#"{"warm_start":true,"astar_warm_rounds":true}"#);
+    }
+
+    #[test]
+    fn wrong_typed_or_out_of_range_config_is_a_bad_field() {
+        let parse = |config: &str| {
+            let line = format!(
+                r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"config":{config}}}"#
+            );
+            SolveRequest::from_json_value(&Value::parse(&line).unwrap())
+        };
+        for config in [
+            // Non-finite: `1e999` parses to infinity.
+            r#"{"epoch_multiplier":1e999}"#,
+            r#"{"early_stop_gap":-1e999}"#,
+            r#"{"time_limit_s":1e999}"#,
+            r#"{"chunk_priorities":[1,1e999]}"#,
+            // Wrong type.
+            r#"{"astar_gamma":"oops"}"#,
+            r#"{"astar_max_rounds":-3}"#,
+            r#"{"astar_max_rounds":2.5}"#,
+            r#"{"epoch_strategy":1}"#,
+            r#"{"switch_model":null}"#,
+            r#"{"max_epochs":"9"}"#,
+            r#"{"chunk_priorities":"1,2"}"#,
+            // Out of range.
+            r#"{"epoch_multiplier":0.5}"#,
+            r#"{"astar_gamma":1}"#,
+            r#"{"astar_gamma":-0.1}"#,
+            r#"{"early_stop_gap":-0.3}"#,
+            r#"{"time_limit_s":0}"#,
+        ] {
+            let err = parse(config).expect_err(config);
+            assert_eq!(err.code(), "bad_field", "{config}: {err}");
+        }
+        // The edges of the valid ranges still parse.
+        let ok = parse(r#"{"astar_gamma":0,"early_stop_gap":0,"epoch_multiplier":1}"#).unwrap();
+        assert_eq!(ok.config.astar_gamma, 0.0);
+        assert_eq!(ok.config.early_stop_gap, Some(0.0));
     }
 
     /// Disk entries are addressed by `key().hash`; these literals were

@@ -108,26 +108,38 @@ fn table4_request_roundtrips_over_tcp() {
     let v = Value::parse(err_line.trim()).unwrap();
     assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
 
-    // 6. Degenerate buffer sizes are rejected at parse time with a typed
-    //    code — they must never reach the solver or the cache, where they
-    //    would all collapse into the single `i64::MIN` size bucket and
-    //    cross-warm-start each other.
+    // 6. Requests the parser refuses never reach the solver or the cache:
+    //    degenerate buffer sizes (they would all collapse into the single
+    //    `i64::MIN` size bucket and cross-warm-start each other) and config
+    //    values that are wrong-typed, non-finite or out of range (an infinite
+    //    epoch multiplier used to spend a worker solve and come back as a
+    //    solve error; a wrong-typed field was dropped and served under a key
+    //    of its own).
     let before = service.stats();
-    for bad_size in ["0", "-16777216", "1e999"] {
+    let bad_sizes = ["0", "-16777216", "1e999"].map(|size| (size, "{}", "invalid_buffer_size"));
+    let bad_configs = [
+        r#"{"epoch_multiplier":1e999}"#,
+        r#"{"astar_gamma":"oops"}"#,
+        r#"{"astar_max_rounds":-3}"#,
+        r#"{"early_stop_gap":-1e999}"#,
+    ]
+    .map(|config| ("1024", config, "bad_field"));
+    for (size, config, code) in bad_sizes.into_iter().chain(bad_configs) {
         let line = round_trip(&format!(
-            r#"{{"verb":"solve","topology":"dgx1","collective":"all_gather","output_buffer":{bad_size}}}"#
+            r#"{{"verb":"solve","topology":"dgx1","collective":"all_gather","output_buffer":{size},"config":{config}}}"#
         ));
         let v = Value::parse(line.trim()).unwrap();
         assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
         assert_eq!(
             v.get("code").and_then(Value::as_str),
-            Some("invalid_buffer_size"),
-            "size {bad_size} must be rejected with the typed code: {line}"
+            Some(code),
+            "size {size}, config {config} must be rejected with the typed code: {line}"
         );
     }
     let after = service.stats();
     assert_eq!(after.solves, before.solves);
     assert_eq!(after.misses, before.misses);
+    assert_eq!(after.solve_errors, before.solve_errors);
 
     handle.shutdown();
 }

@@ -238,6 +238,7 @@ fn main() {
     });
     bench_lp_alltoall(&mut h);
     bench_milp_allgather(&mut h);
+    teccl_bench::bench_milp_dgx1_allgather(&mut h);
     bench_astar_allgather(&mut h);
     bench_simplex_warm_vs_cold(&mut h);
     bench_dual_and_degenerate(&mut h);

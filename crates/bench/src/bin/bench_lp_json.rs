@@ -44,6 +44,10 @@ fn main() {
         run_teccl(&milp_scenario, &quick_config(), Method::Milp).unwrap();
     });
 
+    // The `allgather_copy` MILP key end to end through `TeCcl::solve_milp`;
+    // aborts if its first horizon is refuted.
+    teccl_bench::bench_milp_dgx1_allgather(&mut h);
+
     let (sf, nv, basis, overrides) = warm_vs_cold_fixture();
     h.bench_function("lp/simplex_warm_vs_cold", || {
         teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
@@ -252,6 +256,7 @@ fn main() {
     let path = "BENCH_lp.json";
     let gated = [
         "lp_form/internal2x2_alltoall",
+        "core/milp_dgx1_allgather",
         "lp/degenerate_alltoall",
         "lp/lu_refactor_fill",
         "lp/dual_pivot_astar_round",

@@ -565,6 +565,30 @@ pub fn warm_rounds_fixture() -> (Scenario, SolverConfig) {
     (scenario, quick_config())
 }
 
+/// The `core/milp_dgx1_allgather` row: [`TeCcl::solve_milp`] on the
+/// `allgather_copy` benchmark's MILP key (`dgx1` ALLGATHER, 1 chunk, 16 MiB
+/// output buffer, default config), sized as the service sizes it. Aborts if
+/// the first horizon tried ([`teccl_core::epochs::estimate_num_epochs`], the
+/// proven copy bound) was refuted and the solve had to climb.
+pub fn bench_milp_dgx1_allgather(h: &mut microbench::Harness) {
+    let request = teccl_service::SolveRequest::new(
+        teccl_topology::dgx1(),
+        CollectiveKind::AllGather,
+        1,
+        16.0 * 1024.0 * 1024.0,
+    )
+    .with_method(teccl_service::RequestMethod::Milp);
+    let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
+    let tau = teccl_core::epochs::epoch_duration(&request.topology, chunk_bytes, &request.config);
+    let first =
+        teccl_core::epochs::estimate_num_epochs(&request.topology, &demand, chunk_bytes, tau);
+    let solver = TeCcl::new(request.topology, request.config);
+    h.bench_function("core/milp_dgx1_allgather", || {
+        let out = solver.solve_milp(&demand, chunk_bytes).unwrap();
+        assert_eq!(out.num_epochs, first, "the first horizon was refuted");
+    });
+}
+
 /// Fixture for the schedule-service benches (`service/throughput`,
 /// `service/cache_hit_latency`): a started service plus a pool of 8 small,
 /// distinct requests. The throughput bench evicts one key per batch so every

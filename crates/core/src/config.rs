@@ -60,8 +60,9 @@ pub struct SolverConfig {
     pub switch_model: SwitchModel,
     /// Buffer handling.
     pub buffer_mode: BufferMode,
-    /// Upper bound on the number of epochs. `None` = estimate automatically
-    /// (Algorithm 1 / the analytic bound in [`crate::epochs`]).
+    /// First epoch horizon the LP and MILP try, raised to the proven lower
+    /// bound of [`crate::epochs`] when below it. `None` = start at (or one
+    /// epoch above) that bound.
     pub max_epochs: Option<usize>,
     /// Relative MIP gap at which the MILP may stop early (the paper's
     /// "early stop at 30%" uses `Some(0.3)`); `None` proves optimality.

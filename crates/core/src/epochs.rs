@@ -1,13 +1,18 @@
 //! Epoch-duration selection and the epoch horizon `K` (§5, Appendix E).
 //!
-//! # The horizon of the copy-free LP is bounded below by a static flow
+//! # Horizons start at a proven lower bound
 //!
-//! The LP of §4.1 ([`crate::lp_form`]) grows linearly with the horizon `K`,
-//! and the paper leaves `K` to an estimate (Appendix E sweeps coarse epoch
-//! grids). For copy-free demands this module computes a *proven* lower bound
-//! instead, [`horizon_lower_bound`], and [`estimate_num_epochs`] starts one
-//! epoch above it; the coarse sweep of Algorithm 1 is gone — the bound
-//! supersedes it.
+//! The LP of §4.1 ([`crate::lp_form`]) and the MILP of §3.1
+//! ([`crate::milp_form`]) grow with the horizon `K`, and the paper leaves `K`
+//! to an estimate (Appendix E sweeps coarse epoch grids). Both formulations
+//! find the earliest completion by themselves, so `K` changes what a solve
+//! costs, not its answer. This module computes a *proven* lower bound
+//! instead — [`horizon_lower_bound`] for copy-free demands,
+//! [`copy_horizon_bound`] for the MILP with copy — and every solve starts
+//! at or just above it; the coarse sweep of Algorithm 1 and the analytic
+//! over-estimate are gone.
+//!
+//! # The copy-free LP is bounded below by a static flow
 //!
 //! **Validity.** Take any feasible point of the time-expanded LP with `K`
 //! epochs; `F[s,l,k]` is what source `s` puts on link `l` in epoch `k`.
@@ -34,10 +39,9 @@
 //!    links too far out of the way to be used at all (`K − w_l < 0`).
 //!
 //! Buffer limits only remove feasible points, so the bound holds under every
-//! [`crate::config::BufferMode`]. It does **not** hold
-//! for the MILP and A* forms when a demand benefits from copy — one
-//! transmission then serves several destinations — which keep the analytic
-//! over-estimate.
+//! [`crate::config::BufferMode`]. It does **not** hold for a demand that
+//! benefits from copy in the MILP: one transmission then serves several
+//! destinations, and the static flow counts it once per destination.
 //!
 //! **Tightness** (7 builtin topologies × {ALLTOALL, SCATTER, GATHER} ×
 //! {1, 2} chunks × {64 KB, 1, 4, 16, 64 MB}, 210 shapes; the LP is ≤ 2.3 ms on
@@ -54,6 +58,56 @@
 //! all of those; the three misses are GATHERs at 64 KB, where α is several
 //! epochs and arrivals at the root stagger — [`crate::TeCcl::solve_lp_from`]
 //! then grows the horizon by 2, 4, 8, … epochs rather than doubling it.
+//!
+//! # With copy, one destination at a time
+//!
+//! One destination gains nothing from copy, so [`copy_horizon_bound`] is the
+//! largest [`horizon_lower_bound`] of the demand restricted to a single
+//! destination. **Validity.** Take any feasible point of the MILP with `K`
+//! epochs and a destination `d`.
+//!
+//! 1. *Trace back.* Each chunk `(s, c)` that `d` reads was sent into `d`
+//!    on some link in some epoch. The sender's flow row (its conservation
+//!    row, at a non-copy switch) covers that send by an earlier arrival of
+//!    the same chunk, unless the sender is `s`, which holds it from epoch 0.
+//!    Following arrivals backwards gives a walk from `s` to `d` made of
+//!    sends of the solution, one walk per chunk `d` reads. Distinct chunks
+//!    are distinct commodities, so no send lies on two walks.
+//! 2. *Windows.* A MILP hop costs `δ + κ ≥ δ + 1` epochs: a send in epoch `k`
+//!    joins `l.dst`'s buffer at `k + δ + κ` and can be forwarded from there.
+//!    A chunk in the buffer at `r + 1` can be read in epoch `r`, and every read
+//!    happens by `K − 1`. So a walk's send on `l` lies in the LP's window
+//!    `reach_l ..= K − 1 − δ_l − drain_l`, shortened by `κ_l − 1` at its end.
+//! 3. *Capacity.* Appendix F's window rows allow `κ · cap` chunks in any `κ`
+//!    consecutive epochs. `W − κ + 1` usable epochs fit in
+//!    `⌈(W − κ + 1)/κ⌉` windows, which carry at most `W · cap` chunks — the
+//!    static row's capacity over a window of `W` epochs.
+//!
+//! So the walks sum to a feasible static flow for the copy-free demand
+//! restricted to `d`, and `K ≥` its [`horizon_lower_bound`]. On a copy-free
+//! demand no chunk has two destinations, so the walks of *all* destinations
+//! share no send, and the same argument makes [`horizon_lower_bound`] of the
+//! whole demand a MILP bound too. Buffer limits, hyper-edge port rows
+//! (Appendix C) and non-copy switches only remove feasible points. The
+//! A* rounds size their own horizons (`epochs_per_round`) and use neither.
+//!
+//! **Tightness** (`dgx1`, `ndv2`, `internal1`, `internal2` x2, `internal1`
+//! x2 × {ALLGATHER, BROADCAST} × {1, 2} chunks × {64 KB, 16 MB}, 40 shapes;
+//! the bound LPs take ≤ 18 ms on 8 GPUs; "smallest feasible `K` − bound",
+//! release build, a 10 s B&B limit per horizon):
+//!
+//! | collective | shapes | +0 | +1 | +2 | +3 | no incumbent |
+//! |---|---|---|---|---|---|---|
+//! | ALLGATHER | 20 | 8 | 2 | 4 | 1 | 5 |
+//! | BROADCAST | 20 | 10 | 6 | 2 | 2 | |
+//!
+//! `K = bound − 1` was refuted on all 40, in ≤ 25 ms on 39 of them. The
+//! five "no incumbent" shapes are 2-chunk ALLGATHERs on `ndv2`, `internal2`
+//! x2 and `internal1` x2: every horizon tried was either refuted (up to
+//! bound + 3 on `internal1` x2 at 64 KB) or ended its time limit without an
+//! incumbent. The copy bound is the MILP's first horizon (no slack): it is
+//! feasible on 18 of the 40, and [`crate::TeCcl::solve_milp`] climbs the
+//! same +2, +4, … ladder as the LP from there.
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, Model, Sense, SolveStatus, VarId};
@@ -120,7 +174,8 @@ pub(crate) const HORIZON_SLACK: usize = 1;
 ///
 /// Solves the static max-concurrent-flow LP — one aggregate flow per
 /// (source, link) on the plain topology plus the horizon `T` — under `budget`.
-/// A budget stop is [`TeCclError::Budget`]: a stopped `T` is not a bound.
+/// A budget stop, or a budget already spent on entry, is
+/// [`TeCclError::Budget`]: a stopped `T` is not a bound.
 pub fn horizon_lower_bound(
     topo: &Topology,
     demand: &DemandMatrix,
@@ -128,6 +183,9 @@ pub fn horizon_lower_bound(
     tau: f64,
     budget: Option<&SolveBudget>,
 ) -> Result<usize, TeCclError> {
+    if let Some(cause) = budget.and_then(SolveBudget::exceeded) {
+        return Err(TeCclError::Budget(cause));
+    }
     // Hop cost of the LP formulation: sent at epoch k on l, forwardable from
     // l.dst at epoch k + δ + 1.
     let pm = floyd_warshall(topo, |l| (delta_epochs(l, tau) + 1) as f64);
@@ -233,75 +291,71 @@ pub fn horizon_lower_bound(
     Ok(volume.max(latency) as usize)
 }
 
-/// Number of epochs given to a formulation when the caller does not provide
-/// `max_epochs`.
+/// A proven lower bound on the epoch horizon `K` of the MILP
+/// ([`crate::milp_form::MilpFormulation`]) that holds with copy: the largest
+/// [`horizon_lower_bound`] of the demand restricted to one destination
+/// (validity argument in the module docs). Solves one small LP per
+/// destination under `budget`; a budget stop is [`TeCclError::Budget`].
+pub fn copy_horizon_bound(
+    topo: &Topology,
+    demand: &DemandMatrix,
+    chunk_bytes: f64,
+    tau: f64,
+    budget: Option<&SolveBudget>,
+) -> Result<usize, TeCclError> {
+    let mut bound = 1;
+    for d in topo.gpus() {
+        let mut only_d = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
+        for (s, c, _) in demand.iter().filter(|&(_, _, to)| to == d) {
+            only_d.set(s, c, d);
+        }
+        if !only_d.is_empty() {
+            bound = bound.max(horizon_lower_bound(
+                topo,
+                &only_d,
+                chunk_bytes,
+                tau,
+                budget,
+            )?);
+        }
+    }
+    Ok(bound)
+}
+
+/// The MILP's proven horizon bound and the first horizon it tries, computed
+/// under `budget`:
 ///
-/// * Copy-free demands: [`horizon_lower_bound`]` + 1` — one epoch above the
-///   proven bound, feasible on 207 of the 210 shapes measured (module docs).
-/// * Copy demands (the bound does not hold when one transmission can serve
-///   several destinations): an analytic over-estimate combining (1) a
-///   bandwidth term — the most loaded destination's demand divided by its
-///   incoming capacity per epoch, and the most loaded source's injection
-///   divided by its outgoing capacity, (2) a latency term — the worst α+hop
-///   distance between any demanded (source, destination) pair in epochs — and
-///   a small slack. The optimization finds the earliest completion by itself
-///   (§5/Appendix E); a tight value is only a model-size optimization.
+/// * copy-free demands: [`horizon_lower_bound`], first tried
+///   [`HORIZON_SLACK`] above it;
+/// * copy demands: [`copy_horizon_bound`], first tried at the bound itself —
+///   the smallest feasible horizon on most shapes measured (module docs).
+pub(crate) fn milp_horizon(
+    topo: &Topology,
+    demand: &DemandMatrix,
+    chunk_bytes: f64,
+    tau: f64,
+    budget: Option<&SolveBudget>,
+) -> Result<(usize, usize), TeCclError> {
+    if demand.benefits_from_copy() {
+        let bound = copy_horizon_bound(topo, demand, chunk_bytes, tau, budget)?;
+        Ok((bound, bound))
+    } else {
+        let bound = horizon_lower_bound(topo, demand, chunk_bytes, tau, budget)?;
+        Ok((bound, bound + HORIZON_SLACK))
+    }
+}
+
+/// The first horizon [`crate::TeCcl::solve_milp`] tries when the caller does
+/// not provide `max_epochs`, computed without a budget: the proven bound plus
+/// [`HORIZON_SLACK`] for copy-free demands, the [`copy_horizon_bound`] for
+/// copy demands. 1 if a bound LP fails, which the solve itself then reports.
 pub fn estimate_num_epochs(
     topo: &Topology,
     demand: &DemandMatrix,
     chunk_bytes: f64,
     tau: f64,
 ) -> usize {
-    if !demand.benefits_from_copy() {
-        if let Ok(bound) = horizon_lower_bound(topo, demand, chunk_bytes, tau, None) {
-            return bound + HORIZON_SLACK;
-        }
-    }
-    let mut worst_bw_epochs: f64 = 1.0;
-    // Destination side.
-    for d in topo.gpus() {
-        let needed = demand.demand_of_destination(d) as f64;
-        if needed == 0.0 {
-            continue;
-        }
-        let in_cap: f64 = topo
-            .in_links(d)
-            .map(|l| capacity_chunks_per_epoch(l, chunk_bytes, tau))
-            .sum();
-        if in_cap > 0.0 {
-            worst_bw_epochs = worst_bw_epochs.max(needed / in_cap);
-        }
-    }
-    // Source side.
-    for s in topo.gpus() {
-        let injected = demand.demand_of_source(s) as f64;
-        if injected == 0.0 {
-            continue;
-        }
-        let out_cap: f64 = topo
-            .out_links(s)
-            .map(|l| capacity_chunks_per_epoch(l, chunk_bytes, tau))
-            .sum();
-        if out_cap > 0.0 {
-            worst_bw_epochs = worst_bw_epochs.max(injected / out_cap);
-        }
-    }
-
-    // Latency term: worst (hops + Σδ) over demanded pairs, computed on the
-    // per-link cost of crossing it once (κ epochs of transmission + δ of α).
-    let pm = floyd_warshall(topo, |l| {
-        (kappa_epochs(l, chunk_bytes, tau) + delta_epochs(l, tau)) as f64
-    });
-    let mut worst_latency_epochs: f64 = 0.0;
-    for (s, _c, d) in demand.iter() {
-        let dist = pm.distance(s, d);
-        if dist.is_finite() {
-            worst_latency_epochs = worst_latency_epochs.max(dist);
-        }
-    }
-
-    let est = worst_bw_epochs * 1.5 + worst_latency_epochs + 2.0;
-    (est.ceil() as usize).max(2)
+    milp_horizon(topo, demand, chunk_bytes, tau, None).map_or(1, |(_, first)| first)
 }
 
 #[cfg(test)]
@@ -368,14 +422,36 @@ mod tests {
 
     #[test]
     fn epoch_estimate_scales_with_demand() {
+        // A 4-GPU line, 1 chunk per epoch per link: the far end reads the
+        // root's chunks after 3 hops, one per epoch behind each other.
         let topo = line_topology(4, 1e9, 0.0);
         let gpus: Vec<NodeId> = topo.gpus().collect();
-        let small = DemandMatrix::broadcast(4, &gpus, NodeId(0), 1);
-        let large = DemandMatrix::broadcast(4, &gpus, NodeId(0), 8);
         let tau = 1e-3;
-        let k_small = estimate_num_epochs(&topo, &small, 1e6, tau);
-        let k_large = estimate_num_epochs(&topo, &large, 1e6, tau);
-        assert!(k_large > k_small);
-        assert!(k_small >= 3); // at least the 3-hop latency term
+        for chunks in [1, 8] {
+            let demand = DemandMatrix::broadcast(4, &gpus, NodeId(0), chunks);
+            let bound = copy_horizon_bound(&topo, &demand, 1e6, tau, None).unwrap();
+            assert_eq!(bound, 3 + chunks - 1);
+            assert_eq!(estimate_num_epochs(&topo, &demand, 1e6, tau), bound);
+            // Without copy the root would push 3 × chunks over one link.
+            let no_copy = horizon_lower_bound(&topo, &demand, 1e6, tau, None).unwrap();
+            assert!(no_copy >= 3 * chunks, "{no_copy}");
+        }
+    }
+
+    #[test]
+    fn bound_lps_stop_on_a_spent_budget() {
+        let topo = line_topology(4, 1e9, 0.0);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let budget = SolveBudget::unlimited();
+        budget.cancel();
+        for demand in [
+            DemandMatrix::all_gather(4, &gpus, 2),
+            DemandMatrix::all_to_all(4, &gpus, 2),
+        ] {
+            assert!(matches!(
+                milp_horizon(&topo, &demand, 1e6, 1e-3, Some(&budget)),
+                Err(TeCclError::Budget(_))
+            ));
+        }
     }
 }

@@ -13,8 +13,7 @@ use teccl_util::SolveBudget;
 use crate::astar::solve_astar_budgeted;
 use crate::config::{SolverConfig, SwitchModel};
 use crate::epochs::{
-    delta_epochs, epoch_duration, estimate_num_epochs, horizon_lower_bound, kappa_epochs,
-    HORIZON_SLACK,
+    delta_epochs, epoch_duration, horizon_lower_bound, kappa_epochs, milp_horizon, HORIZON_SLACK,
 };
 use crate::error::TeCclError;
 use crate::extract::{prune_sends, schedule_from_sends};
@@ -87,6 +86,10 @@ pub struct TeCcl {
 /// monolithic MILP for copy-friendly demands (the paper switches to A* on
 /// multi-chassis topologies for the same reason, §4.2/§6.2).
 const ASTAR_GPU_THRESHOLD: usize = 12;
+
+/// Horizons [`TeCcl::climb_horizons`] tries before giving up: the last is
+/// the first + 62 epochs.
+const HORIZON_ATTEMPTS: usize = 6;
 
 impl TeCcl {
     /// Creates a solver for a topology.
@@ -179,8 +182,37 @@ impl TeCcl {
         }
     }
 
-    /// Solves with the general MILP formulation (§3.1). Retries with a larger
-    /// epoch budget if the first attempt is infeasible.
+    /// Runs `attempt` at the horizon `first` and, while it is refuted
+    /// ([`TeCclError::InfeasibleWithEpochs`]), at horizons grown by a doubling
+    /// *increment* — `first + 2`, `+ 6`, `+ 14`, … — so a miss costs a few
+    /// epochs, not a model of twice the size. `first` is never below the
+    /// method's proven bound: the callers raise a smaller `max_epochs` to it.
+    fn climb_horizons(
+        &self,
+        first: usize,
+        mut attempt: impl FnMut(usize) -> Result<SolveOutcome, TeCclError>,
+    ) -> Result<SolveOutcome, TeCclError> {
+        let (mut k, mut step) = (first, 2);
+        let mut last_err = TeCclError::NoSolution;
+        for _attempt in 0..HORIZON_ATTEMPTS {
+            self.check_budget()?;
+            match attempt(k) {
+                Err(TeCclError::InfeasibleWithEpochs(_)) => {
+                    last_err = TeCclError::InfeasibleWithEpochs(k);
+                    k += step;
+                    step *= 2;
+                }
+                done => return done,
+            }
+        }
+        Err(last_err)
+    }
+
+    /// Solves with the general MILP formulation (§3.1). The horizon starts at
+    /// [`crate::epochs::estimate_num_epochs`] — the proven copy bound, or one
+    /// epoch above the copy-free bound — (or at `max_epochs`, never below the
+    /// bound) and climbs like [`TeCcl::solve_lp`]'s while the MILP is
+    /// infeasible.
     pub fn solve_milp(
         &self,
         demand: &DemandMatrix,
@@ -202,53 +234,38 @@ impl TeCcl {
             hyperedge_groups: groups,
             ..Default::default()
         };
-
-        let mut k = self
-            .config
-            .max_epochs
-            .unwrap_or_else(|| estimate_num_epochs(&topo, demand, chunk_bytes, tau))
-            .max(2);
-        let mut last_err = TeCclError::NoSolution;
-        for _attempt in 0..3 {
-            self.check_budget()?;
+        let (bound, first) = milp_horizon(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
+        let first = self.config.max_epochs.map_or(first, |k| k.max(bound));
+        self.climb_horizons(first, |k| {
             let form =
                 MilpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau, &options)?;
             self.check_budget()?;
-            match form.solve_budgeted(&self.config, basis, self.budget.as_ref()) {
-                Ok(sol) => {
-                    let sends = form.sends(&sol);
-                    let pruned = prune_sends(&sends, demand, form.initial_holders(), |a, b| {
-                        form.delta_of(a, b)
-                    });
-                    let mut schedule = schedule_from_sends(
-                        "te-ccl-milp",
-                        chunk_bytes,
-                        tau,
-                        pruned,
-                        start.elapsed().as_secs_f64(),
-                    );
-                    schedule.num_epochs = schedule.num_epochs.max(k);
-                    return Ok(SolveOutcome {
-                        schedule,
-                        topology_used: topo,
-                        formulation: FormulationKind::GeneralMilp,
-                        status: sol.status,
-                        solver_time: start.elapsed(),
-                        num_epochs: k,
-                        epoch_duration: tau,
-                        mip_gap: sol.stats.mip_gap,
-                        stats: sol.stats.clone(),
-                        basis: sol.basis,
-                    });
-                }
-                Err(TeCclError::InfeasibleWithEpochs(_)) => {
-                    last_err = TeCclError::InfeasibleWithEpochs(k);
-                    k *= 2;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+            let sol = form.solve_budgeted(&self.config, basis, self.budget.as_ref())?;
+            let sends = form.sends(&sol);
+            let pruned = prune_sends(&sends, demand, form.initial_holders(), |a, b| {
+                form.delta_of(a, b)
+            });
+            let mut schedule = schedule_from_sends(
+                "te-ccl-milp",
+                chunk_bytes,
+                tau,
+                pruned,
+                start.elapsed().as_secs_f64(),
+            );
+            schedule.num_epochs = schedule.num_epochs.max(k);
+            Ok(SolveOutcome {
+                schedule,
+                topology_used: topo.clone(),
+                formulation: FormulationKind::GeneralMilp,
+                status: sol.status,
+                solver_time: start.elapsed(),
+                num_epochs: k,
+                epoch_duration: tau,
+                mip_gap: sol.stats.mip_gap,
+                stats: sol.stats,
+                basis: sol.basis,
+            })
+        })
     }
 
     /// Solves with the LP formulation (§4.1) — intended for copy-free demands.
@@ -279,53 +296,37 @@ impl TeCcl {
         // that copy would help gets the "without copy" LP of Figure 7, for
         // which the bound holds all the same.)
         let bound = horizon_lower_bound(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
-        let mut k = self
+        let first = self
             .config
             .max_epochs
             .unwrap_or(bound + HORIZON_SLACK)
             .max(bound);
-        // Still infeasible (buffer limits, whole-epoch staggering): grow by a
-        // doubling *increment*, so a miss costs a few epochs, not a model of
-        // twice the size.
-        let mut step = 2;
-        let mut last_err = TeCclError::NoSolution;
-        for _attempt in 0..6 {
-            self.check_budget()?;
+        self.climb_horizons(first, |k| {
             let form = LpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau)?;
             self.check_budget()?;
-            match form.solve_budgeted(basis, self.budget.as_ref()) {
-                Ok(sol) => {
-                    let sends = form.extract_sends(&sol, demand);
-                    let mut schedule = schedule_from_sends(
-                        "te-ccl-lp",
-                        chunk_bytes,
-                        tau,
-                        sends,
-                        start.elapsed().as_secs_f64(),
-                    );
-                    schedule.num_epochs = schedule.num_epochs.max(form.completion_epoch(&sol) + 1);
-                    return Ok(SolveOutcome {
-                        schedule,
-                        topology_used: topo,
-                        formulation: FormulationKind::Lp,
-                        status: sol.status,
-                        solver_time: start.elapsed(),
-                        num_epochs: k,
-                        epoch_duration: tau,
-                        mip_gap: 0.0,
-                        stats: sol.stats.clone(),
-                        basis: sol.basis,
-                    });
-                }
-                Err(TeCclError::InfeasibleWithEpochs(_)) => {
-                    last_err = TeCclError::InfeasibleWithEpochs(k);
-                    k += step;
-                    step *= 2;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+            let sol = form.solve_budgeted(basis, self.budget.as_ref())?;
+            let sends = form.extract_sends(&sol, demand);
+            let mut schedule = schedule_from_sends(
+                "te-ccl-lp",
+                chunk_bytes,
+                tau,
+                sends,
+                start.elapsed().as_secs_f64(),
+            );
+            schedule.num_epochs = schedule.num_epochs.max(form.completion_epoch(&sol) + 1);
+            Ok(SolveOutcome {
+                schedule,
+                topology_used: topo.clone(),
+                formulation: FormulationKind::Lp,
+                status: sol.status,
+                solver_time: start.elapsed(),
+                num_epochs: k,
+                epoch_duration: tau,
+                mip_gap: 0.0,
+                stats: sol.stats,
+                basis: sol.basis,
+            })
+        })
     }
 
     /// Solves with the A* technique (§4.2).
@@ -413,6 +414,7 @@ mod tests {
     use teccl_collective::CollectiveKind;
     use teccl_schedule::{simulate, validate};
     use teccl_topology::{internal2, line_topology, ring_topology, NodeId};
+    use teccl_util::BudgetExceeded;
 
     fn check_outcome(outcome: &SolveOutcome, demand: &DemandMatrix) {
         let report = validate(&outcome.topology_used, demand, &outcome.schedule, false);
@@ -505,16 +507,42 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_epoch_budget_retries_and_succeeds() {
-        // max_epochs = 1 is not enough for a 2-hop broadcast; the retry with a
-        // doubled budget must succeed.
+    fn milp_max_epochs_below_the_bound_is_raised_to_it() {
+        // max_epochs = 1 is not enough for a 2-hop broadcast: the MILP starts
+        // at the proven bound, 2, instead of building K = 1 first.
         let topo = line_topology(3, 1e9, 0.0);
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
-        let solver = TeCcl::new(topo, SolverConfig::default().with_max_epochs(1));
-        let out = solver.solve_milp(&demand, 1e6).unwrap();
-        assert!(out.num_epochs >= 2);
-        check_outcome(&out, &demand);
+        let solve = |k| {
+            TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(k))
+                .solve_milp(&demand, 1e6)
+                .unwrap()
+        };
+        let (raised, exact) = (solve(1), solve(2));
+        assert_eq!(raised.num_epochs, 2);
+        assert_eq!(
+            raised.stats.simplex_iterations,
+            exact.stats.simplex_iterations
+        );
+        check_outcome(&raised, &demand);
+    }
+
+    #[test]
+    fn milp_on_a_spent_budget_is_a_budget_error() {
+        let topo = ring_topology(4, 1e9, 0.0);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let budget = SolveBudget::unlimited();
+        budget.cancel();
+        let solver = TeCcl::new(topo, SolverConfig::default()).with_budget(budget);
+        for demand in [
+            DemandMatrix::all_gather(4, &gpus, 1),
+            DemandMatrix::gather(4, &gpus, NodeId(0), 1),
+        ] {
+            assert!(matches!(
+                solver.solve_milp(&demand, 1e6),
+                Err(TeCclError::Budget(BudgetExceeded::Cancelled))
+            ));
+        }
     }
 
     #[test]

@@ -1,19 +1,26 @@
-//! The proven epoch-horizon bound of the copy-free LP (`epochs::horizon_lower_bound`).
+//! The proven epoch-horizon bounds: `epochs::horizon_lower_bound` for the
+//! copy-free LP and `epochs::copy_horizon_bound` for the MILP with copy.
 //!
-//! Four properties, each on real shapes: the bound is *valid* (the LP built
-//! one epoch below it is infeasible — on the builtin topologies and on seeded
-//! random ones), the first horizon tried is *feasible* on the Table-4
-//! ALLTOALL shapes (no wasted attempt, and within three epochs of the
-//! completion epoch), a configured `max_epochs` below the bound is raised to
-//! it before anything is built, and the retry ladder grows the horizon by
-//! increments instead of doubling it. The rows too slow for a debug build
-//! are `#[ignore]`d and run in CI with `--release -- --ignored`.
+//! Five properties, each on real shapes: the bound is *valid* (the LP or
+//! MILP built one epoch below it is infeasible — on the builtin topologies
+//! and, for the LP, on seeded random ones), the first horizon tried is
+//! *feasible* on the Table-4 ALLTOALL shapes (no wasted attempt, and within
+//! three epochs of the completion epoch), the MILP's first horizon schedules
+//! exactly what the Appendix-E over-estimate it replaced did, a configured
+//! `max_epochs` below the bound is raised to it before anything is built, and
+//! the retry ladder grows the horizon by increments instead of doubling it.
+//! The rows too slow for a debug build are `#[ignore]`d and run in CI with
+//! `--release -- --ignored`.
 
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
-use teccl_core::epochs::{epoch_duration, estimate_num_epochs, horizon_lower_bound};
+use teccl_core::epochs::{
+    copy_horizon_bound, epoch_duration, estimate_num_epochs, horizon_lower_bound,
+};
 use teccl_core::lp_form::LpFormulation;
-use teccl_core::{BufferMode, SolverConfig, TeCcl, TeCclError};
-use teccl_schedule::validate;
+use teccl_core::milp_form::{MilpBuildOptions, MilpFormulation};
+use teccl_core::switch::hyperedge_transform;
+use teccl_core::{BufferMode, SolveOutcome, SolverConfig, SwitchModel, TeCcl, TeCclError};
+use teccl_schedule::{simulate, validate};
 use teccl_topology::{dgx1, internal1, internal2, ndv2, NodeId, Topology};
 use teccl_util::Rng64;
 
@@ -329,4 +336,136 @@ fn retry_ladder_grows_by_increments_not_by_doubling() {
     assert_eq!(out.num_epochs, bound + 3);
     let report = validate(&out.topology_used, &demand, &out.schedule, false);
     assert!(report.is_valid(), "{:?}", report.errors);
+}
+
+const COPY: [CollectiveKind; 2] = [CollectiveKind::AllGather, CollectiveKind::Broadcast];
+
+/// The MILP one epoch below the copy bound must be refuted, never scheduled.
+/// The bound is taken on the topology the MILP is built on (hyper-edge
+/// transformed, when the config says so).
+fn assert_milp_refuted_below_bound(
+    topo: &Topology,
+    kind: CollectiveKind,
+    chunks: usize,
+    output_buffer: f64,
+    config: &SolverConfig,
+) {
+    let what = format!("{} {kind:?} x{chunks} @ {output_buffer}", topo.name);
+    let (demand, chunk_bytes) = shape(topo, kind, chunks, output_buffer);
+    let (topo, hyperedge_groups) = match config.switch_model {
+        SwitchModel::HyperEdge => hyperedge_transform(topo),
+        _ => (topo.clone(), Vec::new()),
+    };
+    let tau = epoch_duration(&topo, chunk_bytes, config);
+    let bound = copy_horizon_bound(&topo, &demand, chunk_bytes, tau, None).expect("bound LPs");
+    assert!(
+        bound >= 2,
+        "{what}: nothing below the bound {bound} to refute"
+    );
+    let options = MilpBuildOptions {
+        hyperedge_groups,
+        ..Default::default()
+    };
+    let form = MilpFormulation::build(
+        &topo,
+        &demand,
+        chunk_bytes,
+        config,
+        bound - 1,
+        tau,
+        &options,
+    )
+    .unwrap();
+    match form.solve(config) {
+        Err(TeCclError::InfeasibleWithEpochs(k)) => assert_eq!(k, bound - 1),
+        other => panic!(
+            "{what}: K = {} is below the copy bound {bound} yet gave {:?}",
+            bound - 1,
+            other.map(|sol| sol.status)
+        ),
+    }
+}
+
+fn assert_copy_bound_valid(topo: &Topology, config: &SolverConfig) {
+    for kind in COPY {
+        for chunks in [1, 2] {
+            for buffer in [65536.0, 16.0 * 1048576.0] {
+                assert_milp_refuted_below_bound(topo, kind, chunks, buffer, config);
+            }
+        }
+    }
+}
+
+#[test]
+fn copy_bound_is_valid_on_builtin_topologies() {
+    for topo in [dgx1(), ndv2(1), internal1(1), internal2(2), internal1(2)] {
+        assert_copy_bound_valid(&topo, &SolverConfig::default());
+    }
+}
+
+#[test]
+fn copy_bound_is_valid_under_hyperedges_and_buffer_limits() {
+    assert_copy_bound_valid(&internal2(2), &SolverConfig::taccl_comparable());
+    // Room for a source's own chunks plus one relayed chunk.
+    for chunks in [1, 2] {
+        let config =
+            SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(chunks + 1));
+        for kind in COPY {
+            for buffer in [65536.0, 16.0 * 1048576.0] {
+                assert_milp_refuted_below_bound(&dgx1(), kind, chunks, buffer, &config);
+            }
+        }
+    }
+}
+
+/// `solve_milp` on an ALLGATHER at its first horizon and at `old_k`, the
+/// horizon the Appendix-E over-estimate used to give: the first horizon is
+/// not refuted, and both simulate to the same transfer time, to the bit.
+fn assert_first_horizon_schedules_like(
+    topo: &Topology,
+    chunks: usize,
+    output_buffer: f64,
+    old_k: usize,
+) {
+    let what = format!("{} x{chunks} @ {output_buffer}", topo.name);
+    let config = SolverConfig::default();
+    let (demand, chunk_bytes) = shape(topo, CollectiveKind::AllGather, chunks, output_buffer);
+    let tau = epoch_duration(topo, chunk_bytes, &config);
+    let first = estimate_num_epochs(topo, &demand, chunk_bytes, tau);
+    assert!(first < old_k, "{what}: first horizon {first}");
+    let solve = |config: SolverConfig| {
+        TeCcl::new(topo.clone(), config)
+            .solve_milp(&demand, chunk_bytes)
+            .unwrap_or_else(|e| panic!("{what}: {e}"))
+    };
+    let (new, old) = (solve(config.clone()), solve(config.with_max_epochs(old_k)));
+    assert_eq!(new.num_epochs, first, "{what}: first horizon was refuted");
+    assert_eq!(old.num_epochs, old_k);
+    let transfer = |out: &SolveOutcome| {
+        simulate(&out.topology_used, &demand, &out.schedule)
+            .unwrap_or_else(|e| panic!("{what}: {e:?}"))
+            .transfer_time
+    };
+    assert_eq!(
+        transfer(&new).to_bits(),
+        transfer(&old).to_bits(),
+        "{what}: K = {first} and K = {old_k} schedule differently"
+    );
+}
+
+#[test]
+fn first_milp_horizon_schedules_the_churn_family_unchanged() {
+    // The `service_churn` MILP family: internal1, 2 chunks, eight
+    // half-octave sizes from 1 MB, each built at K = 11 before.
+    for half_octaves in 0..8 {
+        let mb = 2f64.powf(f64::from(half_octaves) / 2.0);
+        assert_first_horizon_schedules_like(&internal1(1), 2, mb * 1048576.0, 11);
+    }
+}
+
+#[test]
+#[ignore = "the K = 9 solve takes ~10 s in a debug build; CI runs it with --release"]
+fn first_milp_horizon_schedules_the_dgx1_allgather_key_unchanged() {
+    // The `allgather_copy` MILP key, built at K = 9 before.
+    assert_first_horizon_schedules_like(&dgx1(), 1, 16.0 * 1048576.0, 9);
 }

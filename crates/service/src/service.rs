@@ -991,8 +991,8 @@ mod tests {
 
     #[test]
     fn solve_error_propagates_to_all_waiters() {
-        // max_epochs = 1 with no retry budget left... the MILP retries
-        // internally, so use an A* request that cannot converge instead:
+        // max_epochs = 1 cannot fail a MILP (it is raised to the proven
+        // horizon bound), so use an A* request that cannot converge instead:
         // zero rounds allowed.
         let mut req = tiny_request().with_method(RequestMethod::AStar);
         req.config.astar_max_rounds = 0;

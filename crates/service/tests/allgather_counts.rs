@@ -7,7 +7,13 @@
 //! validates would not notice a changed walk; these counts do. A change that
 //! is *meant* to alter the walk re-pins them and says so.
 //!
-//! Release-only (the `dgx1` MILP alone is ~10 s in a debug build); CI runs it
+//! The `dgx1` MILP row was re-pinned when its horizon stopped coming from the
+//! Appendix-E over-estimate (`K = 9`, 6 492 / 5 782 / 1 / 98) and started at
+//! the proven copy bound (`epochs::copy_horizon_bound`, `K = 4`): a smaller
+//! model, the same simulated transfer time (`core/tests/horizon.rs`). The
+//! seven A* rows size their own rounds and did not move.
+//!
+//! Release-only (~6 s in a debug build, under 1 s in release); CI runs it
 //! with `--release -- --ignored`.
 
 use teccl_collective::CollectiveKind;
@@ -25,7 +31,7 @@ const SHAPES: [(&str, usize, RequestMethod, [usize; 4]); 8] = [
     ("internal2x8", 1, RequestMethod::AStar, [3712, 2844, 15, 36]),
     ("dgx2", 1, RequestMethod::AStar, [5978, 4750, 6, 32]),
     ("internal1x4", 1, RequestMethod::AStar, [4543, 3968, 11, 35]),
-    ("dgx1", 1, RequestMethod::Milp, [6492, 5782, 1, 98]),
+    ("dgx1", 1, RequestMethod::Milp, [491, 398, 1, 4]),
 ];
 
 #[test]

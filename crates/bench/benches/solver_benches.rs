@@ -240,6 +240,7 @@ fn main() {
     bench_milp_allgather(&mut h);
     teccl_bench::bench_milp_dgx1_allgather(&mut h);
     bench_astar_allgather(&mut h);
+    teccl_bench::bench_astar_internal2x8_allgather(&mut h);
     bench_simplex_warm_vs_cold(&mut h);
     bench_dual_and_degenerate(&mut h);
     bench_internal1x2_alltoall(&mut h);

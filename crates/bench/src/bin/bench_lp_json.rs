@@ -48,6 +48,9 @@ fn main() {
     // aborts if its first horizon is refuted.
     teccl_bench::bench_milp_dgx1_allgather(&mut h);
 
+    // The `allgather_copy` A* key with the most rounds per request.
+    teccl_bench::bench_astar_internal2x8_allgather(&mut h);
+
     let (sf, nv, basis, overrides) = warm_vs_cold_fixture();
     h.bench_function("lp/simplex_warm_vs_cold", || {
         teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
@@ -257,6 +260,7 @@ fn main() {
     let gated = [
         "lp_form/internal2x2_alltoall",
         "core/milp_dgx1_allgather",
+        "core/astar_internal2x8_allgather",
         "lp/degenerate_alltoall",
         "lp/lu_refactor_fill",
         "lp/dual_pivot_astar_round",

@@ -589,6 +589,25 @@ pub fn bench_milp_dgx1_allgather(h: &mut microbench::Harness) {
     });
 }
 
+/// The `core/astar_internal2x8_allgather` row: [`TeCcl::solve_astar`] on the
+/// `allgather_copy` benchmark's internal2 x8 key (ALLGATHER, 1 chunk, 16 MiB
+/// output buffer, default config), sized as the service sizes it: 15 warm
+/// A\* rounds over one formulation, so the per-round set-up shows here.
+pub fn bench_astar_internal2x8_allgather(h: &mut microbench::Harness) {
+    let request = teccl_service::SolveRequest::new(
+        teccl_service::builtin_topology("internal2x8").expect("builtin topology"),
+        CollectiveKind::AllGather,
+        1,
+        16.0 * 1024.0 * 1024.0,
+    )
+    .with_method(teccl_service::RequestMethod::AStar);
+    let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
+    let solver = TeCcl::new(request.topology, request.config);
+    h.bench_function("core/astar_internal2x8_allgather", || {
+        solver.solve_astar(&demand, chunk_bytes).unwrap();
+    });
+}
+
 /// Fixture for the schedule-service benches (`service/throughput`,
 /// `service/cache_hit_latency`): a started service plus a pool of 8 small,
 /// distinct requests. The throughput bench evicts one key per batch so every

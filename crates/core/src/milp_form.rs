@@ -8,10 +8,11 @@
 //! several outgoing links / epochs once it holds it.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use teccl_collective::DemandMatrix;
-use teccl_lp::{ConstraintOp, MilpConfig, Model, Sense, Solution, SolveStatus, VarId};
+use teccl_lp::{ConstraintOp, MilpConfig, MilpLayout, Model, Sense, Solution, SolveStatus, VarId};
 use teccl_schedule::{ChunkId, Send};
 use teccl_topology::{NodeId, Topology};
 
@@ -52,7 +53,8 @@ pub struct MilpBuildOptions {
 /// A fully built MILP instance for one collective optimization.
 #[derive(Debug)]
 pub struct MilpFormulation {
-    /// The underlying optimization model.
+    /// The underlying optimization model. Its constraint terms must not
+    /// change once the first solve has built the formulation's layout.
     pub model: Model,
     /// Epoch duration in seconds.
     pub tau: f64,
@@ -82,6 +84,11 @@ pub struct MilpFormulation {
     buf_rows: Vec<(usize, (usize, usize, usize, usize))>,
     built_relax_completion: bool,
     built_hyperedge_groups: usize,
+    /// The model's merged rows and standard-form matrix, built by the first
+    /// solve (not by `build`: a one-shot solve pays for it either way) and
+    /// read by every later one. [`MilpFormulation::update_round`] rewrites
+    /// only bounds, costs and right-hand sides, so it keeps the layout.
+    layout: OnceLock<MilpLayout>,
 }
 
 impl MilpFormulation {
@@ -596,6 +603,7 @@ impl MilpFormulation {
             buf_rows,
             built_relax_completion: options.relax_completion,
             built_hyperedge_groups: options.hyperedge_groups.len(),
+            layout: OnceLock::new(),
         })
     }
 
@@ -822,7 +830,8 @@ impl MilpFormulation {
             time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
             budget: budget.cloned(),
         };
-        let sol = self.model.solve_with_warm(&milp_config, warm)?;
+        let layout = self.layout.get_or_init(|| MilpLayout::new(&self.model));
+        let sol = self.model.solve_over(layout, &milp_config, warm)?;
         match sol.status {
             SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
             SolveStatus::Unbounded => Err(TeCclError::NoSolution),
@@ -1238,7 +1247,14 @@ mod tests {
         };
         let mut updated =
             MilpFormulation::build(&topo, &demand, 1e6, &config, 4, 1e-3, &round0).unwrap();
+        // Round 0 solves first, so round 1 runs over the layout round 0 built.
+        let first = updated.solve(&config).unwrap();
+        assert!(updated.layout.get().is_some());
         assert!(updated.update_round(&demand, &config, &round1));
+        assert!(
+            updated.layout.get().is_some(),
+            "update_round keeps the layout"
+        );
         let fresh = MilpFormulation::build(&topo, &demand, 1e6, &config, 4, 1e-3, &round1).unwrap();
         assert_eq!(updated.model.num_vars(), fresh.model.num_vars());
         assert_eq!(updated.model.num_cons(), fresh.model.num_cons());
@@ -1259,9 +1275,26 @@ mod tests {
                 u.name
             );
         }
-        let a = updated.solve(&config).unwrap();
-        let b = fresh.solve(&config).unwrap();
-        assert!((a.objective - b.objective).abs() < 1e-9);
+        // The reused layout solves round 1 to the bit as a fresh build does,
+        // both warm-started from round 0's basis as the A* loop does.
+        let warm = first.basis.as_ref();
+        let a = updated.solve_from(&config, warm).unwrap();
+        let b = fresh.solve_from(&config, warm).unwrap();
+        let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        let counts = |s: &Solution| {
+            let st = &s.stats;
+            [
+                st.simplex_iterations,
+                st.dual_iterations,
+                st.factorizations,
+                st.nodes_explored,
+            ]
+        };
+        assert_eq!(counts(&a), counts(&b));
+        assert_eq!(a.basis, b.basis);
+        assert!(a.stats.warm_starts > 0, "round 1 re-solves from round 0");
         // Layout-changing inputs refuse the in-place path instead of
         // corrupting the cached model.
         let wider = DemandMatrix::broadcast(4, &gpus, NodeId(0), 3);

@@ -11,6 +11,7 @@
 //! * `crates/lp/src/simplex.rs` (primal pivot loops)
 //! * `crates/lp/src/dual.rs` (dual pivot loop)
 //! * `crates/lp/src/milp.rs` (B&B node loop)
+//! * `crates/lp/src/presolve.rs` (presolve fixpoint)
 //! * `crates/core/src/astar.rs` (round loop)
 //!
 //! Every `loop` / `while` in these files must contain a `charge(` or
@@ -29,6 +30,7 @@ pub const HOT_FILES: &[&str] = &[
     "crates/lp/src/simplex.rs",
     "crates/lp/src/dual.rs",
     "crates/lp/src/milp.rs",
+    "crates/lp/src/presolve.rs",
     "crates/core/src/astar.rs",
 ];
 

@@ -15,7 +15,10 @@
 //!   rows by relaxing their slacks — the column space is identical with
 //!   presolve on or off, so any basis warm-starts any same-shaped solve
 //!   (TE-CCL models contain many structurally-forced-zero flow variables
-//!   near the time boundaries, so the reductions matter a lot),
+//!   near the time boundaries, so the reductions matter a lot); a
+//!   [`MilpLayout`] holds what only the constraint terms decide, so a
+//!   sequence of same-shaped solves merges its rows and builds its matrix
+//!   once,
 //! * a **two-phase bounded-variable revised simplex** ([`simplex`]) on a sparse
 //!   LU-factorized basis with eta updates and Markowitz-tie-broken pivoting
 //!   ([`basis`]), a crash slack basis, projected steepest-edge pricing, an
@@ -65,6 +68,7 @@ pub use basis::{LuFactors, SimplexBasis, VarStatus};
 pub use error::LpError;
 pub use milp::{MilpConfig, MilpSolver};
 pub use model::{ConstraintOp, Model, Sense, VarId};
+pub use presolve::MilpLayout;
 pub use simplex::{solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from};
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use sparse::{IndexedVec, RowMajor, SparseMatrix, SparseVec};

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use crate::basis::SimplexBasis;
 use crate::error::LpError;
-use crate::model::{Model, Sense};
-use crate::presolve;
+use crate::model::{infeasible_solution, Model, Sense};
+use crate::presolve::{MilpLayout, NodePresolver};
 use crate::simplex;
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use crate::standard::StandardForm;
@@ -159,30 +159,42 @@ impl MilpSolver {
         model: &Model,
         root_warm: Option<&SimplexBasis>,
     ) -> Result<Solution, LpError> {
+        self.solve_over(&MilpLayout::new(model), model, root_warm)
+    }
+
+    /// [`MilpSolver::solve_from`] over a [`MilpLayout`] built from `model` or
+    /// from a model of the same shape (same variables and constraint terms;
+    /// bounds, costs and right-hand sides may differ). A caller that solves a
+    /// sequence of such models — the A* rounds — builds the layout once.
+    /// Panics if the shapes differ.
+    pub fn solve_over(
+        &self,
+        layout: &MilpLayout,
+        model: &Model,
+        root_warm: Option<&SimplexBasis>,
+    ) -> Result<Solution, LpError> {
         let start = Instant::now();
         let maximize = model.sense == Sense::Maximize;
         // `better(a, b)` returns true if objective a is strictly better than b.
         let better = |a: f64, b: f64| if maximize { a > b + 1e-9 } else { a < b - 1e-9 };
+        let budget = self.config.budget.as_ref();
 
-        // Presolve ONCE; the whole tree shares the tightened model's standard
-        // form and only varies bounds. The presolve is layout-preserving
+        // Presolve ONCE; the whole tree shares the presolved standard form
+        // and only varies bounds. The presolve is layout-preserving
         // (fixings are `lb == ub` pins, freed rows get relaxed slacks), so
         // the column space is identical to the raw model's — any basis from
         // any node, round, or differently-presolved sibling solve stays
         // valid. Bound tightenings from branching only shrink domains, so
         // the root reductions hold at every node.
-        let (red, post) = presolve::presolve(model)?;
-        if let Some(early) = post.trivial_outcome() {
-            let mut sol = post.recover(early, model);
+        let (sf, post) = layout.presolve(model, budget)?;
+        let Some(sf) = sf else {
+            let mut sol = post.recover(infeasible_solution(model.num_vars()), model);
             sol.stats.solve_time = start.elapsed();
             return Ok(sol);
-        }
-        let mut sf = StandardForm::from_model(&red);
-        post.relax_free_rows(&mut sf);
-        let sf = sf;
-        let num_red_vars = red.num_vars();
-        // Per-node presolve shares the same row view for the whole tree.
-        let mut node_presolver = presolve::NodePresolver::new(&red, &post);
+        };
+        let num_red_vars = model.num_vars();
+        // Per-node presolve shares the layout's rows for the whole tree.
+        let mut node_presolver = NodePresolver::new(layout, model, &sf, &post);
         // Original-model integer variables and their reduced columns.
         let int_vars: Vec<usize> = model
             .vars
@@ -199,8 +211,6 @@ impl MilpSolver {
             rows_freed: post.rows_freed,
             ..Default::default()
         };
-
-        let budget = self.config.budget.as_ref();
 
         // Root relaxation (dual re-optimized from the carried basis, when one
         // is provided and still fits the standard form's shape). A budget
@@ -405,7 +415,7 @@ impl MilpSolver {
                     let v = relax.values[j];
                     let floor = v.floor();
                     let ceil = v.ceil();
-                    let (cur_lb, cur_ub) = current_bounds(&red, &node.overrides, red_j);
+                    let (cur_lb, cur_ub) = current_bounds(&sf, &node.overrides, red_j);
                     let warm = relax.basis.map(Arc::new);
 
                     let mut down = node.overrides.clone();
@@ -529,11 +539,11 @@ fn rounding_heuristic(model: &Model, relax: &Solution, int_vars: &[usize]) -> Op
     }
 }
 
-/// Effective bounds of reduced column `j` at a node (reduced-model bounds plus
+/// Effective bounds of column `j` at a node (presolved bounds plus
 /// overrides).
-fn current_bounds(red: &Model, overrides: &[(usize, f64, f64)], j: usize) -> (f64, f64) {
-    let mut lb = red.vars[j].lb;
-    let mut ub = red.vars[j].ub;
+fn current_bounds(sf: &StandardForm, overrides: &[(usize, f64, f64)], j: usize) -> (f64, f64) {
+    let mut lb = sf.lb[j];
+    let mut ub = sf.ub[j];
     for (k, lo, hi) in overrides {
         if *k == j {
             lb = *lo;

@@ -7,7 +7,7 @@
 
 use crate::error::LpError;
 use crate::milp::{MilpConfig, MilpSolver};
-use crate::presolve;
+use crate::presolve::MilpLayout;
 use crate::simplex;
 use crate::solution::{Solution, SolveStatus};
 
@@ -240,24 +240,34 @@ impl Model {
     /// [`Model::solve_lp_relaxation_warm`] under a cooperative
     /// [`SolveBudget`](teccl_util::SolveBudget), checked once per pivot. A
     /// budget stop mid-phase-2 returns the current primal-feasible vertex as
-    /// `Feasible` with `stats.budget_stop` set; a stop before primal
-    /// feasibility fails with [`LpError::Budget`].
+    /// `Feasible` with `stats.budget_stop` set; a stop in presolve or before
+    /// primal feasibility fails with [`LpError::Budget`].
     pub fn solve_lp_relaxation_budgeted(
         &self,
         warm: Option<&crate::basis::SimplexBasis>,
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, LpError> {
         self.validate()?;
+        self.solve_lp_over(&MilpLayout::new(self), warm, budget)
+    }
+
+    /// The LP solve over a layout of this model's shape: presolve, simplex,
+    /// recover.
+    fn solve_lp_over(
+        &self,
+        layout: &MilpLayout,
+        warm: Option<&crate::basis::SimplexBasis>,
+        budget: Option<&teccl_util::SolveBudget>,
+    ) -> Result<Solution, LpError> {
         let start = std::time::Instant::now();
-        let (tightened, post) = presolve::presolve(self)?;
-        let mut sol = if let Some(early) = post.trivial_outcome() {
-            early
-        } else {
-            let mut sf = crate::standard::StandardForm::from_model(&tightened);
-            post.relax_free_rows(&mut sf);
-            simplex::solve_standard_form_budgeted(&sf, tightened.num_vars(), &[], warm, budget)?
+        let (sf, post) = layout.presolve(self, budget)?;
+        let sol = match sf {
+            Some(sf) => {
+                simplex::solve_standard_form_budgeted(&sf, self.num_vars(), &[], warm, budget)?
+            }
+            None => infeasible_solution(self.num_vars()),
         };
-        sol = post.recover(sol, self);
+        let mut sol = post.recover(sol, self);
         sol.stats.solve_time = start.elapsed();
         Ok(sol)
     }
@@ -287,10 +297,34 @@ impl Model {
         warm: Option<&crate::basis::SimplexBasis>,
     ) -> Result<Solution, LpError> {
         self.validate()?;
+        self.solve_validated(&MilpLayout::new(self), config, warm)
+    }
+
+    /// [`Model::solve_with_warm`] over a [`MilpLayout`] built from this model
+    /// or from one of the same shape (same variables and constraint terms;
+    /// bounds, costs and right-hand sides may differ): a caller that solves a
+    /// sequence of such models builds the layout once. Panics if the shapes
+    /// differ.
+    pub fn solve_over(
+        &self,
+        layout: &MilpLayout,
+        config: &MilpConfig,
+        warm: Option<&crate::basis::SimplexBasis>,
+    ) -> Result<Solution, LpError> {
+        self.validate()?;
+        self.solve_validated(layout, config, warm)
+    }
+
+    fn solve_validated(
+        &self,
+        layout: &MilpLayout,
+        config: &MilpConfig,
+        warm: Option<&crate::basis::SimplexBasis>,
+    ) -> Result<Solution, LpError> {
         if self.is_mip() {
-            MilpSolver::new(config.clone()).solve_from(self, warm)
+            MilpSolver::new(config.clone()).solve_over(layout, self, warm)
         } else {
-            self.solve_lp_relaxation_budgeted(warm, config.budget.as_ref())
+            self.solve_lp_over(layout, warm, config.budget.as_ref())
         }
     }
 
@@ -410,6 +444,31 @@ mod tests {
         m.add_binary_var("b", 1.0);
         assert!(m.is_feasible(&[1.0], 1e-9));
         assert!(!m.is_feasible(&[0.5], 1e-9));
+    }
+
+    /// Presolve checks the budget once per pass, so a budget spent before
+    /// the solve starts stops it before the first pivot, on both paths.
+    #[test]
+    fn a_spent_budget_stops_in_presolve_before_any_pivot() {
+        use teccl_util::{BudgetExceeded, SolveBudget};
+        let mut milp = Model::new(Sense::Maximize);
+        let x = milp.add_var("x", 0.0, 10.0, 1.0, true);
+        let y = milp.add_var("y", 0.0, 10.0, 1.0, false);
+        milp.add_cons("c", &[(x, 2.0), (y, 1.0)], ConstraintOp::Le, 7.0);
+        let mut lp = milp.clone();
+        lp.vars[x.0].integer = false;
+        for model in [&milp, &lp] {
+            let budget = SolveBudget::with_deadline(std::time::Duration::ZERO);
+            let config = MilpConfig {
+                budget: Some(budget.clone()),
+                ..Default::default()
+            };
+            assert_eq!(
+                model.solve_with(&config).unwrap_err(),
+                LpError::Budget(BudgetExceeded::DeadlineExceeded)
+            );
+            assert_eq!(budget.iterations_used(), 0, "a pivot ran");
+        }
     }
 
     #[test]

@@ -35,11 +35,25 @@
 //! [`PostSolve::recover`] shrinks to value substitution: fixed variables are
 //! snapped exactly onto their fixed value and the objective is re-evaluated;
 //! duals stay 1:1 with the original constraints because no row was removed.
+//!
+//! Because the shape never changes, a solve splits into a **layout** part
+//! that only the constraint terms decide — each row's merged terms and the
+//! standard form's matrix, held by a [`MilpLayout`] — and a **bounds** part
+//! every solve rewrites: bounds, costs and right-hand sides. A caller that
+//! solves a sequence of same-shaped models (the A* rounds) builds the layout
+//! once, and the fixpoint, the standard form and the [`NodePresolver`] of
+//! every solve read it. [`presolve`] keeps its `(Model, PostSolve)` form for
+//! callers that want the tightened model itself; no solve path builds it.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::LpError;
 use crate::model::{infeasible_solution, ConstraintOp, Model};
 use crate::solution::Solution;
-use crate::standard::StandardForm;
+use crate::sparse::{RowMajor, SparseMatrix};
+use crate::standard::{self, StandardForm};
+use teccl_util::SolveBudget;
 
 const EPS: f64 = 1e-9;
 /// Minimum improvement for a continuous-variable bound tightening to be
@@ -124,15 +138,78 @@ impl PostSolve {
     }
 }
 
-/// Internal analysis copy of a constraint with merged terms. The model's own
-/// rows are never modified (that would change the constraint matrix); this is
-/// read-only scratch for activity analysis.
-#[derive(Debug, Clone)]
-struct WorkCons {
-    terms: Vec<(usize, f64)>,
-    op: ConstraintOp,
-    rhs: f64,
-    free: bool,
+/// The part of a model's solve that only its constraint terms decide: each
+/// row's terms with duplicates summed and zeros dropped (what the presolve
+/// fixpoint and the [`NodePresolver`] read), and the standard form's matrix
+/// with its row-major copy. It serves every model of the same shape — the
+/// same variables and constraint terms, with any bounds, costs and
+/// right-hand sides — so the A* rounds build it once per formulation.
+#[derive(Debug)]
+pub struct MilpLayout {
+    /// Merged `(column, coefficient)` terms of each constraint, by column.
+    rows: Vec<Vec<(usize, f64)>>,
+    a: Arc<SparseMatrix>,
+    row_major: Arc<RowMajor>,
+}
+
+impl MilpLayout {
+    /// Merges `model`'s rows and assembles its standard-form matrix.
+    pub fn new(model: &Model) -> Self {
+        let (a, row_major) = standard::matrix(model);
+        Self {
+            rows: merge_rows(model),
+            a: Arc::new(a),
+            row_major: Arc::new(row_major),
+        }
+    }
+
+    /// Presolves `model` over this layout under `budget` (checked once per
+    /// fixpoint pass; a stop is [`LpError::Budget`]). Returns the standard
+    /// form the solve runs on — sharing this layout's matrix; `None` when
+    /// presolve alone proved the model infeasible — and the [`PostSolve`].
+    ///
+    /// Panics if `model` is not of the layout's shape.
+    pub(crate) fn presolve(
+        &self,
+        model: &Model,
+        budget: Option<&SolveBudget>,
+    ) -> Result<(Option<StandardForm>, PostSolve), LpError> {
+        assert!(
+            self.rows.len() == model.num_cons()
+                && self.a.cols.len() == model.num_vars() + model.num_cons(),
+            "layout built from a model of another shape"
+        );
+        let (lb, ub, post) = fixpoint(model, &self.rows, budget)?;
+        if post.infeasible {
+            return Ok((None, post));
+        }
+        let mut sf = StandardForm::over(
+            Arc::clone(&self.a),
+            Arc::clone(&self.row_major),
+            model,
+            lb,
+            ub,
+        );
+        post.relax_free_rows(&mut sf);
+        Ok((Some(sf), post))
+    }
+}
+
+/// Each constraint's terms with duplicate variables summed (in term order)
+/// and zero sums dropped, ordered by column. Analysis only: the model's rows
+/// are left untouched, and `StandardForm` sums duplicates the same way.
+fn merge_rows(model: &Model) -> Vec<Vec<(usize, f64)>> {
+    model
+        .cons
+        .iter()
+        .map(|c| {
+            let mut map: BTreeMap<usize, f64> = BTreeMap::new();
+            for (vid, coef) in &c.terms {
+                *map.entry(vid.0).or_insert(0.0) += coef;
+            }
+            map.into_iter().filter(|(_, c)| c.abs() > 0.0).collect()
+        })
+        .collect()
 }
 
 /// Activity range of a row under the current bounds, tracking infinite
@@ -300,35 +377,35 @@ fn tighten_from_row(
 
 /// Runs presolve on a model. The returned model has the **same shape** as the
 /// input (identical variables and constraints) with tightened bounds; the
-/// [`PostSolve`] records the fixings and freed rows.
+/// [`PostSolve`] records the fixings and freed rows. The solvers presolve
+/// over a [`MilpLayout`] instead and never build this model.
 pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
+    let (lb, ub, post) = fixpoint(model, &merge_rows(model), None)?;
+    let mut tightened = model.clone();
+    if !post.infeasible {
+        for (var, (lo, hi)) in tightened.vars.iter_mut().zip(lb.into_iter().zip(ub)) {
+            var.lb = lo;
+            var.ub = hi;
+        }
+    }
+    Ok((tightened, post))
+}
+
+/// The presolve fixpoint over `rows`, `model`'s merged terms: the tightened
+/// structural bounds and the [`PostSolve`]. The bounds are partial when
+/// presolve proved the model infeasible. `budget` is checked once per pass.
+fn fixpoint(
+    model: &Model,
+    rows: &[Vec<(usize, f64)>],
+    budget: Option<&SolveBudget>,
+) -> Result<(Vec<f64>, Vec<f64>, PostSolve), LpError> {
     let nv = model.num_vars();
     let nc = model.num_cons();
     let mut lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
     let mut ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
     let integer: Vec<bool> = model.vars.iter().map(|v| v.integer).collect();
     let mut infeasible = false;
-
-    // Merge duplicate terms per constraint once up front (analysis only; the
-    // model's rows are left untouched — `StandardForm` sums duplicates the
-    // same way, so the matrix is unaffected by whether we merge here).
-    let mut cons: Vec<WorkCons> = model
-        .cons
-        .iter()
-        .map(|c| {
-            let mut map: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-            for (vid, coef) in &c.terms {
-                *map.entry(vid.0).or_insert(0.0) += coef;
-            }
-            let terms: Vec<(usize, f64)> = map.into_iter().filter(|(_, c)| c.abs() > 0.0).collect();
-            WorkCons {
-                terms,
-                op: c.op,
-                rhs: c.rhs,
-                free: false,
-            }
-        })
-        .collect();
+    let mut free = vec![false; nc];
 
     // Round integer bounds inward immediately.
     for j in 0..nv {
@@ -345,6 +422,9 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
     let mut changed = true;
     let mut passes = 0usize;
     'outer: while changed && !infeasible && passes < MAX_PASSES {
+        if let Some(cause) = budget.and_then(|b| b.exceeded()) {
+            return Err(LpError::Budget(cause));
+        }
         changed = false;
         passes += 1;
 
@@ -355,20 +435,18 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
             }
         }
 
-        for c in cons.iter_mut() {
-            if c.free {
+        for ((terms, c), is_free) in rows.iter().zip(&model.cons).zip(free.iter_mut()) {
+            if *is_free {
                 continue;
             }
             // Split terms into fixed contributions (folded into the rhs of
             // the *analysis* row) and live terms.
-            let live: Vec<(usize, f64)> = c
-                .terms
+            let live: Vec<(usize, f64)> = terms
                 .iter()
                 .filter(|&&(j, _)| (ub[j] - lb[j]).abs() > EPS)
                 .copied()
                 .collect();
-            let fixed_sum: f64 = c
-                .terms
+            let fixed_sum: f64 = terms
                 .iter()
                 .filter(|&&(j, _)| (ub[j] - lb[j]).abs() <= EPS)
                 .map(|&(j, a)| a * lb[j])
@@ -386,7 +464,7 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
                     infeasible = true;
                     break 'outer;
                 }
-                c.free = true;
+                *is_free = true;
                 changed = true;
                 continue;
             }
@@ -435,7 +513,7 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
                     infeasible = true;
                     break 'outer;
                 }
-                c.free = true;
+                *is_free = true;
                 changed = true;
                 continue;
             }
@@ -462,7 +540,7 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
                 ConstraintOp::Eq => (amax - rhs).abs() <= 1e-9 && (amin - rhs).abs() <= 1e-9,
             };
             if redundant {
-                c.free = true;
+                *is_free = true;
                 changed = true;
                 continue;
             }
@@ -485,7 +563,7 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
                         lb[j] = ub[j];
                     }
                 }
-                c.free = true;
+                *is_free = true;
                 changed = true;
                 continue;
             }
@@ -525,27 +603,17 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
         }
     }
 
-    // Build the tightened model: same variables, same constraints, new bounds.
-    let mut tightened = model.clone();
-    if !infeasible {
-        for (j, var) in tightened.vars.iter_mut().enumerate() {
-            var.lb = lb[j];
-            var.ub = ub[j];
-        }
-    }
-
-    let free_rows: Vec<bool> = cons.iter().map(|c| c.free).collect();
-    let rows_freed = free_rows.iter().filter(|f| **f).count();
+    let rows_freed = free.iter().filter(|f| **f).count();
     let post = PostSolve {
         fixed,
-        free_rows,
+        free_rows: free,
         infeasible,
         cols_fixed,
         rows_freed,
         original_vars: nv,
         original_cons: nc,
     };
-    Ok((tightened, post))
+    Ok((lb, ub, post))
 }
 
 fn round_if_close(v: f64) -> f64 {
@@ -571,14 +639,15 @@ const NODE_PROBES: usize = 8;
 /// rebuilt model. Rows the root presolve freed are omitted: bounds only
 /// shrink down the tree, so a row redundant at the root stays redundant in
 /// every descendant.
-/// One active row of the per-node propagation view: merged `(column,
-/// coefficient)` terms, the comparison operator, and the right-hand side.
-type PropRow = (Vec<(usize, f64)>, ConstraintOp, f64);
+/// One active row of the per-node propagation view: the layout's merged
+/// `(column, coefficient)` terms, the comparison operator, and the
+/// right-hand side.
+type PropRow<'a> = (&'a [(usize, f64)], ConstraintOp, f64);
 
 #[derive(Debug)]
-pub struct NodePresolver {
-    /// Active rows with merged terms.
-    rows: Vec<PropRow>,
+pub struct NodePresolver<'a> {
+    /// Active rows, borrowing the layout's merged terms.
+    rows: Vec<PropRow<'a>>,
     /// Rows touching each column (indices into `rows`).
     col_rows: Vec<Vec<usize>>,
     base_lb: Vec<f64>,
@@ -591,43 +660,35 @@ pub struct NodePresolver {
     scratch: Vec<Vec<f64>>,
 }
 
-impl NodePresolver {
-    /// Builds the per-node presolver from the root-presolved model.
-    pub fn new(tightened: &Model, post: &PostSolve) -> Self {
-        let nv = tightened.num_vars();
+impl<'a> NodePresolver<'a> {
+    /// Builds the per-node presolver over `layout`'s rows for the
+    /// root-presolved `model`: `sf` is the root's standard form (its
+    /// structural bounds are the tightened ones) and `post` names the rows
+    /// the root presolve freed.
+    pub fn new(layout: &'a MilpLayout, model: &Model, sf: &StandardForm, post: &PostSolve) -> Self {
+        let nv = model.num_vars();
+        let (lb, ub) = (&sf.lb[..nv], &sf.ub[..nv]);
         let mut rows = Vec::new();
         let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); nv];
-        for (i, c) in tightened.cons.iter().enumerate() {
-            if post.free_rows.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let mut map: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-            for (vid, coef) in &c.terms {
-                *map.entry(vid.0).or_insert(0.0) += coef;
-            }
-            let terms: Vec<(usize, f64)> = map.into_iter().filter(|(_, c)| c.abs() > 0.0).collect();
-            if terms.is_empty() {
+        for ((terms, c), &free) in layout.rows.iter().zip(&model.cons).zip(&post.free_rows) {
+            if free || terms.is_empty() {
                 continue;
             }
             let row_idx = rows.len();
-            for &(j, _) in &terms {
+            for &(j, _) in terms {
                 col_rows[j].push(row_idx);
             }
-            rows.push((terms, c.op, c.rhs));
+            rows.push((terms.as_slice(), c.op, c.rhs));
         }
-        let integer: Vec<bool> = tightened.vars.iter().map(|v| v.integer).collect();
-        let binaries: Vec<usize> = tightened
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.integer && v.lb == 0.0 && v.ub == 1.0)
-            .map(|(j, _)| j)
+        let integer: Vec<bool> = model.vars.iter().map(|v| v.integer).collect();
+        let binaries: Vec<usize> = (0..nv)
+            .filter(|&j| integer[j] && lb[j] == 0.0 && ub[j] == 1.0)
             .collect();
         Self {
             rows,
             col_rows,
-            base_lb: tightened.vars.iter().map(|v| v.lb).collect(),
-            base_ub: tightened.vars.iter().map(|v| v.ub).collect(),
+            base_lb: lb.to_vec(),
+            base_ub: ub.to_vec(),
             integer,
             binaries,
             scratch: vec![Vec::new(); 4],

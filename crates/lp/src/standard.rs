@@ -11,19 +11,21 @@
 //! `>=` gets a slack in `(-inf, 0]`, and `==` gets a slack fixed to `[0, 0]`.
 //! Maximization objectives are negated (and the sign restored when reporting).
 
+use std::sync::Arc;
+
 use crate::model::{ConstraintOp, Model, Sense};
 use crate::sparse::{RowMajor, SparseMatrix};
 
 /// A model in computational standard form.
 #[derive(Debug, Clone)]
 pub struct StandardForm {
-    /// Constraint matrix (m rows, n columns = structural + slack).
-    pub a: SparseMatrix,
-    /// Row-major copy of `a`, built once here and shared by every solve of
+    /// Constraint matrix (m rows, n columns = structural + slack). Shared:
+    /// every solve over one [`crate::MilpLayout`] points at the same matrix.
+    pub a: Arc<SparseMatrix>,
+    /// Row-major copy of `a`, built once with it and shared by every solve of
     /// the form — B&B nodes, warm re-solves, both simplex methods gather
-    /// their pivot rows from it. Code that edits `a` after construction must
-    /// rebuild it with [`RowMajor::from_columns`].
-    pub rows: RowMajor,
+    /// their pivot rows from it.
+    pub rows: Arc<RowMajor>,
     /// Right-hand side (length m).
     pub b: Vec<f64>,
     /// Minimization objective (length n).
@@ -52,6 +54,23 @@ impl StandardForm {
 
     /// Builds the standard form of a model.
     pub fn from_model(model: &Model) -> Self {
+        let (a, rows) = matrix(model);
+        let lb = model.vars.iter().map(|v| v.lb).collect();
+        let ub = model.vars.iter().map(|v| v.ub).collect();
+        Self::over(Arc::new(a), Arc::new(rows), model, lb, ub)
+    }
+
+    /// The standard form of `model` over a matrix [`matrix`] built from a
+    /// model with the same constraint terms: shares `a` and `rows` and fills
+    /// the objective, bounds and right-hand side in O(n + m). `lb`/`ub` are
+    /// the structural bounds; the slack bounds are appended to them.
+    pub(crate) fn over(
+        a: Arc<SparseMatrix>,
+        rows: Arc<RowMajor>,
+        model: &Model,
+        mut lb: Vec<f64>,
+        mut ub: Vec<f64>,
+    ) -> Self {
         let m = model.cons.len();
         let n_struct = model.vars.len();
         let obj_sign = match model.sense {
@@ -60,31 +79,12 @@ impl StandardForm {
         };
 
         let mut c = Vec::with_capacity(n_struct + m);
-        let mut lb = Vec::with_capacity(n_struct + m);
-        let mut ub = Vec::with_capacity(n_struct + m);
-
-        // One triplet pass over the constraints covers the structural columns
-        // and the per-constraint slack columns (column `n_struct + row`).
-        let nnz: usize = model.cons.iter().map(|c| c.terms.len()).sum();
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz + m);
-        for (row, cons) in model.cons.iter().enumerate() {
-            for (vid, coef) in &cons.terms {
-                if *coef != 0.0 {
-                    triplets.push((row, vid.0, *coef));
-                }
-            }
-            triplets.push((row, n_struct + row, 1.0));
-        }
-        let a = SparseMatrix::from_triplets(m, n_struct + m, &triplets);
-        let rows = RowMajor::from_columns(&a);
-
-        for var in &model.vars {
-            c.push(obj_sign * var.obj);
-            lb.push(var.lb);
-            ub.push(var.ub);
-        }
+        c.extend(model.vars.iter().map(|var| obj_sign * var.obj));
+        c.resize(n_struct + m, 0.0);
 
         // Slack bounds, one per constraint.
+        lb.reserve(m);
+        ub.reserve(m);
         let mut b = Vec::with_capacity(m);
         for cons in &model.cons {
             let (slb, sub) = match cons.op {
@@ -92,7 +92,6 @@ impl StandardForm {
                 ConstraintOp::Ge => (f64::NEG_INFINITY, 0.0),
                 ConstraintOp::Eq => (0.0, 0.0),
             };
-            c.push(0.0);
             lb.push(slb);
             ub.push(sub);
             b.push(cons.rhs);
@@ -115,6 +114,29 @@ impl StandardForm {
     pub fn original_objective(&self, min_value: f64) -> f64 {
         self.obj_sign * min_value
     }
+}
+
+/// The constraint matrix of `model` with one slack column per constraint,
+/// and its row-major copy: the part of the standard form that only the
+/// constraint terms decide.
+pub(crate) fn matrix(model: &Model) -> (SparseMatrix, RowMajor) {
+    let m = model.cons.len();
+    let n_struct = model.vars.len();
+    // One triplet pass over the constraints covers the structural columns
+    // and the per-constraint slack columns (column `n_struct + row`).
+    let nnz: usize = model.cons.iter().map(|c| c.terms.len()).sum();
+    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz + m);
+    for (row, cons) in model.cons.iter().enumerate() {
+        for (vid, coef) in &cons.terms {
+            if *coef != 0.0 {
+                triplets.push((row, vid.0, *coef));
+            }
+        }
+        triplets.push((row, n_struct + row, 1.0));
+    }
+    let a = SparseMatrix::from_triplets(m, n_struct + m, &triplets);
+    let rows = RowMajor::from_columns(&a);
+    (a, rows)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use teccl_lp::model::{ConstraintOp, Model, Sense};
 use teccl_lp::simplex::{solve_standard_form, solve_standard_form_from};
 use teccl_lp::standard::StandardForm;
-use teccl_lp::{Solution, SolveStatus};
+use teccl_lp::{MilpConfig, MilpLayout, MilpSolver, Solution, SolveStatus};
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -590,11 +590,29 @@ fn assert_matches_brute_force(m: &Model, case: usize) -> Solution {
     sol
 }
 
-/// Knapsacks with a cardinality side constraint and mixed weights: branching
+/// A knapsack with a cardinality side constraint and mixed weights: branching
 /// one binary shrinks the residual capacity, which is what the per-node
 /// presolve's row-activity propagation converts into fixings of the others.
-/// Every result matches enumeration, and the tightening machinery must
-/// actually fire somewhere in the corpus.
+fn card_knapsack(rng: &mut Lcg) -> Model {
+    let nvars = 4 + rng.below(8);
+    let mut m = Model::new(Sense::Maximize);
+    let xs: Vec<_> = (0..nvars)
+        .map(|j| m.add_binary_var(format!("x{j}"), rng.range(1.0, 10.0)))
+        .collect();
+    let terms: Vec<_> = xs.iter().map(|&x| (x, rng.range(1.0, 6.0))).collect();
+    m.add_cons("cap", &terms, ConstraintOp::Le, rng.range(4.0, 14.0));
+    let t2: Vec<_> = xs.iter().map(|&x| (x, 1.0)).collect();
+    m.add_cons(
+        "card",
+        &t2,
+        ConstraintOp::Le,
+        (2 + rng.below(nvars / 2)) as f64,
+    );
+    m
+}
+
+/// Every [`card_knapsack`] result matches enumeration, and the tightening
+/// machinery must actually fire somewhere in the corpus.
 #[test]
 fn node_presolved_milps_match_brute_force() {
     let mut rng = Lcg(0x9e0d_e135);
@@ -602,20 +620,7 @@ fn node_presolved_milps_match_brute_force() {
     let mut tightenings = 0usize;
     let mut runs_with_tightening = 0usize;
     for case in 0..40 {
-        let nvars = 4 + rng.below(8);
-        let mut m = Model::new(Sense::Maximize);
-        let xs: Vec<_> = (0..nvars)
-            .map(|j| m.add_binary_var(format!("x{j}"), rng.range(1.0, 10.0)))
-            .collect();
-        let terms: Vec<_> = xs.iter().map(|&x| (x, rng.range(1.0, 6.0))).collect();
-        m.add_cons("cap", &terms, ConstraintOp::Le, rng.range(4.0, 14.0));
-        let t2: Vec<_> = xs.iter().map(|&x| (x, 1.0)).collect();
-        m.add_cons(
-            "card",
-            &t2,
-            ConstraintOp::Le,
-            (2 + rng.below(nvars / 2)) as f64,
-        );
+        let m = card_knapsack(&mut rng);
         let sol = assert_matches_brute_force(&m, case);
         if sol.status.has_solution() {
             solved += 1;
@@ -630,6 +635,63 @@ fn node_presolved_milps_match_brute_force() {
         tightenings > 0 && runs_with_tightening >= 5,
         "per-node presolve never fired: {tightenings} tightenings in {runs_with_tightening} runs"
     );
+}
+
+/// One layout serves every model of its shape: a [`MilpLayout`] built from a
+/// [`card_knapsack`] `m` solves `m′` — `m` with perturbed bounds, costs and
+/// right-hand sides — to the bit as [`MilpSolver::solve_from`] on `m′`,
+/// which builds its own layout: values, objective, pivot / node /
+/// factorization counts and the returned basis, cold and warm-started from
+/// `m`'s basis.
+#[test]
+fn a_layout_solves_same_shaped_milps_bit_identically() {
+    let mut rng = Lcg(0x1a70_0031);
+    let solver = MilpSolver::new(MilpConfig::default());
+    let mut branched = 0usize;
+    for case in 0..40 {
+        let m = card_knapsack(&mut rng);
+        let layout = MilpLayout::new(&m);
+        let base = solver.solve_over(&layout, &m, None).unwrap();
+        let mut perturbed = m.clone();
+        for v in &mut perturbed.vars {
+            v.obj = rng.range(-2.0, 10.0);
+            if rng.f() < 0.2 {
+                let pin = rng.below(2) as f64;
+                (v.lb, v.ub) = (pin, pin);
+            }
+        }
+        for c in &mut perturbed.cons {
+            c.rhs += rng.range(-2.0, 3.0);
+        }
+        for warm in [None, base.basis.as_ref()] {
+            let over = solver.solve_over(&layout, &perturbed, warm).unwrap();
+            let own = solver.solve_from(&perturbed, warm).unwrap();
+            assert_eq!(over.status, own.status, "case {case}");
+            let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&over), bits(&own), "case {case}");
+            assert_eq!(
+                over.objective.to_bits(),
+                own.objective.to_bits(),
+                "case {case}"
+            );
+            let counts = |s: &Solution| {
+                let st = &s.stats;
+                [
+                    st.simplex_iterations,
+                    st.dual_iterations,
+                    st.factorizations,
+                    st.nodes_explored,
+                    st.warm_starts,
+                ]
+            };
+            assert_eq!(counts(&over), counts(&own), "case {case}");
+            assert_eq!(over.basis, own.basis, "case {case}");
+            if over.stats.nodes_explored > 1 {
+                branched += 1;
+            }
+        }
+    }
+    assert!(branched >= 10, "only {branched} solves branched");
 }
 
 /// Random small knapsack-ish MILPs, every result checked against

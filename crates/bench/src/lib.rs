@@ -706,6 +706,209 @@ pub fn degraded_fallback_fixture() -> (teccl_service::ScheduleService, teccl_ser
     (svc, req)
 }
 
+/// The `lp_form/internal2x2_alltoall` row: the copy-free LP path end to end
+/// (horizon, build, presolve, simplex, extract) on internal2 x2 ALLTOALL at a
+/// 1 MB output buffer.
+pub fn bench_lp_form_alltoall(h: &mut microbench::Harness) {
+    let scenario = Scenario::collective(
+        "lp-internal2x2-atoa",
+        teccl_topology::internal2(2),
+        CollectiveKind::AllToAll,
+        1,
+        1024.0 * 1024.0,
+    );
+    h.bench_function("lp_form/internal2x2_alltoall", || {
+        run_teccl(&scenario, &quick_config(), Method::Lp).unwrap();
+    });
+}
+
+/// The `milp_form/internal1_allgather` row: the general MILP end to end on
+/// internal1 x1 ALLGATHER at a 1 MB output buffer.
+pub fn bench_milp_form_allgather(h: &mut microbench::Harness) {
+    let scenario = Scenario::collective(
+        "milp-internal1x1-ag",
+        teccl_topology::internal1(1),
+        CollectiveKind::AllGather,
+        1,
+        1024.0 * 1024.0,
+    );
+    h.bench_function("milp_form/internal1_allgather", || {
+        run_teccl(&scenario, &quick_config(), Method::Milp).unwrap();
+    });
+}
+
+/// The `lp/simplex_warm_vs_cold` and `lp/simplex_cold_resolve` rows: the
+/// [`warm_vs_cold_fixture`] re-solve after one bound tightening — the
+/// branch-and-bound node pattern in isolation — from the optimal basis and
+/// from scratch.
+pub fn bench_simplex_resolves(h: &mut microbench::Harness) {
+    let (sf, nv, basis, overrides) = warm_vs_cold_fixture();
+    h.bench_function("lp/simplex_warm_vs_cold", || {
+        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        assert!(sol.has_solution());
+    });
+    h.bench_function("lp/simplex_cold_resolve", || {
+        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, None).unwrap();
+        assert!(sol.has_solution());
+    });
+}
+
+/// The `lp/dual_resolve` row: a tightened *active* bound, so the warm basis
+/// is primal infeasible and the dual simplex takes real pivots (the B&B
+/// pattern). Aborts if the re-solve falls cold.
+pub fn bench_dual_resolve(h: &mut microbench::Harness) {
+    let (sf, nv, basis, overrides) = dual_resolve_fixture();
+    h.bench_function("lp/dual_resolve", || {
+        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        assert!(sol.has_solution());
+        assert_eq!(sol.stats.warm_starts, 1, "dual path must not fall cold");
+    });
+}
+
+/// The `lp/degenerate_alltoall` row, the CI gate for the anti-degeneracy
+/// machinery (EXPAND ratio test): aborts if the cold solve stalls past its
+/// iteration budget or trips the simplex iteration limit.
+pub fn bench_degenerate_alltoall(h: &mut microbench::Harness) {
+    let (sf, nv, budget) = degenerate_alltoall_fixture();
+    h.bench_function("lp/degenerate_alltoall", || {
+        let sol = teccl_lp::solve_standard_form(&sf, nv).unwrap();
+        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
+        assert!(
+            !sol.stats.iteration_limit_hit,
+            "degenerate ALLTOALL hit the simplex iteration limit"
+        );
+        assert!(
+            sol.stats.simplex_iterations <= budget,
+            "degenerate ALLTOALL regressed: {} iterations (budget {budget})",
+            sol.stats.simplex_iterations
+        );
+    });
+}
+
+/// The `lp/internal1x2_alltoall` row: the 8-GPU internal1(2) ALLTOALL
+/// copy-free LP, solved monolithically through `Model::solve_lp_relaxation`
+/// (presolve + cold simplex) — the one row at that scale.
+pub fn bench_internal1x2_alltoall(h: &mut microbench::Harness) {
+    let form = internal1x2_alltoall_fixture();
+    h.bench_function("lp/internal1x2_alltoall", || {
+        let sol = form.model.solve_lp_relaxation().unwrap();
+        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
+    });
+}
+
+/// The `lp/lu_refactor_fill` row: the eta-accumulation →
+/// fill-triggered-refactorization cycle on the degenerate instance's optimal
+/// basis. Identity column replacements build up the eta file until
+/// [`teccl_lp::LuFactors::needs_refactor`] fires, then the basis is
+/// refactorized from scratch (the Gilbert–Peierls path) — the steady-state
+/// cost the refactorization policy pays.
+pub fn bench_lu_refactor_fill(h: &mut microbench::Harness) {
+    let (m, basis_cols) = lu_refactor_fixture();
+    h.bench_function("lp/lu_refactor_fill", || {
+        let mut lu = teccl_lp::LuFactors::factorize(m, &basis_cols).unwrap();
+        let mut r = 0usize;
+        while !lu.needs_refactor() {
+            let mut w = vec![0.0; m];
+            for (pos, &i) in basis_cols[r].indices.iter().enumerate() {
+                w[i] = basis_cols[r].values[pos];
+            }
+            // Replacing column r with itself: w = B⁻¹ B e_r = e_r, so the
+            // update is always well-pivoted and the basis never degrades.
+            lu.ftran(&mut w);
+            lu.update(&teccl_lp::IndexedVec::from_dense(w), r).unwrap();
+            r = (r + 1) % m;
+        }
+        let fresh = teccl_lp::LuFactors::factorize(m, &basis_cols).unwrap();
+        assert!(fresh.fill_nnz() > 0);
+    });
+}
+
+/// The `lp/presolve_warm_rounds` row: A\* cross-round warm starts with
+/// presolve on (the layout-preserving presolve keeps the carried root basis
+/// valid round to round). Aborts unless the run stays on the warm path — at
+/// most the first round may start cold.
+pub fn bench_presolve_warm_rounds(h: &mut microbench::Harness) {
+    let (scenario, config) = warm_rounds_fixture();
+    h.bench_function("lp/presolve_warm_rounds", || {
+        let warm = run_teccl(&scenario, &config, Method::AStar).unwrap();
+        assert!(
+            warm.warm_starts > 0,
+            "A* rounds fell off the warm path entirely"
+        );
+        assert!(
+            warm.cold_starts <= 1,
+            "warm rounds went cold {} times (only the first round may)",
+            warm.cold_starts
+        );
+    });
+}
+
+/// The four schedule-service rows. `service/cache_hit_latency` is the
+/// steady-state hit, `service/wire_hit` the same hit with the request line
+/// parsed and the reply rendered, as a connection thread does per request;
+/// both abort if a hit leaves the no-solve path. `service/throughput` is a
+/// 64-request batch over 8 keys with one evicted per batch — exactly one
+/// solve, the rest hits (or coalesced with that solve).
+/// `service/degraded_fallback_latency` sends an already-expired deadline on
+/// a request whose exact solve takes tens of seconds down the ladder to the
+/// instant baseline, and aborts on any simplex pivot.
+pub fn bench_service(h: &mut microbench::Harness) {
+    use teccl_service::CacheStatus;
+    let (svc, pool) = service_bench_fixture();
+    for req in &pool {
+        svc.request(req.clone()).expect("fixture request solves");
+    }
+    let hot = pool[1].clone();
+    let solves_before = svc.stats().solves;
+    h.bench_function("service/cache_hit_latency", || {
+        let served = svc.request(hot.clone()).expect("hit");
+        assert_eq!(
+            served.cache,
+            CacheStatus::Hit,
+            "cache hit fell off the no-solve path"
+        );
+    });
+    let stats = svc.stats();
+    assert_eq!(
+        stats.solves, solves_before,
+        "cache hits must not invoke the solver (solves {} -> {})",
+        solves_before, stats.solves
+    );
+    assert_eq!(stats.solve_errors, 0);
+
+    let (wire_svc, wire_line) = wire_hit_fixture();
+    let mut wire_reply = String::new();
+    h.bench_function("service/wire_hit", || {
+        wire_hit(&wire_svc, &wire_line, &mut wire_reply);
+    });
+    wire_svc.shutdown();
+
+    let cold_key = pool[0].key().hash;
+    h.bench_function("service/throughput", || {
+        svc.evict_key(cold_key);
+        let tickets: Vec<_> = (0..64)
+            .map(|i| svc.submit(pool[i % pool.len()].clone()))
+            .collect();
+        for t in tickets {
+            t.wait().expect("batch request solves");
+        }
+    });
+
+    let (fb_svc, fb_req) = degraded_fallback_fixture();
+    let fb_hash = fb_req.key().hash;
+    h.bench_function("service/degraded_fallback_latency", || {
+        fb_svc.evict_key(fb_hash);
+        let served = fb_svc.request(fb_req.clone()).expect("fallback serves");
+        assert_eq!(served.quality, teccl_service::Quality::Baseline);
+    });
+    assert_eq!(
+        fb_svc.stats().solve_simplex_iterations,
+        0,
+        "the baseline fallback must never touch the simplex"
+    );
+    fb_svc.shutdown();
+}
+
 /// Runs the TACCL-like baseline on a scenario.
 pub fn run_taccl(scenario: &Scenario, seed: u64) -> Option<RunResult> {
     let cfg = TacclConfig {

@@ -20,7 +20,7 @@ use teccl_schedule::Send;
 use teccl_topology::{NodeId, Topology};
 
 use crate::config::{BufferMode, SolverConfig};
-use crate::epochs::{delta_epochs, kappa_epochs};
+use crate::epochs::EpochGrid;
 use crate::error::TeCclError;
 use crate::milp_form::{MilpBuildOptions, MilpFormulation};
 
@@ -43,7 +43,7 @@ pub struct AStarOutcome {
     /// The last round's root-relaxation basis (the most recently published
     /// warm-start hint): a later solve of a same-shaped round — e.g. a
     /// cache-adjacent request in the schedule service — can start from it via
-    /// [`solve_astar_from`].
+    /// [`solve_astar_budgeted`].
     pub final_basis: Option<SimplexBasis>,
 }
 
@@ -69,10 +69,9 @@ pub struct RoundState {
     /// most one round later (§4.2 "we set the number of epochs such that
     /// chunks do not arrive later than one round in the future").
     pub epochs_per_round: usize,
-    /// Effective per-link delay in epochs.
-    eff_delta: Vec<usize>,
-    /// Distance matrix for the heuristic reward (per-link cost in epochs).
-    pm: teccl_topology::PathMatrix,
+    /// Link delays (in-flight arrivals) and distances (the heuristic
+    /// reward) in epochs.
+    grid: EpochGrid,
     holders: HashMap<(usize, usize), Vec<NodeId>>,
     /// `(source, chunk, node, epochs into the next round)` per flying chunk.
     in_flight: Vec<(NodeId, usize, NodeId, usize)>,
@@ -87,24 +86,17 @@ impl RoundState {
         config: &SolverConfig,
         tau: f64,
     ) -> Self {
-        let eff_delta: Vec<usize> = topology
-            .links
-            .iter()
-            .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
-            .collect();
-        let max_delta = eff_delta.iter().copied().max().unwrap_or(0);
+        let grid = EpochGrid::new(topology, chunk_bytes, tau);
         let epochs_per_round = config
             .astar_epochs_per_round
-            .unwrap_or((max_delta + 2).max(4));
-        let pm = teccl_topology::floyd_warshall(topology, |l| (eff_delta[l.id.0] + 1) as f64);
+            .unwrap_or((grid.max_delay() + 2).max(4));
         let mut holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
         for (s, c, _d) in demand.iter() {
             holders.entry((s.0, c)).or_insert_with(|| vec![s]);
         }
         RoundState {
             epochs_per_round,
-            eff_delta,
-            pm,
+            grid,
             holders,
             in_flight: Vec::new(),
         }
@@ -149,7 +141,7 @@ impl RoundState {
                 for n in topology.gpus() {
                     let dist = dests
                         .iter()
-                        .map(|&d| self.pm.distance(n, d))
+                        .map(|&d| self.grid.distance(n, d))
                         .fold(f64::INFINITY, f64::min);
                     if dist.is_finite() {
                         let w = config.astar_gamma / (1.0 + dist);
@@ -208,7 +200,7 @@ impl RoundState {
             let link = topology
                 .link_between(snd.from, snd.to)
                 .expect("send uses a topology link");
-            let arrival = snd.epoch + self.eff_delta[link.id.0] + 1;
+            let arrival = snd.epoch + self.grid.delay(link) + 1;
             if arrival <= self.epochs_per_round {
                 let h = self
                     .holders
@@ -237,33 +229,14 @@ pub fn solve_astar(
     config: &SolverConfig,
     tau: f64,
 ) -> Result<AStarOutcome, TeCclError> {
-    solve_astar_from(topology, demand, chunk_bytes, config, tau, None)
+    solve_astar_budgeted(topology, demand, chunk_bytes, config, tau, None, None)
 }
 
-/// [`solve_astar`] with an externally supplied basis for the first round's
-/// root relaxation (later rounds carry their own basis as usual). A basis
-/// whose shape does not match the first round's model silently falls back to
-/// a cold start inside the LP layer.
-pub fn solve_astar_from(
-    topology: &Topology,
-    demand: &DemandMatrix,
-    chunk_bytes: f64,
-    config: &SolverConfig,
-    tau: f64,
-    initial_basis: Option<&SimplexBasis>,
-) -> Result<AStarOutcome, TeCclError> {
-    solve_astar_budgeted(
-        topology,
-        demand,
-        chunk_bytes,
-        config,
-        tau,
-        initial_basis,
-        None,
-    )
-}
-
-/// [`solve_astar_from`] under a cooperative [`teccl_util::SolveBudget`].
+/// [`solve_astar`] under a cooperative [`teccl_util::SolveBudget`], with
+/// an externally supplied basis for the first round's root relaxation (later
+/// rounds carry their own basis as usual). A basis whose shape does not match
+/// the first round's model silently falls back to a cold start inside the LP
+/// layer.
 ///
 /// The budget is checked at the top of every round and inside every round's
 /// MILP pivots. A* has no usable partial result — a prefix of rounds leaves
@@ -475,11 +448,10 @@ mod tests {
 
     /// Prunes and validates an A* outcome's sends against `demand`.
     fn assert_valid(topo: &Topology, demand: &DemandMatrix, out: &AStarOutcome) {
+        let grid = EpochGrid::new(topo, 1e6, 1e-3);
         let pruned =
             crate::extract::prune_sends(&out.sends, demand, &out.initial_holders, |a, b| {
-                topo.link_between(a, b)
-                    .map(|l| delta_epochs(l, 1e-3))
-                    .unwrap_or(0)
+                grid.delay_between(topo, a, b)
             });
         let schedule =
             crate::extract::schedule_from_sends("astar", 1e6, 1e-3, pruned, out.solver_time);

@@ -111,7 +111,7 @@
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, Model, Sense, SolveStatus, VarId};
-use teccl_topology::{floyd_warshall, Link, NodeId, Topology};
+use teccl_topology::{floyd_warshall, Link, NodeId, PathMatrix, Topology};
 use teccl_util::SolveBudget;
 
 use crate::config::{EpochStrategy, SolverConfig};
@@ -160,6 +160,56 @@ pub fn kappa_epochs(link: &Link, chunk_bytes: f64, tau: f64) -> usize {
 /// Fractional link capacity in chunks per epoch: T·τ expressed in chunks.
 pub fn capacity_chunks_per_epoch(link: &Link, chunk_bytes: f64, tau: f64) -> f64 {
     link.capacity * tau / chunk_bytes
+}
+
+/// The time-expanded grid of the MILP (§3.1, Appendix F) and its A\*
+/// rounds (§4.2): each link's effective delay δ + κ − 1 in epochs — a chunk
+/// sent on a link in epoch `k` joins the far end's buffer at
+/// `k + delay + 1` — and the all-pairs distances over those hop costs.
+/// Reachability pins, the A\* distance reward, in-flight arrivals and send
+/// pruning all read the delays and distances from here.
+///
+/// The copy-free LP ([`crate::lp_form`]) has no κ window and prices a hop
+/// at δ + 1 with [`delta_epochs`], so it does not use this grid.
+#[derive(Debug, Clone)]
+pub struct EpochGrid {
+    delays: Vec<usize>,
+    paths: PathMatrix,
+}
+
+impl EpochGrid {
+    /// The grid of `topo` for chunks of `chunk_bytes` and epochs of `tau`.
+    pub fn new(topo: &Topology, chunk_bytes: f64, tau: f64) -> Self {
+        let delays: Vec<usize> = topo
+            .links
+            .iter()
+            .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
+            .collect();
+        let paths = floyd_warshall(topo, |l| (delays[l.id.0] + 1) as f64);
+        Self { delays, paths }
+    }
+
+    /// The effective delay of `link` in epochs.
+    pub fn delay(&self, link: &Link) -> usize {
+        self.delays[link.id.0]
+    }
+
+    /// The effective delay of the link `from -> to` of `topo` (the topology
+    /// the grid was built for); 0 when there is no such link.
+    pub fn delay_between(&self, topo: &Topology, from: NodeId, to: NodeId) -> usize {
+        topo.link_between(from, to).map_or(0, |l| self.delay(l))
+    }
+
+    /// The fewest epochs a chunk needs from `from` to `to`, counting one
+    /// epoch to issue each send (`f64::INFINITY` when unreachable).
+    pub fn distance(&self, from: NodeId, to: NodeId) -> f64 {
+        self.paths.distance(from, to)
+    }
+
+    /// The largest effective delay of any link (0 without links).
+    pub fn max_delay(&self) -> usize {
+        self.delays.iter().copied().max().unwrap_or(0)
+    }
 }
 
 /// Epochs added to [`horizon_lower_bound`] for the first horizon tried on a

@@ -1,8 +1,11 @@
-//! Error type of the TE-CCL solver.
+//! Error type of the TE-CCL solver, and the demand check every formulation
+//! runs before it builds anything.
 
 use std::fmt;
 
+use teccl_collective::DemandMatrix;
 use teccl_lp::LpError;
+use teccl_topology::Topology;
 
 /// Errors produced while formulating or solving a collective optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +63,29 @@ impl From<LpError> for TeCclError {
             other => TeCclError::Lp(other),
         }
     }
+}
+
+/// Rejects a demand no formulation can schedule on `topology`: an empty one,
+/// one over a different node count, or one with a switch as an endpoint.
+pub(crate) fn check_demand(topology: &Topology, demand: &DemandMatrix) -> Result<(), TeCclError> {
+    if demand.is_empty() {
+        return Err(TeCclError::EmptyDemand);
+    }
+    if demand.num_nodes != topology.num_nodes() {
+        return Err(TeCclError::InvalidDemand(format!(
+            "demand is over {} nodes but the topology has {}",
+            demand.num_nodes,
+            topology.num_nodes()
+        )));
+    }
+    for (s, _c, d) in demand.iter() {
+        if topology.is_switch(s) || topology.is_switch(d) {
+            return Err(TeCclError::InvalidDemand(format!(
+                "demand endpoints must be GPUs (got {s} -> {d})"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use teccl_topology::{NodeId, Topology};
 
 use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
-use crate::error::TeCclError;
+use crate::error::{check_demand, TeCclError};
 use crate::extract::decompose_source_flow;
 
 /// A fully built LP instance for one copy-free collective optimization.
@@ -56,25 +56,12 @@ impl LpFormulation {
         num_epochs: usize,
         tau: f64,
     ) -> Result<Self, TeCclError> {
-        if demand.is_empty() {
-            return Err(TeCclError::EmptyDemand);
-        }
-        if demand.num_nodes != topology.num_nodes() {
-            return Err(TeCclError::InvalidDemand(format!(
-                "demand is over {} nodes but the topology has {}",
-                demand.num_nodes,
-                topology.num_nodes()
-            )));
-        }
-        for (s, _c, d) in demand.iter() {
-            if topology.is_switch(s) || topology.is_switch(d) {
-                return Err(TeCclError::InvalidDemand(format!(
-                    "demand endpoints must be GPUs (got {s} -> {d})"
-                )));
-            }
-        }
+        check_demand(topology, demand)?;
 
         let k_max = num_epochs;
+        // The LP prices a hop at δ + 1 (no Appendix-F κ window: its flows are
+        // continuous), so it keeps plain α-delays instead of the MILP's
+        // `EpochGrid`.
         let delta: Vec<usize> = topology
             .links
             .iter()

@@ -6,19 +6,33 @@
 //! store-and-forward; read variables `R[s,c,d,k]` reward early delivery in the
 //! objective. Copy is supported because a node may send the same chunk on
 //! several outgoing links / epochs once it holds it.
+//!
+//! # Layout and round
+//!
+//! A formulation is written in two parts. The *layout* — every variable,
+//! every row's terms, the read rewards — depends only on the topology, the
+//! demand's shape, the [`EpochGrid`] and the epoch count, and
+//! [`MilpFormulation::build`] lays it out once: variables at neutral bounds
+//! (`F` in `[0, 1]`, `B` in `[0, ∞)`, `R` in `[0, 1]`) and the flow and
+//! buffer rows at rhs 0. The *round* — who holds which chunk at epoch 0,
+//! what lands mid-horizon, which commodities are frozen, the A\* terminal
+//! rewards — only moves bounds, right-hand sides and the rewards on the
+//! final buffers, and one private writer puts it in place: `build` calls it
+//! for its own options, [`MilpFormulation::update_round`] for every later
+//! A\* round over the same layout.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, MilpConfig, MilpLayout, Model, Sense, Solution, SolveStatus, VarId};
 use teccl_schedule::{ChunkId, Send};
-use teccl_topology::{NodeId, Topology};
+use teccl_topology::{Link, LinkId, NodeId, Topology};
 
 use crate::config::{BufferMode, SolverConfig, SwitchModel};
-use crate::epochs::{capacity_chunks_per_epoch, delta_epochs, kappa_epochs};
-use crate::error::TeCclError;
+use crate::epochs::{capacity_chunks_per_epoch, kappa_epochs, EpochGrid};
+use crate::error::{check_demand, TeCclError};
 use crate::switch::HyperEdgeGroup;
 
 /// Extra inputs for building a MILP round (used by the A* solver; the plain
@@ -62,20 +76,15 @@ pub struct MilpFormulation {
     pub num_epochs: usize,
     /// Chunk size in bytes.
     pub chunk_bytes: f64,
-    /// Effective per-link forwarding delay in epochs
-    /// (⌈α/τ⌉ + κ − 1, Appendix F).
-    pub eff_delta: Vec<usize>,
     topology: Topology,
+    /// Per-link delays and distances in epochs.
+    grid: EpochGrid,
     f_vars: HashMap<(usize, usize, usize, usize), VarId>,
     b_vars: HashMap<(usize, usize, usize, usize), VarId>,
     r_vars: HashMap<(usize, usize, usize, usize), VarId>,
-    initial_holders: HashMap<(usize, usize), Vec<NodeId>>,
+    initial_holders: Holders,
     /// Commodities in build order — the layout key a round update must match.
     commodities: Vec<(NodeId, usize)>,
-    /// All-pairs distances in epochs (link cost `eff_delta + 1`), kept so
-    /// [`MilpFormulation::update_round`] can recompute reachability pins
-    /// without re-running Floyd–Warshall.
-    pm: teccl_topology::PathMatrix,
     /// Flow-conservation rows whose rhs carries round state:
     /// `(constraint index, (source, chunk, node, epoch))`.
     flow_rows: Vec<(usize, (usize, usize, usize, usize))>,
@@ -123,11 +132,11 @@ fn round_holders(
     (commodities, holders, extra_commodity)
 }
 
-/// The earliest epoch chunk `(s, c)` can be at `n`: its distance in epochs
-/// (`pm`) from the nearest holder, or from where an in-flight copy lands plus
-/// the epoch it lands in. `usize::MAX` when nothing reaches `n`.
+/// The earliest epoch chunk `(s, c)` can be at `n`: its distance on the grid
+/// from the nearest holder, or from where an in-flight copy lands plus the
+/// epoch it lands in. `usize::MAX` when nothing reaches `n`.
 fn earliest_epoch(
-    pm: &teccl_topology::PathMatrix,
+    grid: &EpochGrid,
     holders: &Holders,
     in_flight: &[(NodeId, usize, NodeId, usize)],
     s: NodeId,
@@ -145,7 +154,7 @@ fn earliest_epoch(
         .map(|&(_, _, node, vis)| (node, vis));
     held.chain(flying)
         .filter_map(|(from, at)| {
-            let d = pm.distance(from, n);
+            let d = grid.distance(from, n);
             d.is_finite().then(|| at + d as usize)
         })
         .min()
@@ -164,7 +173,8 @@ fn initial_buffer(holders: &Holders, s: NodeId, c: usize, n: NodeId) -> f64 {
 
 impl MilpFormulation {
     /// Builds the MILP for `demand` on `topology` with `num_epochs` epochs of
-    /// duration `tau`.
+    /// duration `tau`: lays the model out, then writes the round `options`
+    /// describe (module docs).
     pub fn build(
         topology: &Topology,
         demand: &DemandMatrix,
@@ -174,45 +184,15 @@ impl MilpFormulation {
         tau: f64,
         options: &MilpBuildOptions,
     ) -> Result<Self, TeCclError> {
-        if demand.is_empty() {
-            return Err(TeCclError::EmptyDemand);
-        }
-        if demand.num_nodes != topology.num_nodes() {
-            return Err(TeCclError::InvalidDemand(format!(
-                "demand is over {} nodes but the topology has {}",
-                demand.num_nodes,
-                topology.num_nodes()
-            )));
-        }
-        for (s, _c, d) in demand.iter() {
-            if topology.is_switch(s) || topology.is_switch(d) {
-                return Err(TeCclError::InvalidDemand(format!(
-                    "demand endpoints must be GPUs (got {s} -> {d})"
-                )));
-            }
-        }
+        check_demand(topology, demand)?;
 
         let k_max = num_epochs;
-        let eff_delta: Vec<usize> = topology
-            .links
-            .iter()
-            .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
-            .collect();
+        let grid = EpochGrid::new(topology, chunk_bytes, tau);
+        let (commodities, holders, _) = round_holders(topology, demand, &options.extra_initial);
 
-        let (commodities, initial_holders, _) =
-            round_holders(topology, demand, &options.extra_initial);
-
-        // Earliest epoch a chunk can possibly be present at each node.
-        // Link cost in epochs: eff_delta + 1 (one epoch to issue the send).
-        // Applied below as *bound fixing* (variables before that epoch are
-        // created and pinned to zero), never as variable elision, so the
-        // reachability state carried into a round changes bounds but not the
-        // model's layout.
-        let pm = teccl_topology::floyd_warshall(topology, |l| (eff_delta[l.id.0] + 1) as f64);
-        let earliest = |s, c, n| earliest_epoch(&pm, &initial_holders, &options.in_flight, s, c, n);
-        let init_buffer = |s, c, n| initial_buffer(&initial_holders, s, c, n);
-
-        // Which (s, c, n) triples get buffer variables.
+        // Which (s, c, n) triples get buffer variables. Without store and
+        // forward this follows the round's holders, which is why
+        // `update_round` refuses that mode.
         let is_buffered = |s: NodeId, c: usize, n: NodeId| -> bool {
             if topology.is_switch(n) {
                 return false;
@@ -220,7 +200,7 @@ impl MilpFormulation {
             match config.buffer_mode {
                 BufferMode::Unlimited | BufferMode::LimitedChunks(_) => true,
                 BufferMode::NoStoreAndForward => {
-                    init_buffer(s, c, n) > 0.0 || demand.wants(s, c, n)
+                    initial_buffer(&holders, s, c, n) > 0.0 || demand.wants(s, c, n)
                 }
             }
         };
@@ -235,19 +215,15 @@ impl MilpFormulation {
         //
         // Every commodity gets variables for every link / node / epoch: the
         // layout depends only on the topology, the demand's *shape*, and the
-        // epoch count. Reachability pruning (`earliest`) is applied as bound
-        // fixing (`lb == ub == 0`) rather than by skipping creation — the
+        // epoch count. Reachability pruning is bound fixing (`lb == ub == 0`,
+        // written by the round writer) rather than skipped creation — the
         // layout-preserving presolve pins those columns, so the model solves
         // at the pruned size while two rounds built from the same demand
         // shape stay identically shaped (only bounds, right-hand sides, and
         // objective weights differ). That is what lets A* round `t+1`
         // warm-start from round `t`'s root basis with presolve on.
-        let frozen: std::collections::HashSet<(usize, usize)> =
-            options.frozen.iter().map(|&(s, c)| (s.0, c)).collect();
         for &(s, c) in &commodities {
-            let is_frozen = frozen.contains(&(s.0, c));
             for link in &topology.links {
-                let e0 = earliest(s, c, link.src);
                 for k in 0..k_max {
                     let v = model.add_var(
                         format!("F[{s},{c},{}->{},{k}]", link.src, link.dst),
@@ -256,9 +232,6 @@ impl MilpFormulation {
                         0.0,
                         true,
                     );
-                    if is_frozen || k < e0 {
-                        model.set_bounds(v, 0.0, 0.0);
-                    }
                     f_vars.insert((s.0, c, link.id.0, k), v);
                 }
             }
@@ -266,7 +239,6 @@ impl MilpFormulation {
                 if !is_buffered(s, c, n) {
                     continue;
                 }
-                let e0 = earliest(s, c, n);
                 for k in 1..=k_max {
                     let v = model.add_var(
                         format!("B[{s},{c},{n},{k}]"),
@@ -275,9 +247,6 @@ impl MilpFormulation {
                         0.0,
                         false,
                     );
-                    if k < e0.max(1) {
-                        model.set_bounds(v, 0.0, 0.0);
-                    }
                     b_vars.insert((s.0, c, n.0, k), v);
                 }
                 if let BufferMode::LimitedChunks(_) = config.buffer_mode {
@@ -296,25 +265,21 @@ impl MilpFormulation {
             }
         }
 
-        // Terminal rewards (A*): weight on B[s,c,n,K].
-        for (s, c, n, w) in &options.terminal_rewards {
-            if let Some(&b) = b_vars.get(&(s.0, *c, n.0, k_max)) {
-                let cur = model.vars[b.index()].obj;
-                model.set_obj(b, cur + w);
-            }
-        }
-
-        let fvar = |f: &HashMap<(usize, usize, usize, usize), VarId>,
-                    s: usize,
-                    c: usize,
-                    l: usize,
-                    k: i64|
-         -> Option<VarId> {
-            if k < 0 {
-                None
-            } else {
-                f.get(&(s, c, l, k as usize)).copied()
-            }
+        // `F[s,c,l,k]`, or `None` before epoch 0.
+        let flow = |s: NodeId, c: usize, l: &Link, k: Option<usize>| {
+            k.and_then(|k| f_vars.get(&(s.0, c, l.id.0, k)).copied())
+        };
+        // Every commodity's flow on `links` in epoch `k`.
+        let link_terms = |links: &[LinkId], k: usize| -> Vec<(VarId, f64)> {
+            let f_vars = &f_vars;
+            links
+                .iter()
+                .flat_map(|l| {
+                    commodities
+                        .iter()
+                        .filter_map(move |&(s, c)| f_vars.get(&(s.0, c, l.0, k)).map(|&v| (v, 1.0)))
+                })
+                .collect()
         };
 
         // ----- Capacity constraints (with the Appendix-F window) ------------
@@ -341,30 +306,17 @@ impl MilpFormulation {
             }
         }
 
-        // ----- Flow conservation & first-epoch constraints -------------------
+        // ----- Flow conservation ---------------------------------------------
         let mut flow_rows: Vec<(usize, (usize, usize, usize, usize))> = Vec::new();
         for &(s, c) in &commodities {
             for node in topology.nodes.iter().map(|n| n.id) {
-                let is_sw = topology.is_switch(node);
-                let noncopy_switch = is_sw && config.switch_model == SwitchModel::NonCopy;
-
-                // First epoch: can only send what is initially held.
-                for link in topology.out_links(node) {
-                    if let Some(&v) = f_vars.get(&(s.0, c, link.id.0, 0)) {
-                        if init_buffer(s, c, node) < 0.5 {
-                            model.set_bounds(v, 0.0, 0.0);
-                        }
-                    }
-                }
-
-                if noncopy_switch {
+                if topology.is_switch(node) && config.switch_model == SwitchModel::NonCopy {
                     // Traditional conservation: inflow (delayed) equals outflow
                     // in the next epoch.
                     for k in 0..k_max {
                         let mut terms: Vec<(VarId, f64)> = Vec::new();
                         for inl in topology.in_links(node) {
-                            let kk = k as i64 - eff_delta[inl.id.0] as i64;
-                            if let Some(v) = fvar(&f_vars, s.0, c, inl.id.0, kk) {
+                            if let Some(v) = flow(s, c, inl, k.checked_sub(grid.delay(inl))) {
                                 terms.push((v, 1.0));
                             }
                         }
@@ -392,7 +344,9 @@ impl MilpFormulation {
 
                 // Copy-capable node (GPU or SHArP switch): for each outgoing
                 // link, outflow at k+1 must be covered by the buffer at k plus
-                // inflow arriving by the end of k.
+                // inflow arriving by the end of k. The buffer at epoch 0 and
+                // in-flight arrivals at an unbuffered node are constants in
+                // the rhs, which the round writer fills in.
                 for k in 0..k_max.saturating_sub(1) {
                     for outl in topology.out_links(node) {
                         let out_v = match f_vars.get(&(s.0, c, outl.id.0, k + 1)) {
@@ -400,29 +354,13 @@ impl MilpFormulation {
                             None => continue,
                         };
                         let mut terms: Vec<(VarId, f64)> = vec![(out_v, -1.0)];
-                        let mut rhs = 0.0;
-                        // Buffer term (or its constant value at epoch 0 /
-                        // unbuffered nodes).
-                        if k == 0 {
-                            rhs -= init_buffer(s, c, node);
-                        } else if let Some(&b) = b_vars.get(&(s.0, c, node.0, k)) {
+                        // Buffers start at epoch 1.
+                        if let Some(&b) = b_vars.get(&(s.0, c, node.0, k)) {
                             terms.push((b, 1.0));
-                        }
-                        // In-flight constants that joined the buffer by epoch k.
-                        for (fs, fc, fnode, vis) in &options.in_flight {
-                            if fs.0 == s.0 && *fc == c && fnode.0 == node.0 && *vis <= k {
-                                // Only counts when no buffer variable already
-                                // carries it (buffered nodes absorb arrivals in
-                                // the buffer-evolution constraint below).
-                                if !b_vars.contains_key(&(s.0, c, node.0, k.max(1))) {
-                                    rhs -= 1.0;
-                                }
-                            }
                         }
                         // Inflow arriving by end of epoch k.
                         for inl in topology.in_links(node) {
-                            let kk = k as i64 - eff_delta[inl.id.0] as i64;
-                            if let Some(v) = fvar(&f_vars, s.0, c, inl.id.0, kk) {
+                            if let Some(v) = flow(s, c, inl, k.checked_sub(grid.delay(inl))) {
                                 terms.push((v, 1.0));
                             }
                         }
@@ -430,7 +368,7 @@ impl MilpFormulation {
                             format!("flow[{s},{c},{node},{k},{}]", outl.dst),
                             &terms,
                             ConstraintOp::Ge,
-                            rhs,
+                            0.0,
                         );
                         flow_rows.push((row, (s.0, c, node.0, k)));
                     }
@@ -439,47 +377,36 @@ impl MilpFormulation {
         }
 
         // ----- Buffer evolution ----------------------------------------------
+        // The initial buffer (at epoch 1) and carried-over in-flight arrivals
+        // are rhs constants, written by the round writer.
         let mut buf_rows: Vec<(usize, (usize, usize, usize, usize))> = Vec::new();
         for &(s, c) in &commodities {
             for node in topology.gpus() {
-                if !is_buffered(s, c, node) {
-                    continue;
-                }
                 for k in 1..=k_max {
                     let b_k = match b_vars.get(&(s.0, c, node.0, k)) {
                         Some(v) => *v,
                         None => continue,
                     };
                     let mut terms: Vec<(VarId, f64)> = vec![(b_k, 1.0)];
-                    let mut rhs = 0.0;
-                    // Previous buffer value.
-                    if k == 1 {
-                        rhs += init_buffer(s, c, node);
-                    } else if let Some(&b_prev) = b_vars.get(&(s.0, c, node.0, k - 1)) {
+                    // Previous buffer value (none before epoch 1).
+                    if let Some(&b_prev) = b_vars.get(&(s.0, c, node.0, k - 1)) {
                         terms.push((b_prev, -1.0));
                     }
                     // Eviction (limited buffers, Appendix B).
                     if let Some(&x) = x_vars.get(&(s.0, c, node.0, k - 1)) {
                         terms.push((x, 1.0));
                     }
-                    // Arrivals: F into the node sent at k - eff_delta - 1.
+                    // Arrivals: F into the node sent at k - delay - 1.
                     for inl in topology.in_links(node) {
-                        let kk = k as i64 - eff_delta[inl.id.0] as i64 - 1;
-                        if let Some(v) = fvar(&f_vars, s.0, c, inl.id.0, kk) {
+                        if let Some(v) = flow(s, c, inl, k.checked_sub(grid.delay(inl) + 1)) {
                             terms.push((v, -1.0));
-                        }
-                    }
-                    // Carried-over in-flight arrivals joining at epoch k.
-                    for (fs, fc, fnode, vis) in &options.in_flight {
-                        if fs.0 == s.0 && *fc == c && fnode.0 == node.0 && *vis == k {
-                            rhs += 1.0;
                         }
                     }
                     let row = model.add_cons(
                         format!("buf[{s},{c},{node},{k}]"),
                         &terms,
                         ConstraintOp::Eq,
-                        rhs,
+                        0.0,
                     );
                     buf_rows.push((row, (s.0, c, node.0, k)));
                 }
@@ -507,33 +434,24 @@ impl MilpFormulation {
         }
 
         // ----- Destination constraints ----------------------------------------
+        // A read without a buffer to read from is pinned by the round writer.
         for (s, c, d) in demand.iter() {
             for k in 0..k_max {
-                let r = r_vars[&(s.0, c, d.0, k)];
-                match b_vars.get(&(s.0, c, d.0, k + 1)) {
-                    Some(&b) => {
-                        model.add_cons(
-                            format!("read[{s},{c},{d},{k}]"),
-                            &[(r, 1.0), (b, -1.0)],
-                            ConstraintOp::Le,
-                            0.0,
-                        );
-                    }
-                    None => {
-                        // The chunk cannot be at d by epoch k+1 (or the node is
-                        // not buffered there): no reward possible.
-                        if init_buffer(s, c, d) < 0.5 {
-                            model.set_bounds(r, 0.0, 0.0);
-                        }
-                    }
+                if let Some(&b) = b_vars.get(&(s.0, c, d.0, k + 1)) {
+                    model.add_cons(
+                        format!("read[{s},{c},{d},{k}]"),
+                        &[(r_vars[&(s.0, c, d.0, k)], 1.0), (b, -1.0)],
+                        ConstraintOp::Le,
+                        0.0,
+                    );
                 }
             }
             if !options.relax_completion {
                 // R[s,c,d,K-1] = D (§3.1): the demand must be met by the last
                 // epoch. Expressed as `>= 1` (the bound `<= 1` already holds);
                 // if the chunk structurally cannot reach `d` within K epochs
-                // the variable is fixed to 0 above and presolve proves the
-                // model infeasible.
+                // the variable is fixed to 0 and presolve proves the model
+                // infeasible.
                 let r_last = r_vars[&(s.0, c, d.0, k_max - 1)];
                 model.add_cons(
                     format!("done[{s},{c},{d}]"),
@@ -547,93 +465,57 @@ impl MilpFormulation {
         // ----- Hyper-edge constraints (Appendix C) -----------------------------
         for group in &options.hyperedge_groups {
             for k in 0..k_max {
-                let mut all_terms: Vec<(VarId, f64)> = Vec::new();
-                for l in &group.links {
-                    for &(s, c) in &commodities {
-                        if let Some(&v) = f_vars.get(&(s.0, c, l.0, k)) {
-                            all_terms.push((v, 1.0));
-                        }
-                    }
-                }
-                if !all_terms.is_empty() {
+                let terms = link_terms(&group.links, k);
+                if !terms.is_empty() {
                     model.add_cons(
                         format!("hyper_total[{},{k}]", group.switch_name),
-                        &all_terms,
+                        &terms,
                         ConstraintOp::Le,
                         group.max_concurrent as f64,
                     );
                 }
-                for (node, links) in &group.out_edges_of {
-                    let terms: Vec<(VarId, f64)> = links
-                        .iter()
-                        .flat_map(|l| {
-                            commodities
-                                .iter()
-                                .filter_map(|&(s, c)| {
-                                    f_vars.get(&(s.0, c, l.0, k)).map(|&v| (v, 1.0))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .collect();
-                    if !terms.is_empty() {
-                        model.add_cons(
-                            format!("hyper_out[{},{node},{k}]", group.switch_name),
-                            &terms,
-                            ConstraintOp::Le,
-                            1.0,
-                        );
-                    }
-                }
-                for (node, links) in &group.in_edges_of {
-                    let terms: Vec<(VarId, f64)> = links
-                        .iter()
-                        .flat_map(|l| {
-                            commodities
-                                .iter()
-                                .filter_map(|&(s, c)| {
-                                    f_vars.get(&(s.0, c, l.0, k)).map(|&v| (v, 1.0))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .collect();
-                    if !terms.is_empty() {
-                        model.add_cons(
-                            format!("hyper_in[{},{node},{k}]", group.switch_name),
-                            &terms,
-                            ConstraintOp::Le,
-                            1.0,
-                        );
+                for (side, edges) in [("out", &group.out_edges_of), ("in", &group.in_edges_of)] {
+                    for (node, links) in edges {
+                        let terms = link_terms(links, k);
+                        if !terms.is_empty() {
+                            model.add_cons(
+                                format!("hyper_{side}[{},{node},{k}]", group.switch_name),
+                                &terms,
+                                ConstraintOp::Le,
+                                1.0,
+                            );
+                        }
                     }
                 }
             }
         }
 
-        Ok(Self {
+        let mut form = Self {
             model,
             tau,
             num_epochs: k_max,
             chunk_bytes,
-            eff_delta,
             topology: topology.clone(),
+            grid,
             f_vars,
             b_vars,
             r_vars,
-            initial_holders,
+            initial_holders: Holders::new(),
             commodities,
-            pm,
             flow_rows,
             buf_rows,
             built_relax_completion: options.relax_completion,
             built_hyperedge_groups: options.hyperedge_groups.len(),
             layout: OnceLock::new(),
-        })
+        };
+        form.write_round(holders, options);
+        Ok(form)
     }
 
     /// Rewrites the round-varying parts of an already-built formulation —
-    /// variable bounds (reachability / frozen / first-epoch pins), objective
-    /// weights (terminal rewards), and flow/buffer right-hand sides — so the
-    /// model matches what [`MilpFormulation::build`] would produce for the new
-    /// `options`, without reallocating the model.
+    /// variable bounds, the terminal rewards, and flow/buffer right-hand
+    /// sides — so the model matches what [`MilpFormulation::build`] would
+    /// produce for the new `options`, without reallocating the model.
     ///
     /// This is the A* warm-round fast path: two rounds built from the same
     /// demand shape differ only in bounds, rhs and objective, and rebuilding
@@ -668,13 +550,12 @@ impl MilpFormulation {
         // The commodity list must match the built layout exactly (same
         // demand, same build order); a commodity introduced purely by
         // `extra_initial` would have added variables at build time.
-        let (commodities, initial_holders, extra_commodity) =
+        let (commodities, holders, extra_commodity) =
             round_holders(&self.topology, demand, &options.extra_initial);
         if extra_commodity || commodities != self.commodities {
             return false;
         }
         // The reward variables are keyed by the demand's triples.
-        let k_max = self.num_epochs;
         let mut triples = 0usize;
         for (s, c, d) in demand.iter() {
             if !self.r_vars.contains_key(&(s.0, c, d.0, 0)) {
@@ -682,29 +563,48 @@ impl MilpFormulation {
             }
             triples += 1;
         }
-        if triples * k_max != self.r_vars.len() {
+        if triples * self.num_epochs != self.r_vars.len() {
             return false;
         }
+        self.write_round(holders, options);
+        true
+    }
 
-        let pm = &self.pm;
-        let earliest = |s, c, n| earliest_epoch(pm, &initial_holders, &options.in_flight, s, c, n);
-        let init_buffer = |s, c, n| initial_buffer(&initial_holders, s, c, n);
+    /// Writes every round-dependent bound, rhs and reward of the laid-out
+    /// model for a round whose chunks are held by `holders` at epoch 0.
+    fn write_round(&mut self, holders: Holders, options: &MilpBuildOptions) {
+        let Self {
+            model,
+            num_epochs: k_max,
+            topology,
+            grid,
+            f_vars,
+            b_vars,
+            r_vars,
+            commodities,
+            flow_rows,
+            buf_rows,
+            ..
+        } = self;
+        let k_max = *k_max;
+        let earliest = |s, c, n| earliest_epoch(grid, &holders, &options.in_flight, s, c, n);
+        let init_buffer = |s, c, n| initial_buffer(&holders, s, c, n);
 
         // Flow bounds: frozen commodities, epochs before reachability, and
         // the first-epoch "can only send what is initially held" pin.
-        let frozen: std::collections::HashSet<(usize, usize)> =
+        let frozen: HashSet<(usize, usize)> =
             options.frozen.iter().map(|&(s, c)| (s.0, c)).collect();
-        for &(s, c) in &self.commodities {
+        for &(s, c) in commodities.iter() {
             let is_frozen = frozen.contains(&(s.0, c));
-            for link in &self.topology.links {
+            for link in &topology.links {
                 let e0 = earliest(s, c, link.src);
                 let first_pinned = init_buffer(s, c, link.src) < 0.5;
                 for k in 0..k_max {
-                    let v = self.f_vars[&(s.0, c, link.id.0, k)];
+                    let v = f_vars[&(s.0, c, link.id.0, k)];
                     if is_frozen || k < e0 || (k == 0 && first_pinned) {
-                        self.model.set_bounds(v, 0.0, 0.0);
+                        model.set_bounds(v, 0.0, 0.0);
                     } else {
-                        self.model.set_bounds(v, 0.0, 1.0);
+                        model.set_bounds(v, 0.0, 1.0);
                     }
                 }
             }
@@ -713,54 +613,56 @@ impl MilpFormulation {
         // Buffer bounds (reachability) and objective (terminal rewards only
         // ever land on `B[s,c,n,K]`, so clearing those resets the previous
         // round's rewards).
-        for (&(s, c, n, k), &v) in &self.b_vars {
+        for (&(s, c, n, k), &v) in b_vars.iter() {
             if k < earliest(NodeId(s), c, NodeId(n)).max(1) {
-                self.model.set_bounds(v, 0.0, 0.0);
+                model.set_bounds(v, 0.0, 0.0);
             } else {
-                self.model.set_bounds(v, 0.0, f64::INFINITY);
+                model.set_bounds(v, 0.0, f64::INFINITY);
             }
             if k == k_max {
-                self.model.set_obj(v, 0.0);
+                model.set_obj(v, 0.0);
             }
         }
         for (s, c, n, w) in &options.terminal_rewards {
-            if let Some(&b) = self.b_vars.get(&(s.0, *c, n.0, k_max)) {
-                let cur = self.model.vars[b.index()].obj;
-                self.model.set_obj(b, cur + w);
+            if let Some(&b) = b_vars.get(&(s.0, *c, n.0, k_max)) {
+                let cur = model.vars[b.index()].obj;
+                model.set_obj(b, cur + w);
             }
         }
 
         // Read bounds: a destination with no buffer variable at k+1 can only
         // collect the reward when it already holds the chunk.
-        for (&(s, c, d, k), &r) in &self.r_vars {
-            if !self.b_vars.contains_key(&(s, c, d, k + 1))
-                && init_buffer(NodeId(s), c, NodeId(d)) < 0.5
+        for (&(s, c, d, k), &r) in r_vars.iter() {
+            if !b_vars.contains_key(&(s, c, d, k + 1)) && init_buffer(NodeId(s), c, NodeId(d)) < 0.5
             {
-                self.model.set_bounds(r, 0.0, 0.0);
+                model.set_bounds(r, 0.0, 0.0);
             } else {
-                self.model.set_bounds(r, 0.0, 1.0);
+                model.set_bounds(r, 0.0, 1.0);
             }
         }
 
         // Right-hand sides carrying initial-buffer and in-flight constants.
-        for &(row, (s, c, n, k)) in &self.flow_rows {
+        for &(row, (s, c, n, k)) in flow_rows.iter() {
             let mut rhs = 0.0;
             if k == 0 {
                 rhs -= init_buffer(NodeId(s), c, NodeId(n));
             }
+            // In-flight chunks that joined the node by epoch k, where no
+            // buffer variable carries them (buffered nodes absorb arrivals in
+            // the buffer-evolution rows).
             for (fs, fc, fnode, vis) in &options.in_flight {
                 if fs.0 == s
                     && *fc == c
                     && fnode.0 == n
                     && *vis <= k
-                    && !self.b_vars.contains_key(&(s, c, n, k.max(1)))
+                    && !b_vars.contains_key(&(s, c, n, k.max(1)))
                 {
                     rhs -= 1.0;
                 }
             }
-            self.model.cons[row].rhs = rhs;
+            model.cons[row].rhs = rhs;
         }
-        for &(row, (s, c, n, k)) in &self.buf_rows {
+        for &(row, (s, c, n, k)) in buf_rows.iter() {
             let mut rhs = 0.0;
             if k == 1 {
                 rhs += init_buffer(NodeId(s), c, NodeId(n));
@@ -770,11 +672,10 @@ impl MilpFormulation {
                     rhs += 1.0;
                 }
             }
-            self.model.cons[row].rhs = rhs;
+            model.cons[row].rhs = rhs;
         }
 
-        self.initial_holders = initial_holders;
-        true
+        self.initial_holders = holders;
     }
 
     /// Solves the MILP with the limits taken from `config`.
@@ -863,10 +764,7 @@ impl MilpFormulation {
 
     /// The effective forwarding delay (in epochs) of the link `from -> to`.
     pub fn delta_of(&self, from: NodeId, to: NodeId) -> usize {
-        self.topology
-            .link_between(from, to)
-            .map(|l| self.eff_delta[l.id.0])
-            .unwrap_or(0)
+        self.grid.delay_between(&self.topology, from, to)
     }
 
     /// The initial holders of each `(source, chunk)` commodity.

@@ -12,9 +12,7 @@ use teccl_util::SolveBudget;
 
 use crate::astar::solve_astar_budgeted;
 use crate::config::{SolverConfig, SwitchModel};
-use crate::epochs::{
-    delta_epochs, epoch_duration, horizon_lower_bound, kappa_epochs, milp_horizon, HORIZON_SLACK,
-};
+use crate::epochs::{epoch_duration, horizon_lower_bound, milp_horizon, EpochGrid, HORIZON_SLACK};
 use crate::error::TeCclError;
 use crate::extract::{prune_sends, schedule_from_sends};
 use crate::lp_form::LpFormulation;
@@ -356,12 +354,10 @@ impl TeCcl {
             basis,
             self.budget.as_ref(),
         )?;
-        let delta_of = |a, b| {
-            topo.link_between(a, b)
-                .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
-                .unwrap_or(0)
-        };
-        let pruned = prune_sends(&out.sends, demand, &out.initial_holders, delta_of);
+        let grid = EpochGrid::new(&topo, chunk_bytes, tau);
+        let pruned = prune_sends(&out.sends, demand, &out.initial_holders, |a, b| {
+            grid.delay_between(&topo, a, b)
+        });
         let schedule = schedule_from_sends(
             "te-ccl-astar",
             chunk_bytes,

@@ -636,9 +636,9 @@ fn certify(
     // Large TE-CCL objectives are near-degenerate (masses of alternate
     // optima), which stalls pricing for thousands of iterations. A first pass
     // against deterministically perturbed costs breaks those ties; the pass
-    // with the true costs then certifies optimality, so correctness never
-    // rests on the perturbation. (Phase 1 is left unperturbed: its artificial
-    // objective is what drives feasibility.)
+    // with the true costs then certifies optimality, so the optimal *value*
+    // never rests on the perturbation. (Phase 1 is left unperturbed: its
+    // artificial objective is what drives feasibility.)
     if perturb && m > PERTURB_MIN_ROWS {
         let mut pcost = phase2_cost.clone();
         for (j, c) in pcost.iter_mut().enumerate().take(n) {
@@ -646,11 +646,17 @@ fn certify(
             let r = 1.0 + (h >> 40) as f64 / (1u64 << 24) as f64;
             *c += 1e-7 * r * (1.0 + c.abs());
         }
-        // The pre-pass is purely an accelerator: a perturbed "unbounded" ray
-        // may not be profitable under the real costs, and even an iteration
-        // limit here just means the true-cost pass starts from wherever the
-        // perturbed walk got to (still primal feasible). An exhausted budget
-        // is still recorded so callers can flag the row as uncertified.
+        // The pre-pass is not only an accelerator: it also picks *which*
+        // optimal vertex comes back among the alternate optima, and callers
+        // depend on that choice. Without it the three copy-free ALLTOALL LP
+        // benchmark keys solve faster but return different schedules, and
+        // six of seven A* ALLGATHER keys stop converging (EXPERIMENTS.md,
+        // "Solver path verdicts"). Its errors are soft: a perturbed
+        // "unbounded" ray may not be profitable under the real costs, and an
+        // iteration limit here just means the true-cost pass starts from
+        // wherever the perturbed walk got to (still primal feasible). An
+        // exhausted budget is still recorded so callers can flag the row as
+        // uncertified.
         match run_phase(state, &pcost, max_iters, budget) {
             Ok(_) => {}
             Err(LpError::IterationLimit(_)) => iteration_limit_hit = true,

@@ -5,11 +5,12 @@
 //! * **Single-flight**: identical concurrent cache misses collapse onto one
 //!   solve; every waiter receives the same `Arc`'d entry when it lands.
 //! * **Warm starts**: a completed solve publishes its final LP basis under
-//!   its `(family, size bucket)`; a later miss in the same family first looks
-//!   for a basis in its own bucket, then in neighbouring buckets, and feeds
-//!   it to [`teccl_core::TeCcl::solve_from`]. A basis whose shape no longer
-//!   matches (the neighbour bucket changed the epoch count, say) silently
-//!   degrades to a cold solve inside the LP layer.
+//!   its `(family, size bucket)`, in a book capped at four times the cache
+//!   capacity (oldest dropped first); a later miss in the same family
+//!   first looks for a basis in its own bucket, then in neighbouring
+//!   buckets, and feeds it to [`teccl_core::TeCcl::solve_from`]. A basis
+//!   whose shape no longer matches (the neighbour bucket changed the epoch
+//!   count, say) silently degrades to a cold solve inside the LP layer.
 //! * **Validation**: every solved schedule is validated and simulated before
 //!   it is cached or served; the service never hands out an unchecked
 //!   schedule, whether it came from a solver, memory, or disk.
@@ -306,12 +307,45 @@ struct State {
     /// owns the solve, `Coalesced` for the ones that joined it).
     inflight: HashMap<u64, Vec<(Sender<Reply>, CacheStatus)>>,
     cache: ScheduleCache,
-    /// `(family, size bucket)` → last published warm-start basis.
-    basis_book: HashMap<(u64, i64), SimplexBasis>,
+    basis_book: BasisBook,
     /// Names of the worker threads currently inside a solve.
     active: Vec<String>,
     stats: ServiceStats,
     shutdown: bool,
+}
+
+impl State {
+    /// Answers `request` without a solve of its own when it can: from an
+    /// in-memory entry — an exact one, or a degraded one for a caller with a
+    /// deadline (a patient caller re-solves for the exact answer, coalescing
+    /// onto the background upgrade if one is in flight) — or by joining the
+    /// identical solve already running or queued. Hands `tx` back when
+    /// neither applies.
+    fn serve_or_join(
+        &mut self,
+        key: RequestKey,
+        request: &SolveRequest,
+        tx: Sender<Reply>,
+    ) -> Option<Sender<Reply>> {
+        if let Some(entry) = self.cache.get(key.hash) {
+            if entry.quality == Quality::Exact || request.deadline.is_some() {
+                self.stats.hits += 1;
+                if entry.quality != Quality::Exact {
+                    self.stats.degraded += 1;
+                }
+                self.stats.cached_entries = self.cache.len() as u64;
+                let quality = entry.quality;
+                let _ = tx.send(Ok((entry, CacheStatus::Hit, quality)));
+                return None;
+            }
+        }
+        if let Some(waiters) = self.inflight.get_mut(&key.hash) {
+            waiters.push((tx, CacheStatus::Coalesced));
+            self.stats.coalesced += 1;
+            return None;
+        }
+        Some(tx)
+    }
 }
 
 struct Inner {
@@ -346,7 +380,7 @@ impl ScheduleService {
                 queue: VecDeque::new(),
                 inflight: HashMap::new(),
                 cache: ScheduleCache::new(config.cache_capacity),
-                basis_book: HashMap::new(),
+                basis_book: BasisBook::new(4 * config.cache_capacity.max(1)),
                 active: Vec::new(),
                 stats: ServiceStats::default(),
                 shutdown: false,
@@ -401,40 +435,21 @@ impl ScheduleService {
         self.ensure_workers();
         let key = request.key();
         let (tx, rx) = channel();
-        let disk = {
+        let (disk, tx) = {
             let mut st = lock_recover(&self.inner.state, LockRank::State);
             st.stats.requests += 1;
             if st.shutdown {
                 let _ = tx.send(Err(ServiceError::ShuttingDown));
                 return Ticket { rx };
             }
-            // 1. In-memory hit: reply immediately, no solver, no queue.
-            //    A degraded entry only satisfies deadline-bearing callers; a
-            //    patient caller re-solves for the exact answer (coalescing
-            //    onto the background upgrade if one is in flight).
-            if let Some(entry) = st.cache.get(key.hash) {
-                if entry.quality == Quality::Exact || request.deadline.is_some() {
-                    st.stats.hits += 1;
-                    if entry.quality != Quality::Exact {
-                        st.stats.degraded += 1;
-                    }
-                    st.stats.cached_entries = st.cache.len() as u64;
-                    let quality = entry.quality;
-                    let _ = tx.send(Ok((entry, CacheStatus::Hit, quality)));
-                    return Ticket { rx };
-                }
-            }
-            // 2. Single-flight: an identical solve is already running or
-            //    queued (checked before the disk probe so joiners never pay
-            //    for IO).
-            if let Some(waiters) = st.inflight.get_mut(&key.hash) {
-                waiters.push((tx, CacheStatus::Coalesced));
-                st.stats.coalesced += 1;
+            // 1–2. Memory hit or single-flight join, checked before the disk
+            //      probe so hits and joiners never pay for IO.
+            let Some(tx) = st.serve_or_join(key, &request, tx) else {
                 return Ticket { rx };
-            }
+            };
             // 3. No disk store: this request owns the solve.
             match self.inner.disk.as_ref() {
-                Some(d) => d,
+                Some(d) => (d, tx),
                 None => return self.enqueue_miss(st, request, key, tx, rx),
             }
         };
@@ -455,7 +470,7 @@ impl ScheduleService {
             let entry = Arc::new(entry);
             st.cache.insert(Arc::clone(&entry));
             if let Some(b) = basis {
-                st.basis_book.insert((key.family, key.size_bucket), b);
+                st.basis_book.insert(key, b);
             }
             st.stats.disk_hits += 1;
             st.stats.cached_entries = st.cache.len() as u64;
@@ -465,23 +480,9 @@ impl ScheduleService {
         }
         // Nothing on disk. The world may have moved while we probed:
         // re-check memory and in-flight before owning the solve.
-        if let Some(entry) = st.cache.get(key.hash) {
-            if entry.quality == Quality::Exact || request.deadline.is_some() {
-                st.stats.hits += 1;
-                if entry.quality != Quality::Exact {
-                    st.stats.degraded += 1;
-                }
-                st.stats.cached_entries = st.cache.len() as u64;
-                let quality = entry.quality;
-                let _ = tx.send(Ok((entry, CacheStatus::Hit, quality)));
-                return Ticket { rx };
-            }
-        }
-        if let Some(waiters) = st.inflight.get_mut(&key.hash) {
-            waiters.push((tx, CacheStatus::Coalesced));
-            st.stats.coalesced += 1;
+        let Some(tx) = st.serve_or_join(key, &request, tx) else {
             return Ticket { rx };
-        }
+        };
         self.enqueue_miss(st, request, key, tx, rx)
     }
 
@@ -531,7 +532,7 @@ impl ScheduleService {
 
     /// Clears the in-memory cache (and the on-disk store, if any); returns
     /// how many in-memory entries were dropped. Published warm-start bases
-    /// are kept — they are hints, not results.
+    /// are kept — they are hints, not results, and their book is capped.
     pub fn evict(&self) -> usize {
         let n = lock_recover(&self.inner.state, LockRank::State)
             .cache
@@ -619,7 +620,7 @@ fn worker_loop(inner: &Inner) {
                 }
                 st = wait_recover(&inner.work, st);
             };
-            let hint = warm_hint(&st.basis_book, job.key);
+            let hint = st.basis_book.warm_hint(job.key);
             if hint.is_some() {
                 st.stats.hinted_solves += 1;
             }
@@ -667,8 +668,7 @@ fn worker_loop(inner: &Inner) {
                         st.cache.insert(Arc::clone(entry));
                     }
                     if let Some(b) = basis {
-                        st.basis_book
-                            .insert((key.family, key.size_bucket), b.clone());
+                        st.basis_book.insert(key, b.clone());
                     }
                     if *quality <= Quality::Incumbent {
                         st.stats.solves += 1;
@@ -818,13 +818,46 @@ fn build_baseline(
 /// nearest neighbours (±1, ±2 half-octaves — beyond that the epoch count has
 /// almost certainly changed and the basis would only buy a failed warm
 /// attempt).
-fn warm_hint(book: &HashMap<(u64, i64), SimplexBasis>, key: RequestKey) -> Option<SimplexBasis> {
-    for delta in [0i64, -1, 1, -2, 2] {
-        if let Some(b) = book.get(&(key.family, key.size_bucket + delta)) {
-            return Some(b.clone());
+/// The published warm-start bases, one per `(family, size bucket)`. Clients
+/// choose the families, so the book is capped: past `cap` bases the oldest
+/// insertion is dropped first. Re-publishing a key replaces its basis and
+/// keeps its place in the order.
+struct BasisBook {
+    bases: HashMap<(u64, i64), SimplexBasis>,
+    order: VecDeque<(u64, i64)>,
+    cap: usize,
+}
+
+impl BasisBook {
+    fn new(cap: usize) -> Self {
+        Self {
+            bases: HashMap::new(),
+            order: VecDeque::new(),
+            cap,
         }
     }
-    None
+
+    /// Publishes `basis` as the latest one of `key`'s family and bucket.
+    fn insert(&mut self, key: RequestKey, basis: SimplexBasis) {
+        let slot = (key.family, key.size_bucket);
+        if self.bases.insert(slot, basis).is_none() {
+            self.order.push_back(slot);
+            if self.order.len() > self.cap {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.bases.remove(&oldest);
+                }
+            }
+        }
+    }
+
+    /// The basis for `key`: its own bucket's, else the nearest neighbouring
+    /// bucket's within two (−1, +1, −2, +2).
+    fn warm_hint(&self, key: RequestKey) -> Option<SimplexBasis> {
+        [0i64, -1, 1, -2, 2]
+            .iter()
+            .find_map(|delta| self.bases.get(&(key.family, key.size_bucket + delta)))
+            .cloned()
+    }
 }
 
 /// Runs one solve end to end: fault hooks, budget, dispatch, validate,
@@ -1132,6 +1165,35 @@ mod tests {
         );
         let again = svc.request(tiny_request()).unwrap();
         assert_eq!(again.cache, CacheStatus::Hit);
+    }
+
+    #[test]
+    fn basis_book_drops_the_oldest_past_its_cap() {
+        let cap = 4;
+        let mut book = BasisBook::new(cap);
+        let key = |family: u64| RequestKey {
+            family,
+            ..tiny_request().key()
+        };
+        let basis = |tag: usize| SimplexBasis {
+            basic: vec![tag],
+            status: Vec::new(),
+        };
+        for family in 0..cap as u64 + 3 {
+            book.insert(key(family), basis(family as usize));
+        }
+        assert_eq!(book.bases.len(), cap);
+        assert_eq!(book.order.len(), cap);
+        for family in 0..3 {
+            assert!(book.warm_hint(key(family)).is_none(), "family {family}");
+        }
+        for family in 3..cap as u64 + 3 {
+            assert_eq!(book.warm_hint(key(family)), Some(basis(family as usize)));
+        }
+        // Re-publishing a key replaces its basis without growing the book.
+        book.insert(key(3), basis(99));
+        assert_eq!(book.bases.len(), cap);
+        assert_eq!(book.warm_hint(key(3)), Some(basis(99)));
     }
 
     #[test]

@@ -74,6 +74,7 @@ fn main() {
     teccl_bench::bench_milp_dgx1_allgather(&mut h);
     bench_astar_allgather(&mut h);
     teccl_bench::bench_astar_internal2x8_allgather(&mut h);
+    teccl_bench::bench_lp_internal1x4_alltoall(&mut h);
     teccl_bench::bench_simplex_resolves(&mut h);
     teccl_bench::bench_dual_resolve(&mut h);
     teccl_bench::bench_degenerate_alltoall(&mut h);

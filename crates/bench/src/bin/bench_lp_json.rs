@@ -27,6 +27,9 @@ fn main() {
     // The `allgather_copy` A* key with the most rounds per request.
     teccl_bench::bench_astar_internal2x8_allgather(&mut h);
 
+    // The 16-GPU Table-4 ALLTOALL through `TeCcl::solve_lp`.
+    teccl_bench::bench_lp_internal1x4_alltoall(&mut h);
+
     teccl_bench::bench_simplex_resolves(&mut h);
     teccl_bench::bench_dual_resolve(&mut h);
     teccl_bench::bench_degenerate_alltoall(&mut h);
@@ -91,6 +94,7 @@ fn main() {
         "lp_form/internal2x2_alltoall",
         "core/milp_dgx1_allgather",
         "core/astar_internal2x8_allgather",
+        "core/lp_internal1x4_alltoall",
         "lp/degenerate_alltoall",
         "lp/lu_refactor_fill",
         "lp/dual_pivot_astar_round",

@@ -366,22 +366,14 @@ pub fn dual_resolve_fixture() -> (
 /// the presolved standard form of the internal2(2) ALLTOALL LP at a 16 MB
 /// output buffer — a reduced-scale proxy for the internal1(2)/internal2(3+)
 /// 16 MB instances whose primal-degenerate plateaus used to trip the
-/// iteration limit (ROADMAP item). Returns `(standard_form, num_vars,
+/// iteration limit (ROADMAP item). Built over the trivial symmetry group, so
+/// the row keeps timing the full degenerate walk the product's orbit-reduced
+/// LP no longer takes. Returns `(standard_form, num_vars,
 /// iteration_budget)`; the bench harness asserts the cold solve stays under
 /// the budget and never reports `iteration_limit_hit`.
 pub fn degenerate_alltoall_fixture() -> (teccl_lp::StandardForm, usize, usize) {
     let topo = teccl_topology::internal2(2);
-    let gpus: Vec<NodeId> = topo.gpus().collect();
-    let n = gpus.len();
-    let output_buffer = 16.0 * 1024.0 * 1024.0;
-    let transfer = output_buffer / (n as f64 - 1.0);
-    let demand = DemandMatrix::all_to_all(topo.num_nodes(), &gpus, 1);
-    let config = SolverConfig::early_stop();
-    let tau = teccl_core::epochs::epoch_duration(&topo, transfer, &config);
-    let k = teccl_core::epochs::estimate_num_epochs(&topo, &demand, transfer, tau);
-    let form =
-        teccl_core::lp_form::LpFormulation::build(&topo, &demand, transfer, &config, k.max(2), tau)
-            .expect("degenerate fixture builds");
+    let form = full_alltoall_lp(&topo, 16.0 * 1024.0 * 1024.0);
     let (red, post) = teccl_lp::presolve::presolve(&form.model).expect("presolve");
     let mut sf = teccl_lp::StandardForm::from_model(&red);
     post.relax_free_rows(&mut sf);
@@ -393,24 +385,38 @@ pub fn degenerate_alltoall_fixture() -> (teccl_lp::StandardForm, usize, usize) {
 
 /// Fixture for the `lp/internal1x2_alltoall` bench: the copy-free LP of the
 /// 8-GPU internal1(2) ALLTOALL — the two-chassis ring-plus-switch row — at a
-/// 4 MB output buffer so one solve stays in bench territory. Returns the
-/// formulation; callers solve `form.model`.
+/// 4 MB output buffer so one solve stays in bench territory. Built over the
+/// trivial symmetry group: the full 8-source LP, not the product's order-8
+/// quotient. Returns the formulation; callers solve `form.model`.
 pub fn internal1x2_alltoall_fixture() -> teccl_core::lp_form::LpFormulation {
-    let topo = teccl_topology::internal1(2);
+    full_alltoall_lp(&teccl_topology::internal1(2), 4.0 * 1024.0 * 1024.0)
+}
+
+/// The ALLTOALL LP of `topo` at `output_buffer` bytes over the trivial
+/// symmetry group, at the epoch estimate's horizon.
+fn full_alltoall_lp(topo: &Topology, output_buffer: f64) -> teccl_core::lp_form::LpFormulation {
     let gpus: Vec<NodeId> = topo.gpus().collect();
-    let n = gpus.len();
-    let output_buffer = 4.0 * 1024.0 * 1024.0;
-    let transfer = output_buffer / (n as f64 - 1.0);
+    let transfer = output_buffer / (gpus.len() as f64 - 1.0);
     let demand = DemandMatrix::all_to_all(topo.num_nodes(), &gpus, 1);
     let config = SolverConfig::early_stop();
-    let tau = teccl_core::epochs::epoch_duration(&topo, transfer, &config);
-    let k = teccl_core::epochs::estimate_num_epochs(&topo, &demand, transfer, tau);
-    teccl_core::lp_form::LpFormulation::build(&topo, &demand, transfer, &config, k.max(2), tau)
-        .expect("internal1x2 ALLTOALL fixture builds")
+    let tau = teccl_core::epochs::epoch_duration(topo, transfer, &config);
+    let k = teccl_core::epochs::estimate_num_epochs(topo, &demand, transfer, tau);
+    let group = teccl_core::symmetry::SymmetryGroup::trivial(topo);
+    teccl_core::lp_form::LpFormulation::build_over(
+        topo,
+        &demand,
+        transfer,
+        &config,
+        k.max(2),
+        tau,
+        group,
+    )
+    .expect("ALLTOALL fixture builds")
 }
 
 /// Fixture for the **LU refactorization** bench (`lp/lu_refactor_fill`):
-/// the optimal basis of the degenerate ALLTOALL instance as sparse columns,
+/// the optimal basis of the (full, trivial-group) degenerate ALLTOALL
+/// instance as sparse columns,
 /// ready for [`teccl_lp::LuFactors::factorize`]. Returns `(num_rows,
 /// basis_columns)`. A zero-valued phase-1 artificial surviving in the
 /// degenerate optimal basis is materialized as the unit column of its row.
@@ -605,6 +611,26 @@ pub fn bench_astar_internal2x8_allgather(h: &mut microbench::Harness) {
     let solver = TeCcl::new(request.topology, request.config);
     h.bench_function("core/astar_internal2x8_allgather", || {
         solver.solve_astar(&demand, chunk_bytes).unwrap();
+    });
+}
+
+/// The `core/lp_internal1x4_alltoall` row: [`TeCcl::solve_lp`] on the
+/// 16-GPU Table-4 ALLTOALL (internal1 x4, 1 chunk, 16 MiB output buffer,
+/// default config), sized as the service sizes it: horizon bound, symmetry
+/// search and the order-16 quotient LP. Over the full LP this solve took
+/// ~300 s and 143 577 pivots.
+pub fn bench_lp_internal1x4_alltoall(h: &mut microbench::Harness) {
+    let request = teccl_service::SolveRequest::new(
+        teccl_topology::internal1(4),
+        CollectiveKind::AllToAll,
+        1,
+        16.0 * 1024.0 * 1024.0,
+    )
+    .with_method(teccl_service::RequestMethod::Lp);
+    let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
+    let solver = TeCcl::new(request.topology, request.config);
+    h.bench_function("core/lp_internal1x4_alltoall", || {
+        solver.solve_lp(&demand, chunk_bytes).unwrap();
     });
 }
 

@@ -15,6 +15,8 @@
 //!   flow and buffer variables, supports copy; optimal but the least scalable.
 //! * [`lp_form`] — the linear program for copy-free demands such as ALLTOALL
 //!   (§4.1): per-source aggregated continuous flows; optimal and scalable.
+//!   It is built over a [`symmetry`] group, one representative per source
+//!   orbit.
 //! * [`astar`] — the A*-inspired time-partitioned solver (§4.2, Appendix D):
 //!   a sequence of smaller MILPs, each rewarded for moving chunks closer to
 //!   their destinations; scalable, supports copy, slightly sub-optimal.
@@ -47,6 +49,7 @@ pub mod lp_form;
 pub mod milp_form;
 pub mod solver;
 pub mod switch;
+pub mod symmetry;
 
 pub use config::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
 pub use error::TeCclError;

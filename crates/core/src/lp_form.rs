@@ -5,18 +5,25 @@
 //! of the MILP can be replaced by per-source *aggregate* continuous flows
 //! `F[s,(i,j),k]` (in chunk units). The result is an LP — polynomial-time
 //! solvable and far more scalable — that is still optimal for these demands.
+//!
+//! The model is the quotient by a [`SymmetryGroup`]: variables and per-source
+//! rows for one representative per source orbit, one capacity row per link
+//! orbit and one buffer row per node orbit (see [`crate::symmetry`] for why
+//! that is exact). Every value accessor answers for every source by mapping
+//! through the group; over the trivial group the model is the full one.
 
 use std::collections::HashMap;
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, Model, Sense, Solution, SolveStatus, VarId};
-use teccl_schedule::Send;
+use teccl_schedule::{ChunkId, Send};
 use teccl_topology::{NodeId, Topology};
 
 use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
 use crate::error::{check_demand, TeCclError};
 use crate::extract::decompose_source_flow;
+use crate::symmetry::SymmetryGroup;
 
 /// A fully built LP instance for one copy-free collective optimization.
 #[derive(Debug)]
@@ -30,11 +37,16 @@ pub struct LpFormulation {
     /// Chunk size in bytes.
     pub chunk_bytes: f64,
     topology: Topology,
-    /// `F[s, link, k]` variables.
+    /// The group the model is the quotient by.
+    group: SymmetryGroup,
+    /// Per node: the representative of its source orbit and the element
+    /// carrying the node back to it (`None` for non-sources).
+    carrier: Vec<Option<(NodeId, usize)>>,
+    /// `F[s, link, k]` variables of representative sources.
     f_vars: HashMap<(usize, usize, usize), VarId>,
-    /// `B[s, node, k]` variables (k in 0..=K).
+    /// `B[s, node, k]` variables (k in 0..=K) of representative sources.
     b_vars: HashMap<(usize, usize, usize), VarId>,
-    /// `r[s, d, k]` read variables.
+    /// `r[s, d, k]` read variables of representative sources.
     r_vars: HashMap<(usize, usize, usize), VarId>,
     /// Per-link α-delay in epochs.
     delta: Vec<usize>,
@@ -42,7 +54,7 @@ pub struct LpFormulation {
 
 impl LpFormulation {
     /// Builds the LP for `demand` on `topology` with `num_epochs` epochs of
-    /// duration `tau`.
+    /// duration `tau`, over the group [`SymmetryGroup::find`] returns.
     ///
     /// The demand should not benefit from copy; if it does, the LP still
     /// produces a valid schedule but a sub-optimal one (each copy is sent
@@ -56,6 +68,30 @@ impl LpFormulation {
         num_epochs: usize,
         tau: f64,
     ) -> Result<Self, TeCclError> {
+        let group = SymmetryGroup::find(topology, demand, chunk_bytes, tau, None)?;
+        Self::build_over(
+            topology,
+            demand,
+            chunk_bytes,
+            config,
+            num_epochs,
+            tau,
+            group,
+        )
+    }
+
+    /// [`LpFormulation::build`] over a given `group`, which must be a
+    /// symmetry group of this instance ([`SymmetryGroup::find`],
+    /// [`SymmetryGroup::generated_by`] or [`SymmetryGroup::trivial`]).
+    pub fn build_over(
+        topology: &Topology,
+        demand: &DemandMatrix,
+        chunk_bytes: f64,
+        config: &SolverConfig,
+        num_epochs: usize,
+        tau: f64,
+        group: SymmetryGroup,
+    ) -> Result<Self, TeCclError> {
         check_demand(topology, demand)?;
 
         let k_max = num_epochs;
@@ -68,11 +104,18 @@ impl LpFormulation {
             .map(|l| delta_epochs(l, tau))
             .collect();
 
-        // Sources with anything to send.
-        let sources: Vec<NodeId> = topology
+        // Sources with anything to send, and one representative per orbit.
+        let all_sources: Vec<NodeId> = topology
             .gpus()
             .filter(|&s| demand.demand_of_source(s) > 0)
             .collect();
+        let carrier = group.carriers(&all_sources);
+        let sources: Vec<NodeId> = all_sources
+            .into_iter()
+            .filter(|s| carrier[s.0].is_some_and(|(rep, _)| rep == *s))
+            .collect();
+        // Each representative's reads stand for its whole orbit's.
+        let orbit = group.order() as f64;
 
         let mut model = Model::new(Sense::Maximize);
         let mut f_vars = HashMap::new();
@@ -119,7 +162,7 @@ impl LpFormulation {
                     continue;
                 }
                 for k in 0..k_max {
-                    let weight = 1.0 / (k as f64 + 1.0);
+                    let weight = orbit / (k as f64 + 1.0);
                     let v =
                         model.add_var(format!("r[{s},{d},{k}]"), 0.0, f64::INFINITY, weight, false);
                     r_vars.insert((s.0, d.0, k), v);
@@ -232,13 +275,35 @@ impl LpFormulation {
         }
 
         // ----- Capacity -----------------------------------------------------------
+        // One row per link orbit: the flow of source `g s` on link `l` is the
+        // representative `s`'s flow on `g⁻¹ l`, so the row of `l` sums each
+        // representative's flows over the images of `l` with multiplicity.
+        // The same holds for buffers and node orbits.
+        let orbit_terms = |vars: &HashMap<(usize, usize, usize), VarId>, images: &[usize], k| {
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for s in &sources {
+                for &at in images {
+                    let Some(&v) = vars.get(&(s.0, at, k)) else {
+                        continue;
+                    };
+                    match terms.iter_mut().find(|(u, _)| *u == v) {
+                        Some((_, coef)) => *coef += 1.0,
+                        None => terms.push((v, 1.0)),
+                    }
+                }
+            }
+            terms
+        };
         for link in &topology.links {
+            let images: Vec<usize> = (0..group.order())
+                .map(|g| group.link(g, link.id.0))
+                .collect();
+            if images.iter().any(|&l| l < link.id.0) {
+                continue; // not the lowest-numbered link of its orbit
+            }
             let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
             for k in 0..k_max {
-                let terms: Vec<(VarId, f64)> = sources
-                    .iter()
-                    .filter_map(|s| f_vars.get(&(s.0, link.id.0, k)).map(|&v| (v, 1.0)))
-                    .collect();
+                let terms = orbit_terms(&f_vars, &images, k);
                 if !terms.is_empty() {
                     model.add_cons(
                         format!("cap[{}->{},{k}]", link.src, link.dst),
@@ -253,11 +318,12 @@ impl LpFormulation {
         // ----- Buffer size limit (Appendix B, LP variant) --------------------------
         if let BufferMode::LimitedChunks(limit) = config.buffer_mode {
             for n in topology.gpus() {
+                let images: Vec<usize> = (0..group.order()).map(|g| group.node(g, n).0).collect();
+                if images.iter().any(|&m| m < n.0) {
+                    continue;
+                }
                 for k in 1..=k_max {
-                    let terms: Vec<(VarId, f64)> = sources
-                        .iter()
-                        .filter_map(|s| b_vars.get(&(s.0, n.0, k)).map(|&v| (v, 1.0)))
-                        .collect();
+                    let terms = orbit_terms(&b_vars, &images, k);
                     if !terms.is_empty() {
                         model.add_cons(
                             format!("buflimit[{n},{k}]"),
@@ -296,6 +362,8 @@ impl LpFormulation {
             num_epochs: k_max,
             chunk_bytes,
             topology: topology.clone(),
+            group,
+            carrier,
             f_vars,
             b_vars,
             r_vars,
@@ -349,34 +417,73 @@ impl LpFormulation {
             .unwrap_or(0)
     }
 
-    /// Amount of source-`s` data node `d` reads in epoch `k` (chunk units).
-    pub fn read_value(&self, solution: &Solution, s: NodeId, d: NodeId, k: usize) -> f64 {
-        self.r_vars
-            .get(&(s.0, d.0, k))
+    /// The group the model is the quotient by.
+    pub fn group(&self) -> &SymmetryGroup {
+        &self.group
+    }
+
+    /// The value of `vars[(rep, at(h), k)]`, where the element `h` carries
+    /// `s` back to its representative `rep`: source `s`'s variable read
+    /// through the group (0 for a non-source).
+    fn mapped(
+        &self,
+        solution: &Solution,
+        vars: &HashMap<(usize, usize, usize), VarId>,
+        s: NodeId,
+        at: impl Fn(usize) -> usize,
+        k: usize,
+    ) -> f64 {
+        let Some((rep, h)) = self.carrier.get(s.0).copied().flatten() else {
+            return 0.0;
+        };
+        vars.get(&(rep.0, at(h), k))
             .map(|v| solution.values[v.index()])
             .unwrap_or(0.0)
     }
 
+    /// Amount of source-`s` data node `d` reads in epoch `k` (chunk units).
+    pub fn read_value(&self, solution: &Solution, s: NodeId, d: NodeId, k: usize) -> f64 {
+        self.mapped(solution, &self.r_vars, s, |g| self.group.node(g, d).0, k)
+    }
+
     /// Flow of source-`s` data on a link at epoch `k` (chunk units).
     pub fn flow_value(&self, solution: &Solution, s: NodeId, link: usize, k: usize) -> f64 {
-        self.f_vars
-            .get(&(s.0, link, k))
-            .map(|v| solution.values[v.index()])
-            .unwrap_or(0.0)
+        self.mapped(solution, &self.f_vars, s, |g| self.group.link(g, link), k)
     }
 
     /// Amount of source-`s` data buffered at node `n` at the start of epoch
     /// `k` (chunk units).
     pub fn buffer_value(&self, solution: &Solution, s: NodeId, n: NodeId, k: usize) -> f64 {
-        self.b_vars
-            .get(&(s.0, n.0, k))
-            .map(|v| solution.values[v.index()])
-            .unwrap_or(0.0)
+        self.mapped(solution, &self.b_vars, s, |g| self.group.node(g, n).0, k)
+    }
+
+    /// `solution` unrolled onto `full`, a build of the same instance over the
+    /// trivial group: every variable of `full` at the value this formulation
+    /// gives it through the group.
+    pub fn unroll(&self, solution: &Solution, full: &LpFormulation) -> Vec<f64> {
+        let mut x = vec![0.0; full.model.num_vars()];
+        for (&(s, l, k), v) in &full.f_vars {
+            x[v.index()] = self.flow_value(solution, NodeId(s), l, k);
+        }
+        for (&(s, n, k), v) in &full.b_vars {
+            x[v.index()] = self.buffer_value(solution, NodeId(s), NodeId(n), k);
+        }
+        for (&(s, d, k), v) in &full.r_vars {
+            x[v.index()] = self.read_value(solution, NodeId(s), NodeId(d), k);
+        }
+        x
     }
 
     /// Converts the LP rate solution into an executable per-chunk schedule by
     /// decomposing each source's time-expanded flow into paths and assigning
     /// each demanded chunk to one path (§4.1's rate-to-schedule step).
+    ///
+    /// Only representatives are decomposed; every element `g` of the group
+    /// carries a representative's sends to source `g s`, mapping the `j`-th
+    /// chunk `s` sends `d` to the `j`-th chunk `g s` sends `g d`. The schedule
+    /// is then as symmetric as the solution, where decomposing each source's
+    /// (equally optimal) image flows on its own would break ties differently
+    /// per source and collide on links.
     pub fn extract_sends(&self, solution: &Solution, demand: &DemandMatrix) -> Vec<Send> {
         let link_endpoints: HashMap<usize, (NodeId, NodeId)> = self
             .topology
@@ -384,10 +491,15 @@ impl LpFormulation {
             .iter()
             .map(|l| (l.id.0, (l.src, l.dst)))
             .collect();
+        let chunks_of = |s: NodeId, d: NodeId| -> Vec<usize> {
+            (0..demand.num_chunks)
+                .filter(|&c| demand.wants(s, c, d))
+                .collect()
+        };
         let mut all = Vec::new();
         for s in self.topology.gpus() {
-            if demand.demand_of_source(s) == 0 {
-                continue;
+            if self.carrier[s.0] != Some((s, 0)) {
+                continue; // not a representative (element 0 is the identity)
             }
             let mut flows: HashMap<(usize, usize), f64> = HashMap::new();
             for link in &self.topology.links {
@@ -400,22 +512,46 @@ impl LpFormulation {
             }
             let mut chunks_for_dest: HashMap<NodeId, Vec<usize>> = HashMap::new();
             for d in self.topology.gpus() {
-                let chunks: Vec<usize> = (0..demand.num_chunks)
-                    .filter(|&c| demand.wants(s, c, d))
-                    .collect();
+                let chunks = chunks_of(s, d);
                 if !chunks.is_empty() {
                     chunks_for_dest.insert(d, chunks);
                 }
             }
             let delta = self.delta.clone();
-            all.extend(decompose_source_flow(
+            let sends = decompose_source_flow(
                 s,
                 &chunks_for_dest,
                 &flows,
                 &link_endpoints,
                 |l| delta[l],
                 self.num_epochs,
-            ));
+            );
+            // `decompose_source_flow` emits each chunk's path whole, so the
+            // destination of a send is the end of its path: the last send
+            // of the same chunk before the next path starts.
+            let mut dest = vec![NodeId(0); sends.len()];
+            for i in (0..sends.len()).rev() {
+                let ends_path = i + 1 == sends.len()
+                    || sends[i + 1].chunk != sends[i].chunk
+                    || sends[i + 1].from != sends[i].to;
+                dest[i] = if ends_path { sends[i].to } else { dest[i + 1] };
+            }
+            for g in 0..self.group.order() {
+                let image = self.group.node(g, s);
+                for (send, &d) in sends.iter().zip(&dest) {
+                    let j = chunks_for_dest[&d]
+                        .iter()
+                        .position(|&c| c == send.chunk.chunk)
+                        .expect("a path ends at a destination of its chunk");
+                    let chunk = chunks_of(image, self.group.node(g, d))[j];
+                    all.push(Send {
+                        chunk: ChunkId::new(image, chunk),
+                        from: self.group.node(g, send.from),
+                        to: self.group.node(g, send.to),
+                        epoch: send.epoch,
+                    });
+                }
+            }
         }
         all
     }

@@ -18,6 +18,7 @@ use crate::extract::{prune_sends, schedule_from_sends};
 use crate::lp_form::LpFormulation;
 use crate::milp_form::{MilpBuildOptions, MilpFormulation};
 use crate::switch::hyperedge_transform;
+use crate::symmetry::SymmetryGroup;
 
 /// Which formulation produced a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,8 +300,18 @@ impl TeCcl {
             .max_epochs
             .unwrap_or(bound + HORIZON_SLACK)
             .max(bound);
+        // The group depends on τ and the chunk size, not on the horizon.
+        let group = SymmetryGroup::find(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
         self.climb_horizons(first, |k| {
-            let form = LpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau)?;
+            let form = LpFormulation::build_over(
+                &topo,
+                demand,
+                chunk_bytes,
+                &self.config,
+                k,
+                tau,
+                group.clone(),
+            )?;
             self.check_budget()?;
             let sol = form.solve_budgeted(basis, self.budget.as_ref())?;
             let sends = form.extract_sends(&sol, demand);

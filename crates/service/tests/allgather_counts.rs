@@ -19,7 +19,18 @@
 //! and its simulated transfer time to the bit.
 //!
 //! The `alltoall_lp` rows were recorded on the solver before the simplex's
-//! one start ladder, which had to reproduce them.
+//! one start ladder, which had to reproduce them, and re-pinned when the LP
+//! became the quotient by its symmetry group (`teccl_core::symmetry`) and
+//! its schedule the images of the representatives' paths. Each is a smaller
+//! LP with the same optimum whose walk ends at another optimal vertex, and
+//! each must schedule at least as fast as the full LP did
+//! ([`FULL_LP_TRANSFER`]):
+//! * `dgx1`: order-8 group, 1 567 → 154 pivots; 179 → 192 sends at the same
+//!   transfer time to the bit (480.0 µs).
+//! * `internal2x3`: order-6 group, 2 951 → 274 pivots; 170 → 168 sends,
+//!   1 746.3 → 1 477.9 µs.
+//! * `internal1x2`: order-8 group, 5 951 → 382 pivots; 329 → 280 sends,
+//!   1 296.3 → 960.2 µs.
 //!
 //! Release-only (tens of seconds in a debug build, ~2 s in release); CI runs
 //! it with `--release -- --ignored`.
@@ -55,9 +66,17 @@ const SHAPES: [Shape; 11] = [
     (AG, "dgx2", 1, RequestMethod::AStar, [5978, 4750, 6, 32], 256, 0x3f29d906046709da),
     (AG, "internal1x4", 1, RequestMethod::AStar, [4543, 3968, 11, 35], 256, 0x3f5ecc71f07e7bbb),
     (AG, "dgx1", 1, RequestMethod::Milp, [491, 398, 1, 4], 56, 0x3f32e507848bbf9f),
-    (A2A, "dgx1", 2, RequestMethod::Lp, [1567, 0, 0, 24], 179, 0x3f3f75e2e0d11dab),
-    (A2A, "internal2x3", 2, RequestMethod::Lp, [2951, 0, 0, 61], 170, 0x3f5c9ca40ec6e095),
-    (A2A, "internal1x2", 2, RequestMethod::Lp, [5951, 0, 0, 138], 329, 0x3f553d41074fd49f),
+    (A2A, "dgx1", 2, RequestMethod::Lp, [154, 0, 0, 5], 192, 0x3f3f75e2e0d11dab),
+    (A2A, "internal2x3", 2, RequestMethod::Lp, [274, 0, 0, 5], 168, 0x3f5836bdae7b6610),
+    (A2A, "internal1x2", 2, RequestMethod::Lp, [382, 0, 0, 5], 280, 0x3f4f76b9a065f390),
+];
+
+/// The `alltoall_lp` rows' simulated transfer times (f64 bits) over the full
+/// LP, before the orbit reduction.
+const FULL_LP_TRANSFER: [(&str, u64); 3] = [
+    ("dgx1", 0x3f3f75e2e0d11dab),
+    ("internal2x3", 0x3f5c9ca40ec6e095),
+    ("internal1x2", 0x3f553d41074fd49f),
 ];
 
 #[test]
@@ -79,6 +98,15 @@ fn benchmark_shapes_keep_their_pivot_counts() {
         assert!(report.is_valid(), "{name} c{chunks}: {report:?}");
         let sim = simulate(&outcome.topology_used, &demand, &outcome.schedule)
             .unwrap_or_else(|e| panic!("{name} c{chunks}: {e:?}"));
+        let full_lp = FULL_LP_TRANSFER
+            .iter()
+            .find(|(n, _)| method == RequestMethod::Lp && *n == name);
+        if let Some(&(_, full)) = full_lp {
+            assert!(
+                sim.transfer_time <= f64::from_bits(full),
+                "{name} c{chunks}: slower than the full LP's schedule"
+            );
+        }
         assert_eq!(
             (outcome.schedule.sends.len(), sim.transfer_time.to_bits()),
             (sends, transfer_bits),

@@ -1,14 +1,12 @@
-//! Quick LP/MILP micro-bench harness emitting machine-readable results.
-//!
-//! Runs the solver-critical benchmarks (a reduced-time version of
-//! `benches/solver_benches.rs`) and writes `BENCH_lp.json` — a `{name:
-//! median_ns}` object — so the perf trajectory of the LP hot path is tracked
-//! across PRs with `cargo run -p teccl-bench --release --bin bench_lp_json`.
+//! The micro-benchmark runner: times every `teccl_bench::bench_*` row and
+//! writes `BENCH_lp.json` — a `{name: median_ns}` object — so the perf
+//! trajectory of the solver and service hot paths is tracked across PRs with
+//! `cargo run -p teccl-bench --release --bin bench_lp_json`. The gated rows
+//! abort the run on a regression against the committed file.
 
 use std::time::Duration;
 
 use teccl_bench::microbench::{BenchConfig, Harness};
-use teccl_bench::{print_table, solver_stats_rows, SOLVER_STATS_HEADERS};
 
 fn main() {
     let mut h = Harness::new(BenchConfig {
@@ -42,15 +40,7 @@ fn main() {
     teccl_bench::bench_internal1x2_alltoall(&mut h);
     teccl_bench::bench_presolve_warm_rounds(&mut h);
     teccl_bench::bench_service(&mut h);
-
-    // Solver counters alongside the timings: the warm/cold split is the perf
-    // claim, so regressions must be visible here too.
-    print_table(
-        "Solver stats",
-        &["scenario"],
-        &SOLVER_STATS_HEADERS,
-        &solver_stats_rows(),
-    );
+    teccl_bench::bench_simulator(&mut h);
 
     // LU fill-in of the degenerate instance's optimal basis: the metric the
     // Markowitz tie-breaking in `LuFactors::factorize` optimizes. Tracked in

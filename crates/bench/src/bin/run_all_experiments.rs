@@ -1,117 +1,31 @@
-//! Runs the fast subset of every experiment in sequence (the full per-figure
-//! binaries allow larger sweeps). Useful for regenerating EXPERIMENTS.md.
-use teccl_bench::*;
+//! Prints the paper's tables and figures from the [`teccl_bench::TABLES`]
+//! registry: every entry at its quick arguments by default,
+//! `--only fig1,table4,…` for a subset, `--full` for the larger sweeps.
+//! Exits non-zero when a name is unknown or any printed row is labelled
+//! `(ITER-LIMIT)` (an uncertified incumbent).
+use teccl_bench::{print_table, select_tables, ITER_LIMIT_MARK};
 
 fn main() {
-    print_table(
-        "Figure 2",
-        &["transfer"],
-        &["transfer_MB", "relative_error_%"],
-        &fig2_rows(&[10e3, 1e6, 10e6]),
-    );
-    print_table(
-        "Table 3",
-        &["collective, #chunks"],
-        &["sccl_us", "teccl_us"],
-        &table3_rows(2),
-    );
-    let sizes = [4.0 * 1024.0 * 1024.0, 64.0 * 1024.0];
-    print_table(
-        "Figures 4 & 5",
-        &["topology", "collective", "output_buffer"],
-        &[
-            "bw_improvement_%",
-            "solver_speedup_%",
-            "teccl_GBps",
-            "taccl_GBps",
-            "teccl_solver_s",
-            "taccl_solver_s",
-        ],
-        &fig4_fig5_rows(&sizes),
-    );
-    print_table(
-        "Figure 6",
-        &["chassis"],
-        &[
-            "solver_speedup_%",
-            "bw_improvement_%",
-            "teccl_solver_s",
-            "taccl_solver_s",
-        ],
-        &fig6_rows(&[2, 3], 1024.0 * 1024.0),
-    );
-    print_table(
-        "Table 4",
-        &["case"],
-        &[
-            "gpus",
-            "EM",
-            "solver_s",
-            "transfer_us",
-            "simplex_iters",
-            "warm_starts",
-            "cold_starts",
-            "cols_fixed",
-            "rows_freed",
-            "node_tight",
-            "iter_limit",
-        ],
-        &table4_rows(),
-    );
-    print_table(
-        "Figure 7",
-        &["topology", "size"],
-        &["size_MB", "with_copy_ms", "no_copy_ms"],
-        &fig7_rows(&[1e6, 16e6]),
-    );
-    print_table(
-        "Figure 8",
-        &["case"],
-        &["solver_delta_%", "transfer_delta_%", "small_us", "large_us"],
-        &fig8_rows(),
-    );
-    print_table(
-        "Figure 9",
-        &["case"],
-        &[
-            "solver_speedup_%",
-            "transfer_delta_%",
-            "with_us",
-            "without_us",
-        ],
-        &fig9_rows(),
-    );
-    print_table(
-        "A* vs OPT",
-        &["alpha", "chunks"],
-        &["astar_s", "opt_s", "astar_us", "opt_us"],
-        &astar_vs_opt_rows(2, 1),
-    );
-    print_table(
-        "Table 7",
-        &["collective"],
-        &["sccl_s", "teccl_s", "transfer_diff_%"],
-        &table7_rows(2),
-    );
-    print_table(
-        "Solver stats",
-        &["scenario"],
-        &SOLVER_STATS_HEADERS,
-        &solver_stats_rows(),
-    );
-    print_table(
-        "Table 8",
-        &["collective", "size"],
-        &[
-            "ED_us",
-            "CT_us",
-            "ST_s",
-            "AB_GBps",
-            "taccl_CT_us",
-            "taccl_ST_s",
-            "taccl_AB_GBps",
-            "improvement_%",
-        ],
-        &table8_rows(&[4.0 * 1024.0 * 1024.0, 64.0 * 1024.0]),
-    );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (tables, full) = select_tables(&args).unwrap_or_else(|msg| {
+        eprintln!("run_all_experiments: {msg}");
+        std::process::exit(2);
+    });
+    let mut uncertified = Vec::new();
+    for table in tables {
+        let rows = table.rows(full);
+        print_table(table.title, table.label_headers, table.value_headers, &rows);
+        uncertified.extend(
+            rows.iter()
+                .filter(|r| r.hit_iteration_limit())
+                .map(|r| format!("{}: {}", table.name, r.labels.join(", "))),
+        );
+    }
+    if !uncertified.is_empty() {
+        eprintln!("\nrows marked {ITER_LIMIT_MARK} rest on an uncertified incumbent (simplex budget hit):");
+        for row in &uncertified {
+            eprintln!("  {row}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -2,9 +2,11 @@
 //! # teccl-bench
 //!
 //! The experiment harness: one function per table/figure of the paper's
-//! evaluation (§6, Appendices G/H), each returning printable rows, plus thin
-//! binaries (`src/bin/exp_*.rs`) that print them. Criterion micro-benchmarks
-//! for the solver live in `benches/`.
+//! evaluation (§6, Appendices G/H), each returning printable rows, and one
+//! registry of them, [`TABLES`], that `run_all_experiments [--only a,b,…]
+//! [--full]` prints. The `bench_*` functions are the micro-benchmark rows
+//! `bench_lp_json` times on the in-tree [`microbench`] harness and records in
+//! `BENCH_lp.json`.
 //!
 //! Scale note: the paper solves its largest instances with Gurobi on an
 //! 80-core, 512 GB machine; this reproduction ships its own simplex/B&B
@@ -18,7 +20,7 @@ pub mod microbench;
 use std::time::Duration;
 
 use teccl_baselines::{
-    sccl_like_schedule, shortest_path_schedule, taccl_like_schedule, TacclConfig,
+    ring_all_gather, sccl_like_schedule, shortest_path_schedule, taccl_like_schedule, TacclConfig,
 };
 use teccl_collective::chunk::format_size;
 use teccl_collective::{CollectiveKind, DemandMatrix};
@@ -33,6 +35,45 @@ pub struct Row {
     pub labels: Vec<String>,
     /// Numeric columns, printed in order after the labels.
     pub values: Vec<f64>,
+}
+
+impl Row {
+    /// Whether the row is labelled [`ITER_LIMIT_MARK`]: its numbers rest on
+    /// an uncertified incumbent.
+    pub fn hit_iteration_limit(&self) -> bool {
+        self.labels.iter().any(|l| l.ends_with(ITER_LIMIT_MARK))
+    }
+}
+
+/// One table or figure of the paper's evaluation: its title and headers,
+/// declared once, and its rows at two argument sets — `quick` (what
+/// `run_all_experiments` prints by default) and `full` (the larger sweeps
+/// `--full` selects).
+#[derive(Debug, Clone, Copy)]
+pub struct Table {
+    /// The name `--only` selects it by.
+    pub name: &'static str,
+    /// The printed title.
+    pub title: &'static str,
+    /// Headers of [`Row::labels`], in order.
+    pub label_headers: &'static [&'static str],
+    /// Headers of [`Row::values`], in order.
+    pub value_headers: &'static [&'static str],
+    /// The rows at the quick arguments.
+    pub quick: fn() -> Vec<Row>,
+    /// The rows at the full arguments.
+    pub full: fn() -> Vec<Row>,
+}
+
+impl Table {
+    /// Computes the rows at the full or the quick arguments.
+    pub fn rows(&self, full: bool) -> Vec<Row> {
+        if full {
+            (self.full)()
+        } else {
+            (self.quick)()
+        }
+    }
 }
 
 /// Prints rows as an aligned table with a header.
@@ -74,8 +115,9 @@ pub enum Method {
     AStar,
 }
 
-/// The result of running one scheduler on one scenario.
-#[derive(Debug, Clone)]
+/// The result of running one scheduler on one scenario (the solver counters
+/// stay zero for the baselines).
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Scheduler name.
     pub solver: String,
@@ -198,8 +240,8 @@ pub fn run_teccl(scenario: &Scenario, config: &SolverConfig, method: Method) -> 
     })
 }
 
-/// Per-run solver counters for the headline solver scenarios, printed by the
-/// experiment runners so perf regressions (iteration blow-ups, lost warm
+/// Per-run solver counters for the headline solver scenarios (the
+/// `solver_stats` table), so perf regressions (iteration blow-ups, lost warm
 /// starts, lost presolve reductions) are visible in experiment output, not
 /// just in wall-clock noise. Row values: `[solver_s, simplex_iters,
 /// dual_iters, bb_nodes, factorizations, warm_starts, cold_starts,
@@ -264,27 +306,16 @@ pub fn solver_stats_rows() -> Vec<Row> {
     rows
 }
 
-/// Header set matching [`solver_stats_rows`].
-pub const SOLVER_STATS_HEADERS: [&str; 10] = [
-    "solver_s",
-    "simplex_iters",
-    "dual_iters",
-    "bb_nodes",
-    "factorizations",
-    "warm_starts",
-    "cold_starts",
-    "cols_fixed",
-    "rows_freed",
-    "node_tight",
-];
+/// The label suffix of a row whose run exhausted a simplex iteration budget.
+pub const ITER_LIMIT_MARK: &str = "(ITER-LIMIT)";
 
-/// Appends an explicit `(ITER-LIMIT)` marker to a row label when the run
-/// exhausted a simplex iteration budget — such rows rest on an uncertified
-/// incumbent and must never be printed as if the solver converged.
+/// Appends [`ITER_LIMIT_MARK`] to a row label when the run exhausted a
+/// simplex iteration budget — such rows rest on an uncertified incumbent and
+/// must never be printed as if the solver converged.
 pub fn mark_iteration_limit(label: impl Into<String>, hit: bool) -> String {
     let label = label.into();
     if hit {
-        format!("{label} (ITER-LIMIT)")
+        format!("{label} {ITER_LIMIT_MARK}")
     } else {
         label
     }
@@ -935,6 +966,23 @@ pub fn bench_service(h: &mut microbench::Harness) {
     fb_svc.shutdown();
 }
 
+/// The `simulator/dgx1_ring_allgather` row: the α–β simulator on a DGX-1
+/// ring ALLGATHER schedule with 1 MB chunks — the check the service runs on
+/// every schedule it solves.
+pub fn bench_simulator(h: &mut microbench::Harness) {
+    let topo = teccl_topology::dgx1();
+    let gpus: Vec<NodeId> = topo.gpus().collect();
+    let demand = DemandMatrix::all_gather(topo.num_nodes(), &gpus, 1);
+    let ring_order: Vec<NodeId> = [0usize, 1, 2, 3, 7, 6, 5, 4]
+        .iter()
+        .map(|&i| gpus[i])
+        .collect();
+    let schedule = ring_all_gather(&topo, &ring_order, 1, 1e6).expect("ring schedule builds");
+    h.bench_function("simulator/dgx1_ring_allgather", || {
+        simulate(&topo, &demand, &schedule).unwrap();
+    });
+}
+
 /// Runs the TACCL-like baseline on a scenario.
 pub fn run_taccl(scenario: &Scenario, seed: u64) -> Option<RunResult> {
     let cfg = TacclConfig {
@@ -948,17 +996,7 @@ pub fn run_taccl(scenario: &Scenario, seed: u64) -> Option<RunResult> {
         transfer_time: res.transfer_time,
         algo_bw: scenario.output_buffer / res.transfer_time,
         bytes_on_wire: res.schedule.total_bytes_on_wire(),
-        epoch_duration: 0.0,
-        simplex_iterations: 0,
-        dual_iterations: 0,
-        bb_nodes: 0,
-        factorizations: 0,
-        warm_starts: 0,
-        cold_starts: 0,
-        cols_fixed: 0,
-        rows_freed: 0,
-        node_tightenings: 0,
-        iteration_limit_hit: false,
+        ..Default::default()
     })
 }
 
@@ -971,17 +1009,7 @@ pub fn run_sccl(scenario: &Scenario) -> Option<RunResult> {
         transfer_time: res.transfer_time,
         algo_bw: scenario.output_buffer / res.transfer_time,
         bytes_on_wire: res.schedule.total_bytes_on_wire(),
-        epoch_duration: 0.0,
-        simplex_iterations: 0,
-        dual_iterations: 0,
-        bb_nodes: 0,
-        factorizations: 0,
-        warm_starts: 0,
-        cold_starts: 0,
-        cols_fixed: 0,
-        rows_freed: 0,
-        node_tightenings: 0,
-        iteration_limit_hit: false,
+        ..Default::default()
     })
 }
 
@@ -996,17 +1024,7 @@ pub fn run_shortest_path(scenario: &Scenario) -> Option<RunResult> {
         transfer_time: sim.transfer_time,
         algo_bw: scenario.output_buffer / sim.transfer_time,
         bytes_on_wire: sim.bytes_on_wire,
-        epoch_duration: 0.0,
-        simplex_iterations: 0,
-        dual_iterations: 0,
-        bb_nodes: 0,
-        factorizations: 0,
-        warm_starts: 0,
-        cold_starts: 0,
-        cols_fixed: 0,
-        rows_freed: 0,
-        node_tightenings: 0,
-        iteration_limit_hit: false,
+        ..Default::default()
     })
 }
 
@@ -1022,6 +1040,90 @@ pub fn output_buffer_sweep() -> Vec<f64> {
 // ---------------------------------------------------------------------------
 // Per-experiment row generators (one per table / figure).
 // ---------------------------------------------------------------------------
+
+/// Figure 1 (a, b, c): the three motivating examples — α-delay accounting,
+/// store-and-forward, and copy — solved with the MILP and replayed in the
+/// α–β simulator. Row values: `[teccl finish (ms, or units of β for b),
+/// expected / correct, naive estimate (a, ms) or bytes on the wire (c, MB)]`.
+pub fn fig1_rows() -> Vec<Row> {
+    let mut rows = Vec::new();
+
+    // (a) alpha-delay: two sources feeding d; the correct finish time is
+    // alpha2 + 3*beta, not alpha2 + 4*beta (the path-max estimate).
+    let chunk = 1.0e6;
+    let alpha1 = 0.05e-3;
+    let topo = teccl_topology::fig1a(chunk, alpha1);
+    let mut demand = DemandMatrix::new(topo.num_nodes(), 1);
+    demand.set(NodeId(0), 0, NodeId(4)); // s1 -> d
+    demand.set(NodeId(5), 0, NodeId(4)); // s2 -> d
+    let scenario = Scenario {
+        name: "fig1a".into(),
+        topo,
+        demand,
+        chunk_bytes: chunk,
+        output_buffer: 2.0 * chunk,
+    };
+    if let Some(run) = run_teccl(&scenario, &quick_config(), Method::Milp) {
+        let beta = chunk / 1.0e9;
+        let alpha2 = 2.0 * beta + 3.0 * alpha1;
+        rows.push(Row {
+            labels: vec!["fig1a".into()],
+            values: vec![
+                run.transfer_time * 1e3,
+                (alpha2 + 3.0 * beta) * 1e3,
+                (alpha2 + 4.0 * beta) * 1e3,
+            ],
+        });
+    }
+
+    // (b) store-and-forward: 3 sources -> h -> d; demand finishes in 3 "units"
+    // with or without buffering, buffers only change the solution space.
+    let topo = teccl_topology::fig1b(1.0e9);
+    let mut demand = DemandMatrix::new(topo.num_nodes(), 1);
+    for s in 0..3 {
+        demand.set(NodeId(s), 0, NodeId(4));
+    }
+    let scenario = Scenario {
+        name: "fig1b".into(),
+        topo,
+        demand,
+        chunk_bytes: chunk,
+        output_buffer: 3.0 * chunk,
+    };
+    if let Some(run) = run_teccl(&scenario, &quick_config(), Method::Milp) {
+        rows.push(Row {
+            labels: vec!["fig1b".into()],
+            values: vec![run.transfer_time * 1e3, 3.0, 3.0],
+        });
+    }
+
+    // (c) copy: s -> h -> {d1,d2,d3}; with copy 2 units, without copy 4 units.
+    let topo = teccl_topology::fig1c(1.0e9);
+    let mut demand = DemandMatrix::new(topo.num_nodes(), 1);
+    for d in 2..5 {
+        demand.set(NodeId(0), 0, NodeId(d));
+    }
+    let scenario = Scenario {
+        name: "fig1c".into(),
+        topo,
+        demand,
+        chunk_bytes: chunk,
+        output_buffer: chunk,
+    };
+    let with_copy = run_teccl(&scenario, &quick_config(), Method::Milp);
+    let without_copy = run_shortest_path(&scenario);
+    if let (Some(w), Some(wo)) = (with_copy, without_copy) {
+        rows.push(Row {
+            labels: vec!["fig1c".into()],
+            values: vec![
+                w.transfer_time * 1e3,
+                wo.bytes_on_wire / 1e6,
+                w.bytes_on_wire / 1e6,
+            ],
+        });
+    }
+    rows
+}
 
 /// Figure 2: relative error in the algorithmic-bandwidth estimate when α is
 /// ignored, versus the transfer size, on the 2-chassis / 8-GPU / 40-edge
@@ -1522,6 +1624,235 @@ pub fn table8_rows(sizes: &[f64]) -> Vec<Row> {
     rows
 }
 
+/// Byte counts of paper-style size labels (`"16M"`, `"64K"`).
+fn sizes(labels: &[&str]) -> Vec<f64> {
+    labels
+        .iter()
+        .map(|s| teccl_collective::chunk::parse_size(s).expect("size label parses"))
+        .collect()
+}
+
+/// Every table and figure `run_all_experiments` prints, in the paper's
+/// order. `full` holds the larger sweeps; entries without arguments run the
+/// same rows at both scales.
+pub const TABLES: &[Table] = &[
+    Table {
+        name: "fig1",
+        title: "Figure 1: motivating examples",
+        label_headers: &["example"],
+        value_headers: &[
+            "teccl_finish_ms_or_units",
+            "expected/correct",
+            "naive_estimate_or_bytes",
+        ],
+        quick: fig1_rows,
+        full: fig1_rows,
+    },
+    Table {
+        name: "fig2",
+        title: "Figure 2: relative error of the alpha-free bandwidth estimate",
+        label_headers: &["transfer"],
+        value_headers: &["transfer_MB", "relative_error_%"],
+        quick: || fig2_rows(&[10e3, 1e6, 10e6]),
+        full: || fig2_rows(&[10e3, 100e3, 1e6, 10e6]),
+    },
+    Table {
+        name: "table3",
+        title: "Table 3: SCCL vs TE-CCL transfer time (us)",
+        label_headers: &["collective, #chunks"],
+        value_headers: &["sccl_us", "teccl_us"],
+        quick: || table3_rows(2),
+        full: || table3_rows(3),
+    },
+    Table {
+        name: "fig4_5",
+        title: "Figures 4 & 5: algo-bandwidth and solver-time improvement over TACCL (%)",
+        label_headers: &["topology", "collective", "output_buffer"],
+        value_headers: &[
+            "bw_improvement_%",
+            "solver_speedup_%",
+            "teccl_GBps",
+            "taccl_GBps",
+            "teccl_solver_s",
+            "taccl_solver_s",
+        ],
+        quick: || fig4_fig5_rows(&sizes(&["4M", "64K"])),
+        full: || fig4_fig5_rows(&sizes(&["16M", "4M", "1M", "256K", "64K"])),
+    },
+    Table {
+        name: "fig6",
+        title: "Figure 6: Internal2 ALLTOALL vs TACCL",
+        label_headers: &["chassis"],
+        value_headers: &[
+            "solver_speedup_%",
+            "bw_improvement_%",
+            "teccl_solver_s",
+            "taccl_solver_s",
+        ],
+        quick: || fig6_rows(&[2, 3], 1024.0 * 1024.0),
+        full: || fig6_rows(&[2, 3, 4], 4.0 * 1024.0 * 1024.0),
+    },
+    Table {
+        name: "table4",
+        title: "Table 4: scale runs (TACCL-free)",
+        label_headers: &["topology / collective"],
+        value_headers: &[
+            "gpus",
+            "epoch_multiplier",
+            "solver_s",
+            "transfer_us",
+            "simplex_iters",
+            "warm_starts",
+            "cold_starts",
+            "cols_fixed",
+            "rows_freed",
+            "node_tight",
+            "iter_limit",
+        ],
+        quick: table4_rows,
+        full: table4_rows,
+    },
+    Table {
+        name: "fig7",
+        title: "Figure 7: copy vs no-copy collective finish time (ms)",
+        label_headers: &["topology", "output_buffer"],
+        value_headers: &["size_MB", "with_copy_ms", "no_copy_ms"],
+        quick: || fig7_rows(&[1e6, 16e6]),
+        full: || fig7_rows(&[256e3, 1e6, 4e6, 16e6]),
+    },
+    Table {
+        name: "fig8",
+        title: "Figure 8: small vs large epochs (100*(small-large)/large)",
+        label_headers: &["topology, collective"],
+        value_headers: &[
+            "solver_time_delta_%",
+            "transfer_time_delta_%",
+            "small_transfer_us",
+            "large_transfer_us",
+        ],
+        quick: fig8_rows,
+        full: fig8_rows,
+    },
+    Table {
+        name: "fig9",
+        title: "Figure 9: buffers vs no buffers (100*(without-with)/without)",
+        label_headers: &["topology"],
+        value_headers: &[
+            "solver_time_speedup_%",
+            "transfer_time_delta_%",
+            "with_buffers_us",
+            "without_buffers_us",
+        ],
+        quick: fig9_rows,
+        full: fig9_rows,
+    },
+    Table {
+        name: "astar_vs_opt",
+        title: "A* vs OPT (Internal2)",
+        label_headers: &["alpha", "chunks"],
+        value_headers: &[
+            "astar_solver_s",
+            "opt_solver_s",
+            "astar_transfer_us",
+            "opt_transfer_us",
+        ],
+        quick: || astar_vs_opt_rows(2, 1),
+        full: || {
+            let mut rows = astar_vs_opt_rows(2, 1);
+            rows.extend(astar_vs_opt_rows(2, 2));
+            rows
+        },
+    },
+    Table {
+        name: "table7",
+        title: "Table 7: SCCL instance vs TE-CCL (alpha = 0)",
+        label_headers: &["collective (#chunks)"],
+        value_headers: &["sccl_solver_s", "teccl_solver_s", "transfer_diff_%"],
+        quick: || table7_rows(2),
+        full: || table7_rows(3),
+    },
+    Table {
+        name: "table8",
+        title: "Table 8: NDv2 sweep (TE-CCL vs TACCL-like)",
+        label_headers: &["collective", "output_buffer"],
+        value_headers: &[
+            "ED_us",
+            "CT_us",
+            "ST_s",
+            "AB_GBps",
+            "taccl_CT_us",
+            "taccl_ST_s",
+            "taccl_AB_GBps",
+            "improvement_%",
+        ],
+        quick: || table8_rows(&sizes(&["4M", "64K"])),
+        full: || table8_rows(&sizes(&["64M", "16M", "4M", "1M", "256K", "64K", "16K"])),
+    },
+    Table {
+        name: "solver_stats",
+        title: "Solver stats",
+        label_headers: &["scenario"],
+        value_headers: &[
+            "solver_s",
+            "simplex_iters",
+            "dual_iters",
+            "bb_nodes",
+            "factorizations",
+            "warm_starts",
+            "cold_starts",
+            "cols_fixed",
+            "rows_freed",
+            "node_tight",
+        ],
+        quick: solver_stats_rows,
+        full: solver_stats_rows,
+    },
+];
+
+/// The registry entry named `name`.
+pub fn table(name: &str) -> Option<&'static Table> {
+    TABLES.iter().find(|t| t.name == name)
+}
+
+/// Reads `run_all_experiments`' arguments: `--only a,b,…` picks entries of
+/// [`TABLES`] by name (every entry without it), `--full` runs them at their
+/// full arguments. Returns the picked entries in registry order and whether
+/// `--full` was given; errs on an unknown flag or table name, listing the
+/// valid names.
+pub fn select_tables(args: &[String]) -> Result<(Vec<&'static Table>, bool), String> {
+    let valid = || {
+        let names: Vec<&str> = TABLES.iter().map(|t| t.name).collect();
+        names.join(", ")
+    };
+    let mut full = false;
+    let mut only: Option<Vec<&str>> = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--only" => {
+                let list = args
+                    .next()
+                    .ok_or_else(|| format!("--only needs a list of tables: {}", valid()))?;
+                only = Some(list.split(',').map(str::trim).collect());
+            }
+            other => {
+                return Err(format!(
+                    "unknown argument {other:?}; usage: [--only a,b,…] [--full]"
+                ))
+            }
+        }
+    }
+    let Some(names) = only else {
+        return Ok((TABLES.iter().collect(), full));
+    };
+    if let Some(bad) = names.iter().find(|n| table(n).is_none()) {
+        return Err(format!("unknown table {bad:?}; valid names: {}", valid()));
+    }
+    let picked = TABLES.iter().filter(|t| names.contains(&t.name)).collect();
+    Ok((picked, full))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1557,10 +1888,53 @@ mod tests {
         assert_eq!(sweep[0], 256.0 * 1024.0 * 1024.0);
     }
 
+    /// Every row has one cell per header of its registry entry.
+    fn assert_shape(name: &str, rows: &[Row]) {
+        let entry = table(name).expect("registered table");
+        assert!(!rows.is_empty(), "{name} printed no rows");
+        for row in rows {
+            assert_eq!(row.labels.len(), entry.label_headers.len(), "{name}");
+            assert_eq!(row.values.len(), entry.value_headers.len(), "{name}");
+        }
+    }
+
     #[test]
     fn fig6_rows_have_expected_shape() {
         let rows = fig6_rows(&[2], 1024.0 * 1024.0);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].values.len(), 4);
+        assert_shape("fig6", &rows);
+        for name in ["fig1", "fig2"] {
+            assert_shape(name, &table(name).unwrap().rows(false));
+        }
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_only_rejects_unknown_names() {
+        let mut names: Vec<&str> = TABLES.iter().map(|t| t.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), TABLES.len(), "duplicate table name");
+
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (all, full) = select_tables(&[]).unwrap();
+        assert_eq!((all.len(), full), (TABLES.len(), false));
+        let (picked, full) = select_tables(&args(&["--only", "table4,fig1", "--full"])).unwrap();
+        let picked: Vec<&str> = picked.iter().map(|t| t.name).collect();
+        assert_eq!((picked, full), (vec!["fig1", "table4"], true));
+
+        let err = select_tables(&args(&["--only", "fig1,fig3"])).unwrap_err();
+        assert!(err.contains("\"fig3\""), "{err}");
+        for t in TABLES {
+            assert!(err.contains(t.name), "{err} does not list {}", t.name);
+        }
+        assert!(select_tables(&args(&["--only"])).is_err());
+        assert!(select_tables(&args(&["--fast"])).is_err());
+
+        // The runner's exit status reads this mark.
+        let row = |hit| Row {
+            labels: vec![mark_iteration_limit("case", hit)],
+            values: Vec::new(),
+        };
+        assert!(row(true).hit_iteration_limit() && !row(false).hit_iteration_limit());
     }
 }

@@ -814,10 +814,6 @@ fn build_baseline(
     }))
 }
 
-/// Picks a warm-start basis for a key: its own bucket first, then the
-/// nearest neighbours (±1, ±2 half-octaves — beyond that the epoch count has
-/// almost certainly changed and the basis would only buy a failed warm
-/// attempt).
 /// The published warm-start bases, one per `(family, size bucket)`. Clients
 /// choose the families, so the book is capped: past `cap` bases the oldest
 /// insertion is dropped first. Re-publishing a key replaces its basis and
@@ -850,8 +846,10 @@ impl BasisBook {
         }
     }
 
-    /// The basis for `key`: its own bucket's, else the nearest neighbouring
-    /// bucket's within two (−1, +1, −2, +2).
+    /// Picks a warm-start basis for `key`: its own bucket's, else the nearest
+    /// neighbouring bucket's within two half-octaves (−1, +1, −2, +2) —
+    /// beyond that the epoch count has almost certainly changed and the basis
+    /// would only buy a failed warm attempt.
     fn warm_hint(&self, key: RequestKey) -> Option<SimplexBasis> {
         [0i64, -1, 1, -2, 2]
             .iter()

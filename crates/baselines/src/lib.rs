@@ -8,7 +8,7 @@
 //! * [`ring`] — NCCL-style ring ALLGATHER / ALLREDUCE schedules (the
 //!   production default the paper's introduction motivates improving on),
 //! * [`shortest_path`] — shortest-path unicast schedules (the approach of
-//!   Zhao et al. [31], which "fails to leverage copy", §2.1),
+//!   Zhao et al. \[31\], which "fails to leverage copy", §2.1),
 //! * [`sccl_like`] — a synchronous-round synthesizer standing in for SCCL:
 //!   every round is a barrier (each link carries at most one chunk per round,
 //!   every round pays the worst α), which is exactly the modeling difference

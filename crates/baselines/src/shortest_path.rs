@@ -1,4 +1,4 @@
-//! Shortest-path unicast schedules (the approach of Zhao et al. [31]).
+//! Shortest-path unicast schedules (the approach of Zhao et al. \[31\]).
 //!
 //! Every `(source, chunk, destination)` demand is routed independently along
 //! the α-shortest path and the resulting hops are list-scheduled per link.

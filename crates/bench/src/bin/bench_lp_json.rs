@@ -18,14 +18,14 @@ fn main() {
     teccl_bench::bench_lp_form_alltoall(&mut h);
     teccl_bench::bench_milp_form_allgather(&mut h);
 
-    // The `allgather_copy` MILP key end to end through `TeCcl::solve_milp`;
+    // The `allgather_copy` MILP key end to end through `TeCcl::solve`;
     // aborts if its first horizon is refuted.
     teccl_bench::bench_milp_dgx1_allgather(&mut h);
 
     // The `allgather_copy` A* key with the most rounds per request.
     teccl_bench::bench_astar_internal2x8_allgather(&mut h);
 
-    // The 16-GPU Table-4 ALLTOALL through `TeCcl::solve_lp`.
+    // The 16-GPU Table-4 ALLTOALL through `TeCcl::solve`.
     teccl_bench::bench_lp_internal1x4_alltoall(&mut h);
 
     teccl_bench::bench_simplex_resolves(&mut h);

@@ -24,7 +24,7 @@ use teccl_baselines::{
 };
 use teccl_collective::chunk::format_size;
 use teccl_collective::{CollectiveKind, DemandMatrix};
-use teccl_core::{BufferMode, EpochStrategy, SolverConfig, TeCcl};
+use teccl_core::{BufferMode, EpochStrategy, RequestMethod, SolverConfig, TeCcl};
 use teccl_schedule::{percent_improvement, simulate};
 use teccl_topology::{NodeId, Topology};
 
@@ -100,19 +100,6 @@ pub fn print_table(title: &str, label_headers: &[&str], value_headers: &[&str], 
             .collect();
         println!("{}", cells.join("\t"));
     }
-}
-
-/// Which solver to use for a TE-CCL run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Automatic dispatch ([`TeCcl::solve`]).
-    Auto,
-    /// The general MILP.
-    Milp,
-    /// The LP form.
-    Lp,
-    /// The A* technique.
-    AStar,
 }
 
 /// The result of running one scheduler on one scenario (the solver counters
@@ -210,15 +197,15 @@ pub fn quick_config() -> SolverConfig {
 }
 
 /// Runs TE-CCL on a scenario and measures the resulting schedule.
-pub fn run_teccl(scenario: &Scenario, config: &SolverConfig, method: Method) -> Option<RunResult> {
+pub fn run_teccl(
+    scenario: &Scenario,
+    config: &SolverConfig,
+    method: RequestMethod,
+) -> Option<RunResult> {
     let solver = TeCcl::new(scenario.topo.clone(), config.clone());
-    let outcome = match method {
-        Method::Auto => solver.solve(&scenario.demand, scenario.chunk_bytes),
-        Method::Milp => solver.solve_milp(&scenario.demand, scenario.chunk_bytes),
-        Method::Lp => solver.solve_lp(&scenario.demand, scenario.chunk_bytes),
-        Method::AStar => solver.solve_astar(&scenario.demand, scenario.chunk_bytes),
-    }
-    .ok()?;
+    let outcome = solver
+        .solve(&scenario.demand, scenario.chunk_bytes, method, None)
+        .ok()?;
     let sim = simulate(&outcome.topology_used, &scenario.demand, &outcome.schedule).ok()?;
     Some(RunResult {
         solver: format!("te-ccl-{method:?}").to_lowercase(),
@@ -248,7 +235,7 @@ pub fn run_teccl(scenario: &Scenario, config: &SolverConfig, method: Method) -> 
 /// cols_fixed, rows_freed, node_tight]`; scenarios that tripped the simplex
 /// iteration budget are labelled `(ITER-LIMIT)`.
 pub fn solver_stats_rows() -> Vec<Row> {
-    let cases: Vec<(String, Scenario, Method)> = vec![
+    let cases: Vec<(String, Scenario, RequestMethod)> = vec![
         (
             "milp_form/internal1_allgather".into(),
             Scenario::collective(
@@ -258,7 +245,7 @@ pub fn solver_stats_rows() -> Vec<Row> {
                 1,
                 1024.0 * 1024.0,
             ),
-            Method::Milp,
+            RequestMethod::Milp,
         ),
         (
             "lp_form/internal2x2_alltoall".into(),
@@ -269,7 +256,7 @@ pub fn solver_stats_rows() -> Vec<Row> {
                 1,
                 1024.0 * 1024.0,
             ),
-            Method::Lp,
+            RequestMethod::Lp,
         ),
         (
             "astar/internal2x2_allgather".into(),
@@ -280,7 +267,7 @@ pub fn solver_stats_rows() -> Vec<Row> {
                 1,
                 1024.0 * 1024.0,
             ),
-            Method::AStar,
+            RequestMethod::AStar,
         ),
     ];
     let mut rows = Vec::new();
@@ -359,7 +346,8 @@ fn transport_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::Solution) {
         m.add_cons(format!("d{d}"), &terms, ConstraintOp::Ge, 20.0);
     }
     let sf = teccl_lp::StandardForm::from_model(&m);
-    let cold = teccl_lp::solve_standard_form(&sf, n * n).expect("fixture LP must solve");
+    let cold = teccl_lp::solve_standard_form_budgeted(&sf, n * n, &[], None, None)
+        .expect("fixture LP must solve");
     (sf, n * n, cold)
 }
 
@@ -453,7 +441,8 @@ fn full_alltoall_lp(topo: &Topology, output_buffer: f64) -> teccl_core::lp_form:
 /// degenerate optimal basis is materialized as the unit column of its row.
 pub fn lu_refactor_fixture() -> (usize, Vec<teccl_lp::SparseVec>) {
     let (sf, nv, _budget) = degenerate_alltoall_fixture();
-    let sol = teccl_lp::solve_standard_form(&sf, nv).expect("degenerate fixture solves");
+    let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &[], None, None)
+        .expect("degenerate fixture solves");
     let basis = sol.basis.expect("optimal LP returns a basis");
     (sf.num_rows(), basis_columns(&sf, &basis))
 }
@@ -511,7 +500,9 @@ pub fn astar_round_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::Simple
         &options(&state),
     )
     .expect("first round builds");
-    let first = form.solve(&config).expect("first round solves");
+    let first = form
+        .solve_budgeted(&config, None, None)
+        .expect("first round solves");
     state.absorb(&topo, &form.sends(&first));
     assert!(
         form.update_round(&demand, &config, &options(&state)),
@@ -534,7 +525,7 @@ pub fn astar_round_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::Simple
 pub fn bench_dual_pivot_rows(h: &mut microbench::Harness) {
     let (sf, nv, basis) = astar_round_fixture();
     let resolve = || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &[], Some(&basis)).unwrap();
+        let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &[], Some(&basis), None).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
         assert_eq!(sol.stats.warm_starts, 1, "round re-solve fell cold");
         sol
@@ -602,7 +593,7 @@ pub fn warm_rounds_fixture() -> (Scenario, SolverConfig) {
     (scenario, quick_config())
 }
 
-/// The `core/milp_dgx1_allgather` row: [`TeCcl::solve_milp`] on the
+/// The `core/milp_dgx1_allgather` row: the MILP [`TeCcl::solve`] on the
 /// `allgather_copy` benchmark's MILP key (`dgx1` ALLGATHER, 1 chunk, 16 MiB
 /// output buffer, default config), sized as the service sizes it. Aborts if
 /// the first horizon tried ([`teccl_core::epochs::estimate_num_epochs`], the
@@ -614,19 +605,21 @@ pub fn bench_milp_dgx1_allgather(h: &mut microbench::Harness) {
         1,
         16.0 * 1024.0 * 1024.0,
     )
-    .with_method(teccl_service::RequestMethod::Milp);
+    .with_method(RequestMethod::Milp);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
     let tau = teccl_core::epochs::epoch_duration(&request.topology, chunk_bytes, &request.config);
     let first =
         teccl_core::epochs::estimate_num_epochs(&request.topology, &demand, chunk_bytes, tau);
     let solver = TeCcl::new(request.topology, request.config);
     h.bench_function("core/milp_dgx1_allgather", || {
-        let out = solver.solve_milp(&demand, chunk_bytes).unwrap();
+        let out = solver
+            .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
+            .unwrap();
         assert_eq!(out.num_epochs, first, "the first horizon was refuted");
     });
 }
 
-/// The `core/astar_internal2x8_allgather` row: [`TeCcl::solve_astar`] on the
+/// The `core/astar_internal2x8_allgather` row: the A\* [`TeCcl::solve`] on the
 /// `allgather_copy` benchmark's internal2 x8 key (ALLGATHER, 1 chunk, 16 MiB
 /// output buffer, default config), sized as the service sizes it: 15 warm
 /// A\* rounds over one formulation, so the per-round set-up shows here.
@@ -637,15 +630,17 @@ pub fn bench_astar_internal2x8_allgather(h: &mut microbench::Harness) {
         1,
         16.0 * 1024.0 * 1024.0,
     )
-    .with_method(teccl_service::RequestMethod::AStar);
+    .with_method(RequestMethod::AStar);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
     let solver = TeCcl::new(request.topology, request.config);
     h.bench_function("core/astar_internal2x8_allgather", || {
-        solver.solve_astar(&demand, chunk_bytes).unwrap();
+        solver
+            .solve(&demand, chunk_bytes, RequestMethod::AStar, None)
+            .unwrap();
     });
 }
 
-/// The `core/lp_internal1x4_alltoall` row: [`TeCcl::solve_lp`] on the
+/// The `core/lp_internal1x4_alltoall` row: the LP [`TeCcl::solve`] on the
 /// 16-GPU Table-4 ALLTOALL (internal1 x4, 1 chunk, 16 MiB output buffer,
 /// default config), sized as the service sizes it: horizon bound, symmetry
 /// search and the order-16 quotient LP. Over the full LP this solve took
@@ -657,11 +652,13 @@ pub fn bench_lp_internal1x4_alltoall(h: &mut microbench::Harness) {
         1,
         16.0 * 1024.0 * 1024.0,
     )
-    .with_method(teccl_service::RequestMethod::Lp);
+    .with_method(RequestMethod::Lp);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
     let solver = TeCcl::new(request.topology, request.config);
     h.bench_function("core/lp_internal1x4_alltoall", || {
-        solver.solve_lp(&demand, chunk_bytes).unwrap();
+        solver
+            .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
+            .unwrap();
     });
 }
 
@@ -717,7 +714,7 @@ pub fn wire_hit_fixture() -> (teccl_service::ScheduleService, String) {
         1,
         16.0 * 1024.0 * 1024.0,
     )
-    .with_method(teccl_service::RequestMethod::AStar)
+    .with_method(RequestMethod::AStar)
     .with_config(quick_config());
     let line = teccl_service::protocol::solve_request_line(&req);
     svc.request(req).expect("fixture request solves");
@@ -775,7 +772,7 @@ pub fn bench_lp_form_alltoall(h: &mut microbench::Harness) {
         1024.0 * 1024.0,
     );
     h.bench_function("lp_form/internal2x2_alltoall", || {
-        run_teccl(&scenario, &quick_config(), Method::Lp).unwrap();
+        run_teccl(&scenario, &quick_config(), RequestMethod::Lp).unwrap();
     });
 }
 
@@ -790,7 +787,7 @@ pub fn bench_milp_form_allgather(h: &mut microbench::Harness) {
         1024.0 * 1024.0,
     );
     h.bench_function("milp_form/internal1_allgather", || {
-        run_teccl(&scenario, &quick_config(), Method::Milp).unwrap();
+        run_teccl(&scenario, &quick_config(), RequestMethod::Milp).unwrap();
     });
 }
 
@@ -801,11 +798,12 @@ pub fn bench_milp_form_allgather(h: &mut microbench::Harness) {
 pub fn bench_simplex_resolves(h: &mut microbench::Harness) {
     let (sf, nv, basis, overrides) = warm_vs_cold_fixture();
     h.bench_function("lp/simplex_warm_vs_cold", || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &overrides, Some(&basis), None)
+            .unwrap();
         assert!(sol.has_solution());
     });
     h.bench_function("lp/simplex_cold_resolve", || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, None).unwrap();
+        let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &overrides, None, None).unwrap();
         assert!(sol.has_solution());
     });
 }
@@ -816,7 +814,8 @@ pub fn bench_simplex_resolves(h: &mut microbench::Harness) {
 pub fn bench_dual_resolve(h: &mut microbench::Harness) {
     let (sf, nv, basis, overrides) = dual_resolve_fixture();
     h.bench_function("lp/dual_resolve", || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &overrides, Some(&basis), None)
+            .unwrap();
         assert!(sol.has_solution());
         assert_eq!(sol.stats.warm_starts, 1, "dual path must not fall cold");
     });
@@ -828,7 +827,7 @@ pub fn bench_dual_resolve(h: &mut microbench::Harness) {
 pub fn bench_degenerate_alltoall(h: &mut microbench::Harness) {
     let (sf, nv, budget) = degenerate_alltoall_fixture();
     h.bench_function("lp/degenerate_alltoall", || {
-        let sol = teccl_lp::solve_standard_form(&sf, nv).unwrap();
+        let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &[], None, None).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
         assert!(
             !sol.stats.iteration_limit_hit,
@@ -843,12 +842,13 @@ pub fn bench_degenerate_alltoall(h: &mut microbench::Harness) {
 }
 
 /// The `lp/internal1x2_alltoall` row: the 8-GPU internal1(2) ALLTOALL
-/// copy-free LP, solved monolithically through `Model::solve_lp_relaxation`
+/// copy-free LP, solved monolithically through
+/// [`Model::solve_lp_relaxation_budgeted`](teccl_lp::Model::solve_lp_relaxation_budgeted)
 /// (presolve + cold simplex) — the one row at that scale.
 pub fn bench_internal1x2_alltoall(h: &mut microbench::Harness) {
     let form = internal1x2_alltoall_fixture();
     h.bench_function("lp/internal1x2_alltoall", || {
-        let sol = form.model.solve_lp_relaxation().unwrap();
+        let sol = form.model.solve_lp_relaxation_budgeted(None, None).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
     });
 }
@@ -887,7 +887,7 @@ pub fn bench_lu_refactor_fill(h: &mut microbench::Harness) {
 pub fn bench_presolve_warm_rounds(h: &mut microbench::Harness) {
     let (scenario, config) = warm_rounds_fixture();
     h.bench_function("lp/presolve_warm_rounds", || {
-        let warm = run_teccl(&scenario, &config, Method::AStar).unwrap();
+        let warm = run_teccl(&scenario, &config, RequestMethod::AStar).unwrap();
         assert!(
             warm.warm_starts > 0,
             "A* rounds fell off the warm path entirely"
@@ -1063,7 +1063,7 @@ pub fn fig1_rows() -> Vec<Row> {
         chunk_bytes: chunk,
         output_buffer: 2.0 * chunk,
     };
-    if let Some(run) = run_teccl(&scenario, &quick_config(), Method::Milp) {
+    if let Some(run) = run_teccl(&scenario, &quick_config(), RequestMethod::Milp) {
         let beta = chunk / 1.0e9;
         let alpha2 = 2.0 * beta + 3.0 * alpha1;
         rows.push(Row {
@@ -1090,7 +1090,7 @@ pub fn fig1_rows() -> Vec<Row> {
         chunk_bytes: chunk,
         output_buffer: 3.0 * chunk,
     };
-    if let Some(run) = run_teccl(&scenario, &quick_config(), Method::Milp) {
+    if let Some(run) = run_teccl(&scenario, &quick_config(), RequestMethod::Milp) {
         rows.push(Row {
             labels: vec!["fig1b".into()],
             values: vec![run.transfer_time * 1e3, 3.0, 3.0],
@@ -1110,7 +1110,7 @@ pub fn fig1_rows() -> Vec<Row> {
         chunk_bytes: chunk,
         output_buffer: chunk,
     };
-    let with_copy = run_teccl(&scenario, &quick_config(), Method::Milp);
+    let with_copy = run_teccl(&scenario, &quick_config(), RequestMethod::Milp);
     let without_copy = run_shortest_path(&scenario);
     if let (Some(w), Some(wo)) = (with_copy, without_copy) {
         rows.push(Row {
@@ -1142,7 +1142,12 @@ pub fn fig2_rows(sizes: &[f64]) -> Vec<Row> {
             output_buffer: (gpus.len() - 1) as f64 * transfer,
         };
         let solver = TeCcl::new(scenario.topo.clone(), quick_config());
-        let Ok(outcome) = solver.solve_astar(&scenario.demand, scenario.chunk_bytes) else {
+        let Ok(outcome) = solver.solve(
+            &scenario.demand,
+            scenario.chunk_bytes,
+            RequestMethod::AStar,
+            None,
+        ) else {
             continue;
         };
         let with_alpha =
@@ -1178,7 +1183,7 @@ pub fn table3_rows(max_ag_chunks: usize) -> Vec<Row> {
             7.0 * chunk * chunks as f64,
         );
         let sccl = run_sccl(&scenario);
-        let ours = run_teccl(&scenario, &quick_config(), Method::AStar);
+        let ours = run_teccl(&scenario, &quick_config(), RequestMethod::AStar);
         if let (Some(s), Some(o)) = (sccl, ours) {
             rows.push(Row {
                 labels: vec![format!("ALLGATHER, {chunks}")],
@@ -1190,7 +1195,7 @@ pub fn table3_rows(max_ag_chunks: usize) -> Vec<Row> {
     let scenario = Scenario::collective("AtoA-1", topo, CollectiveKind::AllToAll, 1, 7.0 * chunk);
     if let (Some(s), Some(o)) = (
         run_sccl(&scenario),
-        run_teccl(&scenario, &quick_config(), Method::Lp),
+        run_teccl(&scenario, &quick_config(), RequestMethod::Lp),
     ) {
         rows.push(Row {
             labels: vec!["ALLTOALL, 1".into()],
@@ -1227,9 +1232,9 @@ pub fn fig4_fig5_rows(sizes: &[f64]) -> Vec<Row> {
                     size,
                 );
                 let method = if kind == CollectiveKind::AllGather {
-                    Method::AStar
+                    RequestMethod::AStar
                 } else {
-                    Method::Lp
+                    RequestMethod::Lp
                 };
                 let ours = run_teccl(&scenario, &quick_config(), method);
                 let taccl = run_taccl(&scenario, 1);
@@ -1282,7 +1287,7 @@ pub fn fig6_rows(chassis_counts: &[usize], size: f64) -> Vec<Row> {
             1,
             size,
         );
-        let ours = run_teccl(&scenario, &quick_config(), Method::Lp);
+        let ours = run_teccl(&scenario, &quick_config(), RequestMethod::Lp);
         let taccl = run_taccl(&scenario, 1);
         if let (Some(o), Some(t)) = (ours, taccl) {
             rows.push(Row {
@@ -1307,30 +1312,30 @@ pub fn fig6_rows(chassis_counts: &[usize], size: f64) -> Vec<Row> {
 /// instead of being reported as converged.
 pub fn table4_rows() -> Vec<Row> {
     let mut rows = Vec::new();
-    let cases: Vec<(String, Topology, CollectiveKind, Method)> = vec![
+    let cases: Vec<(String, Topology, CollectiveKind, RequestMethod)> = vec![
         (
             "Internal1 AG (A*)".into(),
             teccl_topology::internal1(2),
             CollectiveKind::AllGather,
-            Method::AStar,
+            RequestMethod::AStar,
         ),
         (
             "Internal1 AtoA (LP)".into(),
             teccl_topology::internal1(2),
             CollectiveKind::AllToAll,
-            Method::Lp,
+            RequestMethod::Lp,
         ),
         (
             "Internal2 AG (A*)".into(),
             teccl_topology::internal2(4),
             CollectiveKind::AllGather,
-            Method::AStar,
+            RequestMethod::AStar,
         ),
         (
             "Internal2 AtoA (LP)".into(),
             teccl_topology::internal2(4),
             CollectiveKind::AllToAll,
-            Method::Lp,
+            RequestMethod::Lp,
         ),
         // The 16-GPU pricing wall (ISSUE 8): the largest monolithic ALLTOALL
         // LP, must certify inside the 400 s budget with steepest-edge pricing.
@@ -1338,7 +1343,7 @@ pub fn table4_rows() -> Vec<Row> {
             "Internal1 x4 AtoA (LP)".into(),
             teccl_topology::internal1(4),
             CollectiveKind::AllToAll,
-            Method::Lp,
+            RequestMethod::Lp,
         ),
     ];
     for (name, topo, kind, method) in cases {
@@ -1387,10 +1392,10 @@ pub fn fig7_rows(sizes: &[f64]) -> Vec<Row> {
                 2,
                 size,
             );
-            let copy = run_teccl(&scenario, &quick_config(), Method::AStar);
+            let copy = run_teccl(&scenario, &quick_config(), RequestMethod::AStar);
             // "No copy": the LP treats every (chunk, destination) as distinct
             // traffic from the source.
-            let no_copy = run_teccl(&scenario, &quick_config(), Method::Lp);
+            let no_copy = run_teccl(&scenario, &quick_config(), RequestMethod::Lp);
             if let (Some(c), Some(n)) = (copy, no_copy) {
                 rows.push(Row {
                     labels: vec![name.clone(), format_size(size)],
@@ -1431,9 +1436,9 @@ pub fn fig8_rows() -> Vec<Row> {
     for (name, topo, kind) in cases {
         let scenario = Scenario::collective(name.clone(), topo, kind, 1, 4.0 * 1024.0 * 1024.0);
         let method = if kind == CollectiveKind::AllGather {
-            Method::AStar
+            RequestMethod::AStar
         } else {
-            Method::Lp
+            RequestMethod::Lp
         };
         let mut small_cfg = quick_config();
         small_cfg.epoch_strategy = EpochStrategy::FastestLink;
@@ -1480,8 +1485,8 @@ pub fn fig9_rows() -> Vec<Row> {
         let with_cfg = quick_config();
         let mut without_cfg = quick_config();
         without_cfg.buffer_mode = BufferMode::NoStoreAndForward;
-        let with_buf = run_teccl(&scenario, &with_cfg, Method::AStar);
-        let without_buf = run_teccl(&scenario, &without_cfg, Method::AStar);
+        let with_buf = run_teccl(&scenario, &with_cfg, RequestMethod::AStar);
+        let without_buf = run_teccl(&scenario, &without_cfg, RequestMethod::AStar);
         if let (Some(w), Some(wo)) = (with_buf, without_buf) {
             rows.push(Row {
                 labels: vec![name],
@@ -1516,8 +1521,8 @@ pub fn astar_vs_opt_rows(chassis: usize, chunks: usize) -> Vec<Row> {
             chunks,
             4.0 * 1024.0 * 1024.0,
         );
-        let astar = run_teccl(&scenario, &quick_config(), Method::AStar);
-        let opt = run_teccl(&scenario, &quick_config(), Method::Milp);
+        let astar = run_teccl(&scenario, &quick_config(), RequestMethod::AStar);
+        let opt = run_teccl(&scenario, &quick_config(), RequestMethod::Milp);
         if let (Some(a), Some(o)) = (astar, opt) {
             rows.push(Row {
                 labels: vec![label.into(), format!("{chunks} chunk(s)")],
@@ -1548,7 +1553,7 @@ pub fn table7_rows(max_chunks: usize) -> Vec<Row> {
             7.0 * chunk * chunks as f64,
         );
         let sccl = run_sccl(&scenario);
-        let ours = run_teccl(&scenario, &quick_config(), Method::AStar);
+        let ours = run_teccl(&scenario, &quick_config(), RequestMethod::AStar);
         if let (Some(s), Some(o)) = (sccl, ours) {
             rows.push(Row {
                 labels: vec![format!("ALLGATHER ({chunks})")],
@@ -1563,7 +1568,7 @@ pub fn table7_rows(max_chunks: usize) -> Vec<Row> {
     let scenario = Scenario::collective("AtoA-1", topo, CollectiveKind::AllToAll, 1, 7.0 * chunk);
     if let (Some(s), Some(o)) = (
         run_sccl(&scenario),
-        run_teccl(&scenario, &quick_config(), Method::Lp),
+        run_teccl(&scenario, &quick_config(), RequestMethod::Lp),
     ) {
         rows.push(Row {
             labels: vec!["ALLTOALL (1)".into()],
@@ -1595,9 +1600,9 @@ pub fn table8_rows(sizes: &[f64]) -> Vec<Row> {
                 size,
             );
             let method = if kind == CollectiveKind::AllGather {
-                Method::AStar
+                RequestMethod::AStar
             } else {
-                Method::Lp
+                RequestMethod::Lp
             };
             let ours = run_teccl(&scenario, &quick_config(), method);
             let taccl = run_taccl(&scenario, 1);
@@ -1870,7 +1875,7 @@ mod tests {
     fn run_helpers_produce_consistent_metrics() {
         let topo = teccl_topology::internal2(2);
         let scenario = Scenario::collective("t", topo, CollectiveKind::AllGather, 1, 1.0e6);
-        let ours = run_teccl(&scenario, &quick_config(), Method::AStar).unwrap();
+        let ours = run_teccl(&scenario, &quick_config(), RequestMethod::AStar).unwrap();
         assert!(ours.transfer_time > 0.0);
         assert!((ours.algo_bw - scenario.output_buffer / ours.transfer_time).abs() < 1.0);
         let sp = run_shortest_path(&scenario).unwrap();

@@ -221,22 +221,11 @@ impl RoundState {
     }
 }
 
-/// Solves `demand` with the A* technique. `tau` is the epoch duration.
-pub fn solve_astar(
-    topology: &Topology,
-    demand: &DemandMatrix,
-    chunk_bytes: f64,
-    config: &SolverConfig,
-    tau: f64,
-) -> Result<AStarOutcome, TeCclError> {
-    solve_astar_budgeted(topology, demand, chunk_bytes, config, tau, None, None)
-}
-
-/// [`solve_astar`] under a cooperative [`teccl_util::SolveBudget`], with
-/// an externally supplied basis for the first round's root relaxation (later
-/// rounds carry their own basis as usual). A basis whose shape does not match
-/// the first round's model silently falls back to a cold start inside the LP
-/// layer.
+/// Solves `demand` with the A* technique (`tau` is the epoch duration) under
+/// a cooperative [`teccl_util::SolveBudget`], with an externally supplied
+/// basis for the first round's root relaxation (later rounds carry their own
+/// basis as usual). A basis whose shape does not match the first round's
+/// model silently falls back to a cold start inside the LP layer.
 ///
 /// The budget is checked at the top of every round and inside every round's
 /// MILP pivots. A* has no usable partial result — a prefix of rounds leaves
@@ -405,7 +394,7 @@ mod tests {
             astar_epochs_per_round: Some(2),
             ..Default::default()
         };
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert!(
             out.rounds >= 2,
             "expected at least 2 rounds, got {}",
@@ -429,7 +418,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
         let config = SolverConfig::default();
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert_eq!(out.rounds, 1);
     }
 
@@ -442,7 +431,7 @@ mod tests {
             astar_epochs_per_round: Some(3),
             ..Default::default()
         };
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert_valid(&topo, &demand, &out);
     }
 
@@ -470,7 +459,7 @@ mod tests {
             astar_epochs_per_round: Some(2),
             ..Default::default()
         };
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert!(out.rounds >= 2, "need several rounds, got {}", out.rounds);
         assert!(
             out.stats.warm_starts > 0 && out.stats.cold_starts <= 1,
@@ -495,7 +484,7 @@ mod tests {
             ..Default::default()
         };
         assert!(!warm_rounds(&config));
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert!(out.rounds >= 2, "need several rounds, got {}", out.rounds);
         assert!(
             out.stats.warm_starts == 0 && out.stats.cold_starts == out.rounds,
@@ -510,7 +499,15 @@ mod tests {
         let topo = line_topology(2, 1e9, 0.0);
         let demand = DemandMatrix::new(2, 1);
         assert!(matches!(
-            solve_astar(&topo, &demand, 1e6, &SolverConfig::default(), 1e-3),
+            solve_astar_budgeted(
+                &topo,
+                &demand,
+                1e6,
+                &SolverConfig::default(),
+                1e-3,
+                None,
+                None
+            ),
             Err(TeCclError::EmptyDemand)
         ));
     }

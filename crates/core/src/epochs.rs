@@ -56,8 +56,9 @@
 //! `K − 1` was refuted on all 210. The first horizon tried (bound + 1) is
 //! feasible on 207 and is within one epoch of the completion epoch + 1 on
 //! all of those; the three misses are GATHERs at 64 KB, where α is several
-//! epochs and arrivals at the root stagger — [`crate::TeCcl::solve_lp_from`]
-//! then grows the horizon by 2, 4, 8, … epochs rather than doubling it.
+//! epochs and arrivals at the root stagger — the LP solve of
+//! [`crate::TeCcl::solve`] then grows the horizon by 2, 4, 8, … epochs
+//! rather than doubling it.
 //!
 //! # With copy, one destination at a time
 //!
@@ -106,8 +107,8 @@
 //! x2 and `internal1` x2: every horizon tried was either refuted (up to
 //! bound + 3 on `internal1` x2 at 64 KB) or ended its time limit without an
 //! incumbent. The copy bound is the MILP's first horizon (no slack): it is
-//! feasible on 18 of the 40, and [`crate::TeCcl::solve_milp`] climbs the
-//! same +2, +4, … ladder as the LP from there.
+//! feasible on 18 of the 40, and the MILP solve of [`crate::TeCcl::solve`]
+//! climbs the same +2, +4, … ladder as the LP from there.
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, Model, Sense, SolveStatus, VarId};
@@ -395,9 +396,9 @@ pub(crate) fn milp_horizon(
     }
 }
 
-/// The first horizon [`crate::TeCcl::solve_milp`] tries when the caller does
-/// not provide `max_epochs`, computed without a budget: the proven bound plus
-/// [`HORIZON_SLACK`] for copy-free demands, the [`copy_horizon_bound`] for
+/// The first horizon the MILP solve of [`crate::TeCcl::solve`] tries when the
+/// caller does not provide `max_epochs`, computed without a budget: the proven
+/// bound plus one epoch of slack for copy-free demands, the [`copy_horizon_bound`] for
 /// copy demands. 1 if a bound LP fails, which the solve itself then reports.
 pub fn estimate_num_epochs(
     topo: &Topology,

@@ -27,7 +27,7 @@
 //! together with solve statistics.
 //!
 //! ```
-//! use teccl_core::{SolverConfig, TeCcl};
+//! use teccl_core::{RequestMethod, SolverConfig, TeCcl};
 //! use teccl_collective::DemandMatrix;
 //! use teccl_topology::{line_topology, NodeId};
 //!
@@ -36,7 +36,9 @@
 //! let gpus: Vec<NodeId> = topo.gpus().collect();
 //! let demand = DemandMatrix::broadcast(topo.num_nodes(), &gpus, gpus[0], 1);
 //! let solver = TeCcl::new(topo, SolverConfig::default());
-//! let result = solver.solve(&demand, 1.0e6).unwrap();
+//! let result = solver
+//!     .solve(&demand, 1.0e6, RequestMethod::Auto, None)
+//!     .unwrap();
 //! assert!(result.schedule.num_sends() >= 2);
 //! ```
 
@@ -53,4 +55,4 @@ pub mod symmetry;
 
 pub use config::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
 pub use error::TeCclError;
-pub use solver::{SolveOutcome, TeCcl};
+pub use solver::{RequestMethod, SolveOutcome, TeCcl};

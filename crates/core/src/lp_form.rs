@@ -371,26 +371,14 @@ impl LpFormulation {
         })
     }
 
-    /// Solves the LP.
-    pub fn solve(&self) -> Result<Solution, TeCclError> {
-        self.solve_from(None)
-    }
-
     /// Solves the LP, optionally warm-starting from the basis of a previous
     /// solve of an identically-shaped formulation (the schedule service's
-    /// cache-adjacent warm start). A mismatched or stale basis silently
-    /// degrades to a cold start.
-    pub fn solve_from(
-        &self,
-        warm: Option<&teccl_lp::SimplexBasis>,
-    ) -> Result<Solution, TeCclError> {
-        self.solve_budgeted(warm, None)
-    }
-
-    /// [`LpFormulation::solve_from`] under a cooperative [`SolveBudget`]:
-    /// the solver checks the budget at every pivot and, when it trips, hands
-    /// back the best primal-feasible point found so far (a usable if
-    /// suboptimal schedule) with `stats.budget_stop` set.
+    /// cache-adjacent warm start; a mismatched or stale basis silently
+    /// degrades to a cold start), under an optional cooperative
+    /// [`SolveBudget`](teccl_util::SolveBudget): the solver checks the budget
+    /// at every pivot and, when it trips, hands back the best primal-feasible
+    /// point found so far (a usable if suboptimal schedule) with
+    /// `stats.budget_stop` set.
     pub fn solve_budgeted(
         &self,
         warm: Option<&teccl_lp::SimplexBasis>,
@@ -580,7 +568,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(3, &gpus, 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 3, 1e-3).unwrap();
-        let sol = form.solve().unwrap();
+        let sol = form.solve_budgeted(None, None).unwrap();
         assert_eq!(form.completion_epoch(&sol), 0);
         // Each destination reads exactly its demand.
         let total_read: f64 = (0..3)
@@ -606,7 +594,7 @@ mod tests {
         let demand = DemandMatrix::scatter(4, &gpus, NodeId(0), 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve().unwrap();
+        let sol = form.solve_budgeted(None, None).unwrap();
         let completion = form.completion_epoch(&sol);
         assert!(completion >= 2, "completion epoch {completion} too early");
         // All 3 chunks eventually read.
@@ -629,7 +617,7 @@ mod tests {
         // 6 chunks over a 1-chunk/epoch bottleneck cannot finish in 2 epochs.
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3).unwrap();
         assert!(matches!(
-            form.solve(),
+            form.solve_budgeted(None, None),
             Err(TeCclError::InfeasibleWithEpochs(2))
         ));
     }
@@ -641,7 +629,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(4, &gpus, 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve().unwrap();
+        let sol = form.solve_budgeted(None, None).unwrap();
         let sends = form.extract_sends(&sol, &demand);
         // Each of the 12 (s, d) pairs gets at least one send of its chunk; the
         // chunk of a far destination needs several hops.
@@ -664,7 +652,7 @@ mod tests {
         demand.set(a, 0, b);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve().unwrap();
+        let sol = form.solve_budgeted(None, None).unwrap();
         // Earliest read: sent at epoch 0, arrives by end of epoch 3, readable
         // at epoch 3 (flow conservation consumes arrivals in the same epoch).
         let completion = form.completion_epoch(&sol);
@@ -687,7 +675,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(3, &gpus, 1);
         let config = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(2));
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 6, 1e-3).unwrap();
-        let sol = form.solve().unwrap();
+        let sol = form.solve_budgeted(None, None).unwrap();
         assert!(sol.has_solution());
     }
 }

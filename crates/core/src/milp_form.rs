@@ -678,28 +678,16 @@ impl MilpFormulation {
         self.initial_holders = holders;
     }
 
-    /// Solves the MILP with the limits taken from `config`.
-    pub fn solve(&self, config: &SolverConfig) -> Result<Solution, TeCclError> {
-        self.solve_from(config, None)
-    }
-
-    /// Solves the MILP, optionally warm-starting the root relaxation from the
-    /// basis of a previous round's identically-shaped formulation. The build
-    /// always produces the same layout for the same demand shape and the
-    /// presolve is layout-preserving, so warm solves run the normal pipeline
-    /// (presolve on); a mismatched basis silently degrades to a cold root.
-    pub fn solve_from(
-        &self,
-        config: &SolverConfig,
-        warm: Option<&teccl_lp::SimplexBasis>,
-    ) -> Result<Solution, TeCclError> {
-        self.solve_budgeted(config, warm, None)
-    }
-
-    /// [`MilpFormulation::solve_from`] under a cooperative [`SolveBudget`]:
-    /// pivots, dual re-solves and branch-and-bound nodes all check it, and
-    /// an exhausted budget returns the best incumbent found so far with
-    /// `stats.budget_stop` set (or [`TeCclError::Budget`] if none exists).
+    /// Solves the MILP with the limits taken from `config`, optionally
+    /// warm-starting the root relaxation from the basis of a previous
+    /// round's identically-shaped formulation. The build always produces the
+    /// same layout for the same demand shape and the presolve is
+    /// layout-preserving, so warm solves run the normal pipeline (presolve
+    /// on); a mismatched basis silently degrades to a cold root. Pivots, dual
+    /// re-solves and branch-and-bound nodes all check the cooperative
+    /// [`SolveBudget`](teccl_util::SolveBudget), and an exhausted budget
+    /// returns the best incumbent found so far with `stats.budget_stop` set
+    /// (or [`TeCclError::Budget`] if none exists).
     pub fn solve_budgeted(
         &self,
         config: &SolverConfig,
@@ -709,10 +697,9 @@ impl MilpFormulation {
         let milp_config = MilpConfig {
             rel_gap: config.early_stop_gap.unwrap_or(1e-6),
             time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-            budget: budget.cloned(),
         };
         let layout = self.layout.get_or_init(|| MilpLayout::new(&self.model));
-        let sol = self.model.solve_over(layout, &milp_config, warm)?;
+        let sol = self.model.solve_over(layout, &milp_config, warm, budget)?;
         match sol.status {
             SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
             SolveStatus::Unbounded => Err(TeCclError::NoSolution),
@@ -806,7 +793,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         // The chunk must cross 0->1 and 1->2 (it may also be copied elsewhere,
         // pruning happens later).
@@ -837,7 +824,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            form.solve(&config),
+            form.solve_budgeted(&config, None, None),
             Err(TeCclError::InfeasibleWithEpochs(1))
         ));
     }
@@ -862,7 +849,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let upstream = sends
             .iter()
@@ -960,7 +947,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let hop2 = sends.iter().find(|s| s.from == b && s.to == c).unwrap();
         let hop1 = sends.iter().find(|s| s.from == a && s.to == b).unwrap();
@@ -986,7 +973,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         // The middle node eventually buffers the chunk (it demands it).
         assert!(form.buffer_value(&sol, NodeId(0), 0, NodeId(1), 4) > 0.5);
         // The source always holds its own chunk implicitly (not modeled as a
@@ -1008,7 +995,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 4) > 0.5);
     }
 
@@ -1028,7 +1015,7 @@ mod tests {
         .unwrap();
         // Node 1 demands the chunk itself, so it may hold it; node 2 receives
         // it relayed. The problem stays feasible.
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 3) > 0.5);
     }
 
@@ -1042,7 +1029,7 @@ mod tests {
         };
         // Even with 1 epoch (not enough to deliver), the relaxed model solves.
         let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 1, 1e-3, &options).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(sol.has_solution());
     }
 
@@ -1056,7 +1043,7 @@ mod tests {
             ..Default::default()
         };
         let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3, &options).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 1) > 0.5);
     }
 
@@ -1126,7 +1113,7 @@ mod tests {
         let mut updated =
             MilpFormulation::build(&topo, &demand, 1e6, &config, 4, 1e-3, &round0).unwrap();
         // Round 0 solves first, so round 1 runs over the layout round 0 built.
-        let first = updated.solve(&config).unwrap();
+        let first = updated.solve_budgeted(&config, None, None).unwrap();
         assert!(updated.layout.get().is_some());
         assert!(updated.update_round(&demand, &config, &round1));
         assert!(
@@ -1156,8 +1143,8 @@ mod tests {
         // The reused layout solves round 1 to the bit as a fresh build does,
         // both warm-started from round 0's basis as the A* loop does.
         let warm = first.basis.as_ref();
-        let a = updated.solve_from(&config, warm).unwrap();
-        let b = fresh.solve_from(&config, warm).unwrap();
+        let a = updated.solve_budgeted(&config, warm, None).unwrap();
+        let b = fresh.solve_budgeted(&config, warm, None).unwrap();
         let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());

@@ -31,6 +31,45 @@ pub enum FormulationKind {
     AStar,
 }
 
+/// The solver a request asks [`TeCcl::solve`] for; [`RequestMethod::Auto`]
+/// lets it choose. The resolved choice is the outcome's [`FormulationKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum RequestMethod {
+    /// Automatic dispatch: the LP for copy-free demands, otherwise the MILP
+    /// on topologies of up to 12 GPUs and A* above.
+    #[default]
+    Auto,
+    /// The general MILP (§3.1).
+    Milp,
+    /// The copy-free LP (§4.1).
+    Lp,
+    /// The A* time-partitioned solver (§4.2).
+    AStar,
+}
+
+impl RequestMethod {
+    /// Stable wire / hash name.
+    pub fn name(self) -> &'static str {
+        match self {
+            RequestMethod::Auto => "auto",
+            RequestMethod::Milp => "milp",
+            RequestMethod::Lp => "lp",
+            RequestMethod::AStar => "astar",
+        }
+    }
+
+    /// Parses the wire name.
+    pub fn from_name(s: &str) -> Option<RequestMethod> {
+        Some(match s {
+            "auto" => RequestMethod::Auto,
+            "milp" => RequestMethod::Milp,
+            "lp" => RequestMethod::Lp,
+            "astar" => RequestMethod::AStar,
+            _ => return None,
+        })
+    }
+}
+
 /// The result of a TE-CCL solve.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
@@ -57,8 +96,8 @@ pub struct SolveOutcome {
     pub stats: SolveStats,
     /// The final warm-start basis the solve published (the root relaxation's
     /// basis for MILPs, the final LP basis for LPs, the last round's root
-    /// basis for A*), if any: the schedule service feeds it into
-    /// [`TeCcl::solve_from`] so a cache-adjacent request (same topology and
+    /// basis for A*), if any: the schedule service feeds it back into
+    /// [`TeCcl::solve`] so a cache-adjacent request (same topology and
     /// collective, neighbouring buffer-size bucket) re-optimizes from it
     /// instead of starting cold.
     pub basis: Option<SimplexBasis>,
@@ -66,10 +105,10 @@ pub struct SolveOutcome {
 
 /// The TE-CCL collective communication optimizer.
 ///
-/// Construct it once per topology and call [`TeCcl::solve`] per demand; the
-/// solver picks the right formulation (LP for copy-free demands, MILP for
-/// copy-friendly demands on small topologies, A* on larger ones), following
-/// the paper's usage of its three algorithms.
+/// Construct it once per topology and call [`TeCcl::solve`] per demand; with
+/// [`RequestMethod::Auto`] the solver picks the right formulation (LP for
+/// copy-free demands, MILP for copy-friendly demands on small topologies, A*
+/// on larger ones), following the paper's usage of its three algorithms.
 #[derive(Debug, Clone)]
 pub struct TeCcl {
     topology: Topology,
@@ -148,36 +187,33 @@ impl TeCcl {
         }
     }
 
-    /// Solves a demand, automatically choosing the formulation:
-    /// copy-free demands use the LP; copy-friendly demands use the MILP on
-    /// small topologies and A* on larger ones.
+    /// Solves a demand with `method`. [`RequestMethod::Auto`] chooses the
+    /// formulation: copy-free demands use the LP; copy-friendly demands use
+    /// the MILP on small topologies and A* on larger ones.
+    ///
+    /// `warm` is handed to the root relaxation of whichever formulation runs
+    /// (the first round's, for A*) — the re-entrant entry point the schedule
+    /// service uses from its worker threads. A basis of the wrong shape (from
+    /// a different size bucket whose epoch count differs, say) silently falls
+    /// back to a cold start inside the LP layer, so a stale hint can cost a
+    /// failed warm attempt but never correctness.
     pub fn solve(
         &self,
         demand: &DemandMatrix,
         chunk_bytes: f64,
+        method: RequestMethod,
+        warm: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve`] with an externally supplied warm-start basis — the
-    /// re-entrant entry point the schedule service uses from its worker
-    /// threads. The basis is handed to the root relaxation of whichever
-    /// formulation the dispatcher picks; a basis of the wrong shape (from a
-    /// different size bucket whose epoch count differs, say) silently falls
-    /// back to a cold start inside the LP layer, so a stale hint can cost a
-    /// failed warm attempt but never correctness.
-    pub fn solve_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
-    ) -> Result<SolveOutcome, TeCclError> {
-        if !demand.benefits_from_copy() {
-            self.solve_lp_from(demand, chunk_bytes, basis)
-        } else if self.topology.num_gpus() > ASTAR_GPU_THRESHOLD {
-            self.solve_astar_from(demand, chunk_bytes, basis)
-        } else {
-            self.solve_milp_from(demand, chunk_bytes, basis)
+        match method {
+            RequestMethod::Lp => self.solve_lp(demand, chunk_bytes, warm),
+            RequestMethod::Auto if !demand.benefits_from_copy() => {
+                self.solve_lp(demand, chunk_bytes, warm)
+            }
+            RequestMethod::AStar => self.solve_astar(demand, chunk_bytes, warm),
+            RequestMethod::Auto if self.topology.num_gpus() > ASTAR_GPU_THRESHOLD => {
+                self.solve_astar(demand, chunk_bytes, warm)
+            }
+            RequestMethod::Milp | RequestMethod::Auto => self.solve_milp(demand, chunk_bytes, warm),
         }
     }
 
@@ -207,25 +243,15 @@ impl TeCcl {
         Err(last_err)
     }
 
-    /// Solves with the general MILP formulation (§3.1). The horizon starts at
+    /// The general MILP formulation (§3.1). The horizon starts at
     /// [`crate::epochs::estimate_num_epochs`] — the proven copy bound, or one
     /// epoch above the copy-free bound — (or at `max_epochs`, never below the
-    /// bound) and climbs like [`TeCcl::solve_lp`]'s while the MILP is
-    /// infeasible.
-    pub fn solve_milp(
+    /// bound) and climbs like the LP's while the MILP is infeasible.
+    fn solve_milp(
         &self,
         demand: &DemandMatrix,
         chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_milp_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve_milp`] warm-started from a prior basis.
-    pub fn solve_milp_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
+        warm: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
         let (topo, groups, tau) = self.prepare(chunk_bytes);
@@ -239,7 +265,7 @@ impl TeCcl {
             let form =
                 MilpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau, &options)?;
             self.check_budget()?;
-            let sol = form.solve_budgeted(&self.config, basis, self.budget.as_ref())?;
+            let sol = form.solve_budgeted(&self.config, warm, self.budget.as_ref())?;
             let sends = form.sends(&sol);
             let pruned = prune_sends(&sends, demand, form.initial_holders(), |a, b| {
                 form.delta_of(a, b)
@@ -267,24 +293,15 @@ impl TeCcl {
         })
     }
 
-    /// Solves with the LP formulation (§4.1) — intended for copy-free demands.
-    /// The horizon starts at [`horizon_lower_bound`]` + 1` (or at `max_epochs`,
+    /// The LP formulation (§4.1) — intended for copy-free demands. The
+    /// horizon starts at [`horizon_lower_bound`]` + 1` (or at `max_epochs`,
     /// never below the bound) and grows by 2, 4, 8, … epochs while the LP is
     /// infeasible.
-    pub fn solve_lp(
+    fn solve_lp(
         &self,
         demand: &DemandMatrix,
         chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_lp_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve_lp`] warm-started from a prior basis.
-    pub fn solve_lp_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
+        warm: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
         let (topo, _groups, tau) = self.prepare(chunk_bytes);
@@ -313,7 +330,7 @@ impl TeCcl {
                 group.clone(),
             )?;
             self.check_budget()?;
-            let sol = form.solve_budgeted(basis, self.budget.as_ref())?;
+            let sol = form.solve_budgeted(warm, self.budget.as_ref())?;
             let sends = form.extract_sends(&sol, demand);
             let mut schedule = schedule_from_sends(
                 "te-ccl-lp",
@@ -338,21 +355,12 @@ impl TeCcl {
         })
     }
 
-    /// Solves with the A* technique (§4.2).
-    pub fn solve_astar(
+    /// The A* technique (§4.2).
+    fn solve_astar(
         &self,
         demand: &DemandMatrix,
         chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_astar_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve_astar`] with a warm-start basis for the first round.
-    pub fn solve_astar_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
+        warm: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
         let (topo, _groups, tau) = self.prepare(chunk_bytes);
@@ -362,7 +370,7 @@ impl TeCcl {
             chunk_bytes,
             &self.config,
             tau,
-            basis,
+            warm,
             self.budget.as_ref(),
         )?;
         let grid = EpochGrid::new(&topo, chunk_bytes, tau);
@@ -411,7 +419,7 @@ impl TeCcl {
         }
         let mut solver = self.clone();
         solver.config.chunk_priorities = Some(priorities);
-        solver.solve(&combined, chunk_bytes)
+        solver.solve(&combined, chunk_bytes, RequestMethod::Auto, None)
     }
 }
 
@@ -436,7 +444,9 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::all_gather(3, &gpus, 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::Auto, None)
+            .unwrap();
         assert_eq!(out.formulation, FormulationKind::GeneralMilp);
         check_outcome(&out, &demand);
     }
@@ -447,8 +457,26 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::all_to_all(4, &gpus, 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::Auto, None)
+            .unwrap();
         assert_eq!(out.formulation, FormulationKind::Lp);
+        check_outcome(&out, &demand);
+    }
+
+    /// Above [`ASTAR_GPU_THRESHOLD`] GPUs a copy-friendly demand goes to A*:
+    /// the guard in the one `match` of [`TeCcl::solve`] that no other test
+    /// reaches.
+    #[test]
+    fn auto_dispatch_allgather_uses_astar_above_the_threshold() {
+        let topo = ring_topology(ASTAR_GPU_THRESHOLD + 1, 1e9, 0.0);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let demand = DemandMatrix::all_gather(gpus.len(), &gpus, 1);
+        let solver = TeCcl::new(topo, SolverConfig::default());
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::Auto, None)
+            .unwrap();
+        assert_eq!(out.formulation, FormulationKind::AStar);
         check_outcome(&out, &demand);
     }
 
@@ -458,7 +486,9 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::Auto, None)
+            .unwrap();
         check_outcome(&out, &demand);
         // Pruned schedule should be exactly the 2-hop relay.
         assert_eq!(out.schedule.num_sends(), 2);
@@ -474,7 +504,9 @@ mod tests {
             ..Default::default()
         };
         let solver = TeCcl::new(topo, config);
-        let out = solver.solve_astar(&demand, 1e6).unwrap();
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::AStar, None)
+            .unwrap();
         assert_eq!(out.formulation, FormulationKind::AStar);
         check_outcome(&out, &demand);
     }
@@ -487,7 +519,9 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(topo.num_nodes(), &gpus, gpus[0], 1);
         let solver = TeCcl::new(topo, SolverConfig::taccl_comparable().with_max_epochs(6));
-        let out = solver.solve_milp(&demand, 1e6).unwrap();
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::Milp, None)
+            .unwrap();
         // The switch is bypassed: direct cross-chassis hyper-edges exist and
         // no link touches the switch node anymore.
         let sw = solver.topology().switches().next().unwrap();
@@ -522,7 +556,7 @@ mod tests {
         let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
         let solve = |k| {
             TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(k))
-                .solve_milp(&demand, 1e6)
+                .solve(&demand, 1e6, RequestMethod::Milp, None)
                 .unwrap()
         };
         let (raised, exact) = (solve(1), solve(2));
@@ -546,7 +580,7 @@ mod tests {
             DemandMatrix::gather(4, &gpus, NodeId(0), 1),
         ] {
             assert!(matches!(
-                solver.solve_milp(&demand, 1e6),
+                solver.solve(&demand, 1e6, RequestMethod::Milp, None),
                 Err(TeCclError::Budget(BudgetExceeded::Cancelled))
             ));
         }
@@ -558,7 +592,9 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::for_collective(CollectiveKind::Gather, 3, &gpus, 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver
+            .solve(&demand, 1e6, RequestMethod::Auto, None)
+            .unwrap();
         assert_eq!(out.formulation, FormulationKind::Lp);
         check_outcome(&out, &demand);
     }

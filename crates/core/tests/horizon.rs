@@ -19,7 +19,9 @@ use teccl_core::epochs::{
 use teccl_core::lp_form::LpFormulation;
 use teccl_core::milp_form::{MilpBuildOptions, MilpFormulation};
 use teccl_core::switch::hyperedge_transform;
-use teccl_core::{BufferMode, SolveOutcome, SolverConfig, SwitchModel, TeCcl, TeCclError};
+use teccl_core::{
+    BufferMode, RequestMethod, SolveOutcome, SolverConfig, SwitchModel, TeCcl, TeCclError,
+};
 use teccl_schedule::{simulate, validate};
 use teccl_topology::{dgx1, internal1, internal2, ndv2, NodeId, Topology};
 use teccl_util::Rng64;
@@ -69,7 +71,7 @@ fn assert_refuted_below_bound(
     }
     let tau = epoch_duration(topo, chunk_bytes, config);
     let form = LpFormulation::build(topo, demand, chunk_bytes, config, bound - 1, tau).unwrap();
-    match form.solve() {
+    match form.solve_budgeted(None, None) {
         Err(TeCclError::InfeasibleWithEpochs(k)) => assert_eq!(k, bound - 1),
         other => panic!(
             "{what}: K = {} is below the bound {bound} yet gave {other:?}",
@@ -186,7 +188,7 @@ fn bound_is_valid_on_random_topologies() {
         // ... and the ladder that starts from it reaches a valid schedule.
         let bound = bound_of(&topo, &demand, 1e6, &config);
         let out = TeCcl::new(topo.clone(), config.clone())
-            .solve_lp(&demand, 1e6)
+            .solve(&demand, 1e6, RequestMethod::Lp, None)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         let report = validate(&out.topology_used, &demand, &out.schedule, false);
         assert!(report.is_valid(), "{what}: {:?}", report.errors);
@@ -197,7 +199,7 @@ fn bound_is_valid_on_random_topologies() {
     assert!(loose > 0, "no random case needed a second horizon");
 }
 
-/// `solve_lp` at the default horizon: the first attempt is the last one, and
+/// The LP solve at the default horizon: the first attempt is the last one, and
 /// the horizon is within three epochs of the completion epoch.
 fn assert_first_horizon_feasible(topo: &Topology, chunks: usize) {
     let config = SolverConfig::default();
@@ -205,7 +207,7 @@ fn assert_first_horizon_feasible(topo: &Topology, chunks: usize) {
     let tau = epoch_duration(topo, chunk_bytes, &config);
     let first = estimate_num_epochs(topo, &demand, chunk_bytes, tau);
     let out = TeCcl::new(topo.clone(), config)
-        .solve_lp(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
         .unwrap();
     assert_eq!(
         out.num_epochs, first,
@@ -249,7 +251,7 @@ fn assert_bound_is_tight(topo: &Topology, chunks: usize) {
     let bound = bound_of(topo, &demand, chunk_bytes, &config);
     assert_refuted_below_bound(&topo.name, topo, &demand, chunk_bytes, &config);
     let out = TeCcl::new(topo.clone(), config.with_max_epochs(bound))
-        .solve_lp(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
         .unwrap();
     assert_eq!(
         out.num_epochs, bound,
@@ -281,7 +283,7 @@ fn max_epochs_below_the_bound_is_raised_to_it() {
             topo.clone(),
             SolverConfig::default().with_max_epochs(max_epochs),
         )
-        .solve_lp(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
         .unwrap()
     };
     // Had K = 2 been built and refuted first, its pivots would be counted.
@@ -320,7 +322,7 @@ fn retry_ladder_grows_by_increments_not_by_doubling() {
     let feasible_at = |k| {
         LpFormulation::build(&topo, &demand, 1e6, &config, k, tau)
             .unwrap()
-            .solve()
+            .solve_budgeted(None, None)
             .is_ok()
     };
     assert!(
@@ -331,7 +333,7 @@ fn retry_ladder_grows_by_increments_not_by_doubling() {
 
     // 23 refuted, 23 + 2 feasible — doubling would have built K = 46.
     let out = TeCcl::new(topo.clone(), config)
-        .solve_lp(&demand, 1e6)
+        .solve(&demand, 1e6, RequestMethod::Lp, None)
         .unwrap();
     assert_eq!(out.num_epochs, bound + 3);
     let report = validate(&out.topology_used, &demand, &out.schedule, false);
@@ -376,7 +378,7 @@ fn assert_milp_refuted_below_bound(
         &options,
     )
     .unwrap();
-    match form.solve(config) {
+    match form.solve_budgeted(config, None, None) {
         Err(TeCclError::InfeasibleWithEpochs(k)) => assert_eq!(k, bound - 1),
         other => panic!(
             "{what}: K = {} is below the copy bound {bound} yet gave {:?}",
@@ -418,7 +420,7 @@ fn copy_bound_is_valid_under_hyperedges_and_buffer_limits() {
     }
 }
 
-/// `solve_milp` on an ALLGATHER at its first horizon and at `old_k`, the
+/// The MILP solve on an ALLGATHER at its first horizon and at `old_k`, the
 /// horizon the Appendix-E over-estimate used to give: the first horizon is
 /// not refuted, and both simulate to the same transfer time, to the bit.
 fn assert_first_horizon_schedules_like(
@@ -435,7 +437,7 @@ fn assert_first_horizon_schedules_like(
     assert!(first < old_k, "{what}: first horizon {first}");
     let solve = |config: SolverConfig| {
         TeCcl::new(topo.clone(), config)
-            .solve_milp(&demand, chunk_bytes)
+            .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
             .unwrap_or_else(|e| panic!("{what}: {e}"))
     };
     let (new, old) = (solve(config.clone()), solve(config.with_max_epochs(old_k)));

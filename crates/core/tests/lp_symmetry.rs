@@ -18,7 +18,7 @@ use teccl_core::epochs::{epoch_duration, horizon_lower_bound};
 use teccl_core::extract::schedule_from_sends;
 use teccl_core::lp_form::LpFormulation;
 use teccl_core::symmetry::SymmetryGroup;
-use teccl_core::{BufferMode, SolverConfig, TeCcl, TeCclError};
+use teccl_core::{BufferMode, RequestMethod, SolverConfig, TeCcl, TeCclError};
 use teccl_lp::{ConstraintOp, Model};
 use teccl_schedule::{simulate, validate};
 use teccl_topology::{dgx1, dgx2, internal1, internal2, ndv2, NodeId, Topology, GBPS};
@@ -144,7 +144,7 @@ fn assert_exact(name: &str, topo: &Topology, kind: CollectiveKind, chunks: usize
     let (demand, chunk_bytes, tau) = shape(topo, kind, chunks, bytes, &config);
     let k = horizon_lower_bound(topo, &demand, chunk_bytes, tau, None).unwrap() + 1;
     let reduced = LpFormulation::build(topo, &demand, chunk_bytes, &config, k, tau).unwrap();
-    let solved = reduced.solve();
+    let solved = reduced.solve_budgeted(None, None);
     if !reduced.group().is_trivial() {
         let full = LpFormulation::build_over(
             topo,
@@ -156,7 +156,7 @@ fn assert_exact(name: &str, topo: &Topology, kind: CollectiveKind, chunks: usize
             SymmetryGroup::trivial(topo),
         )
         .unwrap();
-        match (&solved, full.solve()) {
+        match (&solved, full.solve_budgeted(None, None)) {
             (Ok(r), Ok(f)) => {
                 let scale = f.objective.abs().max(1.0);
                 assert!(
@@ -238,7 +238,7 @@ fn sixteen_gpu_alltoall_solves_over_its_group() {
     let (demand, chunk_bytes, _) = shape(&topo, CollectiveKind::AllToAll, 1, SIXTEEN_MB, &config);
     let start = Instant::now();
     let out = TeCcl::new(topo.clone(), config)
-        .solve_lp(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
         .unwrap();
     let elapsed = start.elapsed();
     let report = validate(&out.topology_used, &demand, &out.schedule, false);

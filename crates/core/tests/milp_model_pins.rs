@@ -185,7 +185,7 @@ fn astar_round1_model_is_pinned() {
         .unwrap()
     };
     let round0 = build(&state);
-    let sol = round0.solve(&config).unwrap();
+    let sol = round0.solve_budgeted(&config, None, None).unwrap();
     state.absorb(&topo, &round0.sends(&sol));
     let round1 = build(&state);
     assert_eq!(

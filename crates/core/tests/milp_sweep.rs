@@ -1,4 +1,4 @@
-//! `solve_milp` end to end on copy-free demands: internal2 x2 / x3 ×
+//! The MILP solve end to end on copy-free demands: internal2 x2 / x3 ×
 //! ALLTOALL / GATHER / SCATTER × 64 KB / 16 MB, default configuration.
 //!
 //! Every row that solves must hand back a schedule that validates and
@@ -23,14 +23,14 @@
 
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::epochs::{epoch_duration, estimate_num_epochs, horizon_lower_bound};
-use teccl_core::{SolverConfig, TeCcl};
+use teccl_core::{RequestMethod, SolverConfig, TeCcl};
 use teccl_schedule::{simulate, validate};
 use teccl_topology::{internal2, NodeId};
 
 const KB64: f64 = 65536.0;
 const MB16: f64 = 16.0 * 1048576.0;
 
-/// Solves one row through `solve_milp` and checks the answer.
+/// Solves one row through the MILP and checks the answer.
 fn sweep_row(chassis: usize, kind: CollectiveKind, output_buffer: f64) {
     let topo = internal2(chassis);
     let what = format!("{} {kind:?} @ {output_buffer}", topo.name);
@@ -44,7 +44,7 @@ fn sweep_row(chassis: usize, kind: CollectiveKind, output_buffer: f64) {
         .unwrap_or_else(|e| panic!("{what}: bound LP: {e}"));
     let first = estimate_num_epochs(&topo, &demand, chunk_bytes, tau);
     let out = TeCcl::new(topo, config)
-        .solve_milp(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let report = validate(&out.topology_used, &demand, &out.schedule, false);
     assert!(report.is_valid(), "{what}: {:?}", report.errors);

@@ -9,7 +9,7 @@ use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::astar::RoundState;
 use teccl_core::epochs::epoch_duration;
 use teccl_core::milp_form::MilpFormulation;
-use teccl_core::{SolverConfig, TeCcl};
+use teccl_core::{RequestMethod, SolverConfig, TeCcl};
 use teccl_lp::{SolveStats, SolveStatus};
 use teccl_topology::{NodeId, Topology};
 
@@ -35,7 +35,7 @@ fn assert_cold(stats: &SolveStats) {
 fn copy_free_alltoall_lp_takes_the_primal_phase1() {
     let (topo, demand, chunk_bytes) = internal2x2_16mb(CollectiveKind::AllToAll);
     let out = TeCcl::new(topo, SolverConfig::default())
-        .solve_lp(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
         .unwrap();
     assert_eq!(out.status, SolveStatus::Optimal);
     assert_cold(&out.stats);
@@ -65,7 +65,7 @@ fn astar_allgather_cold_root_takes_the_dual_phase1() {
         &options,
     )
     .unwrap();
-    let root = form.model.solve_lp_relaxation().unwrap();
+    let root = form.model.solve_lp_relaxation_budgeted(None, None).unwrap();
     assert_eq!(root.status, SolveStatus::Optimal);
     assert_cold(&root.stats);
     assert!(

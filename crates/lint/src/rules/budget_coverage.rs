@@ -1,8 +1,11 @@
 //! **budget-coverage** — every hot loop must charge the cooperative
-//! [`SolveBudget`].
+//! `SolveBudget`.
 //!
 //! PR 5's canonical near-miss: the pure-LP path in `Model::solve_with_warm`
 //! quietly skipped the budget, turning a 100 ms deadline into a 132 s solve.
+//! That forwarding function is gone: each solve layer now has one public
+//! solve function that takes the budget as an argument (`Model::solve_over`
+//! for the model layer), so a forgotten budget no longer compiles.
 //! The invariant "every loop that can burn unbounded solver time charges or
 //! checks the budget" is exactly the kind nothing enforces once the PR
 //! merges — so this rule does.

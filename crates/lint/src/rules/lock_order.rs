@@ -7,7 +7,7 @@
 //! to every test that doesn't hit the exact interleaving. This rule extracts
 //! a static lock-acquisition graph from `crates/service/src` and fails on:
 //!
-//! * an edge that contradicts the declared [`LockRank`] order (parsed from
+//! * an edge that contradicts the declared `LockRank` order (parsed from
 //!   the `enum LockRank` declaration in `sync.rs` — declaration order *is*
 //!   the acquisition order),
 //! * any cycle in the graph (even among locks with no declared rank),

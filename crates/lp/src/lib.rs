@@ -23,7 +23,8 @@
 //!   LU-factorized basis with eta updates and Markowitz-tie-broken pivoting
 //!   ([`basis`]), a crash slack basis, projected steepest-edge pricing, an
 //!   EXPAND anti-cycling ratio test, and **warm starts** from a prior basis
-//!   ([`simplex::solve_standard_form_from`]) re-optimized by a dual simplex,
+//!   (the `warm` argument of [`solve_standard_form_budgeted`]) re-optimized
+//!   by a dual simplex,
 //! * a **branch-and-bound MILP solver** ([`milp`]) with a rounding heuristic,
 //!   relative-gap early stop (the paper's "early stop at 30%" mode), a time
 //!   limit (the paper's 2-hour Gurobi timeout), **hot node re-solves** (each
@@ -48,7 +49,7 @@
 //! m.add_cons("cap", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
 //! m.add_cons("bx", &[(x, 1.0)], ConstraintOp::Le, 2.0);
 //! m.add_cons("by", &[(y, 1.0)], ConstraintOp::Le, 3.0);
-//! let sol = m.solve().unwrap();
+//! let sol = m.solve_lp_relaxation_budgeted(None, None).unwrap();
 //! assert_eq!(sol.status, SolveStatus::Optimal);
 //! assert!((sol.objective - 10.0).abs() < 1e-6);
 //! ```
@@ -66,10 +67,10 @@ pub mod standard;
 
 pub use basis::{LuFactors, SimplexBasis, VarStatus};
 pub use error::LpError;
-pub use milp::{MilpConfig, MilpSolver};
+pub use milp::MilpConfig;
 pub use model::{ConstraintOp, Model, Sense, VarId};
 pub use presolve::MilpLayout;
-pub use simplex::{solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from};
+pub use simplex::solve_standard_form_budgeted;
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use sparse::{IndexedVec, RowMajor, SparseMatrix, SparseVec};
 pub use standard::StandardForm;
@@ -99,8 +100,6 @@ mod thread_safety_tests {
         assert_sync::<Model>();
         assert_send::<StandardForm>();
         assert_sync::<StandardForm>();
-        assert_send::<MilpSolver>();
-        assert_sync::<MilpSolver>();
         assert_send::<Solution>();
         assert_sync::<Solution>();
         assert_send::<SimplexBasis>();
@@ -139,7 +138,7 @@ mod thread_safety_tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 3.0, 1.0, false);
         m.add_cons("c", &[(x, 1.0)], ConstraintOp::Le, 2.0);
-        let sol = m.solve().unwrap();
+        let sol = m.solve_lp_relaxation_budgeted(None, None).unwrap();
         let v = sol.basis_to_json().expect("LP solve returns a basis");
         let back = SimplexBasis::from_json_value(&v).unwrap();
         assert_eq!(Some(&back), sol.basis.as_ref());

@@ -14,7 +14,7 @@
 //!   built *once* at the root; every child node re-solves with only a bound
 //!   override list and its parent's optimal basis, so the simplex repairs a
 //!   single bound violation instead of re-running phase 1 from the
-//!   all-artificial basis (see [`crate::simplex::solve_standard_form_from`]),
+//!   all-artificial basis (see [`crate::simplex::solve_standard_form_budgeted`]),
 //! * **per-node presolve**: before each node's LP re-solve, a lightweight
 //!   bound-propagation pass (row-activity implied bounds, integer rounding,
 //!   and light probing on binary variables) tightens the node's override
@@ -50,12 +50,6 @@ pub struct MilpConfig {
     /// bound drops below this value (`0.0` = prove optimality, `0.3` = the
     /// paper's 30% early stop).
     pub rel_gap: f64,
-    /// Cooperative budget (deadline / cancel / iteration cap) checked once
-    /// per simplex pivot and once per branch-and-bound node. On exhaustion
-    /// the best incumbent found so far is returned with
-    /// [`SolveStats::budget_stop`] set; with no incumbent the solve fails
-    /// with [`LpError::Budget`].
-    pub budget: Option<SolveBudget>,
 }
 
 impl Default for MilpConfig {
@@ -63,7 +57,6 @@ impl Default for MilpConfig {
         Self {
             time_limit: None,
             rel_gap: 1e-6,
-            budget: None,
         }
     }
 }
@@ -131,375 +124,351 @@ impl Ord for HeapNode {
     }
 }
 
-/// The branch-and-bound solver.
-#[derive(Debug, Clone)]
-pub struct MilpSolver {
-    config: MilpConfig,
-}
+/// Branch and bound over a [`MilpLayout`] built from `model` or from a model
+/// of the same shape (same variables and constraint terms; bounds, costs and
+/// right-hand sides may differ), reached through [`Model::solve_over`].
+///
+/// `root_warm` warm-starts the **root** relaxation from a basis carried over
+/// from a previous solve of an identically-shaped model (the A* cross-round
+/// case). The returned [`Solution::basis`] is the root relaxation's final
+/// basis (in the presolved standard-form space), ready to be carried into
+/// the next round; a stale or mismatched basis silently falls back to a cold
+/// root. `budget` is checked once per simplex pivot and once per node: on
+/// exhaustion the best incumbent found so far is returned with
+/// [`SolveStats::budget_stop`] set; with no incumbent the solve fails with
+/// [`LpError::Budget`].
+pub(crate) fn branch_and_bound(
+    layout: &MilpLayout,
+    model: &Model,
+    config: &MilpConfig,
+    root_warm: Option<&SimplexBasis>,
+    budget: Option<&SolveBudget>,
+) -> Result<Solution, LpError> {
+    let start = Instant::now();
+    let maximize = model.sense == Sense::Maximize;
+    // `better(a, b)` returns true if objective a is strictly better than b.
+    let better = |a: f64, b: f64| if maximize { a > b + 1e-9 } else { a < b - 1e-9 };
 
-impl MilpSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: MilpConfig) -> Self {
-        Self { config }
-    }
+    // Presolve ONCE; the whole tree shares the presolved standard form
+    // and only varies bounds. The presolve is layout-preserving
+    // (fixings are `lb == ub` pins, freed rows get relaxed slacks), so
+    // the column space is identical to the raw model's — any basis from
+    // any node, round, or differently-presolved sibling solve stays
+    // valid. Bound tightenings from branching only shrink domains, so
+    // the root reductions hold at every node.
+    let (sf, post) = layout.presolve(model, budget)?;
+    let Some(sf) = sf else {
+        let mut sol = post.recover(infeasible_solution(model.num_vars()), model);
+        sol.stats.solve_time = start.elapsed();
+        return Ok(sol);
+    };
+    let num_red_vars = model.num_vars();
+    // Per-node presolve shares the layout's rows for the whole tree.
+    let mut node_presolver = NodePresolver::new(layout, model, &sf, &post);
+    // Original-model integer variables and their reduced columns.
+    let int_vars: Vec<usize> = model
+        .vars
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.integer)
+        .map(|(i, _)| i)
+        .collect();
 
-    /// Solves a mixed-integer model.
-    pub fn solve(&self, model: &Model) -> Result<Solution, LpError> {
-        self.solve_from(model, None)
-    }
+    let mut stats = SolveStats {
+        presolved_vars: post.original_vars - post.cols_fixed,
+        presolved_cons: post.original_cons - post.rows_freed,
+        cols_fixed: post.cols_fixed,
+        rows_freed: post.rows_freed,
+        ..Default::default()
+    };
 
-    /// Solves a mixed-integer model, optionally warm-starting the **root**
-    /// relaxation from a basis carried over from a previous solve of an
-    /// identically-shaped model (the A* cross-round case). The returned
-    /// [`Solution::basis`] is the root relaxation's final basis (in the
-    /// presolved standard-form space), ready to be carried into the next
-    /// round; a stale or mismatched basis silently falls back to a cold root.
-    pub fn solve_from(
-        &self,
-        model: &Model,
-        root_warm: Option<&SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        self.solve_over(&MilpLayout::new(model), model, root_warm)
-    }
-
-    /// [`MilpSolver::solve_from`] over a [`MilpLayout`] built from `model` or
-    /// from a model of the same shape (same variables and constraint terms;
-    /// bounds, costs and right-hand sides may differ). A caller that solves a
-    /// sequence of such models — the A* rounds — builds the layout once.
-    /// Panics if the shapes differ.
-    pub fn solve_over(
-        &self,
-        layout: &MilpLayout,
-        model: &Model,
-        root_warm: Option<&SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        let start = Instant::now();
-        let maximize = model.sense == Sense::Maximize;
-        // `better(a, b)` returns true if objective a is strictly better than b.
-        let better = |a: f64, b: f64| if maximize { a > b + 1e-9 } else { a < b - 1e-9 };
-        let budget = self.config.budget.as_ref();
-
-        // Presolve ONCE; the whole tree shares the presolved standard form
-        // and only varies bounds. The presolve is layout-preserving
-        // (fixings are `lb == ub` pins, freed rows get relaxed slacks), so
-        // the column space is identical to the raw model's — any basis from
-        // any node, round, or differently-presolved sibling solve stays
-        // valid. Bound tightenings from branching only shrink domains, so
-        // the root reductions hold at every node.
-        let (sf, post) = layout.presolve(model, budget)?;
-        let Some(sf) = sf else {
-            let mut sol = post.recover(infeasible_solution(model.num_vars()), model);
-            sol.stats.solve_time = start.elapsed();
+    // Root relaxation (dual re-optimized from the carried basis, when one
+    // is provided and still fits the standard form's shape). A budget
+    // stop here without a primal-feasible point propagates as an error —
+    // there is nothing to degrade to yet.
+    let root_red =
+        simplex::solve_standard_form_budgeted(&sf, num_red_vars, &[], root_warm, budget)?;
+    stats.absorb(&root_red.stats);
+    // A budget-stopped root is a feasible point, not a dual bound; the
+    // final gap/bound report must not treat its objective as proved.
+    let root_budget_stopped = stats.budget_stop.is_some();
+    // The root basis is what the next same-shaped solve warm-starts from.
+    let carried_basis = root_red.basis.clone();
+    let root = post.recover(root_red, model);
+    match root.status {
+        SolveStatus::Infeasible | SolveStatus::Unbounded => {
+            let mut sol = root;
+            sol.values = vec![0.0; model.num_vars()];
+            sol.objective = f64::NAN;
+            sol.duals = Vec::new();
+            sol.basis = None;
+            stats.solve_time = start.elapsed();
+            sol.stats = stats;
             return Ok(sol);
-        };
-        let num_red_vars = model.num_vars();
-        // Per-node presolve shares the layout's rows for the whole tree.
-        let mut node_presolver = NodePresolver::new(layout, model, &sf, &post);
-        // Original-model integer variables and their reduced columns.
-        let int_vars: Vec<usize> = model
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.integer)
-            .map(|(i, _)| i)
-            .collect();
-
-        let mut stats = SolveStats {
-            presolved_vars: post.original_vars - post.cols_fixed,
-            presolved_cons: post.original_cons - post.rows_freed,
-            cols_fixed: post.cols_fixed,
-            rows_freed: post.rows_freed,
-            ..Default::default()
-        };
-
-        // Root relaxation (dual re-optimized from the carried basis, when one
-        // is provided and still fits the standard form's shape). A budget
-        // stop here without a primal-feasible point propagates as an error —
-        // there is nothing to degrade to yet.
-        let root_red =
-            simplex::solve_standard_form_budgeted(&sf, num_red_vars, &[], root_warm, budget)?;
-        stats.absorb(&root_red.stats);
-        // A budget-stopped root is a feasible point, not a dual bound; the
-        // final gap/bound report must not treat its objective as proved.
-        let root_budget_stopped = stats.budget_stop.is_some();
-        // The root basis is what the next same-shaped solve warm-starts from.
-        let carried_basis = root_red.basis.clone();
-        let root = post.recover(root_red, model);
-        match root.status {
-            SolveStatus::Infeasible | SolveStatus::Unbounded => {
-                let mut sol = root;
-                sol.values = vec![0.0; model.num_vars()];
-                sol.objective = f64::NAN;
-                sol.duals = Vec::new();
-                sol.basis = None;
-                stats.solve_time = start.elapsed();
-                sol.stats = stats;
-                return Ok(sol);
-            }
-            _ => {}
         }
+        _ => {}
+    }
 
-        let mut incumbent: Option<Solution> = None;
-        let mut best_bound = root.objective;
+    let mut incumbent: Option<Solution> = None;
+    let mut best_bound = root.objective;
 
-        let mut heap = BinaryHeap::new();
-        let mut next_id = 0usize;
-        let score = |obj: f64| if maximize { obj } else { -obj };
-        let root_basis = root.basis.clone().map(Arc::new);
-        heap.push(HeapNode {
-            score: score(root.objective),
-            node: Node {
-                overrides: Vec::new(),
-                parent_bound: root.objective,
-                id: next_id,
-                warm: root_basis,
-            },
-        });
-        next_id += 1;
+    let mut heap = BinaryHeap::new();
+    let mut next_id = 0usize;
+    let score = |obj: f64| if maximize { obj } else { -obj };
+    let root_basis = root.basis.clone().map(Arc::new);
+    heap.push(HeapNode {
+        score: score(root.objective),
+        node: Node {
+            overrides: Vec::new(),
+            parent_bound: root.objective,
+            id: next_id,
+            warm: root_basis,
+        },
+    });
+    next_id += 1;
 
-        let mut hit_limit = false;
-        // The root relaxation is already solved; hand it to the first pop.
-        let mut root_relax = Some(root);
+    let mut hit_limit = false;
+    // The root relaxation is already solved; hand it to the first pop.
+    let mut root_relax = Some(root);
 
-        while let Some(HeapNode { mut node, .. }) = heap.pop() {
-            // Global bound = best over the open nodes and the node being
-            // processed (the heap is ordered by bound).
-            best_bound = node.parent_bound;
-            if let Some(inc) = &incumbent {
-                if gap(best_bound, inc.objective) <= self.config.rel_gap {
-                    // Good enough: the paper's early-stop behaviour.
-                    break;
-                }
-                if !better(node.parent_bound, inc.objective) {
-                    continue; // prune by bound
-                }
+    while let Some(HeapNode { mut node, .. }) = heap.pop() {
+        // Global bound = best over the open nodes and the node being
+        // processed (the heap is ordered by bound).
+        best_bound = node.parent_bound;
+        if let Some(inc) = &incumbent {
+            if gap(best_bound, inc.objective) <= config.rel_gap {
+                // Good enough: the paper's early-stop behaviour.
+                break;
             }
-            if stats.nodes_explored >= NODE_LIMIT {
+            if !better(node.parent_bound, inc.objective) {
+                continue; // prune by bound
+            }
+        }
+        if stats.nodes_explored >= NODE_LIMIT {
+            hit_limit = true;
+            break;
+        }
+        if let Some(limit) = config.time_limit {
+            if start.elapsed() > limit {
                 hit_limit = true;
                 break;
             }
-            if let Some(limit) = self.config.time_limit {
-                if start.elapsed() > limit {
+        }
+        // Cooperative budget, checked between nodes as well as inside
+        // each node's pivots (catches a cancel while the tree is hot but
+        // the LPs are cheap). Skipped while the already-solved root
+        // relaxation is pending: a budget-stopped root still carries a
+        // feasible point the harvest below must get to see.
+        if root_relax.is_none() {
+            if let Some(b) = budget {
+                if let Some(cause) = b.exceeded() {
+                    stats.budget_stop = stats.budget_stop.or(Some(cause));
                     hit_limit = true;
                     break;
                 }
             }
-            // Cooperative budget, checked between nodes as well as inside
-            // each node's pivots (catches a cancel while the tree is hot but
-            // the LPs are cheap). Skipped while the already-solved root
-            // relaxation is pending: a budget-stopped root still carries a
-            // feasible point the harvest below must get to see.
-            if root_relax.is_none() {
-                if let Some(b) = budget {
-                    if let Some(cause) = b.exceeded() {
-                        stats.budget_stop = stats.budget_stop.or(Some(cause));
-                        hit_limit = true;
-                        break;
-                    }
-                }
-            }
-            stats.nodes_explored += 1;
-
-            // Solve this node's relaxation: shared standard form + this
-            // node's bound overrides, warm-started from the parent's basis.
-            let relax = match root_relax.take() {
-                Some(r) => r,
-                None => {
-                    // Per-node presolve: propagate the branching bounds
-                    // through the rows (plus light probing) before paying for
-                    // the LP. The tightenings land in the override list the
-                    // dual simplex consumes; a propagation-proven infeasible
-                    // node is pruned with no LP work at all.
-                    match node_presolver.tighten(&mut node.overrides) {
-                        None => continue, // infeasible by propagation
-                        Some(t) => stats.node_tightenings += t,
-                    }
-                    let red_sol = match simplex::solve_standard_form_budgeted(
-                        &sf,
-                        num_red_vars,
-                        &node.overrides,
-                        node.warm.as_deref(),
-                        budget,
-                    ) {
-                        Ok(s) => s,
-                        // Budget exhausted with no feasible point at this
-                        // node: keep whatever incumbent the tree already
-                        // produced; fail only if there is none.
-                        Err(LpError::Budget(cause)) => {
-                            if incumbent.is_some() {
-                                stats.budget_stop = stats.budget_stop.or(Some(cause));
-                                hit_limit = true;
-                                break;
-                            }
-                            return Err(LpError::Budget(cause));
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    stats.absorb(&red_sol.stats);
-                    post.recover(red_sol, model)
-                }
-            };
-            if !relax.status.has_solution() {
-                continue; // infeasible branch
-            }
-            // A budget stop *inside* this node's LP left a feasible point
-            // that is not a valid bound: harvest it as an incumbent when it
-            // is integral (the common pure-LP case), then stop the search.
-            if stats.budget_stop.is_some() {
-                hit_limit = true;
-                let integral = int_vars
-                    .iter()
-                    .all(|&j| (relax.values[j] - relax.values[j].round()).abs() <= INT_TOL);
-                if integral {
-                    let mut cand = relax.clone();
-                    round_integrals(&mut cand, &int_vars);
-                    cand.objective = model.eval_objective(&cand.values);
-                    cand.basis = None;
-                    if incumbent
-                        .as_ref()
-                        .is_none_or(|inc| better(cand.objective, inc.objective))
-                    {
-                        incumbent = Some(cand);
-                    }
-                }
-                break;
-            }
-            if let Some(inc) = &incumbent {
-                if !better(relax.objective, inc.objective) {
-                    continue; // prune by bound
-                }
-            }
-
-            // Find the most fractional integer variable (original space; a
-            // presolve-fixed integer variable is never fractional).
-            let mut branch_var: Option<(usize, f64)> = None;
-            for &j in &int_vars {
-                let v = relax.values[j];
-                let frac = (v - v.round()).abs();
-                if frac > INT_TOL {
-                    let distance_to_half = (frac - 0.5).abs();
-                    match branch_var {
-                        Some((_, best)) if distance_to_half >= best => {}
-                        _ => branch_var = Some((j, distance_to_half)),
-                    }
-                }
-            }
-
-            match branch_var {
-                None => {
-                    // Integral relaxation → candidate incumbent.
-                    let mut cand = relax.clone();
-                    round_integrals(&mut cand, &int_vars);
-                    cand.objective = model.eval_objective(&cand.values);
-                    cand.basis = None;
-                    if incumbent
-                        .as_ref()
-                        .is_none_or(|inc| better(cand.objective, inc.objective))
-                    {
-                        incumbent = Some(cand);
-                    }
-                }
-                Some((j, _)) => {
-                    // Rounding heuristic: try snapping every integer variable.
-                    if let Some(h) = rounding_heuristic(model, &relax, &int_vars) {
-                        if incumbent
-                            .as_ref()
-                            .is_none_or(|inc| better(h.objective, inc.objective))
-                        {
-                            incumbent = Some(h);
-                        }
-                    }
-                    // Branch on variable j. Presolve preserves the column
-                    // layout, so the model index IS the standard-form column.
-                    let red_j = j;
-                    let v = relax.values[j];
-                    let floor = v.floor();
-                    let ceil = v.ceil();
-                    let (cur_lb, cur_ub) = current_bounds(&sf, &node.overrides, red_j);
-                    let warm = relax.basis.map(Arc::new);
-
-                    let mut down = node.overrides.clone();
-                    down.push((red_j, cur_lb, floor.min(cur_ub)));
-                    let mut up = node.overrides.clone();
-                    up.push((red_j, ceil.max(cur_lb), cur_ub));
-
-                    for overrides in [down, up] {
-                        let (_, lo, hi) = overrides.last().copied().unwrap();
-                        if lo > hi + 1e-9 {
-                            continue; // empty branch
-                        }
-                        heap.push(HeapNode {
-                            score: score(relax.objective),
-                            node: Node {
-                                overrides,
-                                parent_bound: relax.objective,
-                                id: next_id,
-                                warm: warm.clone(),
-                            },
-                        });
-                        next_id += 1;
-                    }
-                }
-            }
         }
+        stats.nodes_explored += 1;
 
-        // If the heap drained, the bound collapses to the incumbent.
-        if heap.is_empty() && !hit_limit {
-            if let Some(inc) = &incumbent {
-                best_bound = inc.objective;
-            }
-        } else if let Some(top) = heap.peek() {
-            best_bound = top.node.parent_bound;
-        }
-
-        stats.solve_time = start.elapsed();
-        stats.best_bound = if root_budget_stopped {
-            f64::NAN
-        } else {
-            best_bound
-        };
-
-        match incumbent {
-            Some(mut inc) => {
-                let g = if root_budget_stopped {
-                    f64::INFINITY
-                } else {
-                    gap(best_bound, inc.objective)
-                };
-                stats.mip_gap = g;
-                inc.status = if g <= self.config.rel_gap.max(1e-6) && !hit_limit {
-                    SolveStatus::Optimal
-                } else if hit_limit || g > self.config.rel_gap.max(1e-6) {
-                    SolveStatus::Feasible
-                } else {
-                    SolveStatus::Optimal
-                };
-                inc.duals = Vec::new();
-                inc.stats = stats;
-                inc.basis = carried_basis;
-                Ok(inc)
-            }
+        // Solve this node's relaxation: shared standard form + this
+        // node's bound overrides, warm-started from the parent's basis.
+        let relax = match root_relax.take() {
+            Some(r) => r,
             None => {
-                // Budget exhausted with nothing to show: a typed error, so
-                // callers can tell "ran out of time" from "proved
-                // infeasible" and degrade accordingly.
-                if let Some(cause) = stats.budget_stop {
-                    return Err(LpError::Budget(cause));
+                // Per-node presolve: propagate the branching bounds
+                // through the rows (plus light probing) before paying for
+                // the LP. The tightenings land in the override list the
+                // dual simplex consumes; a propagation-proven infeasible
+                // node is pruned with no LP work at all.
+                match node_presolver.tighten(&mut node.overrides) {
+                    None => continue, // infeasible by propagation
+                    Some(t) => stats.node_tightenings += t,
                 }
-                stats.mip_gap = f64::INFINITY;
-                Ok(Solution {
-                    status: if hit_limit {
-                        SolveStatus::LimitReached
-                    } else {
-                        SolveStatus::Infeasible
-                    },
-                    objective: f64::NAN,
-                    values: vec![0.0; model.num_vars()],
-                    duals: Vec::new(),
-                    stats,
-                    basis: carried_basis,
-                })
+                let red_sol = match simplex::solve_standard_form_budgeted(
+                    &sf,
+                    num_red_vars,
+                    &node.overrides,
+                    node.warm.as_deref(),
+                    budget,
+                ) {
+                    Ok(s) => s,
+                    // Budget exhausted with no feasible point at this
+                    // node: keep whatever incumbent the tree already
+                    // produced; fail only if there is none.
+                    Err(LpError::Budget(cause)) => {
+                        if incumbent.is_some() {
+                            stats.budget_stop = stats.budget_stop.or(Some(cause));
+                            hit_limit = true;
+                            break;
+                        }
+                        return Err(LpError::Budget(cause));
+                    }
+                    Err(e) => return Err(e),
+                };
+                stats.absorb(&red_sol.stats);
+                post.recover(red_sol, model)
             }
+        };
+        if !relax.status.has_solution() {
+            continue; // infeasible branch
+        }
+        // A budget stop *inside* this node's LP left a feasible point
+        // that is not a valid bound: harvest it as an incumbent when it
+        // is integral (the common pure-LP case), then stop the search.
+        if stats.budget_stop.is_some() {
+            hit_limit = true;
+            let integral = int_vars
+                .iter()
+                .all(|&j| (relax.values[j] - relax.values[j].round()).abs() <= INT_TOL);
+            if integral {
+                let mut cand = relax.clone();
+                round_integrals(&mut cand, &int_vars);
+                cand.objective = model.eval_objective(&cand.values);
+                cand.basis = None;
+                if incumbent
+                    .as_ref()
+                    .is_none_or(|inc| better(cand.objective, inc.objective))
+                {
+                    incumbent = Some(cand);
+                }
+            }
+            break;
+        }
+        if let Some(inc) = &incumbent {
+            if !better(relax.objective, inc.objective) {
+                continue; // prune by bound
+            }
+        }
+
+        // Find the most fractional integer variable (original space; a
+        // presolve-fixed integer variable is never fractional).
+        let mut branch_var: Option<(usize, f64)> = None;
+        for &j in &int_vars {
+            let v = relax.values[j];
+            let frac = (v - v.round()).abs();
+            if frac > INT_TOL {
+                let distance_to_half = (frac - 0.5).abs();
+                match branch_var {
+                    Some((_, best)) if distance_to_half >= best => {}
+                    _ => branch_var = Some((j, distance_to_half)),
+                }
+            }
+        }
+
+        match branch_var {
+            None => {
+                // Integral relaxation → candidate incumbent.
+                let mut cand = relax.clone();
+                round_integrals(&mut cand, &int_vars);
+                cand.objective = model.eval_objective(&cand.values);
+                cand.basis = None;
+                if incumbent
+                    .as_ref()
+                    .is_none_or(|inc| better(cand.objective, inc.objective))
+                {
+                    incumbent = Some(cand);
+                }
+            }
+            Some((j, _)) => {
+                // Rounding heuristic: try snapping every integer variable.
+                if let Some(h) = rounding_heuristic(model, &relax, &int_vars) {
+                    if incumbent
+                        .as_ref()
+                        .is_none_or(|inc| better(h.objective, inc.objective))
+                    {
+                        incumbent = Some(h);
+                    }
+                }
+                // Branch on variable j. Presolve preserves the column
+                // layout, so the model index IS the standard-form column.
+                let red_j = j;
+                let v = relax.values[j];
+                let floor = v.floor();
+                let ceil = v.ceil();
+                let (cur_lb, cur_ub) = current_bounds(&sf, &node.overrides, red_j);
+                let warm = relax.basis.map(Arc::new);
+
+                let mut down = node.overrides.clone();
+                down.push((red_j, cur_lb, floor.min(cur_ub)));
+                let mut up = node.overrides.clone();
+                up.push((red_j, ceil.max(cur_lb), cur_ub));
+
+                for overrides in [down, up] {
+                    let (_, lo, hi) = overrides.last().copied().unwrap();
+                    if lo > hi + 1e-9 {
+                        continue; // empty branch
+                    }
+                    heap.push(HeapNode {
+                        score: score(relax.objective),
+                        node: Node {
+                            overrides,
+                            parent_bound: relax.objective,
+                            id: next_id,
+                            warm: warm.clone(),
+                        },
+                    });
+                    next_id += 1;
+                }
+            }
+        }
+    }
+
+    // If the heap drained, the bound collapses to the incumbent.
+    if heap.is_empty() && !hit_limit {
+        if let Some(inc) = &incumbent {
+            best_bound = inc.objective;
+        }
+    } else if let Some(top) = heap.peek() {
+        best_bound = top.node.parent_bound;
+    }
+
+    stats.solve_time = start.elapsed();
+    stats.best_bound = if root_budget_stopped {
+        f64::NAN
+    } else {
+        best_bound
+    };
+
+    match incumbent {
+        Some(mut inc) => {
+            let g = if root_budget_stopped {
+                f64::INFINITY
+            } else {
+                gap(best_bound, inc.objective)
+            };
+            stats.mip_gap = g;
+            inc.status = if g <= config.rel_gap.max(1e-6) && !hit_limit {
+                SolveStatus::Optimal
+            } else if hit_limit || g > config.rel_gap.max(1e-6) {
+                SolveStatus::Feasible
+            } else {
+                SolveStatus::Optimal
+            };
+            inc.duals = Vec::new();
+            inc.stats = stats;
+            inc.basis = carried_basis;
+            Ok(inc)
+        }
+        None => {
+            // Budget exhausted with nothing to show: a typed error, so
+            // callers can tell "ran out of time" from "proved
+            // infeasible" and degrade accordingly.
+            if let Some(cause) = stats.budget_stop {
+                return Err(LpError::Budget(cause));
+            }
+            stats.mip_gap = f64::INFINITY;
+            Ok(Solution {
+                status: if hit_limit {
+                    SolveStatus::LimitReached
+                } else {
+                    SolveStatus::Infeasible
+                },
+                objective: f64::NAN,
+                values: vec![0.0; model.num_vars()],
+                duals: Vec::new(),
+                stats,
+                basis: carried_basis,
+            })
         }
     }
 }
@@ -562,6 +531,11 @@ mod tests {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
     }
 
+    /// `m` solved cold, unbudgeted, over its own layout.
+    fn solve(m: &Model, config: &MilpConfig) -> Result<Solution, LpError> {
+        m.solve_over(&MilpLayout::new(m), config, None, None)
+    }
+
     #[test]
     fn knapsack_small() {
         // Classic 0/1 knapsack: values [60, 100, 120], weights [10, 20, 30], cap 50.
@@ -578,7 +552,7 @@ mod tests {
             ConstraintOp::Le,
             50.0,
         );
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.objective, 220.0, 1e-6);
         assert_eq!(sol.int_value(x[0]), 0);
@@ -592,7 +566,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 10.0, 1.0, true);
         m.add_cons("c", &[(x, 2.0)], ConstraintOp::Le, 5.0);
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_close(sol.objective, 2.0, 1e-9);
     }
 
@@ -602,7 +576,7 @@ mod tests {
         let x = m.add_binary_var("x", 1.0);
         let y = m.add_binary_var("y", 1.0);
         m.add_cons("c1", &[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }
 
@@ -614,7 +588,7 @@ mod tests {
         let y = m.add_var("y", 0.0, 10.0, 1.0, false);
         m.add_cons("cx", &[(x, 1.0)], ConstraintOp::Le, 2.5);
         m.add_cons("cy", &[(y, 1.0)], ConstraintOp::Le, 1.3);
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_close(sol.objective, 2.0 * 2.0 + 1.3, 1e-6);
         assert_close(sol.value(x), 2.0, 1e-9);
         assert_close(sol.value(y), 1.3, 1e-6);
@@ -629,7 +603,7 @@ mod tests {
             .collect();
         let terms: Vec<_> = xs.iter().map(|&x| (x, 1.0)).collect();
         m.add_cons("cap", &terms, ConstraintOp::Le, 4.0);
-        let sol = m.solve_with(&MilpConfig::early_stop(0.5)).unwrap();
+        let sol = solve(&m, &MilpConfig::early_stop(0.5)).unwrap();
         assert!(sol.has_solution());
         // Any solution must respect the cardinality constraint.
         let count: f64 = xs.iter().map(|&x| sol.value(x)).sum();
@@ -643,7 +617,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 2.0, 1.0, true);
         let y = m.add_var("y", 0.0, 2.0, 0.0, true);
         m.add_cons("e", &[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 3.0);
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.value(x), 2.0, 1e-9);
         assert_close(sol.value(y), 1.0, 1e-9);
@@ -675,7 +649,7 @@ mod tests {
             ConstraintOp::Ge,
             1.0,
         );
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_close(sol.objective, 1.0, 1e-6);
     }
 
@@ -693,9 +667,7 @@ mod tests {
         m.add_cons("cap", &terms, ConstraintOp::Le, 7.0);
         // A zero time limit trips at the first node check, the same exit the
         // private node limit takes.
-        let sol = m
-            .solve_with(&MilpConfig::with_time_limit(Duration::ZERO))
-            .unwrap();
+        let sol = solve(&m, &MilpConfig::with_time_limit(Duration::ZERO)).unwrap();
         assert!(sol.stats.nodes_explored <= 1);
         assert!(matches!(
             sol.status,
@@ -714,8 +686,8 @@ mod tests {
             m.add_cons("cap", &terms, ConstraintOp::Le, 3.0);
             m
         };
-        let s1 = build().solve().unwrap();
-        let s2 = build().solve().unwrap();
+        let s1 = solve(&build(), &MilpConfig::default()).unwrap();
+        let s2 = solve(&build(), &MilpConfig::default()).unwrap();
         assert_eq!(s1.values, s2.values);
         assert_eq!(s1.objective, s2.objective);
     }
@@ -725,7 +697,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 3.0, 1.0, false);
         let _ = x;
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.objective, 3.0, 1e-9);
     }
@@ -736,7 +708,7 @@ mod tests {
         let x = m.add_binary_var("x", 5.0);
         let y = m.add_binary_var("y", 4.0);
         m.add_cons("c", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 1.0);
-        let sol = m.solve().unwrap();
+        let sol = solve(&m, &MilpConfig::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(sol.stats.mip_gap <= 1e-6);
         assert_close(sol.objective, 5.0, 1e-9);
@@ -759,7 +731,7 @@ mod tests {
 
     #[test]
     fn branching_model_is_solved_with_warm_node_resolves() {
-        let sol = branching_model().solve().unwrap();
+        let sol = solve(&branching_model(), &MilpConfig::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         // By hand: no four weights fit under 23 (5+6+7+8 = 26), three fit at
         // most 23 (e.g. 5+6+12) for 23 + 3 = 26, two reach 23 + 2.

@@ -6,7 +6,7 @@
 //! variables are present.
 
 use crate::error::LpError;
-use crate::milp::{MilpConfig, MilpSolver};
+use crate::milp::{self, MilpConfig};
 use crate::presolve::MilpLayout;
 use crate::simplex;
 use crate::solution::{Solution, SolveStatus};
@@ -214,34 +214,21 @@ impl Model {
         Ok(())
     }
 
-    /// Solves the model as a pure LP (integrality requirements are relaxed).
+    /// Solves the model as a pure LP (integrality requirements are relaxed):
+    /// presolve, the simplex, and the map back to the original variable
+    /// space.
     ///
-    /// Runs presolve, the two-phase simplex, and maps the solution back to the
-    /// original variable space.
-    pub fn solve_lp_relaxation(&self) -> Result<Solution, LpError> {
-        self.solve_lp_relaxation_warm(None)
-    }
-
-    /// Like [`Model::solve_lp_relaxation`], but warm-started from the basis of
-    /// a previous solve of the same (or an identically-shaped) model.
-    ///
-    /// Presolve is layout-preserving (it only tightens bounds and frees
-    /// redundant rows), so the basis keeps its meaning regardless of how the
-    /// previous solve was presolved; a genuinely mismatched basis (different
-    /// model shape) silently falls back to a cold start. The returned
-    /// [`Solution::basis`] can be fed into the next call.
-    pub fn solve_lp_relaxation_warm(
-        &self,
-        warm: Option<&crate::basis::SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        self.solve_lp_relaxation_budgeted(warm, None)
-    }
-
-    /// [`Model::solve_lp_relaxation_warm`] under a cooperative
-    /// [`SolveBudget`](teccl_util::SolveBudget), checked once per pivot. A
-    /// budget stop mid-phase-2 returns the current primal-feasible vertex as
-    /// `Feasible` with `stats.budget_stop` set; a stop in presolve or before
-    /// primal feasibility fails with [`LpError::Budget`].
+    /// * `warm` — the basis a previous solve of the same (or an
+    ///   identically-shaped) model returned in [`Solution::basis`]. Presolve
+    ///   is layout-preserving (it only tightens bounds and frees redundant
+    ///   rows), so the basis keeps its meaning regardless of how the previous
+    ///   solve was presolved; a genuinely mismatched basis (different model
+    ///   shape) silently falls back to a cold start.
+    /// * `budget` — a cooperative [`SolveBudget`](teccl_util::SolveBudget),
+    ///   checked once per pivot. A budget stop mid-phase-2 returns the
+    ///   current primal-feasible vertex as `Feasible` with
+    ///   `stats.budget_stop` set; a stop in presolve or before primal
+    ///   feasibility fails with [`LpError::Budget`].
     pub fn solve_lp_relaxation_budgeted(
         &self,
         warm: Option<&crate::basis::SimplexBasis>,
@@ -273,58 +260,33 @@ impl Model {
     }
 
     /// Solves the model: branch-and-bound if integer variables are present,
-    /// plain LP otherwise. Uses the default [`MilpConfig`].
-    pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&MilpConfig::default())
-    }
-
-    /// Solves the model with an explicit MILP configuration (time limit,
-    /// relative-gap early stop, budget). For pure LPs only the
-    /// cooperative budget is honoured; the B&B knobs are ignored.
-    pub fn solve_with(&self, config: &MilpConfig) -> Result<Solution, LpError> {
-        self.solve_with_warm(config, None)
-    }
-
-    /// Like [`Model::solve_with`], but warm-started from the basis a previous
-    /// solve of an identically-shaped model returned in [`Solution::basis`]
-    /// (for MILPs: the root relaxation's basis). Presolve preserves the
-    /// column layout, so the carried basis stays valid no matter how either
-    /// model presolves; a genuinely mismatched basis silently falls back to a
-    /// cold start.
-    pub fn solve_with_warm(
-        &self,
-        config: &MilpConfig,
-        warm: Option<&crate::basis::SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        self.validate()?;
-        self.solve_validated(&MilpLayout::new(self), config, warm)
-    }
-
-    /// [`Model::solve_with_warm`] over a [`MilpLayout`] built from this model
-    /// or from one of the same shape (same variables and constraint terms;
-    /// bounds, costs and right-hand sides may differ): a caller that solves a
-    /// sequence of such models builds the layout once. Panics if the shapes
-    /// differ.
+    /// [`Model::solve_lp_relaxation_budgeted`] otherwise.
+    ///
+    /// * `layout` — a [`MilpLayout`] built from this model or from one of the
+    ///   same shape (same variables and constraint terms; bounds, costs and
+    ///   right-hand sides may differ): a caller that solves a sequence of
+    ///   such models builds it once. Panics if the shapes differ.
+    /// * `config` — the branch-and-bound limits (time limit, relative-gap
+    ///   early stop); a pure LP ignores them.
+    /// * `warm` — the basis an identically-shaped model's solve returned in
+    ///   [`Solution::basis`] (for MILPs: the root relaxation's basis). A
+    ///   mismatched basis silently falls back to a cold start.
+    /// * `budget` — checked once per pivot and once per branch-and-bound
+    ///   node. On exhaustion the best incumbent found so far is returned
+    ///   with `stats.budget_stop` set; with no incumbent the solve fails
+    ///   with [`LpError::Budget`].
     pub fn solve_over(
         &self,
         layout: &MilpLayout,
         config: &MilpConfig,
         warm: Option<&crate::basis::SimplexBasis>,
+        budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, LpError> {
         self.validate()?;
-        self.solve_validated(layout, config, warm)
-    }
-
-    fn solve_validated(
-        &self,
-        layout: &MilpLayout,
-        config: &MilpConfig,
-        warm: Option<&crate::basis::SimplexBasis>,
-    ) -> Result<Solution, LpError> {
         if self.is_mip() {
-            MilpSolver::new(config.clone()).solve_over(layout, self, warm)
+            milp::branch_and_bound(layout, self, config, warm, budget)
         } else {
-            self.solve_lp_over(layout, warm, config.budget.as_ref())
+            self.solve_lp_over(layout, warm, budget)
         }
     }
 
@@ -459,12 +421,12 @@ mod tests {
         lp.vars[x.0].integer = false;
         for model in [&milp, &lp] {
             let budget = SolveBudget::with_deadline(std::time::Duration::ZERO);
-            let config = MilpConfig {
-                budget: Some(budget.clone()),
-                ..Default::default()
-            };
+            let config = MilpConfig::default();
+            let layout = MilpLayout::new(model);
             assert_eq!(
-                model.solve_with(&config).unwrap_err(),
+                model
+                    .solve_over(&layout, &config, None, Some(&budget))
+                    .unwrap_err(),
                 LpError::Budget(BudgetExceeded::DeadlineExceeded)
             );
             assert_eq!(budget.iterations_used(), 0, "a pivot ran");

@@ -696,8 +696,8 @@ impl<'a> NodePresolver<'a> {
     }
 
     /// Propagates the node's bounds: applies `overrides` on top of the root
-    /// bounds, runs up to [`NODE_PASSES`] rounds of row-activity propagation
-    /// plus light probing on up to [`NODE_PROBES`] unfixed binaries, and
+    /// bounds, runs up to `NODE_PASSES` rounds of row-activity propagation
+    /// plus light probing on up to `NODE_PROBES` unfixed binaries, and
     /// appends every derived tightening back onto `overrides`.
     ///
     /// Returns `None` when propagation proves the node infeasible (the caller
@@ -982,7 +982,7 @@ mod tests {
         assert!(post.free_rows[0]);
         // No trivial shortcut any more: the (trivial) solve runs and recover
         // substitutes the exact fixed value.
-        let sol = m.solve_lp_relaxation().unwrap();
+        let sol = m.solve_lp_relaxation_budgeted(None, None).unwrap();
         assert_eq!(sol.values, vec![4.0]);
         assert_eq!(sol.objective, 8.0);
         assert_eq!(sol.stats.cols_fixed, 1);
@@ -996,7 +996,7 @@ mod tests {
         let y = m.add_var("y", 0.0, 5.0, 1.0, false);
         m.add_cons("c", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
         let (red, post) = presolve(&m).unwrap();
-        let sol = red.solve_lp_relaxation().unwrap();
+        let sol = red.solve_lp_relaxation_budgeted(None, None).unwrap();
         let rec = post.recover(sol, &m);
         assert_eq!(rec.values[x.0], 1.0);
         assert!((rec.values[y.0] - 3.0).abs() < 1e-6);

@@ -11,7 +11,7 @@
 //! frozen factor size, not after a fixed pivot count). The solves exchange
 //! [`IndexedVec`]s — values plus a non-zero list — so on the small A* and
 //! B&B models, where `w`, `ρ` and `τ` hold a few dozen entries out of
-//! thousands, the ratio test, the updates and the pivot row ([`PivotRow`],
+//! thousands, the ratio test, the updates and the pivot row (`PivotRow`,
 //! shared with the dual) cost what those entries cost; on the big ALLTOALL
 //! forms the vectors come back marked dense and the loops walk `0..m` as
 //! before.
@@ -44,7 +44,7 @@
 //! primal feasibility and the same certify step:
 //!
 //! 1. **Warm** — only when the caller passes a basis of the right shape
-//!    ([`solve_standard_form_from`]; B&B children, A* rounds). The basis is
+//!    (the `warm` argument; B&B children, A* rounds). The basis is
 //!    refactorized under the new bounds. When every basic variable already
 //!    sits inside its bounds there is nothing to repair; otherwise the dual
 //!    repairs it.
@@ -57,19 +57,19 @@
 //!    slack cannot absorb, walked to feasibility by the primal phase 1 (the
 //!    sum of the artificials). Its failures are the solve's.
 //!
-//! The dual repair is [`crate::dual::make_dual_feasible`] (boxed columns
+//! The dual repair is `crate::dual::make_dual_feasible` (boxed columns
 //! with wrong-signed reduced costs flip, the rest are cost-shifted) followed
 //! by the dual simplex; dual unboundedness is a cost-independent Farkas
 //! certificate of primal infeasibility. Certifying is a true-cost primal
-//! pass, preceded on cold starts of more than [`PERTURB_MIN_ROWS`] rows by a
+//! pass, preceded on cold starts of more than `PERTURB_MIN_ROWS` rows by a
 //! perturbed pre-pass. A rung that fails hands over to the next and its
 //! pivots and factorizations are added to the result, so the counters stay
 //! honest; a budget stop before primal feasibility aborts the solve instead.
 //!
-//! The primal ([`run_phase`]) and the dual ([`crate::dual::dual_simplex`])
-//! pivot loops run in one frame ([`PivotLoop`]: iteration cap, budget, pass
+//! The primal (`run_phase`) and the dual (`crate::dual::dual_simplex`)
+//! pivot loops run in one frame (`PivotLoop`: iteration cap, budget, pass
 //! count, refresh cadence) over one set of maintained reduced costs
-//! ([`ReducedCosts`]) and one basis refresh ([`SimplexState::refresh`]);
+//! (`ReducedCosts`) and one basis refresh (`SimplexState::refresh`);
 //! what differs is their pricing and ratio test.
 
 use crate::basis::{ColRef, LuFactors, SimplexBasis, VarStatus};
@@ -274,14 +274,10 @@ impl ReducedCosts {
     }
 }
 
-/// Solves a prepared [`StandardForm`] from a cold (all-artificial) start.
-/// `num_model_vars` is the number of structural variables to report back.
-pub fn solve_standard_form(sf: &StandardForm, num_model_vars: usize) -> Result<Solution, LpError> {
-    solve_standard_form_from(sf, num_model_vars, &[], None)
-}
-
 /// Solves a [`StandardForm`] with per-column bound overrides, optionally
-/// warm-started from a previous solve's basis.
+/// warm-started from a previous solve's basis, under an optional cooperative
+/// [`SolveBudget`] checked once per pivot. `num_model_vars` is the number of
+/// structural variables to report back.
 ///
 /// * `overrides` — `(column, lb, ub)` triples replacing the form's bounds
 ///   (columns are standard-form indices; branch-and-bound uses structural
@@ -295,20 +291,10 @@ pub fn solve_standard_form(sf: &StandardForm, num_model_vars: usize) -> Result<S
 ///   true-cost primal pass certifies. If the basis is stale (wrong shape) or
 ///   numerically unusable, the solver falls back to a cold start — the
 ///   result is always correct.
-pub fn solve_standard_form_from(
-    sf: &StandardForm,
-    num_model_vars: usize,
-    overrides: &[(usize, f64, f64)],
-    warm: Option<&SimplexBasis>,
-) -> Result<Solution, LpError> {
-    solve_standard_form_budgeted(sf, num_model_vars, overrides, warm, None)
-}
-
-/// [`solve_standard_form_from`] with a cooperative [`SolveBudget`] checked
-/// once per pivot. When the budget trips mid-phase-2 the solver extracts the
-/// current primal-feasible vertex as a `Feasible` solution with
-/// [`SolveStats::budget_stop`] set; a budget stop before primal feasibility
-/// exists (phase 1, dual repair) returns [`LpError::Budget`].
+/// * `budget` — when it trips mid-phase-2 the solver extracts the current
+///   primal-feasible vertex as a `Feasible` solution with
+///   [`SolveStats::budget_stop`] set; a budget stop before primal
+///   feasibility exists (phase 1, dual repair) returns [`LpError::Budget`].
 pub fn solve_standard_form_budgeted(
     sf: &StandardForm,
     num_model_vars: usize,
@@ -1367,7 +1353,7 @@ mod tests {
 
     /// `m` with integrality ignored, solved cold over its raw standard form.
     fn solve_model(m: &Model) -> Result<Solution, LpError> {
-        solve_standard_form(&StandardForm::from_model(m), m.num_vars())
+        solve_standard_form_budgeted(&StandardForm::from_model(m), m.num_vars(), &[], None, None)
     }
 
     #[test]
@@ -1573,11 +1559,11 @@ mod tests {
         m.add_cons("c2", &[(y, 2.0)], ConstraintOp::Le, 12.0);
         m.add_cons("c3", &[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
         let sf = StandardForm::from_model(&m);
-        let cold = solve_standard_form(&sf, 2).unwrap();
+        let cold = solve_standard_form_budgeted(&sf, 2, &[], None, None).unwrap();
         let basis = cold.basis.clone().unwrap();
         // Unchanged bounds: the warm re-solve must find the same optimum
         // nearly instantly.
-        let warm = solve_standard_form_from(&sf, 2, &[], Some(&basis)).unwrap();
+        let warm = solve_standard_form_budgeted(&sf, 2, &[], Some(&basis), None).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold.objective, 1e-9);
         assert_eq!(warm.stats.warm_starts, 1);
@@ -1597,12 +1583,12 @@ mod tests {
         let y = m.add_var("y", 0.0, 7.0, -2.0, false);
         m.add_cons("cap", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0);
         let sf = StandardForm::from_model(&m);
-        let cold = solve_standard_form(&sf, 2).unwrap();
+        let cold = solve_standard_form_budgeted(&sf, 2, &[], None, None).unwrap();
         let basis = cold.basis.clone().unwrap();
         // Tighten x's upper bound below its optimal value (3) → re-solve.
         let overrides = [(0usize, 0.0, 1.5)];
-        let warm = solve_standard_form_from(&sf, 2, &overrides, Some(&basis)).unwrap();
-        let cold2 = solve_standard_form_from(&sf, 2, &overrides, None).unwrap();
+        let warm = solve_standard_form_budgeted(&sf, 2, &overrides, Some(&basis), None).unwrap();
+        let cold2 = solve_standard_form_budgeted(&sf, 2, &overrides, None, None).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold2.objective, 1e-8);
         assert!(warm.values[0] <= 1.5 + 1e-9);
@@ -1617,12 +1603,12 @@ mod tests {
         let y = m.add_var("y", 0.0, 7.0, 1.0, false);
         m.add_cons("c", &[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 8.0);
         let sf = StandardForm::from_model(&m);
-        let cold = solve_standard_form(&sf, 2).unwrap();
+        let cold = solve_standard_form_budgeted(&sf, 2, &[], None, None).unwrap();
         let basis = cold.basis.clone().unwrap();
         let overrides = [(0usize, 0.0, 1.0), (1usize, 0.0, 1.0)];
-        let warm = solve_standard_form_from(&sf, 2, &overrides, Some(&basis)).unwrap();
+        let warm = solve_standard_form_budgeted(&sf, 2, &overrides, Some(&basis), None).unwrap();
         assert_eq!(warm.status, SolveStatus::Infeasible);
-        let cold2 = solve_standard_form_from(&sf, 2, &overrides, None).unwrap();
+        let cold2 = solve_standard_form_budgeted(&sf, 2, &overrides, None, None).unwrap();
         assert_eq!(cold2.status, SolveStatus::Infeasible);
     }
 
@@ -1656,7 +1642,7 @@ mod tests {
         // iteration count.
         let n = 20;
         let sf = transportation_lp(n);
-        let cold = solve_standard_form(&sf, n * n).unwrap();
+        let cold = solve_standard_form_budgeted(&sf, n * n, &[], None, None).unwrap();
         assert_eq!(cold.status, SolveStatus::Optimal);
         let cold_iters = cold.stats.simplex_iterations;
         assert!(
@@ -1666,7 +1652,8 @@ mod tests {
         // Tighten the bound of a variable that is at 0 in the optimum.
         let idle = (0..n * n).find(|&j| cold.values[j] < 1e-9).unwrap();
         let overrides = [(idle, 0.0, 10.0)];
-        let warm = solve_standard_form_from(&sf, n * n, &overrides, cold.basis.as_ref()).unwrap();
+        let warm = solve_standard_form_budgeted(&sf, n * n, &overrides, cold.basis.as_ref(), None)
+            .unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold.objective, 1e-6);
         assert!(
@@ -1814,7 +1801,7 @@ mod tests {
             basic: vec![0, 1, 2],
             status: vec![VarStatus::AtLower],
         };
-        let sol = solve_standard_form_from(&sf, 1, &[], Some(&stale)).unwrap();
+        let sol = solve_standard_form_budgeted(&sf, 1, &[], Some(&stale), None).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.objective, 3.0, 1e-9);
         assert_eq!(sol.stats.cold_starts, 1);

@@ -3,7 +3,7 @@
 //! corpus over several OS threads, one independent solve per call.
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::{MilpConfig, Solution, SolveStatus};
+use teccl_lp::{MilpConfig, MilpLayout, Solution, SolveStatus};
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 pub struct Lcg(pub u64);
@@ -115,7 +115,7 @@ impl Fingerprint {
 /// Solves one model with the default (single-threaded) MILP configuration.
 pub fn solve(case: usize, m: &Model) -> Fingerprint {
     let s = m
-        .solve_with(&MilpConfig::default())
+        .solve_over(&MilpLayout::new(m), &MilpConfig::default(), None, None)
         .unwrap_or_else(|e| panic!("case {case}: {e}"));
     Fingerprint::of(&s)
 }

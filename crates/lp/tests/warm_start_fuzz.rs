@@ -9,8 +9,7 @@ use teccl_lp::model::{ConstraintOp, Model, Sense};
 use teccl_lp::simplex::solve_standard_form_budgeted;
 use teccl_lp::standard::StandardForm;
 use teccl_lp::{
-    LpError, MilpConfig, MilpLayout, MilpSolver, SimplexBasis, Solution, SolveBudget, SolveStatus,
-    VarStatus,
+    LpError, MilpConfig, MilpLayout, SimplexBasis, Solution, SolveBudget, SolveStatus, VarStatus,
 };
 
 /// [`solve_standard_form_budgeted`] without a budget, checked against the
@@ -35,6 +34,11 @@ fn solve_from(
 /// [`solve_from`] from a cold start with the form's own bounds.
 fn solve_cold(sf: &StandardForm, nv: usize) -> Result<Solution, LpError> {
     solve_from(sf, nv, &[], None)
+}
+
+/// `m` solved cold and unbudgeted with the default B&B over its own layout.
+fn solve_model(m: &Model) -> Result<Solution, LpError> {
+    m.solve_over(&MilpLayout::new(m), &MilpConfig::default(), None, None)
 }
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
@@ -562,7 +566,7 @@ fn degenerate_alltoall_shaped_lp_solves_under_iteration_budget() {
         }
     }
 
-    let sol = m.solve().expect("alltoall-shaped LP solves");
+    let sol = solve_model(&m).expect("alltoall-shaped LP solves");
     assert_eq!(sol.status, SolveStatus::Optimal);
     assert!(
         !sol.stats.iteration_limit_hit,
@@ -603,7 +607,7 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
         let sf_raw = StandardForm::from_model(&m);
         let raw = solve_cold(&sf_raw, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
         let pre = m
-            .solve_lp_relaxation()
+            .solve_lp_relaxation_budgeted(None, None)
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(
             pre.status, raw.status,
@@ -635,7 +639,7 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
             crossed += 1;
         }
         if let Some(b) = raw_basis {
-            let w = m.solve_lp_relaxation_warm(Some(b)).unwrap();
+            let w = m.solve_lp_relaxation_budgeted(Some(b), None).unwrap();
             assert_eq!(w.status, SolveStatus::Optimal, "case {case}");
             assert_eq!(w.stats.warm_starts, 1, "case {case}: raw basis rejected");
             assert!((w.objective - raw.objective).abs() < 1e-6, "case {case}");
@@ -677,7 +681,7 @@ fn brute_force_optimum(m: &Model) -> Option<f64> {
 /// [`brute_force_optimum`]: the same status, and the objective within 1e-6.
 /// Returns the solution for the caller's machinery counters.
 fn assert_matches_brute_force(m: &Model, case: usize) -> Solution {
-    let sol = m.solve().unwrap_or_else(|e| panic!("case {case}: {e}"));
+    let sol = solve_model(m).unwrap_or_else(|e| panic!("case {case}: {e}"));
     match brute_force_optimum(m) {
         None => assert_eq!(sol.status, SolveStatus::Infeasible, "case {case}"),
         Some(best) => {
@@ -742,19 +746,19 @@ fn node_presolved_milps_match_brute_force() {
 
 /// One layout serves every model of its shape: a [`MilpLayout`] built from a
 /// [`card_knapsack`] `m` solves `m′` — `m` with perturbed bounds, costs and
-/// right-hand sides — to the bit as [`MilpSolver::solve_from`] on `m′`,
-/// which builds its own layout: values, objective, pivot / node /
+/// right-hand sides — to the bit as [`Model::solve_over`] on `m′` over a
+/// layout of its own: values, objective, pivot / node /
 /// factorization counts and the returned basis, cold and warm-started from
 /// `m`'s basis.
 #[test]
 fn a_layout_solves_same_shaped_milps_bit_identically() {
     let mut rng = Lcg(0x1a70_0031);
-    let solver = MilpSolver::new(MilpConfig::default());
+    let config = MilpConfig::default();
     let mut branched = 0usize;
     for case in 0..40 {
         let m = card_knapsack(&mut rng);
         let layout = MilpLayout::new(&m);
-        let base = solver.solve_over(&layout, &m, None).unwrap();
+        let base = m.solve_over(&layout, &config, None, None).unwrap();
         let mut perturbed = m.clone();
         for v in &mut perturbed.vars {
             v.obj = rng.range(-2.0, 10.0);
@@ -767,8 +771,10 @@ fn a_layout_solves_same_shaped_milps_bit_identically() {
             c.rhs += rng.range(-2.0, 3.0);
         }
         for warm in [None, base.basis.as_ref()] {
-            let over = solver.solve_over(&layout, &perturbed, warm).unwrap();
-            let own = solver.solve_from(&perturbed, warm).unwrap();
+            let over = perturbed.solve_over(&layout, &config, warm, None).unwrap();
+            let own = perturbed
+                .solve_over(&MilpLayout::new(&perturbed), &config, warm, None)
+                .unwrap();
             assert_eq!(over.status, own.status, "case {case}");
             let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&over), bits(&own), "case {case}");
@@ -871,7 +877,7 @@ fn solve_ladder_work_is_pinned_on_random_corpus() {
     }
     for case in 0..40 {
         let m = card_knapsack(&mut rng);
-        tally.add(&m.solve().unwrap_or_else(|e| panic!("knapsack {case}: {e}")));
+        tally.add(&solve_model(&m).unwrap_or_else(|e| panic!("knapsack {case}: {e}")));
     }
     assert_eq!(tally.counts, [2360, 384, 1608, 502, 330]);
     assert_eq!(tally.hash, 0x5b0e_70f8_d14f_a5fe);

@@ -5,7 +5,7 @@
 //!
 //! * [`Schedule`] — the per-epoch list of chunk sends a solver produces
 //!   (TE-CCL's output, §3.1, exported in an MSCCL-like JSON form),
-//! * [`validate`] — structural checks: causality (a node only forwards chunks
+//! * [`validate`](mod@validate) — structural checks: causality (a node only forwards chunks
 //!   it already holds), link capacity per epoch, and demand satisfaction,
 //! * [`sim`] — an event-driven α–β cost-model simulator that plays a schedule
 //!   out on a topology and reports the actual transfer (collective finish)

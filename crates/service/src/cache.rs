@@ -4,7 +4,7 @@
 //! Disk entries are ordinary `teccl-util` JSON documents (one file per key,
 //! named by the key hash — content addressing makes invalidation trivial:
 //! a changed request simply hashes elsewhere). Every load is re-validated
-//! with [`teccl_schedule::validate`] against the demand reconstructed from
+//! with [`teccl_schedule::validate()`] against the demand reconstructed from
 //! the request before it is served; a corrupt or stale file is ignored
 //! rather than trusted.
 

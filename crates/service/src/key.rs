@@ -20,10 +20,12 @@
 //! buckets for warm starting.
 
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
-use teccl_core::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
+use teccl_core::{BufferMode, EpochStrategy, RequestMethod, SolverConfig, SwitchModel};
 use teccl_topology::{NodeId, Topology};
 use teccl_util::hash::{size_bucket, StableHasher};
 use teccl_util::json::{JsonError, Value};
+
+use crate::server::{MAX_REQUEST_CHUNKS, MAX_REQUEST_EPOCHS};
 
 /// A typed request-validation error.
 ///
@@ -78,44 +80,6 @@ impl std::error::Error for RequestError {}
 impl From<JsonError> for RequestError {
     fn from(e: JsonError) -> Self {
         RequestError::BadField(e.to_string())
-    }
-}
-
-/// Which formulation a request asks for (mirrors `teccl_bench::Method`; the
-/// service cannot depend on the bench crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RequestMethod {
-    /// Automatic dispatch ([`teccl_core::TeCcl::solve`]).
-    #[default]
-    Auto,
-    /// The general MILP (§3.1).
-    Milp,
-    /// The copy-free LP (§4.1).
-    Lp,
-    /// The A* time-partitioned solver (§4.2).
-    AStar,
-}
-
-impl RequestMethod {
-    /// Stable wire / hash name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestMethod::Auto => "auto",
-            RequestMethod::Milp => "milp",
-            RequestMethod::Lp => "lp",
-            RequestMethod::AStar => "astar",
-        }
-    }
-
-    /// Parses the wire name.
-    pub fn from_name(s: &str) -> Option<RequestMethod> {
-        Some(match s {
-            "auto" => RequestMethod::Auto,
-            "milp" => RequestMethod::Milp,
-            "lp" => RequestMethod::Lp,
-            "astar" => RequestMethod::AStar,
-            _ => return None,
-        })
     }
 }
 
@@ -304,7 +268,10 @@ impl SolveRequest {
         }
         let chunks = match v.get("chunks") {
             None => 1,
-            Some(c) => c.as_usize().filter(|&c| c >= 1).ok_or(bad("bad chunks"))?,
+            Some(c) => c
+                .as_usize()
+                .filter(|c| (1..=MAX_REQUEST_CHUNKS).contains(c))
+                .ok_or(bad("bad chunks"))?,
         };
         let method = match v.get("method") {
             None => RequestMethod::Auto,
@@ -478,12 +445,12 @@ pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
             },
         };
     }
-    c.max_epochs = field(v, "max_epochs", Value::as_usize)?;
+    c.max_epochs = field(v, "max_epochs", epochs)?;
     c.early_stop_gap = field(v, "early_stop_gap", |x| finite(x).filter(|g| *g >= 0.0))?;
     if let Some(secs) = field(v, "time_limit_s", |x| finite(x).filter(|s| *s > 0.0))? {
         c.time_limit = Some(std::time::Duration::from_secs_f64(secs));
     }
-    c.astar_epochs_per_round = field(v, "astar_epochs_per_round", Value::as_usize)?;
+    c.astar_epochs_per_round = field(v, "astar_epochs_per_round", epochs)?;
     // Appendix D: the distance reward is discounted by γ ∈ [0, 1).
     if let Some(g) = field(v, "astar_gamma", |x| {
         finite(x).filter(|g| (0.0..1.0).contains(g))
@@ -509,6 +476,11 @@ fn field<'a, T>(
     v.get(name)
         .map(|x| get(x).ok_or_else(|| bad_config(name)))
         .transpose()
+}
+
+/// An epoch count no larger than [`MAX_REQUEST_EPOCHS`].
+fn epochs(x: &Value) -> Option<usize> {
+    x.as_usize().filter(|&k| k <= MAX_REQUEST_EPOCHS)
 }
 
 /// A finite number (JSON such as `1e999` parses to infinity).
@@ -728,6 +700,11 @@ mod tests {
             r#"{"astar_gamma":-0.1}"#,
             r#"{"early_stop_gap":-0.3}"#,
             r#"{"time_limit_s":0}"#,
+            // Sizes a model no deadline could stop being built.
+            r#"{"max_epochs":1025}"#,
+            r#"{"max_epochs":1e9}"#,
+            r#"{"astar_epochs_per_round":1025}"#,
+            r#"{"astar_epochs_per_round":1e300}"#,
         ] {
             let err = parse(config).expect_err(config);
             assert_eq!(err.code(), "bad_field", "{config}: {err}");
@@ -736,6 +713,27 @@ mod tests {
         let ok = parse(r#"{"astar_gamma":0,"early_stop_gap":0,"epoch_multiplier":1}"#).unwrap();
         assert_eq!(ok.config.astar_gamma, 0.0);
         assert_eq!(ok.config.early_stop_gap, Some(0.0));
+        let ok = parse(r#"{"max_epochs":1024,"astar_epochs_per_round":1024}"#).unwrap();
+        assert_eq!(ok.config.max_epochs, Some(MAX_REQUEST_EPOCHS));
+        assert_eq!(ok.config.astar_epochs_per_round, Some(MAX_REQUEST_EPOCHS));
+    }
+
+    /// `as_usize` saturates `1e300` to `usize::MAX`, so only the cap stops a
+    /// chunk count that would fill memory with its demand matrix.
+    #[test]
+    fn chunk_counts_outside_one_to_the_cap_are_a_bad_field() {
+        let parse = |chunks: &str| {
+            let line = format!(
+                r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"chunks":{chunks}}}"#
+            );
+            SolveRequest::from_json_value(&Value::parse(&line).unwrap())
+        };
+        for chunks in ["0", "257", "1e9", "1e300", "2.5", "\"6\""] {
+            let err = parse(chunks).expect_err(chunks);
+            assert_eq!(err.code(), "bad_field", "{chunks}: {err}");
+        }
+        assert_eq!(parse("1").unwrap().chunks, 1);
+        assert_eq!(parse("256").unwrap().chunks, MAX_REQUEST_CHUNKS);
     }
 
     /// Disk entries are addressed by `key().hash`; these literals were

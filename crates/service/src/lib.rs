@@ -13,12 +13,12 @@
 //!   buffer-size bucketing.
 //! * [`cache`] — a bounded in-memory LRU over those keys plus an optional
 //!   on-disk store of `teccl-util`-JSON schedules, re-validated with
-//!   [`teccl_schedule::validate`] on every load.
+//!   [`teccl_schedule::validate()`] on every load.
 //! * [`service`] — the orchestrator: a `std::thread` worker pool with a
 //!   request queue, **single-flight** coalescing of identical concurrent
 //!   misses, and cross-request **warm starting** (completed solves publish
-//!   their final LP basis; cache-adjacent requests re-optimize from it via
-//!   `TeCcl::solve_from`).
+//!   their final LP basis; cache-adjacent requests re-optimize from it as
+//!   the `warm` argument of `TeCcl::solve`).
 //! * [`protocol`] / [`server`] — a line-delimited-JSON-over-TCP protocol
 //!   (`solve` / `stats` / `evict`) served by the `teccld` binary and driven
 //!   by the `teccl-cli` batch client.
@@ -39,11 +39,12 @@ pub mod sync;
 
 pub use cache::{CacheEntry, DiskStore, Quality, ScheduleCache};
 pub use fault::FaultPlan;
-pub use key::{builtin_topology, RequestError, RequestKey, RequestMethod, SolveRequest};
+pub use key::{builtin_topology, RequestError, RequestKey, SolveRequest};
 pub use server::{serve, ServerHandle};
 pub use service::{
     CacheStatus, ScheduleService, ServedSchedule, ServiceConfig, ServiceError, ServiceStats, Ticket,
 };
+pub use teccl_core::RequestMethod;
 
 #[cfg(test)]
 mod thread_safety_tests {

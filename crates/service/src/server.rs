@@ -31,6 +31,21 @@ use teccl_util::json::write_json;
 /// until the daemon is out of memory.
 pub const MAX_LINE_BYTES: usize = 16 << 20;
 
+/// Largest `chunks` a request may ask for. The chunk count sizes the dense
+/// nodes × chunks × nodes demand matrix and multiplies the commodities of
+/// every formulation, and both are laid out before the solve's budget is
+/// first consulted, so a line such as `"chunks": 1e9` would fill memory
+/// however short its deadline. The repository sends at most 6; a larger
+/// value is refused as `bad_field` at parse time.
+pub const MAX_REQUEST_CHUNKS: usize = 256;
+
+/// Largest `max_epochs` or `astar_epochs_per_round` a request's config may
+/// set. Each epoch adds one copy of every link's flow variables to the
+/// time-expanded model, which is built before the solve's budget is first
+/// consulted. The repository sets at most 24; a larger value is refused as
+/// `bad_field` at parse time.
+pub const MAX_REQUEST_EPOCHS: usize = 1024;
+
 /// Buffer capacity a connection keeps between requests: above every builtin
 /// request line (~40 kB) and far below [`MAX_LINE_BYTES`], so one outsized
 /// line does not pin megabytes for the life of an idle connection; a larger

@@ -8,7 +8,7 @@
 //!   its `(family, size bucket)`, in a book capped at four times the cache
 //!   capacity (oldest dropped first); a later miss in the same family
 //!   first looks for a basis in its own bucket, then in neighbouring
-//!   buckets, and feeds it to [`teccl_core::TeCcl::solve_from`]. A basis
+//!   buckets, and feeds it to [`teccl_core::TeCcl::solve`]. A basis
 //!   whose shape no longer matches (the neighbour bucket changed the epoch
 //!   count, say) silently degrades to a cold solve inside the LP layer.
 //! * **Validation**: every solved schedule is validated and simulated before
@@ -44,7 +44,7 @@ use teccl_util::SolveBudget;
 
 use crate::cache::{CacheEntry, DiskStore, Quality, ScheduleCache};
 use crate::fault::FaultPlan;
-use crate::key::{RequestKey, RequestMethod, SolveRequest};
+use crate::key::{RequestKey, SolveRequest};
 use crate::sync::{lock_recover, wait_recover, LockRank, RankedGuard};
 
 /// How a request was satisfied.
@@ -889,13 +889,7 @@ fn solve_job(
         solver = solver.with_budget(b.clone());
     }
     let solve_started = Instant::now();
-    let outcome = match req.method {
-        RequestMethod::Auto => solver.solve_from(&demand, chunk_bytes, hint),
-        RequestMethod::Milp => solver.solve_milp_from(&demand, chunk_bytes, hint),
-        RequestMethod::Lp => solver.solve_lp_from(&demand, chunk_bytes, hint),
-        RequestMethod::AStar => solver.solve_astar_from(&demand, chunk_bytes, hint),
-    };
-    let outcome = match outcome {
+    let outcome = match solver.solve(&demand, chunk_bytes, req.method, hint) {
         Ok(o) => o,
         // Budget ran out with nothing feasible in hand: not a solver bug,
         // descend the ladder.
@@ -969,6 +963,7 @@ fn solve_job(
 mod tests {
     use super::*;
     use teccl_collective::CollectiveKind;
+    use teccl_core::RequestMethod;
     use teccl_topology::{line_topology, ring_topology};
 
     fn tiny_request() -> SolveRequest {

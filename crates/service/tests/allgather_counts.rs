@@ -88,12 +88,9 @@ fn benchmark_shapes_keep_their_pivot_counts() {
             .with_method(method);
         let demand = request.demand();
         let solver = TeCcl::new(request.topology.clone(), request.config.clone());
-        let outcome = match method {
-            RequestMethod::Milp => solver.solve_milp(&demand, request.chunk_bytes()),
-            RequestMethod::Lp => solver.solve_lp(&demand, request.chunk_bytes()),
-            _ => solver.solve_astar(&demand, request.chunk_bytes()),
-        }
-        .unwrap_or_else(|e| panic!("{name} c{chunks}: {e}"));
+        let outcome = solver
+            .solve(&demand, request.chunk_bytes(), method, None)
+            .unwrap_or_else(|e| panic!("{name} c{chunks}: {e}"));
         let report = validate(&outcome.topology_used, &demand, &outcome.schedule, false);
         assert!(report.is_valid(), "{name} c{chunks}: {report:?}");
         let sim = simulate(&outcome.topology_used, &demand, &outcome.schedule)

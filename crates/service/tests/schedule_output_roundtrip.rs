@@ -209,12 +209,9 @@ fn table4_outputs_roundtrip_bit_exactly() {
         let demand: DemandMatrix = request.demand();
         let chunk_bytes = request.chunk_bytes();
         let solver = TeCcl::new(topo.clone(), config);
-        let outcome = match method {
-            RequestMethod::Lp => solver.solve_lp(&demand, chunk_bytes),
-            RequestMethod::AStar => solver.solve_astar(&demand, chunk_bytes),
-            _ => solver.solve(&demand, chunk_bytes),
-        }
-        .unwrap_or_else(|e| panic!("{name}: solve failed: {e}"));
+        let outcome = solver
+            .solve(&demand, chunk_bytes, method, None)
+            .unwrap_or_else(|e| panic!("{name}: solve failed: {e}"));
 
         let sim = simulate(&outcome.topology_used, &demand, &outcome.schedule).unwrap();
         let output = ScheduleOutput {

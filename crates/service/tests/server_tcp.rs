@@ -203,6 +203,51 @@ fn deeply_nested_request_is_an_error_not_a_crash() {
     handle.shutdown();
 }
 
+/// A request asking for more chunks or epochs than the caps allow is refused
+/// as `bad_field` before it is keyed or queued — its model would be laid out
+/// before any deadline is checked — and the connection keeps serving.
+#[test]
+fn oversized_chunks_or_epochs_are_refused_and_the_daemon_keeps_serving() {
+    let handle = quiet_server();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = |request: &str| -> Value {
+        writer
+            .write_all(format!("{request}\n").as_bytes())
+            .and_then(|_| writer.flush())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Value::parse(line.trim()).unwrap()
+    };
+
+    let solve =
+        r#"{"verb":"solve","topology":"dgx1","collective":"all_gather","output_buffer":1024"#;
+    for extra in [
+        r#""chunks":1e9"#,
+        r#""chunks":257"#,
+        r#""config":{"max_epochs":1e9}"#,
+        r#""config":{"astar_epochs_per_round":1025}"#,
+    ] {
+        let v = round_trip(&format!("{solve},{extra}}}"));
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+        assert_eq!(
+            v.get("code").and_then(Value::as_str),
+            Some("bad_field"),
+            "{extra}"
+        );
+    }
+
+    let v = round_trip(r#"{"verb":"stats"}"#);
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
+    let stats = v.get("stats").unwrap();
+    for counter in ["solves", "misses"] {
+        assert_eq!(stats.get(counter).and_then(Value::as_usize), Some(0));
+    }
+    handle.shutdown();
+}
+
 /// A stream that never sends a newline gets one error reply once it passes
 /// the line cap and is then disconnected; the daemon keeps serving others.
 #[test]

@@ -23,7 +23,9 @@ fn main() {
     let demand = DemandMatrix::all_to_all(topo.num_nodes(), &gpus, 1);
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(24));
-    let outcome = solver.solve(&demand, chunk_bytes).expect("LP solve failed");
+    let outcome = solver
+        .solve(&demand, chunk_bytes, RequestMethod::Auto, None)
+        .expect("LP solve failed");
     assert_eq!(
         outcome.formulation,
         te_ccl::core::solver::FormulationKind::Lp

@@ -16,7 +16,7 @@ fn main() {
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(12));
     let healthy = solver
-        .solve(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Auto, None)
         .expect("solve on healthy ring");
     let healthy_sim = simulate(&topo, &demand, &healthy.schedule).unwrap();
     println!(
@@ -40,7 +40,7 @@ fn main() {
         SolverConfig::default().with_max_epochs(16),
     );
     let degraded = solver
-        .solve(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::Auto, None)
         .expect("solve on degraded ring");
     let report = validate(&degraded_topo, &demand, &degraded.schedule, false);
     assert!(

@@ -19,11 +19,12 @@ fn main() {
     let output_buffer = (gpus.len() - 1) as f64 * chunk_bytes;
 
     // 3. Solve with TE-CCL. The A* formulation keeps this example snappy; use
-    //    `solver.solve(..)` to let the library pick the formulation (it would
-    //    use the general MILP here because the topology is a single chassis).
+    //    `RequestMethod::Auto` to let the library pick the formulation (it
+    //    would use the general MILP here because the topology is a single
+    //    chassis).
     let solver = TeCcl::new(topo.clone(), SolverConfig::early_stop());
     let outcome = solver
-        .solve_astar(&demand, chunk_bytes)
+        .solve(&demand, chunk_bytes, RequestMethod::AStar, None)
         .expect("TE-CCL solve failed");
 
     // 4. Check and measure the schedule with the α–β simulator.

@@ -28,10 +28,12 @@
 //! let gpus: Vec<NodeId> = topo.gpus().collect();
 //! let demand = DemandMatrix::all_gather(topo.num_nodes(), &gpus, 1);
 //!
-//! // Solve with TE-CCL (A* keeps the doc-test fast; `solve` would pick the
-//! // general MILP for a topology this small).
+//! // Solve with TE-CCL (A* keeps the doc-test fast; `RequestMethod::Auto`
+//! // would pick the general MILP for a topology this small).
 //! let solver = TeCcl::new(topo.clone(), SolverConfig::early_stop());
-//! let outcome = solver.solve_astar(&demand, 1.0e6).unwrap();
+//! let outcome = solver
+//!     .solve(&demand, 1.0e6, RequestMethod::AStar, None)
+//!     .unwrap();
 //!
 //! // The schedule is valid and satisfies every demand.
 //! let report = validate(&topo, &demand, &outcome.schedule, false);
@@ -57,7 +59,7 @@ pub mod prelude {
         ChunkSpec, CollectiveKind, CollectiveSizing, DemandMatrix, TenantDemand,
     };
     pub use teccl_core::{
-        BufferMode, EpochStrategy, SolveOutcome, SolverConfig, SwitchModel, TeCcl,
+        BufferMode, EpochStrategy, RequestMethod, SolveOutcome, SolverConfig, SwitchModel, TeCcl,
     };
     pub use teccl_schedule::{simulate, validate, CollectiveMetrics, Schedule};
     pub use teccl_topology::{NodeId, Topology};

@@ -30,7 +30,9 @@ fn allgather_internal1_teccl_beats_or_matches_shortest_path() {
     let chunk = 1.0e6;
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::early_stop().with_max_epochs(8));
-    let ours = solver.solve(&demand, chunk).unwrap();
+    let ours = solver
+        .solve(&demand, chunk, RequestMethod::Auto, None)
+        .unwrap();
     let t_ours = check_and_time(&topo, &demand, &ours.schedule);
 
     let sp = shortest_path_schedule(&topo, &demand, chunk);
@@ -52,7 +54,9 @@ fn alltoall_ring_lp_matches_demand_exactly() {
     let chunk = 1.0e6;
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(12));
-    let ours = solver.solve(&demand, chunk).unwrap();
+    let ours = solver
+        .solve(&demand, chunk, RequestMethod::Auto, None)
+        .unwrap();
     assert_eq!(ours.formulation, te_ccl::core::solver::FormulationKind::Lp);
     let t = check_and_time(&topo, &demand, &ours.schedule);
     assert!(t > 0.0);
@@ -81,7 +85,9 @@ fn broadcast_copy_halves_upstream_traffic_vs_no_copy() {
     let chunk = 1.0e6;
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(6));
-    let ours = solver.solve(&demand, chunk).unwrap();
+    let ours = solver
+        .solve(&demand, chunk, RequestMethod::Auto, None)
+        .unwrap();
     check_and_time(&topo, &demand, &ours.schedule);
     let ours_upstream = ours
         .schedule
@@ -120,7 +126,9 @@ fn ring_baseline_and_teccl_agree_on_ring_topology_allgather() {
     let t_ring = check_and_time(&topo, &demand, &ring);
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::early_stop().with_max_epochs(8));
-    let ours = solver.solve(&demand, chunk).unwrap();
+    let ours = solver
+        .solve(&demand, chunk, RequestMethod::Auto, None)
+        .unwrap();
     let t_ours = check_and_time(&topo, &demand, &ours.schedule);
 
     assert!(
@@ -142,7 +150,9 @@ fn sccl_like_barrier_is_slower_than_teccl_pipelining_on_multichunk() {
     let sccl = sccl_like_schedule(&topo, &demand, chunk).unwrap();
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(10));
-    let ours = solver.solve(&demand, chunk).unwrap();
+    let ours = solver
+        .solve(&demand, chunk, RequestMethod::Auto, None)
+        .unwrap();
     let t_ours = check_and_time(&topo, &demand, &ours.schedule);
 
     assert!(
@@ -163,7 +173,9 @@ fn taccl_like_is_valid_but_not_better_than_teccl_on_internal1() {
     let t_taccl = check_and_time(&topo, &demand, &taccl.schedule);
 
     let solver = TeCcl::new(topo.clone(), SolverConfig::early_stop().with_max_epochs(8));
-    let ours = solver.solve(&demand, chunk).unwrap();
+    let ours = solver
+        .solve(&demand, chunk, RequestMethod::Auto, None)
+        .unwrap();
     let t_ours = check_and_time(&topo, &demand, &ours.schedule);
 
     // TE-CCL co-optimizes routing and scheduling, but its schedules are
@@ -191,7 +203,7 @@ fn reduce_scatter_and_gather_demands_solve_via_lp() {
         let demand = DemandMatrix::for_collective(kind, topo.num_nodes(), &gpus, 1);
         let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(16));
         let out = solver
-            .solve(&demand, chunk)
+            .solve(&demand, chunk, RequestMethod::Auto, None)
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(
             out.formulation,
@@ -210,7 +222,7 @@ fn schedules_are_deterministic_across_runs() {
     let chunk = 1.0e6;
     let solve = || {
         TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(8))
-            .solve(&demand, chunk)
+            .solve(&demand, chunk, RequestMethod::Auto, None)
             .unwrap()
             .schedule
             .sorted_sends()
@@ -228,7 +240,9 @@ fn msccl_export_roundtrips_through_json() {
     let gpus: Vec<NodeId> = topo.gpus().collect();
     let demand = DemandMatrix::broadcast(topo.num_nodes(), &gpus, gpus[0], 1);
     let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(6));
-    let out = solver.solve(&demand, 1.0e6).unwrap();
+    let out = solver
+        .solve(&demand, 1.0e6, RequestMethod::Auto, None)
+        .unwrap();
     let json = out.schedule.to_msccl_json();
     let text = json.to_json();
     let back = te_ccl::prelude::JsonValue::parse(&text).unwrap();
@@ -254,7 +268,9 @@ fn alpha_modeling_matters_for_small_transfers() {
 
     for (chunk, expect_large_error) in [(small_chunk, true), (large_chunk, false)] {
         let solver = TeCcl::new(topo.clone(), SolverConfig::early_stop().with_max_epochs(8));
-        let out = solver.solve_astar(&demand, chunk).unwrap();
+        let out = solver
+            .solve(&demand, chunk, RequestMethod::AStar, None)
+            .unwrap();
         let with_alpha = simulate(&topo, &demand, &out.schedule)
             .unwrap()
             .transfer_time;

@@ -78,7 +78,9 @@ fn main() {
 
     // Gate: >25% regression against the committed medians for the gated
     // rows. Sub-millisecond rows get a 2x allowance instead — at that scale
-    // scheduler noise alone crosses 25% on shared CI runners.
+    // scheduler noise alone crosses 25% on shared CI runners. A gated row
+    // without a committed median (or without a measured one) fails: a gate
+    // that skips is no gate.
     let path = "BENCH_lp.json";
     let gated = [
         "lp_form/internal2x2_alltoall",
@@ -100,7 +102,7 @@ fn main() {
     {
         for name in gated {
             let (Some(old), Some(new)) = (median(&committed, name), median(&json, name)) else {
-                continue; // row added after the committed baseline
+                panic!("{name} is gated but has no committed and measured median in {path}");
             };
             let allowance = if old < 1e6 { 2.0 } else { 1.25 };
             assert!(

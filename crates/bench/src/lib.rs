@@ -621,8 +621,9 @@ pub fn bench_milp_dgx1_allgather(h: &mut microbench::Harness) {
 
 /// The `core/astar_internal2x8_allgather` row: the A\* [`TeCcl::solve`] on the
 /// `allgather_copy` benchmark's internal2 x8 key (ALLGATHER, 1 chunk, 16 MiB
-/// output buffer, default config), sized as the service sizes it: 15 warm
-/// A\* rounds over one formulation, so the per-round set-up shows here.
+/// output buffer, default config), sized as the service sizes it: 9 warm
+/// A\* rounds over one formulation laid out over the order-16 symmetry
+/// group, so the per-round set-up shows here.
 pub fn bench_astar_internal2x8_allgather(h: &mut microbench::Harness) {
     let request = teccl_service::SolveRequest::new(
         teccl_service::builtin_topology("internal2x8").expect("builtin topology"),

@@ -10,6 +10,30 @@
 //!
 //! The result is sub-optimal but dramatically cheaper than the monolithic
 //! MILP, and it still supports copy (unlike the LP form).
+//!
+//! # Rounds over the symmetry quotient
+//!
+//! Every warm round is laid out over one [`SymmetryGroup`], found once per
+//! solve: one representative per source orbit, its sends unrolled through
+//! the group. The first round's holders are invariant under the group and
+//! unrolled sends keep them so, which is why every later round may be laid
+//! out over the same group ([`crate::symmetry`]). An asymmetric instance gets
+//! the trivial group, and with it the full round model.
+//!
+//! # Stalls
+//!
+//! A round *stalls* when none of its sends brings a chunk to a node that
+//! neither holds it nor has it in flight: the state after it is the state
+//! before it. A stalled round is dropped — no idle round enters the
+//! schedule — and the same round is solved again from a cold start, because
+//! a carried basis can lead the dual simplex back to the same vertex round
+//! after round. A second stall in a row is
+//! [`TeCclError::AStarDidNotConverge`].
+//!
+//! [`crate::TeCcl::solve`] starts every A\* solve cold and publishes none of
+//! its bases, so its schedule is a function of the request alone; the
+//! `initial_basis` of [`solve_astar_budgeted`] is for callers that chain
+//! solves on purpose.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -23,6 +47,7 @@ use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::EpochGrid;
 use crate::error::TeCclError;
 use crate::milp_form::{MilpBuildOptions, MilpFormulation};
+use crate::symmetry::SymmetryGroup;
 
 /// Result of an A* solve.
 #[derive(Debug, Clone)]
@@ -40,10 +65,9 @@ pub struct AStarOutcome {
     /// Solver statistics aggregated across every round's MILP (simplex
     /// iterations, B&B nodes, factorizations, warm/cold starts).
     pub stats: SolveStats,
-    /// The last round's root-relaxation basis (the most recently published
-    /// warm-start hint): a later solve of a same-shaped round — e.g. a
-    /// cache-adjacent request in the schedule service — can start from it via
-    /// [`solve_astar_budgeted`].
+    /// The last round's root-relaxation basis: a caller chaining solves on
+    /// purpose can start a same-shaped first round from it via
+    /// [`solve_astar_budgeted`]. [`crate::TeCcl::solve`] never does.
     pub final_basis: Option<SimplexBasis>,
 }
 
@@ -186,6 +210,23 @@ impl RoundState {
         }
     }
 
+    /// Whether a round's sends bring some chunk to a node that neither holds
+    /// it nor has it in flight (module docs, "Stalls").
+    pub fn advances(&self, round_sends: &[Send]) -> bool {
+        round_sends.iter().any(|snd| {
+            let (s, c) = (snd.chunk.source, snd.chunk.chunk);
+            let held = self
+                .holders
+                .get(&(s.0, c))
+                .is_some_and(|h| h.contains(&snd.to));
+            let flying = self
+                .in_flight
+                .iter()
+                .any(|&(fs, fc, fd, _)| fs == s && fc == c && fd == snd.to);
+            !held && !flying
+        })
+    }
+
     /// Applies a round's sends (epochs local to the round): what was in
     /// flight has landed, sends that arrive inside the round land too, the
     /// rest are in flight for the next one.
@@ -227,11 +268,11 @@ impl RoundState {
 /// basis as usual). A basis whose shape does not match the first round's
 /// model silently falls back to a cold start inside the LP layer.
 ///
-/// The budget is checked at the top of every round and inside every round's
-/// MILP pivots. A* has no usable partial result — a prefix of rounds leaves
-/// demands unsatisfied — so an exhausted budget always surfaces as
-/// [`TeCclError::Budget`]; the serving layer degrades to a cached or
-/// baseline schedule instead.
+/// The budget is checked by the symmetry search, at the top of every round
+/// and inside every round's MILP pivots. A* has no usable partial result — a
+/// prefix of rounds leaves demands unsatisfied — so an exhausted budget
+/// always surfaces as [`TeCclError::Budget`]; the serving layer degrades to a
+/// cached or baseline schedule instead.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_astar_budgeted(
     topology: &Topology,
@@ -258,13 +299,20 @@ pub fn solve_astar_budgeted(
     // demand, every round's MILP has the same shape — the builder always
     // creates the complete variable set (reachability pruning is bound
     // fixing) — so only bounds, right-hand sides, and objective weights
-    // change between rounds.
+    // change between rounds. Those rounds are laid out over the instance's
+    // symmetry group (module docs).
     let warm = warm_rounds(config);
+    let group = if warm {
+        SymmetryGroup::find_per_chunk(topology, demand, chunk_bytes, tau, budget)?
+    } else {
+        SymmetryGroup::trivial(topology)
+    };
     let mut carried_basis: Option<SimplexBasis> = initial_basis.cloned();
     let mut final_basis: Option<SimplexBasis> = None;
     let mut cached_form: Option<MilpFormulation> = None;
 
-    for round in 0..config.astar_max_rounds {
+    let mut round = 0;
+    while round < config.astar_max_rounds {
         // Budget check once per round (the per-pivot checks inside the
         // round's MILP cover cancellation mid-round).
         if let Some(b) = budget {
@@ -298,7 +346,7 @@ pub fn solve_astar_budgeted(
                 .as_mut()
                 .is_some_and(|f| f.update_round(build_demand, config, &options));
         if !reused {
-            cached_form = Some(MilpFormulation::build(
+            cached_form = Some(MilpFormulation::build_over(
                 topology,
                 build_demand,
                 chunk_bytes,
@@ -306,6 +354,7 @@ pub fn solve_astar_budgeted(
                 epochs_per_round,
                 tau,
                 &options,
+                group.clone(),
             )?);
         }
         let form = cached_form.as_ref().expect("formulation built above");
@@ -317,6 +366,21 @@ pub fn solve_astar_budgeted(
             return Err(TeCclError::Budget(cause));
         }
         stats.absorb(&sol.stats);
+        let round_sends = form.sends(&sol);
+
+        if !state.advances(&round_sends) {
+            // A stall: drop the round and solve it again cold.
+            stalls += 1;
+            if stalls >= 2 {
+                return Err(TeCclError::AStarDidNotConverge {
+                    rounds: round + 1,
+                    remaining_demands: remaining_count,
+                });
+            }
+            carried_basis = None;
+            continue;
+        }
+        stalls = 0;
         if warm {
             // A round that produced no basis (e.g. a presolve-trivial or
             // basis-less outcome) keeps the previous one rather than dropping
@@ -334,19 +398,6 @@ pub fn solve_astar_budgeted(
         if sol.basis.is_some() {
             final_basis = sol.basis.clone();
         }
-        let round_sends = form.sends(&sol);
-
-        if round_sends.is_empty() {
-            stalls += 1;
-            if stalls >= 2 {
-                return Err(TeCclError::AStarDidNotConverge {
-                    rounds: round + 1,
-                    remaining_demands: remaining_count,
-                });
-            }
-            continue;
-        }
-        stalls = 0;
 
         // Update state and record sends with global epoch numbers.
         state.absorb(topology, &round_sends);
@@ -356,6 +407,7 @@ pub fn solve_astar_budgeted(
             to: snd.to,
             epoch: snd.epoch + round * epochs_per_round,
         }));
+        round += 1;
     }
 
     // Final check after exhausting rounds.
@@ -382,6 +434,7 @@ pub fn solve_astar_budgeted(
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
+    use teccl_collective::{CollectiveKind, CollectiveSizing};
     use teccl_topology::{line_topology, ring_topology};
 
     #[test]
@@ -432,20 +485,74 @@ mod tests {
             ..Default::default()
         };
         let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
-        assert_valid(&topo, &demand, &out);
+        assert_valid(&topo, &demand, 1e6, 1e-3, &out);
     }
 
     /// Prunes and validates an A* outcome's sends against `demand`.
-    fn assert_valid(topo: &Topology, demand: &DemandMatrix, out: &AStarOutcome) {
-        let grid = EpochGrid::new(topo, 1e6, 1e-3);
+    fn assert_valid(
+        topo: &Topology,
+        demand: &DemandMatrix,
+        chunk_bytes: f64,
+        tau: f64,
+        out: &AStarOutcome,
+    ) {
+        let grid = EpochGrid::new(topo, chunk_bytes, tau);
         let pruned =
             crate::extract::prune_sends(&out.sends, demand, &out.initial_holders, |a, b| {
                 grid.delay_between(topo, a, b)
             });
         let schedule =
-            crate::extract::schedule_from_sends("astar", 1e6, 1e-3, pruned, out.solver_time);
+            crate::extract::schedule_from_sends("astar", chunk_bytes, tau, pruned, out.solver_time);
         let report = teccl_schedule::validate(topo, demand, &schedule, false);
         assert!(report.is_valid(), "{:?}", report.errors);
+    }
+
+    /// The chained-basis stall: internal2 x4 ALLGATHER (1 chunk, a
+    /// 1 482 773 B output buffer) re-solved from its own last basis, ten
+    /// times over. One link of the chain meets a warm round that only
+    /// re-sends chunks to nodes that hold them, which a rule counting only
+    /// empty rounds as stalls repeats until the round limit. It is solved
+    /// again cold — the one way a solve that starts warm records a cold
+    /// start — and every solve converges to a valid schedule with no idle
+    /// round.
+    #[test]
+    fn a_stalled_round_is_solved_again_cold() {
+        let topo = teccl_topology::internal2(4);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let kind = CollectiveKind::AllGather;
+        let demand = DemandMatrix::for_collective(kind, topo.num_nodes(), &gpus, 1);
+        let chunk_bytes =
+            CollectiveSizing::new(kind, gpus.len()).transfer_bytes_for_output_buffer(1_482_773.0);
+        let config = SolverConfig::default();
+        let tau = crate::epochs::epoch_duration(&topo, chunk_bytes, &config);
+        let mut basis: Option<SimplexBasis> = None;
+        let mut cold_retries = 0;
+        for link in 0..10 {
+            let out = solve_astar_budgeted(
+                &topo,
+                &demand,
+                chunk_bytes,
+                &config,
+                tau,
+                basis.as_ref(),
+                None,
+            )
+            .unwrap_or_else(|e| panic!("link {link}: {e}"));
+            if basis.is_some() {
+                cold_retries += out.stats.cold_starts;
+            }
+            for round in 0..out.rounds {
+                assert!(
+                    out.sends
+                        .iter()
+                        .any(|s| s.epoch / out.epochs_per_round == round),
+                    "link {link}: round {round} is idle"
+                );
+            }
+            assert_valid(&topo, &demand, chunk_bytes, tau, &out);
+            basis = out.final_basis;
+        }
+        assert!(cold_retries > 0, "no link of the chain stalled");
     }
 
     #[test]
@@ -466,7 +573,7 @@ mod tests {
             "round 2+ must warm-start (stats: {:?})",
             out.stats
         );
-        assert_valid(&topo, &demand, &out);
+        assert_valid(&topo, &demand, 1e6, 1e-3, &out);
     }
 
     #[test]
@@ -491,7 +598,7 @@ mod tests {
             "every round's root must start cold (stats: {:?})",
             out.stats
         );
-        assert_valid(&topo, &demand, &out);
+        assert_valid(&topo, &demand, 1e6, 1e-3, &out);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
 use crate::error::{check_demand, TeCclError};
 use crate::extract::decompose_source_flow;
-use crate::symmetry::SymmetryGroup;
+use crate::symmetry::{Orbits, SymmetryGroup};
 
 /// A fully built LP instance for one copy-free collective optimization.
 #[derive(Debug)]
@@ -37,11 +37,8 @@ pub struct LpFormulation {
     /// Chunk size in bytes.
     pub chunk_bytes: f64,
     topology: Topology,
-    /// The group the model is the quotient by.
-    group: SymmetryGroup,
-    /// Per node: the representative of its source orbit and the element
-    /// carrying the node back to it (`None` for non-sources).
-    carrier: Vec<Option<(NodeId, usize)>>,
+    /// The group the model is the quotient by, and the source orbits.
+    orbits: Orbits,
     /// `F[s, link, k]` variables of representative sources.
     f_vars: HashMap<(usize, usize, usize), VarId>,
     /// `B[s, node, k]` variables (k in 0..=K) of representative sources.
@@ -109,13 +106,13 @@ impl LpFormulation {
             .gpus()
             .filter(|&s| demand.demand_of_source(s) > 0)
             .collect();
-        let carrier = group.carriers(&all_sources);
+        let orbits = Orbits::new(group, &all_sources);
         let sources: Vec<NodeId> = all_sources
             .into_iter()
-            .filter(|s| carrier[s.0].is_some_and(|(rep, _)| rep == *s))
+            .filter(|&s| orbits.is_representative(s))
             .collect();
         // Each representative's reads stand for its whole orbit's.
-        let orbit = group.order() as f64;
+        let orbit = orbits.weight();
 
         let mut model = Model::new(Sense::Maximize);
         let mut f_vars = HashMap::new();
@@ -275,32 +272,16 @@ impl LpFormulation {
         }
 
         // ----- Capacity -----------------------------------------------------------
-        // One row per link orbit: the flow of source `g s` on link `l` is the
-        // representative `s`'s flow on `g⁻¹ l`, so the row of `l` sums each
-        // representative's flows over the images of `l` with multiplicity.
-        // The same holds for buffers and node orbits.
+        // One row per link orbit, and one buffer row per node orbit
+        // (`Orbits::row_terms`).
+        let group = orbits.group();
         let orbit_terms = |vars: &HashMap<(usize, usize, usize), VarId>, images: &[usize], k| {
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            for s in &sources {
-                for &at in images {
-                    let Some(&v) = vars.get(&(s.0, at, k)) else {
-                        continue;
-                    };
-                    match terms.iter_mut().find(|(u, _)| *u == v) {
-                        Some((_, coef)) => *coef += 1.0,
-                        None => terms.push((v, 1.0)),
-                    }
-                }
-            }
-            terms
+            Orbits::row_terms(&sources, images, |s, at| vars.get(&(s.0, at, k)).copied())
         };
         for link in &topology.links {
-            let images: Vec<usize> = (0..group.order())
-                .map(|g| group.link(g, link.id.0))
-                .collect();
-            if images.iter().any(|&l| l < link.id.0) {
-                continue; // not the lowest-numbered link of its orbit
-            }
+            let Some(images) = group.link_orbit(link.id.0) else {
+                continue;
+            };
             let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
             for k in 0..k_max {
                 let terms = orbit_terms(&f_vars, &images, k);
@@ -318,10 +299,9 @@ impl LpFormulation {
         // ----- Buffer size limit (Appendix B, LP variant) --------------------------
         if let BufferMode::LimitedChunks(limit) = config.buffer_mode {
             for n in topology.gpus() {
-                let images: Vec<usize> = (0..group.order()).map(|g| group.node(g, n).0).collect();
-                if images.iter().any(|&m| m < n.0) {
+                let Some(images) = group.node_orbit(n) else {
                     continue;
-                }
+                };
                 for k in 1..=k_max {
                     let terms = orbit_terms(&b_vars, &images, k);
                     if !terms.is_empty() {
@@ -362,8 +342,7 @@ impl LpFormulation {
             num_epochs: k_max,
             chunk_bytes,
             topology: topology.clone(),
-            group,
-            carrier,
+            orbits,
             f_vars,
             b_vars,
             r_vars,
@@ -407,7 +386,7 @@ impl LpFormulation {
 
     /// The group the model is the quotient by.
     pub fn group(&self) -> &SymmetryGroup {
-        &self.group
+        self.orbits.group()
     }
 
     /// The value of `vars[(rep, at(h), k)]`, where the element `h` carries
@@ -421,7 +400,7 @@ impl LpFormulation {
         at: impl Fn(usize) -> usize,
         k: usize,
     ) -> f64 {
-        let Some((rep, h)) = self.carrier.get(s.0).copied().flatten() else {
+        let Some((rep, h)) = self.orbits.carrier(s) else {
             return 0.0;
         };
         vars.get(&(rep.0, at(h), k))
@@ -431,18 +410,18 @@ impl LpFormulation {
 
     /// Amount of source-`s` data node `d` reads in epoch `k` (chunk units).
     pub fn read_value(&self, solution: &Solution, s: NodeId, d: NodeId, k: usize) -> f64 {
-        self.mapped(solution, &self.r_vars, s, |g| self.group.node(g, d).0, k)
+        self.mapped(solution, &self.r_vars, s, |g| self.group().node(g, d).0, k)
     }
 
     /// Flow of source-`s` data on a link at epoch `k` (chunk units).
     pub fn flow_value(&self, solution: &Solution, s: NodeId, link: usize, k: usize) -> f64 {
-        self.mapped(solution, &self.f_vars, s, |g| self.group.link(g, link), k)
+        self.mapped(solution, &self.f_vars, s, |g| self.group().link(g, link), k)
     }
 
     /// Amount of source-`s` data buffered at node `n` at the start of epoch
     /// `k` (chunk units).
     pub fn buffer_value(&self, solution: &Solution, s: NodeId, n: NodeId, k: usize) -> f64 {
-        self.mapped(solution, &self.b_vars, s, |g| self.group.node(g, n).0, k)
+        self.mapped(solution, &self.b_vars, s, |g| self.group().node(g, n).0, k)
     }
 
     /// `solution` unrolled onto `full`, a build of the same instance over the
@@ -486,8 +465,8 @@ impl LpFormulation {
         };
         let mut all = Vec::new();
         for s in self.topology.gpus() {
-            if self.carrier[s.0] != Some((s, 0)) {
-                continue; // not a representative (element 0 is the identity)
+            if !self.orbits.is_representative(s) {
+                continue;
             }
             let mut flows: HashMap<(usize, usize), f64> = HashMap::new();
             for link in &self.topology.links {
@@ -524,18 +503,19 @@ impl LpFormulation {
                     || sends[i + 1].from != sends[i].to;
                 dest[i] = if ends_path { sends[i].to } else { dest[i + 1] };
             }
-            for g in 0..self.group.order() {
-                let image = self.group.node(g, s);
+            let group = self.group();
+            for g in 0..group.order() {
+                let image = group.node(g, s);
                 for (send, &d) in sends.iter().zip(&dest) {
                     let j = chunks_for_dest[&d]
                         .iter()
                         .position(|&c| c == send.chunk.chunk)
                         .expect("a path ends at a destination of its chunk");
-                    let chunk = chunks_of(image, self.group.node(g, d))[j];
+                    let chunk = chunks_of(image, group.node(g, d))[j];
                     all.push(Send {
                         chunk: ChunkId::new(image, chunk),
-                        from: self.group.node(g, send.from),
-                        to: self.group.node(g, send.to),
+                        from: group.node(g, send.from),
+                        to: group.node(g, send.to),
                         epoch: send.epoch,
                     });
                 }

@@ -20,6 +20,19 @@
 //! final buffers, and one private writer puts it in place: `build` calls it
 //! for its own options, [`MilpFormulation::update_round`] for every later
 //! A\* round over the same layout.
+//!
+//! # Over a symmetry group
+//!
+//! [`MilpFormulation::build_over`] lays the model out over a
+//! [`SymmetryGroup`]: variables and per-source rows for one representative
+//! per source orbit, one capacity row per link orbit and one buffer-limit row
+//! per node orbit, each counting the representatives' images with
+//! multiplicity, and the representatives' read and terminal rewards weighted
+//! by `|G|`. It is a restriction of the full model with the same root bound
+//! ([`crate::symmetry`]); [`MilpFormulation::sends`] and every value
+//! accessor answer for every source through the group.
+//! [`MilpFormulation::build`] is `build_over` the trivial group: the full
+//! model, bit for bit.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -34,6 +47,7 @@ use crate::config::{BufferMode, SolverConfig, SwitchModel};
 use crate::epochs::{capacity_chunks_per_epoch, kappa_epochs, EpochGrid};
 use crate::error::{check_demand, TeCclError};
 use crate::switch::HyperEdgeGroup;
+use crate::symmetry::{Orbits, SymmetryGroup};
 
 /// Extra inputs for building a MILP round (used by the A* solver; the plain
 /// solver uses [`MilpBuildOptions::default`]).
@@ -79,11 +93,19 @@ pub struct MilpFormulation {
     topology: Topology,
     /// Per-link delays and distances in epochs.
     grid: EpochGrid,
-    f_vars: HashMap<(usize, usize, usize, usize), VarId>,
-    b_vars: HashMap<(usize, usize, usize, usize), VarId>,
-    r_vars: HashMap<(usize, usize, usize, usize), VarId>,
+    /// The group the model is laid out over, and the source orbits.
+    orbits: Orbits,
+    /// Variables of the laid-out commodities, keyed `(source, chunk, link or
+    /// node, epoch)`.
+    f_vars: VarMap,
+    b_vars: VarMap,
+    r_vars: VarMap,
+    /// Evictions (limited buffers only).
+    x_vars: VarMap,
+    /// Every source's holders, representatives or not.
     initial_holders: Holders,
-    /// Commodities in build order — the layout key a round update must match.
+    /// Laid-out commodities in build order — the layout key a round update
+    /// must match.
     commodities: Vec<(NodeId, usize)>,
     /// Flow-conservation rows whose rhs carries round state:
     /// `(constraint index, (source, chunk, node, epoch))`.
@@ -103,12 +125,18 @@ pub struct MilpFormulation {
 /// Who holds which chunk when a round starts, keyed by `(source, chunk)`.
 type Holders = HashMap<(usize, usize), Vec<NodeId>>;
 
-/// A round's commodities — every chunk the demand uses, GPU by GPU, then each
-/// `extra_initial` chunk it does not — and each one's holders at epoch 0.
-/// The flag is set when `extra_initial` added a commodity of its own.
+/// A formulation's variables of one kind, keyed `(source, chunk, link or
+/// node, epoch)`.
+type VarMap = HashMap<(usize, usize, usize, usize), VarId>;
+
+/// A round's laid-out commodities — every chunk the demand uses, GPU by GPU,
+/// of the representatives of `orbits`, then each `extra_initial` chunk the
+/// demand does not use — and every commodity's holders at epoch 0. The flag
+/// is set when `extra_initial` added a commodity of its own.
 fn round_holders(
     topology: &Topology,
     demand: &DemandMatrix,
+    orbits: &Orbits,
     extra_initial: &[(NodeId, usize, NodeId)],
 ) -> (Vec<(NodeId, usize)>, Holders, bool) {
     let mut commodities = Vec::new();
@@ -116,7 +144,9 @@ fn round_holders(
     for s in topology.gpus() {
         for c in 0..demand.num_chunks {
             if demand.chunk_in_use(s, c) {
-                commodities.push((s, c));
+                if orbits.is_representative(s) {
+                    commodities.push((s, c));
+                }
                 holders.insert((s.0, c), vec![s]);
             }
         }
@@ -124,7 +154,7 @@ fn round_holders(
     let mut extra_commodity = false;
     for &(s, c, holder) in extra_initial {
         holders.entry((s.0, c)).or_default().push(holder);
-        if !commodities.contains(&(s, c)) {
+        if !demand.chunk_in_use(s, c) && !commodities.contains(&(s, c)) {
             commodities.push((s, c));
             extra_commodity = true;
         }
@@ -173,8 +203,8 @@ fn initial_buffer(holders: &Holders, s: NodeId, c: usize, n: NodeId) -> f64 {
 
 impl MilpFormulation {
     /// Builds the MILP for `demand` on `topology` with `num_epochs` epochs of
-    /// duration `tau`: lays the model out, then writes the round `options`
-    /// describe (module docs).
+    /// duration `tau`: lays the full model out, then writes the round
+    /// `options` describe (module docs).
     pub fn build(
         topology: &Topology,
         demand: &DemandMatrix,
@@ -184,11 +214,59 @@ impl MilpFormulation {
         tau: f64,
         options: &MilpBuildOptions,
     ) -> Result<Self, TeCclError> {
+        let group = SymmetryGroup::trivial(topology);
+        Self::build_over(
+            topology,
+            demand,
+            chunk_bytes,
+            config,
+            num_epochs,
+            tau,
+            options,
+            group,
+        )
+    }
+
+    /// [`MilpFormulation::build`] over `group`, a symmetry group of the
+    /// instance ([`SymmetryGroup::find`]) that keeps its chunks
+    /// ([`SymmetryGroup::keeps_chunks`]). The round `options` must be
+    /// `G`-invariant; only the representatives' entries are read. A
+    /// non-trivial group refuses hyper-edge groups and `extra_initial`
+    /// commodities the demand does not use.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build_over(
+        topology: &Topology,
+        demand: &DemandMatrix,
+        chunk_bytes: f64,
+        config: &SolverConfig,
+        num_epochs: usize,
+        tau: f64,
+        options: &MilpBuildOptions,
+        group: SymmetryGroup,
+    ) -> Result<Self, TeCclError> {
         check_demand(topology, demand)?;
+        let symmetric = !group.is_trivial();
+        if symmetric && (!options.hyperedge_groups.is_empty() || !group.keeps_chunks(demand)) {
+            return Err(TeCclError::InvalidDemand(
+                "a MILP over a symmetry group needs a chunk-keeping group and no hyper-edges"
+                    .into(),
+            ));
+        }
 
         let k_max = num_epochs;
         let grid = EpochGrid::new(topology, chunk_bytes, tau);
-        let (commodities, holders, _) = round_holders(topology, demand, &options.extra_initial);
+        let sources: Vec<NodeId> = topology
+            .gpus()
+            .filter(|&s| demand.demand_of_source(s) > 0)
+            .collect();
+        let orbits = Orbits::new(group, &sources);
+        let (commodities, holders, extra_commodity) =
+            round_holders(topology, demand, &orbits, &options.extra_initial);
+        if symmetric && extra_commodity {
+            return Err(TeCclError::InvalidDemand(
+                "a MILP over a symmetry group holds only the demand's chunks".into(),
+            ));
+        }
 
         // Which (s, c, n) triples get buffer variables. Without store and
         // forward this follows the round's holders, which is why
@@ -206,10 +284,10 @@ impl MilpFormulation {
         };
 
         let mut model = Model::new(Sense::Maximize);
-        let mut f_vars = HashMap::new();
-        let mut b_vars = HashMap::new();
-        let mut r_vars = HashMap::new();
-        let mut x_vars: HashMap<(usize, usize, usize, usize), VarId> = HashMap::new();
+        let mut f_vars = VarMap::new();
+        let mut b_vars = VarMap::new();
+        let mut r_vars = VarMap::new();
+        let mut x_vars = VarMap::new();
 
         // ----- Variables -----------------------------------------------------
         //
@@ -257,9 +335,16 @@ impl MilpFormulation {
                 }
             }
         }
-        for (s, c, d) in demand.iter() {
+        // Each representative's reads stand for its whole orbit's.
+        let orbit = orbits.weight();
+        let laid_out_demand = || {
+            demand
+                .iter()
+                .filter(|&(s, _, _)| orbits.is_representative(s))
+        };
+        for (s, c, d) in laid_out_demand() {
             for k in 0..k_max {
-                let weight = config.chunk_priority(c) / (k as f64 + 1.0);
+                let weight = orbit * config.chunk_priority(c) / (k as f64 + 1.0);
                 let v = model.add_var(format!("R[{s},{c},{d},{k}]"), 0.0, 1.0, weight, false);
                 r_vars.insert((s.0, c, d.0, k), v);
             }
@@ -283,18 +368,22 @@ impl MilpFormulation {
         };
 
         // ----- Capacity constraints (with the Appendix-F window) ------------
+        // One row per link orbit (`Orbits::row_terms`).
+        let group = orbits.group();
         for link in &topology.links {
+            let Some(images) = group.link_orbit(link.id.0) else {
+                continue;
+            };
             let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
             let kappa = kappa_epochs(link, chunk_bytes, tau);
             for k in 0..k_max {
-                let mut terms = Vec::new();
-                for &(s, c) in &commodities {
-                    for kk in k.saturating_sub(kappa - 1)..=k {
-                        if let Some(v) = f_vars.get(&(s.0, c, link.id.0, kk)) {
-                            terms.push((*v, 1.0));
-                        }
-                    }
-                }
+                let window = k.saturating_sub(kappa - 1)..=k;
+                let terms = Orbits::row_terms(&commodities, &images, |&(s, c), at| {
+                    let f_vars = &f_vars;
+                    window
+                        .clone()
+                        .filter_map(move |kk| f_vars.get(&(s.0, c, at, kk)).copied())
+                });
                 if !terms.is_empty() {
                     model.add_cons(
                         format!("cap[{}->{},{k}]", link.src, link.dst),
@@ -413,14 +502,16 @@ impl MilpFormulation {
             }
         }
 
-        // Per-node buffer size limit (Appendix B).
+        // Per-node buffer size limit (Appendix B), one row per node orbit.
         if let BufferMode::LimitedChunks(limit) = config.buffer_mode {
             for node in topology.gpus() {
+                let Some(images) = group.node_orbit(node) else {
+                    continue;
+                };
                 for k in 1..=k_max {
-                    let terms: Vec<(VarId, f64)> = commodities
-                        .iter()
-                        .filter_map(|&(s, c)| b_vars.get(&(s.0, c, node.0, k)).map(|&v| (v, 1.0)))
-                        .collect();
+                    let terms = Orbits::row_terms(&commodities, &images, |&(s, c), at| {
+                        b_vars.get(&(s.0, c, at, k)).copied()
+                    });
                     if !terms.is_empty() {
                         model.add_cons(
                             format!("buflimit[{node},{k}]"),
@@ -435,7 +526,7 @@ impl MilpFormulation {
 
         // ----- Destination constraints ----------------------------------------
         // A read without a buffer to read from is pinned by the round writer.
-        for (s, c, d) in demand.iter() {
+        for (s, c, d) in laid_out_demand() {
             for k in 0..k_max {
                 if let Some(&b) = b_vars.get(&(s.0, c, d.0, k + 1)) {
                     model.add_cons(
@@ -497,9 +588,11 @@ impl MilpFormulation {
             chunk_bytes,
             topology: topology.clone(),
             grid,
+            orbits,
             f_vars,
             b_vars,
             r_vars,
+            x_vars,
             initial_holders: Holders::new(),
             commodities,
             flow_rows,
@@ -551,13 +644,16 @@ impl MilpFormulation {
         // demand, same build order); a commodity introduced purely by
         // `extra_initial` would have added variables at build time.
         let (commodities, holders, extra_commodity) =
-            round_holders(&self.topology, demand, &options.extra_initial);
+            round_holders(&self.topology, demand, &self.orbits, &options.extra_initial);
         if extra_commodity || commodities != self.commodities {
             return false;
         }
-        // The reward variables are keyed by the demand's triples.
+        // The reward variables are keyed by the laid-out demand's triples.
         let mut triples = 0usize;
-        for (s, c, d) in demand.iter() {
+        for (s, c, d) in demand
+            .iter()
+            .filter(|&(s, _, _)| self.orbits.is_representative(s))
+        {
             if !self.r_vars.contains_key(&(s.0, c, d.0, 0)) {
                 return false;
             }
@@ -578,6 +674,7 @@ impl MilpFormulation {
             num_epochs: k_max,
             topology,
             grid,
+            orbits,
             f_vars,
             b_vars,
             r_vars,
@@ -623,10 +720,11 @@ impl MilpFormulation {
                 model.set_obj(v, 0.0);
             }
         }
+        // A representative's reward stands for its whole orbit's.
         for (s, c, n, w) in &options.terminal_rewards {
             if let Some(&b) = b_vars.get(&(s.0, *c, n.0, k_max)) {
                 let cur = model.vars[b.index()].obj;
-                model.set_obj(b, cur + w);
+                model.set_obj(b, cur + w * orbits.weight());
             }
         }
 
@@ -708,30 +806,51 @@ impl MilpFormulation {
         }
     }
 
-    /// Extracts the raw (unpruned) sends from a solution.
+    /// Extracts the raw (unpruned) sends from a solution: every laid-out
+    /// send and its image under every element of the group.
     pub fn sends(&self, solution: &Solution) -> Vec<Send> {
+        let group = self.orbits.group();
         let mut out = Vec::new();
         for (&(s, c, l, k), &var) in &self.f_vars {
             if solution.values[var.index()] > 0.5 {
                 let link = &self.topology.links[l];
-                out.push(Send {
-                    chunk: ChunkId::new(NodeId(s), c),
-                    from: link.src,
-                    to: link.dst,
-                    epoch: k,
-                });
+                for g in 0..group.order() {
+                    out.push(Send {
+                        chunk: ChunkId::new(group.node(g, NodeId(s)), c),
+                        from: group.node(g, link.src),
+                        to: group.node(g, link.dst),
+                        epoch: k,
+                    });
+                }
             }
         }
         out.sort_by_key(|s| (s.epoch, s.from, s.to, s.chunk.source, s.chunk.chunk));
         out
     }
 
-    /// Value of a read variable (for tests / metrics).
-    pub fn read_value(&self, solution: &Solution, s: NodeId, c: usize, d: NodeId, k: usize) -> f64 {
-        self.r_vars
-            .get(&(s.0, c, d.0, k))
+    /// The value of `vars[(rep, c, at(h), k)]`, where the element `h`
+    /// carries `s` back to its representative `rep`: source `s`'s variable
+    /// read through the group (a node outside every source orbit is read
+    /// directly).
+    fn mapped(
+        &self,
+        solution: &Solution,
+        vars: &VarMap,
+        s: NodeId,
+        c: usize,
+        at: impl Fn(usize) -> usize,
+        k: usize,
+    ) -> f64 {
+        let (rep, h) = self.orbits.carrier(s).unwrap_or((s, 0));
+        vars.get(&(rep.0, c, at(h), k))
             .map(|v| solution.values[v.index()])
             .unwrap_or(0.0)
+    }
+
+    /// Value of a read variable (for tests / metrics).
+    pub fn read_value(&self, solution: &Solution, s: NodeId, c: usize, d: NodeId, k: usize) -> f64 {
+        let group = self.orbits.group();
+        self.mapped(solution, &self.r_vars, s, c, |g| group.node(g, d).0, k)
     }
 
     /// Value of a buffer variable (0 if not modeled).
@@ -743,10 +862,36 @@ impl MilpFormulation {
         n: NodeId,
         k: usize,
     ) -> f64 {
-        self.b_vars
-            .get(&(s.0, c, n.0, k))
-            .map(|v| solution.values[v.index()])
-            .unwrap_or(0.0)
+        let group = self.orbits.group();
+        self.mapped(solution, &self.b_vars, s, c, |g| group.node(g, n).0, k)
+    }
+
+    /// `solution` unrolled onto `full`, a build of the same round over the
+    /// trivial group: every variable of `full` at the value this formulation
+    /// gives it through the group.
+    pub fn unroll(&self, solution: &Solution, full: &MilpFormulation) -> Vec<f64> {
+        let group = self.orbits.group();
+        let node = |n: usize| move |g: usize| group.node(g, NodeId(n)).0;
+        let mut x = vec![0.0; full.model.num_vars()];
+        for (&(s, c, l, k), v) in &full.f_vars {
+            let link = |g| group.link(g, l);
+            x[v.index()] = self.mapped(solution, &self.f_vars, NodeId(s), c, link, k);
+        }
+        for (vars, full_vars) in [
+            (&self.b_vars, &full.b_vars),
+            (&self.r_vars, &full.r_vars),
+            (&self.x_vars, &full.x_vars),
+        ] {
+            for (&(s, c, n, k), v) in full_vars {
+                x[v.index()] = self.mapped(solution, vars, NodeId(s), c, node(n), k);
+            }
+        }
+        x
+    }
+
+    /// The group the model is laid out over.
+    pub fn group(&self) -> &SymmetryGroup {
+        self.orbits.group()
     }
 
     /// The effective forwarding delay (in epochs) of the link `from -> to`.

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use teccl_collective::{DemandMatrix, TenantDemand};
-use teccl_lp::{SimplexBasis, SolveStats, SolveStatus};
+use teccl_lp::{SimplexBasis, Solution, SolveStats, SolveStatus};
 use teccl_schedule::Schedule;
 use teccl_topology::Topology;
 
@@ -95,11 +95,10 @@ pub struct SolveOutcome {
     /// across rounds for A*.
     pub stats: SolveStats,
     /// The final warm-start basis the solve published (the root relaxation's
-    /// basis for MILPs, the final LP basis for LPs, the last round's root
-    /// basis for A*), if any: the schedule service feeds it back into
-    /// [`TeCcl::solve`] so a cache-adjacent request (same topology and
-    /// collective, neighbouring buffer-size bucket) re-optimizes from it
-    /// instead of starting cold.
+    /// basis for MILPs, the final LP basis for LPs; never one for A*), if
+    /// any: the schedule service feeds it back into [`TeCcl::solve`] so a
+    /// cache-adjacent request (same topology and collective, neighbouring
+    /// buffer-size bucket) re-optimizes from it instead of starting cold.
     pub basis: Option<SimplexBasis>,
 }
 
@@ -191,12 +190,13 @@ impl TeCcl {
     /// formulation: copy-free demands use the LP; copy-friendly demands use
     /// the MILP on small topologies and A* on larger ones.
     ///
-    /// `warm` is handed to the root relaxation of whichever formulation runs
-    /// (the first round's, for A*) — the re-entrant entry point the schedule
-    /// service uses from its worker threads. A basis of the wrong shape (from
-    /// a different size bucket whose epoch count differs, say) silently falls
-    /// back to a cold start inside the LP layer, so a stale hint can cost a
-    /// failed warm attempt but never correctness.
+    /// `warm` is handed to the root relaxation of the LP or the MILP — the
+    /// re-entrant entry point the schedule service uses from its worker
+    /// threads. A basis of the wrong shape (from a different size bucket
+    /// whose epoch count differs, say) silently falls back to a cold start
+    /// inside the LP layer, so a stale hint can cost a failed warm attempt
+    /// but never correctness. A* ignores `warm` and publishes no basis: its
+    /// rounds' answer would otherwise depend on which request came first.
     pub fn solve(
         &self,
         demand: &DemandMatrix,
@@ -209,9 +209,9 @@ impl TeCcl {
             RequestMethod::Auto if !demand.benefits_from_copy() => {
                 self.solve_lp(demand, chunk_bytes, warm)
             }
-            RequestMethod::AStar => self.solve_astar(demand, chunk_bytes, warm),
+            RequestMethod::AStar => self.solve_astar(demand, chunk_bytes),
             RequestMethod::Auto if self.topology.num_gpus() > ASTAR_GPU_THRESHOLD => {
-                self.solve_astar(demand, chunk_bytes, warm)
+                self.solve_astar(demand, chunk_bytes)
             }
             RequestMethod::Milp | RequestMethod::Auto => self.solve_milp(demand, chunk_bytes, warm),
         }
@@ -247,6 +247,14 @@ impl TeCcl {
     /// [`crate::epochs::estimate_num_epochs`] — the proven copy bound, or one
     /// epoch above the copy-free bound — (or at `max_epochs`, never below the
     /// bound) and climbs like the LP's while the MILP is infeasible.
+    ///
+    /// At each horizon the MILP over the instance's symmetry group is solved
+    /// first (the trivial group under hyper-edges). Its answer is taken when
+    /// its incumbent is within `rel_gap` of its root bound — a root-only tree
+    /// that ends `Optimal` — or when the budget stopped it with an incumbent;
+    /// the root bound is the full model's ([`crate::symmetry`]), so the
+    /// answer is exact. Otherwise, a quotient refuted at this horizon
+    /// included, the full model is solved at the same horizon.
     fn solve_milp(
         &self,
         demand: &DemandMatrix,
@@ -261,11 +269,54 @@ impl TeCcl {
         };
         let (bound, first) = milp_horizon(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
         let first = self.config.max_epochs.map_or(first, |k| k.max(bound));
-        self.climb_horizons(first, |k| {
-            let form =
-                MilpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau, &options)?;
+        let budget = self.budget.as_ref();
+        let group = if options.hyperedge_groups.is_empty() {
+            SymmetryGroup::find_per_chunk(&topo, demand, chunk_bytes, tau, budget)?
+        } else {
+            SymmetryGroup::trivial(&topo)
+        };
+        let build = |k, group| {
+            let form = MilpFormulation::build_over(
+                &topo,
+                demand,
+                chunk_bytes,
+                &self.config,
+                k,
+                tau,
+                &options,
+                group,
+            )?;
             self.check_budget()?;
-            let sol = form.solve_budgeted(&self.config, warm, self.budget.as_ref())?;
+            Ok::<_, TeCclError>(form)
+        };
+        // A root-only tree that ends `Optimal` proves its incumbent within
+        // `rel_gap` of the root bound.
+        let exact =
+            |sol: &Solution| sol.status == SolveStatus::Optimal && sol.stats.nodes_explored <= 1;
+        self.climb_horizons(first, |k| {
+            // Work spent on a quotient whose answer was not taken.
+            let mut spent = SolveStats::default();
+            let mut taken = None;
+            if !group.is_trivial() {
+                let form = build(k, group.clone())?;
+                match form.solve_budgeted(&self.config, warm, budget) {
+                    Ok(sol) if exact(&sol) || sol.stats.budget_stop.is_some() => {
+                        taken = Some((form, sol));
+                    }
+                    Ok(sol) => spent = sol.stats,
+                    Err(TeCclError::InfeasibleWithEpochs(_) | TeCclError::NoSolution) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            let (form, mut sol) = match taken {
+                Some(taken) => taken,
+                None => {
+                    let form = build(k, SymmetryGroup::trivial(&topo))?;
+                    let sol = form.solve_budgeted(&self.config, warm, budget)?;
+                    (form, sol)
+                }
+            };
+            sol.stats.absorb(&spent);
             let sends = form.sends(&sol);
             let pruned = prune_sends(&sends, demand, form.initial_holders(), |a, b| {
                 form.delta_of(a, b)
@@ -355,12 +406,11 @@ impl TeCcl {
         })
     }
 
-    /// The A* technique (§4.2).
+    /// The A* technique (§4.2), always from a cold first round.
     fn solve_astar(
         &self,
         demand: &DemandMatrix,
         chunk_bytes: f64,
-        warm: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
         let start = Instant::now();
         let (topo, _groups, tau) = self.prepare(chunk_bytes);
@@ -370,7 +420,7 @@ impl TeCcl {
             chunk_bytes,
             &self.config,
             tau,
-            warm,
+            None,
             self.budget.as_ref(),
         )?;
         let grid = EpochGrid::new(&topo, chunk_bytes, tau);
@@ -393,8 +443,8 @@ impl TeCcl {
             num_epochs: out.rounds * out.epochs_per_round,
             epoch_duration: tau,
             mip_gap: f64::NAN,
-            stats: out.stats.clone(),
-            basis: out.final_basis,
+            stats: out.stats,
+            basis: None,
         })
     }
 

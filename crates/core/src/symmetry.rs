@@ -1,12 +1,15 @@
-//! The symmetry of a copy-free LP: a group `G` of node permutations under
-//! which the LP of [`crate::lp_form`] is invariant, found by a bounded
-//! backtracking search.
+//! The symmetry of an instance: a group `G` of node permutations under
+//! which the LP of [`crate::lp_form`] and the MILP of [`crate::milp_form`]
+//! are invariant, found by a bounded backtracking search.
 //!
 //! An element `g` of `G`
 //! * keeps node kinds and maps every link `u → v` to the link
-//!   `g(u) → g(v)`, which must exist with the same LP coefficients
-//!   (capacity in chunks per epoch, α-delay δ in epochs);
-//! * keeps every `(s, d)` wanted chunk count; and
+//!   `g(u) → g(v)`, which must exist with the same coefficients (capacity in
+//!   chunks per epoch, α-delay δ in epochs; the MILP's κ and its δ + κ − 1
+//!   grid delays are functions of these two);
+//! * keeps every `(s, d)` wanted chunk count (the MILP also needs each chunk
+//!   `c` of `s` wanted by `d` to be chunk `c` of `g s` wanted by `g d`:
+//!   [`SymmetryGroup::keeps_chunks`]); and
 //! * if it is not the identity, fixes no *source* (a GPU with demand): `G`
 //!   acts **freely** on the sources.
 //!
@@ -23,19 +26,43 @@
 //! the representative's own variables left entirely free: no flow is forced
 //! to split across symmetric paths, and the quotient keeps one copy of the
 //! per-source rows. The shared rows fold to one capacity row per link orbit
-//! and one buffer row per node orbit, and each representative's reads count
-//! `|G|` times in the objective.
+//! and one buffer row per node orbit (`Orbits::row_terms`), and each
+//! representative's reads count `|G|` times in the objective.
 //!
-//! The MILP and A\* models are left alone: the average of integral optima is
-//! in general fractional, so invariant points need not contain an optimum.
+//! # The MILP and A\* quotients are restrictions
+//!
+//! The same layout over the MILP (`F[s,c,l,k] ↦ F[g s, c, g l, k]`) is no
+//! longer exact: the average of integral optima is in general fractional, so
+//! the invariant points need not hold an integral optimum. It is sound as a
+//! *restriction*, and its gap is measured against the full model:
+//! * an integral quotient point unrolls through `G` to an integral point of
+//!   the full model. Every full per-source row is the image of a quotient
+//!   row, and every capacity (buffer-limit) row sums the image flows
+//!   (buffers) exactly as the orbit row does, so every quotient incumbent is
+//!   a valid full schedule of the same objective;
+//! * the averaging argument holds for the LP relaxation of any model `G`
+//!   leaves invariant, copies and buffers included, so the quotient's root
+//!   relaxation has the full model's root bound.
+//!
+//! So [`crate::TeCcl`] accepts a quotient MILP answer only when its incumbent
+//! is within `rel_gap` of the quotient's root bound — a root-only tree that
+//! ends `Optimal` — and then it is within `rel_gap` of the full model's
+//! optimum. Otherwise it solves the full model at the same horizon.
+//!
+//! A\* needs no such test: it is a heuristic either way. Its first round's
+//! holders are `G`-invariant, and a quotient round's sends are unrolled
+//! through `G`, so the next round's holders, in-flight chunks and distance
+//! rewards are invariant too, and every round is laid out over the group.
 //!
 //! The search is deterministic and never reads a clock: it stops after
 //! 10 000 candidate assignments with the group it has, and every step is
 //! charged to the request's [`SolveBudget`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use teccl_collective::DemandMatrix;
+use teccl_lp::VarId;
 use teccl_topology::{NodeId, Topology};
 use teccl_util::{ChargeBatcher, SolveBudget};
 
@@ -89,6 +116,24 @@ impl SymmetryGroup {
         let found = search.run();
         search.charge.flush().map_err(TeCclError::Budget)?;
         Ok(Self::from_nodes(&lp, found?))
+    }
+
+    /// [`SymmetryGroup::find`], or the trivial group when the group found
+    /// does not keep the demand's chunks ([`SymmetryGroup::keeps_chunks`]):
+    /// the group a MILP or an A\* round is laid out over.
+    pub fn find_per_chunk(
+        topology: &Topology,
+        demand: &DemandMatrix,
+        chunk_bytes: f64,
+        tau: f64,
+        budget: Option<&SolveBudget>,
+    ) -> Result<Self, TeCclError> {
+        let group = Self::find(topology, demand, chunk_bytes, tau, budget)?;
+        Ok(if group.keeps_chunks(demand) {
+            group
+        } else {
+            Self::trivial(topology)
+        })
     }
 
     /// The group generated by `generators` (node images, one permutation
@@ -149,23 +194,119 @@ impl SymmetryGroup {
         self.links[g][l]
     }
 
-    /// For every node, the representative of its orbit among `members` and
-    /// the element carrying the node back to it (`None` for nodes not in
-    /// `members`). Representatives are the first member of each orbit; with
-    /// a free action on `members` the carrying element is unique.
-    pub(crate) fn carriers(&self, members: &[NodeId]) -> Vec<Option<(NodeId, usize)>> {
-        let mut carrier = vec![None; self.nodes[0].len()];
-        for &s in members {
+    /// Whether every element maps each wanted chunk `(s, c, d)` to
+    /// `(g s, c, g d)`. [`SymmetryGroup::find`] compares only how many
+    /// chunks each pair wants, which is all the LP reads; the MILP keeps
+    /// chunks apart, so it takes a group only when this holds.
+    pub fn keeps_chunks(&self, demand: &DemandMatrix) -> bool {
+        self.nodes.iter().all(|p| {
+            demand
+                .iter()
+                .all(|(s, c, d)| demand.wants(NodeId(p[s.0]), c, NodeId(p[d.0])))
+        })
+    }
+
+    /// The images of `at` under every element when `at` is the lowest of
+    /// them, else `None`: `image(g, at)` is element `g`'s image.
+    fn orbit(&self, at: usize, image: impl Fn(usize, usize) -> usize) -> Option<Vec<usize>> {
+        let images: Vec<usize> = (0..self.order()).map(|g| image(g, at)).collect();
+        images.iter().all(|&x| x >= at).then_some(images)
+    }
+
+    /// The images of link `l` under every element (with multiplicity) when
+    /// `l` is the lowest-numbered link of its orbit, else `None`.
+    pub(crate) fn link_orbit(&self, l: usize) -> Option<Vec<usize>> {
+        self.orbit(l, |g, l| self.link(g, l))
+    }
+
+    /// The images of node `n` under every element (with multiplicity) when
+    /// `n` is the lowest-numbered node of its orbit, else `None`.
+    pub(crate) fn node_orbit(&self, n: NodeId) -> Option<Vec<usize>> {
+        self.orbit(n.0, |g, n| self.node(g, NodeId(n)).0)
+    }
+}
+
+/// A formulation laid out over a [`SymmetryGroup`]: which sources carry
+/// variables (one representative per source orbit), how any other source's
+/// variables are read through the group, and the terms of the rows the
+/// sources share. The LP and the MILP both keep one.
+#[derive(Debug)]
+pub(crate) struct Orbits {
+    group: SymmetryGroup,
+    /// Per node: the representative of its source orbit and the element
+    /// carrying the node back to it (`None` for non-sources).
+    carrier: Vec<Option<(NodeId, usize)>>,
+}
+
+impl Orbits {
+    /// The orbits of `sources` under `group`. Representatives are the first
+    /// source of each orbit; with a free action the carrying element is
+    /// unique.
+    pub(crate) fn new(group: SymmetryGroup, sources: &[NodeId]) -> Self {
+        let mut carrier = vec![None; group.nodes[0].len()];
+        for &s in sources {
             if carrier[s.0].is_some() {
                 continue;
             }
-            for image in &self.nodes {
+            for image in &group.nodes {
                 let x = image[s.0];
-                let back = self.nodes.iter().position(|p| p[x] == s.0);
+                let back = group.nodes.iter().position(|p| p[x] == s.0);
                 carrier[x] = back.map(|h| (s, h));
             }
         }
-        carrier
+        Self { group, carrier }
+    }
+
+    pub(crate) fn group(&self) -> &SymmetryGroup {
+        &self.group
+    }
+
+    /// `|G|` as the weight of a representative's objective terms.
+    pub(crate) fn weight(&self) -> f64 {
+        self.group.order() as f64
+    }
+
+    /// The representative of `s`'s orbit and the element carrying `s` to
+    /// it; `None` for a node that is not a source.
+    pub(crate) fn carrier(&self, s: NodeId) -> Option<(NodeId, usize)> {
+        self.carrier.get(s.0).copied().flatten()
+    }
+
+    /// Whether `s` is the representative of its source orbit (element 0,
+    /// the identity, carries it).
+    pub(crate) fn is_representative(&self, s: NodeId) -> bool {
+        self.carrier(s) == Some((s, 0))
+    }
+
+    /// The terms of a row the sources share, folded to one row per orbit:
+    /// the value of source `g s` at `at` is the representative `s`'s value
+    /// at `g⁻¹ at`, so the row of `at` sums every representative's
+    /// variables over the images of `at` (`images`, with multiplicity),
+    /// a variable met twice adding to its coefficient. `vars(rep, image)`
+    /// lists a representative's variables at one image. Terms come in
+    /// `reps` order, then `images` order: over the trivial group the row
+    /// of the full model, term for term.
+    pub(crate) fn row_terms<R: Copy, I: IntoIterator<Item = VarId>>(
+        reps: impl IntoIterator<Item = R>,
+        images: &[usize],
+        vars: impl Fn(R, usize) -> I,
+    ) -> Vec<(VarId, f64)> {
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        let mut slot: HashMap<VarId, usize> = HashMap::new();
+        for rep in reps {
+            for &at in images {
+                for v in vars(rep, at) {
+                    match slot.entry(v) {
+                        Entry::Occupied(seen) => terms[*seen.get()].1 += 1.0,
+                        Entry::Vacant(fresh) => {
+                            fresh.insert(terms.len());
+                            terms.push((v, 1.0));
+                        }
+                    }
+                }
+            }
+        }
+        terms
     }
 }
 

@@ -11,6 +11,8 @@
 //!   buckets, and feeds it to [`teccl_core::TeCcl::solve`]. A basis
 //!   whose shape no longer matches (the neighbour bucket changed the epoch
 //!   count, say) silently degrades to a cold solve inside the LP layer.
+//!   A\* solves publish no basis and ignore the hint, so they are never
+//!   hinted: their schedule does not depend on request order.
 //! * **Validation**: every solved schedule is validated and simulated before
 //!   it is cached or served; the service never hands out an unchecked
 //!   schedule, whether it came from a solver, memory, or disk.
@@ -1061,6 +1063,35 @@ mod tests {
             "identical-shape re-solve must warm-start (stats: {:?})",
             second.entry.stats
         );
+    }
+
+    /// An A* miss takes no basis and publishes none: solved, then re-solved
+    /// across ten evictions, the key answers with the cold solve's schedule
+    /// every time and no solve is hinted.
+    #[test]
+    fn astar_misses_are_never_hinted() {
+        let svc = ScheduleService::start(quiet_config()).unwrap();
+        let req = SolveRequest::new(
+            teccl_topology::internal1(2),
+            CollectiveKind::AllGather,
+            1,
+            16.0 * 1024.0 * 1024.0,
+        )
+        .with_method(RequestMethod::AStar);
+        let cold = TeCcl::new(req.topology.clone(), req.config.clone())
+            .solve(&req.demand(), req.chunk_bytes(), RequestMethod::AStar, None)
+            .unwrap();
+        assert!(cold.basis.is_none(), "A* publishes no basis");
+        for resolve in 0..=10 {
+            let reply = svc.request(req.clone()).unwrap();
+            assert_eq!(reply.cache, CacheStatus::Miss);
+            let schedule = &reply.entry.output.schedule;
+            assert_eq!(schedule.sends, cold.schedule.sends, "re-solve {resolve}");
+            assert_eq!(schedule.num_epochs, cold.schedule.num_epochs);
+            assert!(svc.evict_key(req.key().hash));
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.solves, stats.hinted_solves), (11, 0));
     }
 
     #[test]

@@ -32,6 +32,30 @@
 //! * `internal1x2`: order-8 group, 5 951 → 382 pivots; 329 → 280 sends,
 //!   1 296.3 → 960.2 µs.
 //!
+//! The `allgather_copy` rows were re-pinned when the A\* rounds and the MILP
+//! were laid out over the instance's symmetry group (`teccl_core::symmetry`):
+//! each round is a smaller model whose sends are unrolled through the group,
+//! so the rounds walk other vertices and choose other, symmetric, schedules.
+//! Each A\* row must schedule at least as fast as the full rounds did
+//! ([`FULL_ASTAR_TRANSFER`]), and the MILP row exactly as fast:
+//! * `internal1x2` 1 chunk: order-8 group, 763 → 105 pivots; 64 sends either
+//!   way, 1 726.4 → 959.4 µs.
+//! * `internal1x2` 2 chunks: order 8, 1 730 → 242 pivots; 128 sends,
+//!   1 822.3 → 1 055.3 µs.
+//! * `internal1x3`: order 12, 2 015 → 219 pivots; 144 sends, 1 831.0 →
+//!   854.9 µs.
+//! * `internal2x4` 2 chunks: order 8, 1 544 → 228 pivots; 128 sends,
+//!   2 589.2 → 1 774.2 µs.
+//! * `internal2x8`: order 16, 3 712 → 251 pivots; 256 sends, 2 595.6 →
+//!   1 477.0 µs.
+//! * `dgx2`: order 16, 5 978 → 383 pivots; 256 sends at the same transfer
+//!   time to the bit (197.2 µs).
+//! * `internal1x4`: order 16, 4 543 → 344 pivots; 256 sends, 1 879.8 →
+//!   806.1 µs.
+//! * `dgx1` MILP: order-8 group, 491 → 54 pivots in a root-only tree that
+//!   ends `Optimal`, so the quotient's answer is taken; 56 sends at the same
+//!   transfer time to the bit (288.3 µs).
+//!
 //! Release-only (tens of seconds in a debug build, ~2 s in release); CI runs
 //! it with `--release -- --ignored`.
 
@@ -58,17 +82,31 @@ const A2A: CollectiveKind = CollectiveKind::AllToAll;
 
 #[rustfmt::skip]
 const SHAPES: [Shape; 11] = [
-    (AG, "internal1x2", 1, RequestMethod::AStar, [763, 644, 5, 11], 64, 0x3f5c4912de0a35b8),
-    (AG, "internal1x2", 2, RequestMethod::AStar, [1730, 1474, 10, 22], 128, 0x3f5ddb2e4992e179),
-    (AG, "internal1x3", 1, RequestMethod::AStar, [2015, 1589, 8, 19], 144, 0x3f5dffbc6a9f4e2f),
-    (AG, "internal2x4", 2, RequestMethod::AStar, [1544, 1134, 14, 29], 128, 0x3f653604d2ec1fc3),
-    (AG, "internal2x8", 1, RequestMethod::AStar, [3712, 2844, 15, 36], 256, 0x3f65436c234e8be3),
-    (AG, "dgx2", 1, RequestMethod::AStar, [5978, 4750, 6, 32], 256, 0x3f29d906046709da),
-    (AG, "internal1x4", 1, RequestMethod::AStar, [4543, 3968, 11, 35], 256, 0x3f5ecc71f07e7bbb),
-    (AG, "dgx1", 1, RequestMethod::Milp, [491, 398, 1, 4], 56, 0x3f32e507848bbf9f),
+    (AG, "internal1x2", 1, RequestMethod::AStar, [105, 88, 3, 6], 64, 0x3f4f706f0389af57),
+    (AG, "internal1x2", 2, RequestMethod::AStar, [242, 116, 6, 12], 128, 0x3f514a52ed4d836d),
+    (AG, "internal1x3", 1, RequestMethod::AStar, [219, 137, 4, 8], 144, 0x3f4c031bea5f7e6c),
+    (AG, "internal2x4", 2, RequestMethod::AStar, [228, 110, 10, 20], 128, 0x3f5d117f841eeb2c),
+    (AG, "internal2x8", 1, RequestMethod::AStar, [251, 139, 9, 18], 256, 0x3f5832f7505da388),
+    (AG, "dgx2", 1, RequestMethod::AStar, [383, 308, 10, 23], 256, 0x3f29d906046709da),
+    (AG, "internal1x4", 1, RequestMethod::AStar, [344, 252, 5, 11], 256, 0x3f4a69b0dea12353),
+    (AG, "dgx1", 1, RequestMethod::Milp, [54, 41, 1, 3], 56, 0x3f32e507848bbf9f),
     (A2A, "dgx1", 2, RequestMethod::Lp, [154, 0, 0, 5], 192, 0x3f3f75e2e0d11dab),
     (A2A, "internal2x3", 2, RequestMethod::Lp, [274, 0, 0, 5], 168, 0x3f5836bdae7b6610),
     (A2A, "internal1x2", 2, RequestMethod::Lp, [382, 0, 0, 5], 280, 0x3f4f76b9a065f390),
+];
+
+/// The `allgather_copy` rows' simulated transfer times (f64 bits) over the
+/// full round models and the full MILP, before they were laid out over a
+/// group: `(topology, chunks, method, bits)`.
+const FULL_ASTAR_TRANSFER: [(&str, usize, RequestMethod, u64); 8] = [
+    ("internal1x2", 1, RequestMethod::AStar, 0x3f5c4912de0a35b8),
+    ("internal1x2", 2, RequestMethod::AStar, 0x3f5ddb2e4992e179),
+    ("internal1x3", 1, RequestMethod::AStar, 0x3f5dffbc6a9f4e2f),
+    ("internal2x4", 2, RequestMethod::AStar, 0x3f653604d2ec1fc3),
+    ("internal2x8", 1, RequestMethod::AStar, 0x3f65436c234e8be3),
+    ("dgx2", 1, RequestMethod::AStar, 0x3f29d906046709da),
+    ("internal1x4", 1, RequestMethod::AStar, 0x3f5ecc71f07e7bbb),
+    ("dgx1", 1, RequestMethod::Milp, 0x3f32e507848bbf9f),
 ];
 
 /// The `alltoall_lp` rows' simulated transfer times (f64 bits) over the full
@@ -103,6 +141,21 @@ fn benchmark_shapes_keep_their_pivot_counts() {
                 sim.transfer_time <= f64::from_bits(full),
                 "{name} c{chunks}: slower than the full LP's schedule"
             );
+        }
+        let full_copy = FULL_ASTAR_TRANSFER
+            .iter()
+            .find(|&&(n, c, m, _)| (n, c, m) == (name, chunks, method));
+        match full_copy {
+            Some(&(_, _, RequestMethod::Milp, full)) => assert_eq!(
+                sim.transfer_time.to_bits(),
+                full,
+                "{name} c{chunks}: the MILP's transfer time moved"
+            ),
+            Some(&(_, _, _, full)) => assert!(
+                sim.transfer_time <= f64::from_bits(full),
+                "{name} c{chunks}: slower than the full A* rounds' schedule"
+            ),
+            None => assert_eq!(collective, A2A, "{name} c{chunks}: no full-model pin"),
         }
         assert_eq!(
             (outcome.schedule.sends.len(), sim.transfer_time.to_bits()),

@@ -132,12 +132,7 @@ impl RoundState {
         let mut remaining = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
         let mut remaining_count = 0usize;
         for (s, c, d) in demand.iter() {
-            let held = self.holders.get(&(s.0, c)).is_some_and(|h| h.contains(&d));
-            let flying = self
-                .in_flight
-                .iter()
-                .any(|(fs, fc, fd, _)| *fs == s && *fc == c && *fd == d);
-            if !held && !flying {
+            if !self.reached(s, c, d) {
                 remaining.set(s, c, d);
                 remaining_count += 1;
             }
@@ -213,18 +208,18 @@ impl RoundState {
     /// Whether a round's sends bring some chunk to a node that neither holds
     /// it nor has it in flight (module docs, "Stalls").
     pub fn advances(&self, round_sends: &[Send]) -> bool {
-        round_sends.iter().any(|snd| {
-            let (s, c) = (snd.chunk.source, snd.chunk.chunk);
-            let held = self
-                .holders
-                .get(&(s.0, c))
-                .is_some_and(|h| h.contains(&snd.to));
-            let flying = self
+        round_sends
+            .iter()
+            .any(|snd| !self.reached(snd.chunk.source, snd.chunk.chunk, snd.to))
+    }
+
+    /// Whether node `n` holds chunk `c` of source `s` or has it in flight.
+    fn reached(&self, s: NodeId, c: usize, n: NodeId) -> bool {
+        self.holders.get(&(s.0, c)).is_some_and(|h| h.contains(&n))
+            || self
                 .in_flight
                 .iter()
-                .any(|&(fs, fc, fd, _)| fs == s && fc == c && fd == snd.to);
-            !held && !flying
-        })
+                .any(|&(fs, fc, fd, _)| fs == s && fc == c && fd == n)
     }
 
     /// Applies a round's sends (epochs local to the round): what was in

@@ -28,8 +28,8 @@
 //! per source orbit, one capacity row per link orbit and one buffer-limit row
 //! per node orbit, each counting the representatives' images with
 //! multiplicity, and the representatives' read and terminal rewards weighted
-//! by `|G|`. It is a restriction of the full model with the same root bound
-//! ([`crate::symmetry`]); [`MilpFormulation::sends`] and every value
+//! by `|G|`. It is a restriction of the full model with the same LP
+//! relaxation ([`crate::symmetry`]); [`MilpFormulation::sends`] and every value
 //! accessor answer for every source through the group.
 //! [`MilpFormulation::build`] is `build_over` the trivial group: the full
 //! model, bit for bit.

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use teccl_collective::{DemandMatrix, TenantDemand};
-use teccl_lp::{SimplexBasis, Solution, SolveStats, SolveStatus};
+use teccl_lp::{SimplexBasis, SolveStats, SolveStatus};
 use teccl_schedule::Schedule;
 use teccl_topology::Topology;
 
@@ -248,13 +248,14 @@ impl TeCcl {
     /// epoch above the copy-free bound — (or at `max_epochs`, never below the
     /// bound) and climbs like the LP's while the MILP is infeasible.
     ///
-    /// At each horizon the MILP over the instance's symmetry group is solved
-    /// first (the trivial group under hyper-edges). Its answer is taken when
-    /// its incumbent is within `rel_gap` of its root bound — a root-only tree
-    /// that ends `Optimal` — or when the budget stopped it with an incumbent;
-    /// the root bound is the full model's ([`crate::symmetry`]), so the
-    /// answer is exact. Otherwise, a quotient refuted at this horizon
-    /// included, the full model is solved at the same horizon.
+    /// At each horizon the root node of the MILP over the instance's
+    /// symmetry group is solved first (the trivial group under hyper-edges
+    /// or when an element fixes a link or a GPU). Its answer is taken when
+    /// the root ends `Optimal` — its incumbent within `rel_gap` of the root
+    /// bound — or when the budget stopped it with an incumbent; the root
+    /// bound bounds the full model ([`crate::symmetry`]), so the answer is
+    /// exact. Otherwise, a quotient refuted at this horizon included, the
+    /// full model is solved at the same horizon.
     fn solve_milp(
         &self,
         demand: &DemandMatrix,
@@ -275,6 +276,14 @@ impl TeCcl {
         } else {
             SymmetryGroup::trivial(&topo)
         };
+        // Over a group that fixes a link or a GPU, presolve may cut the
+        // quotient's root below the full model's optimum, so its root bound
+        // proves nothing ([`crate::symmetry`]).
+        let group = if group.fixes_a_link_or_gpu(&topo) {
+            SymmetryGroup::trivial(&topo)
+        } else {
+            group
+        };
         let build = |k, group| {
             let form = MilpFormulation::build_over(
                 &topo,
@@ -289,18 +298,25 @@ impl TeCcl {
             self.check_budget()?;
             Ok::<_, TeCclError>(form)
         };
-        // A root-only tree that ends `Optimal` proves its incumbent within
-        // `rel_gap` of the root bound.
-        let exact =
-            |sol: &Solution| sol.status == SolveStatus::Optimal && sol.stats.nodes_explored <= 1;
+        // The quotient's answer is only taken from its root node, so it
+        // solves nothing else: a zero time limit stops its tree after the
+        // root, `Optimal` when the root's incumbent is within `rel_gap` of
+        // the root bound.
+        let root_only = SolverConfig {
+            time_limit: Some(Duration::ZERO),
+            ..self.config.clone()
+        };
         self.climb_horizons(first, |k| {
             // Work spent on a quotient whose answer was not taken.
             let mut spent = SolveStats::default();
             let mut taken = None;
             if !group.is_trivial() {
                 let form = build(k, group.clone())?;
-                match form.solve_budgeted(&self.config, warm, budget) {
-                    Ok(sol) if exact(&sol) || sol.stats.budget_stop.is_some() => {
+                match form.solve_budgeted(&root_only, warm, budget) {
+                    Ok(sol)
+                        if sol.status == SolveStatus::Optimal
+                            || sol.stats.budget_stop.is_some() =>
+                    {
                         taken = Some((form, sol));
                     }
                     Ok(sol) => spent = sol.stats,

@@ -41,13 +41,24 @@
 //!   (buffers) exactly as the orbit row does, so every quotient incumbent is
 //!   a valid full schedule of the same objective;
 //! * the averaging argument holds for the LP relaxation of any model `G`
-//!   leaves invariant, copies and buffers included, so the quotient's root
-//!   relaxation has the full model's root bound.
+//!   leaves invariant, copies and buffers included, so the quotient's raw
+//!   relaxation has the full model's optimum;
+//! * the branch-and-bound root runs after presolve, whose bound tightenings
+//!   round integer bounds inward. When no element but the identity fixes a
+//!   link or a GPU ([`SymmetryGroup::fixes_a_link_or_gpu`]), every quotient
+//!   row is a row of the full model with its variables renamed one to one,
+//!   so every tightening is valid for every integral point of the full
+//!   model. The average of a full integral optimum then satisfies them all,
+//!   and the quotient's presolved root bound still bounds the full model's
+//!   optimum. An element that fixes a link folds two sources' flows on it
+//!   into one variable: its row reads `2 F ≤ cap`, which presolve rounds to
+//!   `F ≤ 0` at `cap = 1`, a cut the full model's integral points violate.
 //!
-//! So [`crate::TeCcl`] accepts a quotient MILP answer only when its incumbent
-//! is within `rel_gap` of the quotient's root bound — a root-only tree that
-//! ends `Optimal` — and then it is within `rel_gap` of the full model's
-//! optimum. Otherwise it solves the full model at the same horizon.
+//! So [`crate::TeCcl`] lays the MILP out over the group only when it fixes
+//! no link or GPU, solves the quotient's root node alone, and takes its
+//! answer when that root ends `Optimal`: its incumbent is within `rel_gap`
+//! of the root bound, and so within `rel_gap` of the full model's optimum.
+//! Otherwise it solves the full model at the same horizon.
 //!
 //! A\* needs no such test: it is a heuristic either way. Its first round's
 //! holders are `G`-invariant, and a quotient round's sends are unrolled
@@ -192,6 +203,19 @@ impl SymmetryGroup {
     /// The image of link `l` under element `g`.
     pub(crate) fn link(&self, g: usize, l: usize) -> usize {
         self.links[g][l]
+    }
+
+    /// Whether an element other than the identity fixes a link or a GPU.
+    /// Such an element folds a variable twice into that link's (GPU's)
+    /// orbit row (`Orbits::row_terms`), where presolve may round the folded
+    /// row `m·F ≤ cap` of a binary `F` below what the full model's row
+    /// allows: the MILP quotient's root bound then need not bound the full
+    /// model.
+    pub fn fixes_a_link_or_gpu(&self, topology: &Topology) -> bool {
+        (1..self.order()).any(|g| {
+            self.links[g].iter().enumerate().any(|(l, &x)| l == x)
+                || topology.gpus().any(|n| self.nodes[g][n.0] == n.0)
+        })
     }
 
     /// Whether every element maps each wanted chunk `(s, c, d)` to

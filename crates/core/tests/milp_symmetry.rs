@@ -258,14 +258,10 @@ fn dgx1_allgather_milp_over_its_group_is_exact() {
     );
 }
 
-/// Two GPUs swap one chunk, and both paths share the one link `r1 → r2`
-/// between two relays the swap fixes. A schedule invariant under the swap
-/// sends both chunks over that link in the same epoch, which its capacity
-/// of one chunk forbids, so the quotient is infeasible at every horizon.
-/// The solve must fall back to the full model at the same horizon, the first
-/// one, and never climb for the quotient's sake.
-#[test]
-fn an_infeasible_quotient_falls_back_to_the_full_model() {
+/// Two GPUs `a` and `b` swap one chunk over a relay path `a, b → r1 → r2 →
+/// a, b` of one-epoch links, the middle one shared and carrying one chunk
+/// per epoch. The swap `a ↔ b` is a symmetry that fixes `r1 → r2`.
+fn shared_relay() -> (Topology, DemandMatrix) {
     let mut topo = Topology::new("shared relay link");
     let a = topo.add_gpu("a", 0);
     let b = topo.add_gpu("b", 0);
@@ -277,6 +273,16 @@ fn an_infeasible_quotient_falls_back_to_the_full_model() {
     let mut demand = DemandMatrix::new(topo.num_nodes(), 1);
     demand.set(a, 0, b);
     demand.set(b, 0, a);
+    (topo, demand)
+}
+
+/// A schedule invariant under the swap sends both chunks over `r1 → r2` in
+/// the same epoch, which its capacity of one chunk forbids, so the quotient
+/// is infeasible at every horizon. The solve must run the full model at the
+/// first horizon and never climb for the quotient's sake.
+#[test]
+fn an_infeasible_quotient_falls_back_to_the_full_model() {
+    let (topo, demand) = shared_relay();
     let (chunk_bytes, tau) = (1e6, 1e-3);
     let config = SolverConfig::default();
     let group = SymmetryGroup::find_per_chunk(&topo, &demand, chunk_bytes, tau, None).unwrap();
@@ -311,4 +317,66 @@ fn an_infeasible_quotient_falls_back_to_the_full_model() {
     assert_eq!(out.status, SolveStatus::Optimal);
     let report = teccl_schedule::validate(&topo, &demand, &out.schedule, false);
     assert!(report.is_valid(), "{:?}", report.errors);
+}
+
+/// [`shared_relay`] plus direct links `a ↔ b` six epochs slow, at a horizon
+/// both fit in. The quotient is feasible: both chunks go direct. Its orbit
+/// row of the fixed link `r1 → r2` reads `2 F ≤ 1`, which presolve rounds to
+/// `F ≤ 0`, so its root bound is below the full model's and a root-only
+/// `Optimal` quotient is a worse schedule than the full optimum, which
+/// sends both chunks through the relays one epoch apart. A group that fixes
+/// a link must not be taken for the MILP.
+#[test]
+fn a_group_that_fixes_a_link_is_not_taken_for_the_milp() {
+    let (mut topo, demand) = shared_relay();
+    let (a, b, r1, r2) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    topo.add_link(a, b, 1e9 / 6.0, 0.0);
+    topo.add_link(b, a, 1e9 / 6.0, 0.0);
+    let (chunk_bytes, tau) = (1e6, 1e-3);
+    let config = SolverConfig {
+        max_epochs: Some(8),
+        ..SolverConfig::default()
+    };
+    let group = SymmetryGroup::find_per_chunk(&topo, &demand, chunk_bytes, tau, None).unwrap();
+    assert_eq!(group.order(), 2);
+    assert!(group.fixes_a_link_or_gpu(&topo));
+
+    let options = MilpBuildOptions::default();
+    let solve = |group| {
+        MilpFormulation::build_over(
+            &topo,
+            &demand,
+            chunk_bytes,
+            &config,
+            8,
+            tau,
+            &options,
+            group,
+        )
+        .unwrap()
+        .solve_budgeted(&config, None, None)
+        .unwrap()
+    };
+    let full = solve(SymmetryGroup::trivial(&topo));
+    let quotient = solve(group);
+    assert_eq!(quotient.status, SolveStatus::Optimal);
+    assert_eq!(quotient.stats.nodes_explored, 1, "a root-only tree");
+    assert!(
+        quotient.objective < full.objective - 1e-6,
+        "quotient {} vs full {}",
+        quotient.objective,
+        full.objective
+    );
+
+    let out = TeCcl::new(topo.clone(), config.clone())
+        .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
+        .unwrap();
+    assert_eq!(out.status, SolveStatus::Optimal);
+    let report = teccl_schedule::validate(&topo, &demand, &out.schedule, false);
+    assert!(report.is_valid(), "{:?}", report.errors);
+    let relayed = |sends: &[teccl_schedule::Send]| {
+        sends.iter().filter(|s| (s.from, s.to) == (r1, r2)).count()
+    };
+    assert_eq!(relayed(&out.schedule.sends), 2, "the full model's optimum");
+    assert_eq!(out.stats.simplex_iterations, full.stats.simplex_iterations);
 }

@@ -43,8 +43,11 @@ use teccl_util::SolveBudget;
 /// Configuration for the branch-and-bound search.
 #[derive(Debug, Clone)]
 pub struct MilpConfig {
-    /// Wall-clock limit; the best incumbent found so far is returned when it
-    /// expires (status [`SolveStatus::Feasible`]).
+    /// Wall-clock limit, checked between nodes once the root node is done;
+    /// the best incumbent found so far is returned when it expires (status
+    /// [`SolveStatus::Feasible`]). A zero limit solves the root node only:
+    /// the answer is `Optimal` when the root's incumbent is within
+    /// `rel_gap` of the root bound.
     pub time_limit: Option<Duration>,
     /// Stop as soon as the relative gap between the incumbent and the best
     /// bound drops below this value (`0.0` = prove optimality, `0.3` = the
@@ -248,18 +251,20 @@ pub(crate) fn branch_and_bound(
             hit_limit = true;
             break;
         }
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() > limit {
+        // The time limit and the cooperative budget are checked between
+        // nodes (the budget also inside each node's pivots: it catches a
+        // cancel while the tree is hot but the LPs are cheap). Both are
+        // skipped while the already-solved root relaxation is pending: its
+        // node costs no LP, and a budget-stopped root still carries a
+        // feasible point the harvest below must get to see.
+        if root_relax.is_none() {
+            if config
+                .time_limit
+                .is_some_and(|limit| start.elapsed() > limit)
+            {
                 hit_limit = true;
                 break;
             }
-        }
-        // Cooperative budget, checked between nodes as well as inside
-        // each node's pivots (catches a cancel while the tree is hot but
-        // the LPs are cheap). Skipped while the already-solved root
-        // relaxation is pending: a budget-stopped root still carries a
-        // feasible point the harvest below must get to see.
-        if root_relax.is_none() {
             if let Some(b) = budget {
                 if let Some(cause) = b.exceeded() {
                     stats.budget_stop = stats.budget_stop.or(Some(cause));
@@ -665,14 +670,46 @@ mod tests {
             .map(|(i, &x)| (x, ((i * 3) % 4 + 1) as f64))
             .collect();
         m.add_cons("cap", &terms, ConstraintOp::Le, 7.0);
-        // A zero time limit trips at the first node check, the same exit the
-        // private node limit takes.
+        // A zero time limit trips at the first node check after the root,
+        // the same exit the private node limit takes.
         let sol = solve(&m, &MilpConfig::with_time_limit(Duration::ZERO)).unwrap();
-        assert!(sol.stats.nodes_explored <= 1);
+        assert_eq!(sol.stats.nodes_explored, 1);
         assert!(matches!(
             sol.status,
             SolveStatus::Feasible | SolveStatus::LimitReached | SolveStatus::Optimal
         ));
+    }
+
+    #[test]
+    fn a_zero_time_limit_solves_the_root_node() {
+        // max x + y s.t. x + y <= 1.4: the root relaxation is fractional and
+        // the rounded incumbent 1 is 29 % below its bound 1.4, so the tree
+        // stops `Feasible` after the root.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_binary_var("x", 1.0);
+        let y = m.add_binary_var("y", 1.0);
+        m.add_cons("c", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 1.4);
+        let root_only = MilpConfig::with_time_limit(Duration::ZERO);
+        let sol = solve(&m, &root_only).unwrap();
+        assert_eq!(sol.stats.nodes_explored, 1);
+        assert_eq!(sol.status, SolveStatus::Feasible);
+        // Within a 50 % gap of the root bound, the same root is `Optimal`.
+        let sol = solve(
+            &m,
+            &MilpConfig {
+                rel_gap: 0.5,
+                ..root_only.clone()
+            },
+        )
+        .unwrap();
+        assert_eq!(sol.stats.nodes_explored, 1);
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert_close(sol.objective, 1.0, 1e-9);
+        // An integral root is `Optimal` at any gap.
+        m.cons[0].rhs = 1.0;
+        let sol = solve(&m, &root_only).unwrap();
+        assert_eq!(sol.stats.nodes_explored, 1);
+        assert_eq!(sol.status, SolveStatus::Optimal);
     }
 
     #[test]

@@ -44,8 +44,8 @@
 //! destinations, and the static flow counts it once per destination.
 //!
 //! **Tightness** (7 builtin topologies × {ALLTOALL, SCATTER, GATHER} ×
-//! {1, 2} chunks × {64 KB, 1, 4, 16, 64 MB}, 210 shapes; the LP is ≤ 2.3 ms on
-//! 8 GPUs; "smallest feasible `K` − bound"):
+//! {1, 2} chunks × {64 KB, 1, 4, 16, 64 MB}, 210 shapes; "smallest feasible
+//! `K` − bound"):
 //!
 //! | collective | shapes | +0 | +1 | +2 | +4 |
 //! |---|---|---|---|---|---|
@@ -94,8 +94,8 @@
 //!
 //! **Tightness** (`dgx1`, `ndv2`, `internal1`, `internal2` x2, `internal1`
 //! x2 × {ALLGATHER, BROADCAST} × {1, 2} chunks × {64 KB, 16 MB}, 40 shapes;
-//! the bound LPs take ≤ 18 ms on 8 GPUs; "smallest feasible `K` − bound",
-//! release build, a 10 s B&B limit per horizon):
+//! "smallest feasible `K` − bound", release build, a 10 s B&B limit per
+//! horizon):
 //!
 //! | collective | shapes | +0 | +1 | +2 | +3 | no incumbent |
 //! |---|---|---|---|---|---|---|
@@ -109,6 +109,50 @@
 //! incumbent. The copy bound is the MILP's first horizon (no slack): it is
 //! feasible on 18 of the 40, and the MILP solve of [`crate::TeCcl::solve`]
 //! climbs the same +2, +4, … ladder as the LP from there.
+//!
+//! # Over the symmetry quotient
+//!
+//! Both bounds take the instance's [`SymmetryGroup`] (the one
+//! [`SymmetryGroup::find`] returns and the LP and the MILP are laid out
+//! over). An element maps every link to one of equal capacity per epoch and
+//! δ, and keeps every `(s, d)` wanted count, which is all the static LP
+//! reads. So it maps sources to sources and destinations to destinations,
+//! and keeps `reach`, `drain`, every dead time `w_l` and the latency floor:
+//! they are cheapest δ + 1 paths between those sets.
+//!
+//! * *Copy-free: one flow per representative source.* `σ_g : f[s,l] ↦
+//!   f[g s, g l]` maps every row of the static LP to a row of the same kind
+//!   and keeps `T`, so, as in [`crate::symmetry`], the average over `G` of an
+//!   optimum is a `G`-invariant optimum, and restricting the LP to invariant
+//!   points loses nothing. `G` acts freely on the sources, so an invariant
+//!   point is one unconstrained flow per representative of a source orbit,
+//!   `f[g s₀, l] = f[s₀, g⁻¹ l]`. [`horizon_lower_bound`] keeps those columns,
+//!   the representatives' conservation rows and one capacity row per link
+//!   orbit, whose terms sum each representative's flow over the images of
+//!   the link (`Orbits::row_terms`). Its `T*` is the full LP's, and over
+//!   [`SymmetryGroup::trivial`] the LP is the full one, column for column
+//!   and row for row.
+//! * *With copy: one LP per destination orbit, one commodity per sink.* If
+//!   `g d = d'`, the demand restricted to `d'` is the image of the one
+//!   restricted to `d`: their LPs are the same up to renaming, and so are
+//!   their bounds. [`copy_horizon_bound`] solves the LP of the lowest node
+//!   of each destination orbit. That LP has one sink, and with one sink the
+//!   per-source commodities add up to one: their summed flow is a
+//!   single-commodity flow that supplies `wanted[s][d]` at each source `s`.
+//!   Conversely, a single-commodity flow decomposes into paths from the
+//!   sources to `d` and cycles. The paths split it back into per-source
+//!   flows on the same links, and dropping the cycles only frees capacity.
+//!   So one flow per link, not one per (source, link), gives the same `T*`.
+//!
+//! `core/tests/horizon.rs` checks both against the full LPs: equal bounds on
+//! the 210 copy-free shapes above, on 16-GPU topologies, on seeded random
+//! and circulant topologies and on an asymmetric one, and on the 40 copy
+//! shapes. On the three `alltoall_lp` keys of the benchmark (6–8 GPUs, |G|
+//! 6–8) the bound LP has 19–33 columns and takes 0.06–0.11 ms, against
+//! 109–257 columns and 0.5–1.9 ms for the full LP; the `dgx1` ALLGATHER
+//! MILP's bound is one 33-column LP of 0.11–0.14 ms, where it was eight
+//! 225-column LPs of 8.5 ms together (release build, one pinned core,
+//! EXPERIMENTS.md).
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, Model, Sense, SolveStatus, VarId};
@@ -117,6 +161,7 @@ use teccl_util::SolveBudget;
 
 use crate::config::{EpochStrategy, SolverConfig};
 use crate::error::TeCclError;
+use crate::symmetry::{Orbits, SymmetryGroup};
 
 /// Computes the epoch duration τ for a topology, chunk size and strategy,
 /// including the epoch multiplier (EM).
@@ -224,14 +269,132 @@ pub(crate) const HORIZON_SLACK: usize = 1;
 /// every `K` below the returned value (validity argument in the module docs).
 ///
 /// Solves the static max-concurrent-flow LP — one aggregate flow per
-/// (source, link) on the plain topology plus the horizon `T` — under `budget`.
-/// A budget stop, or a budget already spent on entry, is
+/// (source, link) on the plain topology plus the horizon `T` — under
+/// `budget`, over the quotient by `group`, a symmetry group of the instance
+/// ([`SymmetryGroup::find`]): one flow per representative source, one
+/// capacity row per link orbit. Over [`SymmetryGroup::trivial`] it is the
+/// full LP. A budget stop, or a budget already spent on entry, is
 /// [`TeCclError::Budget`]: a stopped `T` is not a bound.
 pub fn horizon_lower_bound(
     topo: &Topology,
     demand: &DemandMatrix,
     chunk_bytes: f64,
     tau: f64,
+    group: &SymmetryGroup,
+    budget: Option<&SolveBudget>,
+) -> Result<usize, TeCclError> {
+    let pairs = wanted_pairs(topo, demand);
+    let mut sources: Vec<NodeId> = pairs.iter().map(|&(s, _, _)| s).collect();
+    sources.dedup();
+    let orbits = Orbits::new(group.clone(), &sources);
+    let commodities: Vec<Commodity> = sources
+        .into_iter()
+        .filter(|&s| orbits.is_representative(s))
+        .map(|s| Commodity {
+            name: s.to_string(),
+            pairs: pairs
+                .iter()
+                .copied()
+                .filter(|&(from, _, _)| from == s)
+                .collect(),
+        })
+        .collect();
+    static_flow_bound(topo, chunk_bytes, tau, &pairs, &commodities, group, budget)
+}
+
+/// A proven lower bound on the epoch horizon `K` of the MILP
+/// ([`crate::milp_form::MilpFormulation`]) that holds with copy: the largest
+/// [`horizon_lower_bound`] of the demand restricted to one destination
+/// (validity argument in the module docs). `group` is a symmetry group of
+/// the instance ([`SymmetryGroup::find`]): destinations in one orbit have
+/// equal bounds, so one LP per destination orbit is solved, each with a
+/// single commodity for all the chunks its sink reads. A budget stop is
+/// [`TeCclError::Budget`].
+pub fn copy_horizon_bound(
+    topo: &Topology,
+    demand: &DemandMatrix,
+    chunk_bytes: f64,
+    tau: f64,
+    group: &SymmetryGroup,
+    budget: Option<&SolveBudget>,
+) -> Result<usize, TeCclError> {
+    let pairs = wanted_pairs(topo, demand);
+    let trivial = SymmetryGroup::trivial(topo);
+    let mut bound = 1;
+    for d in topo.gpus().filter(|&d| group.node_orbit(d).is_some()) {
+        let sink = Commodity {
+            name: format!("to {d}"),
+            pairs: pairs
+                .iter()
+                .copied()
+                .filter(|&(_, to, _)| to == d)
+                .collect(),
+        };
+        if !sink.pairs.is_empty() {
+            let only_d = static_flow_bound(
+                topo,
+                chunk_bytes,
+                tau,
+                &sink.pairs,
+                std::slice::from_ref(&sink),
+                &trivial,
+                budget,
+            )?;
+            bound = bound.max(only_d);
+        }
+    }
+    Ok(bound)
+}
+
+/// Every `(source, destination, chunks)` of `demand` with chunks > 0, by
+/// source and then destination: all the static bound LP reads of a demand.
+fn wanted_pairs(topo: &Topology, demand: &DemandMatrix) -> Vec<(NodeId, NodeId, usize)> {
+    let mut pairs = Vec::new();
+    for s in topo.gpus() {
+        for d in topo.gpus() {
+            let chunks = (0..demand.num_chunks)
+                .filter(|&c| demand.wants(s, c, d))
+                .count();
+            if chunks > 0 {
+                pairs.push((s, d, chunks));
+            }
+        }
+    }
+    pairs
+}
+
+/// One commodity of the static bound LP: a flow that injects each pair's
+/// chunks at its source and takes them out at its destination.
+struct Commodity {
+    /// Names the commodity's columns and conservation rows.
+    name: String,
+    pairs: Vec<(NodeId, NodeId, usize)>,
+}
+
+impl Commodity {
+    /// Chunks injected at `n` less chunks taken out there.
+    fn net(&self, n: NodeId) -> i64 {
+        self.pairs
+            .iter()
+            .map(|&(s, d, chunks)| (i64::from(s == n) - i64::from(d == n)) * chunks as i64)
+            .sum()
+    }
+}
+
+/// The static max-concurrent-flow LP of the module docs, laid out over
+/// `group`: minimises `T` over the flows of `commodities` — one
+/// representative per orbit of the commodities `group` permutes, so each
+/// link orbit's one capacity row folds every image's flow in
+/// (`Orbits::row_terms`) — and returns `max(⌈T*⌉, latency)`. The link
+/// windows and the latency floor come from `pairs`, every wanted pair of
+/// the demand, representatives or not.
+fn static_flow_bound(
+    topo: &Topology,
+    chunk_bytes: f64,
+    tau: f64,
+    pairs: &[(NodeId, NodeId, usize)],
+    commodities: &[Commodity],
+    group: &SymmetryGroup,
     budget: Option<&SolveBudget>,
 ) -> Result<usize, TeCclError> {
     if let Some(cause) = budget.and_then(SolveBudget::exceeded) {
@@ -240,13 +403,7 @@ pub fn horizon_lower_bound(
     // Hop cost of the LP formulation: sent at epoch k on l, forwardable from
     // l.dst at epoch k + δ + 1.
     let pm = floyd_warshall(topo, |l| (delta_epochs(l, tau) + 1) as f64);
-    let sources: Vec<NodeId> = topo
-        .gpus()
-        .filter(|&s| demand.demand_of_source(s) > 0)
-        .collect();
     let nodes = || (0..topo.num_nodes()).map(NodeId);
-    // wanted[i][d]: chunks destination d reads from sources[i].
-    let mut wanted = vec![vec![0usize; topo.num_nodes()]; sources.len()];
     // reach[v]: cheapest path from any source to v; drain[v]: from v to any
     // destination.
     let mut reach = vec![f64::INFINITY; topo.num_nodes()];
@@ -255,77 +412,69 @@ pub fn horizon_lower_bound(
     // Unreachable pairs are left to the formulation, which rejects them at
     // every horizon.
     let mut latency: f64 = 1.0;
-    for (i, &s) in sources.iter().enumerate() {
+    for &(s, d, _) in pairs {
         for v in nodes() {
             reach[v.0] = reach[v.0].min(pm.distance(s, v));
+            drain[v.0] = drain[v.0].min(pm.distance(v, d));
         }
-        for d in topo.gpus() {
-            wanted[i][d.0] = (0..demand.num_chunks)
-                .filter(|&c| demand.wants(s, c, d))
-                .count();
-            if wanted[i][d.0] == 0 {
-                continue;
-            }
-            for v in nodes() {
-                drain[v.0] = drain[v.0].min(pm.distance(v, d));
-            }
-            if pm.distance(s, d).is_finite() {
-                latency = latency.max(pm.distance(s, d));
-            }
+        if pm.distance(s, d).is_finite() {
+            latency = latency.max(pm.distance(s, d));
         }
     }
+    // Dead time of each link: nothing is on it before reach[src], and
+    // nothing sent on it later than δ (to cross) + drain[dst] before the end
+    // is read in time.
+    let dead: Vec<f64> = topo
+        .links
+        .iter()
+        .map(|l| reach[l.src.0] + delta_epochs(l, tau) as f64 + drain[l.dst.0])
+        .collect();
 
     let mut model = Model::new(Sense::Minimize);
     let t = model.add_var("T", latency, f64::INFINITY, 1.0, false);
-    let mut flow = vec![Vec::with_capacity(topo.links.len()); sources.len()];
+    let mut flow = vec![Vec::with_capacity(topo.links.len()); commodities.len()];
     for link in &topo.links {
-        // Dead time of the link: nothing is on it before reach[src], and
-        // nothing sent on it later than δ (to cross) + drain[dst] before the
-        // end is read in time.
-        let dead = reach[link.src.0] + delta_epochs(link, tau) as f64 + drain[link.dst.0];
         // A link no source reaches or no destination drains carries nothing.
-        let ub = if dead.is_finite() { f64::INFINITY } else { 0.0 };
-        let mut terms = vec![];
-        for (i, s) in sources.iter().enumerate() {
-            let f = model.add_var(
-                format!("f[{s},{}->{}]", link.src, link.dst),
-                0.0,
-                ub,
-                0.0,
-                false,
-            );
-            flow[i].push(f);
-            terms.push((f, 1.0));
-        }
-        if dead.is_finite() {
-            // Σ_s f[s,l] ≤ cap·(T − w) with w = min(dead, latency): K ≥ latency
-            // always, so the usable window max(0, K − dead) never exceeds
-            // K − w, and the row never asks for T ≥ dead on its own.
-            let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
-            terms.push((t, -cap));
-            model.add_cons(
-                format!("cap[{}->{}]", link.src, link.dst),
-                &terms,
-                ConstraintOp::Le,
-                -cap * dead.min(latency),
-            );
+        let ub = if dead[link.id.0].is_finite() {
+            f64::INFINITY
+        } else {
+            0.0
+        };
+        for (i, commodity) in commodities.iter().enumerate() {
+            let name = format!("f[{},{}->{}]", commodity.name, link.src, link.dst);
+            flow[i].push(model.add_var(name, 0.0, ub, 0.0, false));
         }
     }
-    for (i, &s) in sources.iter().enumerate() {
+    for link in &topo.links {
+        let Some(images) = group.link_orbit(link.id.0) else {
+            continue;
+        };
+        if !dead[link.id.0].is_finite() {
+            continue;
+        }
+        // Σ_s f[s,l] ≤ cap·(T − w) with w = min(dead, latency): K ≥ latency
+        // always, so the usable window max(0, K − dead) never exceeds K − w,
+        // and the row never asks for T ≥ dead on its own.
+        let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
+        let mut terms = Orbits::row_terms(0..commodities.len(), &images, |i, at| [flow[i][at]]);
+        terms.push((t, -cap));
+        model.add_cons(
+            format!("cap[{}->{}]", link.src, link.dst),
+            &terms,
+            ConstraintOp::Le,
+            -cap * dead[link.id.0].min(latency),
+        );
+    }
+    for (i, commodity) in commodities.iter().enumerate() {
         for n in nodes() {
             let mut terms: Vec<(VarId, f64)> =
                 topo.out_links(n).map(|l| (flow[i][l.id.0], 1.0)).collect();
             terms.extend(topo.in_links(n).map(|l| (flow[i][l.id.0], -1.0)));
-            let injected = if n == s {
-                demand.demand_of_source(s)
-            } else {
-                0
-            };
             model.add_cons(
-                format!("cons[{s},{n}]"),
+                format!("cons[{},{n}]", commodity.name),
                 &terms,
                 ConstraintOp::Eq,
-                injected as f64 - wanted[i][n.0] as f64,
+                commodity.net(n) as f64,
             );
         }
     }
@@ -342,39 +491,9 @@ pub fn horizon_lower_bound(
     Ok(volume.max(latency) as usize)
 }
 
-/// A proven lower bound on the epoch horizon `K` of the MILP
-/// ([`crate::milp_form::MilpFormulation`]) that holds with copy: the largest
-/// [`horizon_lower_bound`] of the demand restricted to one destination
-/// (validity argument in the module docs). Solves one small LP per
-/// destination under `budget`; a budget stop is [`TeCclError::Budget`].
-pub fn copy_horizon_bound(
-    topo: &Topology,
-    demand: &DemandMatrix,
-    chunk_bytes: f64,
-    tau: f64,
-    budget: Option<&SolveBudget>,
-) -> Result<usize, TeCclError> {
-    let mut bound = 1;
-    for d in topo.gpus() {
-        let mut only_d = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
-        for (s, c, _) in demand.iter().filter(|&(_, _, to)| to == d) {
-            only_d.set(s, c, d);
-        }
-        if !only_d.is_empty() {
-            bound = bound.max(horizon_lower_bound(
-                topo,
-                &only_d,
-                chunk_bytes,
-                tau,
-                budget,
-            )?);
-        }
-    }
-    Ok(bound)
-}
-
-/// The MILP's proven horizon bound and the first horizon it tries, computed
-/// under `budget`:
+/// The MILP's proven horizon bound, the first horizon it tries and the
+/// symmetry group both were computed over ([`SymmetryGroup::find`], searched
+/// under `budget` before any bound LP):
 ///
 /// * copy-free demands: [`horizon_lower_bound`], first tried
 ///   [`HORIZON_SLACK`] above it;
@@ -386,27 +505,29 @@ pub(crate) fn milp_horizon(
     chunk_bytes: f64,
     tau: f64,
     budget: Option<&SolveBudget>,
-) -> Result<(usize, usize), TeCclError> {
+) -> Result<(usize, usize, SymmetryGroup), TeCclError> {
+    let group = SymmetryGroup::find(topo, demand, chunk_bytes, tau, budget)?;
     if demand.benefits_from_copy() {
-        let bound = copy_horizon_bound(topo, demand, chunk_bytes, tau, budget)?;
-        Ok((bound, bound))
+        let bound = copy_horizon_bound(topo, demand, chunk_bytes, tau, &group, budget)?;
+        Ok((bound, bound, group))
     } else {
-        let bound = horizon_lower_bound(topo, demand, chunk_bytes, tau, budget)?;
-        Ok((bound, bound + HORIZON_SLACK))
+        let bound = horizon_lower_bound(topo, demand, chunk_bytes, tau, &group, budget)?;
+        Ok((bound, bound + HORIZON_SLACK, group))
     }
 }
 
 /// The first horizon the MILP solve of [`crate::TeCcl::solve`] tries when the
 /// caller does not provide `max_epochs`, computed without a budget: the proven
 /// bound plus one epoch of slack for copy-free demands, the [`copy_horizon_bound`] for
-/// copy demands. 1 if a bound LP fails, which the solve itself then reports.
+/// copy demands. 1 if the group search or a bound LP fails, which the solve
+/// itself then reports.
 pub fn estimate_num_epochs(
     topo: &Topology,
     demand: &DemandMatrix,
     chunk_bytes: f64,
     tau: f64,
 ) -> usize {
-    milp_horizon(topo, demand, chunk_bytes, tau, None).map_or(1, |(_, first)| first)
+    milp_horizon(topo, demand, chunk_bytes, tau, None).map_or(1, |(_, first, _)| first)
 }
 
 #[cfg(test)]
@@ -480,11 +601,12 @@ mod tests {
         let tau = 1e-3;
         for chunks in [1, 8] {
             let demand = DemandMatrix::broadcast(4, &gpus, NodeId(0), chunks);
-            let bound = copy_horizon_bound(&topo, &demand, 1e6, tau, None).unwrap();
+            let group = SymmetryGroup::find(&topo, &demand, 1e6, tau, None).unwrap();
+            let bound = copy_horizon_bound(&topo, &demand, 1e6, tau, &group, None).unwrap();
             assert_eq!(bound, 3 + chunks - 1);
             assert_eq!(estimate_num_epochs(&topo, &demand, 1e6, tau), bound);
             // Without copy the root would push 3 × chunks over one link.
-            let no_copy = horizon_lower_bound(&topo, &demand, 1e6, tau, None).unwrap();
+            let no_copy = horizon_lower_bound(&topo, &demand, 1e6, tau, &group, None).unwrap();
             assert!(no_copy >= 3 * chunks, "{no_copy}");
         }
     }
@@ -504,5 +626,33 @@ mod tests {
                 Err(TeCclError::Budget(_))
             ));
         }
+    }
+
+    /// The group search runs first, under the request's budget: a budget
+    /// it spends is a budget error from the MILP's horizon and from the LP
+    /// solve, never a bound over a group cut short.
+    #[test]
+    fn a_budget_spent_in_the_group_search_is_a_budget_error() {
+        let topo = line_topology(4, 1e9, 0.0);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let demand = DemandMatrix::all_to_all(4, &gpus, 2);
+        let tau = epoch_duration(&topo, 1e6, &SolverConfig::default());
+        let budget = || SolveBudget::with_iteration_cap(1);
+        let spent = budget();
+        assert!(matches!(
+            SymmetryGroup::find(&topo, &demand, 1e6, tau, Some(&spent)),
+            Err(TeCclError::Budget(_))
+        ));
+        // A cap of one step is not spent before the search starts.
+        assert!(budget().exceeded().is_none());
+        assert!(matches!(
+            milp_horizon(&topo, &demand, 1e6, tau, Some(&budget())),
+            Err(TeCclError::Budget(_))
+        ));
+        let solver = crate::TeCcl::new(topo, SolverConfig::default()).with_budget(budget());
+        assert!(matches!(
+            solver.solve(&demand, 1e6, crate::RequestMethod::Lp, None),
+            Err(TeCclError::Budget(_))
+        ));
     }
 }

@@ -243,17 +243,20 @@ impl TeCcl {
         Err(last_err)
     }
 
-    /// The general MILP formulation (§3.1). The horizon starts at
-    /// [`crate::epochs::estimate_num_epochs`] — the proven copy bound, or one
-    /// epoch above the copy-free bound — (or at `max_epochs`, never below the
-    /// bound) and climbs like the LP's while the MILP is infeasible.
+    /// The general MILP formulation (§3.1). The instance's symmetry group is
+    /// searched once, and the horizon bound is computed over it: the horizon
+    /// starts at [`crate::epochs::copy_horizon_bound`] for copy demands, one
+    /// epoch above [`horizon_lower_bound`] otherwise (or at `max_epochs`,
+    /// never below the bound), and climbs like the LP's while the MILP is
+    /// infeasible.
     ///
-    /// At each horizon the root node of the MILP over the instance's
-    /// symmetry group is solved first (the trivial group under hyper-edges
-    /// or when an element fixes a link or a GPU). Its answer is taken when
-    /// the root ends `Optimal` — its incumbent within `rel_gap` of the root
-    /// bound — or when the budget stopped it with an incumbent; the root
-    /// bound bounds the full model ([`crate::symmetry`]), so the answer is
+    /// At each horizon the root node of the MILP over that group is solved
+    /// first (the trivial group under hyper-edges, when the group does not
+    /// keep the demand's chunks, or when an element fixes a link or a GPU).
+    /// Its answer is taken when the root ends `Optimal` — its incumbent
+    /// within `rel_gap` of the root bound — or when the budget stopped it
+    /// with an incumbent; the root bound bounds the full model
+    /// ([`crate::symmetry`]), so the answer is
     /// exact. Otherwise, a quotient refuted at this horizon included, the
     /// full model is solved at the same horizon.
     fn solve_milp(
@@ -268,21 +271,21 @@ impl TeCcl {
             hyperedge_groups: groups,
             ..Default::default()
         };
-        let (bound, first) = milp_horizon(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
-        let first = self.config.max_epochs.map_or(first, |k| k.max(bound));
         let budget = self.budget.as_ref();
-        let group = if options.hyperedge_groups.is_empty() {
-            SymmetryGroup::find_per_chunk(&topo, demand, chunk_bytes, tau, budget)?
-        } else {
-            SymmetryGroup::trivial(&topo)
-        };
-        // Over a group that fixes a link or a GPU, presolve may cut the
-        // quotient's root below the full model's optimum, so its root bound
-        // proves nothing ([`crate::symmetry`]).
-        let group = if group.fixes_a_link_or_gpu(&topo) {
-            SymmetryGroup::trivial(&topo)
-        } else {
+        let (bound, first, group) = milp_horizon(&topo, demand, chunk_bytes, tau, budget)?;
+        let first = self.config.max_epochs.map_or(first, |k| k.max(bound));
+        // The bound LPs read only link coefficients and wanted counts; the
+        // MILP keeps chunks apart and has hyper-edge port rows. Over a group
+        // that fixes a link or a GPU, presolve may cut the quotient's root
+        // below the full model's optimum, so its root bound proves nothing
+        // ([`crate::symmetry`]).
+        let group = if options.hyperedge_groups.is_empty()
+            && group.keeps_chunks(demand)
+            && !group.fixes_a_link_or_gpu(&topo)
+        {
             group
+        } else {
+            SymmetryGroup::trivial(&topo)
         };
         let build = |k, group| {
             let form = MilpFormulation::build_over(
@@ -361,9 +364,10 @@ impl TeCcl {
     }
 
     /// The LP formulation (§4.1) — intended for copy-free demands. The
-    /// horizon starts at [`horizon_lower_bound`]` + 1` (or at `max_epochs`,
-    /// never below the bound) and grows by 2, 4, 8, … epochs while the LP is
-    /// infeasible.
+    /// instance's symmetry group is searched once; the bound and every
+    /// horizon's LP are laid out over it. The horizon starts at
+    /// [`horizon_lower_bound`]` + 1` (or at `max_epochs`, never below the
+    /// bound) and grows by 2, 4, 8, … epochs while the LP is infeasible.
     fn solve_lp(
         &self,
         demand: &DemandMatrix,
@@ -373,19 +377,26 @@ impl TeCcl {
         let start = Instant::now();
         let (topo, _groups, tau) = self.prepare(chunk_bytes);
 
+        // The group depends on τ and the chunk size, not on the horizon.
+        let group = SymmetryGroup::find(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
         // The horizon starts one epoch above the proven bound, and a
         // configured `max_epochs` below the bound is raised to it: no model
         // is ever built where the LP is known to be infeasible. (A demand
         // that copy would help gets the "without copy" LP of Figure 7, for
         // which the bound holds all the same.)
-        let bound = horizon_lower_bound(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
+        let bound = horizon_lower_bound(
+            &topo,
+            demand,
+            chunk_bytes,
+            tau,
+            &group,
+            self.budget.as_ref(),
+        )?;
         let first = self
             .config
             .max_epochs
             .unwrap_or(bound + HORIZON_SLACK)
             .max(bound);
-        // The group depends on τ and the chunk size, not on the horizon.
-        let group = SymmetryGroup::find(&topo, demand, chunk_bytes, tau, self.budget.as_ref())?;
         self.climb_horizons(first, |k| {
             let form = LpFormulation::build_over(
                 &topo,

@@ -1,6 +1,7 @@
 //! The symmetry of an instance: a group `G` of node permutations under
-//! which the LP of [`crate::lp_form`] and the MILP of [`crate::milp_form`]
-//! are invariant, found by a bounded backtracking search.
+//! which the LP of [`crate::lp_form`], the MILP of [`crate::milp_form`] and
+//! the static horizon-bound LPs of [`crate::epochs`] are invariant, found by
+//! a bounded backtracking search.
 //!
 //! An element `g` of `G`
 //! * keeps node kinds and maps every link `u → v` to the link

@@ -1,14 +1,18 @@
 //! The proven epoch-horizon bounds: `epochs::horizon_lower_bound` for the
 //! copy-free LP and `epochs::copy_horizon_bound` for the MILP with copy.
 //!
-//! Five properties, each on real shapes: the bound is *valid* (the LP or
+//! Six properties, each on real shapes: the bound is *valid* (the LP or
 //! MILP built one epoch below it is infeasible — on the builtin topologies
-//! and, for the LP, on seeded random ones), the first horizon tried is
-//! *feasible* on the Table-4 ALLTOALL shapes (no wasted attempt, and within
-//! three epochs of the completion epoch), the MILP's first horizon schedules
-//! exactly what the Appendix-E over-estimate it replaced did, a configured
-//! `max_epochs` below the bound is raised to it before anything is built, and
-//! the retry ladder grows the horizon by increments instead of doubling it.
+//! and, for the LP, on seeded random ones), it is *exact over the symmetry
+//! quotient* (the bound over the group `SymmetryGroup::find` returns equals
+//! the full LP's, and the copy bound's one single-commodity LP per
+//! destination orbit equals the full per-destination maximum), the first
+//! horizon tried is *feasible* on the Table-4 ALLTOALL shapes (no wasted
+//! attempt, and within three epochs of the completion epoch), the MILP's
+//! first horizon schedules exactly what the Appendix-E over-estimate it
+//! replaced did, a configured `max_epochs` below the bound is raised to it
+//! before anything is built, and the retry ladder grows the horizon by
+//! increments instead of doubling it.
 //! The rows too slow for a debug build are `#[ignore]`d and run in CI with
 //! `--release -- --ignored`.
 
@@ -19,11 +23,12 @@ use teccl_core::epochs::{
 use teccl_core::lp_form::LpFormulation;
 use teccl_core::milp_form::{MilpBuildOptions, MilpFormulation};
 use teccl_core::switch::hyperedge_transform;
+use teccl_core::symmetry::SymmetryGroup;
 use teccl_core::{
     BufferMode, RequestMethod, SolveOutcome, SolverConfig, SwitchModel, TeCcl, TeCclError,
 };
 use teccl_schedule::{simulate, validate};
-use teccl_topology::{dgx1, internal1, internal2, ndv2, NodeId, Topology};
+use teccl_topology::{dgx1, dgx2, internal1, internal2, ndv2, NodeId, Topology};
 use teccl_util::Rng64;
 
 const COPY_FREE: [CollectiveKind; 3] = [
@@ -54,7 +59,8 @@ fn bound_of(
     config: &SolverConfig,
 ) -> usize {
     let tau = epoch_duration(topo, chunk_bytes, config);
-    horizon_lower_bound(topo, demand, chunk_bytes, tau, None).expect("bound LP solves")
+    let group = SymmetryGroup::find(topo, demand, chunk_bytes, tau, None).expect("group search");
+    horizon_lower_bound(topo, demand, chunk_bytes, tau, &group, None).expect("bound LP solves")
 }
 
 /// The LP one epoch below the bound must be refuted, never scheduled.
@@ -359,7 +365,9 @@ fn assert_milp_refuted_below_bound(
         _ => (topo.clone(), Vec::new()),
     };
     let tau = epoch_duration(&topo, chunk_bytes, config);
-    let bound = copy_horizon_bound(&topo, &demand, chunk_bytes, tau, None).expect("bound LPs");
+    let group = SymmetryGroup::find(&topo, &demand, chunk_bytes, tau, None).expect("group search");
+    let bound =
+        copy_horizon_bound(&topo, &demand, chunk_bytes, tau, &group, None).expect("bound LPs");
     assert!(
         bound >= 2,
         "{what}: nothing below the bound {bound} to refute"
@@ -470,4 +478,193 @@ fn first_milp_horizon_schedules_the_churn_family_unchanged() {
 fn first_milp_horizon_schedules_the_dgx1_allgather_key_unchanged() {
     // The `allgather_copy` MILP key, built at K = 9 before.
     assert_first_horizon_schedules_like(&dgx1(), 1, 16.0 * 1048576.0, 9);
+}
+
+/// The output buffers of the tightness tables in `epochs.rs`.
+const TIGHTNESS_BUFFERS: [f64; 5] = [
+    65536.0,
+    1048576.0,
+    4.0 * 1048576.0,
+    16.0 * 1048576.0,
+    64.0 * 1048576.0,
+];
+
+/// `horizon_lower_bound` over the group `SymmetryGroup::find` returns equals
+/// the bound over the trivial group, which is the full static LP. Returns
+/// the group's order.
+fn assert_folded_bound_exact(
+    what: &str,
+    topo: &Topology,
+    demand: &DemandMatrix,
+    chunk_bytes: f64,
+) -> usize {
+    let tau = epoch_duration(topo, chunk_bytes, &SolverConfig::default());
+    let group = SymmetryGroup::find(topo, demand, chunk_bytes, tau, None).expect("group search");
+    let trivial = SymmetryGroup::trivial(topo);
+    let bound = |group| {
+        horizon_lower_bound(topo, demand, chunk_bytes, tau, group, None)
+            .unwrap_or_else(|e| panic!("{what}: bound LP: {e}"))
+    };
+    assert_eq!(
+        bound(&group),
+        bound(&trivial),
+        "{what}: the bound over |G| = {} is not the full one",
+        group.order()
+    );
+    group.order()
+}
+
+/// Every copy-free shape of the 210-shape tightness table on `topo`; at
+/// least one of them must have a non-trivial group.
+fn assert_folded_bounds_exact_on(topo: &Topology) {
+    let mut folded = 0;
+    for kind in COPY_FREE {
+        for chunks in [1, 2] {
+            for buffer in TIGHTNESS_BUFFERS {
+                let (demand, chunk_bytes) = shape(topo, kind, chunks, buffer);
+                let what = format!("{} {kind:?} x{chunks} @ {buffer}", topo.name);
+                folded +=
+                    usize::from(assert_folded_bound_exact(&what, topo, &demand, chunk_bytes) > 1);
+            }
+        }
+    }
+    assert!(folded > 0, "{}: no shape had a symmetry to fold", topo.name);
+}
+
+#[test]
+fn folded_bound_is_exact_on_the_small_tightness_topologies() {
+    for topo in [internal1(1), internal2(1), internal2(2), internal2(3)] {
+        assert_folded_bounds_exact_on(&topo);
+    }
+}
+
+#[test]
+#[ignore = "the full 8- and 16-GPU bound LPs take seconds in a debug build; CI runs it with --release"]
+fn folded_bound_is_exact_on_the_larger_topologies() {
+    for topo in [dgx1(), ndv2(1), internal1(2)] {
+        assert_folded_bounds_exact_on(&topo);
+    }
+    for topo in [dgx2(1), internal1(4), internal2(8)] {
+        assert_folded_bounds_exact_on(&topo);
+    }
+}
+
+/// A circulant topology of 3–6 GPUs: every GPU `i` links to `i + o` for
+/// the offset 1 and a random set of others, each offset with its own speed
+/// (1/2/4 GB/s) and α (0–5 epochs), sometimes all through one switch
+/// too; ALLTOALL with 1 or 2 chunks on it. The rotations are symmetries.
+fn random_circulant_case(seed: u64) -> (Topology, DemandMatrix) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let n = 3 + rng.gen_range_usize(4);
+    let mut topo = Topology::new(format!("circulant{seed}"));
+    let gpus: Vec<NodeId> = (0..n).map(|i| topo.add_gpu(format!("g{i}"), 0)).collect();
+    let coefficients = |rng: &mut Rng64| {
+        let capacity = 1e9 * [1.0, 2.0, 4.0][rng.gen_range_usize(3)];
+        let alpha = [0.0, 0.3e-3, 0.6e-3, 1.1e-3][rng.gen_range_usize(4)];
+        (capacity, alpha)
+    };
+    for offset in 1..n {
+        if offset == 1 || rng.gen_bool(0.4) {
+            let (capacity, alpha) = coefficients(&mut rng);
+            for i in 0..n {
+                topo.add_link(gpus[i], gpus[(i + offset) % n], capacity, alpha);
+            }
+        }
+    }
+    if rng.gen_bool(0.4) {
+        let sw = topo.add_switch("sw", 0);
+        let (capacity, alpha) = coefficients(&mut rng);
+        for &g in &gpus {
+            topo.add_link(g, sw, capacity, alpha);
+            topo.add_link(sw, g, capacity, alpha);
+        }
+    }
+    let chunks = 1 + rng.gen_range_usize(2);
+    let demand = DemandMatrix::all_to_all(topo.num_nodes(), &gpus, chunks);
+    (topo, demand)
+}
+
+#[test]
+fn folded_bound_is_exact_on_random_topologies() {
+    // The random cases of the validity test rarely have a symmetry; the
+    // circulant ones always do.
+    for seed in 0..40 {
+        let (topo, demand) = random_case(seed);
+        assert_folded_bound_exact(&format!("random seed {seed}"), &topo, &demand, 1e6);
+        let (topo, demand) = random_circulant_case(seed);
+        let what = format!("circulant seed {seed}");
+        let order = assert_folded_bound_exact(&what, &topo, &demand, 1e6);
+        assert!(order > 1, "{what}: no symmetry found");
+    }
+}
+
+#[test]
+fn folded_bound_is_exact_on_the_asymmetric_fault_instance() {
+    // internal1 x2 with one ring link at α = 0 (the fault suite's instance):
+    // the link breaks the symmetry, and the search must fold nothing that
+    // moves the bound.
+    let mut topo = internal1(2);
+    topo.links[0].alpha = 0.0;
+    for kind in COPY_FREE {
+        for chunks in [1, 2] {
+            for buffer in [65536.0, 16.0 * 1048576.0] {
+                let (demand, chunk_bytes) = shape(&topo, kind, chunks, buffer);
+                let what = format!("{} {kind:?} x{chunks} @ {buffer}", topo.name);
+                assert_folded_bound_exact(&what, &topo, &demand, chunk_bytes);
+            }
+        }
+    }
+}
+
+/// `copy_horizon_bound` — one single-commodity LP per destination orbit of
+/// the group `SymmetryGroup::find` returns — equals the largest full
+/// (trivial-group) `horizon_lower_bound` of the demand restricted to one
+/// destination, over every destination.
+fn assert_copy_bounds_exact_on(topo: &Topology) {
+    let config = SolverConfig::default();
+    let trivial = SymmetryGroup::trivial(topo);
+    for kind in COPY {
+        for chunks in [1, 2] {
+            for buffer in [65536.0, 16.0 * 1048576.0] {
+                let what = format!("{} {kind:?} x{chunks} @ {buffer}", topo.name);
+                let (demand, chunk_bytes) = shape(topo, kind, chunks, buffer);
+                let tau = epoch_duration(topo, chunk_bytes, &config);
+                let group = SymmetryGroup::find(topo, &demand, chunk_bytes, tau, None)
+                    .expect("group search");
+                let bound = copy_horizon_bound(topo, &demand, chunk_bytes, tau, &group, None)
+                    .unwrap_or_else(|e| panic!("{what}: bound LPs: {e}"));
+                let reference = topo
+                    .gpus()
+                    .map(|d| {
+                        let mut only_d = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
+                        for (s, c, _) in demand.iter().filter(|&(_, _, to)| to == d) {
+                            only_d.set(s, c, d);
+                        }
+                        if only_d.is_empty() {
+                            return 1;
+                        }
+                        horizon_lower_bound(topo, &only_d, chunk_bytes, tau, &trivial, None)
+                            .unwrap_or_else(|e| panic!("{what}: bound LP for {d}: {e}"))
+                    })
+                    .max()
+                    .unwrap_or(1);
+                assert_eq!(bound, reference, "{what}: |G| = {}", group.order());
+            }
+        }
+    }
+}
+
+#[test]
+fn copy_bound_is_exact_on_the_small_copy_topologies() {
+    for topo in [internal1(1), internal2(2)] {
+        assert_copy_bounds_exact_on(&topo);
+    }
+}
+
+#[test]
+#[ignore = "the full 8-GPU bound LPs take seconds in a debug build; CI runs it with --release"]
+fn copy_bound_is_exact_on_the_8_gpu_copy_topologies() {
+    for topo in [dgx1(), ndv2(1), internal1(2)] {
+        assert_copy_bounds_exact_on(&topo);
+    }
 }

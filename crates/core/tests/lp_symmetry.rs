@@ -142,7 +142,8 @@ fn assert_exact(name: &str, topo: &Topology, kind: CollectiveKind, chunks: usize
     let what = format!("{name} {kind:?} c{chunks} {bytes} B");
     let config = SolverConfig::default();
     let (demand, chunk_bytes, tau) = shape(topo, kind, chunks, bytes, &config);
-    let k = horizon_lower_bound(topo, &demand, chunk_bytes, tau, None).unwrap() + 1;
+    let group = SymmetryGroup::find(topo, &demand, chunk_bytes, tau, None).unwrap();
+    let k = horizon_lower_bound(topo, &demand, chunk_bytes, tau, &group, None).unwrap() + 1;
     let reduced = LpFormulation::build(topo, &demand, chunk_bytes, &config, k, tau).unwrap();
     let solved = reduced.solve_budgeted(None, None);
     if !reduced.group().is_trivial() {

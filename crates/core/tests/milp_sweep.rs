@@ -23,6 +23,7 @@
 
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::epochs::{epoch_duration, estimate_num_epochs, horizon_lower_bound};
+use teccl_core::symmetry::SymmetryGroup;
 use teccl_core::{RequestMethod, SolverConfig, TeCcl};
 use teccl_schedule::{simulate, validate};
 use teccl_topology::{internal2, NodeId};
@@ -40,7 +41,8 @@ fn sweep_row(chassis: usize, kind: CollectiveKind, output_buffer: f64) {
         CollectiveSizing::new(kind, gpus.len()).transfer_bytes_for_output_buffer(output_buffer);
     let config = SolverConfig::default();
     let tau = epoch_duration(&topo, chunk_bytes, &config);
-    let bound = horizon_lower_bound(&topo, &demand, chunk_bytes, tau, None)
+    let group = SymmetryGroup::find(&topo, &demand, chunk_bytes, tau, None).unwrap();
+    let bound = horizon_lower_bound(&topo, &demand, chunk_bytes, tau, &group, None)
         .unwrap_or_else(|e| panic!("{what}: bound LP: {e}"));
     let first = estimate_num_epochs(&topo, &demand, chunk_bytes, tau);
     let out = TeCcl::new(topo, config)

@@ -2,7 +2,9 @@
 //! writes `BENCH_lp.json` — a `{name: median_ns}` object — so the perf
 //! trajectory of the solver and service hot paths is tracked across PRs with
 //! `cargo run -p teccl-bench --release --bin bench_lp_json`. The gated rows
-//! abort the run on a regression against the committed file.
+//! abort the run on a regression against the committed file. A top-level
+//! `_machine` object records the CPU model, the logical CPU count and the
+//! CPUs the run was allowed on.
 
 use std::time::Duration;
 
@@ -70,6 +72,9 @@ fn main() {
             "lp/lu_fill_nnz".to_string(),
             teccl_util::json::Value::from(fill_nnz),
         ));
+        // The machine the medians were taken on; like `_detail`, no gated
+        // row reads it.
+        pairs.push(("_machine".to_string(), teccl_bench::microbench::machine()));
     }
 
     let median = |v: &teccl_util::json::Value, name: &str| -> Option<f64> {

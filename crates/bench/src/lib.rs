@@ -429,6 +429,7 @@ fn full_alltoall_lp(topo: &Topology, output_buffer: f64) -> teccl_core::lp_form:
         k.max(2),
         tau,
         group,
+        None,
     )
     .expect("ALLTOALL fixture builds")
 }

@@ -147,6 +147,46 @@ impl Harness {
     }
 }
 
+/// The machine a run measured, as the `_machine` object of `BENCH_lp.json`:
+/// the CPU model and logical CPU count from `/proc/cpuinfo` and the CPUs the
+/// process may run on (`Cpus_allowed_list` of `/proc/self/status`, which a
+/// `taskset` pin narrows). A file that cannot be read leaves its fields
+/// `"unknown"` / 0.
+pub fn machine() -> Value {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    machine_from(&cpuinfo, &status)
+}
+
+/// [`machine`] from the text of `/proc/cpuinfo` and `/proc/self/status`.
+pub fn machine_from(cpuinfo: &str, status: &str) -> Value {
+    let field = |text: &str, key: &str| -> Option<String> {
+        text.lines().find_map(|line| {
+            let (k, v) = line.split_once(':')?;
+            (k.trim() == key).then(|| v.trim().to_string())
+        })
+    };
+    let logical = cpuinfo
+        .lines()
+        .filter(|line| {
+            line.split_once(':')
+                .is_some_and(|(k, _)| k.trim() == "processor")
+        })
+        .count();
+    let unknown = || "unknown".to_string();
+    Value::obj(vec![
+        (
+            "cpu_model",
+            Value::Str(field(cpuinfo, "model name").unwrap_or_else(unknown)),
+        ),
+        ("logical_cpus", Value::from(logical)),
+        (
+            "cpus_allowed_list",
+            Value::Str(field(status, "Cpus_allowed_list").unwrap_or_else(unknown)),
+        ),
+    ])
+}
+
 /// Human-friendly nanosecond formatting (`1.234 ms` style).
 pub fn format_ns(ns: f64) -> String {
     if ns < 1e3 {
@@ -183,6 +223,28 @@ mod tests {
             .get("_detail")
             .and_then(|d| d.get("noop/add"))
             .is_some());
+    }
+
+    #[test]
+    fn machine_reads_the_cpu_model_count_and_mask() {
+        let cpuinfo = "processor\t: 0\nmodel name\t: Example CPU @ 2.0GHz\n\n\
+                       processor\t: 1\nmodel name\t: Example CPU @ 2.0GHz\n";
+        let status = "Name:\tbench\nCpus_allowed:\t2\nCpus_allowed_list:\t1\n";
+        let m = machine_from(cpuinfo, status);
+        assert_eq!(
+            m.get("cpu_model").and_then(Value::as_str),
+            Some("Example CPU @ 2.0GHz")
+        );
+        assert_eq!(m.get("logical_cpus").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(
+            m.get("cpus_allowed_list").and_then(Value::as_str),
+            Some("1")
+        );
+        let blank = machine_from("", "");
+        assert_eq!(
+            blank.get("cpu_model").and_then(Value::as_str),
+            Some("unknown")
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ use teccl_topology::{NodeId, Topology};
 use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::EpochGrid;
 use crate::error::TeCclError;
-use crate::milp_form::{MilpBuildOptions, MilpFormulation};
+use crate::milp_form::{Holders, MilpBuildOptions, MilpFormulation};
 use crate::symmetry::SymmetryGroup;
 
 /// Result of an A* solve.
@@ -96,7 +96,7 @@ pub struct RoundState {
     /// Link delays (in-flight arrivals) and distances (the heuristic
     /// reward) in epochs.
     grid: EpochGrid,
-    holders: HashMap<(usize, usize), Vec<NodeId>>,
+    holders: Holders,
     /// `(source, chunk, node, epochs into the next round)` per flying chunk.
     in_flight: Vec<(NodeId, usize, NodeId, usize)>,
 }
@@ -114,9 +114,9 @@ impl RoundState {
         let epochs_per_round = config
             .astar_epochs_per_round
             .unwrap_or((grid.max_delay() + 2).max(4));
-        let mut holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
+        let mut holders = Holders::new(topology.num_nodes(), demand.num_chunks);
         for (s, c, _d) in demand.iter() {
-            holders.entry((s.0, c)).or_insert_with(|| vec![s]);
+            holders.add(s, c, s);
         }
         RoundState {
             epochs_per_round,
@@ -172,10 +172,10 @@ impl RoundState {
 
         // Extra initial holders: everything beyond the original source.
         let mut extra_initial = Vec::new();
-        for (&(s, c), hs) in &self.holders {
+        for (s, c, hs) in self.holders.iter() {
             for &h in hs {
-                if h.0 != s {
-                    extra_initial.push((NodeId(s), c, h));
+                if h != s {
+                    extra_initial.push((s, c, h));
                 }
             }
         }
@@ -215,7 +215,7 @@ impl RoundState {
 
     /// Whether node `n` holds chunk `c` of source `s` or has it in flight.
     fn reached(&self, s: NodeId, c: usize, n: NodeId) -> bool {
-        self.holders.get(&(s.0, c)).is_some_and(|h| h.contains(&n))
+        self.holders.get(s, c).contains(&n)
             || self
                 .in_flight
                 .iter()
@@ -227,10 +227,7 @@ impl RoundState {
     /// rest are in flight for the next one.
     pub fn absorb(&mut self, topology: &Topology, round_sends: &[Send]) {
         for (s, c, n, _vis) in self.in_flight.drain(..) {
-            let h = self.holders.entry((s.0, c)).or_default();
-            if !h.contains(&n) {
-                h.push(n);
-            }
+            self.holders.add(s, c, n);
         }
         for snd in round_sends {
             let link = topology
@@ -238,13 +235,7 @@ impl RoundState {
                 .expect("send uses a topology link");
             let arrival = snd.epoch + self.grid.delay(link) + 1;
             if arrival <= self.epochs_per_round {
-                let h = self
-                    .holders
-                    .entry((snd.chunk.source.0, snd.chunk.chunk))
-                    .or_default();
-                if !h.contains(&snd.to) {
-                    h.push(snd.to);
-                }
+                self.holders.add(snd.chunk.source, snd.chunk.chunk, snd.to);
             } else {
                 self.in_flight.push((
                     snd.chunk.source,
@@ -285,7 +276,7 @@ pub fn solve_astar_budgeted(
 
     let mut state = RoundState::new(topology, demand, chunk_bytes, config, tau);
     let epochs_per_round = state.epochs_per_round;
-    let initial_holders = state.holders.clone();
+    let initial_holders = state.holders.to_map();
     let mut all_sends: Vec<Send> = Vec::new();
     let mut stalls = 0usize;
     let mut stats = SolveStats::default();
@@ -350,6 +341,7 @@ pub fn solve_astar_budgeted(
                 tau,
                 &options,
                 group.clone(),
+                budget,
             )?);
         }
         let form = cached_form.as_ref().expect("formulation built above");

@@ -283,6 +283,18 @@ pub fn horizon_lower_bound(
     group: &SymmetryGroup,
     budget: Option<&SolveBudget>,
 ) -> Result<usize, TeCclError> {
+    lower_bound_and_pivots(topo, demand, chunk_bytes, tau, group, budget).map(|(bound, _)| bound)
+}
+
+/// [`horizon_lower_bound`] and the simplex pivots its LP took.
+pub(crate) fn lower_bound_and_pivots(
+    topo: &Topology,
+    demand: &DemandMatrix,
+    chunk_bytes: f64,
+    tau: f64,
+    group: &SymmetryGroup,
+    budget: Option<&SolveBudget>,
+) -> Result<(usize, usize), TeCclError> {
     let pairs = wanted_pairs(topo, demand);
     let mut sources: Vec<NodeId> = pairs.iter().map(|&(s, _, _)| s).collect();
     sources.dedup();
@@ -291,7 +303,6 @@ pub fn horizon_lower_bound(
         .into_iter()
         .filter(|&s| orbits.is_representative(s))
         .map(|s| Commodity {
-            name: s.to_string(),
             pairs: pairs
                 .iter()
                 .copied()
@@ -318,12 +329,23 @@ pub fn copy_horizon_bound(
     group: &SymmetryGroup,
     budget: Option<&SolveBudget>,
 ) -> Result<usize, TeCclError> {
+    copy_bound_and_pivots(topo, demand, chunk_bytes, tau, group, budget).map(|(bound, _)| bound)
+}
+
+/// [`copy_horizon_bound`] and the simplex pivots its LPs took.
+fn copy_bound_and_pivots(
+    topo: &Topology,
+    demand: &DemandMatrix,
+    chunk_bytes: f64,
+    tau: f64,
+    group: &SymmetryGroup,
+    budget: Option<&SolveBudget>,
+) -> Result<(usize, usize), TeCclError> {
     let pairs = wanted_pairs(topo, demand);
     let trivial = SymmetryGroup::trivial(topo);
-    let mut bound = 1;
+    let (mut bound, mut pivots) = (1, 0);
     for d in topo.gpus().filter(|&d| group.node_orbit(d).is_some()) {
         let sink = Commodity {
-            name: format!("to {d}"),
             pairs: pairs
                 .iter()
                 .copied()
@@ -331,7 +353,7 @@ pub fn copy_horizon_bound(
                 .collect(),
         };
         if !sink.pairs.is_empty() {
-            let only_d = static_flow_bound(
+            let (only_d, spent) = static_flow_bound(
                 topo,
                 chunk_bytes,
                 tau,
@@ -341,9 +363,10 @@ pub fn copy_horizon_bound(
                 budget,
             )?;
             bound = bound.max(only_d);
+            pivots += spent;
         }
     }
-    Ok(bound)
+    Ok((bound, pivots))
 }
 
 /// Every `(source, destination, chunks)` of `demand` with chunks > 0, by
@@ -366,8 +389,6 @@ fn wanted_pairs(topo: &Topology, demand: &DemandMatrix) -> Vec<(NodeId, NodeId, 
 /// One commodity of the static bound LP: a flow that injects each pair's
 /// chunks at its source and takes them out at its destination.
 struct Commodity {
-    /// Names the commodity's columns and conservation rows.
-    name: String,
     pairs: Vec<(NodeId, NodeId, usize)>,
 }
 
@@ -387,7 +408,8 @@ impl Commodity {
 /// link orbit's one capacity row folds every image's flow in
 /// (`Orbits::row_terms`) — and returns `max(⌈T*⌉, latency)`. The link
 /// windows and the latency floor come from `pairs`, every wanted pair of
-/// the demand, representatives or not.
+/// the demand, representatives or not. Also returns the LP's simplex
+/// pivots. The model is unnamed: it is read by index.
 fn static_flow_bound(
     topo: &Topology,
     chunk_bytes: f64,
@@ -396,7 +418,7 @@ fn static_flow_bound(
     commodities: &[Commodity],
     group: &SymmetryGroup,
     budget: Option<&SolveBudget>,
-) -> Result<usize, TeCclError> {
+) -> Result<(usize, usize), TeCclError> {
     if let Some(cause) = budget.and_then(SolveBudget::exceeded) {
         return Err(TeCclError::Budget(cause));
     }
@@ -431,7 +453,7 @@ fn static_flow_bound(
         .collect();
 
     let mut model = Model::new(Sense::Minimize);
-    let t = model.add_var("T", latency, f64::INFINITY, 1.0, false);
+    let t = model.add_var("", latency, f64::INFINITY, 1.0, false);
     let mut flow = vec![Vec::with_capacity(topo.links.len()); commodities.len()];
     for link in &topo.links {
         // A link no source reaches or no destination drains carries nothing.
@@ -440,9 +462,8 @@ fn static_flow_bound(
         } else {
             0.0
         };
-        for (i, commodity) in commodities.iter().enumerate() {
-            let name = format!("f[{},{}->{}]", commodity.name, link.src, link.dst);
-            flow[i].push(model.add_var(name, 0.0, ub, 0.0, false));
+        for flow in &mut flow {
+            flow.push(model.add_var("", 0.0, ub, 0.0, false));
         }
     }
     for link in &topo.links {
@@ -459,7 +480,7 @@ fn static_flow_bound(
         let mut terms = Orbits::row_terms(0..commodities.len(), &images, |i, at| [flow[i][at]]);
         terms.push((t, -cap));
         model.add_cons(
-            format!("cap[{}->{}]", link.src, link.dst),
+            "",
             &terms,
             ConstraintOp::Le,
             -cap * dead[link.id.0].min(latency),
@@ -470,12 +491,7 @@ fn static_flow_bound(
             let mut terms: Vec<(VarId, f64)> =
                 topo.out_links(n).map(|l| (flow[i][l.id.0], 1.0)).collect();
             terms.extend(topo.in_links(n).map(|l| (flow[i][l.id.0], -1.0)));
-            model.add_cons(
-                format!("cons[{},{n}]", commodity.name),
-                &terms,
-                ConstraintOp::Eq,
-                commodity.net(n) as f64,
-            );
+            model.add_cons("", &terms, ConstraintOp::Eq, commodity.net(n) as f64);
         }
     }
 
@@ -488,12 +504,21 @@ fn static_flow_bound(
         // Infeasible: some demand is unreachable; the formulation says so.
         _ => 0.0,
     };
-    Ok(volume.max(latency) as usize)
+    Ok((volume.max(latency) as usize, sol.stats.simplex_iterations))
 }
 
-/// The MILP's proven horizon bound, the first horizon it tries and the
-/// symmetry group both were computed over ([`SymmetryGroup::find`], searched
-/// under `budget` before any bound LP):
+/// What [`milp_horizon`] found: the MILP's proven horizon bound, the first
+/// horizon it tries, the symmetry group both were computed over and the
+/// simplex pivots of the bound LPs.
+pub(crate) struct MilpHorizon {
+    pub(crate) bound: usize,
+    pub(crate) first: usize,
+    pub(crate) group: SymmetryGroup,
+    pub(crate) pivots: usize,
+}
+
+/// The MILP's horizon ([`MilpHorizon`]), the group searched under `budget`
+/// ([`SymmetryGroup::find`]) before any bound LP:
 ///
 /// * copy-free demands: [`horizon_lower_bound`], first tried
 ///   [`HORIZON_SLACK`] above it;
@@ -505,15 +530,23 @@ pub(crate) fn milp_horizon(
     chunk_bytes: f64,
     tau: f64,
     budget: Option<&SolveBudget>,
-) -> Result<(usize, usize, SymmetryGroup), TeCclError> {
+) -> Result<MilpHorizon, TeCclError> {
     let group = SymmetryGroup::find(topo, demand, chunk_bytes, tau, budget)?;
-    if demand.benefits_from_copy() {
-        let bound = copy_horizon_bound(topo, demand, chunk_bytes, tau, &group, budget)?;
-        Ok((bound, bound, group))
+    let (bound, first, pivots) = if demand.benefits_from_copy() {
+        let (bound, pivots) =
+            copy_bound_and_pivots(topo, demand, chunk_bytes, tau, &group, budget)?;
+        (bound, bound, pivots)
     } else {
-        let bound = horizon_lower_bound(topo, demand, chunk_bytes, tau, &group, budget)?;
-        Ok((bound, bound + HORIZON_SLACK, group))
-    }
+        let (bound, pivots) =
+            lower_bound_and_pivots(topo, demand, chunk_bytes, tau, &group, budget)?;
+        (bound, bound + HORIZON_SLACK, pivots)
+    };
+    Ok(MilpHorizon {
+        bound,
+        first,
+        group,
+        pivots,
+    })
 }
 
 /// The first horizon the MILP solve of [`crate::TeCcl::solve`] tries when the
@@ -527,7 +560,7 @@ pub fn estimate_num_epochs(
     chunk_bytes: f64,
     tau: f64,
 ) -> usize {
-    milp_horizon(topo, demand, chunk_bytes, tau, None).map_or(1, |(_, first, _)| first)
+    milp_horizon(topo, demand, chunk_bytes, tau, None).map_or(1, |horizon| horizon.first)
 }
 
 #[cfg(test)]

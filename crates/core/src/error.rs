@@ -1,11 +1,12 @@
-//! Error type of the TE-CCL solver, and the demand check every formulation
-//! runs before it builds anything.
+//! Error type of the TE-CCL solver, the demand check every formulation
+//! runs before it builds anything, and the budget check its build loops run.
 
 use std::fmt;
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::LpError;
 use teccl_topology::Topology;
+use teccl_util::SolveBudget;
 
 /// Errors produced while formulating or solving a collective optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,6 +87,15 @@ pub(crate) fn check_demand(topology: &Topology, demand: &DemandMatrix) -> Result
         }
     }
     Ok(())
+}
+
+/// Fails with [`TeCclError::Budget`] once `budget` is spent. Checks, never
+/// charges: iteration-cap budgets count pivots alone.
+pub(crate) fn check_budget(budget: Option<&SolveBudget>) -> Result<(), TeCclError> {
+    match budget.and_then(SolveBudget::exceeded) {
+        Some(cause) => Err(TeCclError::Budget(cause)),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! through the flows until the demand is accounted for, and drops everything
 //! that was never needed. The pass runs in `O(|sends|·|N|)`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use teccl_collective::DemandMatrix;
 use teccl_schedule::{ChunkId, Schedule, Send};
@@ -30,36 +30,43 @@ pub fn prune_sends<F>(
 where
     F: Fn(NodeId, NodeId) -> usize,
 {
-    // Group sends per commodity.
-    let mut per_chunk: HashMap<ChunkId, Vec<&Send>> = HashMap::new();
-    for s in sends {
-        per_chunk.entry(s.chunk).or_default().push(s);
-    }
-    let mut keep: HashSet<(ChunkId, NodeId, NodeId, usize)> = HashSet::new();
+    // Group sends per commodity: positions into `sends`, each commodity's in
+    // send order.
+    let mut order: Vec<usize> = (0..sends.len()).collect();
+    order.sort_by_key(|&i| sends[i].chunk);
+    let mut keep: Vec<(ChunkId, NodeId, NodeId, usize)> = Vec::new();
+    // The (node, by_epoch) pairs one destination's walk has visited: the
+    // walk is a chain, so a list is a set here.
+    let mut visited: Vec<(NodeId, usize)> = Vec::new();
 
-    for (chunk, chunk_sends) in &per_chunk {
-        let holders: HashSet<NodeId> = initial_holders
+    for chunk_sends in order.chunk_by(|&a, &b| sends[a].chunk == sends[b].chunk) {
+        let chunk = sends[chunk_sends[0]].chunk;
+        let own = [chunk.source];
+        let holders: &[NodeId] = initial_holders
             .get(&(chunk.source.0, chunk.chunk))
-            .map(|v| v.iter().copied().collect())
-            .unwrap_or_else(|| [chunk.source].into_iter().collect());
+            .map_or(&own, Vec::as_slice);
 
         // Destinations that demand this chunk.
-        let dests: Vec<NodeId> = demand.destinations_of(chunk.source, chunk.chunk);
-        for dest in dests {
+        for dest in demand.destinations_of(chunk.source, chunk.chunk) {
             if holders.contains(&dest) {
                 continue;
             }
             // Walk backwards: find the earliest-arriving send into `node` no
             // later than `by_epoch`, mark it, and recurse on its origin.
             let mut stack: Vec<(NodeId, usize)> = vec![(dest, usize::MAX)];
-            let mut visited: HashSet<(NodeId, usize)> = HashSet::new();
+            visited.clear();
             while let Some((node, by_epoch)) = stack.pop() {
-                if holders.contains(&node) || !visited.insert((node, by_epoch)) {
+                if holders.contains(&node) || visited.contains(&(node, by_epoch)) {
                     continue;
                 }
+                visited.push((node, by_epoch));
                 // Candidate sends into `node` whose chunk is usable by `by_epoch`.
                 let mut best: Option<(&Send, usize)> = None;
-                for snd in chunk_sends.iter().filter(|s| s.to == node) {
+                for snd in chunk_sends
+                    .iter()
+                    .map(|&i| &sends[i])
+                    .filter(|s| s.to == node)
+                {
                     let avail = snd.epoch + delta_of(snd.from, snd.to) + 1;
                     if by_epoch != usize::MAX && avail > by_epoch {
                         continue;
@@ -70,7 +77,7 @@ where
                     }
                 }
                 if let Some((snd, _)) = best {
-                    keep.insert((snd.chunk, snd.from, snd.to, snd.epoch));
+                    keep.push((snd.chunk, snd.from, snd.to, snd.epoch));
                     // The sender must have had the chunk by the send epoch.
                     stack.push((snd.from, snd.epoch));
                 }
@@ -78,9 +85,14 @@ where
         }
     }
 
+    keep.sort_unstable();
+    keep.dedup();
     sends
         .iter()
-        .filter(|s| keep.contains(&(s.chunk, s.from, s.to, s.epoch)))
+        .filter(|s| {
+            keep.binary_search(&(s.chunk, s.from, s.to, s.epoch))
+                .is_ok()
+        })
         .copied()
         .collect()
 }
@@ -125,49 +137,50 @@ pub fn schedule_from_sends(
 ///   path), which the α–β simulator prices as queueing rather than the
 ///   schedule silently dropping demands.
 ///
-/// `flows[(link, k)]` is the per-source flow (in chunks) on a link at epoch
-/// `k`. Returns the sends for this source's chunks.
+/// `chunks_for_dest` lists each destination's chunks (destinations in any
+/// order; they are served in node order), `flows[link * num_epochs + k]` is
+/// the per-source flow (in chunks) on a link at epoch `k` (at most `1e-6`
+/// counts as none), and `link_endpoints[link]` is a link's `(from, to)`.
+/// Returns the sends for this source's chunks.
 pub fn decompose_source_flow(
     source: NodeId,
-    chunks_for_dest: &HashMap<NodeId, Vec<usize>>,
-    flows: &HashMap<(usize, usize), f64>,
-    link_endpoints: &HashMap<usize, (NodeId, NodeId)>,
+    chunks_for_dest: &[(NodeId, Vec<usize>)],
+    flows: &[f64],
+    link_endpoints: &[(NodeId, NodeId)],
     delta_of: impl Fn(usize) -> usize,
     num_epochs: usize,
 ) -> Vec<Send> {
-    let mut remaining = flows.clone();
+    let mut remaining = flows.to_vec();
     let mut sends = Vec::new();
 
     // Destinations sorted for determinism.
-    let mut dests: Vec<&NodeId> = chunks_for_dest.keys().collect();
-    dests.sort();
+    let mut dests: Vec<&(NodeId, Vec<usize>)> = chunks_for_dest.iter().collect();
+    dests.sort_by_key(|(d, _)| *d);
 
-    for &dest in dests {
-        for &chunk in &chunks_for_dest[&dest] {
+    let graph = FlowGraph {
+        link_endpoints,
+        delta_of: &delta_of,
+        num_epochs,
+    };
+    for (dest, chunks) in dests {
+        for &chunk in chunks {
             // Greedy DFS from (source, epoch 0) to `dest` over positive
             // remaining flows; fall back to the original support so a
             // fractional optimum can never leave a demand unscheduled.
-            let path = find_path(
-                source,
-                dest,
-                &remaining,
-                link_endpoints,
-                &delta_of,
-                num_epochs,
-            )
-            .or_else(|| find_path(source, dest, flows, link_endpoints, &delta_of, num_epochs));
+            let path = graph
+                .find_path(source, *dest, &remaining)
+                .or_else(|| graph.find_path(source, *dest, flows));
             if let Some(path) = path {
                 for &(link, k) in &path {
-                    let (from, to) = link_endpoints[&link];
+                    let (from, to) = link_endpoints[link];
                     sends.push(Send {
                         chunk: ChunkId::new(source, chunk),
                         from,
                         to,
                         epoch: k,
                     });
-                    if let Some(f) = remaining.get_mut(&(link, k)) {
-                        *f = (*f - 1.0).max(0.0);
-                    }
+                    let f = &mut remaining[link * num_epochs + k];
+                    *f = (*f - 1.0).max(0.0);
                 }
             }
         }
@@ -175,57 +188,79 @@ pub fn decompose_source_flow(
     sends
 }
 
-/// Finds a causally consistent path of positive-flow link-epochs from `source`
-/// to `dest`. Returns the `(link, epoch)` hops in order.
-fn find_path(
-    source: NodeId,
-    dest: NodeId,
-    flows: &HashMap<(usize, usize), f64>,
-    link_endpoints: &HashMap<usize, (NodeId, NodeId)>,
-    delta_of: &impl Fn(usize) -> usize,
+/// The time-expanded links [`decompose_source_flow`] walks.
+struct FlowGraph<'a, D> {
+    link_endpoints: &'a [(NodeId, NodeId)],
+    delta_of: &'a D,
     num_epochs: usize,
-) -> Option<Vec<(usize, usize)>> {
-    // DFS over (node, earliest epoch the chunk is available there, hops so far).
-    type DfsEntry = (NodeId, usize, Vec<(usize, usize)>);
-    let mut stack: Vec<DfsEntry> = vec![(source, 0, Vec::new())];
-    let mut visited: HashSet<(NodeId, usize)> = HashSet::new();
-    while let Some((node, avail, path)) = stack.pop() {
-        if node == dest {
-            return Some(path);
-        }
-        if !visited.insert((node, avail)) {
-            continue;
-        }
-        // Candidate outgoing link-epochs with remaining flow, preferring
-        // larger flow then earlier epochs (deterministic order).
-        let mut candidates: Vec<(usize, usize, f64)> = flows
+}
+
+impl<D: Fn(usize) -> usize> FlowGraph<'_, D> {
+    /// Finds a causally consistent path of positive-flow link-epochs from
+    /// `source` to `dest`. Returns the `(link, epoch)` hops in order.
+    fn find_path(
+        &self,
+        source: NodeId,
+        dest: NodeId,
+        flows: &[f64],
+    ) -> Option<Vec<(usize, usize)>> {
+        // DFS over (node, earliest epoch the chunk is available there, hops
+        // so far).
+        type DfsEntry = (NodeId, usize, Vec<(usize, usize)>);
+        let mut stack: Vec<DfsEntry> = vec![(source, 0, Vec::new())];
+        // visited[node * (K + 1) + avail]: every `avail` from K on has no
+        // candidates left, so they share one slot.
+        let nodes = self
+            .link_endpoints
             .iter()
-            .filter(|(&(link, k), &f)| {
-                f > 1e-6
-                    && k >= avail
-                    && k < num_epochs
-                    && link_endpoints
-                        .get(&link)
-                        .is_some_and(|(from, _)| *from == node)
-            })
-            .map(|(&(link, k), &f)| (link, k, f))
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap()
-                .then(a.1.cmp(&b.1))
-                .then(a.0.cmp(&b.0))
-        });
-        // Push in reverse so the best candidate is explored first.
-        for (link, k, _) in candidates.into_iter().rev() {
-            let (_, to) = link_endpoints[&link];
-            let next_avail = k + delta_of(link) + 1;
-            let mut new_path = path.clone();
-            new_path.push((link, k));
-            stack.push((to, next_avail, new_path));
+            .map(|&(from, to)| from.0.max(to.0) + 1)
+            .max()
+            .unwrap_or(0)
+            .max(source.0 + 1);
+        let mut visited = vec![false; nodes * (self.num_epochs + 1)];
+        let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
+        while let Some((node, avail, path)) = stack.pop() {
+            if node == dest {
+                return Some(path);
+            }
+            let seen = &mut visited[node.0 * (self.num_epochs + 1) + avail.min(self.num_epochs)];
+            if *seen {
+                continue;
+            }
+            *seen = true;
+            // Candidate outgoing link-epochs with remaining flow, preferring
+            // larger flow then earlier epochs (deterministic order).
+            candidates.clear();
+            for (link, _) in self
+                .link_endpoints
+                .iter()
+                .enumerate()
+                .filter(|(_, (from, _))| *from == node)
+            {
+                for k in avail..self.num_epochs {
+                    let f = flows[link * self.num_epochs + k];
+                    if f > 1e-6 {
+                        candidates.push((link, k, f));
+                    }
+                }
+            }
+            candidates.sort_by(|a, b| {
+                b.2.partial_cmp(&a.2)
+                    .unwrap()
+                    .then(a.1.cmp(&b.1))
+                    .then(a.0.cmp(&b.0))
+            });
+            // Push in reverse so the best candidate is explored first.
+            for &(link, k, _) in candidates.iter().rev() {
+                let (_, to) = self.link_endpoints[link];
+                let next_avail = k + (self.delta_of)(link) + 1;
+                let mut new_path = path.clone();
+                new_path.push((link, k));
+                stack.push((to, next_avail, new_path));
+            }
         }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -397,17 +432,22 @@ mod tests {
         assert_eq!(sch.solver_time, 0.25);
     }
 
+    /// Dense flows over `links` links and 4 epochs from `(link, epoch,
+    /// flow)` entries.
+    fn dense_flows(links: usize, entries: &[(usize, usize, f64)]) -> Vec<f64> {
+        let mut flows = vec![0.0; links * 4];
+        for &(l, k, f) in entries {
+            flows[l * 4 + k] = f;
+        }
+        flows
+    }
+
     #[test]
     fn decompose_simple_two_hop_flow() {
         // Source 0 -> dest 2 via node 1, one chunk. Links: 0: (0->1), 1: (1->2).
-        let mut link_endpoints = HashMap::new();
-        link_endpoints.insert(0usize, (NodeId(0), NodeId(1)));
-        link_endpoints.insert(1usize, (NodeId(1), NodeId(2)));
-        let mut flows = HashMap::new();
-        flows.insert((0usize, 0usize), 1.0);
-        flows.insert((1usize, 1usize), 1.0);
-        let mut chunks_for_dest = HashMap::new();
-        chunks_for_dest.insert(NodeId(2), vec![0usize]);
+        let link_endpoints = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
+        let flows = dense_flows(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
+        let chunks_for_dest = [(NodeId(2), vec![0usize])];
         let sends = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
@@ -425,17 +465,14 @@ mod tests {
     #[test]
     fn decompose_splits_two_chunks_over_parallel_paths() {
         // Two chunks to dest 3 over two disjoint relays (1 and 2).
-        let mut link_endpoints = HashMap::new();
-        link_endpoints.insert(0usize, (NodeId(0), NodeId(1)));
-        link_endpoints.insert(1usize, (NodeId(1), NodeId(3)));
-        link_endpoints.insert(2usize, (NodeId(0), NodeId(2)));
-        link_endpoints.insert(3usize, (NodeId(2), NodeId(3)));
-        let mut flows = HashMap::new();
-        for (l, k) in [(0, 0), (1, 1), (2, 0), (3, 1)] {
-            flows.insert((l as usize, k as usize), 1.0);
-        }
-        let mut chunks_for_dest = HashMap::new();
-        chunks_for_dest.insert(NodeId(3), vec![0usize, 1usize]);
+        let link_endpoints = [
+            (NodeId(0), NodeId(1)),
+            (NodeId(1), NodeId(3)),
+            (NodeId(0), NodeId(2)),
+            (NodeId(2), NodeId(3)),
+        ];
+        let flows = dense_flows(4, &[(0, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0), (3, 1, 1.0)]);
+        let chunks_for_dest = [(NodeId(3), vec![0usize, 1usize])];
         let sends = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
@@ -459,21 +496,25 @@ mod tests {
         // routed; the support fallback must still schedule every demand (the
         // old code silently dropped them — internal1(2) ALLTOALL 16 MB lost
         // 4 demands this way once the LP actually converged).
-        let mut link_endpoints = HashMap::new();
-        link_endpoints.insert(0usize, (NodeId(0), NodeId(2))); // trunk
-        link_endpoints.insert(1usize, (NodeId(2), NodeId(1)));
-        link_endpoints.insert(2usize, (NodeId(2), NodeId(3)));
-        link_endpoints.insert(3usize, (NodeId(0), NodeId(1))); // direct d1
-        link_endpoints.insert(4usize, (NodeId(0), NodeId(3))); // direct d3
-        let mut flows = HashMap::new();
-        flows.insert((0usize, 0usize), 1.0); // trunk carries half of each
-        flows.insert((1usize, 1usize), 0.5);
-        flows.insert((2usize, 1usize), 0.5);
-        flows.insert((3usize, 0usize), 0.5);
-        flows.insert((4usize, 0usize), 0.5);
-        let mut chunks_for_dest = HashMap::new();
-        chunks_for_dest.insert(NodeId(1), vec![0usize]);
-        chunks_for_dest.insert(NodeId(3), vec![1usize]);
+        let link_endpoints = [
+            (NodeId(0), NodeId(2)), // trunk
+            (NodeId(2), NodeId(1)),
+            (NodeId(2), NodeId(3)),
+            (NodeId(0), NodeId(1)), // direct d1
+            (NodeId(0), NodeId(3)), // direct d3
+        ];
+        let flows = dense_flows(
+            5,
+            &[
+                (0, 0, 1.0), // trunk carries half of each
+                (1, 1, 0.5),
+                (2, 1, 0.5),
+                (3, 0, 0.5),
+                (4, 0, 0.5),
+            ],
+        );
+        // Destinations out of node order: they are served in node order.
+        let chunks_for_dest = [(NodeId(3), vec![1usize]), (NodeId(1), vec![0usize])];
         let sends = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
@@ -510,14 +551,9 @@ mod tests {
         // Two chunks forced through a single one-chunk-wide path: the second
         // chunk finds no *remaining* support and must be routed over the
         // original support instead of being dropped.
-        let mut link_endpoints = HashMap::new();
-        link_endpoints.insert(0usize, (NodeId(0), NodeId(1)));
-        link_endpoints.insert(1usize, (NodeId(1), NodeId(2)));
-        let mut flows = HashMap::new();
-        flows.insert((0usize, 0usize), 1.0);
-        flows.insert((1usize, 1usize), 1.0);
-        let mut chunks_for_dest = HashMap::new();
-        chunks_for_dest.insert(NodeId(2), vec![0usize, 1usize]);
+        let link_endpoints = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
+        let flows = dense_flows(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
+        let chunks_for_dest = [(NodeId(2), vec![0usize, 1usize])];
         let sends = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
@@ -538,18 +574,8 @@ mod tests {
 
     #[test]
     fn decompose_returns_empty_when_no_flow() {
-        let link_endpoints = HashMap::new();
-        let flows = HashMap::new();
-        let mut chunks_for_dest = HashMap::new();
-        chunks_for_dest.insert(NodeId(1), vec![0usize]);
-        let sends = decompose_source_flow(
-            NodeId(0),
-            &chunks_for_dest,
-            &flows,
-            &link_endpoints,
-            |_| 0,
-            4,
-        );
+        let chunks_for_dest = [(NodeId(1), vec![0usize])];
+        let sends = decompose_source_flow(NodeId(0), &chunks_for_dest, &[], &[], |_| 0, 4);
         assert!(sends.is_empty());
     }
 }

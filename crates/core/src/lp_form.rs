@@ -12,18 +12,18 @@
 //! that is exact). Every value accessor answers for every source by mapping
 //! through the group; over the trivial group the model is the full one.
 
-use std::collections::HashMap;
-
 use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, Model, Sense, Solution, SolveStatus, VarId};
 use teccl_schedule::{ChunkId, Send};
 use teccl_topology::{NodeId, Topology};
+use teccl_util::SolveBudget;
 
 use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
-use crate::error::{check_demand, TeCclError};
+use crate::error::{check_budget, check_demand, TeCclError};
 use crate::extract::decompose_source_flow;
 use crate::symmetry::{Orbits, SymmetryGroup};
+use crate::var_index::{Commodities, VarIndex};
 
 /// A fully built LP instance for one copy-free collective optimization.
 #[derive(Debug)]
@@ -39,12 +39,14 @@ pub struct LpFormulation {
     topology: Topology,
     /// The group the model is the quotient by, and the source orbits.
     orbits: Orbits,
+    /// The representative sources, one commodity each (chunk 0).
+    sources: Commodities,
     /// `F[s, link, k]` variables of representative sources.
-    f_vars: HashMap<(usize, usize, usize), VarId>,
+    f_vars: VarIndex,
     /// `B[s, node, k]` variables (k in 0..=K) of representative sources.
-    b_vars: HashMap<(usize, usize, usize), VarId>,
+    b_vars: VarIndex,
     /// `r[s, d, k]` read variables of representative sources.
-    r_vars: HashMap<(usize, usize, usize), VarId>,
+    r_vars: VarIndex,
     /// Per-link α-delay in epochs.
     delta: Vec<usize>,
 }
@@ -74,12 +76,17 @@ impl LpFormulation {
             num_epochs,
             tau,
             group,
+            None,
         )
     }
 
     /// [`LpFormulation::build`] over a given `group`, which must be a
     /// symmetry group of this instance ([`SymmetryGroup::find`],
-    /// [`SymmetryGroup::generated_by`] or [`SymmetryGroup::trivial`]).
+    /// [`SymmetryGroup::generated_by`] or [`SymmetryGroup::trivial`]), under
+    /// the request's `budget`: checked (never charged) at every step of the
+    /// build's outer loops (one per source, link or node), a spent budget
+    /// fails the build with [`TeCclError::Budget`].
+    #[allow(clippy::too_many_arguments)]
     pub fn build_over(
         topology: &Topology,
         demand: &DemandMatrix,
@@ -88,6 +95,7 @@ impl LpFormulation {
         num_epochs: usize,
         tau: f64,
         group: SymmetryGroup,
+        budget: Option<&SolveBudget>,
     ) -> Result<Self, TeCclError> {
         check_demand(topology, demand)?;
 
@@ -115,22 +123,20 @@ impl LpFormulation {
         let orbit = orbits.weight();
 
         let mut model = Model::new(Sense::Maximize);
-        let mut f_vars = HashMap::new();
-        let mut b_vars = HashMap::new();
-        let mut r_vars = HashMap::new();
+        let nodes = topology.num_nodes();
+        let mut f_vars = VarIndex::new(sources.len(), topology.links.len(), k_max);
+        let mut b_vars = VarIndex::new(sources.len(), nodes, k_max + 1);
+        let mut r_vars = VarIndex::new(sources.len(), nodes, k_max);
 
         // ----- Variables ------------------------------------------------------
-        for &s in &sources {
+        // Unnamed: the model is read by index (`Model::validate` reports
+        // `#j`).
+        for (i, &s) in sources.iter().enumerate() {
+            check_budget(budget)?;
             for link in &topology.links {
                 for k in 0..k_max {
-                    let v = model.add_var(
-                        format!("F[{s},{}->{},{k}]", link.src, link.dst),
-                        0.0,
-                        f64::INFINITY,
-                        0.0,
-                        false,
-                    );
-                    f_vars.insert((s.0, link.id.0, k), v);
+                    let v = model.add_var("", 0.0, f64::INFINITY, 0.0, false);
+                    f_vars.insert(i, link.id.0, k, v);
                 }
             }
             for n in topology.gpus() {
@@ -146,9 +152,8 @@ impl LpFormulation {
                     continue;
                 }
                 for k in 0..=k_max {
-                    let v =
-                        model.add_var(format!("B[{s},{n},{k}]"), 0.0, f64::INFINITY, 0.0, false);
-                    b_vars.insert((s.0, n.0, k), v);
+                    let v = model.add_var("", 0.0, f64::INFINITY, 0.0, false);
+                    b_vars.insert(i, n.0, k, v);
                 }
             }
             for d in topology.gpus() {
@@ -160,113 +165,99 @@ impl LpFormulation {
                 }
                 for k in 0..k_max {
                     let weight = orbit / (k as f64 + 1.0);
-                    let v =
-                        model.add_var(format!("r[{s},{d},{k}]"), 0.0, f64::INFINITY, weight, false);
-                    r_vars.insert((s.0, d.0, k), v);
+                    let v = model.add_var("", 0.0, f64::INFINITY, weight, false);
+                    r_vars.insert(i, d.0, k, v);
                 }
             }
         }
 
-        let fv = |f: &HashMap<(usize, usize, usize), VarId>,
-                  s: usize,
-                  l: usize,
-                  k: i64|
-         -> Option<VarId> {
-            if k < 0 || k as usize >= k_max {
-                None
-            } else {
-                f.get(&(s, l, k as usize)).copied()
-            }
-        };
+        // `F[i, l, k]`, or `None` outside the horizon.
+        let fv = |i: usize, l: usize, k: Option<usize>| k.and_then(|k| f_vars.get(i, l, k));
+        let f_at = |i: usize, l: usize, k: usize| f_vars.get(i, l, k).expect("every F is laid out");
 
         // ----- Initialization (Appendix A, first epoch) -------------------------
-        for &s in &sources {
+        for (i, &s) in sources.iter().enumerate() {
+            check_budget(budget)?;
             let total: f64 = demand.demand_of_source(s) as f64;
             for n in topology.gpus() {
                 if n == s {
                     // B[s,s,0] + Σ_out F[s,(s,j),0] = total demand from s.
-                    let mut terms: Vec<(VarId, f64)> = vec![(b_vars[&(s.0, s.0, 0)], 1.0)];
+                    let own = b_vars.get(i, s.0, 0).expect("a source buffers");
+                    let mut terms: Vec<(VarId, f64)> = vec![(own, 1.0)];
                     for outl in topology.out_links(s) {
-                        terms.push((f_vars[&(s.0, outl.id.0, 0)], 1.0));
+                        terms.push((f_at(i, outl.id.0, 0), 1.0));
                     }
-                    model.add_cons(format!("init[{s}]"), &terms, ConstraintOp::Eq, total);
+                    model.add_cons("", &terms, ConstraintOp::Eq, total);
                 } else {
                     // Nothing anywhere else at epoch 0.
-                    if let Some(&b) = b_vars.get(&(s.0, n.0, 0)) {
+                    if let Some(b) = b_vars.get(i, n.0, 0) {
                         model.set_bounds(b, 0.0, 0.0);
                     }
                     for outl in topology.out_links(n) {
-                        model.set_bounds(f_vars[&(s.0, outl.id.0, 0)], 0.0, 0.0);
+                        model.set_bounds(f_at(i, outl.id.0, 0), 0.0, 0.0);
                     }
                 }
             }
             for sw in topology.switches() {
                 for outl in topology.out_links(sw) {
-                    model.set_bounds(f_vars[&(s.0, outl.id.0, 0)], 0.0, 0.0);
+                    model.set_bounds(f_at(i, outl.id.0, 0), 0.0, 0.0);
                 }
             }
         }
 
         // ----- Flow conservation (GPUs) -----------------------------------------
-        for &s in &sources {
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        for i in 0..sources.len() {
+            check_budget(budget)?;
             for n in topology.gpus() {
                 for k in 0..k_max {
-                    let mut terms: Vec<(VarId, f64)> = Vec::new();
+                    terms.clear();
                     // Inflow arriving by end of epoch k.
                     for inl in topology.in_links(n) {
-                        if let Some(v) =
-                            fv(&f_vars, s.0, inl.id.0, k as i64 - delta[inl.id.0] as i64)
-                        {
+                        if let Some(v) = fv(i, inl.id.0, k.checked_sub(delta[inl.id.0])) {
                             terms.push((v, 1.0));
                         }
                     }
                     // + B[s,n,k]
-                    if let Some(&b) = b_vars.get(&(s.0, n.0, k)) {
+                    if let Some(b) = b_vars.get(i, n.0, k) {
                         terms.push((b, 1.0));
                     }
                     // = B[s,n,k+1] + r[s,n,k] + Σ_out F[s,(n,j),k+1]
-                    if let Some(&b) = b_vars.get(&(s.0, n.0, k + 1)) {
+                    if let Some(b) = b_vars.get(i, n.0, k + 1) {
                         terms.push((b, -1.0));
                     }
-                    if let Some(&r) = r_vars.get(&(s.0, n.0, k)) {
+                    if let Some(r) = r_vars.get(i, n.0, k) {
                         terms.push((r, -1.0));
                     }
                     if k + 1 < k_max {
                         for outl in topology.out_links(n) {
-                            terms.push((f_vars[&(s.0, outl.id.0, k + 1)], -1.0));
+                            terms.push((f_at(i, outl.id.0, k + 1), -1.0));
                         }
                     }
                     if terms.is_empty() {
                         continue;
                     }
-                    model.add_cons(format!("flow[{s},{n},{k}]"), &terms, ConstraintOp::Eq, 0.0);
+                    model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
                 }
             }
             // Switches: no buffer, no consumption.
             for sw in topology.switches() {
                 for k in 0..k_max {
-                    let mut terms: Vec<(VarId, f64)> = Vec::new();
+                    terms.clear();
                     for inl in topology.in_links(sw) {
-                        if let Some(v) =
-                            fv(&f_vars, s.0, inl.id.0, k as i64 - delta[inl.id.0] as i64)
-                        {
+                        if let Some(v) = fv(i, inl.id.0, k.checked_sub(delta[inl.id.0])) {
                             terms.push((v, 1.0));
                         }
                     }
                     if k + 1 < k_max {
                         for outl in topology.out_links(sw) {
-                            terms.push((f_vars[&(s.0, outl.id.0, k + 1)], -1.0));
+                            terms.push((f_at(i, outl.id.0, k + 1), -1.0));
                         }
                     }
                     if terms.is_empty() {
                         continue;
                     }
-                    model.add_cons(
-                        format!("swflow[{s},{sw},{k}]"),
-                        &terms,
-                        ConstraintOp::Eq,
-                        0.0,
-                    );
+                    model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
                 }
             }
         }
@@ -275,23 +266,19 @@ impl LpFormulation {
         // One row per link orbit, and one buffer row per node orbit
         // (`Orbits::row_terms`).
         let group = orbits.group();
-        let orbit_terms = |vars: &HashMap<(usize, usize, usize), VarId>, images: &[usize], k| {
-            Orbits::row_terms(&sources, images, |s, at| vars.get(&(s.0, at, k)).copied())
+        let orbit_terms = |vars: &VarIndex, images: &[usize], k| {
+            Orbits::row_terms(0..sources.len(), images, |i, at| vars.get(i, at, k))
         };
         for link in &topology.links {
             let Some(images) = group.link_orbit(link.id.0) else {
                 continue;
             };
+            check_budget(budget)?;
             let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
             for k in 0..k_max {
                 let terms = orbit_terms(&f_vars, &images, k);
                 if !terms.is_empty() {
-                    model.add_cons(
-                        format!("cap[{}->{},{k}]", link.src, link.dst),
-                        &terms,
-                        ConstraintOp::Le,
-                        cap,
-                    );
+                    model.add_cons("", &terms, ConstraintOp::Le, cap);
                 }
             }
         }
@@ -302,22 +289,19 @@ impl LpFormulation {
                 let Some(images) = group.node_orbit(n) else {
                     continue;
                 };
+                check_budget(budget)?;
                 for k in 1..=k_max {
                     let terms = orbit_terms(&b_vars, &images, k);
                     if !terms.is_empty() {
-                        model.add_cons(
-                            format!("buflimit[{n},{k}]"),
-                            &terms,
-                            ConstraintOp::Le,
-                            limit as f64,
-                        );
+                        model.add_cons("", &terms, ConstraintOp::Le, limit as f64);
                     }
                 }
             }
         }
 
         // ----- Destination totals ---------------------------------------------------
-        for &s in &sources {
+        for (i, &s) in sources.iter().enumerate() {
+            check_budget(budget)?;
             for d in topology.gpus() {
                 let wanted = (0..demand.num_chunks)
                     .filter(|&c| demand.wants(s, c, d))
@@ -325,14 +309,12 @@ impl LpFormulation {
                 if wanted == 0 {
                     continue;
                 }
-                let terms: Vec<(VarId, f64)> =
-                    (0..k_max).map(|k| (r_vars[&(s.0, d.0, k)], 1.0)).collect();
-                model.add_cons(
-                    format!("dst[{s},{d}]"),
-                    &terms,
-                    ConstraintOp::Eq,
-                    wanted as f64,
-                );
+                terms.clear();
+                terms.extend((0..k_max).map(|k| {
+                    let r = r_vars.get(i, d.0, k).expect("a read per wanted epoch");
+                    (r, 1.0)
+                }));
+                model.add_cons("", &terms, ConstraintOp::Eq, wanted as f64);
             }
         }
 
@@ -343,6 +325,7 @@ impl LpFormulation {
             chunk_bytes,
             topology: topology.clone(),
             orbits,
+            sources: Commodities::new(sources.into_iter().map(|s| (s, 0)).collect()),
             f_vars,
             b_vars,
             r_vars,
@@ -354,7 +337,7 @@ impl LpFormulation {
     /// solve of an identically-shaped formulation (the schedule service's
     /// cache-adjacent warm start; a mismatched or stale basis silently
     /// degrades to a cold start), under an optional cooperative
-    /// [`SolveBudget`](teccl_util::SolveBudget): the solver checks the budget
+    /// [`SolveBudget`]: the solver checks the budget
     /// at every pivot and, when it trips, hands back the best primal-feasible
     /// point found so far (a usable if suboptimal schedule) with
     /// `stats.budget_stop` set.
@@ -378,8 +361,8 @@ impl LpFormulation {
     pub fn completion_epoch(&self, solution: &Solution) -> usize {
         self.r_vars
             .iter()
-            .filter(|(_, &v)| solution.values[v.index()] > 1e-6)
-            .map(|(&(_, _, k), _)| k)
+            .filter(|&(_, v)| solution.values[v.index()] > 1e-6)
+            .map(|((_, _, k), _)| k)
             .max()
             .unwrap_or(0)
     }
@@ -395,7 +378,7 @@ impl LpFormulation {
     fn mapped(
         &self,
         solution: &Solution,
-        vars: &HashMap<(usize, usize, usize), VarId>,
+        vars: &VarIndex,
         s: NodeId,
         at: impl Fn(usize) -> usize,
         k: usize,
@@ -403,7 +386,9 @@ impl LpFormulation {
         let Some((rep, h)) = self.orbits.carrier(s) else {
             return 0.0;
         };
-        vars.get(&(rep.0, at(h), k))
+        self.sources
+            .index(rep, 0)
+            .and_then(|i| vars.get(i, at(h), k))
             .map(|v| solution.values[v.index()])
             .unwrap_or(0.0)
     }
@@ -429,14 +414,15 @@ impl LpFormulation {
     /// gives it through the group.
     pub fn unroll(&self, solution: &Solution, full: &LpFormulation) -> Vec<f64> {
         let mut x = vec![0.0; full.model.num_vars()];
-        for (&(s, l, k), v) in &full.f_vars {
-            x[v.index()] = self.flow_value(solution, NodeId(s), l, k);
+        let source = |i: usize| full.sources.list()[i].0;
+        for ((i, l, k), v) in full.f_vars.iter() {
+            x[v.index()] = self.flow_value(solution, source(i), l, k);
         }
-        for (&(s, n, k), v) in &full.b_vars {
-            x[v.index()] = self.buffer_value(solution, NodeId(s), NodeId(n), k);
+        for ((i, n, k), v) in full.b_vars.iter() {
+            x[v.index()] = self.buffer_value(solution, source(i), NodeId(n), k);
         }
-        for (&(s, d, k), v) in &full.r_vars {
-            x[v.index()] = self.read_value(solution, NodeId(s), NodeId(d), k);
+        for ((i, d, k), v) in full.r_vars.iter() {
+            x[v.index()] = self.read_value(solution, source(i), NodeId(d), k);
         }
         x
     }
@@ -452,46 +438,33 @@ impl LpFormulation {
     /// (equally optimal) image flows on its own would break ties differently
     /// per source and collide on links.
     pub fn extract_sends(&self, solution: &Solution, demand: &DemandMatrix) -> Vec<Send> {
-        let link_endpoints: HashMap<usize, (NodeId, NodeId)> = self
-            .topology
-            .links
-            .iter()
-            .map(|l| (l.id.0, (l.src, l.dst)))
-            .collect();
-        let chunks_of = |s: NodeId, d: NodeId| -> Vec<usize> {
-            (0..demand.num_chunks)
-                .filter(|&c| demand.wants(s, c, d))
-                .collect()
-        };
+        let link_endpoints: Vec<(NodeId, NodeId)> =
+            self.topology.links.iter().map(|l| (l.src, l.dst)).collect();
+        let wanted =
+            |s: NodeId, d: NodeId| (0..demand.num_chunks).filter(move |&c| demand.wants(s, c, d));
+        let k_max = self.num_epochs;
+        let mut flows = vec![0.0; link_endpoints.len() * k_max];
         let mut all = Vec::new();
         for s in self.topology.gpus() {
             if !self.orbits.is_representative(s) {
                 continue;
             }
-            let mut flows: HashMap<(usize, usize), f64> = HashMap::new();
-            for link in &self.topology.links {
-                for k in 0..self.num_epochs {
-                    let v = self.flow_value(solution, s, link.id.0, k);
-                    if v > 1e-6 {
-                        flows.insert((link.id.0, k), v);
-                    }
-                }
+            for (l, flow) in flows.iter_mut().enumerate() {
+                *flow = self.flow_value(solution, s, l / k_max, l % k_max);
             }
-            let mut chunks_for_dest: HashMap<NodeId, Vec<usize>> = HashMap::new();
-            for d in self.topology.gpus() {
-                let chunks = chunks_of(s, d);
-                if !chunks.is_empty() {
-                    chunks_for_dest.insert(d, chunks);
-                }
-            }
-            let delta = self.delta.clone();
+            let chunks_for_dest: Vec<(NodeId, Vec<usize>)> = self
+                .topology
+                .gpus()
+                .map(|d| (d, wanted(s, d).collect::<Vec<_>>()))
+                .filter(|(_, chunks)| !chunks.is_empty())
+                .collect();
             let sends = decompose_source_flow(
                 s,
                 &chunks_for_dest,
                 &flows,
                 &link_endpoints,
-                |l| delta[l],
-                self.num_epochs,
+                |l| self.delta[l],
+                k_max,
             );
             // `decompose_source_flow` emits each chunk's path whole, so the
             // destination of a send is the end of its path: the last send
@@ -503,15 +476,29 @@ impl LpFormulation {
                     || sends[i + 1].from != sends[i].to;
                 dest[i] = if ends_path { sends[i].to } else { dest[i + 1] };
             }
+            // The position of each send's chunk among the chunks its
+            // destination reads from `s`.
+            let rank: Vec<usize> = sends
+                .iter()
+                .zip(&dest)
+                .map(|(send, d)| {
+                    let (_, chunks) = chunks_for_dest
+                        .iter()
+                        .find(|(to, _)| to == d)
+                        .expect("a path ends at a destination");
+                    chunks
+                        .iter()
+                        .position(|&c| c == send.chunk.chunk)
+                        .expect("a path ends at a destination of its chunk")
+                })
+                .collect();
             let group = self.group();
             for g in 0..group.order() {
                 let image = group.node(g, s);
-                for (send, &d) in sends.iter().zip(&dest) {
-                    let j = chunks_for_dest[&d]
-                        .iter()
-                        .position(|&c| c == send.chunk.chunk)
-                        .expect("a path ends at a destination of its chunk");
-                    let chunk = chunks_of(image, group.node(g, d))[j];
+                for ((send, &d), &j) in sends.iter().zip(&dest).zip(&rank) {
+                    let chunk = wanted(image, group.node(g, d))
+                        .nth(j)
+                        .expect("the image reads as many chunks");
                     all.push(Send {
                         chunk: ChunkId::new(image, chunk),
                         from: group.node(g, send.from),
@@ -646,6 +633,25 @@ mod tests {
         let err = LpFormulation::build(&topo, &demand, 1e6, &SolverConfig::default(), 2, 1e-3)
             .unwrap_err();
         assert_eq!(err, TeCclError::EmptyDemand);
+    }
+
+    /// The build checks the request's budget: an expired deadline fails it
+    /// before any model is handed back, and charges nothing.
+    #[test]
+    fn an_expired_deadline_fails_the_build() {
+        let topo = ring_topology(4, 1e9, 0.0);
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let demand = DemandMatrix::all_to_all(4, &gpus, 1);
+        let budget = SolveBudget::with_deadline(std::time::Duration::ZERO);
+        let group = SymmetryGroup::trivial(&topo);
+        let config = SolverConfig::default();
+        let built =
+            LpFormulation::build_over(&topo, &demand, 1e6, &config, 4, 1e-3, group, Some(&budget));
+        assert_eq!(
+            built.unwrap_err(),
+            TeCclError::Budget(teccl_util::BudgetExceeded::DeadlineExceeded)
+        );
+        assert_eq!(budget.iterations_used(), 0);
     }
 
     #[test]

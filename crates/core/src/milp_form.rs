@@ -34,7 +34,7 @@
 //! [`MilpFormulation::build`] is `build_over` the trivial group: the full
 //! model, bit for bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -42,12 +42,14 @@ use teccl_collective::DemandMatrix;
 use teccl_lp::{ConstraintOp, MilpConfig, MilpLayout, Model, Sense, Solution, SolveStatus, VarId};
 use teccl_schedule::{ChunkId, Send};
 use teccl_topology::{Link, LinkId, NodeId, Topology};
+use teccl_util::SolveBudget;
 
 use crate::config::{BufferMode, SolverConfig, SwitchModel};
 use crate::epochs::{capacity_chunks_per_epoch, kappa_epochs, EpochGrid};
-use crate::error::{check_demand, TeCclError};
+use crate::error::{check_budget, check_demand, TeCclError};
 use crate::switch::HyperEdgeGroup;
 use crate::symmetry::{Orbits, SymmetryGroup};
+use crate::var_index::{Commodities, VarIndex};
 
 /// Extra inputs for building a MILP round (used by the A* solver; the plain
 /// solver uses [`MilpBuildOptions::default`]).
@@ -95,24 +97,26 @@ pub struct MilpFormulation {
     grid: EpochGrid,
     /// The group the model is laid out over, and the source orbits.
     orbits: Orbits,
-    /// Variables of the laid-out commodities, keyed `(source, chunk, link or
-    /// node, epoch)`.
-    f_vars: VarMap,
-    b_vars: VarMap,
-    r_vars: VarMap,
-    /// Evictions (limited buffers only).
-    x_vars: VarMap,
-    /// Every source's holders, representatives or not.
-    initial_holders: Holders,
     /// Laid-out commodities in build order — the layout key a round update
-    /// must match.
-    commodities: Vec<(NodeId, usize)>,
+    /// must match — and the variables of each, keyed `(commodity, link or
+    /// node, epoch)`.
+    commodities: Commodities,
+    f_vars: VarIndex,
+    b_vars: VarIndex,
+    r_vars: VarIndex,
+    /// Evictions (limited buffers only).
+    x_vars: VarIndex,
+    /// Every source's holders, representatives or not.
+    holders: Holders,
+    /// `holders` as [`MilpFormulation::initial_holders`] hands them out,
+    /// built on the first call after each round.
+    initial_holders: OnceLock<HashMap<(usize, usize), Vec<NodeId>>>,
     /// Flow-conservation rows whose rhs carries round state:
-    /// `(constraint index, (source, chunk, node, epoch))`.
-    flow_rows: Vec<(usize, (usize, usize, usize, usize))>,
+    /// `(constraint index, commodity, node, epoch)`.
+    flow_rows: Vec<(usize, usize, usize, usize)>,
     /// Buffer-evolution rows whose rhs carries round state, keyed like
     /// `flow_rows`.
-    buf_rows: Vec<(usize, (usize, usize, usize, usize))>,
+    buf_rows: Vec<(usize, usize, usize, usize)>,
     built_relax_completion: bool,
     built_hyperedge_groups: usize,
     /// The model's merged rows and standard-form matrix, built by the first
@@ -122,12 +126,61 @@ pub struct MilpFormulation {
     layout: OnceLock<MilpLayout>,
 }
 
-/// Who holds which chunk when a round starts, keyed by `(source, chunk)`.
-type Holders = HashMap<(usize, usize), Vec<NodeId>>;
+/// Who holds which chunk when a round starts: one list per `(source,
+/// chunk)`, in a dense table.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Holders {
+    chunks: usize,
+    lists: Vec<Vec<NodeId>>,
+}
 
-/// A formulation's variables of one kind, keyed `(source, chunk, link or
-/// node, epoch)`.
-type VarMap = HashMap<(usize, usize, usize, usize), VarId>;
+impl Holders {
+    /// An empty table for `nodes` sources of `chunks` chunks each.
+    pub(crate) fn new(nodes: usize, chunks: usize) -> Self {
+        Self {
+            chunks,
+            lists: vec![Vec::new(); nodes * chunks],
+        }
+    }
+
+    /// The holders of chunk `c` of `s` (none outside the table).
+    pub(crate) fn get(&self, s: NodeId, c: usize) -> &[NodeId] {
+        if c >= self.chunks {
+            return &[];
+        }
+        self.lists
+            .get(s.0 * self.chunks + c)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Adds `holder` to the holders of chunk `c` of `s`, if it is not one
+    /// yet. Panics outside the table.
+    pub(crate) fn add(&mut self, s: NodeId, c: usize, holder: NodeId) {
+        assert!(c < self.chunks, "a chunk inside the holder table");
+        let list = &mut self.lists[s.0 * self.chunks + c];
+        if !list.contains(&holder) {
+            list.push(holder);
+        }
+    }
+
+    /// Every `(source, chunk, holders)` with a holder, by source, then
+    /// chunk.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, usize, &[NodeId])> + '_ {
+        self.lists
+            .iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(i, list)| (NodeId(i / self.chunks), i % self.chunks, list.as_slice()))
+    }
+
+    /// The table as a map from `(source, chunk)` to its holders, one entry
+    /// per chunk with a holder.
+    pub(crate) fn to_map(&self) -> HashMap<(usize, usize), Vec<NodeId>> {
+        self.iter()
+            .map(|(s, c, list)| ((s.0, c), list.to_vec()))
+            .collect()
+    }
+}
 
 /// A round's laid-out commodities — every chunk the demand uses, GPU by GPU,
 /// of the representatives of `orbits`, then each `extra_initial` chunk the
@@ -139,21 +192,29 @@ fn round_holders(
     orbits: &Orbits,
     extra_initial: &[(NodeId, usize, NodeId)],
 ) -> (Vec<(NodeId, usize)>, Holders, bool) {
+    let nodes = extra_initial
+        .iter()
+        .map(|&(s, _, _)| s.0 + 1)
+        .fold(topology.num_nodes(), usize::max);
+    let chunks = extra_initial
+        .iter()
+        .map(|&(_, c, _)| c + 1)
+        .fold(demand.num_chunks, usize::max);
     let mut commodities = Vec::new();
-    let mut holders = Holders::new();
+    let mut holders = Holders::new(nodes, chunks);
     for s in topology.gpus() {
         for c in 0..demand.num_chunks {
             if demand.chunk_in_use(s, c) {
                 if orbits.is_representative(s) {
                     commodities.push((s, c));
                 }
-                holders.insert((s.0, c), vec![s]);
+                holders.add(s, c, s);
             }
         }
     }
     let mut extra_commodity = false;
     for &(s, c, holder) in extra_initial {
-        holders.entry((s.0, c)).or_default().push(holder);
+        holders.add(s, c, holder);
         if !demand.chunk_in_use(s, c) && !commodities.contains(&(s, c)) {
             commodities.push((s, c));
             extra_commodity = true;
@@ -162,39 +223,34 @@ fn round_holders(
     (commodities, holders, extra_commodity)
 }
 
-/// The earliest epoch chunk `(s, c)` can be at `n`: its distance on the grid
-/// from the nearest holder, or from where an in-flight copy lands plus the
-/// epoch it lands in. `usize::MAX` when nothing reaches `n`.
-fn earliest_epoch(
+/// The earliest epoch at each node of a chunk held at `held` and landing at
+/// `flying` (`(node, epoch it lands in)`), written into `earliest`: its
+/// distance on the grid from the nearest holder, or from where an in-flight
+/// copy lands plus the epoch it lands in. `usize::MAX` where nothing reaches.
+fn earliest_epochs(
     grid: &EpochGrid,
-    holders: &Holders,
-    in_flight: &[(NodeId, usize, NodeId, usize)],
-    s: NodeId,
-    c: usize,
-    n: NodeId,
-) -> usize {
-    let held = holders
-        .get(&(s.0, c))
-        .into_iter()
-        .flatten()
-        .map(|&h| (h, 0));
-    let flying = in_flight
-        .iter()
-        .filter(|(fs, fc, _, _)| fs.0 == s.0 && *fc == c)
-        .map(|&(_, _, node, vis)| (node, vis));
-    held.chain(flying)
-        .filter_map(|(from, at)| {
-            let d = grid.distance(from, n);
-            d.is_finite().then(|| at + d as usize)
-        })
-        .min()
-        .unwrap_or(usize::MAX)
+    nodes: usize,
+    held: &[NodeId],
+    flying: &[(NodeId, usize)],
+    earliest: &mut Vec<usize>,
+) {
+    earliest.clear();
+    earliest.extend((0..nodes).map(|n| {
+        held.iter()
+            .map(|&h| (h, 0))
+            .chain(flying.iter().copied())
+            .filter_map(|(from, at)| {
+                let d = grid.distance(from, NodeId(n));
+                d.is_finite().then(|| at + d as usize)
+            })
+            .min()
+            .unwrap_or(usize::MAX)
+    }));
 }
 
 /// 1 when `n` holds chunk `(s, c)` at epoch 0, else 0.
 fn initial_buffer(holders: &Holders, s: NodeId, c: usize, n: NodeId) -> f64 {
-    let held = holders.get(&(s.0, c)).is_some_and(|h| h.contains(&n));
-    if held {
+    if holders.get(s, c).contains(&n) {
         1.0
     } else {
         0.0
@@ -224,12 +280,16 @@ impl MilpFormulation {
             tau,
             options,
             group,
+            None,
         )
     }
 
     /// [`MilpFormulation::build`] over `group`, a symmetry group of the
     /// instance ([`SymmetryGroup::find`]) that keeps its chunks
-    /// ([`SymmetryGroup::keeps_chunks`]). The round `options` must be
+    /// ([`SymmetryGroup::keeps_chunks`]), under the request's `budget`:
+    /// checked (never charged) at every step of the build's outer loops (one
+    /// per commodity, demand, link or node), a spent budget fails the build
+    /// with [`TeCclError::Budget`]. The round `options` must be
     /// `G`-invariant; only the representatives' entries are read. A
     /// non-trivial group refuses hyper-edge groups and `extra_initial`
     /// commodities the demand does not use.
@@ -243,6 +303,7 @@ impl MilpFormulation {
         tau: f64,
         options: &MilpBuildOptions,
         group: SymmetryGroup,
+        budget: Option<&SolveBudget>,
     ) -> Result<Self, TeCclError> {
         check_demand(topology, demand)?;
         let symmetric = !group.is_trivial();
@@ -267,6 +328,7 @@ impl MilpFormulation {
                 "a MILP over a symmetry group holds only the demand's chunks".into(),
             ));
         }
+        let commodities = Commodities::new(commodities);
 
         // Which (s, c, n) triples get buffer variables. Without store and
         // forward this follows the round's holders, which is why
@@ -284,10 +346,15 @@ impl MilpFormulation {
         };
 
         let mut model = Model::new(Sense::Maximize);
-        let mut f_vars = VarMap::new();
-        let mut b_vars = VarMap::new();
-        let mut r_vars = VarMap::new();
-        let mut x_vars = VarMap::new();
+        let (n_comm, nodes, links) = (
+            commodities.len(),
+            topology.num_nodes(),
+            topology.links.len(),
+        );
+        let mut f_vars = VarIndex::new(n_comm, links, k_max);
+        let mut b_vars = VarIndex::new(n_comm, nodes, k_max + 1);
+        let mut r_vars = VarIndex::new(n_comm, nodes, k_max);
+        let mut x_vars = VarIndex::new(n_comm, nodes, k_max);
 
         // ----- Variables -----------------------------------------------------
         //
@@ -299,18 +366,14 @@ impl MilpFormulation {
         // at the pruned size while two rounds built from the same demand
         // shape stay identically shaped (only bounds, right-hand sides, and
         // objective weights differ). That is what lets A* round `t+1`
-        // warm-start from round `t`'s root basis with presolve on.
-        for &(s, c) in &commodities {
+        // warm-start from round `t`'s root basis with presolve on. Variables
+        // and rows are unnamed: the model is read by index.
+        for (i, &(s, c)) in commodities.list().iter().enumerate() {
+            check_budget(budget)?;
             for link in &topology.links {
                 for k in 0..k_max {
-                    let v = model.add_var(
-                        format!("F[{s},{c},{}->{},{k}]", link.src, link.dst),
-                        0.0,
-                        1.0,
-                        0.0,
-                        true,
-                    );
-                    f_vars.insert((s.0, c, link.id.0, k), v);
+                    let v = model.add_var("", 0.0, 1.0, 0.0, true);
+                    f_vars.insert(i, link.id.0, k, v);
                 }
             }
             for n in topology.nodes.iter().map(|n| n.id) {
@@ -318,51 +381,49 @@ impl MilpFormulation {
                     continue;
                 }
                 for k in 1..=k_max {
-                    let v = model.add_var(
-                        format!("B[{s},{c},{n},{k}]"),
-                        0.0,
-                        f64::INFINITY,
-                        0.0,
-                        false,
-                    );
-                    b_vars.insert((s.0, c, n.0, k), v);
+                    let v = model.add_var("", 0.0, f64::INFINITY, 0.0, false);
+                    b_vars.insert(i, n.0, k, v);
                 }
                 if let BufferMode::LimitedChunks(_) = config.buffer_mode {
                     for k in 0..k_max {
-                        let v = model.add_var(format!("X[{s},{c},{n},{k}]"), 0.0, 1.0, 0.0, false);
-                        x_vars.insert((s.0, c, n.0, k), v);
+                        let v = model.add_var("", 0.0, 1.0, 0.0, false);
+                        x_vars.insert(i, n.0, k, v);
                     }
                 }
             }
         }
         // Each representative's reads stand for its whole orbit's.
         let orbit = orbits.weight();
+        // The laid-out demand: `(commodity, chunk, destination)`.
         let laid_out_demand = || {
             demand
                 .iter()
                 .filter(|&(s, _, _)| orbits.is_representative(s))
+                .map(|(s, c, d)| {
+                    let i = commodities
+                        .index(s, c)
+                        .expect("a demanded chunk is laid out");
+                    (i, c, d)
+                })
         };
-        for (s, c, d) in laid_out_demand() {
+        for (i, c, d) in laid_out_demand() {
+            check_budget(budget)?;
             for k in 0..k_max {
                 let weight = orbit * config.chunk_priority(c) / (k as f64 + 1.0);
-                let v = model.add_var(format!("R[{s},{c},{d},{k}]"), 0.0, 1.0, weight, false);
-                r_vars.insert((s.0, c, d.0, k), v);
+                let v = model.add_var("", 0.0, 1.0, weight, false);
+                r_vars.insert(i, d.0, k, v);
             }
         }
 
-        // `F[s,c,l,k]`, or `None` before epoch 0.
-        let flow = |s: NodeId, c: usize, l: &Link, k: Option<usize>| {
-            k.and_then(|k| f_vars.get(&(s.0, c, l.id.0, k)).copied())
-        };
+        // `F[i,l,k]`, or `None` before epoch 0.
+        let flow = |i: usize, l: &Link, k: Option<usize>| k.and_then(|k| f_vars.get(i, l.id.0, k));
         // Every commodity's flow on `links` in epoch `k`.
         let link_terms = |links: &[LinkId], k: usize| -> Vec<(VarId, f64)> {
             let f_vars = &f_vars;
             links
                 .iter()
                 .flat_map(|l| {
-                    commodities
-                        .iter()
-                        .filter_map(move |&(s, c)| f_vars.get(&(s.0, c, l.0, k)).map(|&v| (v, 1.0)))
+                    (0..n_comm).filter_map(move |i| f_vars.get(i, l.0, k).map(|v| (v, 1.0)))
                 })
                 .collect()
         };
@@ -374,59 +435,48 @@ impl MilpFormulation {
             let Some(images) = group.link_orbit(link.id.0) else {
                 continue;
             };
+            check_budget(budget)?;
             let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
             let kappa = kappa_epochs(link, chunk_bytes, tau);
             for k in 0..k_max {
                 let window = k.saturating_sub(kappa - 1)..=k;
-                let terms = Orbits::row_terms(&commodities, &images, |&(s, c), at| {
+                let terms = Orbits::row_terms(0..n_comm, &images, |i, at| {
                     let f_vars = &f_vars;
-                    window
-                        .clone()
-                        .filter_map(move |kk| f_vars.get(&(s.0, c, at, kk)).copied())
+                    window.clone().filter_map(move |kk| f_vars.get(i, at, kk))
                 });
                 if !terms.is_empty() {
-                    model.add_cons(
-                        format!("cap[{}->{},{k}]", link.src, link.dst),
-                        &terms,
-                        ConstraintOp::Le,
-                        kappa as f64 * cap,
-                    );
+                    model.add_cons("", &terms, ConstraintOp::Le, kappa as f64 * cap);
                 }
             }
         }
 
         // ----- Flow conservation ---------------------------------------------
-        let mut flow_rows: Vec<(usize, (usize, usize, usize, usize))> = Vec::new();
-        for &(s, c) in &commodities {
+        let mut flow_rows: Vec<(usize, usize, usize, usize)> = Vec::new();
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        for i in 0..n_comm {
+            check_budget(budget)?;
             for node in topology.nodes.iter().map(|n| n.id) {
                 if topology.is_switch(node) && config.switch_model == SwitchModel::NonCopy {
                     // Traditional conservation: inflow (delayed) equals outflow
                     // in the next epoch.
                     for k in 0..k_max {
-                        let mut terms: Vec<(VarId, f64)> = Vec::new();
+                        terms.clear();
                         for inl in topology.in_links(node) {
-                            if let Some(v) = flow(s, c, inl, k.checked_sub(grid.delay(inl))) {
+                            if let Some(v) = flow(i, inl, k.checked_sub(grid.delay(inl))) {
                                 terms.push((v, 1.0));
                             }
                         }
-                        let mut out_terms: Vec<(VarId, f64)> = Vec::new();
                         if k + 1 < k_max {
                             for outl in topology.out_links(node) {
-                                if let Some(&v) = f_vars.get(&(s.0, c, outl.id.0, k + 1)) {
-                                    out_terms.push((v, -1.0));
+                                if let Some(v) = f_vars.get(i, outl.id.0, k + 1) {
+                                    terms.push((v, -1.0));
                                 }
                             }
                         }
-                        if terms.is_empty() && out_terms.is_empty() {
+                        if terms.is_empty() {
                             continue;
                         }
-                        terms.extend(out_terms);
-                        model.add_cons(
-                            format!("sw_flow[{s},{c},{node},{k}]"),
-                            &terms,
-                            ConstraintOp::Eq,
-                            0.0,
-                        );
+                        model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
                     }
                     continue;
                 }
@@ -438,28 +488,23 @@ impl MilpFormulation {
                 // the rhs, which the round writer fills in.
                 for k in 0..k_max.saturating_sub(1) {
                     for outl in topology.out_links(node) {
-                        let out_v = match f_vars.get(&(s.0, c, outl.id.0, k + 1)) {
-                            Some(v) => *v,
-                            None => continue,
+                        let Some(out_v) = f_vars.get(i, outl.id.0, k + 1) else {
+                            continue;
                         };
-                        let mut terms: Vec<(VarId, f64)> = vec![(out_v, -1.0)];
+                        terms.clear();
+                        terms.push((out_v, -1.0));
                         // Buffers start at epoch 1.
-                        if let Some(&b) = b_vars.get(&(s.0, c, node.0, k)) {
+                        if let Some(b) = b_vars.get(i, node.0, k) {
                             terms.push((b, 1.0));
                         }
                         // Inflow arriving by end of epoch k.
                         for inl in topology.in_links(node) {
-                            if let Some(v) = flow(s, c, inl, k.checked_sub(grid.delay(inl))) {
+                            if let Some(v) = flow(i, inl, k.checked_sub(grid.delay(inl))) {
                                 terms.push((v, 1.0));
                             }
                         }
-                        let row = model.add_cons(
-                            format!("flow[{s},{c},{node},{k},{}]", outl.dst),
-                            &terms,
-                            ConstraintOp::Ge,
-                            0.0,
-                        );
-                        flow_rows.push((row, (s.0, c, node.0, k)));
+                        let row = model.add_cons("", &terms, ConstraintOp::Ge, 0.0);
+                        flow_rows.push((row, i, node.0, k));
                     }
                 }
             }
@@ -468,36 +513,32 @@ impl MilpFormulation {
         // ----- Buffer evolution ----------------------------------------------
         // The initial buffer (at epoch 1) and carried-over in-flight arrivals
         // are rhs constants, written by the round writer.
-        let mut buf_rows: Vec<(usize, (usize, usize, usize, usize))> = Vec::new();
-        for &(s, c) in &commodities {
+        let mut buf_rows: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for i in 0..n_comm {
+            check_budget(budget)?;
             for node in topology.gpus() {
                 for k in 1..=k_max {
-                    let b_k = match b_vars.get(&(s.0, c, node.0, k)) {
-                        Some(v) => *v,
-                        None => continue,
+                    let Some(b_k) = b_vars.get(i, node.0, k) else {
+                        continue;
                     };
-                    let mut terms: Vec<(VarId, f64)> = vec![(b_k, 1.0)];
+                    terms.clear();
+                    terms.push((b_k, 1.0));
                     // Previous buffer value (none before epoch 1).
-                    if let Some(&b_prev) = b_vars.get(&(s.0, c, node.0, k - 1)) {
+                    if let Some(b_prev) = b_vars.get(i, node.0, k - 1) {
                         terms.push((b_prev, -1.0));
                     }
                     // Eviction (limited buffers, Appendix B).
-                    if let Some(&x) = x_vars.get(&(s.0, c, node.0, k - 1)) {
+                    if let Some(x) = x_vars.get(i, node.0, k - 1) {
                         terms.push((x, 1.0));
                     }
                     // Arrivals: F into the node sent at k - delay - 1.
                     for inl in topology.in_links(node) {
-                        if let Some(v) = flow(s, c, inl, k.checked_sub(grid.delay(inl) + 1)) {
+                        if let Some(v) = flow(i, inl, k.checked_sub(grid.delay(inl) + 1)) {
                             terms.push((v, -1.0));
                         }
                     }
-                    let row = model.add_cons(
-                        format!("buf[{s},{c},{node},{k}]"),
-                        &terms,
-                        ConstraintOp::Eq,
-                        0.0,
-                    );
-                    buf_rows.push((row, (s.0, c, node.0, k)));
+                    let row = model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
+                    buf_rows.push((row, i, node.0, k));
                 }
             }
         }
@@ -508,17 +549,11 @@ impl MilpFormulation {
                 let Some(images) = group.node_orbit(node) else {
                     continue;
                 };
+                check_budget(budget)?;
                 for k in 1..=k_max {
-                    let terms = Orbits::row_terms(&commodities, &images, |&(s, c), at| {
-                        b_vars.get(&(s.0, c, at, k)).copied()
-                    });
+                    let terms = Orbits::row_terms(0..n_comm, &images, |i, at| b_vars.get(i, at, k));
                     if !terms.is_empty() {
-                        model.add_cons(
-                            format!("buflimit[{node},{k}]"),
-                            &terms,
-                            ConstraintOp::Le,
-                            limit as f64,
-                        );
+                        model.add_cons("", &terms, ConstraintOp::Le, limit as f64);
                     }
                 }
             }
@@ -526,15 +561,12 @@ impl MilpFormulation {
 
         // ----- Destination constraints ----------------------------------------
         // A read without a buffer to read from is pinned by the round writer.
-        for (s, c, d) in laid_out_demand() {
+        for (i, _, d) in laid_out_demand() {
+            check_budget(budget)?;
             for k in 0..k_max {
-                if let Some(&b) = b_vars.get(&(s.0, c, d.0, k + 1)) {
-                    model.add_cons(
-                        format!("read[{s},{c},{d},{k}]"),
-                        &[(r_vars[&(s.0, c, d.0, k)], 1.0), (b, -1.0)],
-                        ConstraintOp::Le,
-                        0.0,
-                    );
+                if let Some(b) = b_vars.get(i, d.0, k + 1) {
+                    let r = r_vars.get(i, d.0, k).expect("a read per demanded epoch");
+                    model.add_cons("", &[(r, 1.0), (b, -1.0)], ConstraintOp::Le, 0.0);
                 }
             }
             if !options.relax_completion {
@@ -543,38 +575,26 @@ impl MilpFormulation {
                 // if the chunk structurally cannot reach `d` within K epochs
                 // the variable is fixed to 0 and presolve proves the model
                 // infeasible.
-                let r_last = r_vars[&(s.0, c, d.0, k_max - 1)];
-                model.add_cons(
-                    format!("done[{s},{c},{d}]"),
-                    &[(r_last, 1.0)],
-                    ConstraintOp::Ge,
-                    1.0,
-                );
+                let r_last = r_vars
+                    .get(i, d.0, k_max - 1)
+                    .expect("a read per demanded epoch");
+                model.add_cons("", &[(r_last, 1.0)], ConstraintOp::Ge, 1.0);
             }
         }
 
         // ----- Hyper-edge constraints (Appendix C) -----------------------------
         for group in &options.hyperedge_groups {
+            check_budget(budget)?;
             for k in 0..k_max {
                 let terms = link_terms(&group.links, k);
                 if !terms.is_empty() {
-                    model.add_cons(
-                        format!("hyper_total[{},{k}]", group.switch_name),
-                        &terms,
-                        ConstraintOp::Le,
-                        group.max_concurrent as f64,
-                    );
+                    model.add_cons("", &terms, ConstraintOp::Le, group.max_concurrent as f64);
                 }
-                for (side, edges) in [("out", &group.out_edges_of), ("in", &group.in_edges_of)] {
-                    for (node, links) in edges {
+                for edges in [&group.out_edges_of, &group.in_edges_of] {
+                    for (_, links) in edges {
                         let terms = link_terms(links, k);
                         if !terms.is_empty() {
-                            model.add_cons(
-                                format!("hyper_{side}[{},{node},{k}]", group.switch_name),
-                                &terms,
-                                ConstraintOp::Le,
-                                1.0,
-                            );
+                            model.add_cons("", &terms, ConstraintOp::Le, 1.0);
                         }
                     }
                 }
@@ -589,12 +609,13 @@ impl MilpFormulation {
             topology: topology.clone(),
             grid,
             orbits,
+            commodities,
             f_vars,
             b_vars,
             r_vars,
             x_vars,
-            initial_holders: Holders::new(),
-            commodities,
+            holders: Holders::default(),
+            initial_holders: OnceLock::new(),
             flow_rows,
             buf_rows,
             built_relax_completion: options.relax_completion,
@@ -612,8 +633,8 @@ impl MilpFormulation {
     ///
     /// This is the A* warm-round fast path: two rounds built from the same
     /// demand shape differ only in bounds, rhs and objective, and rebuilding
-    /// the model from scratch (thousands of name allocations plus constraint
-    /// assembly) costs milliseconds per round. The update requires the same
+    /// the model from scratch (constraint assembly) costs milliseconds per
+    /// round. The update requires the same
     /// topology, demand shape, epoch count, chunk size and config as the
     /// original build; it returns `false` — leaving the formulation in a
     /// stale but structurally intact state — when the new inputs would change
@@ -645,7 +666,7 @@ impl MilpFormulation {
         // `extra_initial` would have added variables at build time.
         let (commodities, holders, extra_commodity) =
             round_holders(&self.topology, demand, &self.orbits, &options.extra_initial);
-        if extra_commodity || commodities != self.commodities {
+        if extra_commodity || commodities != self.commodities.list() {
             return false;
         }
         // The reward variables are keyed by the laid-out demand's triples.
@@ -654,7 +675,8 @@ impl MilpFormulation {
             .iter()
             .filter(|&(s, _, _)| self.orbits.is_representative(s))
         {
-            if !self.r_vars.contains_key(&(s.0, c, d.0, 0)) {
+            let laid_out = self.commodities.index(s, c);
+            if laid_out.and_then(|i| self.r_vars.get(i, d.0, 0)).is_none() {
                 return false;
             }
             triples += 1;
@@ -675,54 +697,79 @@ impl MilpFormulation {
             topology,
             grid,
             orbits,
+            commodities,
             f_vars,
             b_vars,
             r_vars,
-            commodities,
             flow_rows,
             buf_rows,
             ..
         } = self;
         let k_max = *k_max;
-        let earliest = |s, c, n| earliest_epoch(grid, &holders, &options.in_flight, s, c, n);
-        let init_buffer = |s, c, n| initial_buffer(&holders, s, c, n);
+        let n_comm = commodities.len();
+        let nodes = topology.num_nodes();
+        let init_buffer = |i: usize, n: usize| {
+            let (s, c) = commodities.list()[i];
+            initial_buffer(&holders, s, c, NodeId(n))
+        };
+        // Each commodity's in-flight arrivals, `(node, epoch it lands in)`,
+        // and whether it is frozen.
+        let mut flying: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); n_comm];
+        for &(s, c, n, vis) in &options.in_flight {
+            if let Some(i) = commodities.index(s, c) {
+                flying[i].push((n, vis));
+            }
+        }
+        let mut frozen = vec![false; n_comm];
+        for &(s, c) in &options.frozen {
+            if let Some(i) = commodities.index(s, c) {
+                frozen[i] = true;
+            }
+        }
 
-        // Flow bounds: frozen commodities, epochs before reachability, and
-        // the first-epoch "can only send what is initially held" pin.
-        let frozen: HashSet<(usize, usize)> =
-            options.frozen.iter().map(|&(s, c)| (s.0, c)).collect();
-        for &(s, c) in commodities.iter() {
-            let is_frozen = frozen.contains(&(s.0, c));
+        let mut earliest: Vec<usize> = Vec::with_capacity(nodes);
+        for (i, &(s, c)) in commodities.list().iter().enumerate() {
+            earliest_epochs(grid, nodes, holders.get(s, c), &flying[i], &mut earliest);
+            // Flow bounds: frozen commodities, epochs before reachability,
+            // and the first-epoch "can only send what is initially held"
+            // pin.
             for link in &topology.links {
-                let e0 = earliest(s, c, link.src);
-                let first_pinned = init_buffer(s, c, link.src) < 0.5;
+                let e0 = earliest[link.src.0];
+                let first_pinned = init_buffer(i, link.src.0) < 0.5;
                 for k in 0..k_max {
-                    let v = f_vars[&(s.0, c, link.id.0, k)];
-                    if is_frozen || k < e0 || (k == 0 && first_pinned) {
+                    let v = f_vars.get(i, link.id.0, k).expect("every F is laid out");
+                    if frozen[i] || k < e0 || (k == 0 && first_pinned) {
                         model.set_bounds(v, 0.0, 0.0);
                     } else {
                         model.set_bounds(v, 0.0, 1.0);
                     }
                 }
             }
-        }
-
-        // Buffer bounds (reachability) and objective (terminal rewards only
-        // ever land on `B[s,c,n,K]`, so clearing those resets the previous
-        // round's rewards).
-        for (&(s, c, n, k), &v) in b_vars.iter() {
-            if k < earliest(NodeId(s), c, NodeId(n)).max(1) {
-                model.set_bounds(v, 0.0, 0.0);
-            } else {
-                model.set_bounds(v, 0.0, f64::INFINITY);
-            }
-            if k == k_max {
-                model.set_obj(v, 0.0);
+            // Buffer bounds (reachability) and objective (terminal rewards
+            // only ever land on `B[s,c,n,K]`, so clearing those resets the
+            // previous round's rewards).
+            for (n, &reached) in earliest.iter().enumerate() {
+                for k in 1..=k_max {
+                    let Some(v) = b_vars.get(i, n, k) else {
+                        continue;
+                    };
+                    if k < reached.max(1) {
+                        model.set_bounds(v, 0.0, 0.0);
+                    } else {
+                        model.set_bounds(v, 0.0, f64::INFINITY);
+                    }
+                    if k == k_max {
+                        model.set_obj(v, 0.0);
+                    }
+                }
             }
         }
         // A representative's reward stands for its whole orbit's.
-        for (s, c, n, w) in &options.terminal_rewards {
-            if let Some(&b) = b_vars.get(&(s.0, *c, n.0, k_max)) {
+        for &(s, c, n, w) in &options.terminal_rewards {
+            let reward_var = commodities
+                .index(s, c)
+                .and_then(|i| b_vars.get(i, n.0, k_max));
+            if let Some(b) = reward_var {
                 let cur = model.vars[b.index()].obj;
                 model.set_obj(b, cur + w * orbits.weight());
             }
@@ -730,9 +777,8 @@ impl MilpFormulation {
 
         // Read bounds: a destination with no buffer variable at k+1 can only
         // collect the reward when it already holds the chunk.
-        for (&(s, c, d, k), &r) in r_vars.iter() {
-            if !b_vars.contains_key(&(s, c, d, k + 1)) && init_buffer(NodeId(s), c, NodeId(d)) < 0.5
-            {
+        for ((i, d, k), r) in r_vars.iter() {
+            if b_vars.get(i, d, k + 1).is_none() && init_buffer(i, d) < 0.5 {
                 model.set_bounds(r, 0.0, 0.0);
             } else {
                 model.set_bounds(r, 0.0, 1.0);
@@ -740,40 +786,36 @@ impl MilpFormulation {
         }
 
         // Right-hand sides carrying initial-buffer and in-flight constants.
-        for &(row, (s, c, n, k)) in flow_rows.iter() {
+        for &(row, i, n, k) in flow_rows.iter() {
             let mut rhs = 0.0;
             if k == 0 {
-                rhs -= init_buffer(NodeId(s), c, NodeId(n));
+                rhs -= init_buffer(i, n);
             }
             // In-flight chunks that joined the node by epoch k, where no
             // buffer variable carries them (buffered nodes absorb arrivals in
             // the buffer-evolution rows).
-            for (fs, fc, fnode, vis) in &options.in_flight {
-                if fs.0 == s
-                    && *fc == c
-                    && fnode.0 == n
-                    && *vis <= k
-                    && !b_vars.contains_key(&(s, c, n, k.max(1)))
-                {
+            for &(fnode, vis) in &flying[i] {
+                if fnode.0 == n && vis <= k && b_vars.get(i, n, k.max(1)).is_none() {
                     rhs -= 1.0;
                 }
             }
             model.cons[row].rhs = rhs;
         }
-        for &(row, (s, c, n, k)) in buf_rows.iter() {
+        for &(row, i, n, k) in buf_rows.iter() {
             let mut rhs = 0.0;
             if k == 1 {
-                rhs += init_buffer(NodeId(s), c, NodeId(n));
+                rhs += init_buffer(i, n);
             }
-            for (fs, fc, fnode, vis) in &options.in_flight {
-                if fs.0 == s && *fc == c && fnode.0 == n && *vis == k {
+            for &(fnode, vis) in &flying[i] {
+                if fnode.0 == n && vis == k {
                     rhs += 1.0;
                 }
             }
             model.cons[row].rhs = rhs;
         }
 
-        self.initial_holders = holders;
+        self.holders = holders;
+        self.initial_holders = OnceLock::new();
     }
 
     /// Solves the MILP with the limits taken from `config`, optionally
@@ -783,7 +825,7 @@ impl MilpFormulation {
     /// layout-preserving, so warm solves run the normal pipeline (presolve
     /// on); a mismatched basis silently degrades to a cold root. Pivots, dual
     /// re-solves and branch-and-bound nodes all check the cooperative
-    /// [`SolveBudget`](teccl_util::SolveBudget), and an exhausted budget
+    /// [`SolveBudget`], and an exhausted budget
     /// returns the best incumbent found so far with `stats.budget_stop` set
     /// (or [`TeCclError::Budget`] if none exists).
     pub fn solve_budgeted(
@@ -811,12 +853,13 @@ impl MilpFormulation {
     pub fn sends(&self, solution: &Solution) -> Vec<Send> {
         let group = self.orbits.group();
         let mut out = Vec::new();
-        for (&(s, c, l, k), &var) in &self.f_vars {
+        for ((i, l, k), var) in self.f_vars.iter() {
             if solution.values[var.index()] > 0.5 {
+                let (s, c) = self.commodities.list()[i];
                 let link = &self.topology.links[l];
                 for g in 0..group.order() {
                     out.push(Send {
-                        chunk: ChunkId::new(group.node(g, NodeId(s)), c),
+                        chunk: ChunkId::new(group.node(g, s), c),
                         from: group.node(g, link.src),
                         to: group.node(g, link.dst),
                         epoch: k,
@@ -835,14 +878,16 @@ impl MilpFormulation {
     fn mapped(
         &self,
         solution: &Solution,
-        vars: &VarMap,
+        vars: &VarIndex,
         s: NodeId,
         c: usize,
         at: impl Fn(usize) -> usize,
         k: usize,
     ) -> f64 {
         let (rep, h) = self.orbits.carrier(s).unwrap_or((s, 0));
-        vars.get(&(rep.0, c, at(h), k))
+        self.commodities
+            .index(rep, c)
+            .and_then(|i| vars.get(i, at(h), k))
             .map(|v| solution.values[v.index()])
             .unwrap_or(0.0)
     }
@@ -872,18 +917,21 @@ impl MilpFormulation {
     pub fn unroll(&self, solution: &Solution, full: &MilpFormulation) -> Vec<f64> {
         let group = self.orbits.group();
         let node = |n: usize| move |g: usize| group.node(g, NodeId(n)).0;
+        let commodity = |i: usize| full.commodities.list()[i];
         let mut x = vec![0.0; full.model.num_vars()];
-        for (&(s, c, l, k), v) in &full.f_vars {
+        for ((i, l, k), v) in full.f_vars.iter() {
+            let (s, c) = commodity(i);
             let link = |g| group.link(g, l);
-            x[v.index()] = self.mapped(solution, &self.f_vars, NodeId(s), c, link, k);
+            x[v.index()] = self.mapped(solution, &self.f_vars, s, c, link, k);
         }
         for (vars, full_vars) in [
             (&self.b_vars, &full.b_vars),
             (&self.r_vars, &full.r_vars),
             (&self.x_vars, &full.x_vars),
         ] {
-            for (&(s, c, n, k), v) in full_vars {
-                x[v.index()] = self.mapped(solution, vars, NodeId(s), c, node(n), k);
+            for ((i, n, k), v) in full_vars.iter() {
+                let (s, c) = commodity(i);
+                x[v.index()] = self.mapped(solution, vars, s, c, node(n), k);
             }
         }
         x
@@ -901,7 +949,7 @@ impl MilpFormulation {
 
     /// The initial holders of each `(source, chunk)` commodity.
     pub fn initial_holders(&self) -> &HashMap<(usize, usize), Vec<NodeId>> {
-        &self.initial_holders
+        self.initial_holders.get_or_init(|| self.holders.to_map())
     }
 
     /// Number of integer variables (model-size metric for the scale tables).
@@ -1126,6 +1174,30 @@ mod tests {
         assert_eq!(form.buffer_value(&sol, NodeId(0), 0, NodeId(2), 0), 0.0);
     }
 
+    /// The build checks the request's budget: an expired deadline fails it
+    /// before any model is handed back, and charges nothing.
+    #[test]
+    fn an_expired_deadline_fails_the_build() {
+        let (topo, demand) = broadcast_on_line();
+        let budget = SolveBudget::with_deadline(Duration::ZERO);
+        let built = MilpFormulation::build_over(
+            &topo,
+            &demand,
+            1e6,
+            &SolverConfig::default(),
+            4,
+            1e-3,
+            &MilpBuildOptions::default(),
+            SymmetryGroup::trivial(&topo),
+            Some(&budget),
+        );
+        assert_eq!(
+            built.unwrap_err(),
+            TeCclError::Budget(teccl_util::BudgetExceeded::DeadlineExceeded)
+        );
+        assert_eq!(budget.iterations_used(), 0);
+    }
+
     #[test]
     fn limited_buffer_mode_builds_and_solves() {
         let (topo, demand) = broadcast_on_line();
@@ -1217,7 +1289,7 @@ mod tests {
         let source_out: Vec<usize> = topo.out_links(NodeId(0)).map(|l| l.id.0).collect();
         let mut fixed = 0usize;
         for link in &topo.links {
-            let v = form.f_vars[&(0, 0, link.id.0, 0)];
+            let v = form.f_vars.get(0, link.id.0, 0).unwrap();
             let def = &form.model.vars[v.index()];
             if source_out.contains(&link.id.0) {
                 assert_eq!((def.lb, def.ub), (0.0, 1.0), "source link stays free");
@@ -1268,22 +1340,16 @@ mod tests {
         let fresh = MilpFormulation::build(&topo, &demand, 1e6, &config, 4, 1e-3, &round1).unwrap();
         assert_eq!(updated.model.num_vars(), fresh.model.num_vars());
         assert_eq!(updated.model.num_cons(), fresh.model.num_cons());
-        for (u, f) in updated.model.vars.iter().zip(&fresh.model.vars) {
-            assert_eq!(u.name, f.name);
+        for (j, (u, f)) in updated.model.vars.iter().zip(&fresh.model.vars).enumerate() {
             assert_eq!(
                 (u.lb, u.ub, u.obj),
                 (f.lb, f.ub, f.obj),
-                "var {} differs after in-place update",
-                u.name
+                "var #{j} differs after in-place update"
             );
         }
-        for (u, f) in updated.model.cons.iter().zip(&fresh.model.cons) {
-            assert_eq!(u.name, f.name);
-            assert_eq!(
-                u.rhs, f.rhs,
-                "cons {} rhs differs after in-place update",
-                u.name
-            );
+        for (i, (u, f)) in updated.model.cons.iter().zip(&fresh.model.cons).enumerate() {
+            assert_eq!(u.terms, f.terms);
+            assert_eq!(u.rhs, f.rhs, "row #{i} rhs differs after in-place update");
         }
         // The reused layout solves round 1 to the bit as a fresh build does,
         // both warm-started from round 0's basis as the A* loop does.

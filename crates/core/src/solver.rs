@@ -12,8 +12,10 @@ use teccl_util::SolveBudget;
 
 use crate::astar::solve_astar_budgeted;
 use crate::config::{SolverConfig, SwitchModel};
-use crate::epochs::{epoch_duration, horizon_lower_bound, milp_horizon, EpochGrid, HORIZON_SLACK};
-use crate::error::TeCclError;
+use crate::epochs::{
+    epoch_duration, lower_bound_and_pivots, milp_horizon, EpochGrid, MilpHorizon, HORIZON_SLACK,
+};
+use crate::error::{check_budget, TeCclError};
 use crate::extract::{prune_sends, schedule_from_sends};
 use crate::lp_form::LpFormulation;
 use crate::milp_form::{MilpBuildOptions, MilpFormulation};
@@ -176,16 +178,6 @@ impl TeCcl {
         (topo, groups, tau)
     }
 
-    /// Fails with [`TeCclError::Budget`] once the attached budget is spent —
-    /// checked around the unbudgeted model builds, so an expired deadline is
-    /// noticed before the next build rather than at the solver's first pivot.
-    fn check_budget(&self) -> Result<(), TeCclError> {
-        match self.budget.as_ref().and_then(SolveBudget::exceeded) {
-            Some(cause) => Err(TeCclError::Budget(cause)),
-            None => Ok(()),
-        }
-    }
-
     /// Solves a demand with `method`. [`RequestMethod::Auto`] chooses the
     /// formulation: copy-free demands use the LP; copy-friendly demands use
     /// the MILP on small topologies and A* on larger ones.
@@ -230,7 +222,7 @@ impl TeCcl {
         let (mut k, mut step) = (first, 2);
         let mut last_err = TeCclError::NoSolution;
         for _attempt in 0..HORIZON_ATTEMPTS {
-            self.check_budget()?;
+            check_budget(self.budget.as_ref())?;
             match attempt(k) {
                 Err(TeCclError::InfeasibleWithEpochs(_)) => {
                     last_err = TeCclError::InfeasibleWithEpochs(k);
@@ -246,7 +238,7 @@ impl TeCcl {
     /// The general MILP formulation (§3.1). The instance's symmetry group is
     /// searched once, and the horizon bound is computed over it: the horizon
     /// starts at [`crate::epochs::copy_horizon_bound`] for copy demands, one
-    /// epoch above [`horizon_lower_bound`] otherwise (or at `max_epochs`,
+    /// epoch above [`crate::epochs::horizon_lower_bound`] otherwise (or at `max_epochs`,
     /// never below the bound), and climbs like the LP's while the MILP is
     /// infeasible.
     ///
@@ -272,7 +264,12 @@ impl TeCcl {
             ..Default::default()
         };
         let budget = self.budget.as_ref();
-        let (bound, first, group) = milp_horizon(&topo, demand, chunk_bytes, tau, budget)?;
+        let MilpHorizon {
+            bound,
+            first,
+            group,
+            pivots: bound_pivots,
+        } = milp_horizon(&topo, demand, chunk_bytes, tau, budget)?;
         let first = self.config.max_epochs.map_or(first, |k| k.max(bound));
         // The bound LPs read only link coefficients and wanted counts; the
         // MILP keeps chunks apart and has hyper-edge port rows. Over a group
@@ -288,7 +285,7 @@ impl TeCcl {
             SymmetryGroup::trivial(&topo)
         };
         let build = |k, group| {
-            let form = MilpFormulation::build_over(
+            MilpFormulation::build_over(
                 &topo,
                 demand,
                 chunk_bytes,
@@ -297,9 +294,8 @@ impl TeCcl {
                 tau,
                 &options,
                 group,
-            )?;
-            self.check_budget()?;
-            Ok::<_, TeCclError>(form)
+                budget,
+            )
         };
         // The quotient's answer is only taken from its root node, so it
         // solves nothing else: a zero time limit stops its tree after the
@@ -336,6 +332,7 @@ impl TeCcl {
                 }
             };
             sol.stats.absorb(&spent);
+            sol.stats.bound_iterations = bound_pivots;
             let sends = form.sends(&sol);
             let pruned = prune_sends(&sends, demand, form.initial_holders(), |a, b| {
                 form.delta_of(a, b)
@@ -366,7 +363,7 @@ impl TeCcl {
     /// The LP formulation (§4.1) — intended for copy-free demands. The
     /// instance's symmetry group is searched once; the bound and every
     /// horizon's LP are laid out over it. The horizon starts at
-    /// [`horizon_lower_bound`]` + 1` (or at `max_epochs`, never below the
+    /// [`crate::epochs::horizon_lower_bound`]` + 1` (or at `max_epochs`, never below the
     /// bound) and grows by 2, 4, 8, … epochs while the LP is infeasible.
     fn solve_lp(
         &self,
@@ -384,7 +381,7 @@ impl TeCcl {
         // is ever built where the LP is known to be infeasible. (A demand
         // that copy would help gets the "without copy" LP of Figure 7, for
         // which the bound holds all the same.)
-        let bound = horizon_lower_bound(
+        let (bound, bound_pivots) = lower_bound_and_pivots(
             &topo,
             demand,
             chunk_bytes,
@@ -406,9 +403,10 @@ impl TeCcl {
                 k,
                 tau,
                 group.clone(),
+                self.budget.as_ref(),
             )?;
-            self.check_budget()?;
-            let sol = form.solve_budgeted(warm, self.budget.as_ref())?;
+            let mut sol = form.solve_budgeted(warm, self.budget.as_ref())?;
+            sol.stats.bound_iterations = bound_pivots;
             let sends = form.extract_sends(&sol, demand);
             let mut schedule = schedule_from_sends(
                 "te-ccl-lp",
@@ -661,6 +659,26 @@ mod tests {
                 Err(TeCclError::Budget(BudgetExceeded::Cancelled))
             ));
         }
+    }
+
+    /// The horizon-bound LPs' pivots are reported apart from the
+    /// formulation's walk.
+    #[test]
+    fn dgx1_allgather_milp_reports_its_bound_pivots() {
+        use teccl_collective::CollectiveSizing;
+        let topo = teccl_topology::dgx1();
+        let gpus: Vec<NodeId> = topo.gpus().collect();
+        let kind = CollectiveKind::AllGather;
+        let demand = DemandMatrix::for_collective(kind, topo.num_nodes(), &gpus, 1);
+        let chunk_bytes = CollectiveSizing::new(kind, gpus.len())
+            .transfer_bytes_for_output_buffer(16.0 * 1024.0 * 1024.0);
+        let out = TeCcl::new(topo, SolverConfig::default())
+            .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
+            .unwrap();
+        assert_eq!(out.formulation, FormulationKind::GeneralMilp);
+        assert!(out.stats.bound_iterations > 0);
+        assert!(out.stats.simplex_iterations > 0);
+        check_outcome(&out, &demand);
     }
 
     #[test]

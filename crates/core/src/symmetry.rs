@@ -70,8 +70,7 @@
 //! 10 000 candidate assignments with the group it has, and every step is
 //! charged to the request's [`SolveBudget`].
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use teccl_collective::DemandMatrix;
 use teccl_lp::VarId;
@@ -306,31 +305,40 @@ impl Orbits {
     /// The terms of a row the sources share, folded to one row per orbit:
     /// the value of source `g s` at `at` is the representative `s`'s value
     /// at `g⁻¹ at`, so the row of `at` sums every representative's
-    /// variables over the images of `at` (`images`, with multiplicity),
-    /// a variable met twice adding to its coefficient. `vars(rep, image)`
-    /// lists a representative's variables at one image. Terms come in
-    /// `reps` order, then `images` order: over the trivial group the row
-    /// of the full model, term for term.
+    /// variables over the images of `at` (`images`, with multiplicity: an
+    /// image met `m` times gives its variables the coefficient `m`).
+    /// `vars(rep, image)` lists a representative's variables at one image,
+    /// and distinct `(rep, image)` pairs list distinct variables, as one
+    /// variable index over (commodity, place, epoch) does. Terms come in
+    /// `reps` order, then in the order `images` first lists each image: over
+    /// the trivial group the row of the full model, term for term.
     pub(crate) fn row_terms<R: Copy, I: IntoIterator<Item = VarId>>(
         reps: impl IntoIterator<Item = R>,
         images: &[usize],
         vars: impl Fn(R, usize) -> I,
     ) -> Vec<(VarId, f64)> {
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut slot: HashMap<VarId, usize> = HashMap::new();
-        for rep in reps {
-            for &at in images {
-                for v in vars(rep, at) {
-                    match slot.entry(v) {
-                        Entry::Occupied(seen) => terms[*seen.get()].1 += 1.0,
-                        Entry::Vacant(fresh) => {
-                            fresh.insert(terms.len());
-                            terms.push((v, 1.0));
-                        }
-                    }
-                }
+        // Each image once, first-met order, with its multiplicity.
+        let mut distinct: Vec<(usize, f64)> = Vec::with_capacity(images.len());
+        for &at in images {
+            match distinct.iter_mut().find(|(seen, _)| *seen == at) {
+                Some((_, m)) => *m += 1.0,
+                None => distinct.push((at, 1.0)),
             }
         }
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        for rep in reps {
+            for &(at, m) in &distinct {
+                terms.extend(vars(rep, at).into_iter().map(|v| (v, m)));
+            }
+        }
+        debug_assert!(
+            {
+                let mut ids: Vec<VarId> = terms.iter().map(|&(v, _)| v).collect();
+                ids.sort_unstable();
+                ids.windows(2).all(|w| w[0] != w[1])
+            },
+            "distinct (rep, image) pairs list distinct variables"
+        );
         terms
     }
 }

@@ -155,6 +155,7 @@ fn assert_exact(name: &str, topo: &Topology, kind: CollectiveKind, chunks: usize
             k,
             tau,
             SymmetryGroup::trivial(topo),
+            None,
         )
         .unwrap();
         match (&solved, full.solve_budgeted(None, None)) {
@@ -293,8 +294,8 @@ fn trivial_hash(
 ) -> u64 {
     let (demand, chunk_bytes, tau) = shape(&topo, kind, chunks, bytes, &config);
     let group = SymmetryGroup::trivial(&topo);
-    let form =
-        LpFormulation::build_over(&topo, &demand, chunk_bytes, &config, k, tau, group).unwrap();
+    let form = LpFormulation::build_over(&topo, &demand, chunk_bytes, &config, k, tau, group, None)
+        .unwrap();
     model_hash(&form.model)
 }
 

@@ -76,6 +76,7 @@ impl Instance {
             self.tau,
             options,
             group,
+            None,
         )
         .unwrap()
     }
@@ -306,6 +307,7 @@ fn an_infeasible_quotient_falls_back_to_the_full_model() {
         tau,
         &options,
         group,
+        None,
     )
     .unwrap();
     assert!(quotient.solve_budgeted(&config, None, None).is_err());
@@ -352,6 +354,7 @@ fn a_group_that_fixes_a_link_is_not_taken_for_the_milp() {
             tau,
             &options,
             group,
+            None,
         )
         .unwrap()
         .solve_budgeted(&config, None, None)

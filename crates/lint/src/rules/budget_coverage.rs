@@ -17,11 +17,18 @@
 //! * `crates/lp/src/presolve.rs` (presolve fixpoint)
 //! * `crates/core/src/astar.rs` (round loop)
 //!
-//! Every `loop` / `while` in these files must contain a `charge(` or
-//! `exceeded(` call somewhere in its body (a nested covered loop counts —
-//! the body text includes it). `for` loops are checked when their body
-//! mentions a `solve`-family identifier: a bounded iteration that performs a
-//! full solve per step (the A* round loop) is as hot as any `while`.
+//! Every `loop` / `while` in these files must contain a `charge(`,
+//! `exceeded(` or `check_budget(` call somewhere in its body (a nested
+//! covered loop counts — the body text includes it). `for` loops are checked
+//! when their body mentions a `solve`-family identifier: a bounded iteration
+//! that performs a full solve per step (the A* round loop) is as hot as any
+//! `while`.
+//!
+//! The model builds are covered too: in `crates/core/src/lp_form.rs` and
+//! `crates/core/src/milp_form.rs`, every outermost `for` of `build_over`
+//! that lays variables or rows out (`add_var(` / `add_cons(`) must check the
+//! budget the same way. A build over many commodities and epochs takes
+//! milliseconds, which is a 1 ms deadline missed several times over.
 
 use crate::report::Finding;
 use crate::scan::{LoopKind, SourceFile};
@@ -37,8 +44,48 @@ pub const HOT_FILES: &[&str] = &[
     "crates/core/src/astar.rs",
 ];
 
+/// The formulation files whose `build_over` loops are checked.
+pub const BUILD_FILES: &[&str] = &["crates/core/src/lp_form.rs", "crates/core/src/milp_form.rs"];
+
+/// Whether `[open, close)` charges or checks the budget.
+fn covered(file: &SourceFile, open: usize, close: usize) -> bool {
+    ["charge", "exceeded", "check_budget"]
+        .iter()
+        .any(|name| file.calls_in_range(open, close, name))
+}
+
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
+    for file in files
+        .iter()
+        .filter(|f| BUILD_FILES.contains(&f.rel.as_str()))
+    {
+        for lp in &file.loops {
+            let in_build = file
+                .enclosing_function(lp.kw)
+                .is_some_and(|f| f.name == "build_over");
+            if file.in_test(lp.kw) || lp.kind != LoopKind::For || !in_build {
+                continue;
+            }
+            let nested = file
+                .loops
+                .iter()
+                .any(|outer| outer.body_open < lp.kw && lp.body_close < outer.body_close);
+            let lays_out = file.calls_in_range(lp.body_open, lp.body_close, "add_var")
+                || file.calls_in_range(lp.body_open, lp.body_close, "add_cons");
+            if !nested && lays_out && !covered(file, lp.body_open, lp.body_close) {
+                out.push(Finding::new(
+                    RULE,
+                    &file.rel,
+                    lp.line,
+                    "`for` laying out a model in `build_over` has no \
+                     `check_budget(`/`exceeded(` in its body — a deadline cannot stop \
+                     the build"
+                        .to_string(),
+                ));
+            }
+        }
+    }
     for file in files.iter().filter(|f| HOT_FILES.contains(&f.rel.as_str())) {
         for lp in &file.loops {
             if file.in_test(lp.kw) {
@@ -54,9 +101,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                     continue;
                 }
             }
-            let charged = file.calls_in_range(lp.body_open, lp.body_close, "charge")
-                || file.calls_in_range(lp.body_open, lp.body_close, "exceeded");
-            if !charged {
+            if !covered(file, lp.body_open, lp.body_close) {
                 out.push(Finding::new(
                     RULE,
                     &file.rel,

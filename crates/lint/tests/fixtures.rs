@@ -320,6 +320,40 @@ fn renumber(&mut self) {
 }
 
 #[test]
+fn budget_coverage_checks_the_model_build_loops() {
+    // An outermost `build_over` loop that lays rows out must check the
+    // budget; a covered one, a nested one, one that lays nothing out and one
+    // outside `build_over` pass.
+    let o = analyze_snippets(&[(
+        "crates/core/src/milp_form.rs",
+        r##"
+fn build_over(budget: Option<&SolveBudget>) {
+    for i in 0..n {
+        check_budget(budget)?;
+        for k in 0..m {
+            model.add_var("", 0.0, 1.0, 0.0, true);
+        }
+    }
+    for link in links {
+        model.add_cons("", &terms, ConstraintOp::Le, cap);
+    }
+    for n in nodes {
+        seen.push(n);
+    }
+}
+fn update_round(&mut self) {
+    for (row, rhs) in rows {
+        model.add_cons("", &terms, ConstraintOp::Le, rhs);
+    }
+}
+"##,
+    )]);
+    let f = errors(&o, "budget-coverage");
+    assert_eq!(f.len(), 1, "{:?}", o.errors);
+    assert_eq!(f[0].line, 9);
+}
+
+#[test]
 fn budget_coverage_skips_tests_and_cold_files() {
     let o = analyze_snippets(&[
         (

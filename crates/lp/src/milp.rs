@@ -166,8 +166,9 @@ pub(crate) fn branch_and_bound(
         return Ok(sol);
     };
     let num_red_vars = model.num_vars();
-    // Per-node presolve shares the layout's rows for the whole tree.
-    let mut node_presolver = NodePresolver::new(layout, model, &sf, &post);
+    // Per-node presolve shares the layout's rows for the whole tree. Most
+    // trees end at their root, so it is built by the first node below it.
+    let mut node_presolver: Option<NodePresolver> = None;
     // Original-model integer variables and their reduced columns.
     let int_vars: Vec<usize> = model
         .vars
@@ -285,6 +286,8 @@ pub(crate) fn branch_and_bound(
                 // the LP. The tightenings land in the override list the
                 // dual simplex consumes; a propagation-proven infeasible
                 // node is pruned with no LP work at all.
+                let node_presolver = node_presolver
+                    .get_or_insert_with(|| NodePresolver::new(layout, model, &sf, &post));
                 match node_presolver.tighten(&mut node.overrides) {
                     None => continue, // infeasible by propagation
                     Some(t) => stats.node_tightenings += t,

@@ -175,12 +175,14 @@ impl Model {
     }
 
     /// Validates that the model is well formed (finite coefficients, consistent
-    /// bounds, known variable ids).
+    /// bounds, known variable ids). Errors name a variable or a row by its
+    /// name, or by its index (`#j`, `row #i`) when the name is empty, as it
+    /// is in the formulations' models.
     pub fn validate(&self) -> Result<(), LpError> {
-        for v in &self.vars {
+        for (j, v) in self.vars.iter().enumerate() {
             if v.lb > v.ub {
                 return Err(LpError::InconsistentBounds {
-                    var: v.name.clone(),
+                    var: self.var_label(j),
                     lb: v.lb,
                     ub: v.ub,
                 });
@@ -188,15 +190,15 @@ impl Model {
             if v.obj.is_nan() || v.lb.is_nan() || v.ub.is_nan() {
                 return Err(LpError::NonFiniteCoefficient(format!(
                     "variable `{}`",
-                    v.name
+                    self.var_label(j)
                 )));
             }
         }
-        for c in &self.cons {
+        for (i, c) in self.cons.iter().enumerate() {
             if !c.rhs.is_finite() {
                 return Err(LpError::NonFiniteCoefficient(format!(
                     "rhs of `{}`",
-                    c.name
+                    self.row_label(i)
                 )));
             }
             for (vid, coef) in &c.terms {
@@ -206,12 +208,29 @@ impl Model {
                 if !coef.is_finite() {
                     return Err(LpError::NonFiniteCoefficient(format!(
                         "coefficient of `{}` in `{}`",
-                        self.vars[vid.0].name, c.name
+                        self.var_label(vid.0),
+                        self.row_label(i)
                     )));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Variable `j`'s name, or `#j` when it has none.
+    fn var_label(&self, j: usize) -> String {
+        match self.vars[j].name.as_str() {
+            "" => format!("#{j}"),
+            name => name.to_string(),
+        }
+    }
+
+    /// Row `i`'s name, or `row #i` when it has none.
+    fn row_label(&self, i: usize) -> String {
+        match self.cons[i].name.as_str() {
+            "" => format!("row #{i}"),
+            name => name.to_string(),
+        }
     }
 
     /// Solves the model as a pure LP (integrality requirements are relaxed):
@@ -386,6 +405,25 @@ mod tests {
             m.validate(),
             Err(LpError::NonFiniteCoefficient(_))
         ));
+    }
+
+    /// Unnamed variables and rows are reported by index.
+    #[test]
+    fn validate_names_unnamed_variables_and_rows_by_index() {
+        let mut m = Model::new(Sense::Minimize);
+        m.add_var("", 0.0, 1.0, 0.0, false);
+        let y = m.add_var("", 2.0, 1.0, 0.0, false);
+        let LpError::InconsistentBounds { var, .. } = m.validate().unwrap_err() else {
+            panic!("bounds error expected");
+        };
+        assert_eq!(var, "#1");
+        m.set_bounds(y, 0.0, 1.0);
+        m.add_cons("", &[(y, 1.0)], ConstraintOp::Le, 1.0);
+        m.add_cons("", &[(y, f64::INFINITY)], ConstraintOp::Le, 1.0);
+        assert_eq!(
+            m.validate().unwrap_err(),
+            LpError::NonFiniteCoefficient("coefficient of `#1` in `row #1`".into())
+        );
     }
 
     #[test]

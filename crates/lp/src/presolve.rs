@@ -45,7 +45,6 @@
 //! every solve read it. [`presolve`] keeps its `(Model, PostSolve)` form for
 //! callers that want the tightened model itself; no solve path builds it.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::LpError;
@@ -199,15 +198,21 @@ impl MilpLayout {
 /// and zero sums dropped, ordered by column. Analysis only: the model's rows
 /// are left untouched, and `StandardForm` sums duplicates the same way.
 fn merge_rows(model: &Model) -> Vec<Vec<(usize, f64)>> {
+    let mut sorted: Vec<(usize, f64)> = Vec::new();
     model
         .cons
         .iter()
         .map(|c| {
-            let mut map: BTreeMap<usize, f64> = BTreeMap::new();
-            for (vid, coef) in &c.terms {
-                *map.entry(vid.0).or_insert(0.0) += coef;
-            }
-            map.into_iter().filter(|(_, c)| c.abs() > 0.0).collect()
+            sorted.clear();
+            sorted.extend(c.terms.iter().map(|&(vid, coef)| (vid.0, coef)));
+            // Stable: a column's terms keep their order, so each sum adds
+            // them up from 0.0 in term order.
+            sorted.sort_by_key(|&(j, _)| j);
+            sorted
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| (run[0].0, run.iter().fold(0.0, |sum, &(_, coef)| sum + coef)))
+                .filter(|(_, c)| c.abs() > 0.0)
+                .collect()
         })
         .collect()
 }
@@ -403,13 +408,15 @@ fn fixpoint(
     let nc = model.num_cons();
     let mut lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
     let mut ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
-    let integer: Vec<bool> = model.vars.iter().map(|v| v.integer).collect();
+    let integer = |j: usize| model.vars[j].integer;
     let mut infeasible = false;
     let mut free = vec![false; nc];
+    // A row's live terms, refilled row by row.
+    let mut live: Vec<(usize, f64)> = Vec::new();
 
     // Round integer bounds inward immediately.
     for j in 0..nv {
-        if integer[j] {
+        if integer(j) {
             if lb[j].is_finite() {
                 lb[j] = round_if_close(lb[j]).ceil();
             }
@@ -441,11 +448,13 @@ fn fixpoint(
             }
             // Split terms into fixed contributions (folded into the rhs of
             // the *analysis* row) and live terms.
-            let live: Vec<(usize, f64)> = terms
-                .iter()
-                .filter(|&&(j, _)| (ub[j] - lb[j]).abs() > EPS)
-                .copied()
-                .collect();
+            live.clear();
+            live.extend(
+                terms
+                    .iter()
+                    .filter(|&&(j, _)| (ub[j] - lb[j]).abs() > EPS)
+                    .copied(),
+            );
             let fixed_sum: f64 = terms
                 .iter()
                 .filter(|&&(j, _)| (ub[j] - lb[j]).abs() <= EPS)
@@ -478,8 +487,8 @@ fn fixpoint(
                 let bound = rhs / a;
                 match (c.op, a > 0.0) {
                     (ConstraintOp::Eq, _) => {
-                        let v = if integer[j] { bound.round() } else { bound };
-                        if integer[j] && (bound - bound.round()).abs() > 1e-6 {
+                        let v = if integer(j) { bound.round() } else { bound };
+                        if integer(j) && (bound - bound.round()).abs() > 1e-6 {
                             infeasible = true;
                             break 'outer;
                         }
@@ -492,7 +501,7 @@ fn fixpoint(
                     }
                     (ConstraintOp::Le, true) | (ConstraintOp::Ge, false) => {
                         let mut new_ub = bound;
-                        if integer[j] {
+                        if integer(j) {
                             new_ub = (new_ub + 1e-9).floor();
                         }
                         if new_ub < ub[j] {
@@ -501,7 +510,7 @@ fn fixpoint(
                     }
                     (ConstraintOp::Ge, true) | (ConstraintOp::Le, false) => {
                         let mut new_lb = bound;
-                        if integer[j] {
+                        if integer(j) {
                             new_lb = (new_lb - 1e-9).ceil();
                         }
                         if new_lb > lb[j] {
@@ -575,7 +584,15 @@ fn fixpoint(
             let tighten_ge = matches!(c.op, ConstraintOp::Ge | ConstraintOp::Eq);
             for &(j, a) in &live {
                 match tighten_from_row(
-                    j, a, rhs, &act, tighten_le, tighten_ge, integer[j], &mut lb, &mut ub,
+                    j,
+                    a,
+                    rhs,
+                    &act,
+                    tighten_le,
+                    tighten_ge,
+                    integer(j),
+                    &mut lb,
+                    &mut ub,
                 ) {
                     None => {
                         infeasible = true;
@@ -594,7 +611,7 @@ fn fixpoint(
     if !infeasible {
         for j in 0..nv {
             if lb[j].is_finite() && ub[j].is_finite() && (ub[j] - lb[j]).abs() <= EPS {
-                let v = if integer[j] { lb[j].round() } else { lb[j] };
+                let v = if integer(j) { lb[j].round() } else { lb[j] };
                 lb[j] = v;
                 ub[j] = v;
                 fixed[j] = Some(v);

@@ -39,6 +39,10 @@ pub struct SolveStats {
     /// Dual-simplex iterations (a subset of `simplex_iterations`): pivots
     /// performed by the bound-tightening re-solve path.
     pub dual_iterations: usize,
+    /// Simplex iterations of the auxiliary LPs a solve runs before its
+    /// formulation — the horizon-bound LPs — kept apart from
+    /// `simplex_iterations`, which counts the formulation's walk alone.
+    pub bound_iterations: usize,
     /// Number of branch-and-bound nodes explored (0 for pure LPs).
     pub nodes_explored: usize,
     /// Relative MIP gap at termination: `|bound - incumbent| / max(1, |incumbent|)`.
@@ -91,6 +95,7 @@ impl SolveStats {
     pub fn absorb(&mut self, other: &SolveStats) {
         self.simplex_iterations += other.simplex_iterations;
         self.dual_iterations += other.dual_iterations;
+        self.bound_iterations += other.bound_iterations;
         self.nodes_explored += other.nodes_explored;
         self.factorizations += other.factorizations;
         self.warm_starts += other.warm_starts;

@@ -161,6 +161,9 @@ pub struct ServiceStats {
     pub active_solves: u64,
     /// Names of the worker threads currently inside a solve, sorted (gauge).
     pub workers_active: Vec<String>,
+    /// Total simplex iterations the solves' horizon-bound LPs spent, kept
+    /// apart from `solve_simplex_iterations` (the formulations' walks).
+    pub bound_simplex_iterations: u64,
 }
 
 impl ServiceStats {
@@ -178,6 +181,10 @@ impl ServiceStats {
             (
                 "solve_simplex_iterations",
                 Value::from(self.solve_simplex_iterations),
+            ),
+            (
+                "bound_simplex_iterations",
+                Value::from(self.bound_simplex_iterations),
             ),
             ("solve_time_s", Value::from(self.solve_time_s)),
             ("degraded", Value::from(self.degraded)),
@@ -212,6 +219,7 @@ impl ServiceStats {
             solve_errors: num("solve_errors") as u64,
             hinted_solves: num("hinted_solves") as u64,
             solve_simplex_iterations: num("solve_simplex_iterations") as u64,
+            bound_simplex_iterations: num("bound_simplex_iterations") as u64,
             solve_time_s: num("solve_time_s"),
             degraded: num("degraded") as u64,
             background_upgrades: num("background_upgrades") as u64,
@@ -675,6 +683,7 @@ fn worker_loop(inner: &Inner) {
                     if *quality <= Quality::Incumbent {
                         st.stats.solves += 1;
                         st.stats.solve_time_s += entry.stats.solve_time.as_secs_f64();
+                        st.stats.bound_simplex_iterations += entry.stats.bound_iterations as u64;
                     }
                     st.stats.solve_simplex_iterations += *stats_delta as u64;
                     if *quality != Quality::Exact {
@@ -995,6 +1004,7 @@ mod tests {
         let after_miss = svc.stats();
         assert_eq!(after_miss.solves, 1);
         assert!(after_miss.solve_simplex_iterations > 0);
+        assert!(after_miss.bound_simplex_iterations > 0);
 
         let second = svc.request(tiny_request()).unwrap();
         assert_eq!(second.cache, CacheStatus::Hit);
@@ -1005,6 +1015,10 @@ mod tests {
         assert_eq!(
             after_hit.solve_simplex_iterations,
             after_miss.solve_simplex_iterations
+        );
+        assert_eq!(
+            after_hit.bound_simplex_iterations,
+            after_miss.bound_simplex_iterations
         );
         // And the served schedule is valid for the request.
         let req = tiny_request();

@@ -1359,16 +1359,19 @@ mod tests {
         let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        // Over the reused layout the warm start adopts the factors round 0
+        // ended on; the fresh build's own matrix makes it factorize them.
         let counts = |s: &Solution| {
             let st = &s.stats;
             [
                 st.simplex_iterations,
                 st.dual_iterations,
-                st.factorizations,
+                st.factorizations + st.factors_adopted,
                 st.nodes_explored,
             ]
         };
         assert_eq!(counts(&a), counts(&b));
+        assert_eq!((a.stats.factors_adopted, b.stats.factors_adopted), (1, 0));
         assert_eq!(a.basis, b.basis);
         assert!(a.stats.warm_starts > 0, "round 1 re-solves from round 0");
         // Layout-changing inputs refuse the in-place path instead of

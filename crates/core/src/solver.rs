@@ -196,7 +196,7 @@ impl TeCcl {
         method: RequestMethod,
         warm: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
-        match method {
+        let mut outcome = match method {
             RequestMethod::Lp => self.solve_lp(demand, chunk_bytes, warm),
             RequestMethod::Auto if !demand.benefits_from_copy() => {
                 self.solve_lp(demand, chunk_bytes, warm)
@@ -206,7 +206,13 @@ impl TeCcl {
                 self.solve_astar(demand, chunk_bytes)
             }
             RequestMethod::Milp | RequestMethod::Auto => self.solve_milp(demand, chunk_bytes, warm),
+        }?;
+        // The factors serve only warm starts inside this solve; a published
+        // basis leaves without them, so no book or disk entry holds factors.
+        if let Some(basis) = &mut outcome.basis {
+            basis.factors = None;
         }
+        Ok(outcome)
     }
 
     /// Runs `attempt` at the horizon `first` and, while it is refuted

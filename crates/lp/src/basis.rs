@@ -29,8 +29,11 @@
 //! much as the factors themselves — with a fixed [`ETA_PIVOT_BACKSTOP`] pivot
 //! cap bounding numerical drift on very sparse bases.
 
+use std::fmt;
+use std::sync::Arc;
+
 use crate::error::LpError;
-use crate::sparse::{IndexedVec, SparseVec};
+use crate::sparse::{IndexedVec, SparseMatrix, SparseVec};
 
 /// Fill-aware refactorization trigger: refactorize once the eta file holds
 /// more than this multiple of the factor non-zeros ([`LuFactors::fill_nnz`]).
@@ -75,12 +78,46 @@ pub enum VarStatus {
 /// `basic[r]` is the column occupying row `r`. Columns `>= num_cols` denote
 /// the phase-1 artificial of row `col - num_cols`; these can linger in a
 /// degenerate optimal basis and are reconstructed on warm start.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SimplexBasis {
     /// Basic column per row (length `m`).
     pub basic: Vec<usize>,
     /// Status of every standard-form column (length `n`, artificials excluded).
     pub status: Vec<VarStatus>,
+    /// The factorization the solve that exported this basis ended on. A warm
+    /// start over the same matrix adopts it instead of refactorizing; any
+    /// other start ignores it. Equality and JSON ignore it.
+    pub factors: Option<Arc<CarriedFactors>>,
+}
+
+impl PartialEq for SimplexBasis {
+    fn eq(&self, other: &Self) -> bool {
+        self.basic == other.basic && self.status == other.status
+    }
+}
+
+/// The LU factors of a basis together with the matrix and the basic list
+/// they were computed from (opaque: only a warm start reads them).
+pub struct CarriedFactors {
+    /// Held, not only compared, so a freed and reused allocation can never
+    /// pass for the same matrix.
+    a: Arc<SparseMatrix>,
+    basic: Vec<usize>,
+    lu: Factors,
+}
+
+impl fmt::Debug for CarriedFactors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "CarriedFactors(m = {})", self.basic.len())
+    }
+}
+
+impl CarriedFactors {
+    /// Whether these are the factors of `basic` over `a`, with no artificial
+    /// basic (its unit column depends on the start).
+    pub(crate) fn fits(&self, a: &Arc<SparseMatrix>, basic: &[usize]) -> bool {
+        Arc::ptr_eq(&self.a, a) && self.basic == basic && basic.iter().all(|&j| j < a.cols.len())
+    }
 }
 
 impl SimplexBasis {
@@ -141,21 +178,15 @@ impl SimplexBasis {
                 _ => Err(bad("bad status char")),
             })
             .collect::<Result<Vec<VarStatus>, _>>()?;
-        Ok(SimplexBasis { basic, status })
+        Ok(SimplexBasis {
+            basic,
+            status,
+            factors: None,
+        })
     }
 }
 
-/// One product-form update: pivot row `r`, pivot value `w[r]`, and the other
-/// non-zeros of the transformed entering column `w`.
-#[derive(Debug, Clone)]
-struct Eta {
-    r: usize,
-    pivot: f64,
-    /// `(row, w[row])` for rows other than `r` with `w[row] != 0`, ascending.
-    col: Vec<(usize, f64)>,
-}
-
-/// A basis column borrowed for [`LuFactors::factorize_from`]: a column of the
+/// A basis column borrowed for [`LuFactors::refactor`]: a column of the
 /// constraint matrix, or the unit column of a phase-1 artificial.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ColRef<'a> {
@@ -175,59 +206,119 @@ impl ColRef<'_> {
     }
 }
 
-/// Rows of a sparse matrix in one flat allocation: row `s` spans
-/// `ptr[s]..ptr[s + 1]` of `idx` (and of `val`, which a purely symbolic view
-/// leaves empty).
+/// Columns (or rows) of a sparse matrix in one flat allocation: line `s`
+/// is `ent[ptr[s]..ptr[s + 1]]`, `(index, value)` pairs (a purely symbolic
+/// view leaves the values 0). Lines are appended in order and the buffers
+/// are reused from one factorization to the next.
 #[derive(Debug, Clone, Default)]
-struct RowView {
+struct Flat {
     ptr: Vec<usize>,
-    idx: Vec<usize>,
-    val: Vec<f64>,
+    ent: Vec<(usize, f64)>,
 }
 
-impl RowView {
-    /// Transposes `cols` — per column, `(position, value)` entries — into
-    /// rows; `row_of` maps an entry's position to its row. Columns are taken
-    /// in ascending order, so every row lists its entries by ascending
-    /// column. `numeric` keeps the values, otherwise the view is symbolic.
-    fn transpose(
-        cols: &[Vec<(usize, f64)>],
+impl Flat {
+    /// Empties the matrix, keeping its buffers.
+    fn clear(&mut self) {
+        self.ptr.clear();
+        self.ptr.push(0);
+        self.ent.clear();
+    }
+
+    /// Ends the line being built of the entries pushed since the last one.
+    fn close(&mut self) {
+        self.ptr.push(self.ent.len());
+    }
+
+    fn line(&self, s: usize) -> &[(usize, f64)] {
+        &self.ent[self.ptr[s]..self.ptr[s + 1]]
+    }
+
+    /// Rebuilds this matrix as the transpose of `lines`' `m` lines, in
+    /// place; `row_of` maps an entry's index to its line here. Lines are
+    /// taken in ascending order, so every line here lists its entries by
+    /// ascending source line. `numeric` keeps the values.
+    fn transpose_of(
+        &mut self,
+        lines: &Flat,
+        m: usize,
         numeric: bool,
         row_of: impl Fn(usize) -> usize,
-    ) -> Self {
-        let m = cols.len();
-        let mut ptr = vec![0usize; m + 1];
-        for col in cols {
-            for &(i, _) in col {
-                ptr[row_of(i) + 1] += 1;
-            }
+    ) {
+        let ptr = &mut self.ptr;
+        ptr.clear();
+        ptr.resize(m + 1, 0);
+        for &(i, _) in &lines.ent {
+            ptr[row_of(i) + 1] += 1;
         }
         for s in 0..m {
             ptr[s + 1] += ptr[s];
         }
-        let mut next = ptr[..m].to_vec();
-        let mut idx = vec![0usize; ptr[m]];
-        let mut val = vec![0.0; if numeric { ptr[m] } else { 0 }];
-        for (j, col) in cols.iter().enumerate() {
-            for &(i, v) in col {
-                let at = &mut next[row_of(i)];
-                idx[*at] = j;
-                if numeric {
-                    val[*at] = v;
-                }
+        self.ent.clear();
+        self.ent.resize(ptr[m], (0, 0.0));
+        // `ptr[t]` walks line t's slots; afterwards each holds the start of
+        // the next line and is shifted back into place.
+        for j in 0..m {
+            for &(i, v) in lines.line(j) {
+                let at = &mut ptr[row_of(i)];
+                self.ent[*at] = (j, if numeric { v } else { 0.0 });
                 *at += 1;
             }
         }
-        RowView { ptr, idx, val }
+        for s in (1..=m).rev() {
+            ptr[s] = ptr[s - 1];
+        }
+        ptr[0] = 0;
     }
+}
 
-    fn indices(&self, s: usize) -> &[usize] {
-        &self.idx[self.ptr[s]..self.ptr[s + 1]]
-    }
+/// The product-form update file: eta `e` pivots on row `r[e]` with value
+/// `pivot[e]`; line `e` of `cols` holds the other non-zeros `(row, w[row])`
+/// of the transformed entering column `w`, ascending.
+#[derive(Debug, Clone, Default)]
+struct EtaFile {
+    r: Vec<usize>,
+    pivot: Vec<f64>,
+    cols: Flat,
+}
 
-    fn values(&self, s: usize) -> &[f64] {
-        &self.val[self.ptr[s]..self.ptr[s + 1]]
+impl EtaFile {
+    fn clear(&mut self) {
+        self.r.clear();
+        self.pivot.clear();
+        self.cols.clear();
     }
+}
+
+/// The factors proper — what a fresh factorization determines and a warm
+/// start can adopt ([`CarriedFactors`]).
+#[derive(Debug, Clone, Default)]
+struct Factors {
+    /// `pivot_row[k]` — the original row eliminated at step `k`.
+    pivot_row: Vec<usize>,
+    /// Inverse of `pivot_row`: the step at which each original row pivots.
+    step_of_row: Vec<usize>,
+    /// L columns per step: multipliers `(original_row, l)`, unit diagonal
+    /// implicit.
+    l: Flat,
+    /// U columns per step: `(step, u)` entries strictly above the diagonal.
+    u: Flat,
+    /// U diagonal per step.
+    udiag: Vec<f64>,
+    /// Non-zeros in `L`+`U` (diagonals included), frozen at factorize time so
+    /// [`LuFactors::needs_refactor`] is O(1) on the pivot hot loop.
+    nnz: usize,
+}
+
+/// The factorization's scratch, kept between refactorizations (`step_seen`
+/// is all `false` between calls, the rest is rewritten before it is read).
+#[derive(Debug, Clone, Default)]
+struct FactorWork {
+    step_seen: Vec<bool>,
+    reach: Vec<usize>,
+    stack: Vec<usize>,
+    touched: Vec<usize>,
+    row_count: Vec<usize>,
+    ucol: Vec<(usize, f64)>,
 }
 
 /// The sparse solves run while a vector holds at most `m /` this many
@@ -278,45 +369,37 @@ fn close_reach<I: Iterator<Item = usize>>(
 }
 
 /// A sparse LU factorization `B = L·U` (with row permutation) plus an eta file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LuFactors {
     m: usize,
-    /// `pivot_row[k]` — the original row eliminated at step `k`.
-    pivot_row: Vec<usize>,
-    /// Inverse of `pivot_row`: the step at which each original row pivots.
-    step_of_row: Vec<usize>,
-    /// L columns: multipliers `(original_row, l)` with unit diagonal implicit.
-    lcols: Vec<Vec<(usize, f64)>>,
-    /// U columns: `(step, u)` entries strictly above the diagonal.
-    ucols: Vec<Vec<(usize, f64)>>,
-    /// U diagonal per step.
-    udiag: Vec<f64>,
-    /// Row-wise copy of `ucols`: row `s` lists `(j, U[s, j])` by ascending
-    /// `j`. The sparse BTRAN's `Uᵀ` solve scatters along it. Both row views
-    /// are built by the first sparse BTRAN after a factorization
+    f: Factors,
+    /// Row-wise copy of the U columns: row `s` lists `(j, U[s, j])` by
+    /// ascending `j`. The sparse BTRAN's `Uᵀ` solve scatters along it. Both
+    /// row views are built by the first sparse BTRAN after a factorization
     /// ([`LuFactors::ensure_row_views`]), so a basis that only ever sees
     /// dense solves never pays for them.
-    urows: RowView,
+    urows: Flat,
     /// Symbolic row view of L in step space: `lrows[t]` lists the steps
     /// `s < t` whose L column has an entry in row `pivot_row[t]` — the steps
     /// a non-zero at step `t` reaches in the `Lᵀ` solve.
-    lrows: RowView,
-    etas: Vec<Eta>,
+    lrows: Flat,
+    /// Whether `urows` and `lrows` describe the current factors.
+    views: bool,
+    etas: EtaFile,
     /// Non-zeros accumulated in `etas` (pivots + off-pivot entries): the
     /// fill-aware refactorization signal.
     eta_nnz: usize,
-    /// Non-zeros in `L`+`U` (diagonals included), frozen at factorize time so
-    /// [`LuFactors::needs_refactor`] is O(1) on the pivot hot loop.
-    factor_nnz: usize,
     /// Scratch vectors reused by every FTRAN/BTRAN (the solves sit on the
     /// simplex hot loop; allocating per call dominated small-pivot profiles).
     scratch_a: Vec<f64>,
     scratch_b: Vec<f64>,
     scratch_c: Vec<f64>,
     scratch_d: Vec<f64>,
-    /// Sparse-solve scratch, all `+0.0` / all `false` between calls.
+    /// Sparse-solve scratch, all `+0.0` / all `false` between calls (the
+    /// factorization borrows them as its work vector and touched marks).
     work: Vec<f64>,
     mark: Vec<bool>,
+    fw: FactorWork,
     /// The last sparse-entry FTRAN / BTRAN produced a dense result, so the
     /// next one skips the symbolic attempt and runs the dense kernel.
     ftran_dense: bool,
@@ -333,53 +416,61 @@ impl LuFactors {
     /// the matrix is (numerically) singular.
     pub fn factorize(m: usize, cols: &[SparseVec]) -> Result<Self, LpError> {
         debug_assert_eq!(cols.len(), m);
-        Self::factorize_from(m, |k| ColRef::Sparse(&cols[k]))
+        let mut lu = LuFactors::default();
+        lu.refactor(m, |k| ColRef::Sparse(&cols[k]))?;
+        Ok(lu)
     }
 
-    /// [`LuFactors::factorize`] over borrowed columns: `col_at(k)` is the
-    /// column at basis position `k`. The simplex refactorizes through this so
-    /// a refresh copies no column.
-    pub(crate) fn factorize_from<'a>(
+    /// Sizes the solve scratch for dimension `m` and empties the eta file:
+    /// the state every fresh set of factors starts from.
+    fn reset(&mut self, m: usize) {
+        self.m = m;
+        self.scratch_a.resize(m, 0.0);
+        self.scratch_b.resize(m, 0.0);
+        self.scratch_c.resize(m, 0.0);
+        self.scratch_d.resize(m, 0.0);
+        self.work.resize(m, 0.0);
+        self.mark.resize(m, false);
+        self.fw.step_seen.resize(m, false);
+        self.etas.clear();
+        self.eta_nnz = 0;
+        self.views = false;
+        self.ftran_dense = false;
+        self.btran_dense = false;
+    }
+
+    /// Refactorizes in place over borrowed columns: `col_at(k)` is the
+    /// column at basis position `k`. Every buffer is reused, and a refresh
+    /// copies no column. On an error the factors are unusable until the next
+    /// successful call.
+    pub(crate) fn refactor<'a>(
+        &mut self,
         m: usize,
         col_at: impl Fn(usize) -> ColRef<'a>,
-    ) -> Result<Self, LpError> {
-        let mut lu = LuFactors {
-            m,
-            pivot_row: Vec::with_capacity(m),
-            step_of_row: vec![0; m],
-            lcols: Vec::with_capacity(m),
-            ucols: Vec::with_capacity(m),
-            udiag: Vec::with_capacity(m),
-            urows: RowView::default(),
-            lrows: RowView::default(),
-            etas: Vec::new(),
-            eta_nnz: 0,
-            factor_nnz: 2 * m,
-            scratch_a: vec![0.0; m],
-            scratch_b: vec![0.0; m],
-            scratch_c: vec![0.0; m],
-            scratch_d: vec![0.0; m],
-            work: vec![0.0; m],
-            mark: vec![false; m],
-            ftran_dense: false,
-            btran_dense: false,
-            #[cfg(test)]
-            sparse_finishes: 0,
-        };
-        // `pivoted[row] = Some(step)` once a row has been chosen as pivot.
-        let mut pivoted: Vec<Option<usize>> = vec![None; m];
-        let mut work = vec![0.0; m];
-        let mut in_touched = vec![false; m];
-        let mut touched: Vec<usize> = Vec::with_capacity(m);
-        // Gilbert–Peierls symbolic scratch: `step_seen` marks steps already
-        // discovered by the reach DFS for the current column.
-        let mut step_seen = vec![false; m];
-        let mut reach: Vec<usize> = Vec::with_capacity(m);
-        let mut stack: Vec<usize> = Vec::with_capacity(m);
+    ) -> Result<(), LpError> {
+        self.reset(m);
+        let f = &mut self.f;
+        f.pivot_row.clear();
+        f.udiag.clear();
+        f.l.clear();
+        f.u.clear();
+        // A row is pivoted once its step is set; `usize::MAX` until then.
+        f.step_of_row.clear();
+        f.step_of_row.resize(m, usize::MAX);
+        let (work, in_touched) = (&mut self.work, &mut self.mark);
+        let FactorWork {
+            step_seen,
+            reach,
+            stack,
+            touched,
+            row_count,
+            ucol,
+        } = &mut self.fw;
         // Static per-row non-zero counts over the basis columns: the
         // Markowitz tie-breaking signal (rows touched by few columns create
         // little fill when eliminated early).
-        let mut row_count = vec![0usize; m];
+        row_count.clear();
+        row_count.resize(m, 0);
         for k in 0..m {
             for &i in col_at(k).entries().0 {
                 row_count[i] += 1;
@@ -400,41 +491,38 @@ impl LuFactors {
             // Gilbert–Peierls symbolic phase: the elimination steps that can
             // touch this column are exactly those reachable from its initial
             // non-zero rows through the `L` dependency graph (step `s`
-            // scatters into the rows of `lcols[s]`, each of which may be the
-            // pivot row of a *later* step). A DFS collects that reach; since
-            // every edge goes to a strictly larger step, ascending step order
-            // is a topological order for the numeric replay. Cost is
+            // scatters into the rows of L column `s`, each of which may be
+            // the pivot row of a *later* step). A DFS collects that reach;
+            // since every edge goes to a strictly larger step, ascending step
+            // order is a topological order for the numeric replay. Cost is
             // proportional to the reach, not to `k`.
             reach.clear();
             for &i in col_rows {
-                if let Some(s) = pivoted[i] {
-                    if !step_seen[s] {
-                        step_seen[s] = true;
-                        stack.push(s);
-                    }
+                let s = f.step_of_row[i];
+                if s != usize::MAX && !step_seen[s] {
+                    step_seen[s] = true;
+                    stack.push(s);
                 }
             }
             while let Some(s) = stack.pop() {
                 reach.push(s);
-                for &(i, _) in &lu.lcols[s] {
-                    if let Some(s2) = pivoted[i] {
-                        if !step_seen[s2] {
-                            step_seen[s2] = true;
-                            stack.push(s2);
-                        }
+                for &(i, _) in f.l.line(s) {
+                    let s2 = f.step_of_row[i];
+                    if s2 != usize::MAX && !step_seen[s2] {
+                        step_seen[s2] = true;
+                        stack.push(s2);
                     }
                 }
             }
             reach.sort_unstable();
             // Numeric phase: replay only the reached steps, in order.
-            for &step in &reach {
+            for &step in reach.iter() {
                 step_seen[step] = false;
-                let prow = lu.pivot_row[step];
-                let t = work[prow];
+                let t = work[f.pivot_row[step]];
                 if t == 0.0 {
                     continue; // exact numerical cancellation
                 }
-                for &(i, l) in &lu.lcols[step] {
+                for &(i, l) in f.l.line(step) {
                     if !in_touched[i] {
                         in_touched[i] = true;
                         touched.push(i);
@@ -448,87 +536,102 @@ impl LuFactors {
             // pass 2 picks, among rows within MARKOWITZ_THRESHOLD of it, the
             // one with the smallest basis row count (ties by magnitude, then
             // by row index for determinism).
-            let mut ucol: Vec<(usize, f64)> = Vec::new();
+            ucol.clear();
             let mut max_abs = 0.0f64;
-            for &i in &touched {
+            for &i in touched.iter() {
                 let v = work[i];
                 if v == 0.0 {
                     continue;
                 }
-                match pivoted[i] {
-                    Some(step) => ucol.push((step, v)),
-                    None => max_abs = max_abs.max(v.abs()),
+                match f.step_of_row[i] {
+                    usize::MAX => max_abs = max_abs.max(v.abs()),
+                    step => ucol.push((step, v)),
                 }
-            }
-            if max_abs <= PIVOT_TOL {
-                return Err(LpError::Numerical(format!(
-                    "singular basis at column {k} (no admissible pivot)"
-                )));
             }
             let cutoff = (MARKOWITZ_THRESHOLD * max_abs).max(PIVOT_TOL);
             let mut best: Option<(usize, f64)> = None;
-            for &i in &touched {
-                let v = work[i];
-                if v == 0.0 || pivoted[i].is_some() || v.abs() < cutoff {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((bi, bv)) => match row_count[i].cmp(&row_count[bi]) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Greater => false,
-                        std::cmp::Ordering::Equal => {
-                            v.abs() > bv.abs() || (v.abs() == bv.abs() && i < bi)
-                        }
-                    },
-                };
-                if better {
-                    best = Some((i, v));
+            if max_abs > PIVOT_TOL {
+                for &i in touched.iter() {
+                    let v = work[i];
+                    if v == 0.0 || f.step_of_row[i] != usize::MAX || v.abs() < cutoff {
+                        continue;
+                    }
+                    let better = match best {
+                        None => true,
+                        Some((bi, bv)) => match row_count[i].cmp(&row_count[bi]) {
+                            std::cmp::Ordering::Less => true,
+                            std::cmp::Ordering::Greater => false,
+                            std::cmp::Ordering::Equal => {
+                                v.abs() > bv.abs() || (v.abs() == bv.abs() && i < bi)
+                            }
+                        },
+                    };
+                    if better {
+                        best = Some((i, v));
+                    }
                 }
             }
-            let (prow, pval) = best.expect("an admissible pivot exists above the cutoff");
+            let Some((prow, pval)) = best else {
+                for &i in touched.iter() {
+                    work[i] = 0.0;
+                    in_touched[i] = false;
+                }
+                touched.clear();
+                return Err(LpError::Numerical(format!(
+                    "singular basis at column {k} (no admissible pivot)"
+                )));
+            };
             ucol.sort_unstable_by_key(|&(step, _)| step);
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
-            for &i in &touched {
+            f.u.ent.extend_from_slice(ucol);
+            f.u.close();
+            for &i in touched.iter() {
                 let v = work[i];
-                if v != 0.0 && pivoted[i].is_none() && i != prow {
-                    lcol.push((i, v / pval));
+                if v != 0.0 && f.step_of_row[i] == usize::MAX && i != prow {
+                    f.l.ent.push((i, v / pval));
                 }
             }
-            pivoted[prow] = Some(k);
-            lu.step_of_row[prow] = k;
-            lu.pivot_row.push(prow);
-            lu.udiag.push(pval);
-            lu.ucols.push(ucol);
-            lu.lcols.push(lcol);
+            f.l.close();
+            f.step_of_row[prow] = k;
+            f.pivot_row.push(prow);
+            f.udiag.push(pval);
             // Clear the work vector.
-            for &i in &touched {
+            for &i in touched.iter() {
                 work[i] = 0.0;
                 in_touched[i] = false;
             }
             touched.clear();
         }
-        let l: usize = lu.lcols.iter().map(|c| c.len()).sum();
-        let u: usize = lu.ucols.iter().map(|c| c.len()).sum();
-        lu.factor_nnz = l + u + 2 * m;
-        Ok(lu)
+        f.nnz = f.l.ent.len() + f.u.ent.len() + 2 * m;
+        Ok(())
     }
 
-    /// Dimension of the basis.
-    pub fn dim(&self) -> usize {
-        self.m
+    /// Moves fresh factors (an empty eta file) out, for `basic` over `a`.
+    pub(crate) fn carry(&mut self, a: Arc<SparseMatrix>, basic: Vec<usize>) -> CarriedFactors {
+        debug_assert_eq!(self.etas.r.len(), 0);
+        CarriedFactors {
+            a,
+            basic,
+            lu: std::mem::take(&mut self.f),
+        }
+    }
+
+    /// Starts over from carried factors: the state [`LuFactors::refactor`]
+    /// leaves on the same basis.
+    pub(crate) fn adopt(&mut self, carried: &CarriedFactors) {
+        self.reset(carried.basic.len());
+        self.f = carried.lu.clone();
     }
 
     /// Number of eta updates accumulated since the last factorization.
     pub fn eta_count(&self) -> usize {
-        self.etas.len()
+        self.etas.r.len()
     }
 
     /// Total non-zeros stored in the `L` and `U` factors (including the unit
     /// and stored diagonals) — the fill-in metric `BENCH_lp.json` tracks for
     /// the Markowitz pivot ordering. Frozen at factorize time (O(1)).
     pub fn fill_nnz(&self) -> usize {
-        self.factor_nnz
+        self.f.nnz
     }
 
     /// Non-zeros accumulated in the eta file since the last factorization.
@@ -541,7 +644,7 @@ impl LuFactors {
     /// most of their time replaying etas) with a pivot-count backstop for
     /// numerical drift.
     pub fn needs_refactor(&self) -> bool {
-        self.etas.len() >= ETA_PIVOT_BACKSTOP || self.eta_nnz > ETA_FILL_FACTOR * self.factor_nnz
+        self.etas.r.len() >= ETA_PIVOT_BACKSTOP || self.eta_nnz > ETA_FILL_FACTOR * self.f.nnz
     }
 
     // ---- Dense kernels -----------------------------------------------------
@@ -567,11 +670,11 @@ impl LuFactors {
     /// Forward elimination: replays L (row space, in place).
     fn ftran_l(&self, rhs: &mut [f64]) {
         for step in 0..self.m {
-            let t = rhs[self.pivot_row[step]];
+            let t = rhs[self.f.pivot_row[step]];
             if t == 0.0 {
                 continue;
             }
-            for &(i, l) in &self.lcols[step] {
+            for &(i, l) in self.f.l.line(step) {
                 rhs[i] -= l * t;
             }
         }
@@ -580,18 +683,18 @@ impl LuFactors {
     /// Back substitution on U (columns hold entries above the diagonal): row
     /// space in, step (= basis position) space out.
     fn ftran_u(&mut self, rhs: &mut [f64]) {
-        let x = &mut self.scratch_a;
+        let (f, x) = (&self.f, &mut self.scratch_a);
         for step in 0..self.m {
-            x[step] = rhs[self.pivot_row[step]];
+            x[step] = rhs[f.pivot_row[step]];
         }
         for j in (0..self.m).rev() {
             if x[j] == 0.0 {
                 continue;
             }
-            let xj = x[j] / self.udiag[j];
+            let xj = x[j] / f.udiag[j];
             x[j] = xj;
             if xj != 0.0 {
-                for &(step, u) in &self.ucols[j] {
+                for &(step, u) in f.u.line(j) {
                     x[step] -= u * xj;
                 }
             }
@@ -601,12 +704,14 @@ impl LuFactors {
 
     /// Replays the eta file.
     fn ftran_etas(&self, rhs: &mut [f64]) {
-        for eta in &self.etas {
-            let num = rhs[eta.r];
+        let etas = &self.etas;
+        for e in 0..etas.r.len() {
+            let r = etas.r[e];
+            let num = rhs[r];
             if num != 0.0 {
-                let t = num / eta.pivot;
-                rhs[eta.r] = t;
-                for &(i, w) in &eta.col {
+                let t = num / etas.pivot[e];
+                rhs[r] = t;
+                for &(i, w) in etas.cols.line(e) {
                     rhs[i] -= w * t;
                 }
             }
@@ -624,12 +729,14 @@ impl LuFactors {
 
     /// Transposed etas, in reverse order.
     fn btran_etas(&self, c: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut acc = c[eta.r];
-            for &(i, w) in &eta.col {
+        let etas = &self.etas;
+        for e in (0..etas.r.len()).rev() {
+            let r = etas.r[e];
+            let mut acc = c[r];
+            for &(i, w) in etas.cols.line(e) {
                 acc -= w * c[i];
             }
-            c[eta.r] = settle(acc, eta.pivot);
+            c[r] = settle(acc, etas.pivot[e]);
         }
     }
 
@@ -637,23 +744,23 @@ impl LuFactors {
     fn btran_u(&self, c: &mut [f64]) {
         for j in 0..self.m {
             let mut acc = c[j];
-            for &(step, u) in &self.ucols[j] {
+            for &(step, u) in self.f.u.line(j) {
                 acc -= u * c[step];
             }
-            c[j] = settle(acc, self.udiag[j]);
+            c[j] = settle(acc, self.f.udiag[j]);
         }
     }
 
     /// Solves `Lᵀ y = z`: step space in, original row space out.
     fn btran_l(&mut self, c: &mut [f64]) {
-        let y = &mut self.scratch_b;
+        let (f, y) = (&self.f, &mut self.scratch_b);
         for step in 0..self.m {
-            y[self.pivot_row[step]] = c[step];
+            y[f.pivot_row[step]] = c[step];
         }
         for step in (0..self.m).rev() {
-            let prow = self.pivot_row[step];
+            let prow = f.pivot_row[step];
             let mut acc = y[prow];
-            for &(i, l) in &self.lcols[step] {
+            for &(i, l) in f.l.line(step) {
                 acc -= l * y[i];
             }
             y[prow] = acc;
@@ -671,16 +778,18 @@ impl LuFactors {
     pub fn btran2(&mut self, c1: &mut [f64], c2: &mut [f64]) {
         debug_assert_eq!(c1.len(), self.m);
         debug_assert_eq!(c2.len(), self.m);
+        let (f, etas) = (&self.f, &self.etas);
         // Transposed etas, in reverse order.
-        for eta in self.etas.iter().rev() {
-            let mut a1 = c1[eta.r];
-            let mut a2 = c2[eta.r];
-            for &(i, w) in &eta.col {
+        for e in (0..etas.r.len()).rev() {
+            let r = etas.r[e];
+            let mut a1 = c1[r];
+            let mut a2 = c2[r];
+            for &(i, w) in etas.cols.line(e) {
                 a1 -= w * c1[i];
                 a2 -= w * c2[i];
             }
-            c1[eta.r] = settle(a1, eta.pivot);
-            c2[eta.r] = settle(a2, eta.pivot);
+            c1[r] = settle(a1, etas.pivot[e]);
+            c2[r] = settle(a2, etas.pivot[e]);
         }
         // Solve Uᵀ z = c (forward over steps).
         let z1 = &mut self.scratch_a;
@@ -688,25 +797,25 @@ impl LuFactors {
         for j in 0..self.m {
             let mut a1 = c1[j];
             let mut a2 = c2[j];
-            for &(step, u) in &self.ucols[j] {
+            for &(step, u) in f.u.line(j) {
                 a1 -= u * z1[step];
                 a2 -= u * z2[step];
             }
-            z1[j] = settle(a1, self.udiag[j]);
-            z2[j] = settle(a2, self.udiag[j]);
+            z1[j] = settle(a1, f.udiag[j]);
+            z2[j] = settle(a2, f.udiag[j]);
         }
         // Solve Lᵀ y = z, scattering back to original row space.
         let y1 = &mut self.scratch_b;
         let y2 = &mut self.scratch_d;
         for step in 0..self.m {
-            y1[self.pivot_row[step]] = z1[step];
-            y2[self.pivot_row[step]] = z2[step];
+            y1[f.pivot_row[step]] = z1[step];
+            y2[f.pivot_row[step]] = z2[step];
         }
         for step in (0..self.m).rev() {
-            let prow = self.pivot_row[step];
+            let prow = f.pivot_row[step];
             let mut a1 = y1[prow];
             let mut a2 = y2[prow];
-            for &(i, l) in &self.lcols[step] {
+            for &(i, l) in f.l.line(step) {
                 a1 -= l * y1[i];
                 a2 -= l * y2[i];
             }
@@ -744,36 +853,36 @@ impl LuFactors {
         let mut sparse = !*dense && !self.ftran_dense && nz.len() <= cap;
         if sparse {
             // Row space → step space, dropping duplicates.
-            let (mark, step_of_row, lcols) = (&mut self.mark, &self.step_of_row, &self.lcols);
+            let (mark, f) = (&mut self.mark, &self.f);
             nz.retain_mut(|i| {
-                *i = step_of_row[*i];
+                *i = f.step_of_row[*i];
                 !std::mem::replace(&mut mark[*i], true)
             });
             sparse = close_reach(nz, mark, cap, |s| {
-                lcols[s].iter().map(|&(i, _)| step_of_row[i])
+                f.l.line(s).iter().map(|&(i, _)| f.step_of_row[i])
             });
         }
         if sparse {
             nz.sort_unstable();
             for &s in nz.iter() {
-                let t = rhs[self.pivot_row[s]];
+                let t = rhs[self.f.pivot_row[s]];
                 if t != 0.0 {
-                    for &(i, l) in &self.lcols[s] {
+                    for &(i, l) in self.f.l.line(s) {
                         rhs[i] -= l * t;
                     }
                 }
             }
             done = 1;
-            let ucols = &self.ucols;
+            let u = &self.f.u;
             sparse = close_reach(nz, &mut self.mark, cap, |j| {
-                ucols[j].iter().map(|&(s, _)| s)
+                u.line(j).iter().map(|&(s, _)| s)
             });
         }
         if sparse {
             nz.sort_unstable();
-            let x = &mut self.work;
+            let (f, x) = (&self.f, &mut self.work);
             for &s in nz.iter() {
-                let prow = self.pivot_row[s];
+                let prow = f.pivot_row[s];
                 x[s] = rhs[prow];
                 rhs[prow] = 0.0;
             }
@@ -781,10 +890,10 @@ impl LuFactors {
                 if x[j] == 0.0 {
                     continue;
                 }
-                let xj = x[j] / self.udiag[j];
+                let xj = x[j] / f.udiag[j];
                 x[j] = xj;
                 if xj != 0.0 {
-                    for &(step, u) in &self.ucols[j] {
+                    for &(step, u) in f.u.line(j) {
                         x[step] -= u * xj;
                     }
                 }
@@ -793,12 +902,14 @@ impl LuFactors {
                 rhs[j] = x[j];
                 x[j] = 0.0;
             }
-            for eta in &self.etas {
-                let num = rhs[eta.r];
+            let etas = &self.etas;
+            for e in 0..etas.r.len() {
+                let r = etas.r[e];
+                let num = rhs[r];
                 if num != 0.0 {
-                    let t = num / eta.pivot;
-                    rhs[eta.r] = t;
-                    for &(i, w) in &eta.col {
+                    let t = num / etas.pivot[e];
+                    rhs[r] = t;
+                    for &(i, w) in etas.cols.line(e) {
                         rhs[i] -= w * t;
                         if !self.mark[i] {
                             self.mark[i] = true;
@@ -862,10 +973,12 @@ impl LuFactors {
     /// An L entry sits in an original row; its row in step space is the step
     /// that row pivots at.
     fn ensure_row_views(&mut self) {
-        if self.urows.ptr.is_empty() {
-            self.urows = RowView::transpose(&self.ucols, true, |s| s);
-            let step_of_row = &self.step_of_row;
-            self.lrows = RowView::transpose(&self.lcols, false, |i| step_of_row[i]);
+        if !self.views {
+            let (f, m) = (&self.f, self.m);
+            self.urows.transpose_of(&f.u, m, true, |s| s);
+            self.lrows
+                .transpose_of(&f.l, m, false, |i| f.step_of_row[i]);
+            self.views = true;
         }
     }
 
@@ -883,24 +996,25 @@ impl LuFactors {
         let mut sparse = try_sparse && !*dense && nz.len() <= cap;
         if sparse {
             self.ensure_row_views();
-            let mark = &mut self.mark;
+            let (mark, etas) = (&mut self.mark, &self.etas);
             nz.retain(|&i| !std::mem::replace(&mut mark[i], true));
             // The transposed etas have no reach to exploit: each one is a
             // dot product over its own entries, whatever `c` holds.
-            for eta in self.etas.iter().rev() {
-                let mut acc = c[eta.r];
-                for &(i, w) in &eta.col {
+            for e in (0..etas.r.len()).rev() {
+                let r = etas.r[e];
+                let mut acc = c[r];
+                for &(i, w) in etas.cols.line(e) {
                     acc -= w * c[i];
                 }
-                c[eta.r] = settle(acc, eta.pivot);
-                if acc != 0.0 && !mark[eta.r] {
-                    mark[eta.r] = true;
-                    nz.push(eta.r);
+                c[r] = settle(acc, etas.pivot[e]);
+                if acc != 0.0 && !mark[r] {
+                    mark[r] = true;
+                    nz.push(r);
                 }
             }
             done = 1;
             let urows = &self.urows;
-            sparse = close_reach(nz, mark, cap, |s| urows.indices(s).iter().copied());
+            sparse = close_reach(nz, mark, cap, |s| urows.line(s).iter().map(|&(j, _)| j));
         }
         if sparse {
             // Uᵀ by rows: once z_s is final it is scattered along row s of U,
@@ -908,10 +1022,10 @@ impl LuFactors {
             // the order the dense column dot takes them in.
             nz.sort_unstable();
             for &s in nz.iter() {
-                let z = settle(c[s], self.udiag[s]);
+                let z = settle(c[s], self.f.udiag[s]);
                 c[s] = z;
                 if z != 0.0 {
-                    for (&j, &u) in self.urows.indices(s).iter().zip(self.urows.values(s)) {
+                    for &(j, u) in self.urows.line(s) {
                         c[j] -= u * z;
                     }
                 }
@@ -919,29 +1033,29 @@ impl LuFactors {
             done = 2;
             let lrows = &self.lrows;
             sparse = close_reach(nz, &mut self.mark, cap, |t| {
-                lrows.indices(t).iter().copied()
+                lrows.line(t).iter().map(|&(s, _)| s)
             });
         }
         if sparse {
             // Lᵀ: the reached steps, latest first, each with the dense
             // kernel's full dot over its L column.
             nz.sort_unstable();
-            let y = &mut self.work;
+            let (f, y) = (&self.f, &mut self.work);
             for &s in nz.iter() {
-                y[self.pivot_row[s]] = c[s];
+                y[f.pivot_row[s]] = c[s];
                 c[s] = 0.0;
             }
             for &s in nz.iter().rev() {
-                let prow = self.pivot_row[s];
+                let prow = f.pivot_row[s];
                 let mut acc = y[prow];
-                for &(i, l) in &self.lcols[s] {
+                for &(i, l) in f.l.line(s) {
                     acc -= l * y[i];
                 }
                 y[prow] = acc;
             }
             for s in nz.iter_mut() {
                 self.mark[*s] = false;
-                *s = self.pivot_row[*s];
+                *s = f.pivot_row[*s];
                 c[*s] = y[*s];
                 y[*s] = 0.0;
             }
@@ -974,15 +1088,18 @@ impl LuFactors {
                 "eta pivot too small ({pivot:.3e})"
             )));
         }
-        let mut col: Vec<(usize, f64)> = Vec::new();
+        let etas = &mut self.etas;
+        let start = etas.cols.ent.len();
         w.indices().for_each(|i| {
             let v = w.values[i];
             if i != r && v != 0.0 {
-                col.push((i, v));
+                etas.cols.ent.push((i, v));
             }
         });
-        self.eta_nnz += col.len() + 1;
-        self.etas.push(Eta { r, pivot, col });
+        etas.cols.close();
+        etas.r.push(r);
+        etas.pivot.push(pivot);
+        self.eta_nnz += etas.cols.ent.len() - start + 1;
         Ok(())
     }
 }

@@ -112,6 +112,7 @@ mod thread_safety_tests {
     fn basis_json_roundtrip() {
         use basis::VarStatus;
         let b = SimplexBasis {
+            factors: None,
             basic: vec![3, 0, 7],
             status: vec![
                 VarStatus::Basic,

@@ -346,6 +346,81 @@ impl Model {
         }
         true
     }
+
+    /// Checks an LP optimum against this model alone, sharing no code with
+    /// the simplex: bounds, rows, dual signs by row sense (minimization
+    /// sense; [`Solution::duals`] carries the model's), reduced-cost signs by
+    /// bound, and a duality gap ≤ `1e-6 · max(1, |objective|)`, all to
+    /// `1e-6`. A reduced cost at an infinite bound may only be noise and is
+    /// priced at the value. The error names the first violation.
+    pub fn certify(&self, sol: &Solution) -> Result<(), String> {
+        const TOL: f64 = 1e-6;
+        let sign = if self.sense == Sense::Minimize {
+            1.0
+        } else {
+            -1.0
+        };
+        let x = &sol.values;
+        if x.len() != self.num_vars() || sol.duals.len() != self.num_cons() {
+            return Err(format!(
+                "{} values / {} duals for {} vars / {} rows",
+                x.len(),
+                sol.duals.len(),
+                self.num_vars(),
+                self.num_cons()
+            ));
+        }
+        let mut d: Vec<f64> = self.vars.iter().map(|v| sign * v.obj).collect();
+        let mut dual_obj = 0.0;
+        for (i, (c, &dual)) in self.cons.iter().zip(&sol.duals).enumerate() {
+            let y = sign * dual;
+            let act: f64 = c.terms.iter().map(|(v, a)| a * x[v.0]).sum();
+            let (row_ok, dual_ok) = match c.op {
+                ConstraintOp::Le => (act <= c.rhs + TOL, y <= TOL),
+                ConstraintOp::Ge => (act >= c.rhs - TOL, y >= -TOL),
+                ConstraintOp::Eq => ((act - c.rhs).abs() <= TOL, y.is_finite()),
+            };
+            if !(row_ok && dual_ok) {
+                return Err(format!(
+                    "row {i} ({:?}): activity {act} vs rhs {}, dual {y}",
+                    c.op, c.rhs
+                ));
+            }
+            for (v, a) in &c.terms {
+                d[v.0] -= y * a;
+            }
+            dual_obj += c.rhs * y;
+        }
+        let mut primal_obj = 0.0;
+        for (j, (v, &xj)) in self.vars.iter().zip(x).enumerate() {
+            let (at_lb, at_ub) = (xj <= v.lb + TOL, xj >= v.ub - TOL);
+            let sign_ok = match (at_lb, at_ub) {
+                (true, true) => true,
+                (true, false) => d[j] >= -TOL,
+                (false, true) => d[j] <= TOL,
+                (false, false) => d[j].abs() <= TOL,
+            };
+            if xj.is_nan() || xj < v.lb - TOL || xj > v.ub + TOL || !sign_ok {
+                return Err(format!(
+                    "x{j} = {xj} in [{}, {}]: reduced cost {}",
+                    v.lb, v.ub, d[j]
+                ));
+            }
+            // min over lb <= x_j <= ub of d_j x_j.
+            let bound = if d[j] > 0.0 { v.lb } else { v.ub };
+            dual_obj += match d[j] {
+                0.0 => 0.0,
+                dj if bound.is_finite() => dj * bound,
+                dj => dj * xj,
+            };
+            primal_obj += sign * v.obj * xj;
+        }
+        let gap = (primal_obj - dual_obj).abs();
+        if gap.is_nan() || gap > TOL * primal_obj.abs().max(1.0) {
+            return Err(format!("primal {primal_obj} vs dual {dual_obj}: gap {gap}"));
+        }
+        Ok(())
+    }
 }
 
 /// Helper to make an infeasible solution with zeroed values (used by presolve

@@ -147,6 +147,8 @@ impl PostSolve {
 pub struct MilpLayout {
     /// Merged `(column, coefficient)` terms of each constraint, by column.
     rows: Vec<Vec<(usize, f64)>>,
+    /// The same terms by column: the rows a bound change can affect.
+    cols: ColumnRows,
     a: Arc<SparseMatrix>,
     row_major: Arc<RowMajor>,
 }
@@ -155,8 +157,10 @@ impl MilpLayout {
     /// Merges `model`'s rows and assembles its standard-form matrix.
     pub fn new(model: &Model) -> Self {
         let (a, row_major) = standard::matrix(model);
+        let rows = merge_rows(model);
         Self {
-            rows: merge_rows(model),
+            cols: ColumnRows::of(&rows, model.num_vars()),
+            rows,
             a: Arc::new(a),
             row_major: Arc::new(row_major),
         }
@@ -178,7 +182,7 @@ impl MilpLayout {
                 && self.a.cols.len() == model.num_vars() + model.num_cons(),
             "layout built from a model of another shape"
         );
-        let (lb, ub, post) = fixpoint(model, &self.rows, budget)?;
+        let (lb, ub, post) = fixpoint(model, &self.rows, &self.cols, budget)?;
         if post.infeasible {
             return Ok((None, post));
         }
@@ -215,6 +219,41 @@ fn merge_rows(model: &Model) -> Vec<Vec<(usize, f64)>> {
                 .collect()
         })
         .collect()
+}
+
+/// The rows each column has a merged term in: `row[start[j]..start[j + 1]]`.
+#[derive(Debug)]
+struct ColumnRows {
+    start: Vec<usize>,
+    row: Vec<usize>,
+}
+
+impl ColumnRows {
+    fn of(rows: &[Vec<(usize, f64)>], num_vars: usize) -> Self {
+        let mut start = vec![0usize; num_vars + 1];
+        for &(j, _) in rows.iter().flatten() {
+            start[j + 1] += 1;
+        }
+        for j in 0..num_vars {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut row = vec![0usize; start[num_vars]];
+        for (i, terms) in rows.iter().enumerate() {
+            for &(j, _) in terms {
+                row[next[j]] = i;
+                next[j] += 1;
+            }
+        }
+        ColumnRows { start, row }
+    }
+
+    /// Marks every row with a term in column `j` for another look.
+    fn touch(&self, j: usize, dirty: &mut [bool]) {
+        for &i in &self.row[self.start[j]..self.start[j + 1]] {
+            dirty[i] = true;
+        }
+    }
 }
 
 /// Activity range of a row under the current bounds, tracking infinite
@@ -385,7 +424,9 @@ fn tighten_from_row(
 /// [`PostSolve`] records the fixings and freed rows. The solvers presolve
 /// over a [`MilpLayout`] instead and never build this model.
 pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
-    let (lb, ub, post) = fixpoint(model, &merge_rows(model), None)?;
+    let rows = merge_rows(model);
+    let cols = ColumnRows::of(&rows, model.num_vars());
+    let (lb, ub, post) = fixpoint(model, &rows, &cols, None)?;
     let mut tightened = model.clone();
     if !post.infeasible {
         for (var, (lo, hi)) in tightened.vars.iter_mut().zip(lb.into_iter().zip(ub)) {
@@ -396,12 +437,20 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
     Ok((tightened, post))
 }
 
-/// The presolve fixpoint over `rows`, `model`'s merged terms: the tightened
-/// structural bounds and the [`PostSolve`]. The bounds are partial when
-/// presolve proved the model infeasible. `budget` is checked once per pass.
+/// The presolve fixpoint over `rows`, `model`'s merged terms (`cols` by
+/// column): the tightened structural bounds and the [`PostSolve`]. The
+/// bounds are partial when presolve proved the model infeasible. `budget` is
+/// checked once per pass.
+///
+/// A pass visits the rows in order but examines only those marked since
+/// their last look; a bound change marks its column's rows. An examination
+/// reads only the row's terms and their bounds, so an unmarked row would
+/// change nothing, and every bound, freed row and pass count is the full
+/// sweep's.
 fn fixpoint(
     model: &Model,
     rows: &[Vec<(usize, f64)>],
+    cols: &ColumnRows,
     budget: Option<&SolveBudget>,
 ) -> Result<(Vec<f64>, Vec<f64>, PostSolve), LpError> {
     let nv = model.num_vars();
@@ -411,6 +460,7 @@ fn fixpoint(
     let integer = |j: usize| model.vars[j].integer;
     let mut infeasible = false;
     let mut free = vec![false; nc];
+    let mut dirty = vec![true; nc];
     // A row's live terms, refilled row by row.
     let mut live: Vec<(usize, f64)> = Vec::new();
 
@@ -442,8 +492,8 @@ fn fixpoint(
             }
         }
 
-        for ((terms, c), is_free) in rows.iter().zip(&model.cons).zip(free.iter_mut()) {
-            if *is_free {
+        for (i, (terms, c)) in rows.iter().zip(&model.cons).enumerate() {
+            if free[i] || !std::mem::replace(&mut dirty[i], false) {
                 continue;
             }
             // Split terms into fixed contributions (folded into the rhs of
@@ -473,7 +523,7 @@ fn fixpoint(
                     infeasible = true;
                     break 'outer;
                 }
-                *is_free = true;
+                free[i] = true;
                 changed = true;
                 continue;
             }
@@ -498,6 +548,7 @@ fn fixpoint(
                         }
                         lb[j] = v;
                         ub[j] = v;
+                        cols.touch(j, &mut dirty);
                     }
                     (ConstraintOp::Le, true) | (ConstraintOp::Ge, false) => {
                         let mut new_ub = bound;
@@ -506,6 +557,7 @@ fn fixpoint(
                         }
                         if new_ub < ub[j] {
                             ub[j] = new_ub;
+                            cols.touch(j, &mut dirty);
                         }
                     }
                     (ConstraintOp::Ge, true) | (ConstraintOp::Le, false) => {
@@ -515,6 +567,7 @@ fn fixpoint(
                         }
                         if new_lb > lb[j] {
                             lb[j] = new_lb;
+                            cols.touch(j, &mut dirty);
                         }
                     }
                 }
@@ -522,7 +575,7 @@ fn fixpoint(
                     infeasible = true;
                     break 'outer;
                 }
-                *is_free = true;
+                free[i] = true;
                 changed = true;
                 continue;
             }
@@ -549,7 +602,7 @@ fn fixpoint(
                 ConstraintOp::Eq => (amax - rhs).abs() <= 1e-9 && (amin - rhs).abs() <= 1e-9,
             };
             if redundant {
-                *is_free = true;
+                free[i] = true;
                 changed = true;
                 continue;
             }
@@ -571,8 +624,9 @@ fn fixpoint(
                     } else {
                         lb[j] = ub[j];
                     }
+                    cols.touch(j, &mut dirty);
                 }
-                *is_free = true;
+                free[i] = true;
                 changed = true;
                 continue;
             }
@@ -598,7 +652,11 @@ fn fixpoint(
                         infeasible = true;
                         break 'outer;
                     }
-                    Some(ch) => changed |= ch,
+                    Some(false) => {}
+                    Some(true) => {
+                        changed = true;
+                        cols.touch(j, &mut dirty);
+                    }
                 }
             }
         }
@@ -887,8 +945,353 @@ impl<'a> NodePresolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Sense;
+    use crate::model::{Sense, VarId};
     use crate::solution::SolveStatus;
+
+    /// The fixpoint as a full sweep — every live row examined on every
+    /// pass — kept as the oracle the worklist fixpoint must reproduce.
+    fn full_sweep(model: &Model, rows: &[Vec<(usize, f64)>]) -> (Vec<f64>, Vec<f64>, PostSolve) {
+        let nv = model.num_vars();
+        let nc = model.num_cons();
+        let mut lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
+        let mut ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
+        let integer = |j: usize| model.vars[j].integer;
+        let mut infeasible = false;
+        let mut free = vec![false; nc];
+        // A row's live terms, refilled row by row.
+        let mut live: Vec<(usize, f64)> = Vec::new();
+
+        // Round integer bounds inward immediately.
+        for j in 0..nv {
+            if integer(j) {
+                if lb[j].is_finite() {
+                    lb[j] = round_if_close(lb[j]).ceil();
+                }
+                if ub[j].is_finite() {
+                    ub[j] = round_if_close(ub[j]).floor();
+                }
+            }
+        }
+
+        let mut changed = true;
+        let mut passes = 0usize;
+        'outer: while changed && !infeasible && passes < MAX_PASSES {
+            changed = false;
+            passes += 1;
+
+            for j in 0..nv {
+                if lb[j] > ub[j] + EPS {
+                    infeasible = true;
+                    break 'outer;
+                }
+            }
+
+            for ((terms, c), is_free) in rows.iter().zip(&model.cons).zip(free.iter_mut()) {
+                if *is_free {
+                    continue;
+                }
+                // Split terms into fixed contributions (folded into the rhs of
+                // the *analysis* row) and live terms.
+                live.clear();
+                live.extend(
+                    terms
+                        .iter()
+                        .filter(|&&(j, _)| (ub[j] - lb[j]).abs() > EPS)
+                        .copied(),
+                );
+                let fixed_sum: f64 = terms
+                    .iter()
+                    .filter(|&&(j, _)| (ub[j] - lb[j]).abs() <= EPS)
+                    .map(|&(j, a)| a * lb[j])
+                    .sum();
+                let rhs = c.rhs - fixed_sum;
+
+                // Empty row: everything fixed — check and free.
+                if live.is_empty() {
+                    let ok = match c.op {
+                        ConstraintOp::Le => 0.0 <= rhs + 1e-7,
+                        ConstraintOp::Ge => 0.0 >= rhs - 1e-7,
+                        ConstraintOp::Eq => rhs.abs() <= 1e-7,
+                    };
+                    if !ok {
+                        infeasible = true;
+                        break 'outer;
+                    }
+                    *is_free = true;
+                    changed = true;
+                    continue;
+                }
+
+                // Singleton row: fold into the variable's bounds and free.
+                if live.len() == 1 {
+                    let (j, a) = live[0];
+                    if a.abs() < EPS {
+                        continue;
+                    }
+                    let bound = rhs / a;
+                    match (c.op, a > 0.0) {
+                        (ConstraintOp::Eq, _) => {
+                            let v = if integer(j) { bound.round() } else { bound };
+                            if integer(j) && (bound - bound.round()).abs() > 1e-6 {
+                                infeasible = true;
+                                break 'outer;
+                            }
+                            if v < lb[j] - 1e-7 || v > ub[j] + 1e-7 {
+                                infeasible = true;
+                                break 'outer;
+                            }
+                            lb[j] = v;
+                            ub[j] = v;
+                        }
+                        (ConstraintOp::Le, true) | (ConstraintOp::Ge, false) => {
+                            let mut new_ub = bound;
+                            if integer(j) {
+                                new_ub = (new_ub + 1e-9).floor();
+                            }
+                            if new_ub < ub[j] {
+                                ub[j] = new_ub;
+                            }
+                        }
+                        (ConstraintOp::Ge, true) | (ConstraintOp::Le, false) => {
+                            let mut new_lb = bound;
+                            if integer(j) {
+                                new_lb = (new_lb - 1e-9).ceil();
+                            }
+                            if new_lb > lb[j] {
+                                lb[j] = new_lb;
+                            }
+                        }
+                    }
+                    if lb[j] > ub[j] + EPS {
+                        infeasible = true;
+                        break 'outer;
+                    }
+                    *is_free = true;
+                    changed = true;
+                    continue;
+                }
+
+                // Activity analysis over the live terms.
+                let act = activity(&live, &lb, &ub);
+                let (amin, amax) = (act.min(), act.max());
+
+                // Infeasibility by activity.
+                let bad = match c.op {
+                    ConstraintOp::Le => amin > rhs + 1e-7,
+                    ConstraintOp::Ge => amax < rhs - 1e-7,
+                    ConstraintOp::Eq => amin > rhs + 1e-7 || amax < rhs - 1e-7,
+                };
+                if bad {
+                    infeasible = true;
+                    break 'outer;
+                }
+
+                // Redundancy: the row can never be violated under the bounds.
+                let redundant = match c.op {
+                    ConstraintOp::Le => amax <= rhs + 1e-9,
+                    ConstraintOp::Ge => amin >= rhs - 1e-9,
+                    ConstraintOp::Eq => (amax - rhs).abs() <= 1e-9 && (amin - rhs).abs() <= 1e-9,
+                };
+                if redundant {
+                    *is_free = true;
+                    changed = true;
+                    continue;
+                }
+
+                // Forcing: the activity range only touches the rhs at one
+                // extreme — every live variable is forced to the bound achieving
+                // that extreme.
+                let forcing_at_min = matches!(c.op, ConstraintOp::Le | ConstraintOp::Eq)
+                    && amin.is_finite()
+                    && (amin - rhs).abs() <= 1e-9;
+                let forcing_at_max = matches!(c.op, ConstraintOp::Ge | ConstraintOp::Eq)
+                    && amax.is_finite()
+                    && (amax - rhs).abs() <= 1e-9;
+                if forcing_at_min || forcing_at_max {
+                    for &(j, a) in &live {
+                        let at_lower = (a > 0.0) == forcing_at_min;
+                        if at_lower {
+                            ub[j] = lb[j];
+                        } else {
+                            lb[j] = ub[j];
+                        }
+                    }
+                    *is_free = true;
+                    changed = true;
+                    continue;
+                }
+
+                // Implied bounds: for `sum a_j x_j <= rhs`, each x_j is bounded by
+                // the residual slack the other terms leave. `>=` rows are the
+                // mirrored case; `==` rows tighten from both sides.
+                let tighten_le = matches!(c.op, ConstraintOp::Le | ConstraintOp::Eq);
+                let tighten_ge = matches!(c.op, ConstraintOp::Ge | ConstraintOp::Eq);
+                for &(j, a) in &live {
+                    match tighten_from_row(
+                        j,
+                        a,
+                        rhs,
+                        &act,
+                        tighten_le,
+                        tighten_ge,
+                        integer(j),
+                        &mut lb,
+                        &mut ub,
+                    ) {
+                        None => {
+                            infeasible = true;
+                            break 'outer;
+                        }
+                        Some(ch) => changed |= ch,
+                    }
+                }
+            }
+        }
+
+        // Snap near-equal bounds exactly together so fixed columns are pinned by
+        // bit-identical `lb == ub` (the simplex's zero-range test).
+        let mut fixed: Vec<Option<f64>> = vec![None; nv];
+        let mut cols_fixed = 0usize;
+        if !infeasible {
+            for j in 0..nv {
+                if lb[j].is_finite() && ub[j].is_finite() && (ub[j] - lb[j]).abs() <= EPS {
+                    let v = if integer(j) { lb[j].round() } else { lb[j] };
+                    lb[j] = v;
+                    ub[j] = v;
+                    fixed[j] = Some(v);
+                    cols_fixed += 1;
+                }
+            }
+        }
+
+        let rows_freed = free.iter().filter(|f| **f).count();
+        let post = PostSolve {
+            fixed,
+            free_rows: free,
+            infeasible,
+            cols_fixed,
+            rows_freed,
+            original_vars: nv,
+            original_cons: nc,
+        };
+        (lb, ub, post)
+    }
+
+    /// A random model built to reach every rule of the fixpoint: duplicate
+    /// terms, singleton, empty, redundant and forcing rows, implied bounds
+    /// that cascade along the rows, integer rounding, infinite and fixed
+    /// bounds, and infeasible instances.
+    fn random_presolve_model(rng: &mut teccl_util::Rng64) -> Model {
+        const COEF: [f64; 7] = [1.0, -1.0, 2.0, -2.0, 0.5, 3.0, -0.25];
+        let mut m = Model::new(Sense::Minimize);
+        let nv = 1 + rng.gen_range_usize(10);
+        let mut point = Vec::with_capacity(nv);
+        for j in 0..nv {
+            let lb = match rng.gen_range_usize(5) {
+                0 => f64::NEG_INFINITY,
+                1 => -(rng.gen_range_usize(6) as f64),
+                2 => rng.gen_range_f64(-4.0, 2.0),
+                _ => 0.0,
+            };
+            let base = if lb.is_finite() { lb } else { -3.0 };
+            let ub = match rng.gen_range_usize(6) {
+                0 => f64::INFINITY,
+                1 => base,
+                2 => base + rng.gen_range_f64(0.0, 8.0),
+                _ => base + rng.gen_range_usize(6) as f64,
+            };
+            let var = m.add_var(format!("x{j}"), lb, ub, 1.0, rng.gen_range_usize(5) < 2);
+            let hi = if ub.is_finite() { ub } else { base + 5.0 };
+            point.push((var, base + rng.gen_f64() * (hi - base)));
+        }
+        for i in 0..1 + rng.gen_range_usize(8) {
+            let terms: Vec<(VarId, f64)> = (0..1 + rng.gen_range_usize(4))
+                .map(|_| {
+                    let a = if rng.gen_range_usize(4) == 0 {
+                        rng.gen_range_f64(-3.0, 3.0)
+                    } else {
+                        COEF[rng.gen_range_usize(COEF.len())]
+                    };
+                    (point[rng.gen_range_usize(nv)].0, a)
+                })
+                .collect();
+            let at: f64 = terms.iter().map(|&(v, a)| a * point[v.0].1).sum();
+            let rhs = match rng.gen_range_usize(4) {
+                0 => at,
+                1 => at.round(),
+                2 => at + rng.gen_range_f64(-2.0, 2.0),
+                _ => rng.gen_range_usize(5) as f64,
+            };
+            let op = [ConstraintOp::Le, ConstraintOp::Ge, ConstraintOp::Eq][rng.gen_range_usize(3)];
+            m.add_cons(format!("c{i}"), &terms, op, rhs);
+        }
+        m
+    }
+
+    /// Runs the worklist fixpoint against [`full_sweep`] on `cases` random
+    /// models: the same bounds to the bit, the same freed rows and the same
+    /// counters.
+    fn assert_worklist_matches_full_sweep(seed: u64, cases: usize) {
+        let mut rng = teccl_util::Rng64::seed_from_u64(seed);
+        let (mut infeasible, mut freed, mut fixed) = (0usize, 0usize, 0usize);
+        for case in 0..cases {
+            let m = random_presolve_model(&mut rng);
+            let rows = merge_rows(&m);
+            let cols = ColumnRows::of(&rows, m.num_vars());
+            let (lb, ub, post) = fixpoint(&m, &rows, &cols, None).unwrap();
+            let (want_lb, want_ub, want) = full_sweep(&m, &rows);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&lb), bits(&want_lb), "case {case}: lower bounds");
+            assert_eq!(bits(&ub), bits(&want_ub), "case {case}: upper bounds");
+            assert_eq!(post.free_rows, want.free_rows, "case {case}: freed rows");
+            let fixings = |p: &PostSolve| {
+                p.fixed
+                    .iter()
+                    .map(|f| f.map(f64::to_bits))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(fixings(&post), fixings(&want), "case {case}: fixings");
+            assert_eq!(
+                (
+                    post.infeasible,
+                    post.cols_fixed,
+                    post.rows_freed,
+                    post.original_vars,
+                    post.original_cons
+                ),
+                (
+                    want.infeasible,
+                    want.cols_fixed,
+                    want.rows_freed,
+                    want.original_vars,
+                    want.original_cons
+                ),
+                "case {case}: counters"
+            );
+            infeasible += usize::from(post.infeasible);
+            freed += usize::from(!post.infeasible && post.rows_freed > 0);
+            fixed += usize::from(!post.infeasible && post.cols_fixed > 0);
+        }
+        // The corpus reaches the infeasible exit and both reductions.
+        for (what, n) in [
+            ("infeasible", infeasible),
+            ("freed", freed),
+            ("fixed", fixed),
+        ] {
+            assert!(n * 20 > cases, "only {n} of {cases} models {what}");
+        }
+    }
+
+    #[test]
+    fn worklist_fixpoint_matches_the_full_sweep() {
+        assert_worklist_matches_full_sweep(0x0f1c_5eed, 20_000);
+    }
+
+    #[test]
+    #[ignore = "release-size"]
+    fn worklist_fixpoint_matches_the_full_sweep_release_size() {
+        assert_worklist_matches_full_sweep(0x5eed_0f1c, 300_000);
+    }
 
     #[test]
     fn fixed_variables_are_pinned_not_removed() {

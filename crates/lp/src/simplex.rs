@@ -72,7 +72,9 @@
 //! (`ReducedCosts`) and one basis refresh (`SimplexState::refresh`);
 //! what differs is their pricing and ratio test.
 
-use crate::basis::{ColRef, LuFactors, SimplexBasis, VarStatus};
+use std::sync::Arc;
+
+use crate::basis::{CarriedFactors, ColRef, LuFactors, SimplexBasis, VarStatus};
 use crate::dual::{self, DualOutcome};
 use crate::error::LpError;
 use crate::solution::{Solution, SolveStats, SolveStatus};
@@ -128,6 +130,8 @@ pub(crate) struct SimplexState<'a> {
     pub(crate) iterations: usize,
     pub(crate) dual_iterations: usize,
     pub(crate) factorizations: usize,
+    /// 1 when the start adopted carried factors instead of factorizing.
+    factors_adopted: usize,
     degenerate_pivots: usize,
     bound_flips: usize,
     /// Steepest-edge reference weights `γ_j`, one per column.
@@ -550,13 +554,14 @@ fn build_initial_state<'a>(
         }
     }
 
-    SimplexState::new(sf, art_sign, lb, ub, x, status, basis)
+    SimplexState::new(sf, art_sign, lb, ub, x, status, basis, None)
 }
 
 /// Rebuilds the caller's basis under the bounds `lb_in`/`ub_in`: non-basic
 /// columns on a bound consistent with the (possibly changed) bounds, the
-/// basis refactorized, the basic values recomputed. A basis of the wrong
-/// shape, with repeated or out-of-range columns, or singular, is refused.
+/// basis factorized (or its carried factors adopted), the basic values
+/// recomputed. A basis of the wrong shape, with repeated or out-of-range
+/// columns, or singular, is refused.
 fn warm_state<'a>(
     sf: &'a StandardForm,
     lb_in: &[f64],
@@ -594,7 +599,16 @@ fn warm_state<'a>(
         };
     }
 
-    let mut state = SimplexState::new(sf, vec![1.0; m], lb, ub, x, status, warm.basic.clone())?;
+    let mut state = SimplexState::new(
+        sf,
+        vec![1.0; m],
+        lb,
+        ub,
+        x,
+        status,
+        warm.basic.clone(),
+        warm.factors.as_deref(),
+    )?;
     state.recompute_basic_values();
     Ok(state)
 }
@@ -676,7 +690,8 @@ fn certify(
     // (exactly on-bound) non-basic values wipes that drift before extraction.
     // A non-empty eta file is the witness that pivots happened since the last
     // refactorization — pivot-free solves (warm re-certifications) skip the
-    // extra factorization entirely.
+    // extra factorization entirely. Either way the solve ends on fresh
+    // factors of its final basis, which the basis carries out.
     if state.lu.eta_count() > 0 {
         state.refactorize()?;
         state.recompute_basic_values();
@@ -702,9 +717,13 @@ fn certify(
     state.lu.btran(&mut y);
     let duals: Vec<f64> = y.iter().map(|v| sf.obj_sign * v).collect();
 
+    // A basic artificial's unit column depends on the start.
+    let factors = (state.basis.iter().all(|&j| j < n))
+        .then(|| Arc::new(state.lu.carry(Arc::clone(&sf.a), state.basis.clone())));
     let basis = SimplexBasis {
         basic: state.basis.clone(),
         status: state.status[..n].to_vec(),
+        factors,
     };
 
     // A budget-stopped extraction is a feasible vertex, not a certified
@@ -785,7 +804,8 @@ fn solve_unconstrained(
 
 impl<'a> SimplexState<'a> {
     /// A state over `sf` with the given column bounds, values and statuses
-    /// (artificials included) and basis, factorized.
+    /// (artificials included) and basis, factorized or from `carried`.
+    #[allow(clippy::too_many_arguments)] // a state is this many vectors
     fn new(
         sf: &'a StandardForm,
         art_sign: Vec<f64>,
@@ -794,6 +814,7 @@ impl<'a> SimplexState<'a> {
         x: Vec<f64>,
         status: Vec<VarStatus>,
         basis: Vec<usize>,
+        carried: Option<&CarriedFactors>,
     ) -> Result<Self, LpError> {
         let (n, m) = (sf.num_cols(), sf.num_rows());
         let mut state = SimplexState {
@@ -807,15 +828,22 @@ impl<'a> SimplexState<'a> {
             x,
             status,
             basis,
-            lu: LuFactors::factorize(0, &[])?,
+            lu: LuFactors::default(),
             iterations: 0,
             dual_iterations: 0,
             factorizations: 0,
+            factors_adopted: 0,
             degenerate_pivots: 0,
             bound_flips: 0,
             weights: vec![1.0; n + m],
         };
-        state.refactorize()?;
+        match carried.filter(|c| c.fits(&sf.a, &state.basis)) {
+            Some(c) => {
+                state.lu.adopt(c);
+                state.factors_adopted = 1;
+            }
+            None => state.refactorize()?,
+        }
         Ok(state)
     }
 
@@ -825,6 +853,7 @@ impl<'a> SimplexState<'a> {
             simplex_iterations: self.iterations,
             dual_iterations: self.dual_iterations,
             factorizations: self.factorizations,
+            factors_adopted: self.factors_adopted,
             degenerate_pivots: self.degenerate_pivots,
             bound_flips: self.bound_flips,
             ..Default::default()
@@ -958,7 +987,7 @@ impl<'a> SimplexState<'a> {
     /// form's matrix and the implicit artificials — copying none of them.
     pub(crate) fn refactorize(&mut self) -> Result<(), LpError> {
         let (sf, n, basis, art_sign) = (self.sf, self.n, &self.basis, &self.art_sign);
-        self.lu = LuFactors::factorize_from(self.m, |k| match basis[k] {
+        self.lu.refactor(self.m, |k| match basis[k] {
             j if j < n => ColRef::Sparse(sf.a.col(j)),
             j => ColRef::Unit {
                 row: j - n,
@@ -1798,6 +1827,7 @@ mod tests {
         let sf = StandardForm::from_model(&m);
         // A basis with the wrong shape is rejected and the cold path runs.
         let stale = SimplexBasis {
+            factors: None,
             basic: vec![0, 1, 2],
             status: vec![VarStatus::AtLower],
         };

@@ -66,6 +66,10 @@ pub struct SolveStats {
     pub node_tightenings: usize,
     /// Number of LU basis (re)factorizations performed.
     pub factorizations: usize,
+    /// Warm starts that adopted the factors their basis carried
+    /// ([`crate::SimplexBasis::factors`]) instead of factorizing: each is one
+    /// factorization a solve without them performs.
+    pub factors_adopted: usize,
     /// LP solves started from a warm basis (branch-and-bound children, A*
     /// re-solves).
     pub warm_starts: usize,
@@ -98,6 +102,7 @@ impl SolveStats {
         self.bound_iterations += other.bound_iterations;
         self.nodes_explored += other.nodes_explored;
         self.factorizations += other.factorizations;
+        self.factors_adopted += other.factors_adopted;
         self.warm_starts += other.warm_starts;
         self.cold_starts += other.cold_starts;
         self.degenerate_pivots += other.degenerate_pivots;

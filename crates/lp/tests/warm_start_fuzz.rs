@@ -1,9 +1,11 @@
 //! Randomized (seeded, deterministic) cross-check of the warm-started simplex
 //! against cold solves: on a corpus of small bounded LPs, a warm re-solve
 //! after a bound change must agree with a from-scratch solve to 1e-6. Cold
-//! optima are also certified against the original model by a checker that
-//! shares no code with the simplex, and branch-and-bound results on small
-//! binary corpora against enumeration of every point.
+//! optima are also certified against the original model by
+//! [`Model::certify`], which shares no code with the simplex, and
+//! branch-and-bound results on small binary corpora against enumeration of
+//! every point. A warm start that adopts the factors its basis carries must
+//! give, bit for bit, what the same start gives after factorizing.
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
 use teccl_lp::simplex::solve_standard_form_budgeted;
@@ -190,6 +192,7 @@ fn singular_warm_basis_returns_the_cold_optimum() {
             VarStatus::AtLower,
             VarStatus::AtLower,
         ],
+        factors: None,
     };
     let sol = solve_from(&sf, 2, &[], Some(&singular)).unwrap();
     assert_eq!(sol.status, SolveStatus::Optimal);
@@ -245,88 +248,6 @@ fn budget_stop_in_a_warm_dual_does_not_go_cold() {
     assert!(stopped >= 5, "only {stopped} warm duals tripped the budget");
 }
 
-/// Optimality certificate for an LP solution, checked against the original
-/// `Model` alone: primal feasibility (bounds and row activity), dual sign per
-/// row sense, reduced-cost sign at each bound, and a primal-dual objective
-/// gap of at most `1e-6 · max(1, |obj|)`. Everything is evaluated in the
-/// minimisation sense (`c = ±obj`), where a `<=` row's dual is `<= 0`, a
-/// `>=` row's dual is `>= 0`, and `Solution::duals` carries the model's own
-/// sense (the same sign flip as the objective).
-fn certify(m: &Model, sol: &Solution) -> Result<(), String> {
-    const FEAS: f64 = 1e-6;
-    const DUAL: f64 = 1e-6;
-    let sign = match m.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-    let x = &sol.values;
-    if x.len() != m.num_vars() || sol.duals.len() != m.num_cons() {
-        return Err(format!(
-            "{} values / {} duals for {} vars / {} rows",
-            x.len(),
-            sol.duals.len(),
-            m.num_vars(),
-            m.num_cons()
-        ));
-    }
-    for (j, v) in m.vars.iter().enumerate() {
-        if x[j] < v.lb - FEAS || x[j] > v.ub + FEAS {
-            return Err(format!("x{j} = {} outside [{}, {}]", x[j], v.lb, v.ub));
-        }
-    }
-    let y: Vec<f64> = sol.duals.iter().map(|u| sign * u).collect();
-    let mut d: Vec<f64> = m.vars.iter().map(|v| sign * v.obj).collect();
-    let mut dual_obj = 0.0;
-    for (i, c) in m.cons.iter().enumerate() {
-        let act: f64 = c.terms.iter().map(|(v, a)| a * x[v.index()]).sum();
-        let (row_ok, dual_ok) = match c.op {
-            ConstraintOp::Le => (act <= c.rhs + FEAS, y[i] <= DUAL),
-            ConstraintOp::Ge => (act >= c.rhs - FEAS, y[i] >= -DUAL),
-            ConstraintOp::Eq => ((act - c.rhs).abs() <= FEAS, true),
-        };
-        if !row_ok {
-            return Err(format!(
-                "row {i} ({:?}): activity {act} vs rhs {}",
-                c.op, c.rhs
-            ));
-        }
-        if !dual_ok {
-            return Err(format!(
-                "row {i} ({:?}): dual {} has the wrong sign",
-                c.op, y[i]
-            ));
-        }
-        for (v, a) in &c.terms {
-            d[v.index()] -= y[i] * a;
-        }
-        dual_obj += c.rhs * y[i];
-    }
-    for (j, v) in m.vars.iter().enumerate() {
-        let at_lb = x[j] <= v.lb + FEAS;
-        let at_ub = x[j] >= v.ub - FEAS;
-        let ok = match (at_lb, at_ub) {
-            (true, true) => true,
-            (true, false) => d[j] >= -DUAL,
-            (false, true) => d[j] <= DUAL,
-            (false, false) => d[j].abs() <= DUAL,
-        };
-        if !ok {
-            return Err(format!(
-                "x{j} = {} in [{}, {}]: reduced cost {} has the wrong sign",
-                x[j], v.lb, v.ub, d[j]
-            ));
-        }
-        // min over l <= x_j <= u of d_j x_j (the corpus bounds are finite).
-        dual_obj += if d[j] > 0.0 { d[j] * v.lb } else { d[j] * v.ub };
-    }
-    let primal_obj: f64 = m.vars.iter().zip(x).map(|(v, xj)| sign * v.obj * xj).sum();
-    let gap = (primal_obj - dual_obj).abs();
-    if gap > 1e-6 * primal_obj.abs().max(1.0) {
-        return Err(format!("primal {primal_obj} vs dual {dual_obj}: gap {gap}"));
-    }
-    Ok(())
-}
-
 /// Every optimal cold solve of the random corpus (raw standard form, no
 /// presolve) carries a certificate the independent checker accepts;
 /// infeasible and unbounded outcomes keep their status assertion.
@@ -341,7 +262,8 @@ fn optimal_solves_are_certified_on_random_corpus() {
         match sol.status {
             SolveStatus::Optimal => {
                 solved += 1;
-                certify(&m, &sol).unwrap_or_else(|e| panic!("case {case}: {e}"));
+                m.certify(&sol)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}"));
             }
             SolveStatus::Infeasible | SolveStatus::Unbounded => {}
             other => panic!("case {case}: unexpected status {other:?}"),
@@ -783,12 +705,15 @@ fn a_layout_solves_same_shaped_milps_bit_identically() {
                 own.objective.to_bits(),
                 "case {case}"
             );
+            // A warm start over the shared layout adopts the factors its
+            // basis carries, one over a layout of its own refactorizes: the
+            // same factorization either way.
             let counts = |s: &Solution| {
                 let st = &s.stats;
                 [
                     st.simplex_iterations,
                     st.dual_iterations,
-                    st.factorizations,
+                    st.factorizations + st.factors_adopted,
                     st.nodes_explored,
                     st.warm_starts,
                 ]
@@ -808,8 +733,8 @@ fn a_layout_solves_same_shaped_milps_bit_identically() {
 #[derive(Default)]
 struct Tally {
     /// Simplex iterations, dual iterations, factorizations, warm starts, cold
-    /// starts.
-    counts: [usize; 5],
+    /// starts, warm starts that adopted carried factors.
+    counts: [usize; 6],
     hash: u64,
 }
 
@@ -822,6 +747,7 @@ impl Tally {
             st.factorizations,
             st.warm_starts,
             st.cold_starts,
+            st.factors_adopted,
         ];
         for (sum, c) in self.counts.iter_mut().zip(counts) {
             *sum += c;
@@ -879,7 +805,11 @@ fn solve_ladder_work_is_pinned_on_random_corpus() {
         let m = card_knapsack(&mut rng);
         tally.add(&solve_model(&m).unwrap_or_else(|e| panic!("knapsack {case}: {e}")));
     }
-    assert_eq!(tally.counts, [2360, 384, 1608, 502, 330]);
+    // Every warm start here re-solves the form its basis came from, so all
+    // 502 adopt the factors that basis carries: 1 608 factorizations before
+    // the factors were carried, 1 106 + 502 adopted since.
+    assert_eq!(tally.counts, [2360, 384, 1106, 502, 330, 502]);
+    assert_eq!(tally.counts[2] + tally.counts[5], 1608);
     assert_eq!(tally.hash, 0x5b0e_70f8_d14f_a5fe);
 }
 
@@ -907,4 +837,180 @@ fn milps_match_brute_force_on_random_corpus() {
         }
     }
     assert!(solved >= 30, "only {solved} solved MILPs");
+}
+
+/// Everything a solve reports that must not depend on whether its warm start
+/// adopted carried factors or factorized the same basis: status, objective,
+/// value and dual bits, the basis, pivots and the factorization count with
+/// the adoption counted in.
+fn fingerprint(sol: &Solution) -> (SolveStatus, Vec<u64>, Option<SimplexBasis>, [usize; 4]) {
+    let st = &sol.stats;
+    let bits = std::iter::once(sol.objective)
+        .chain(sol.values.iter().copied())
+        .chain(sol.duals.iter().copied())
+        .map(f64::to_bits)
+        .collect();
+    let counts = [
+        st.simplex_iterations,
+        st.dual_iterations,
+        st.factorizations + st.factors_adopted,
+        st.warm_starts,
+    ];
+    (sol.status, bits, sol.basis.clone(), counts)
+}
+
+/// `basis` without the factors it carries.
+fn stripped(basis: &SimplexBasis) -> SimplexBasis {
+    SimplexBasis {
+        factors: None,
+        ..basis.clone()
+    }
+}
+
+/// Over one form, a warm re-solve after a bound change that adopts the
+/// factors its basis carries and the same re-solve from the stripped basis
+/// agree bit for bit, and both optima pass [`Model::certify`].
+#[test]
+fn adopted_factors_solve_like_a_fresh_factorization() {
+    let mut rng = Lcg(0xfac7_0c1d);
+    let (mut adopted, mut certified) = (0usize, 0usize);
+    for case in 0..200 {
+        let m = random_lp(&mut rng);
+        let sf = StandardForm::from_model(&m);
+        let nv = m.num_vars();
+        let cold = solve_cold(&sf, nv).unwrap();
+        let Some(basis) = cold.basis.as_ref() else {
+            continue;
+        };
+        assert!(
+            basis.factors.is_some(),
+            "case {case}: an optimum carries its factors"
+        );
+        let j = rng.below(nv);
+        let (lo, hi) = (m.vars[j].lb, m.vars[j].ub);
+        let cut = lo + rng.f() * (hi - lo);
+        let overrides = if rng.f() < 0.5 {
+            [(j, lo, cut)]
+        } else {
+            [(j, cut, hi)]
+        };
+        let carried = solve_from(&sf, nv, &overrides, Some(basis)).unwrap();
+        let fresh = solve_from(&sf, nv, &overrides, Some(&stripped(basis))).unwrap();
+        assert_eq!(fingerprint(&carried), fingerprint(&fresh), "case {case}");
+        assert_eq!(fresh.stats.factors_adopted, 0, "case {case}");
+        adopted += carried.stats.factors_adopted;
+        if carried.status == SolveStatus::Optimal {
+            let mut tightened = m.clone();
+            (tightened.vars[j].lb, tightened.vars[j].ub) = (overrides[0].1, overrides[0].2);
+            for sol in [&carried, &fresh] {
+                tightened
+                    .certify(sol)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            }
+            certified += 1;
+        }
+    }
+    assert!(adopted >= 60, "only {adopted} adoptions");
+    assert!(certified >= 60, "only {certified} certified re-solves");
+}
+
+/// The same over a [`MilpLayout`], the way A\* rounds and B&B children
+/// share one matrix: a perturbed model solved over the base model's layout
+/// from its basis, with and without the carried factors.
+#[test]
+fn adopted_factors_solve_like_a_fresh_factorization_over_a_layout() {
+    let mut rng = Lcg(0x1a70_fac7);
+    let config = MilpConfig::default();
+    let mut adopted = 0usize;
+    for case in 0..40 {
+        let m = card_knapsack(&mut rng);
+        let layout = MilpLayout::new(&m);
+        let base = m.solve_over(&layout, &config, None, None).unwrap();
+        let Some(basis) = base.basis.as_ref() else {
+            continue;
+        };
+        let mut perturbed = m.clone();
+        for v in &mut perturbed.vars {
+            v.obj = rng.range(-2.0, 10.0);
+        }
+        for c in &mut perturbed.cons {
+            c.rhs += rng.range(-2.0, 3.0);
+        }
+        let carried = perturbed
+            .solve_over(&layout, &config, Some(basis), None)
+            .unwrap();
+        let fresh = perturbed
+            .solve_over(&layout, &config, Some(&stripped(basis)), None)
+            .unwrap();
+        assert_eq!(fingerprint(&carried), fingerprint(&fresh), "case {case}");
+        assert_eq!(carried.stats.nodes_explored, fresh.stats.nodes_explored);
+        adopted += carried.stats.factors_adopted - fresh.stats.factors_adopted;
+    }
+    assert!(adopted >= 30, "only {adopted} roots adopted their factors");
+}
+
+/// Factors are adopted only for the basis and the matrix they factorize: a
+/// basis carried over from another layout, one with a basic artificial and
+/// one of another size all factorize.
+#[test]
+fn factors_of_another_matrix_or_basis_are_not_adopted() {
+    let config = MilpConfig::default();
+    let mut rng = Lcg(0x07e1_5e3e);
+    for case in 0..40 {
+        let m = card_knapsack(&mut rng);
+        let base = m
+            .solve_over(&MilpLayout::new(&m), &config, None, None)
+            .unwrap();
+        let Some(basis) = base.basis.as_ref() else {
+            continue;
+        };
+        // Same shape and the same columns, but another allocation: the root
+        // factorizes (the children below it still adopt their parent's).
+        let other = m
+            .solve_over(&MilpLayout::new(&m), &config, Some(basis), None)
+            .unwrap();
+        let own = m
+            .solve_over(&MilpLayout::new(&m), &config, Some(&stripped(basis)), None)
+            .unwrap();
+        assert_eq!(
+            other.stats.factors_adopted, own.stats.factors_adopted,
+            "case {case}"
+        );
+        assert_eq!(fingerprint(&other), fingerprint(&own), "case {case}");
+    }
+
+    // `x + y = 1` twice: the second row's artificial stays basic at zero,
+    // so the optimum carries no factors, and the factors of another basis
+    // are refused for it.
+    let mut m = Model::new(Sense::Minimize);
+    let x = m.add_var("x", 0.0, 1.0, 1.0, false);
+    let y = m.add_var("y", 0.0, 1.0, 2.0, false);
+    m.add_cons("a", &[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 1.0);
+    m.add_cons("b", &[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 1.0);
+    let sf = StandardForm::from_model(&m);
+    let cold = solve_cold(&sf, 2).unwrap();
+    let with_artificial = cold.basis.clone().expect("an optimum has a basis");
+    let n = sf.num_cols();
+    assert!(
+        with_artificial.basic.iter().any(|&j| j >= n),
+        "{with_artificial:?}: expected a basic artificial"
+    );
+    assert!(with_artificial.factors.is_none());
+    let mut relabelled = with_artificial.clone();
+    relabelled.factors = solve_cold(&sf, 2).unwrap().basis.and_then(|b| b.factors);
+    let warm = solve_from(&sf, 2, &[], Some(&relabelled)).unwrap();
+    assert_eq!(warm.stats.factors_adopted, 0);
+    assert_eq!(
+        fingerprint(&warm),
+        fingerprint(&solve_from(&sf, 2, &[], Some(&with_artificial)).unwrap())
+    );
+
+    // A basis of another size starts cold, carried factors or not.
+    let mut bigger = m.clone();
+    bigger.add_cons("c", &[(x, 1.0)], ConstraintOp::Le, 1.0);
+    let big_sf = StandardForm::from_model(&bigger);
+    let big = solve_cold(&big_sf, 2).unwrap();
+    let basis = big.basis.expect("an optimum has a basis");
+    let sol = solve_from(&sf, 2, &[], Some(&basis)).unwrap();
+    assert_eq!((sol.stats.factors_adopted, sol.stats.cold_starts), (0, 1));
 }

@@ -247,6 +247,57 @@ impl Emit for Schedule {
     }
 }
 
+/// Dense `(chunk, node)` slots for replaying a schedule, chunk-major over
+/// the chunks a demand uses or a send carries, in `(ChunkId, NodeId)` order.
+pub(crate) struct ChunkSlots {
+    chunks: Vec<ChunkId>,
+    nodes: usize,
+    /// The chunks the demand uses, each held by its source from the start.
+    pub(crate) sourced: Vec<ChunkId>,
+}
+
+impl ChunkSlots {
+    pub(crate) fn new(
+        demand: &teccl_collective::DemandMatrix,
+        sends: &[Send],
+        nodes: usize,
+    ) -> Self {
+        let sourced: Vec<ChunkId> = (0..demand.num_nodes)
+            .flat_map(|s| (0..demand.num_chunks).map(move |c| ChunkId::new(NodeId(s), c)))
+            .filter(|ch| demand.chunk_in_use(ch.source, ch.chunk))
+            .collect();
+        let mut chunks: Vec<ChunkId> = sends
+            .iter()
+            .map(|s| s.chunk)
+            .chain(sourced.iter().copied())
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        ChunkSlots {
+            chunks,
+            nodes,
+            sourced,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.len() * self.nodes
+    }
+
+    /// Panics on a chunk or a node outside the table.
+    pub(crate) fn slot(&self, chunk: ChunkId, node: NodeId) -> usize {
+        assert!(node.0 < self.nodes, "node {node} outside the replay");
+        let c = self.chunks.binary_search(&chunk).expect("a listed chunk");
+        c * self.nodes + node.0
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (ChunkId, NodeId)> + '_ {
+        self.chunks
+            .iter()
+            .flat_map(move |&c| (0..self.nodes).map(move |n| (c, NodeId(n))))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

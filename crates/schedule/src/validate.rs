@@ -6,13 +6,12 @@
 //! flow-conservation constraints of §3.1); per-epoch link usage must fit the
 //! link's capacity; and at the end every `(s, c, d)` demand must be satisfied.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use teccl_collective::DemandMatrix;
 use teccl_topology::{NodeId, Topology};
 
-use crate::schedule::{ChunkId, Schedule};
+use crate::schedule::{ChunkId, ChunkSlots, Schedule};
 
 /// A single validation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,6 +95,12 @@ impl ValidationReport {
 /// `check_capacity` controls whether the per-epoch capacity check runs; it
 /// requires `schedule.epoch_duration > 0` (baselines that only provide causal
 /// step ordering skip it).
+///
+/// One cursor walks the sorted sends. A node holds a chunk from the first
+/// epoch it is visible there (a dense `(chunk, node)` table): 0 at its
+/// source, `k + ⌈α/τ⌉ + 1` after a send in epoch `k` (§3.1). Errors come in
+/// replay order: an epoch's sends, then its over-capacity links by `(from,
+/// to)`; the unsatisfied demands last.
 pub fn validate(
     topology: &Topology,
     demand: &DemandMatrix,
@@ -104,135 +109,88 @@ pub fn validate(
 ) -> ValidationReport {
     let mut report = ValidationReport::default();
     let sends = schedule.sorted_sends();
-    let num_epochs = schedule
-        .num_epochs
-        .max(sends.iter().map(|s| s.epoch + 1).max().unwrap_or(0));
-
-    // holdings[node] = set of chunks the node holds *at the start of the
-    // current epoch*; arrivals become visible only after their α-delay.
-    let mut holdings: Vec<BTreeSet<ChunkId>> = vec![BTreeSet::new(); topology.num_nodes()];
+    let n = topology.num_nodes();
+    let slots = ChunkSlots::new(demand, &sends, n);
+    let mut visible = vec![usize::MAX; slots.len()];
     // Sources hold their own chunks from the start.
-    for (s, holding) in holdings.iter_mut().enumerate().take(demand.num_nodes) {
-        for c in 0..demand.num_chunks {
-            if demand.chunk_in_use(NodeId(s), c) {
-                holding.insert(ChunkId::new(NodeId(s), c));
-            }
-        }
+    for &chunk in slots.sourced.iter().filter(|ch| ch.source.0 < n) {
+        visible[slots.slot(chunk, chunk.source)] = 0;
     }
-    // pending[(epoch_visible, node)] -> chunks that become available then.
-    let mut pending: BTreeMap<(usize, usize), Vec<ChunkId>> = BTreeMap::new();
-    let mut seen_sends: BTreeSet<(usize, usize, usize, usize, usize)> = BTreeSet::new();
-
-    // A very long schedule tail is allowed: chunks may still be in flight
-    // after the last send epoch; extend the replay horizon accordingly.
-    let horizon = num_epochs + topology.num_nodes() + 8;
-
-    for epoch in 0..horizon {
-        // Materialize arrivals that become visible at this epoch.
-        if let Some(chunks) = pending.remove(&(epoch, usize::MAX)) {
-            // unreachable sentinel bucket; kept for completeness
-            drop(chunks);
-        }
-        let keys: Vec<(usize, usize)> = pending
-            .range((epoch, 0)..(epoch, usize::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            if let Some(chunks) = pending.remove(&key) {
-                for ch in chunks {
-                    holdings[key.1].insert(ch);
-                }
-            }
-        }
-
-        // Process this epoch's sends.
-        let mut link_load: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for snd in sends.iter().filter(|s| s.epoch == epoch) {
-            let key = (
-                snd.epoch,
-                snd.from.0,
-                snd.to.0,
-                snd.chunk.source.0,
-                snd.chunk.chunk,
-            );
-            if !seen_sends.insert(key) {
+    let paced = schedule.epoch_duration > 0.0;
+    // Sends per link in the current epoch, and the links carrying any, in
+    // `(from, to)` order — the order the sorted sends reach them in.
+    let mut load = vec![0usize; topology.links.len()];
+    let mut loaded: Vec<usize> = Vec::new();
+    let mut at = 0;
+    while at < sends.len() {
+        let epoch = sends[at].epoch;
+        let end = at + sends[at..].iter().take_while(|s| s.epoch == epoch).count();
+        for k in at..end {
+            let snd = &sends[k];
+            // Sorted sends put a duplicate right after its twin.
+            if k > at && sends[k - 1] == *snd {
                 report.errors.push(ValidationError::DuplicateSend {
                     chunk: snd.chunk,
                     from: snd.from,
                     to: snd.to,
-                    epoch: snd.epoch,
+                    epoch,
                 });
                 continue;
             }
-            let link = match topology.link_between(snd.from, snd.to) {
-                Some(l) => l,
-                None => {
-                    report.errors.push(ValidationError::NoSuchLink {
-                        from: snd.from,
-                        to: snd.to,
-                        epoch: snd.epoch,
-                    });
-                    continue;
-                }
+            let Some(link) = topology.link_between(snd.from, snd.to) else {
+                report.errors.push(ValidationError::NoSuchLink {
+                    from: snd.from,
+                    to: snd.to,
+                    epoch,
+                });
+                continue;
             };
-            if !holdings[snd.from.0].contains(&snd.chunk) {
+            if visible[slots.slot(snd.chunk, snd.from)] > epoch {
                 report.errors.push(ValidationError::CausalityViolation {
                     node: snd.from,
                     chunk: snd.chunk,
-                    epoch: snd.epoch,
+                    epoch,
                 });
             }
-            *link_load.entry((snd.from.0, snd.to.0)).or_insert(0) += 1;
-
-            // The chunk becomes usable at `to` after the link's α-delay in
-            // epochs (it arrives by the end of epoch k + ceil(δ), so it can be
-            // forwarded from epoch k + ceil(δ) + 1 onwards — §3.1).
-            let delta_epochs = if schedule.epoch_duration > 0.0 {
+            let l = link.id.0;
+            if load[l] == 0 {
+                loaded.push(l);
+            }
+            load[l] += 1;
+            let delta_epochs = if paced {
                 (link.alpha / schedule.epoch_duration).ceil() as usize
             } else {
                 0
             };
-            let visible = epoch + delta_epochs + 1;
-            pending
-                .entry((visible, snd.to.0))
-                .or_default()
-                .push(snd.chunk);
+            let arrival = &mut visible[slots.slot(snd.chunk, snd.to)];
+            *arrival = (*arrival).min(epoch.saturating_add(delta_epochs).saturating_add(1));
         }
-
-        // Capacity check.
-        if check_capacity && schedule.epoch_duration > 0.0 {
-            for ((from, to), chunks) in link_load {
-                let link = topology
-                    .link_between(NodeId(from), NodeId(to))
-                    .expect("checked above");
-                let cap_chunks = (link.capacity * schedule.epoch_duration / schedule.chunk_bytes
-                    + 1e-9)
-                    .floor() as usize;
-                if chunks > cap_chunks {
-                    report.errors.push(ValidationError::CapacityExceeded {
-                        from: NodeId(from),
-                        to: NodeId(to),
-                        epoch,
-                        chunks,
-                        capacity_chunks: cap_chunks,
-                    });
-                }
+        for &l in &loaded {
+            let chunks = std::mem::take(&mut load[l]);
+            if !(check_capacity && paced) {
+                continue;
+            }
+            let link = &topology.links[l];
+            let cap_chunks = (link.capacity * schedule.epoch_duration / schedule.chunk_bytes + 1e-9)
+                .floor() as usize;
+            if chunks > cap_chunks {
+                report.errors.push(ValidationError::CapacityExceeded {
+                    from: link.src,
+                    to: link.dst,
+                    epoch,
+                    chunks,
+                    capacity_chunks: cap_chunks,
+                });
             }
         }
+        loaded.clear();
+        at = end;
     }
 
-    // Flush any remaining pending arrivals (visible after the horizon —
-    // holdings are only used for the demand check below at this point).
-    for ((_, node), chunks) in pending {
-        for ch in chunks {
-            holdings[node].insert(ch);
-        }
-    }
-
-    // Demand satisfaction.
+    // Demand satisfaction: every arrival counts, however late.
     for (s, c, d) in demand.iter() {
         let chunk = ChunkId::new(s, c);
-        if !holdings[d.0].contains(&chunk) {
+        if visible[slots.slot(chunk, d)] == usize::MAX {
             report.errors.push(ValidationError::DemandUnsatisfied {
                 chunk,
                 destination: d,
@@ -244,10 +202,160 @@ pub fn validate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schedule::Schedule;
+    use std::collections::{BTreeMap, BTreeSet};
     use teccl_topology::line_topology;
+
+    /// The replay over ordered maps and sets, scanning every send each epoch:
+    /// the oracle the dense replay must reproduce.
+    pub(crate) fn btree_validate(
+        topology: &Topology,
+        demand: &DemandMatrix,
+        schedule: &Schedule,
+        check_capacity: bool,
+    ) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        let sends = schedule.sorted_sends();
+        let num_epochs = schedule
+            .num_epochs
+            .max(sends.iter().map(|s| s.epoch + 1).max().unwrap_or(0));
+
+        // holdings[node] = set of chunks the node holds *at the start of the
+        // current epoch*; arrivals become visible only after their α-delay.
+        let mut holdings: Vec<BTreeSet<ChunkId>> = vec![BTreeSet::new(); topology.num_nodes()];
+        // Sources hold their own chunks from the start.
+        for (s, holding) in holdings.iter_mut().enumerate().take(demand.num_nodes) {
+            for c in 0..demand.num_chunks {
+                if demand.chunk_in_use(NodeId(s), c) {
+                    holding.insert(ChunkId::new(NodeId(s), c));
+                }
+            }
+        }
+        // pending[(epoch_visible, node)] -> chunks that become available then.
+        let mut pending: BTreeMap<(usize, usize), Vec<ChunkId>> = BTreeMap::new();
+        let mut seen_sends: BTreeSet<(usize, usize, usize, usize, usize)> = BTreeSet::new();
+
+        // A very long schedule tail is allowed: chunks may still be in flight
+        // after the last send epoch; extend the replay horizon accordingly.
+        let horizon = num_epochs + topology.num_nodes() + 8;
+
+        for epoch in 0..horizon {
+            // Materialize arrivals that become visible at this epoch.
+            if let Some(chunks) = pending.remove(&(epoch, usize::MAX)) {
+                // unreachable sentinel bucket; kept for completeness
+                drop(chunks);
+            }
+            let keys: Vec<(usize, usize)> = pending
+                .range((epoch, 0)..(epoch, usize::MAX))
+                .map(|(k, _)| *k)
+                .collect();
+            for key in keys {
+                if let Some(chunks) = pending.remove(&key) {
+                    for ch in chunks {
+                        holdings[key.1].insert(ch);
+                    }
+                }
+            }
+
+            // Process this epoch's sends.
+            let mut link_load: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+            for snd in sends.iter().filter(|s| s.epoch == epoch) {
+                let key = (
+                    snd.epoch,
+                    snd.from.0,
+                    snd.to.0,
+                    snd.chunk.source.0,
+                    snd.chunk.chunk,
+                );
+                if !seen_sends.insert(key) {
+                    report.errors.push(ValidationError::DuplicateSend {
+                        chunk: snd.chunk,
+                        from: snd.from,
+                        to: snd.to,
+                        epoch: snd.epoch,
+                    });
+                    continue;
+                }
+                let link = match topology.link_between(snd.from, snd.to) {
+                    Some(l) => l,
+                    None => {
+                        report.errors.push(ValidationError::NoSuchLink {
+                            from: snd.from,
+                            to: snd.to,
+                            epoch: snd.epoch,
+                        });
+                        continue;
+                    }
+                };
+                if !holdings[snd.from.0].contains(&snd.chunk) {
+                    report.errors.push(ValidationError::CausalityViolation {
+                        node: snd.from,
+                        chunk: snd.chunk,
+                        epoch: snd.epoch,
+                    });
+                }
+                *link_load.entry((snd.from.0, snd.to.0)).or_insert(0) += 1;
+
+                // The chunk becomes usable at `to` after the link's α-delay in
+                // epochs (it arrives by the end of epoch k + ceil(δ), so it can be
+                // forwarded from epoch k + ceil(δ) + 1 onwards — §3.1).
+                let delta_epochs = if schedule.epoch_duration > 0.0 {
+                    (link.alpha / schedule.epoch_duration).ceil() as usize
+                } else {
+                    0
+                };
+                let visible = epoch + delta_epochs + 1;
+                pending
+                    .entry((visible, snd.to.0))
+                    .or_default()
+                    .push(snd.chunk);
+            }
+
+            // Capacity check.
+            if check_capacity && schedule.epoch_duration > 0.0 {
+                for ((from, to), chunks) in link_load {
+                    let link = topology
+                        .link_between(NodeId(from), NodeId(to))
+                        .expect("checked above");
+                    let cap_chunks =
+                        (link.capacity * schedule.epoch_duration / schedule.chunk_bytes + 1e-9)
+                            .floor() as usize;
+                    if chunks > cap_chunks {
+                        report.errors.push(ValidationError::CapacityExceeded {
+                            from: NodeId(from),
+                            to: NodeId(to),
+                            epoch,
+                            chunks,
+                            capacity_chunks: cap_chunks,
+                        });
+                    }
+                }
+            }
+        }
+
+        // Flush any remaining pending arrivals (visible after the horizon —
+        // holdings are only used for the demand check below at this point).
+        for ((_, node), chunks) in pending {
+            for ch in chunks {
+                holdings[node].insert(ch);
+            }
+        }
+
+        // Demand satisfaction.
+        for (s, c, d) in demand.iter() {
+            let chunk = ChunkId::new(s, c);
+            if !holdings[d.0].contains(&chunk) {
+                report.errors.push(ValidationError::DemandUnsatisfied {
+                    chunk,
+                    destination: d,
+                });
+            }
+        }
+
+        report
+    }
 
     fn line3() -> Topology {
         line_topology(3, 1e9, 0.0)

@@ -479,6 +479,7 @@ mod tests {
         let basis = SimplexBasis {
             basic: vec![1, 2],
             status: vec![teccl_lp::VarStatus::Basic; 3],
+            factors: None,
         };
         store.save(&entry, Some(&basis)).unwrap();
         let (back, back_basis) = store.load(entry.key, &req).expect("valid entry loads");

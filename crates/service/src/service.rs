@@ -1216,6 +1216,7 @@ mod tests {
         let basis = |tag: usize| SimplexBasis {
             basic: vec![tag],
             status: Vec::new(),
+            factors: None,
         };
         for family in 0..cap as u64 + 3 {
             book.insert(key(family), basis(family as usize));

@@ -56,6 +56,19 @@
 //!   ends `Optimal`, so the quotient's answer is taken; 56 sends at the same
 //!   transfer time to the bit (288.3 µs).
 //!
+//! The factorization column was re-pinned when a solve started handing the
+//! factorization it ended on to the next warm start over the same matrix
+//! (`teccl_lp::SimplexBasis::factors`). Such a start adopts those factors
+//! instead of factorizing the same basis again. So each row also pins the
+//! adoptions, and their sum with the factorizations is the count before
+//! ([`FACTORIZED_BEFORE_CARRY`]):
+//! * the seven A\* rows: round 0 starts cold and each of the other rounds
+//!   adopts the factors the previous round's root ended on, one
+//!   factorization fewer per warm round (6 → 4, 12 → 7, 8 → 5, 20 → 11,
+//!   18 → 10, 23 → 14, 11 → 7);
+//! * the `dgx1` MILP row and the three LP rows: one cold solve with no warm
+//!   start, unchanged.
+//!
 //! Release-only (tens of seconds in a debug build, ~2 s in release); CI runs
 //! it with `--release -- --ignored`.
 
@@ -65,14 +78,14 @@ use teccl_schedule::{simulate, validate};
 use teccl_service::{builtin_topology, RequestMethod, SolveRequest};
 
 /// `(collective, topology, chunks, method, [iterations, dual iterations, B&B
-/// nodes, factorizations], sends, simulated transfer time as f64 bits)` at a
-/// 16 MiB output buffer.
+/// nodes, factorizations, adopted factors], sends, simulated transfer time as
+/// f64 bits)` at a 16 MiB output buffer.
 type Shape = (
     CollectiveKind,
     &'static str,
     usize,
     RequestMethod,
-    [usize; 4],
+    [usize; 5],
     usize,
     u64,
 );
@@ -82,18 +95,22 @@ const A2A: CollectiveKind = CollectiveKind::AllToAll;
 
 #[rustfmt::skip]
 const SHAPES: [Shape; 11] = [
-    (AG, "internal1x2", 1, RequestMethod::AStar, [105, 88, 3, 6], 64, 0x3f4f706f0389af57),
-    (AG, "internal1x2", 2, RequestMethod::AStar, [242, 116, 6, 12], 128, 0x3f514a52ed4d836d),
-    (AG, "internal1x3", 1, RequestMethod::AStar, [219, 137, 4, 8], 144, 0x3f4c031bea5f7e6c),
-    (AG, "internal2x4", 2, RequestMethod::AStar, [228, 110, 10, 20], 128, 0x3f5d117f841eeb2c),
-    (AG, "internal2x8", 1, RequestMethod::AStar, [251, 139, 9, 18], 256, 0x3f5832f7505da388),
-    (AG, "dgx2", 1, RequestMethod::AStar, [383, 308, 10, 23], 256, 0x3f29d906046709da),
-    (AG, "internal1x4", 1, RequestMethod::AStar, [344, 252, 5, 11], 256, 0x3f4a69b0dea12353),
-    (AG, "dgx1", 1, RequestMethod::Milp, [54, 41, 1, 3], 56, 0x3f32e507848bbf9f),
-    (A2A, "dgx1", 2, RequestMethod::Lp, [154, 0, 0, 5], 192, 0x3f3f75e2e0d11dab),
-    (A2A, "internal2x3", 2, RequestMethod::Lp, [274, 0, 0, 5], 168, 0x3f5836bdae7b6610),
-    (A2A, "internal1x2", 2, RequestMethod::Lp, [382, 0, 0, 5], 280, 0x3f4f76b9a065f390),
+    (AG, "internal1x2", 1, RequestMethod::AStar, [105, 88, 3, 4, 2], 64, 0x3f4f706f0389af57),
+    (AG, "internal1x2", 2, RequestMethod::AStar, [242, 116, 6, 7, 5], 128, 0x3f514a52ed4d836d),
+    (AG, "internal1x3", 1, RequestMethod::AStar, [219, 137, 4, 5, 3], 144, 0x3f4c031bea5f7e6c),
+    (AG, "internal2x4", 2, RequestMethod::AStar, [228, 110, 10, 11, 9], 128, 0x3f5d117f841eeb2c),
+    (AG, "internal2x8", 1, RequestMethod::AStar, [251, 139, 9, 10, 8], 256, 0x3f5832f7505da388),
+    (AG, "dgx2", 1, RequestMethod::AStar, [383, 308, 10, 14, 9], 256, 0x3f29d906046709da),
+    (AG, "internal1x4", 1, RequestMethod::AStar, [344, 252, 5, 7, 4], 256, 0x3f4a69b0dea12353),
+    (AG, "dgx1", 1, RequestMethod::Milp, [54, 41, 1, 3, 0], 56, 0x3f32e507848bbf9f),
+    (A2A, "dgx1", 2, RequestMethod::Lp, [154, 0, 0, 5, 0], 192, 0x3f3f75e2e0d11dab),
+    (A2A, "internal2x3", 2, RequestMethod::Lp, [274, 0, 0, 5, 0], 168, 0x3f5836bdae7b6610),
+    (A2A, "internal1x2", 2, RequestMethod::Lp, [382, 0, 0, 5, 0], 280, 0x3f4f76b9a065f390),
 ];
+
+/// Each row's factorizations before a solve carried its factors out: the
+/// pinned factorizations plus adoptions must add up to these.
+const FACTORIZED_BEFORE_CARRY: [usize; 11] = [6, 12, 8, 20, 18, 23, 11, 3, 5, 5, 5];
 
 /// The `allgather_copy` rows' simulated transfer times (f64 bits) over the
 /// full round models and the full MILP, before they were laid out over a
@@ -120,7 +137,9 @@ const FULL_LP_TRANSFER: [(&str, u64); 3] = [
 #[test]
 #[ignore = "release-only"]
 fn benchmark_shapes_keep_their_pivot_counts() {
-    for (collective, name, chunks, method, pinned, sends, transfer_bits) in SHAPES {
+    for ((collective, name, chunks, method, pinned, sends, transfer_bits), before) in
+        SHAPES.into_iter().zip(FACTORIZED_BEFORE_CARRY)
+    {
         let topology = builtin_topology(name).expect("builtin topology");
         let request = SolveRequest::new(topology, collective, chunks, 16.0 * 1024.0 * 1024.0)
             .with_method(method);
@@ -170,9 +189,15 @@ fn benchmark_shapes_keep_their_pivot_counts() {
                 stats.dual_iterations,
                 stats.nodes_explored,
                 stats.factorizations,
+                stats.factors_adopted,
             ],
             pinned,
-            "{name} c{chunks}: iterations / dual / nodes / factorizations moved"
+            "{name} c{chunks}: iterations / dual / nodes / factorizations / adoptions moved"
+        );
+        assert_eq!(
+            stats.factorizations + stats.factors_adopted,
+            before,
+            "{name} c{chunks}: an adoption must replace exactly one factorization"
         );
     }
 }

@@ -4,6 +4,10 @@
 //! benchmark's `service_churn` stream (six families at eight half-octave
 //! sizes) must get the schedule its cold solve gives — the same sends and
 //! the same number of epochs.
+//!
+//! No published basis carries the factors its solve ended on: they serve
+//! warm starts inside one solve only, so neither a solve's outcome — the
+//! source of the service's basis book — nor the disk store ever holds them.
 
 use std::path::PathBuf;
 
@@ -13,7 +17,7 @@ use teccl_lp::SimplexBasis;
 use teccl_schedule::{Schedule, Send};
 use teccl_service::RequestMethod::{self, AStar, Lp, Milp};
 use teccl_service::{
-    builtin_topology, CacheStatus, Quality, ScheduleService, ServiceConfig, SolveRequest,
+    builtin_topology, CacheStatus, DiskStore, Quality, ScheduleService, ServiceConfig, SolveRequest,
 };
 
 /// The `service_churn` families: topology, collective, method, chunks, each
@@ -55,15 +59,22 @@ fn answer(schedule: &Schedule) -> (Vec<Send>, usize) {
     (sends, schedule.num_epochs)
 }
 
+/// `request` solved from `warm`, with no carried factors in its outcome.
 fn solve(request: &SolveRequest, warm: Option<&SimplexBasis>) -> SolveOutcome {
-    TeCcl::new(request.topology.clone(), request.config.clone())
+    let outcome = TeCcl::new(request.topology.clone(), request.config.clone())
         .solve(
             &request.demand(),
             request.chunk_bytes(),
             request.method,
             warm,
         )
-        .unwrap_or_else(|e| panic!("{}: {e}", name(request)))
+        .unwrap_or_else(|e| panic!("{}: {e}", name(request)));
+    assert!(
+        outcome.basis.as_ref().is_none_or(|b| b.factors.is_none()),
+        "{}: the published basis carries factors",
+        name(request)
+    );
+    outcome
 }
 
 fn name(request: &SolveRequest) -> String {
@@ -145,6 +156,16 @@ fn churn_answers_do_not_depend_on_request_order() {
         ..Default::default()
     };
     for expected in [CacheStatus::Miss, CacheStatus::DiskHit] {
+        if expected == CacheStatus::DiskHit {
+            let disk = DiskStore::open(&scratch.0).unwrap();
+            let mut stored = 0;
+            for request in &requests {
+                let (_, basis) = disk.load(request.key(), request).expect("stored");
+                assert!(basis.as_ref().is_none_or(|b| b.factors.is_none()));
+                stored += usize::from(basis.is_some());
+            }
+            assert!(stored >= 4 * SIZES, "only {stored} stored bases");
+        }
         let service = ScheduleService::start(config()).unwrap();
         for (request, cold) in requests.iter().zip(&cold).rev() {
             let served = service.request(request.clone()).unwrap();

@@ -10,40 +10,15 @@
 //! instance, which has no symmetry), each over the trivial group and over
 //! the group `SymmetryGroup::find` returns, at the solver's first horizon.
 
+mod common;
+
+use common::model_hash;
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::epochs::{epoch_duration, horizon_lower_bound};
 use teccl_core::lp_form::LpFormulation;
 use teccl_core::symmetry::SymmetryGroup;
 use teccl_core::SolverConfig;
-use teccl_lp::{ConstraintOp, Model};
 use teccl_topology::{dgx1, internal1, NodeId, Topology};
-use teccl_util::StableHasher;
-
-/// Every bit of `model` the solver reads.
-fn model_hash(model: &Model) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_usize(model.vars.len());
-    for v in &model.vars {
-        h.write_f64_bits(v.lb)
-            .write_f64_bits(v.ub)
-            .write_f64_bits(v.obj)
-            .write_u64(v.integer as u64);
-    }
-    h.write_usize(model.cons.len());
-    for c in &model.cons {
-        let op = match c.op {
-            ConstraintOp::Le => 0,
-            ConstraintOp::Ge => 1,
-            ConstraintOp::Eq => 2,
-        };
-        h.write_u64(op).write_f64_bits(c.rhs);
-        h.write_usize(c.terms.len());
-        for &(var, coef) in &c.terms {
-            h.write_usize(var.index()).write_f64_bits(coef);
-        }
-    }
-    h.finish()
-}
 
 /// The hashes of the 2-chunk 16 MiB ALLTOALL LP on `topo`, over the trivial
 /// group and over the found group, at the first horizon the solver tries

@@ -11,18 +11,19 @@
 //! that solve full 8-GPU LPs take seconds in release and minutes in debug,
 //! so they are `#[ignore]`d and run in CI with `--release -- --ignored`.
 
+mod common;
+
 use std::time::Instant;
 
+use common::model_hash;
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::epochs::{epoch_duration, horizon_lower_bound};
 use teccl_core::extract::schedule_from_sends;
 use teccl_core::lp_form::LpFormulation;
 use teccl_core::symmetry::SymmetryGroup;
 use teccl_core::{BufferMode, RequestMethod, SolverConfig, TeCcl, TeCclError};
-use teccl_lp::{ConstraintOp, Model};
 use teccl_schedule::{simulate, validate};
 use teccl_topology::{dgx1, dgx2, internal1, internal2, ndv2, NodeId, Topology, GBPS};
-use teccl_util::StableHasher;
 
 const SIXTEEN_MB: f64 = 16.0 * 1024.0 * 1024.0;
 const SIZES: [f64; 2] = [64.0 * 1024.0, SIXTEEN_MB];
@@ -254,33 +255,6 @@ fn sixteen_gpu_alltoall_solves_over_its_group() {
         "{} pivots in {elapsed:?}",
         out.stats.simplex_iterations
     );
-}
-
-/// Every bit of `model` the solver reads, hashed as
-/// `milp_model_pins.rs` hashes the MILP models.
-fn model_hash(model: &Model) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_usize(model.vars.len());
-    for v in &model.vars {
-        h.write_f64_bits(v.lb)
-            .write_f64_bits(v.ub)
-            .write_f64_bits(v.obj)
-            .write_u64(v.integer as u64);
-    }
-    h.write_usize(model.cons.len());
-    for c in &model.cons {
-        let op = match c.op {
-            ConstraintOp::Le => 0,
-            ConstraintOp::Ge => 1,
-            ConstraintOp::Eq => 2,
-        };
-        h.write_u64(op).write_f64_bits(c.rhs);
-        h.write_usize(c.terms.len());
-        for &(var, coef) in &c.terms {
-            h.write_usize(var.index()).write_f64_bits(coef);
-        }
-    }
-    h.finish()
 }
 
 /// The model of `kind` on `topo` at horizon `k` over the trivial group.

@@ -10,44 +10,22 @@
 //! switch links) under the default options, limited buffers,
 //! no-store-and-forward, non-copy switches and the hyper-edge transform; the
 //! round-1 options of the in-place update test on a 4-GPU line; and round 1
-//! of the A\* loop on internal2 x2 rebuilt through `RoundState`.
+//! of the A\* loop on internal2 x2 rebuilt through `RoundState`. Over the
+//! group `SymmetryGroup::find_per_chunk` returns: A\* rounds 0 and 1 on
+//! internal1 x2, with unlimited and with limited buffers, and the dgx1
+//! ALLGATHER MILP at its copy bound.
 
+mod common;
+
+use common::model_hash;
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::astar::RoundState;
-use teccl_core::epochs::epoch_duration;
+use teccl_core::epochs::{copy_horizon_bound, epoch_duration};
 use teccl_core::milp_form::{MilpBuildOptions, MilpFormulation};
 use teccl_core::switch::hyperedge_transform;
+use teccl_core::symmetry::SymmetryGroup;
 use teccl_core::{BufferMode, SolverConfig, SwitchModel};
-use teccl_lp::{ConstraintOp, Model};
-use teccl_topology::{internal2, line_topology, NodeId, Topology};
-use teccl_util::StableHasher;
-
-/// Every bit of `model` the solver reads: bounds, costs, integrality, row
-/// operators, right-hand sides and terms.
-fn model_hash(model: &Model) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_usize(model.vars.len());
-    for v in &model.vars {
-        h.write_f64_bits(v.lb)
-            .write_f64_bits(v.ub)
-            .write_f64_bits(v.obj)
-            .write_u64(v.integer as u64);
-    }
-    h.write_usize(model.cons.len());
-    for c in &model.cons {
-        let op = match c.op {
-            ConstraintOp::Le => 0,
-            ConstraintOp::Ge => 1,
-            ConstraintOp::Eq => 2,
-        };
-        h.write_u64(op).write_f64_bits(c.rhs);
-        h.write_usize(c.terms.len());
-        for &(var, coef) in &c.terms {
-            h.write_usize(var.index()).write_f64_bits(coef);
-        }
-    }
-    h.finish()
-}
+use teccl_topology::{dgx1, internal1, internal2, line_topology, NodeId, Topology};
 
 /// internal2 x2 ALLGATHER at a 16 MB output buffer, with `config`'s switch
 /// model applied: topology, demand, chunk size, τ and hyper-edge options.
@@ -191,5 +169,91 @@ fn astar_round1_model_is_pinned() {
     assert_eq!(
         (model_hash(&round0.model), model_hash(&round1.model)),
         (11005451624717317037, 16877532526095070901)
+    );
+}
+
+/// ALLGATHER on `topo` at a 16 MB output buffer: demand, chunk size, τ and
+/// the group `SymmetryGroup::find_per_chunk` lays its MILPs out over.
+fn allgather_over_its_group(
+    topo: &Topology,
+    config: &SolverConfig,
+) -> (DemandMatrix, f64, f64, SymmetryGroup) {
+    let gpus: Vec<NodeId> = topo.gpus().collect();
+    let kind = CollectiveKind::AllGather;
+    let demand = DemandMatrix::for_collective(kind, topo.num_nodes(), &gpus, 1);
+    let chunk_bytes = CollectiveSizing::new(kind, gpus.len())
+        .transfer_bytes_for_output_buffer(16.0 * 1024.0 * 1024.0);
+    let tau = epoch_duration(topo, chunk_bytes, config);
+    let group = SymmetryGroup::find_per_chunk(topo, &demand, chunk_bytes, tau, None).unwrap();
+    (demand, chunk_bytes, tau, group)
+}
+
+/// The hashes of A\* rounds 0 and 1 on internal1 x2 laid out over its group,
+/// round 1 after round 0's quotient sends, and the group's order.
+fn internal1x2_quotient_round_hashes(config: &SolverConfig) -> (u64, u64, usize) {
+    let topo = internal1(2);
+    let (demand, chunk_bytes, tau, group) = allgather_over_its_group(&topo, config);
+    let mut state = RoundState::new(&topo, &demand, chunk_bytes, config, tau);
+    let mut hashes = [0; 2];
+    for hash in &mut hashes {
+        let (remaining, _) = state.remaining(&demand);
+        let options = state.build_options(&topo, &demand, &remaining, config);
+        let round = MilpFormulation::build_over(
+            &topo,
+            &demand,
+            chunk_bytes,
+            config,
+            state.epochs_per_round,
+            tau,
+            &options,
+            group.clone(),
+            None,
+        )
+        .unwrap();
+        *hash = model_hash(&round.model);
+        let sol = round.solve_budgeted(config, None, None).unwrap();
+        state.absorb(&topo, &round.sends(&sol));
+    }
+    (hashes[0], hashes[1], group.order())
+}
+
+/// The orbit-folded rows (capacity per link orbit, buffer limit per node
+/// orbit) and the `|G|`-weighted rewards, which the trivial-group pins above
+/// never lay out.
+#[test]
+fn quotient_astar_round_models_are_pinned() {
+    assert_eq!(
+        internal1x2_quotient_round_hashes(&SolverConfig::default()),
+        (15897221165372884921, 13024004964274557622, 8)
+    );
+    let limited = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(2));
+    assert_eq!(
+        internal1x2_quotient_round_hashes(&limited),
+        (15842825666658364733, 3349954758729658378, 8)
+    );
+}
+
+#[test]
+fn quotient_dgx1_allgather_model_is_pinned() {
+    let topo = dgx1();
+    let config = SolverConfig::default();
+    let (demand, chunk_bytes, tau, group) = allgather_over_its_group(&topo, &config);
+    let found = SymmetryGroup::find(&topo, &demand, chunk_bytes, tau, None).unwrap();
+    let k = copy_horizon_bound(&topo, &demand, chunk_bytes, tau, &found, None).unwrap();
+    let form = MilpFormulation::build_over(
+        &topo,
+        &demand,
+        chunk_bytes,
+        &config,
+        k,
+        tau,
+        &MilpBuildOptions::default(),
+        group.clone(),
+        None,
+    )
+    .unwrap();
+    assert_eq!(
+        (model_hash(&form.model), k, group.order()),
+        (4220109336725593258, 4, 8)
     );
 }

@@ -162,6 +162,7 @@ use teccl_util::SolveBudget;
 use crate::config::{EpochStrategy, SolverConfig};
 use crate::error::TeCclError;
 use crate::symmetry::{Orbits, SymmetryGroup};
+use crate::time_expanded::source_orbits;
 
 /// Computes the epoch duration τ for a topology, chunk size and strategy,
 /// including the epoch multiplier (EM).
@@ -208,31 +209,56 @@ pub fn capacity_chunks_per_epoch(link: &Link, chunk_bytes: f64, tau: f64) -> f64
     link.capacity * tau / chunk_bytes
 }
 
-/// The time-expanded grid of the MILP (§3.1, Appendix F) and its A\*
-/// rounds (§4.2): each link's effective delay δ + κ − 1 in epochs — a chunk
-/// sent on a link in epoch `k` joins the far end's buffer at
-/// `k + delay + 1` — and the all-pairs distances over those hop costs.
-/// Reachability pins, the A\* distance reward, in-flight arrivals and send
-/// pruning all read the delays and distances from here.
-///
-/// The copy-free LP ([`crate::lp_form`]) has no κ window and prices a hop
-/// at δ + 1 with [`delta_epochs`], so it does not use this grid.
+/// The time-expanded grid of a formulation: each link's capacity in chunks
+/// per epoch, κ (Appendix F's epochs to transmit one chunk) and delay
+/// δ + κ − 1 in epochs — a chunk sent in epoch `k` can leave the far end in
+/// epoch `k + delay + 1` — and the all-pairs distances over those hop costs.
+/// The MILP (§3.1) and its A\* rounds (§4.2) use [`EpochGrid::new`]; the
+/// copy-free LP (§4.1) and the horizon-bound LPs take κ = 1 (no window), so
+/// a hop costs δ + 1.
 #[derive(Debug, Clone)]
 pub struct EpochGrid {
+    caps: Vec<f64>,
+    kappas: Vec<usize>,
     delays: Vec<usize>,
     paths: PathMatrix,
 }
 
 impl EpochGrid {
-    /// The grid of `topo` for chunks of `chunk_bytes` and epochs of `tau`.
+    /// The MILP grid of `topo` for chunks of `chunk_bytes` and epochs of
+    /// `tau`.
     pub fn new(topo: &Topology, chunk_bytes: f64, tau: f64) -> Self {
-        let delays: Vec<usize> = topo
-            .links
-            .iter()
-            .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
-            .collect();
+        let kappas = topo.links.iter().map(|l| kappa_epochs(l, chunk_bytes, tau));
+        Self::with_kappas(topo, chunk_bytes, tau, kappas.collect())
+    }
+
+    /// The copy-free LP's grid: κ = 1 on every link.
+    pub(crate) fn copy_free(topo: &Topology, chunk_bytes: f64, tau: f64) -> Self {
+        Self::with_kappas(topo, chunk_bytes, tau, vec![1; topo.links.len()])
+    }
+
+    fn with_kappas(topo: &Topology, chunk_bytes: f64, tau: f64, kappas: Vec<usize>) -> Self {
+        let cap = |l| capacity_chunks_per_epoch(l, chunk_bytes, tau);
+        let delay = |l: &Link| delta_epochs(l, tau) + kappas[l.id.0] - 1;
+        let delays: Vec<usize> = topo.links.iter().map(delay).collect();
         let paths = floyd_warshall(topo, |l| (delays[l.id.0] + 1) as f64);
-        Self { delays, paths }
+        let caps = topo.links.iter().map(cap).collect();
+        Self {
+            caps,
+            kappas,
+            delays,
+            paths,
+        }
+    }
+
+    /// The capacity of `link` in chunks per epoch.
+    pub(crate) fn capacity(&self, link: &Link) -> f64 {
+        self.caps[link.id.0]
+    }
+
+    /// The epochs `link` takes to transmit one chunk (κ).
+    pub(crate) fn kappa(&self, link: &Link) -> usize {
+        self.kappas[link.id.0]
     }
 
     /// The effective delay of `link` in epochs.
@@ -296,11 +322,9 @@ pub(crate) fn lower_bound_and_pivots(
     budget: Option<&SolveBudget>,
 ) -> Result<(usize, usize), TeCclError> {
     let pairs = wanted_pairs(topo, demand);
-    let mut sources: Vec<NodeId> = pairs.iter().map(|&(s, _, _)| s).collect();
-    sources.dedup();
-    let orbits = Orbits::new(group.clone(), &sources);
-    let commodities: Vec<Commodity> = sources
-        .into_iter()
+    let orbits = source_orbits(topo, demand, group.clone());
+    let commodities: Vec<Commodity> = topo
+        .gpus()
         .filter(|&s| orbits.is_representative(s))
         .map(|s| Commodity {
             pairs: pairs
@@ -310,7 +334,8 @@ pub(crate) fn lower_bound_and_pivots(
                 .collect(),
         })
         .collect();
-    static_flow_bound(topo, chunk_bytes, tau, &pairs, &commodities, group, budget)
+    let grid = EpochGrid::copy_free(topo, chunk_bytes, tau);
+    static_flow_bound(topo, &grid, &pairs, &commodities, group, budget)
 }
 
 /// A proven lower bound on the epoch horizon `K` of the MILP
@@ -342,6 +367,7 @@ fn copy_bound_and_pivots(
     budget: Option<&SolveBudget>,
 ) -> Result<(usize, usize), TeCclError> {
     let pairs = wanted_pairs(topo, demand);
+    let grid = EpochGrid::copy_free(topo, chunk_bytes, tau);
     let trivial = SymmetryGroup::trivial(topo);
     let (mut bound, mut pivots) = (1, 0);
     for d in topo.gpus().filter(|&d| group.node_orbit(d).is_some()) {
@@ -355,8 +381,7 @@ fn copy_bound_and_pivots(
         if !sink.pairs.is_empty() {
             let (only_d, spent) = static_flow_bound(
                 topo,
-                chunk_bytes,
-                tau,
+                &grid,
                 &sink.pairs,
                 std::slice::from_ref(&sink),
                 &trivial,
@@ -408,12 +433,12 @@ impl Commodity {
 /// link orbit's one capacity row folds every image's flow in
 /// (`Orbits::row_terms`) — and returns `max(⌈T*⌉, latency)`. The link
 /// windows and the latency floor come from `pairs`, every wanted pair of
-/// the demand, representatives or not. Also returns the LP's simplex
-/// pivots. The model is unnamed: it is read by index.
+/// the demand, representatives or not, and the hop costs and capacities
+/// from `grid`, the copy-free LP's ([`EpochGrid::copy_free`]). Also returns
+/// the LP's simplex pivots. The model is unnamed: it is read by index.
 fn static_flow_bound(
     topo: &Topology,
-    chunk_bytes: f64,
-    tau: f64,
+    grid: &EpochGrid,
     pairs: &[(NodeId, NodeId, usize)],
     commodities: &[Commodity],
     group: &SymmetryGroup,
@@ -422,9 +447,6 @@ fn static_flow_bound(
     if let Some(cause) = budget.and_then(SolveBudget::exceeded) {
         return Err(TeCclError::Budget(cause));
     }
-    // Hop cost of the LP formulation: sent at epoch k on l, forwardable from
-    // l.dst at epoch k + δ + 1.
-    let pm = floyd_warshall(topo, |l| (delta_epochs(l, tau) + 1) as f64);
     let nodes = || (0..topo.num_nodes()).map(NodeId);
     // reach[v]: cheapest path from any source to v; drain[v]: from v to any
     // destination.
@@ -436,11 +458,11 @@ fn static_flow_bound(
     let mut latency: f64 = 1.0;
     for &(s, d, _) in pairs {
         for v in nodes() {
-            reach[v.0] = reach[v.0].min(pm.distance(s, v));
-            drain[v.0] = drain[v.0].min(pm.distance(v, d));
+            reach[v.0] = reach[v.0].min(grid.distance(s, v));
+            drain[v.0] = drain[v.0].min(grid.distance(v, d));
         }
-        if pm.distance(s, d).is_finite() {
-            latency = latency.max(pm.distance(s, d));
+        if grid.distance(s, d).is_finite() {
+            latency = latency.max(grid.distance(s, d));
         }
     }
     // Dead time of each link: nothing is on it before reach[src], and
@@ -449,7 +471,7 @@ fn static_flow_bound(
     let dead: Vec<f64> = topo
         .links
         .iter()
-        .map(|l| reach[l.src.0] + delta_epochs(l, tau) as f64 + drain[l.dst.0])
+        .map(|l| reach[l.src.0] + grid.delay(l) as f64 + drain[l.dst.0])
         .collect();
 
     let mut model = Model::new(Sense::Minimize);
@@ -476,7 +498,7 @@ fn static_flow_bound(
         // Σ_s f[s,l] ≤ cap·(T − w) with w = min(dead, latency): K ≥ latency
         // always, so the usable window max(0, K − dead) never exceeds K − w,
         // and the row never asks for T ≥ dead on its own.
-        let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
+        let cap = grid.capacity(link);
         let mut terms = Orbits::row_terms(0..commodities.len(), &images, |i, at| [flow[i][at]]);
         terms.push((t, -cap));
         model.add_cons(

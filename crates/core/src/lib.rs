@@ -52,7 +52,7 @@ pub mod milp_form;
 pub mod solver;
 pub mod switch;
 pub mod symmetry;
-mod var_index;
+mod time_expanded;
 
 pub use config::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
 pub use error::TeCclError;

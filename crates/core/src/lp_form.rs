@@ -6,6 +6,11 @@
 //! `F[s,(i,j),k]` (in chunk units). The result is an LP — polynomial-time
 //! solvable and far more scalable — that is still optimal for these demands.
 //!
+//! It is laid out on the MILP's time-expanded network (`time_expanded`), one
+//! commodity per source, over the copy-free [`EpochGrid`] (a hop costs
+//! δ + 1); this module adds the epoch-0 rows, the destination totals and the
+//! rate-to-schedule step.
+//!
 //! The model is the quotient by a [`SymmetryGroup`]: variables and per-source
 //! rows for one representative per source orbit, one capacity row per link
 //! orbit and one buffer row per node orbit (see [`crate::symmetry`] for why
@@ -13,17 +18,17 @@
 //! through the group; over the trivial group the model is the full one.
 
 use teccl_collective::DemandMatrix;
-use teccl_lp::{ConstraintOp, Model, Sense, Solution, SolveStatus, VarId};
+use teccl_lp::{ConstraintOp, Model, Sense, Solution, VarId};
 use teccl_schedule::{ChunkId, Send};
 use teccl_topology::{NodeId, Topology};
 use teccl_util::SolveBudget;
 
 use crate::config::{BufferMode, SolverConfig};
-use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
+use crate::epochs::EpochGrid;
 use crate::error::{check_budget, check_demand, TeCclError};
 use crate::extract::decompose_source_flow;
-use crate::symmetry::{Orbits, SymmetryGroup};
-use crate::var_index::{Commodities, VarIndex};
+use crate::symmetry::SymmetryGroup;
+use crate::time_expanded::{source_orbits, Kind, TimeExpanded};
 
 /// A fully built LP instance for one copy-free collective optimization.
 #[derive(Debug)]
@@ -36,19 +41,8 @@ pub struct LpFormulation {
     pub num_epochs: usize,
     /// Chunk size in bytes.
     pub chunk_bytes: f64,
-    topology: Topology,
-    /// The group the model is the quotient by, and the source orbits.
-    orbits: Orbits,
-    /// The representative sources, one commodity each (chunk 0).
-    sources: Commodities,
-    /// `F[s, link, k]` variables of representative sources.
-    f_vars: VarIndex,
-    /// `B[s, node, k]` variables (k in 0..=K) of representative sources.
-    b_vars: VarIndex,
-    /// `r[s, d, k]` read variables of representative sources.
-    r_vars: VarIndex,
-    /// Per-link α-delay in epochs.
-    delta: Vec<usize>,
+    /// The network, one commodity (chunk 0) per representative source.
+    net: TimeExpanded,
 }
 
 impl LpFormulation {
@@ -100,43 +94,28 @@ impl LpFormulation {
         check_demand(topology, demand)?;
 
         let k_max = num_epochs;
-        // The LP prices a hop at δ + 1 (no Appendix-F κ window: its flows are
-        // continuous), so it keeps plain α-delays instead of the MILP's
-        // `EpochGrid`.
-        let delta: Vec<usize> = topology
-            .links
-            .iter()
-            .map(|l| delta_epochs(l, tau))
-            .collect();
-
-        // Sources with anything to send, and one representative per orbit.
-        let all_sources: Vec<NodeId> = topology
-            .gpus()
-            .filter(|&s| demand.demand_of_source(s) > 0)
-            .collect();
-        let orbits = Orbits::new(group, &all_sources);
-        let sources: Vec<NodeId> = all_sources
-            .into_iter()
-            .filter(|&s| orbits.is_representative(s))
-            .collect();
+        // One commodity per representative of a source orbit.
+        let orbits = source_orbits(topology, demand, group);
+        let sources = topology.gpus().filter(|&s| orbits.is_representative(s));
+        let sources = sources.map(|s| (s, 0)).collect();
+        let grid = EpochGrid::copy_free(topology, chunk_bytes, tau);
+        let mut net = TimeExpanded::new(topology, grid, orbits, sources, k_max);
         // Each representative's reads stand for its whole orbit's.
-        let orbit = orbits.weight();
+        let orbit = net.orbits.weight();
 
         let mut model = Model::new(Sense::Maximize);
-        let nodes = topology.num_nodes();
-        let mut f_vars = VarIndex::new(sources.len(), topology.links.len(), k_max);
-        let mut b_vars = VarIndex::new(sources.len(), nodes, k_max + 1);
-        let mut r_vars = VarIndex::new(sources.len(), nodes, k_max);
+        // `(commodity, destination, chunks it reads)`.
+        let mut reads = Vec::new();
 
         // ----- Variables ------------------------------------------------------
         // Unnamed: the model is read by index (`Model::validate` reports
         // `#j`).
-        for (i, &s) in sources.iter().enumerate() {
+        for (i, &(s, _)) in net.commodities.list().iter().enumerate() {
             check_budget(budget)?;
             for link in &topology.links {
                 for k in 0..k_max {
                     let v = model.add_var("", 0.0, f64::INFINITY, 0.0, false);
-                    f_vars.insert(i, link.id.0, k, v);
+                    net.f.insert(i, link.id.0, k, v);
                 }
             }
             for n in topology.gpus() {
@@ -153,7 +132,7 @@ impl LpFormulation {
                 }
                 for k in 0..=k_max {
                     let v = model.add_var("", 0.0, f64::INFINITY, 0.0, false);
-                    b_vars.insert(i, n.0, k, v);
+                    net.b.insert(i, n.0, k, v);
                 }
             }
             for d in topology.gpus() {
@@ -163,26 +142,26 @@ impl LpFormulation {
                 if wanted == 0 {
                     continue;
                 }
+                reads.push((i, d, wanted));
                 for k in 0..k_max {
                     let weight = orbit / (k as f64 + 1.0);
                     let v = model.add_var("", 0.0, f64::INFINITY, weight, false);
-                    r_vars.insert(i, d.0, k, v);
+                    net.r.insert(i, d.0, k, v);
                 }
             }
         }
 
-        // `F[i, l, k]`, or `None` outside the horizon.
-        let fv = |i: usize, l: usize, k: Option<usize>| k.and_then(|k| f_vars.get(i, l, k));
-        let f_at = |i: usize, l: usize, k: usize| f_vars.get(i, l, k).expect("every F is laid out");
+        // `F[i, l, k]`, laid out for every link and epoch.
+        let f_at = |i: usize, l: usize, k: usize| net.f.get(i, l, k).expect("every F is laid out");
 
         // ----- Initialization (Appendix A, first epoch) -------------------------
-        for (i, &s) in sources.iter().enumerate() {
+        for (i, &(s, _)) in net.commodities.list().iter().enumerate() {
             check_budget(budget)?;
             let total: f64 = demand.demand_of_source(s) as f64;
-            for n in topology.gpus() {
+            for n in topology.nodes.iter().map(|n| n.id) {
                 if n == s {
                     // B[s,s,0] + Σ_out F[s,(s,j),0] = total demand from s.
-                    let own = b_vars.get(i, s.0, 0).expect("a source buffers");
+                    let own = net.b.get(i, s.0, 0).expect("a source buffers");
                     let mut terms: Vec<(VarId, f64)> = vec![(own, 1.0)];
                     for outl in topology.out_links(s) {
                         terms.push((f_at(i, outl.id.0, 0), 1.0));
@@ -190,7 +169,7 @@ impl LpFormulation {
                     model.add_cons("", &terms, ConstraintOp::Eq, total);
                 } else {
                     // Nothing anywhere else at epoch 0.
-                    if let Some(b) = b_vars.get(i, n.0, 0) {
+                    if let Some(b) = net.b.get(i, n.0, 0) {
                         model.set_bounds(b, 0.0, 0.0);
                     }
                     for outl in topology.out_links(n) {
@@ -198,124 +177,30 @@ impl LpFormulation {
                     }
                 }
             }
-            for sw in topology.switches() {
-                for outl in topology.out_links(sw) {
-                    model.set_bounds(f_at(i, outl.id.0, 0), 0.0, 0.0);
-                }
-            }
         }
 
-        // ----- Flow conservation (GPUs) -----------------------------------------
+        // ----- Flow conservation (switches: no buffer, no consumption) ---------
         let mut terms: Vec<(VarId, f64)> = Vec::new();
-        for i in 0..sources.len() {
-            check_budget(budget)?;
-            for n in topology.gpus() {
-                for k in 0..k_max {
-                    terms.clear();
-                    // Inflow arriving by end of epoch k.
-                    for inl in topology.in_links(n) {
-                        if let Some(v) = fv(i, inl.id.0, k.checked_sub(delta[inl.id.0])) {
-                            terms.push((v, 1.0));
-                        }
-                    }
-                    // + B[s,n,k]
-                    if let Some(b) = b_vars.get(i, n.0, k) {
-                        terms.push((b, 1.0));
-                    }
-                    // = B[s,n,k+1] + r[s,n,k] + Σ_out F[s,(n,j),k+1]
-                    if let Some(b) = b_vars.get(i, n.0, k + 1) {
-                        terms.push((b, -1.0));
-                    }
-                    if let Some(r) = r_vars.get(i, n.0, k) {
-                        terms.push((r, -1.0));
-                    }
-                    if k + 1 < k_max {
-                        for outl in topology.out_links(n) {
-                            terms.push((f_at(i, outl.id.0, k + 1), -1.0));
-                        }
-                    }
-                    if terms.is_empty() {
-                        continue;
-                    }
-                    model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
-                }
-            }
-            // Switches: no buffer, no consumption.
-            for sw in topology.switches() {
-                for k in 0..k_max {
-                    terms.clear();
-                    for inl in topology.in_links(sw) {
-                        if let Some(v) = fv(i, inl.id.0, k.checked_sub(delta[inl.id.0])) {
-                            terms.push((v, 1.0));
-                        }
-                    }
-                    if k + 1 < k_max {
-                        for outl in topology.out_links(sw) {
-                            terms.push((f_at(i, outl.id.0, k + 1), -1.0));
-                        }
-                    }
-                    if terms.is_empty() {
-                        continue;
-                    }
-                    model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
-                }
-            }
+        for i in 0..net.commodities.len() {
+            let nodes = topology.gpus().chain(topology.switches());
+            net.conservation_rows(&mut model, &mut terms, i, nodes, budget)?;
         }
 
-        // ----- Capacity -----------------------------------------------------------
-        // One row per link orbit, and one buffer row per node orbit
-        // (`Orbits::row_terms`).
-        let group = orbits.group();
-        let orbit_terms = |vars: &VarIndex, images: &[usize], k| {
-            Orbits::row_terms(0..sources.len(), images, |i, at| vars.get(i, at, k))
-        };
-        for link in &topology.links {
-            let Some(images) = group.link_orbit(link.id.0) else {
-                continue;
-            };
-            check_budget(budget)?;
-            let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
-            for k in 0..k_max {
-                let terms = orbit_terms(&f_vars, &images, k);
-                if !terms.is_empty() {
-                    model.add_cons("", &terms, ConstraintOp::Le, cap);
-                }
-            }
-        }
-
-        // ----- Buffer size limit (Appendix B, LP variant) --------------------------
+        // ----- Capacity and buffer size limit (Appendix B, LP variant) ----------
+        net.capacity_rows(&mut model, budget)?;
         if let BufferMode::LimitedChunks(limit) = config.buffer_mode {
-            for n in topology.gpus() {
-                let Some(images) = group.node_orbit(n) else {
-                    continue;
-                };
-                check_budget(budget)?;
-                for k in 1..=k_max {
-                    let terms = orbit_terms(&b_vars, &images, k);
-                    if !terms.is_empty() {
-                        model.add_cons("", &terms, ConstraintOp::Le, limit as f64);
-                    }
-                }
-            }
+            net.buffer_limit_rows(&mut model, limit, budget)?;
         }
 
         // ----- Destination totals ---------------------------------------------------
-        for (i, &s) in sources.iter().enumerate() {
+        for &(i, d, wanted) in &reads {
             check_budget(budget)?;
-            for d in topology.gpus() {
-                let wanted = (0..demand.num_chunks)
-                    .filter(|&c| demand.wants(s, c, d))
-                    .count();
-                if wanted == 0 {
-                    continue;
-                }
-                terms.clear();
-                terms.extend((0..k_max).map(|k| {
-                    let r = r_vars.get(i, d.0, k).expect("a read per wanted epoch");
-                    (r, 1.0)
-                }));
-                model.add_cons("", &terms, ConstraintOp::Eq, wanted as f64);
-            }
+            terms.clear();
+            terms.extend((0..k_max).map(|k| {
+                let r = net.r.get(i, d.0, k).expect("a read per wanted epoch");
+                (r, 1.0)
+            }));
+            model.add_cons("", &terms, ConstraintOp::Eq, wanted as f64);
         }
 
         Ok(Self {
@@ -323,13 +208,7 @@ impl LpFormulation {
             tau,
             num_epochs: k_max,
             chunk_bytes,
-            topology: topology.clone(),
-            orbits,
-            sources: Commodities::new(sources.into_iter().map(|s| (s, 0)).collect()),
-            f_vars,
-            b_vars,
-            r_vars,
-            delta,
+            net,
         })
     }
 
@@ -347,19 +226,15 @@ impl LpFormulation {
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, TeCclError> {
         let sol = self.model.solve_lp_relaxation_budgeted(warm, budget)?;
-        match sol.status {
-            SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
-            SolveStatus::Unbounded => Err(TeCclError::NoSolution),
-            SolveStatus::LimitReached => Err(TeCclError::NoSolution),
-            _ => Ok(sol),
-        }
+        self.net.outcome(sol)
     }
 
     /// The last epoch in which any destination still reads data — the LP's
     /// completion epoch (transfer time ≈ `(completion_epoch + 1) * tau` plus
     /// the trailing α of the final hops).
     pub fn completion_epoch(&self, solution: &Solution) -> usize {
-        self.r_vars
+        self.net
+            .r
             .iter()
             .filter(|&(_, v)| solution.values[v.index()] > 1e-6)
             .map(|((_, _, k), _)| k)
@@ -369,62 +244,14 @@ impl LpFormulation {
 
     /// The group the model is the quotient by.
     pub fn group(&self) -> &SymmetryGroup {
-        self.orbits.group()
-    }
-
-    /// The value of `vars[(rep, at(h), k)]`, where the element `h` carries
-    /// `s` back to its representative `rep`: source `s`'s variable read
-    /// through the group (0 for a non-source).
-    fn mapped(
-        &self,
-        solution: &Solution,
-        vars: &VarIndex,
-        s: NodeId,
-        at: impl Fn(usize) -> usize,
-        k: usize,
-    ) -> f64 {
-        let Some((rep, h)) = self.orbits.carrier(s) else {
-            return 0.0;
-        };
-        self.sources
-            .index(rep, 0)
-            .and_then(|i| vars.get(i, at(h), k))
-            .map(|v| solution.values[v.index()])
-            .unwrap_or(0.0)
-    }
-
-    /// Amount of source-`s` data node `d` reads in epoch `k` (chunk units).
-    pub fn read_value(&self, solution: &Solution, s: NodeId, d: NodeId, k: usize) -> f64 {
-        self.mapped(solution, &self.r_vars, s, |g| self.group().node(g, d).0, k)
-    }
-
-    /// Flow of source-`s` data on a link at epoch `k` (chunk units).
-    pub fn flow_value(&self, solution: &Solution, s: NodeId, link: usize, k: usize) -> f64 {
-        self.mapped(solution, &self.f_vars, s, |g| self.group().link(g, link), k)
-    }
-
-    /// Amount of source-`s` data buffered at node `n` at the start of epoch
-    /// `k` (chunk units).
-    pub fn buffer_value(&self, solution: &Solution, s: NodeId, n: NodeId, k: usize) -> f64 {
-        self.mapped(solution, &self.b_vars, s, |g| self.group().node(g, n).0, k)
+        self.net.group()
     }
 
     /// `solution` unrolled onto `full`, a build of the same instance over the
     /// trivial group: every variable of `full` at the value this formulation
     /// gives it through the group.
     pub fn unroll(&self, solution: &Solution, full: &LpFormulation) -> Vec<f64> {
-        let mut x = vec![0.0; full.model.num_vars()];
-        let source = |i: usize| full.sources.list()[i].0;
-        for ((i, l, k), v) in full.f_vars.iter() {
-            x[v.index()] = self.flow_value(solution, source(i), l, k);
-        }
-        for ((i, n, k), v) in full.b_vars.iter() {
-            x[v.index()] = self.buffer_value(solution, source(i), NodeId(n), k);
-        }
-        for ((i, d, k), v) in full.r_vars.iter() {
-            x[v.index()] = self.read_value(solution, source(i), NodeId(d), k);
-        }
-        x
+        self.net.unroll(solution, &full.net)
     }
 
     /// Converts the LP rate solution into an executable per-chunk schedule by
@@ -438,22 +265,20 @@ impl LpFormulation {
     /// (equally optimal) image flows on its own would break ties differently
     /// per source and collide on links.
     pub fn extract_sends(&self, solution: &Solution, demand: &DemandMatrix) -> Vec<Send> {
+        let net = &self.net;
+        let topology = &net.topology;
         let link_endpoints: Vec<(NodeId, NodeId)> =
-            self.topology.links.iter().map(|l| (l.src, l.dst)).collect();
+            topology.links.iter().map(|l| (l.src, l.dst)).collect();
         let wanted =
             |s: NodeId, d: NodeId| (0..demand.num_chunks).filter(move |&c| demand.wants(s, c, d));
         let k_max = self.num_epochs;
         let mut flows = vec![0.0; link_endpoints.len() * k_max];
         let mut all = Vec::new();
-        for s in self.topology.gpus() {
-            if !self.orbits.is_representative(s) {
-                continue;
-            }
+        for &(s, _) in net.commodities.list() {
             for (l, flow) in flows.iter_mut().enumerate() {
-                *flow = self.flow_value(solution, s, l / k_max, l % k_max);
+                *flow = net.value(Kind::F, solution, s, 0, l / k_max, l % k_max);
             }
-            let chunks_for_dest: Vec<(NodeId, Vec<usize>)> = self
-                .topology
+            let chunks_for_dest: Vec<(NodeId, Vec<usize>)> = topology
                 .gpus()
                 .map(|d| (d, wanted(s, d).collect::<Vec<_>>()))
                 .filter(|(_, chunks)| !chunks.is_empty())
@@ -463,7 +288,7 @@ impl LpFormulation {
                 &chunks_for_dest,
                 &flows,
                 &link_endpoints,
-                |l| self.delta[l],
+                |l| net.grid.delay(&topology.links[l]),
                 k_max,
             );
             // `decompose_source_flow` emits each chunk's path whole, so the
@@ -492,7 +317,7 @@ impl LpFormulation {
                         .expect("a path ends at a destination of its chunk")
                 })
                 .collect();
-            let group = self.group();
+            let group = net.group();
             for g in 0..group.order() {
                 let image = group.node(g, s);
                 for ((send, &d), &j) in sends.iter().zip(&dest).zip(&rank) {
@@ -509,14 +334,6 @@ impl LpFormulation {
             }
         }
         all
-    }
-
-    /// The α-delay (in epochs) of the link `from -> to`.
-    pub fn delta_of(&self, from: NodeId, to: NodeId) -> usize {
-        self.topology
-            .link_between(from, to)
-            .map(|l| self.delta[l.id.0])
-            .unwrap_or(0)
     }
 }
 
@@ -543,7 +360,7 @@ mod tests {
             .filter(|(s, d)| s != d)
             .map(|(s, d)| {
                 (0..3)
-                    .map(|k| form.read_value(&sol, NodeId(s), NodeId(d), k))
+                    .map(|k| form.net.value(Kind::R, &sol, NodeId(s), 0, d, k))
                     .sum::<f64>()
             })
             .sum();
@@ -568,7 +385,7 @@ mod tests {
         let total: f64 = (1..4)
             .map(|d| {
                 (0..8)
-                    .map(|k| form.read_value(&sol, NodeId(0), NodeId(d), k))
+                    .map(|k| form.net.value(Kind::R, &sol, NodeId(0), 0, d, k))
                     .sum::<f64>()
             })
             .sum();

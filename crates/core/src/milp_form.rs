@@ -7,6 +7,11 @@
 //! objective. Copy is supported because a node may send the same chunk on
 //! several outgoing links / epochs once it holds it.
 //!
+//! It is laid out on the LP's time-expanded network (`time_expanded`), one
+//! commodity per `(source, chunk)`, over the [`EpochGrid`] of δ + κ − 1
+//! delays; this module adds the copy rows, buffer evolution, reads,
+//! hyper-edges and the round writer.
+//!
 //! # Layout and round
 //!
 //! A formulation is written in two parts. The *layout* — every variable,
@@ -39,17 +44,17 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use teccl_collective::DemandMatrix;
-use teccl_lp::{ConstraintOp, MilpConfig, MilpLayout, Model, Sense, Solution, SolveStatus, VarId};
+use teccl_lp::{ConstraintOp, MilpConfig, MilpLayout, Model, Sense, Solution, VarId};
 use teccl_schedule::{ChunkId, Send};
-use teccl_topology::{Link, LinkId, NodeId, Topology};
+use teccl_topology::{LinkId, NodeId, Topology};
 use teccl_util::SolveBudget;
 
 use crate::config::{BufferMode, SolverConfig, SwitchModel};
-use crate::epochs::{capacity_chunks_per_epoch, kappa_epochs, EpochGrid};
+use crate::epochs::EpochGrid;
 use crate::error::{check_budget, check_demand, TeCclError};
 use crate::switch::HyperEdgeGroup;
 use crate::symmetry::{Orbits, SymmetryGroup};
-use crate::var_index::{Commodities, VarIndex};
+use crate::time_expanded::{source_orbits, TimeExpanded};
 
 /// Extra inputs for building a MILP round (used by the A* solver; the plain
 /// solver uses [`MilpBuildOptions::default`]).
@@ -92,20 +97,9 @@ pub struct MilpFormulation {
     pub num_epochs: usize,
     /// Chunk size in bytes.
     pub chunk_bytes: f64,
-    topology: Topology,
-    /// Per-link delays and distances in epochs.
-    grid: EpochGrid,
-    /// The group the model is laid out over, and the source orbits.
-    orbits: Orbits,
-    /// Laid-out commodities in build order — the layout key a round update
-    /// must match — and the variables of each, keyed `(commodity, link or
-    /// node, epoch)`.
-    commodities: Commodities,
-    f_vars: VarIndex,
-    b_vars: VarIndex,
-    r_vars: VarIndex,
-    /// Evictions (limited buffers only).
-    x_vars: VarIndex,
+    /// The network: its commodities in build order are the layout key a
+    /// round update must match; `X` holds evictions (limited buffers only).
+    net: TimeExpanded,
     /// Every source's holders, representatives or not.
     holders: Holders,
     /// `holders` as [`MilpFormulation::initial_holders`] hands them out,
@@ -315,12 +309,7 @@ impl MilpFormulation {
         }
 
         let k_max = num_epochs;
-        let grid = EpochGrid::new(topology, chunk_bytes, tau);
-        let sources: Vec<NodeId> = topology
-            .gpus()
-            .filter(|&s| demand.demand_of_source(s) > 0)
-            .collect();
-        let orbits = Orbits::new(group, &sources);
+        let orbits = source_orbits(topology, demand, group);
         let (commodities, holders, extra_commodity) =
             round_holders(topology, demand, &orbits, &options.extra_initial);
         if symmetric && extra_commodity {
@@ -328,7 +317,8 @@ impl MilpFormulation {
                 "a MILP over a symmetry group holds only the demand's chunks".into(),
             ));
         }
-        let commodities = Commodities::new(commodities);
+        let grid = EpochGrid::new(topology, chunk_bytes, tau);
+        let mut net = TimeExpanded::new(topology, grid, orbits, commodities, k_max);
 
         // Which (s, c, n) triples get buffer variables. Without store and
         // forward this follows the round's holders, which is why
@@ -346,15 +336,7 @@ impl MilpFormulation {
         };
 
         let mut model = Model::new(Sense::Maximize);
-        let (n_comm, nodes, links) = (
-            commodities.len(),
-            topology.num_nodes(),
-            topology.links.len(),
-        );
-        let mut f_vars = VarIndex::new(n_comm, links, k_max);
-        let mut b_vars = VarIndex::new(n_comm, nodes, k_max + 1);
-        let mut r_vars = VarIndex::new(n_comm, nodes, k_max);
-        let mut x_vars = VarIndex::new(n_comm, nodes, k_max);
+        let n_comm = net.commodities.len();
 
         // ----- Variables -----------------------------------------------------
         //
@@ -368,12 +350,12 @@ impl MilpFormulation {
         // objective weights differ). That is what lets A* round `t+1`
         // warm-start from round `t`'s root basis with presolve on. Variables
         // and rows are unnamed: the model is read by index.
-        for (i, &(s, c)) in commodities.list().iter().enumerate() {
+        for (i, &(s, c)) in net.commodities.list().iter().enumerate() {
             check_budget(budget)?;
             for link in &topology.links {
                 for k in 0..k_max {
                     let v = model.add_var("", 0.0, 1.0, 0.0, true);
-                    f_vars.insert(i, link.id.0, k, v);
+                    net.f.insert(i, link.id.0, k, v);
                 }
             }
             for n in topology.nodes.iter().map(|n| n.id) {
@@ -382,25 +364,26 @@ impl MilpFormulation {
                 }
                 for k in 1..=k_max {
                     let v = model.add_var("", 0.0, f64::INFINITY, 0.0, false);
-                    b_vars.insert(i, n.0, k, v);
+                    net.b.insert(i, n.0, k, v);
                 }
                 if let BufferMode::LimitedChunks(_) = config.buffer_mode {
                     for k in 0..k_max {
                         let v = model.add_var("", 0.0, 1.0, 0.0, false);
-                        x_vars.insert(i, n.0, k, v);
+                        net.x.insert(i, n.0, k, v);
                     }
                 }
             }
         }
         // Each representative's reads stand for its whole orbit's.
-        let orbit = orbits.weight();
+        let orbit = net.orbits.weight();
         // The laid-out demand: `(commodity, chunk, destination)`.
         let laid_out_demand = || {
             demand
                 .iter()
-                .filter(|&(s, _, _)| orbits.is_representative(s))
+                .filter(|&(s, _, _)| net.orbits.is_representative(s))
                 .map(|(s, c, d)| {
-                    let i = commodities
+                    let i = net
+                        .commodities
                         .index(s, c)
                         .expect("a demanded chunk is laid out");
                     (i, c, d)
@@ -411,15 +394,13 @@ impl MilpFormulation {
             for k in 0..k_max {
                 let weight = orbit * config.chunk_priority(c) / (k as f64 + 1.0);
                 let v = model.add_var("", 0.0, 1.0, weight, false);
-                r_vars.insert(i, d.0, k, v);
+                net.r.insert(i, d.0, k, v);
             }
         }
 
-        // `F[i,l,k]`, or `None` before epoch 0.
-        let flow = |i: usize, l: &Link, k: Option<usize>| k.and_then(|k| f_vars.get(i, l.id.0, k));
         // Every commodity's flow on `links` in epoch `k`.
         let link_terms = |links: &[LinkId], k: usize| -> Vec<(VarId, f64)> {
-            let f_vars = &f_vars;
+            let f_vars = &net.f;
             links
                 .iter()
                 .flat_map(|l| {
@@ -429,26 +410,7 @@ impl MilpFormulation {
         };
 
         // ----- Capacity constraints (with the Appendix-F window) ------------
-        // One row per link orbit (`Orbits::row_terms`).
-        let group = orbits.group();
-        for link in &topology.links {
-            let Some(images) = group.link_orbit(link.id.0) else {
-                continue;
-            };
-            check_budget(budget)?;
-            let cap = capacity_chunks_per_epoch(link, chunk_bytes, tau);
-            let kappa = kappa_epochs(link, chunk_bytes, tau);
-            for k in 0..k_max {
-                let window = k.saturating_sub(kappa - 1)..=k;
-                let terms = Orbits::row_terms(0..n_comm, &images, |i, at| {
-                    let f_vars = &f_vars;
-                    window.clone().filter_map(move |kk| f_vars.get(i, at, kk))
-                });
-                if !terms.is_empty() {
-                    model.add_cons("", &terms, ConstraintOp::Le, kappa as f64 * cap);
-                }
-            }
-        }
+        net.capacity_rows(&mut model, budget)?;
 
         // ----- Flow conservation ---------------------------------------------
         let mut flow_rows: Vec<(usize, usize, usize, usize)> = Vec::new();
@@ -459,25 +421,7 @@ impl MilpFormulation {
                 if topology.is_switch(node) && config.switch_model == SwitchModel::NonCopy {
                     // Traditional conservation: inflow (delayed) equals outflow
                     // in the next epoch.
-                    for k in 0..k_max {
-                        terms.clear();
-                        for inl in topology.in_links(node) {
-                            if let Some(v) = flow(i, inl, k.checked_sub(grid.delay(inl))) {
-                                terms.push((v, 1.0));
-                            }
-                        }
-                        if k + 1 < k_max {
-                            for outl in topology.out_links(node) {
-                                if let Some(v) = f_vars.get(i, outl.id.0, k + 1) {
-                                    terms.push((v, -1.0));
-                                }
-                            }
-                        }
-                        if terms.is_empty() {
-                            continue;
-                        }
-                        model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
-                    }
+                    net.conservation_rows(&mut model, &mut terms, i, [node], budget)?;
                     continue;
                 }
 
@@ -488,21 +432,16 @@ impl MilpFormulation {
                 // the rhs, which the round writer fills in.
                 for k in 0..k_max.saturating_sub(1) {
                     for outl in topology.out_links(node) {
-                        let Some(out_v) = f_vars.get(i, outl.id.0, k + 1) else {
+                        let Some(out_v) = net.f.get(i, outl.id.0, k + 1) else {
                             continue;
                         };
                         terms.clear();
                         terms.push((out_v, -1.0));
                         // Buffers start at epoch 1.
-                        if let Some(b) = b_vars.get(i, node.0, k) {
+                        if let Some(b) = net.b.get(i, node.0, k) {
                             terms.push((b, 1.0));
                         }
-                        // Inflow arriving by end of epoch k.
-                        for inl in topology.in_links(node) {
-                            if let Some(v) = flow(i, inl, k.checked_sub(grid.delay(inl))) {
-                                terms.push((v, 1.0));
-                            }
-                        }
+                        net.inflow(&mut terms, i, node, k, 1.0);
                         let row = model.add_cons("", &terms, ConstraintOp::Ge, 0.0);
                         flow_rows.push((row, i, node.0, k));
                     }
@@ -518,25 +457,21 @@ impl MilpFormulation {
             check_budget(budget)?;
             for node in topology.gpus() {
                 for k in 1..=k_max {
-                    let Some(b_k) = b_vars.get(i, node.0, k) else {
+                    let Some(b_k) = net.b.get(i, node.0, k) else {
                         continue;
                     };
                     terms.clear();
                     terms.push((b_k, 1.0));
                     // Previous buffer value (none before epoch 1).
-                    if let Some(b_prev) = b_vars.get(i, node.0, k - 1) {
+                    if let Some(b_prev) = net.b.get(i, node.0, k - 1) {
                         terms.push((b_prev, -1.0));
                     }
                     // Eviction (limited buffers, Appendix B).
-                    if let Some(x) = x_vars.get(i, node.0, k - 1) {
+                    if let Some(x) = net.x.get(i, node.0, k - 1) {
                         terms.push((x, 1.0));
                     }
-                    // Arrivals: F into the node sent at k - delay - 1.
-                    for inl in topology.in_links(node) {
-                        if let Some(v) = flow(i, inl, k.checked_sub(grid.delay(inl) + 1)) {
-                            terms.push((v, -1.0));
-                        }
-                    }
+                    // Arrivals: what has arrived by the end of k - 1.
+                    net.inflow(&mut terms, i, node, k - 1, -1.0);
                     let row = model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
                     buf_rows.push((row, i, node.0, k));
                 }
@@ -545,18 +480,7 @@ impl MilpFormulation {
 
         // Per-node buffer size limit (Appendix B), one row per node orbit.
         if let BufferMode::LimitedChunks(limit) = config.buffer_mode {
-            for node in topology.gpus() {
-                let Some(images) = group.node_orbit(node) else {
-                    continue;
-                };
-                check_budget(budget)?;
-                for k in 1..=k_max {
-                    let terms = Orbits::row_terms(0..n_comm, &images, |i, at| b_vars.get(i, at, k));
-                    if !terms.is_empty() {
-                        model.add_cons("", &terms, ConstraintOp::Le, limit as f64);
-                    }
-                }
-            }
+            net.buffer_limit_rows(&mut model, limit, budget)?;
         }
 
         // ----- Destination constraints ----------------------------------------
@@ -564,8 +488,8 @@ impl MilpFormulation {
         for (i, _, d) in laid_out_demand() {
             check_budget(budget)?;
             for k in 0..k_max {
-                if let Some(b) = b_vars.get(i, d.0, k + 1) {
-                    let r = r_vars.get(i, d.0, k).expect("a read per demanded epoch");
+                if let Some(b) = net.b.get(i, d.0, k + 1) {
+                    let r = net.r.get(i, d.0, k).expect("a read per demanded epoch");
                     model.add_cons("", &[(r, 1.0), (b, -1.0)], ConstraintOp::Le, 0.0);
                 }
             }
@@ -575,7 +499,8 @@ impl MilpFormulation {
                 // if the chunk structurally cannot reach `d` within K epochs
                 // the variable is fixed to 0 and presolve proves the model
                 // infeasible.
-                let r_last = r_vars
+                let r_last = net
+                    .r
                     .get(i, d.0, k_max - 1)
                     .expect("a read per demanded epoch");
                 model.add_cons("", &[(r_last, 1.0)], ConstraintOp::Ge, 1.0);
@@ -606,14 +531,7 @@ impl MilpFormulation {
             tau,
             num_epochs: k_max,
             chunk_bytes,
-            topology: topology.clone(),
-            grid,
-            orbits,
-            commodities,
-            f_vars,
-            b_vars,
-            r_vars,
-            x_vars,
+            net,
             holders: Holders::default(),
             initial_holders: OnceLock::new(),
             flow_rows,
@@ -647,7 +565,8 @@ impl MilpFormulation {
         config: &SolverConfig,
         options: &MilpBuildOptions,
     ) -> bool {
-        if demand.is_empty() || demand.num_nodes != self.topology.num_nodes() {
+        let net = &self.net;
+        if demand.is_empty() || demand.num_nodes != net.topology.num_nodes() {
             return false;
         }
         // No-store-and-forward derives the buffer-variable set from the round
@@ -665,23 +584,23 @@ impl MilpFormulation {
         // demand, same build order); a commodity introduced purely by
         // `extra_initial` would have added variables at build time.
         let (commodities, holders, extra_commodity) =
-            round_holders(&self.topology, demand, &self.orbits, &options.extra_initial);
-        if extra_commodity || commodities != self.commodities.list() {
+            round_holders(&net.topology, demand, &net.orbits, &options.extra_initial);
+        if extra_commodity || commodities != net.commodities.list() {
             return false;
         }
         // The reward variables are keyed by the laid-out demand's triples.
         let mut triples = 0usize;
         for (s, c, d) in demand
             .iter()
-            .filter(|&(s, _, _)| self.orbits.is_representative(s))
+            .filter(|&(s, _, _)| net.orbits.is_representative(s))
         {
-            let laid_out = self.commodities.index(s, c);
-            if laid_out.and_then(|i| self.r_vars.get(i, d.0, 0)).is_none() {
+            let laid_out = net.commodities.index(s, c);
+            if laid_out.and_then(|i| net.r.get(i, d.0, 0)).is_none() {
                 return false;
             }
             triples += 1;
         }
-        if triples * self.num_epochs != self.r_vars.len() {
+        if triples * self.num_epochs != net.r.len() {
             return false;
         }
         self.write_round(holders, options);
@@ -693,21 +612,14 @@ impl MilpFormulation {
     fn write_round(&mut self, holders: Holders, options: &MilpBuildOptions) {
         let Self {
             model,
-            num_epochs: k_max,
-            topology,
-            grid,
-            orbits,
-            commodities,
-            f_vars,
-            b_vars,
-            r_vars,
+            net,
             flow_rows,
             buf_rows,
             ..
         } = self;
-        let k_max = *k_max;
+        let (k_max, commodities) = (net.epochs, &net.commodities);
         let n_comm = commodities.len();
-        let nodes = topology.num_nodes();
+        let nodes = net.topology.num_nodes();
         let init_buffer = |i: usize, n: usize| {
             let (s, c) = commodities.list()[i];
             initial_buffer(&holders, s, c, NodeId(n))
@@ -729,15 +641,21 @@ impl MilpFormulation {
 
         let mut earliest: Vec<usize> = Vec::with_capacity(nodes);
         for (i, &(s, c)) in commodities.list().iter().enumerate() {
-            earliest_epochs(grid, nodes, holders.get(s, c), &flying[i], &mut earliest);
+            earliest_epochs(
+                &net.grid,
+                nodes,
+                holders.get(s, c),
+                &flying[i],
+                &mut earliest,
+            );
             // Flow bounds: frozen commodities, epochs before reachability,
             // and the first-epoch "can only send what is initially held"
             // pin.
-            for link in &topology.links {
+            for link in &net.topology.links {
                 let e0 = earliest[link.src.0];
                 let first_pinned = init_buffer(i, link.src.0) < 0.5;
                 for k in 0..k_max {
-                    let v = f_vars.get(i, link.id.0, k).expect("every F is laid out");
+                    let v = net.f.get(i, link.id.0, k).expect("every F is laid out");
                     if frozen[i] || k < e0 || (k == 0 && first_pinned) {
                         model.set_bounds(v, 0.0, 0.0);
                     } else {
@@ -750,7 +668,7 @@ impl MilpFormulation {
             // previous round's rewards).
             for (n, &reached) in earliest.iter().enumerate() {
                 for k in 1..=k_max {
-                    let Some(v) = b_vars.get(i, n, k) else {
+                    let Some(v) = net.b.get(i, n, k) else {
                         continue;
                     };
                     if k < reached.max(1) {
@@ -768,17 +686,17 @@ impl MilpFormulation {
         for &(s, c, n, w) in &options.terminal_rewards {
             let reward_var = commodities
                 .index(s, c)
-                .and_then(|i| b_vars.get(i, n.0, k_max));
+                .and_then(|i| net.b.get(i, n.0, k_max));
             if let Some(b) = reward_var {
                 let cur = model.vars[b.index()].obj;
-                model.set_obj(b, cur + w * orbits.weight());
+                model.set_obj(b, cur + w * net.orbits.weight());
             }
         }
 
         // Read bounds: a destination with no buffer variable at k+1 can only
         // collect the reward when it already holds the chunk.
-        for ((i, d, k), r) in r_vars.iter() {
-            if b_vars.get(i, d, k + 1).is_none() && init_buffer(i, d) < 0.5 {
+        for ((i, d, k), r) in net.r.iter() {
+            if net.b.get(i, d, k + 1).is_none() && init_buffer(i, d) < 0.5 {
                 model.set_bounds(r, 0.0, 0.0);
             } else {
                 model.set_bounds(r, 0.0, 1.0);
@@ -795,7 +713,7 @@ impl MilpFormulation {
             // buffer variable carries them (buffered nodes absorb arrivals in
             // the buffer-evolution rows).
             for &(fnode, vis) in &flying[i] {
-                if fnode.0 == n && vis <= k && b_vars.get(i, n, k.max(1)).is_none() {
+                if fnode.0 == n && vis <= k && net.b.get(i, n, k.max(1)).is_none() {
                     rhs -= 1.0;
                 }
             }
@@ -840,23 +758,19 @@ impl MilpFormulation {
         };
         let layout = self.layout.get_or_init(|| MilpLayout::new(&self.model));
         let sol = self.model.solve_over(layout, &milp_config, warm, budget)?;
-        match sol.status {
-            SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
-            SolveStatus::Unbounded => Err(TeCclError::NoSolution),
-            SolveStatus::LimitReached => Err(TeCclError::NoSolution),
-            _ => Ok(sol),
-        }
+        self.net.outcome(sol)
     }
 
     /// Extracts the raw (unpruned) sends from a solution: every laid-out
     /// send and its image under every element of the group.
     pub fn sends(&self, solution: &Solution) -> Vec<Send> {
-        let group = self.orbits.group();
+        let net = &self.net;
+        let group = net.group();
         let mut out = Vec::new();
-        for ((i, l, k), var) in self.f_vars.iter() {
+        for ((i, l, k), var) in net.f.iter() {
             if solution.values[var.index()] > 0.5 {
-                let (s, c) = self.commodities.list()[i];
-                let link = &self.topology.links[l];
+                let (s, c) = net.commodities.list()[i];
+                let link = &net.topology.links[l];
                 for g in 0..group.order() {
                     out.push(Send {
                         chunk: ChunkId::new(group.node(g, s), c),
@@ -871,80 +785,21 @@ impl MilpFormulation {
         out
     }
 
-    /// The value of `vars[(rep, c, at(h), k)]`, where the element `h`
-    /// carries `s` back to its representative `rep`: source `s`'s variable
-    /// read through the group (a node outside every source orbit is read
-    /// directly).
-    fn mapped(
-        &self,
-        solution: &Solution,
-        vars: &VarIndex,
-        s: NodeId,
-        c: usize,
-        at: impl Fn(usize) -> usize,
-        k: usize,
-    ) -> f64 {
-        let (rep, h) = self.orbits.carrier(s).unwrap_or((s, 0));
-        self.commodities
-            .index(rep, c)
-            .and_then(|i| vars.get(i, at(h), k))
-            .map(|v| solution.values[v.index()])
-            .unwrap_or(0.0)
-    }
-
-    /// Value of a read variable (for tests / metrics).
-    pub fn read_value(&self, solution: &Solution, s: NodeId, c: usize, d: NodeId, k: usize) -> f64 {
-        let group = self.orbits.group();
-        self.mapped(solution, &self.r_vars, s, c, |g| group.node(g, d).0, k)
-    }
-
-    /// Value of a buffer variable (0 if not modeled).
-    pub fn buffer_value(
-        &self,
-        solution: &Solution,
-        s: NodeId,
-        c: usize,
-        n: NodeId,
-        k: usize,
-    ) -> f64 {
-        let group = self.orbits.group();
-        self.mapped(solution, &self.b_vars, s, c, |g| group.node(g, n).0, k)
-    }
-
     /// `solution` unrolled onto `full`, a build of the same round over the
     /// trivial group: every variable of `full` at the value this formulation
     /// gives it through the group.
     pub fn unroll(&self, solution: &Solution, full: &MilpFormulation) -> Vec<f64> {
-        let group = self.orbits.group();
-        let node = |n: usize| move |g: usize| group.node(g, NodeId(n)).0;
-        let commodity = |i: usize| full.commodities.list()[i];
-        let mut x = vec![0.0; full.model.num_vars()];
-        for ((i, l, k), v) in full.f_vars.iter() {
-            let (s, c) = commodity(i);
-            let link = |g| group.link(g, l);
-            x[v.index()] = self.mapped(solution, &self.f_vars, s, c, link, k);
-        }
-        for (vars, full_vars) in [
-            (&self.b_vars, &full.b_vars),
-            (&self.r_vars, &full.r_vars),
-            (&self.x_vars, &full.x_vars),
-        ] {
-            for ((i, n, k), v) in full_vars.iter() {
-                let (s, c) = commodity(i);
-                x[v.index()] = self.mapped(solution, vars, s, c, node(n), k);
-            }
-        }
-        x
+        self.net.unroll(solution, &full.net)
     }
 
     /// The group the model is laid out over.
     pub fn group(&self) -> &SymmetryGroup {
-        self.orbits.group()
+        self.net.group()
     }
 
     /// The effective forwarding delay (in epochs) of the link `from -> to`.
     pub fn delta_of(&self, from: NodeId, to: NodeId) -> usize {
-        self.grid.delay_between(&self.topology, from, to)
+        self.net.delta_of(from, to)
     }
 
     /// The initial holders of each `(source, chunk)` commodity.
@@ -962,7 +817,27 @@ impl MilpFormulation {
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
+    use crate::time_expanded::Kind;
     use teccl_topology::{fig1c, line_topology};
+
+    /// `demand` on `topo` over `k` epochs of 1 ms with 1 MB chunks, under
+    /// the default round options.
+    fn build(
+        topo: &Topology,
+        demand: &DemandMatrix,
+        config: &SolverConfig,
+        k: usize,
+    ) -> Result<MilpFormulation, TeCclError> {
+        MilpFormulation::build(
+            topo,
+            demand,
+            1e6,
+            config,
+            k,
+            1e-3,
+            &MilpBuildOptions::default(),
+        )
+    }
 
     fn broadcast_on_line() -> (Topology, DemandMatrix) {
         let topo = line_topology(3, 1e9, 0.0);
@@ -975,17 +850,7 @@ mod tests {
     fn broadcast_line_solves_and_relays() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
-        let tau = 1e-3; // 1 MB chunks over 1 GB/s
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            tau,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         // The chunk must cross 0->1 and 1->2 (it may also be copied elsewhere,
@@ -997,8 +862,8 @@ mod tests {
             .iter()
             .any(|s| s.from == NodeId(1) && s.to == NodeId(2)));
         // Both destinations eventually read the chunk.
-        assert!(form.read_value(&sol, NodeId(0), 0, NodeId(1), 3) > 0.5);
-        assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 3) > 0.5);
+        assert!(form.net.value(Kind::R, &sol, NodeId(0), 0, 1, 3) > 0.5);
+        assert!(form.net.value(Kind::R, &sol, NodeId(0), 0, 2, 3) > 0.5);
     }
 
     #[test]
@@ -1006,16 +871,7 @@ mod tests {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
         // One epoch cannot deliver over two hops.
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            1,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 1).unwrap();
         assert!(matches!(
             form.solve_budgeted(&config, None, None),
             Err(TeCclError::InfeasibleWithEpochs(1))
@@ -1032,16 +888,7 @@ mod tests {
             demand.set(NodeId(0), 0, NodeId(d));
         }
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let upstream = sends
@@ -1064,16 +911,7 @@ mod tests {
     fn empty_demand_rejected() {
         let topo = line_topology(2, 1e9, 0.0);
         let demand = DemandMatrix::new(2, 1);
-        let err = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &SolverConfig::default(),
-            2,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap_err();
+        let err = build(&topo, &demand, &SolverConfig::default(), 2).unwrap_err();
         assert_eq!(err, TeCclError::EmptyDemand);
     }
 
@@ -1087,16 +925,7 @@ mod tests {
         topo.add_bilink(sw, b, 1e9, 0.0);
         let mut demand = DemandMatrix::new(3, 1);
         demand.set(a, 0, sw);
-        let err = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &SolverConfig::default(),
-            3,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap_err();
+        let err = build(&topo, &demand, &SolverConfig::default(), 3).unwrap_err();
         assert!(matches!(err, TeCclError::InvalidDemand(_)));
     }
 
@@ -1104,16 +933,7 @@ mod tests {
     fn node_count_mismatch_rejected() {
         let topo = line_topology(3, 1e9, 0.0);
         let demand = DemandMatrix::all_gather(4, &[NodeId(0), NodeId(1)], 1);
-        let err = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &SolverConfig::default(),
-            3,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap_err();
+        let err = build(&topo, &demand, &SolverConfig::default(), 3).unwrap_err();
         assert!(matches!(err, TeCclError::InvalidDemand(_)));
     }
 
@@ -1130,16 +950,7 @@ mod tests {
         let mut demand = DemandMatrix::new(3, 1);
         demand.set(a, 0, c);
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            6,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 6).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let hop2 = sends.iter().find(|s| s.from == b && s.to == c).unwrap();
@@ -1156,22 +967,13 @@ mod tests {
     fn buffer_values_follow_flows() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         // The middle node eventually buffers the chunk (it demands it).
-        assert!(form.buffer_value(&sol, NodeId(0), 0, NodeId(1), 4) > 0.5);
+        assert!(form.net.value(Kind::B, &sol, NodeId(0), 0, 1, 4) > 0.5);
         // The source always holds its own chunk implicitly (not modeled as a
-        // variable at epoch 0); buffer_value returns 0 for missing vars.
-        assert_eq!(form.buffer_value(&sol, NodeId(0), 0, NodeId(2), 0), 0.0);
+        // variable at epoch 0); a missing variable reads 0.
+        assert_eq!(form.net.value(Kind::B, &sol, NodeId(0), 0, 2, 0), 0.0);
     }
 
     /// The build checks the request's budget: an expired deadline fails it
@@ -1202,38 +1004,20 @@ mod tests {
     fn limited_buffer_mode_builds_and_solves() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(1));
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            5,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 5).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
-        assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 4) > 0.5);
+        assert!(form.net.value(Kind::R, &sol, NodeId(0), 0, 2, 4) > 0.5);
     }
 
     #[test]
     fn no_store_and_forward_mode_still_relays() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default().with_buffer_mode(BufferMode::NoStoreAndForward);
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4).unwrap();
         // Node 1 demands the chunk itself, so it may hold it; node 2 receives
         // it relayed. The problem stays feasible.
         let sol = form.solve_budgeted(&config, None, None).unwrap();
-        assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 3) > 0.5);
+        assert!(form.net.value(Kind::R, &sol, NodeId(0), 0, 2, 3) > 0.5);
     }
 
     #[test]
@@ -1261,23 +1045,14 @@ mod tests {
         };
         let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3, &options).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
-        assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 1) > 0.5);
+        assert!(form.net.value(Kind::R, &sol, NodeId(0), 0, 2, 1) > 0.5);
     }
 
     #[test]
     fn unreachable_epochs_are_bound_fixed_not_elided() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4).unwrap();
         // Every link gets a flow variable for every epoch (stable layout)…
         assert_eq!(
             form.num_integer_vars(),
@@ -1289,7 +1064,7 @@ mod tests {
         let source_out: Vec<usize> = topo.out_links(NodeId(0)).map(|l| l.id.0).collect();
         let mut fixed = 0usize;
         for link in &topo.links {
-            let v = form.f_vars.get(0, link.id.0, 0).unwrap();
+            let v = form.net.f.get(0, link.id.0, 0).unwrap();
             let def = &form.model.vars[v.index()];
             if source_out.contains(&link.id.0) {
                 assert_eq!((def.lb, def.ub), (0.0, 1.0), "source link stays free");

@@ -35,7 +35,7 @@ pub fn model_hash(model: &Model) -> u64 {
     h.finish()
 }
 
-/// Solves the LP relaxation of `model` on its raw standard form (no
+/// Solves the LP relaxation of `model` cold on its raw standard form (no
 /// presolve) and checks the optimum with `Model::certify`, which shares no
 /// code with the simplex. Panics, naming `what`, when the solve is not
 /// optimal or the certificate fails.

@@ -7,7 +7,9 @@
 //! the trivial group) at the solver's first horizon: the same objective to
 //! 1e-9 relative (or the same refutation), the reduced optimum unrolled
 //! through the group satisfies every row and bound of the full model at the
-//! full optimum's objective, and the extracted schedule validates. The rows
+//! full optimum's objective, and the extracted schedule validates. At 16 MiB
+//! both optima also pass `Model::certify` when solved on the raw standard
+//! form (no presolve). The rows
 //! that solve full 8-GPU LPs take seconds in release and minutes in debug,
 //! so they are `#[ignore]`d and run in CI with `--release -- --ignored`.
 
@@ -15,7 +17,7 @@ mod common;
 
 use std::time::Instant;
 
-use common::model_hash;
+use common::{assert_raw_optimum_certifies, model_hash};
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::epochs::{epoch_duration, horizon_lower_bound};
 use teccl_core::extract::schedule_from_sends;
@@ -147,6 +149,12 @@ fn assert_exact(name: &str, topo: &Topology, kind: CollectiveKind, chunks: usize
     let k = horizon_lower_bound(topo, &demand, chunk_bytes, tau, &group, None).unwrap() + 1;
     let reduced = LpFormulation::build(topo, &demand, chunk_bytes, &config, k, tau).unwrap();
     let solved = reduced.solve_budgeted(None, None);
+    // The raw path walks the full LPs without presolve, seconds each in a
+    // debug build: it is checked at the 16 MiB sizes.
+    let certify = bytes == SIXTEEN_MB;
+    if certify && solved.is_ok() {
+        assert_raw_optimum_certifies(&what, &reduced.model);
+    }
     if !reduced.group().is_trivial() {
         let full = LpFormulation::build_over(
             topo,
@@ -161,6 +169,9 @@ fn assert_exact(name: &str, topo: &Topology, kind: CollectiveKind, chunks: usize
         .unwrap();
         match (&solved, full.solve_budgeted(None, None)) {
             (Ok(r), Ok(f)) => {
+                if certify {
+                    assert_raw_optimum_certifies(&format!("{what} full"), &full.model);
+                }
                 let scale = f.objective.abs().max(1.0);
                 assert!(
                     (r.objective - f.objective).abs() <= 1e-9 * scale,

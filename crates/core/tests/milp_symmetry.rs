@@ -4,7 +4,9 @@
 //! The quotient is a *restriction* of the paper's model, so it is checked
 //! against that model, built over the trivial group:
 //! * the root relaxation of A\* round 0 and round 1 over the quotient has the
-//!   full round model's optimum, to 1e-9 relative (the averaging argument);
+//!   full round model's optimum, to 1e-9 relative (the averaging argument),
+//!   and both relaxations, solved on the raw standard form (no presolve),
+//!   pass `Model::certify`;
 //! * each quotient round's integral optimum, unrolled through the group,
 //!   is a feasible point of the full round model with the same objective;
 //! * an instance without symmetry gets the trivial group and the same A\*
@@ -16,6 +18,9 @@
 //! The 16-GPU rows take seconds in release and minutes in debug, so they are
 //! `#[ignore]`d and run in CI with `--release -- --ignored`.
 
+mod common;
+
+use common::assert_raw_optimum_certifies;
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::astar::{solve_astar_budgeted, RoundState};
 use teccl_core::epochs::{epoch_duration, estimate_num_epochs};
@@ -114,15 +119,16 @@ fn check_rounds(name: &str, inst: &Instance, order: usize) {
         let quotient = inst.build(k, &options, group.clone());
         assert!(quotient.model.num_vars() * order <= full.model.num_vars() + order);
 
-        let relax = |form: &MilpFormulation| {
+        let relax = |name: &str, form: &MilpFormulation| {
             let sol = form.model.solve_lp_relaxation_budgeted(None, None).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal, "{what}");
+            assert_raw_optimum_certifies(&format!("{what} {name}"), &form.model);
             sol.objective
         };
         assert_close(
             &format!("{what}: root bound"),
-            relax(&quotient),
-            relax(&full),
+            relax("quotient", &quotient),
+            relax("full", &full),
         );
 
         let sol = quotient

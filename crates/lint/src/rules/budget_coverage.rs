@@ -27,8 +27,10 @@
 //! The model builds are covered too: in `crates/core/src/lp_form.rs` and
 //! `crates/core/src/milp_form.rs`, every outermost `for` of `build_over`
 //! that lays variables or rows out (`add_var(` / `add_cons(`) must check the
-//! budget the same way. A build over many commodities and epochs takes
-//! milliseconds, which is a 1 ms deadline missed several times over.
+//! budget the same way, and so must every outermost such `for` of any
+//! function in `crates/core/src/time_expanded.rs`, the layout both builds
+//! call for their shared rows. A build over many commodities and epochs
+//! takes milliseconds, which is a 1 ms deadline missed several times over.
 
 use crate::report::Finding;
 use crate::scan::{LoopKind, SourceFile};
@@ -47,6 +49,9 @@ pub const HOT_FILES: &[&str] = &[
 /// The formulation files whose `build_over` loops are checked.
 pub const BUILD_FILES: &[&str] = &["crates/core/src/lp_form.rs", "crates/core/src/milp_form.rs"];
 
+/// The layout module, whose row-laying loops are checked in every function.
+pub const LAYOUT_FILES: &[&str] = &["crates/core/src/time_expanded.rs"];
+
 /// Whether `[open, close)` charges or checks the budget.
 fn covered(file: &SourceFile, open: usize, close: usize) -> bool {
     ["charge", "exceeded", "check_budget"]
@@ -58,12 +63,14 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in files
         .iter()
-        .filter(|f| BUILD_FILES.contains(&f.rel.as_str()))
+        .filter(|f| BUILD_FILES.contains(&f.rel.as_str()) || LAYOUT_FILES.contains(&f.rel.as_str()))
     {
+        let layout = LAYOUT_FILES.contains(&file.rel.as_str());
         for lp in &file.loops {
-            let in_build = file
-                .enclosing_function(lp.kw)
-                .is_some_and(|f| f.name == "build_over");
+            let in_build = layout
+                || file
+                    .enclosing_function(lp.kw)
+                    .is_some_and(|f| f.name == "build_over");
             if file.in_test(lp.kw) || lp.kind != LoopKind::For || !in_build {
                 continue;
             }
@@ -78,9 +85,9 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                     RULE,
                     &file.rel,
                     lp.line,
-                    "`for` laying out a model in `build_over` has no \
-                     `check_budget(`/`exceeded(` in its body — a deadline cannot stop \
-                     the build"
+                    "`for` laying out a model in `build_over` or the layout module has \
+                     no `check_budget(`/`exceeded(` in its body — a deadline cannot \
+                     stop the build"
                         .to_string(),
                 ));
             }

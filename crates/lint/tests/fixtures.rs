@@ -354,6 +354,40 @@ fn update_round(&mut self) {
 }
 
 #[test]
+fn budget_coverage_checks_the_layout_module_in_every_function() {
+    // The layout module's shared rows are laid from helpers, not from
+    // `build_over`: an outermost row-laying loop in any of its functions
+    // must check the budget; a covered one, a nested one and one that lays
+    // nothing out pass.
+    let o = analyze_snippets(&[(
+        "crates/core/src/time_expanded.rs",
+        r##"
+fn capacity_rows(&self, model: &mut Model, budget: Option<&SolveBudget>) {
+    for link in links {
+        check_budget(budget)?;
+        for k in 0..m {
+            model.add_cons("", &terms, ConstraintOp::Le, cap);
+        }
+    }
+}
+fn switch_rows(&self, model: &mut Model) {
+    for k in 0..m {
+        model.add_cons("", &terms, ConstraintOp::Eq, 0.0);
+    }
+}
+fn inflow(&self, terms: &mut Vec<(VarId, f64)>) {
+    for inl in links {
+        terms.push((v, 1.0));
+    }
+}
+"##,
+    )]);
+    let f = errors(&o, "budget-coverage");
+    assert_eq!(f.len(), 1, "{:?}", o.errors);
+    assert_eq!(f[0].line, 11);
+}
+
+#[test]
 fn budget_coverage_skips_tests_and_cold_files() {
     let o = analyze_snippets(&[
         (

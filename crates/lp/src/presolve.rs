@@ -115,8 +115,14 @@ impl PostSolve {
     /// Maps a solved solution back onto the original model: fixed variables
     /// are snapped exactly onto their fixed value (wiping simplex bound
     /// noise), the objective is re-evaluated against the original model, and
-    /// the presolve counters are recorded. Values and duals are already in
-    /// the original spaces — no columns or rows were removed.
+    /// the presolve counters are recorded. Values and duals keep the original
+    /// indices — no columns or rows were removed — but only the values are
+    /// the original model's answer. The duals are those of the tightened
+    /// model: a variable at a bound presolve tightened can carry a reduced
+    /// cost whose sign the original, looser bound does not allow, so
+    /// [`Model::certify`] may reject the returned solution. Moving those
+    /// reduced costs into the duals of the rows that made each tightening (a
+    /// dual postsolve) is not done.
     pub fn recover(&self, mut sol: Solution, original: &Model) -> Solution {
         if sol.values.len() < self.original_vars {
             sol.values.resize(self.original_vars, 0.0);

@@ -232,7 +232,8 @@ impl EpochGrid {
         Self::with_kappas(topo, chunk_bytes, tau, kappas.collect())
     }
 
-    /// The copy-free LP's grid: κ = 1 on every link.
+    /// The copy-free LP's grid: κ = 1 on every link, since its flows are
+    /// continuous and need no Appendix-F window.
     pub(crate) fn copy_free(topo: &Topology, chunk_bytes: f64, tau: f64) -> Self {
         Self::with_kappas(topo, chunk_bytes, tau, vec![1; topo.links.len()])
     }

@@ -179,7 +179,7 @@ impl LpFormulation {
             }
         }
 
-        // ----- Flow conservation (switches: no buffer, no consumption) ---------
+        // ----- Flow conservation (GPUs, then switches: no buffer, no reads) ----
         let mut terms: Vec<(VarId, f64)> = Vec::new();
         for i in 0..net.commodities.len() {
             let nodes = topology.gpus().chain(topology.switches());

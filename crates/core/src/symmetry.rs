@@ -253,7 +253,7 @@ impl SymmetryGroup {
 /// A formulation laid out over a [`SymmetryGroup`]: which sources carry
 /// variables (one representative per source orbit), how any other source's
 /// variables are read through the group, and the terms of the rows the
-/// sources share. The LP and the MILP both keep one.
+/// sources share. Each time-expanded layout keeps one.
 #[derive(Debug)]
 pub(crate) struct Orbits {
     group: SymmetryGroup,

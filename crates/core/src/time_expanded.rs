@@ -166,7 +166,7 @@ pub(crate) fn source_orbits(
 
 /// The kinds of variable of a time-expanded formulation: flow `F` on a
 /// link, buffer `B`, read `R` and eviction `X` at a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Kind {
     F,
     B,

@@ -287,11 +287,14 @@ impl SolveRequest {
         let deadline = match v.get("deadline_ms") {
             None => None,
             Some(d) => {
-                let ms = d
+                // `try_from`: a finite value past `Duration::MAX` (~1.8e22 ms)
+                // would panic the connection thread in `from_secs_f64`.
+                let deadline = d
                     .as_f64()
-                    .filter(|ms| *ms >= 0.0 && ms.is_finite())
+                    .filter(|ms| *ms >= 0.0)
+                    .and_then(|ms| std::time::Duration::try_from_secs_f64(ms / 1e3).ok())
                     .ok_or(bad("bad deadline_ms"))?;
-                Some(std::time::Duration::from_secs_f64(ms / 1e3))
+                Some(deadline)
             }
         };
         Ok(SolveRequest {
@@ -447,8 +450,12 @@ pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
     }
     c.max_epochs = field(v, "max_epochs", epochs)?;
     c.early_stop_gap = field(v, "early_stop_gap", |x| finite(x).filter(|g| *g >= 0.0))?;
-    if let Some(secs) = field(v, "time_limit_s", |x| finite(x).filter(|s| *s > 0.0))? {
-        c.time_limit = Some(std::time::Duration::from_secs_f64(secs));
+    // `try_from`: `from_secs_f64` panics past `Duration::MAX` (~1.8e19 s).
+    if let Some(limit) = field(v, "time_limit_s", |x| {
+        let secs = finite(x).filter(|s| *s > 0.0)?;
+        std::time::Duration::try_from_secs_f64(secs).ok()
+    })? {
+        c.time_limit = Some(limit);
     }
     c.astar_epochs_per_round = field(v, "astar_epochs_per_round", epochs)?;
     // Appendix D: the distance reward is discounted by γ ∈ [0, 1).
@@ -627,8 +634,13 @@ mod tests {
         assert_eq!(back.deadline, Some(std::time::Duration::from_millis(100)));
         let back = SolveRequest::from_json_value(&patient.to_json_value()).unwrap();
         assert_eq!(back.deadline, None);
-        let neg = r#"{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"deadline_ms":-3}"#;
-        assert!(SolveRequest::from_json_value(&Value::parse(neg).unwrap()).is_err());
+        for bad in ["-3", "1.9e22", "1e25", "1e300"] {
+            let line = format!(
+                r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"deadline_ms":{bad}}}"#
+            );
+            let err = SolveRequest::from_json_value(&Value::parse(&line).unwrap()).unwrap_err();
+            assert_eq!(err.code(), "bad_field", "{bad}");
+        }
     }
 
     /// Older clients send the retired solver knobs (`threads`, `decompose`,
@@ -700,6 +712,8 @@ mod tests {
             r#"{"astar_gamma":-0.1}"#,
             r#"{"early_stop_gap":-0.3}"#,
             r#"{"time_limit_s":0}"#,
+            // Finite, but past `Duration::MAX`.
+            r#"{"time_limit_s":1e300}"#,
             // Sizes a model no deadline could stop being built.
             r#"{"max_epochs":1025}"#,
             r#"{"max_epochs":1e9}"#,

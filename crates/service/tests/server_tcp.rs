@@ -290,3 +290,45 @@ fn overlong_line_gets_one_error_and_a_close() {
     assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
     handle.shutdown();
 }
+
+/// A finite deadline or time limit too large for a `Duration` (past ~1.8e19
+/// seconds) is refused as `bad_field`; converting it used to panic the
+/// connection thread, which then hung up without a reply.
+#[test]
+fn durations_past_the_duration_range_are_refused_on_a_live_connection() {
+    let handle = quiet_server();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = |request: &str| -> Value {
+        writer
+            .write_all(format!("{request}\n").as_bytes())
+            .and_then(|_| writer.flush())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Value::parse(line.trim()).unwrap()
+    };
+
+    let solve =
+        r#"{"verb":"solve","topology":"dgx1","collective":"all_gather","output_buffer":1024"#;
+    for extra in [
+        r#""deadline_ms":1.9e22"#,
+        r#""deadline_ms":1e25"#,
+        r#""deadline_ms":1e300"#,
+        r#""config":{"time_limit_s":1e20}"#,
+        r#""config":{"time_limit_s":1e300}"#,
+    ] {
+        let v = round_trip(&format!("{solve},{extra}}}"));
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+        assert_eq!(
+            v.get("code").and_then(Value::as_str),
+            Some("bad_field"),
+            "{extra}"
+        );
+        // The same connection answers the next request.
+        let v = round_trip(r#"{"verb":"stats"}"#);
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
+    }
+    handle.shutdown();
+}

@@ -9,9 +9,15 @@
 //! it.
 //!
 //! Scope: `service.rs` (orchestrator + worker path), `server.rs` (TCP
-//! accept/connection threads), `protocol.rs` (wire parsing), and
-//! `util/src/json.rs` — the parser and writer those run on connection
+//! accept/connection threads), `protocol.rs` (wire parsing), `key.rs` (the
+//! request decoder), `topology/src/json.rs` (the topology decoder) and
+//! `util/src/json.rs` — the reader and writer those run on connection
 //! threads and disk-store probes, over bytes an outsider chose.
+//!
+//! Besides `unwrap`/`expect` and the panicking macros, the rule flags calls
+//! that panic on an out-of-range argument: `Duration::from_secs_f64` (and
+//! `_f32`) panic on a finite value past `Duration::MAX`, which a request
+//! line can carry; `try_from_secs_f64` is the checked form.
 //!
 //! Exempt:
 //! * test spans (`#[cfg(test)]` / `#[test]`),
@@ -29,11 +35,15 @@ const SCOPED_FILES: &[&str] = &[
     "crates/service/src/service.rs",
     "crates/service/src/server.rs",
     "crates/service/src/protocol.rs",
+    "crates/service/src/key.rs",
+    "crates/topology/src/json.rs",
     "crates/util/src/json.rs",
 ];
 
 /// Method calls that panic.
 const BAD_METHODS: &[&str] = &["unwrap", "expect"];
+/// Functions and methods that panic on an argument out of their range.
+const BAD_CALLS: &[&str] = &["from_secs_f64", "from_secs_f32"];
 /// Macros that panic.
 const BAD_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -107,11 +117,15 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
             let method = toks.get(i.wrapping_sub(1)).is_some_and(|t| t.is_punct('.'))
                 && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
                 && BAD_METHODS.contains(&name);
+            let call = toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                && BAD_CALLS.contains(&name);
             let mac =
                 toks.get(i + 1).is_some_and(|t| t.is_punct('!')) && BAD_MACROS.contains(&name);
-            if (method || mac) && !is_exempt(i) {
+            if (method || call || mac) && !is_exempt(i) {
                 let what = if method {
                     format!(".{name}()")
+                } else if call {
+                    format!("{name}()")
                 } else {
                     format!("{name}!")
                 };

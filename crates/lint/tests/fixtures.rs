@@ -512,6 +512,38 @@ mod tests {
     assert!(errors(&o, "panic-hygiene").is_empty(), "{:?}", o.errors);
 }
 
+#[test]
+fn panic_hygiene_flags_unchecked_duration_conversions_in_the_decoders() {
+    // `Duration::from_secs_f64` panics on a finite value past
+    // `Duration::MAX`; a request line chooses that value.
+    let o = analyze_snippets(&[
+        (
+            "crates/service/src/key.rs",
+            r##"
+fn deadline(ms: f64) -> Duration {
+    std::time::Duration::from_secs_f64(ms / 1e3)
+}
+"##,
+        ),
+        (
+            "crates/topology/src/json.rs",
+            "fn t(v: f64) -> Duration { Duration::from_secs_f32(v as f32) }\n",
+        ),
+    ]);
+    assert_eq!(errors(&o, "panic-hygiene").len(), 2, "{:?}", o.errors);
+
+    // The checked conversion passes.
+    let o = analyze_snippets(&[(
+        "crates/service/src/key.rs",
+        r##"
+fn deadline(ms: f64) -> Option<Duration> {
+    std::time::Duration::try_from_secs_f64(ms / 1e3).ok()
+}
+"##,
+    )]);
+    assert!(errors(&o, "panic-hygiene").is_empty(), "{:?}", o.errors);
+}
+
 // ---------------------------------------------------------------- hash-stability
 
 #[test]

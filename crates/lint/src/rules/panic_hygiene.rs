@@ -117,8 +117,8 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
             let method = toks.get(i.wrapping_sub(1)).is_some_and(|t| t.is_punct('.'))
                 && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
                 && BAD_METHODS.contains(&name);
-            let call = toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-                && BAD_CALLS.contains(&name);
+            let call =
+                toks.get(i + 1).is_some_and(|t| t.is_punct('(')) && BAD_CALLS.contains(&name);
             let mac =
                 toks.get(i + 1).is_some_and(|t| t.is_punct('!')) && BAD_MACROS.contains(&name);
             if (method || call || mac) && !is_exempt(i) {

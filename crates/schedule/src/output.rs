@@ -52,14 +52,27 @@ impl ScheduleOutput {
     }
 }
 
-impl Emit for ScheduleOutput {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+impl ScheduleOutput {
+    /// [`ScheduleOutput::emit`] with the schedule copied in as its kept
+    /// text ([`Schedule::json_text`]): one raw event, no formatting after
+    /// the first call. For an output that no longer changes.
+    pub fn emit_rendered<S: JsonSink>(&self, sink: &mut S) {
+        self.emit_with(sink, |schedule, sink| sink.raw(schedule.json_text()));
+    }
+
+    fn emit_with<S: JsonSink>(&self, sink: &mut S, schedule: impl FnOnce(&Schedule, &mut S)) {
         sink.begin_obj();
         sink.key("schedule");
-        self.schedule.emit(sink);
+        schedule(&self.schedule, sink);
         sink.key("metrics");
         self.metrics.emit(sink);
         sink.end_obj();
+    }
+}
+
+impl Emit for ScheduleOutput {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        self.emit_with(sink, |schedule, sink| schedule.emit(sink));
     }
 }
 

@@ -1,7 +1,7 @@
 //! The schedule data model: which chunk crosses which link in which epoch.
 
 use teccl_topology::NodeId;
-use teccl_util::json::{self, Emit, JsonError, JsonSink, Value};
+use teccl_util::json::{self, Emit, JsonError, JsonSink, RenderedOnce, Value};
 
 /// Identity of a chunk: the source GPU it originates from plus its per-source
 /// chunk index (`(s, c)` in the paper's notation).
@@ -52,6 +52,8 @@ pub struct Schedule {
     pub sends: Vec<Send>,
     /// Wall-clock time the solver spent producing this schedule, in seconds.
     pub solver_time: f64,
+    /// The compact JSON text, once [`Schedule::json_text`] has rendered it.
+    text: RenderedOnce,
 }
 
 impl Schedule {
@@ -64,6 +66,7 @@ impl Schedule {
             num_epochs: 0,
             sends: Vec::new(),
             solver_time: 0.0,
+            text: RenderedOnce::default(),
         }
     }
 
@@ -159,6 +162,16 @@ impl Schedule {
                 ),
             ),
         ])
+    }
+
+    /// The compact JSON text of [`Schedule::emit`], rendered by the first
+    /// call and kept: a cached schedule is formatted for its first reply and
+    /// copied into every later one. Call it only on a schedule that no
+    /// longer changes, such as a cache entry's behind its `Arc`; a change
+    /// made after the first call is not seen by the text. A clone starts
+    /// without it.
+    pub fn json_text(&self) -> &str {
+        self.text.text(self)
     }
 
     /// Serializes the full schedule (not the MSCCL export) to JSON: the

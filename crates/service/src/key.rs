@@ -23,7 +23,7 @@ use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::{BufferMode, EpochStrategy, RequestMethod, SolverConfig, SwitchModel};
 use teccl_topology::{NodeId, Topology};
 use teccl_util::hash::{size_bucket, StableHasher};
-use teccl_util::json::{JsonError, Value};
+use teccl_util::json::{self, Event, JsonError, JsonSource, Value};
 
 use crate::server::{MAX_REQUEST_CHUNKS, MAX_REQUEST_EPOCHS};
 
@@ -239,63 +239,130 @@ impl SolveRequest {
         Value::obj(pairs)
     }
 
-    /// Deserializes a request. `topology` may be a full topology document or
-    /// the string name of a prebuilt one (see [`builtin_topology`]); every
-    /// field except `topology`, `collective` and `output_buffer` is optional.
+    /// Deserializes a request from a tree; [`SolveRequest::decode`] says
+    /// what is accepted.
     pub fn from_json_value(v: &Value) -> Result<SolveRequest, RequestError> {
-        let bad = |msg: &str| RequestError::BadField(msg.to_string());
-        let topology = match v.get("topology") {
-            Some(Value::Str(name)) => {
-                builtin_topology(name).ok_or(bad("unknown builtin topology"))?
+        json::decode_tree(v, SolveRequest::decode)
+    }
+
+    /// Reads the request object whose first event is `first` from `src`,
+    /// to its end (see [`JsonSource`] for the two errors). `topology` may be
+    /// a full topology document or the string name of a prebuilt one (see
+    /// [`builtin_topology`]); every field except `topology`, `collective`
+    /// and `output_buffer` is optional, and other members are ignored.
+    pub fn decode<'a, S: JsonSource<'a>>(
+        first: Event<'a>,
+        src: &mut S,
+    ) -> Result<Result<SolveRequest, RequestError>, JsonError> {
+        let mut fields = RequestFields::default();
+        src.object(first, |key, value, src| fields.read(key, value, src))?;
+        Ok(fields.build())
+    }
+}
+
+/// The members of a request object as read, before they are checked: a
+/// slot is `None` while its key has not been seen, and the first of
+/// duplicate keys fills it (as [`Value::get`] finds it). A value of the
+/// wrong type or out of range is kept as `Some(None)` (or the error), to be
+/// reported by [`RequestFields::build`] in one fixed order whatever the
+/// order of the members: the verb first (by the caller), then topology,
+/// collective, output buffer, chunks, method, config, deadline.
+#[derive(Default)]
+pub(crate) struct RequestFields {
+    topology: Option<Result<Topology, RequestError>>,
+    collective: Option<Option<CollectiveKind>>,
+    output_buffer: Option<Option<f64>>,
+    chunks: Option<Option<usize>>,
+    method: Option<Option<RequestMethod>>,
+    config: Option<Result<SolverConfig, JsonError>>,
+    deadline: Option<Option<std::time::Duration>>,
+}
+
+impl RequestFields {
+    /// Reads the value of member `key`, whose first event is `value`: into
+    /// its slot when it is a request field seen for the first time, else
+    /// skipped.
+    pub(crate) fn read<'a, S: JsonSource<'a>>(
+        &mut self,
+        key: &str,
+        value: Event<'a>,
+        src: &mut S,
+    ) -> Result<(), JsonError> {
+        match key {
+            "topology" if self.topology.is_none() => {
+                self.topology = Some(match value {
+                    Event::Str(name) => {
+                        builtin_topology(&name).ok_or_else(|| bad_field("unknown builtin topology"))
+                    }
+                    value => Topology::decode(value, src)?.map_err(RequestError::from),
+                });
             }
-            Some(t) => Topology::from_json_value(t)?,
-            None => return Err(bad("missing topology")),
-        };
+            "collective" if self.collective.is_none() => {
+                self.collective =
+                    Some(src.scalar(value, |v| v.as_str().and_then(collective_from_name))?);
+            }
+            "output_buffer" if self.output_buffer.is_none() => {
+                self.output_buffer = Some(src.scalar(value, |v| v.as_f64())?);
+            }
+            "chunks" if self.chunks.is_none() => {
+                self.chunks = Some(src.scalar(value, |v| {
+                    v.as_usize()
+                        .filter(|c| (1..=MAX_REQUEST_CHUNKS).contains(c))
+                })?);
+            }
+            "method" if self.method.is_none() => {
+                self.method =
+                    Some(src.scalar(value, |v| v.as_str().and_then(RequestMethod::from_name))?);
+            }
+            "config" if self.config.is_none() => self.config = Some(decode_config(value, src)?),
+            "deadline_ms" if self.deadline.is_none() => {
+                // `try_from`: a finite value past `Duration::MAX` (~1.8e22
+                // ms) would panic the connection thread in `from_secs_f64`.
+                self.deadline = Some(src.scalar(value, |v| {
+                    let ms = v.as_f64().filter(|ms| *ms >= 0.0)?;
+                    std::time::Duration::try_from_secs_f64(ms / 1e3).ok()
+                })?);
+            }
+            _ => src.skip(&value)?,
+        }
+        Ok(())
+    }
+
+    /// The request the members describe, or the first fault in the order
+    /// the type docs give.
+    pub(crate) fn build(self) -> Result<SolveRequest, RequestError> {
+        let topology = self
+            .topology
+            .unwrap_or_else(|| Err(bad_field("missing topology")))?;
         topology
             .validate()
-            .map_err(|e| bad(&format!("invalid topology: {e}")))?;
-        let collective = v
-            .get("collective")
-            .and_then(Value::as_str)
-            .and_then(collective_from_name)
-            .ok_or(bad("missing/unknown collective"))?;
-        let output_buffer = v
-            .get("output_buffer")
-            .and_then(Value::as_f64)
-            .ok_or(bad("missing output_buffer"))?;
+            .map_err(|e| bad_field(&format!("invalid topology: {e}")))?;
+        let collective = self
+            .collective
+            .flatten()
+            .ok_or_else(|| bad_field("missing/unknown collective"))?;
+        let output_buffer = self
+            .output_buffer
+            .flatten()
+            .ok_or_else(|| bad_field("missing output_buffer"))?;
         if output_buffer <= 0.0 || !output_buffer.is_finite() {
             return Err(RequestError::InvalidBufferSize(output_buffer));
         }
-        let chunks = match v.get("chunks") {
+        let chunks = match self.chunks {
             None => 1,
-            Some(c) => c
-                .as_usize()
-                .filter(|c| (1..=MAX_REQUEST_CHUNKS).contains(c))
-                .ok_or(bad("bad chunks"))?,
+            Some(c) => c.ok_or_else(|| bad_field("bad chunks"))?,
         };
-        let method = match v.get("method") {
+        let method = match self.method {
             None => RequestMethod::Auto,
-            Some(m) => m
-                .as_str()
-                .and_then(RequestMethod::from_name)
-                .ok_or(bad("unknown method"))?,
+            Some(m) => m.ok_or_else(|| bad_field("unknown method"))?,
         };
-        let config = match v.get("config") {
+        let config = match self.config {
             None => SolverConfig::default(),
-            Some(c) => config_from_json(c)?,
+            Some(c) => c?,
         };
-        let deadline = match v.get("deadline_ms") {
+        let deadline = match self.deadline {
             None => None,
-            Some(d) => {
-                // `try_from`: a finite value past `Duration::MAX` (~1.8e22 ms)
-                // would panic the connection thread in `from_secs_f64`.
-                let deadline = d
-                    .as_f64()
-                    .filter(|ms| *ms >= 0.0)
-                    .and_then(|ms| std::time::Duration::try_from_secs_f64(ms / 1e3).ok())
-                    .ok_or(bad("bad deadline_ms"))?;
-                Some(deadline)
-            }
+            Some(d) => Some(d.ok_or_else(|| bad_field("bad deadline_ms"))?),
         };
         Ok(SolveRequest {
             topology,
@@ -307,6 +374,10 @@ impl SolveRequest {
             deadline,
         })
     }
+}
+
+fn bad_field(msg: &str) -> RequestError {
+    RequestError::BadField(msg.to_string())
 }
 
 /// Absorbs a solver configuration into a fingerprint, floats quantized so
@@ -412,87 +483,175 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Deserializes a solver configuration; absent fields keep their defaults.
+/// Reads a solver configuration whose first event is `first` from `src`,
+/// to its end; absent fields keep their defaults, and so does a value that
+/// is not an object.
 ///
 /// A field that is present must have the right type and a finite, in-range
 /// value, or the whole request is refused (`bad_field`) before it is keyed
-/// or solved. The retired solver switches (`threads`, `decompose`,
-/// `warm_start`, `astar_warm_rounds`) are accepted in any form and ignored.
-pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
-    let mut c = SolverConfig::default();
-    if let Some(s) = field(v, "epoch_strategy", Value::as_str)? {
-        c.epoch_strategy = match s {
-            "slowest_link" => EpochStrategy::SlowestLink,
-            "fastest_link" => EpochStrategy::FastestLink,
-            _ => return Err(bad_config("epoch_strategy")),
-        };
-    }
-    if let Some(m) = field(v, "epoch_multiplier", |x| finite(x).filter(|m| *m >= 1.0))? {
-        c.epoch_multiplier = m;
-    }
-    if let Some(s) = field(v, "switch_model", Value::as_str)? {
-        c.switch_model = match s {
-            "copy_capable" => SwitchModel::CopyCapable,
-            "non_copy" => SwitchModel::NonCopy,
-            "hyper_edge" => SwitchModel::HyperEdge,
-            _ => return Err(bad_config("switch_model")),
-        };
-    }
-    if let Some(b) = v.get("buffer_mode") {
-        c.buffer_mode = match b {
-            Value::Str(s) if s == "unlimited" => BufferMode::Unlimited,
-            Value::Str(s) if s == "no_store_and_forward" => BufferMode::NoStoreAndForward,
-            other => match other.get("limited_chunks").and_then(Value::as_usize) {
-                Some(n) => BufferMode::LimitedChunks(n),
-                None => return Err(bad_config("buffer_mode")),
-            },
-        };
-    }
-    c.max_epochs = field(v, "max_epochs", epochs)?;
-    c.early_stop_gap = field(v, "early_stop_gap", |x| finite(x).filter(|g| *g >= 0.0))?;
-    // `try_from`: `from_secs_f64` panics past `Duration::MAX` (~1.8e19 s).
-    if let Some(limit) = field(v, "time_limit_s", |x| {
-        let secs = finite(x).filter(|s| *s > 0.0)?;
-        std::time::Duration::try_from_secs_f64(secs).ok()
-    })? {
-        c.time_limit = Some(limit);
-    }
-    c.astar_epochs_per_round = field(v, "astar_epochs_per_round", epochs)?;
-    // Appendix D: the distance reward is discounted by γ ∈ [0, 1).
-    if let Some(g) = field(v, "astar_gamma", |x| {
-        finite(x).filter(|g| (0.0..1.0).contains(g))
-    })? {
-        c.astar_gamma = g;
-    }
-    if let Some(r) = field(v, "astar_max_rounds", Value::as_usize)? {
-        c.astar_max_rounds = r;
-    }
-    c.chunk_priorities = field(v, "chunk_priorities", |x| {
-        x.as_arr()?.iter().map(finite).collect()
-    })?;
-    Ok(c)
+/// or solved; with several such fields, the first in the order of
+/// [`SolverConfig`]'s wire names below is reported. The retired solver
+/// switches (`threads`, `decompose`, `warm_start`, `astar_warm_rounds`) are
+/// accepted in any form and ignored.
+fn decode_config<'a, S: JsonSource<'a>>(
+    first: Event<'a>,
+    src: &mut S,
+) -> Result<Result<SolverConfig, JsonError>, JsonError> {
+    let mut f = ConfigFields::default();
+    src.object(first, |key, value, src| f.read(key, value, src))?;
+    Ok(f.build())
 }
 
-/// The config field `name` through `get` when present (`Ok(None)` when
-/// absent); a present value that `get` rejects is a `bad {name}` error.
-fn field<'a, T>(
-    v: &'a Value,
-    name: &str,
-    get: impl FnOnce(&'a Value) -> Option<T>,
-) -> Result<Option<T>, JsonError> {
-    v.get(name)
-        .map(|x| get(x).ok_or_else(|| bad_config(name)))
-        .transpose()
+/// The members of a config object as read, as in [`RequestFields`]:
+/// `Some(None)` is a value of the wrong type or out of range.
+#[derive(Default)]
+struct ConfigFields {
+    epoch_strategy: Option<Option<EpochStrategy>>,
+    epoch_multiplier: Option<Option<f64>>,
+    switch_model: Option<Option<SwitchModel>>,
+    buffer_mode: Option<Option<BufferMode>>,
+    max_epochs: Option<Option<usize>>,
+    early_stop_gap: Option<Option<f64>>,
+    time_limit: Option<Option<std::time::Duration>>,
+    astar_epochs_per_round: Option<Option<usize>>,
+    astar_gamma: Option<Option<f64>>,
+    astar_max_rounds: Option<Option<usize>>,
+    chunk_priorities: Option<Option<Vec<f64>>>,
+}
+
+impl ConfigFields {
+    fn read<'a, S: JsonSource<'a>>(
+        &mut self,
+        key: &str,
+        value: Event<'a>,
+        src: &mut S,
+    ) -> Result<(), JsonError> {
+        match key {
+            "epoch_strategy" if self.epoch_strategy.is_none() => {
+                self.epoch_strategy = Some(src.scalar(value, |v| match v.as_str()? {
+                    "slowest_link" => Some(EpochStrategy::SlowestLink),
+                    "fastest_link" => Some(EpochStrategy::FastestLink),
+                    _ => None,
+                })?);
+            }
+            "epoch_multiplier" if self.epoch_multiplier.is_none() => {
+                self.epoch_multiplier =
+                    Some(src.scalar(value, |v| finite(v).filter(|m| *m >= 1.0))?);
+            }
+            "switch_model" if self.switch_model.is_none() => {
+                self.switch_model = Some(src.scalar(value, |v| match v.as_str()? {
+                    "copy_capable" => Some(SwitchModel::CopyCapable),
+                    "non_copy" => Some(SwitchModel::NonCopy),
+                    "hyper_edge" => Some(SwitchModel::HyperEdge),
+                    _ => None,
+                })?);
+            }
+            "buffer_mode" if self.buffer_mode.is_none() => {
+                self.buffer_mode = Some(match value {
+                    Event::Str(s) => match &*s {
+                        "unlimited" => Some(BufferMode::Unlimited),
+                        "no_store_and_forward" => Some(BufferMode::NoStoreAndForward),
+                        _ => None,
+                    },
+                    value => {
+                        let mut limit = None;
+                        src.object(value, |key, value, src| match key {
+                            "limited_chunks" if limit.is_none() => {
+                                limit = Some(src.scalar(value, |v| v.as_usize())?);
+                                Ok(())
+                            }
+                            _ => src.skip(&value),
+                        })?;
+                        limit.flatten().map(BufferMode::LimitedChunks)
+                    }
+                });
+            }
+            "max_epochs" if self.max_epochs.is_none() => {
+                self.max_epochs = Some(src.scalar(value, epochs)?);
+            }
+            "early_stop_gap" if self.early_stop_gap.is_none() => {
+                self.early_stop_gap = Some(src.scalar(value, |v| finite(v).filter(|g| *g >= 0.0))?);
+            }
+            "time_limit_s" if self.time_limit.is_none() => {
+                // `try_from`: `from_secs_f64` panics past `Duration::MAX`
+                // (~1.8e19 s).
+                self.time_limit = Some(src.scalar(value, |v| {
+                    let secs = finite(v).filter(|s| *s > 0.0)?;
+                    std::time::Duration::try_from_secs_f64(secs).ok()
+                })?);
+            }
+            "astar_epochs_per_round" if self.astar_epochs_per_round.is_none() => {
+                self.astar_epochs_per_round = Some(src.scalar(value, epochs)?);
+            }
+            // Appendix D: the distance reward is discounted by γ ∈ [0, 1).
+            "astar_gamma" if self.astar_gamma.is_none() => {
+                self.astar_gamma =
+                    Some(src.scalar(value, |v| finite(v).filter(|g| (0.0..1.0).contains(g)))?);
+            }
+            "astar_max_rounds" if self.astar_max_rounds.is_none() => {
+                self.astar_max_rounds = Some(src.scalar(value, |v| v.as_usize())?);
+            }
+            "chunk_priorities" if self.chunk_priorities.is_none() => {
+                let mut weights = Some(Vec::new());
+                let is_array = src.array(value, |item, src| {
+                    let w = src.scalar(item, finite)?;
+                    weights = weights.take().zip(w).map(|(mut ws, w)| {
+                        ws.push(w);
+                        ws
+                    });
+                    Ok(())
+                })?;
+                self.chunk_priorities = Some(weights.filter(|_| is_array));
+            }
+            _ => src.skip(&value)?,
+        }
+        Ok(())
+    }
+
+    fn build(self) -> Result<SolverConfig, JsonError> {
+        /// The field's value when present (`Ok(None)` when absent); a
+        /// present value that was refused is a `bad {name}` error.
+        fn check<T>(slot: Option<Option<T>>, name: &str) -> Result<Option<T>, JsonError> {
+            slot.map(|v| v.ok_or_else(|| bad_config(name))).transpose()
+        }
+        let mut c = SolverConfig::default();
+        if let Some(s) = check(self.epoch_strategy, "epoch_strategy")? {
+            c.epoch_strategy = s;
+        }
+        if let Some(m) = check(self.epoch_multiplier, "epoch_multiplier")? {
+            c.epoch_multiplier = m;
+        }
+        if let Some(s) = check(self.switch_model, "switch_model")? {
+            c.switch_model = s;
+        }
+        if let Some(b) = check(self.buffer_mode, "buffer_mode")? {
+            c.buffer_mode = b;
+        }
+        c.max_epochs = check(self.max_epochs, "max_epochs")?;
+        c.early_stop_gap = check(self.early_stop_gap, "early_stop_gap")?;
+        if let Some(limit) = check(self.time_limit, "time_limit_s")? {
+            c.time_limit = Some(limit);
+        }
+        c.astar_epochs_per_round = check(self.astar_epochs_per_round, "astar_epochs_per_round")?;
+        if let Some(g) = check(self.astar_gamma, "astar_gamma")? {
+            c.astar_gamma = g;
+        }
+        if let Some(r) = check(self.astar_max_rounds, "astar_max_rounds")? {
+            c.astar_max_rounds = r;
+        }
+        c.chunk_priorities = check(self.chunk_priorities, "chunk_priorities")?;
+        Ok(c)
+    }
 }
 
 /// An epoch count no larger than [`MAX_REQUEST_EPOCHS`].
-fn epochs(x: &Value) -> Option<usize> {
-    x.as_usize().filter(|&k| k <= MAX_REQUEST_EPOCHS)
+fn epochs(v: Event<'_>) -> Option<usize> {
+    v.as_usize().filter(|&k| k <= MAX_REQUEST_EPOCHS)
 }
 
 /// A finite number (JSON such as `1e999` parses to infinity).
-fn finite(x: &Value) -> Option<f64> {
-    x.as_f64().filter(|x| x.is_finite())
+fn finite(v: Event<'_>) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
 }
 
 fn bad_config(name: &str) -> JsonError {

@@ -11,10 +11,10 @@
 //!
 //! Responses always carry `"status": "ok" | "error"`.
 
-use teccl_util::json::{self, Emit, JsonSink, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Reader, Value};
 
 use crate::cache::Quality;
-use crate::key::{RequestError, SolveRequest};
+use crate::key::{RequestError, RequestFields, SolveRequest};
 use crate::service::{CacheStatus, ServedSchedule, ServiceStats};
 
 /// A parsed client request.
@@ -28,11 +28,29 @@ pub enum Request {
     Evict,
 }
 
-/// Parses one request line.
+/// Parses one request line straight off its text, without a [`Value`]
+/// tree: the members of the request object go into their slots as they are
+/// read (see [`SolveRequest::decode`]). The errors come in the order a
+/// client can act on: malformed JSON anywhere in the line (`bad_json`),
+/// then the verb, then the solve fields.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let v = Value::parse(line.trim()).map_err(|e| RequestError::Json(e.to_string()))?;
-    match v.get("verb").and_then(Value::as_str) {
-        Some("solve") => Ok(Request::Solve(Box::new(SolveRequest::from_json_value(&v)?))),
+    let json_error = |e: JsonError| RequestError::Json(e.to_string());
+    let mut verb = None;
+    let mut fields = RequestFields::default();
+    let mut reader = Reader::new(line.trim());
+    let first = reader.next().map_err(json_error)?;
+    reader
+        .object(first, |key, value, src| match key {
+            "verb" if verb.is_none() => {
+                verb = Some(src.scalar(value, Event::into_str)?);
+                Ok(())
+            }
+            _ => fields.read(key, value, src),
+        })
+        .map_err(json_error)?;
+    reader.finish().map_err(json_error)?;
+    match verb.flatten().as_deref() {
+        Some("solve") => Ok(Request::Solve(Box::new(fields.build()?))),
         Some("stats") => Ok(Request::Stats),
         Some("evict") => Ok(Request::Evict),
         Some(other) => Err(RequestError::BadVerb(other.to_string())),
@@ -98,7 +116,9 @@ impl Emit for SolveResponse<'_> {
         sink.key("chunk_bytes");
         sink.num(e.chunk_bytes);
         sink.key("output");
-        e.output.emit(sink);
+        // The schedule is copied from its kept text: a hit formats none of
+        // its sends again.
+        e.output.emit_rendered(sink);
         sink.key("solve");
         sink.begin_obj();
         sink.key("simplex_iterations");

@@ -8,8 +8,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use teccl_util::json::{JsonError, Value};
-
 /// Identifier of a node inside a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -281,115 +279,6 @@ impl Topology {
             l.alpha *= factor;
         }
         t
-    }
-
-    /// Serializes the topology to a JSON document.
-    pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::from(self.name.clone())),
-            (
-                "nodes",
-                Value::Arr(
-                    self.nodes
-                        .iter()
-                        .map(|n| {
-                            Value::obj(vec![
-                                (
-                                    "kind",
-                                    Value::from(match n.kind {
-                                        NodeKind::Gpu => "gpu",
-                                        NodeKind::Switch => "switch",
-                                    }),
-                                ),
-                                ("name", Value::from(n.name.clone())),
-                                ("chassis", Value::from(n.chassis)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "links",
-                Value::Arr(
-                    self.links
-                        .iter()
-                        .map(|l| {
-                            Value::obj(vec![
-                                ("src", Value::from(l.src.0)),
-                                ("dst", Value::from(l.dst.0)),
-                                ("capacity", Value::from(l.capacity)),
-                                ("alpha", Value::from(l.alpha)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes a topology from the JSON produced by
-    /// [`Topology::to_json_value`]. Adjacency lists are rebuilt.
-    pub fn from_json_value(v: &Value) -> Result<Topology, JsonError> {
-        let bad = |msg: &str| JsonError {
-            pos: 0,
-            msg: msg.to_string(),
-        };
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or(bad("missing name"))?;
-        let mut t = Topology::new(name);
-        for n in v
-            .get("nodes")
-            .and_then(Value::as_arr)
-            .ok_or(bad("missing nodes"))?
-        {
-            let nname = n
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or(bad("node name"))?;
-            let chassis = n
-                .get("chassis")
-                .and_then(Value::as_usize)
-                .ok_or(bad("node chassis"))?;
-            match n.get("kind").and_then(Value::as_str) {
-                Some("gpu") => t.add_gpu(nname, chassis),
-                Some("switch") => t.add_switch(nname, chassis),
-                _ => return Err(bad("node kind")),
-            };
-        }
-        for l in v
-            .get("links")
-            .and_then(Value::as_arr)
-            .ok_or(bad("missing links"))?
-        {
-            let src = l
-                .get("src")
-                .and_then(Value::as_usize)
-                .ok_or(bad("link src"))?;
-            let dst = l
-                .get("dst")
-                .and_then(Value::as_usize)
-                .ok_or(bad("link dst"))?;
-            let capacity = l
-                .get("capacity")
-                .and_then(Value::as_f64)
-                .ok_or(bad("link capacity"))?;
-            let alpha = l
-                .get("alpha")
-                .and_then(Value::as_f64)
-                .ok_or(bad("link alpha"))?;
-            if src >= t.num_nodes() || dst >= t.num_nodes() {
-                return Err(bad("link references unknown node"));
-            }
-            t.add_link(NodeId(src), NodeId(dst), capacity, alpha);
-        }
-        Ok(t)
-    }
-
-    /// Parses a topology from a JSON string.
-    pub fn from_json_str(text: &str) -> Result<Topology, JsonError> {
-        Self::from_json_value(&Value::parse(text)?)
     }
 
     /// A deterministic 64-bit fingerprint of the topology *graph*: node kinds

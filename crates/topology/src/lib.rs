@@ -14,6 +14,7 @@
 
 pub mod builders;
 pub mod graph;
+pub mod json;
 pub mod paths;
 
 pub use builders::*;

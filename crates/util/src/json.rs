@@ -1,19 +1,32 @@
 //! A minimal JSON document model: construction helpers, a writer (compact and
-//! pretty), and a recursive-descent parser.
+//! pretty), and one pull reader that every decoder reads from.
 //!
 //! Numbers are stored as `f64`, objects preserve insertion order.
 //!
 //! A document type describes itself once, as a stream of events into a
 //! [`JsonSink`] ([`Emit`]); [`write_json`] turns that stream into compact
 //! text without building a tree and [`to_value`] turns it into a [`Value`],
-//! so the two forms cannot drift apart.
+//! so the two forms cannot drift apart. [`JsonSink::raw`] splices in text
+//! rendered earlier (see [`RenderedOnce`]), so a document served many times
+//! is formatted once and copied after that.
+//!
+//! Reading is the mirror image: a [`Reader`] pulls [`Event`]s off a text
+//! one token at a time. It lends keys and strings that need no unescaping
+//! straight from the text, parses plain integers without the float parser,
+//! stops at [`MAX_DEPTH`] and reports byte offsets in its errors.
+//! [`Value::parse`] builds a tree from those events; a typed decoder reads
+//! them itself through [`JsonSource`], which [`Value::events`] also
+//! implements, so one decoder serves a request line read straight from the
+//! wire and a document already parsed into a tree.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
-/// Deepest container nesting [`Value::parse`] accepts. The parser recurses
-/// once per level and reads untrusted wire and disk bytes, so the limit is
-/// what keeps a line of `[` from overflowing the stack of the thread that
-/// parses it.
+/// Deepest container nesting a [`Reader`] (and so [`Value::parse`])
+/// accepts. The text comes from the wire and from disk, and a tree built
+/// from it is dropped and decoded recursively, so the limit is what keeps a
+/// line of `[` from overflowing the stack of the thread that reads it.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -57,10 +70,7 @@ impl Value {
 
     /// The value as a non-negative integer, if it is one.
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
-            _ => None,
-        }
+        self.as_f64().and_then(whole)
     }
 
     /// The value as a string slice, if it is one.
@@ -143,14 +153,61 @@ impl Value {
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut p = Parser { text, pos: 0 };
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(p.error("trailing characters"));
-        }
+        let mut reader = Reader::new(text);
+        let first = reader.next()?;
+        let v = Value::read(first, &mut reader)?;
+        reader.finish()?;
         Ok(v)
     }
+
+    /// The value `first` begins, read to its end from `reader`. Recurses
+    /// once per level, which the reader bounds at [`MAX_DEPTH`].
+    fn read<'a>(first: Event<'a>, reader: &mut Reader<'a>) -> Result<Value, JsonError> {
+        Ok(match first {
+            Event::Null => Value::Null,
+            Event::Bool(b) => Value::Bool(b),
+            Event::Num(n) => Value::Num(n),
+            Event::Str(s) => Value::Str(s.into_owned()),
+            Event::BeginArr => {
+                let mut items = Vec::new();
+                loop {
+                    match reader.next()? {
+                        Event::EndArr => break Value::Arr(items),
+                        item => items.push(Value::read(item, reader)?),
+                    }
+                }
+            }
+            Event::BeginObj => {
+                let mut pairs = Vec::new();
+                // The reader yields a key or the end here, and a value after a key.
+                while let Event::Key(key) = reader.next()? {
+                    let first = reader.next()?;
+                    pairs.push((key.into_owned(), Value::read(first, reader)?));
+                }
+                Value::Obj(pairs)
+            }
+            // A reader opens every value with one of the events above.
+            Event::EndArr | Event::Key(_) | Event::EndObj => {
+                return Err(reader.error("unexpected event"))
+            }
+        })
+    }
+
+    /// The events of this value, for a decoder written against
+    /// [`JsonSource`].
+    pub fn events(&self) -> ValueEvents<'_> {
+        ValueEvents {
+            root: Some(self),
+            open: Vec::new(),
+        }
+    }
+}
+
+/// `n` as a count or index: a non-negative whole number, saturating at
+/// `usize::MAX` (so `1e300` reads as `usize::MAX`, which range checks then
+/// refuse).
+fn whole(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as usize)
 }
 
 impl fmt::Display for Value {
@@ -227,6 +284,10 @@ pub trait JsonSink {
     fn uint(&mut self, n: usize) {
         self.num(n as f64);
     }
+
+    /// One whole value given as the compact text [`write_json`] made of it:
+    /// copied as it is into text, parsed into a tree.
+    fn raw(&mut self, json: &str);
 }
 
 /// A type with one JSON form, described once as events into a [`JsonSink`].
@@ -330,6 +391,10 @@ impl JsonSink for TextSink<'_> {
         self.separate();
         write_string(self.out, s);
     }
+    fn raw(&mut self, json: &str) {
+        self.separate();
+        self.out.push_str(json);
+    }
     fn begin_arr(&mut self) {
         self.open('[');
     }
@@ -388,6 +453,11 @@ impl JsonSink for TreeSink {
     }
     fn str(&mut self, s: &str) {
         self.put(Value::Str(s.to_string()));
+    }
+    fn raw(&mut self, json: &str) {
+        // The text is `write_json`'s own; were it not JSON, `null` marks
+        // the hole in the tree.
+        self.put(Value::parse(json).unwrap_or(Value::Null));
     }
     fn begin_arr(&mut self) {
         self.open.push(Value::Arr(Vec::new()));
@@ -488,12 +558,342 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
+/// `10^i`, each exact in an `f64`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// One step through a JSON document, in document order: a scalar, the
+/// opening or closing of a container, or the key of an object's next value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string: a slice of the text unless it had escapes to decode.
+    Str(Cow<'a, str>),
+    /// Opens an array.
+    BeginArr,
+    /// Closes the innermost array.
+    EndArr,
+    /// Opens an object.
+    BeginObj,
+    /// The key of the next value of the innermost object.
+    Key(Cow<'a, str>),
+    /// Closes the innermost object.
+    EndObj,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Event<'a> {
+    /// The number, if the event is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Event::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The number as a count, by [`Value::as_usize`]'s rule.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_f64().and_then(whole)
+    }
+
+    /// The string, if the event is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Event::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The string, if the event is one, still borrowed from the text when
+    /// it was.
+    pub fn into_str(self) -> Option<Cow<'a, str>> {
+        match self {
+            Event::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Where a decoder reads a document from: the text on the wire
+/// ([`Reader`]) or a tree parsed earlier ([`Value::events`]). Both yield
+/// the same events for the same document, so one decoder per document type
+/// serves both.
+///
+/// A decoder is handed the first event of its value and reads the value to
+/// its end, whether or not it liked what it read: the caller can then go
+/// on reading its source. That is why decoders return
+/// `Result<Result<T, E>, JsonError>`: the outer error is malformed JSON,
+/// which stops the read; the inner one is a well-formed value that is not a
+/// `T`, which the caller may hold back until the whole document has been
+/// read (malformed JSON later in the text takes precedence).
+pub trait JsonSource<'a> {
+    /// The next event.
+    fn next(&mut self) -> Result<Event<'a>, JsonError>;
+
+    /// Reads and drops the rest of the value that `first` began.
+    fn skip(&mut self, first: &Event<'a>) -> Result<(), JsonError> {
+        if !matches!(first, Event::BeginArr | Event::BeginObj) {
+            return Ok(());
+        }
+        let mut depth = 1usize;
+        while depth > 0 {
+            match self.next()? {
+                Event::BeginArr | Event::BeginObj => depth += 1,
+                Event::EndArr | Event::EndObj => depth -= 1,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the value `first` begins as `get` takes a scalar (for example
+    /// [`Event::as_f64`]); a container is skipped and reads as `None`.
+    fn scalar<T>(
+        &mut self,
+        first: Event<'a>,
+        get: impl FnOnce(Event<'a>) -> Option<T>,
+    ) -> Result<Option<T>, JsonError> {
+        self.skip(&first)?;
+        Ok(get(first))
+    }
+
+    /// Reads the object `first` begins, handing each member's key and the
+    /// first event of its value to `member`, which must read that value to
+    /// its end. Any other value is skipped, and the result is `false`.
+    fn object(
+        &mut self,
+        first: Event<'a>,
+        mut member: impl FnMut(&str, Event<'a>, &mut Self) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError>
+    where
+        Self: Sized,
+    {
+        if first != Event::BeginObj {
+            self.skip(&first)?;
+            return Ok(false);
+        }
+        // A source yields a key or the end here, and a value after a key.
+        while let Event::Key(key) = self.next()? {
+            let value = self.next()?;
+            member(&key, value, self)?;
+        }
+        Ok(true)
+    }
+
+    /// Reads the array `first` begins, handing the first event of each
+    /// item to `item`, which must read that item to its end. Any other
+    /// value is skipped, and the result is `false`.
+    fn array(
+        &mut self,
+        first: Event<'a>,
+        mut item: impl FnMut(Event<'a>, &mut Self) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError>
+    where
+        Self: Sized,
+    {
+        if first != Event::BeginArr {
+            self.skip(&first)?;
+            return Ok(false);
+        }
+        loop {
+            match self.next()? {
+                Event::EndArr => return Ok(true),
+                value => item(value, self)?,
+            }
+        }
+    }
+}
+
+/// Decodes the one document `text` holds with `decode` (see
+/// [`JsonSource`]). Malformed JSON anywhere in the text, trailing
+/// characters included, is the outer error, even when `decode` found the
+/// value wanting before it.
+pub fn decode_text<'a, T, E>(
+    text: &'a str,
+    decode: impl FnOnce(Event<'a>, &mut Reader<'a>) -> Result<Result<T, E>, JsonError>,
+) -> Result<Result<T, E>, JsonError> {
+    let mut reader = Reader::new(text);
+    let first = reader.next()?;
+    let decoded = decode(first, &mut reader)?;
+    reader.finish()?;
+    Ok(decoded)
+}
+
+/// Decodes `value` with `decode` (see [`JsonSource`]); a tree holds no
+/// malformed JSON, so only the decoder's own error is left.
+pub fn decode_tree<'v, T, E: From<JsonError>>(
+    value: &'v Value,
+    decode: impl FnOnce(Event<'v>, &mut ValueEvents<'v>) -> Result<Result<T, E>, JsonError>,
+) -> Result<T, E> {
+    let mut events = value.events();
+    let first = events.next()?;
+    decode(first, &mut events)?
+}
+
+/// The events of a [`Value`] ([`Value::events`]), borrowing its strings.
+pub struct ValueEvents<'v> {
+    /// The value itself, until its first event has been read.
+    root: Option<&'v Value>,
+    /// The open containers, innermost last. An object's slot holds the
+    /// value of the key just read.
+    open: Vec<Open<'v>>,
+}
+
+enum Open<'v> {
+    Arr(std::slice::Iter<'v, Value>),
+    Obj(std::slice::Iter<'v, (String, Value)>, Option<&'v Value>),
+}
+
+impl<'v> JsonSource<'v> for ValueEvents<'v> {
+    fn next(&mut self) -> Result<Event<'v>, JsonError> {
+        let value = match self.open.last_mut() {
+            None => self.root.take(),
+            Some(Open::Arr(items)) => match items.next() {
+                Some(v) => Some(v),
+                None => {
+                    self.open.pop();
+                    return Ok(Event::EndArr);
+                }
+            },
+            Some(Open::Obj(pairs, pending)) => match pending.take() {
+                Some(v) => Some(v),
+                None => {
+                    let Some((key, v)) = pairs.next() else {
+                        self.open.pop();
+                        return Ok(Event::EndObj);
+                    };
+                    *pending = Some(v);
+                    return Ok(Event::Key(Cow::Borrowed(key)));
+                }
+            },
+        };
+        let Some(value) = value else {
+            return Err(JsonError {
+                pos: 0,
+                msg: "read past the end of the value".into(),
+            });
+        };
+        Ok(match value {
+            Value::Null => Event::Null,
+            Value::Bool(b) => Event::Bool(*b),
+            Value::Num(n) => Event::Num(*n),
+            Value::Str(s) => Event::Str(Cow::Borrowed(s)),
+            Value::Arr(items) => {
+                self.open.push(Open::Arr(items.iter()));
+                Event::BeginArr
+            }
+            Value::Obj(pairs) => {
+                self.open.push(Open::Obj(pairs.iter(), None));
+                Event::BeginObj
+            }
+        })
+    }
+}
+
+/// A document's compact text, rendered by the first [`RenderedOnce::text`]
+/// call and kept, for a document that is written out many times and never
+/// changes: a schedule in the cache is formatted for its first reply and
+/// copied into every reply after that ([`JsonSink::raw`]).
+///
+/// It is a memo, not part of the value that holds it: every two compare
+/// equal, and a clone starts empty, so a copy that is then changed never
+/// serves the original's text.
+#[derive(Default)]
+pub struct RenderedOnce(OnceLock<Box<str>>);
+
+impl RenderedOnce {
+    /// The compact text of `doc`, which must be the document that holds
+    /// this memo and must not have changed since the first call.
+    pub fn text<T: Emit + ?Sized>(&self, doc: &T) -> &str {
+        self.0.get_or_init(|| {
+            let mut out = String::new();
+            write_json(doc, &mut out);
+            out.into_boxed_str()
+        })
+    }
+}
+
+impl Clone for RenderedOnce {
+    fn clone(&self) -> Self {
+        RenderedOnce::default()
+    }
+}
+
+impl PartialEq for RenderedOnce {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for RenderedOnce {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.0.get().is_some() {
+            "rendered"
+        } else {
+            "empty"
+        };
+        write!(f, "RenderedOnce({state})")
+    }
+}
+
+/// What a [`Reader`] expects after the last event it yielded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    /// A value: the root, an array item after `,`, or the value of a key.
+    Value,
+    /// An array's first item or its `]`.
+    FirstItem,
+    /// An object's first key or its `}`.
+    FirstKey,
+    /// `,` or the close of the innermost container.
+    Separator,
+    /// Nothing: the root value is complete.
+    Done,
+}
+
+/// A pull reader over one JSON text: each [`JsonSource::next`] reads one
+/// token. A syntax error is reported at the byte where it was found, with
+/// the messages [`Value::parse`] has always given.
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Open containers: the number, and bit `i` set when the `i`-th from
+    /// the root is an object. [`MAX_DEPTH`] is the width of the mask.
+    depth: usize,
+    objects: u128,
+    expect: Expect,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            objects: 0,
+            expect: Expect::Value,
+        }
+    }
+
+    /// Checks that the root value was read to its end and only whitespace
+    /// follows it.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.expect != Expect::Done {
+            return Err(self.error("unexpected end of value"));
+        }
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters"));
+        }
+        Ok(())
+    }
+
     fn bytes(&self) -> &'a [u8] {
         self.text.as_bytes()
     }
@@ -524,65 +924,66 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses one value nested inside `depth` containers.
-    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.skip_ws();
-        let open = match self.peek() {
+    /// The value at `pos`: a scalar whole, or the opening of a container.
+    fn value(&mut self) -> Result<Event<'a>, JsonError> {
+        let event = match self.peek() {
             None => return Err(self.error("unexpected end of input")),
-            Some(b'n') => return self.literal("null").map(|_| Value::Null),
-            Some(b't') => return self.literal("true").map(|_| Value::Bool(true)),
-            Some(b'f') => return self.literal("false").map(|_| Value::Bool(false)),
-            Some(b'"') => return self.string().map(Value::Str),
-            Some(open @ (b'[' | b'{')) => open,
-            Some(_) => return self.number().map(Value::Num),
+            Some(b'n') => self.literal("null").map(|_| Event::Null)?,
+            Some(b't') => self.literal("true").map(|_| Event::Bool(true))?,
+            Some(b'f') => self.literal("false").map(|_| Event::Bool(false))?,
+            Some(b'"') => Event::Str(self.string()?),
+            Some(b'[') => return self.open(false),
+            Some(b'{') => return self.open(true),
+            Some(_) => Event::Num(self.number()?),
         };
-        if depth == MAX_DEPTH {
+        self.expect = self.after_value();
+        Ok(event)
+    }
+
+    fn open(&mut self, object: bool) -> Result<Event<'a>, JsonError> {
+        if self.depth == MAX_DEPTH {
             return Err(self.error("nesting too deep"));
         }
         self.pos += 1;
-        if open == b'[' {
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value(depth + 1)?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(self.error("expected `,` or `]`")),
-                }
-            }
+        let bit = 1u128 << self.depth;
+        self.depth += 1;
+        if object {
+            self.objects |= bit;
+            self.expect = Expect::FirstKey;
+            Ok(Event::BeginObj)
+        } else {
+            self.objects &= !bit;
+            self.expect = Expect::FirstItem;
+            Ok(Event::BeginArr)
         }
-        let mut pairs = Vec::new();
+    }
+
+    /// Consumes the bracket at `pos`, which closes the innermost container.
+    fn close(&mut self, event: Event<'a>) -> Event<'a> {
+        self.pos += 1;
+        self.depth -= 1;
+        self.expect = self.after_value();
+        event
+    }
+
+    fn after_value(&self) -> Expect {
+        if self.depth == 0 {
+            Expect::Done
+        } else {
+            Expect::Separator
+        }
+    }
+
+    /// A key at `pos` and the `:` after it.
+    fn key(&mut self) -> Result<Event<'a>, JsonError> {
+        let key = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
+        if self.peek() != Some(b':') {
+            return Err(self.error("expected `:`"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.literal(":")?;
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
+        self.pos += 1;
+        self.expect = Expect::Value;
+        Ok(Event::Key(key))
     }
 
     /// Advances to the next `"` or `\` (or the end of the input) and returns
@@ -598,20 +999,25 @@ impl<'a> Parser<'a> {
         &self.text[start..self.pos]
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         if self.peek() != Some(b'"') {
             return Err(self.error("expected string"));
         }
         self.pos += 1;
-        // An escape-free string — every key, nearly every value — is one
-        // slice of the input.
-        let mut out = self.plain_run().to_string();
+        // An escape-free string — every key, nearly every value — is lent
+        // out as one slice of the input.
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_string();
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 _ => {
                     self.escape(&mut out)?;
@@ -676,19 +1082,42 @@ impl<'a> Parser<'a> {
                 Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
             )
         };
-        // A plain run of at most 15 digits is below 2^53: the integer is the
-        // exact value, with no trip through the float parser.
+        // A plain run of at most 15 digits, with or without a fraction that
+        // keeps it at 15 digits in all, is exact below 2^53, as is every
+        // power of ten up to 1e15; one IEEE division rounds their quotient
+        // correctly, to the bits the float parser returns. The writer's
+        // numbers (integers, `0.0000007`) all take this path.
+        let digit = |at: usize| b.get(at).filter(|c| c.is_ascii_digit());
         let negative = b.get(start) == Some(&b'-');
         let first = start + usize::from(negative);
         let mut end = first;
         let mut int = 0u64;
-        while end - first < 16 && b.get(end).is_some_and(u8::is_ascii_digit) {
-            int = int * 10 + u64::from(b[end] - b'0');
+        while end - first < 16 {
+            let Some(d) = digit(end) else { break };
+            int = int * 10 + u64::from(d - b'0');
             end += 1;
         }
-        if (1..=15).contains(&(end - first)) && !more(end) {
+        let whole_digits = end - first;
+        let mut scale = 0;
+        if (1..=15).contains(&whole_digits) && b.get(end) == Some(&b'.') {
+            while whole_digits + scale < 16 {
+                let Some(d) = digit(end + 1 + scale) else {
+                    break;
+                };
+                int = int * 10 + u64::from(d - b'0');
+                scale += 1;
+            }
+            if scale > 0 {
+                end += 1 + scale;
+            }
+        }
+        if (1..=15).contains(&(whole_digits + scale)) && !more(end) {
             self.pos = end;
-            let n = int as f64;
+            let n = if scale == 0 {
+                int as f64
+            } else {
+                int as f64 / POW10[scale]
+            };
             return Ok(if negative { -n } else { n });
         }
         while more(end) {
@@ -699,6 +1128,38 @@ impl<'a> Parser<'a> {
             pos: start,
             msg: "invalid number".into(),
         })
+    }
+}
+
+impl<'a> JsonSource<'a> for Reader<'a> {
+    fn next(&mut self) -> Result<Event<'a>, JsonError> {
+        self.skip_ws();
+        match self.expect {
+            Expect::Value => self.value(),
+            Expect::FirstItem if self.peek() == Some(b']') => Ok(self.close(Event::EndArr)),
+            Expect::FirstItem => self.value(),
+            Expect::FirstKey if self.peek() == Some(b'}') => Ok(self.close(Event::EndObj)),
+            Expect::FirstKey => self.key(),
+            Expect::Separator => {
+                let object = self.objects >> (self.depth - 1) & 1 == 1;
+                match (self.peek(), object) {
+                    (Some(b','), _) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        if object {
+                            self.key()
+                        } else {
+                            self.value()
+                        }
+                    }
+                    (Some(b']'), false) => Ok(self.close(Event::EndArr)),
+                    (Some(b'}'), true) => Ok(self.close(Event::EndObj)),
+                    (_, false) => Err(self.error("expected `,` or `]`")),
+                    (_, true) => Err(self.error("expected `,` or `}`")),
+                }
+            }
+            Expect::Done => Err(self.error("trailing characters")),
+        }
     }
 }
 

@@ -13,9 +13,10 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::key::RequestError;
 use crate::protocol::{
@@ -45,6 +46,19 @@ pub const MAX_REQUEST_CHUNKS: usize = 256;
 /// consulted. The repository sets at most 24; a larger value is refused as
 /// `bad_field` at parse time.
 pub const MAX_REQUEST_EPOCHS: usize = 1024;
+
+/// Most connections the server holds open at once. Each one is a thread
+/// and two buffers for as long as the peer stays; past the cap a new peer
+/// gets one error line and is closed, and the next peer is accepted once an
+/// open connection ends.
+pub const MAX_CONNECTIONS: usize = 1024;
+
+/// How long a connection may take to deliver its next request line,
+/// counted from the moment the server starts waiting for it; a peer that
+/// sends nothing, or half a line, for this long is closed. The clock runs
+/// only while the connection waits for a line, never while a request it
+/// sent is being served, however long the solve.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Buffer capacity a connection keeps between requests: above every builtin
 /// request line (~40 kB) and far below [`MAX_LINE_BYTES`], so one outsized
@@ -94,17 +108,41 @@ impl ServerHandle {
     }
 }
 
+/// The bounds a server puts on its peers: [`MAX_CONNECTIONS`] and
+/// [`IDLE_TIMEOUT`], which tests lower.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Limits {
+    pub(crate) max_connections: usize,
+    pub(crate) idle_timeout: Duration,
+}
+
+impl Limits {
+    const DEFAULT: Limits = Limits {
+        max_connections: MAX_CONNECTIONS,
+        idle_timeout: IDLE_TIMEOUT,
+    };
+}
+
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves the
 /// protocol on it with the given service.
 pub fn serve(
     addr: impl ToSocketAddrs,
     service: Arc<ScheduleService>,
 ) -> std::io::Result<ServerHandle> {
+    serve_with(addr, service, Limits::DEFAULT)
+}
+
+pub(crate) fn serve_with(
+    addr: impl ToSocketAddrs,
+    service: Arc<ScheduleService>,
+    limits: Limits,
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
     let accept_service = Arc::clone(&service);
+    let open = Arc::new(AtomicUsize::new(0));
     let accept_thread = std::thread::Builder::new()
         .name("teccld-accept".into())
         .spawn(move || {
@@ -113,10 +151,22 @@ pub fn serve(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Only this thread adds to `open`, so the check cannot race
+                // another admission; connections leaving only lower it.
+                if open.load(Ordering::SeqCst) >= limits.max_connections {
+                    refuse(stream, limits.max_connections);
+                    continue;
+                }
+                open.fetch_add(1, Ordering::SeqCst);
+                let slot = Slot(Arc::clone(&open));
                 let service = Arc::clone(&accept_service);
+                // A failed spawn drops the closure, and the slot with it.
                 let _ = std::thread::Builder::new()
                     .name("teccld-conn".into())
-                    .spawn(move || handle_connection(stream, &service));
+                    .spawn(move || {
+                        let _slot = slot;
+                        handle_connection(stream, &service, limits.idle_timeout);
+                    });
             }
         })?;
     Ok(ServerHandle {
@@ -125,6 +175,87 @@ pub fn serve(
         accept_thread: Some(accept_thread),
         service,
     })
+}
+
+/// One open connection's place under [`MAX_CONNECTIONS`], given back when
+/// the connection's thread ends, however it ends.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a peer past the connection cap with one error line and closes.
+/// The line is short and the socket new, so the write does not block; the
+/// timeout is there in case it would.
+fn refuse(mut stream: TcpStream, cap: usize) {
+    let mut line = String::new();
+    write_json(
+        &error_response(&format!(
+            "server busy: {cap} connections open, try again later"
+        )),
+        &mut line,
+    );
+    line.push('\n');
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = stream.write_all(line.as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// A connection's reads, bounded so that each request line arrives within
+/// the idle timeout of the wait for it starting ([`LineReads::wait`]).
+/// The socket's read timeout is the whole allowance, set once, so a line
+/// that arrives in one read costs no extra system call; only the later
+/// reads of a line that comes in pieces re-arm it with what is left.
+struct LineReads {
+    stream: TcpStream,
+    idle: Duration,
+    /// When the wait for the current line began, and whether a read for it
+    /// has been made.
+    since: Instant,
+    first: bool,
+    /// The socket's timeout is below `idle` and must be reset.
+    rearmed: bool,
+}
+
+impl LineReads {
+    fn new(stream: TcpStream, idle: Duration) -> std::io::Result<LineReads> {
+        stream.set_read_timeout(Some(idle))?;
+        Ok(LineReads {
+            stream,
+            idle,
+            since: Instant::now(),
+            first: true,
+            rearmed: false,
+        })
+    }
+
+    /// Starts the clock for the next request line.
+    fn wait(&mut self) -> std::io::Result<()> {
+        if self.rearmed {
+            self.stream.set_read_timeout(Some(self.idle))?;
+            self.rearmed = false;
+        }
+        self.since = Instant::now();
+        self.first = true;
+        Ok(())
+    }
+}
+
+impl Read for LineReads {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !std::mem::take(&mut self.first) {
+            let left = self.idle.saturating_sub(self.since.elapsed());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+            self.rearmed = true;
+        }
+        self.stream.read(buf)
+    }
 }
 
 /// Appends the reply to one request line to `reply` (no newline): what a
@@ -141,13 +272,16 @@ pub fn respond(service: &ScheduleService, line: &str, reply: &mut String) {
     }
 }
 
-/// Serves one connection until EOF, a write error or an over-long line.
-fn handle_connection(stream: TcpStream, service: &ScheduleService) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+/// Serves one connection until EOF, a write error, an over-long line or a
+/// line that does not arrive within `idle`.
+fn handle_connection(stream: TcpStream, service: &ScheduleService, idle: Duration) {
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
-    let mut reader = BufReader::new(stream);
+    let Ok(reads) = LineReads::new(stream, idle) else {
+        return;
+    };
+    let mut reader = BufReader::new(reads);
     // Both buffers live as long as the connection: a request in the steady
     // state allocates for neither its line nor its reply.
     let mut line = Vec::new();
@@ -159,6 +293,9 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService) {
         line.shrink_to(KEEP_BUFFER_BYTES);
         reply.clear();
         reply.shrink_to(KEEP_BUFFER_BYTES);
+        if reader.get_mut().wait().is_err() {
+            break;
+        }
         match (&mut reader).take(READ_LIMIT).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
@@ -199,5 +336,113 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService) {
             let _ = std::io::copy(&mut reader.take(READ_LIMIT), &mut std::io::sink());
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceConfig;
+    use teccl_util::json::Value;
+
+    fn server(limits: Limits) -> ServerHandle {
+        let service = ScheduleService::start(ServiceConfig {
+            workers: 1,
+            fault_plan: Some(String::new()),
+            ..Default::default()
+        })
+        .unwrap();
+        serve_with("127.0.0.1:0", Arc::new(service), limits).unwrap()
+    }
+
+    /// Sends `{"verb":"stats"}` and returns the reply's `status`, or `None`
+    /// when the server closed the connection instead of answering.
+    fn stats(stream: &TcpStream) -> Option<String> {
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(b"{\"verb\":\"stats\"}\n").ok()?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).ok()?;
+        let v = Value::parse(line.trim()).ok()?;
+        v.get("status").and_then(Value::as_str).map(str::to_string)
+    }
+
+    /// Reads until the server closes, returning what it sent.
+    fn read_to_close(mut stream: &TcpStream) -> String {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_peer_that_sends_half_a_line_is_closed_after_the_idle_timeout() {
+        let idle = Duration::from_millis(300);
+        let handle = server(Limits {
+            max_connections: 4,
+            idle_timeout: idle,
+        });
+        let mut loris = TcpStream::connect(handle.addr()).unwrap();
+        let started = Instant::now();
+        loris.write_all(b"{\"verb\":").unwrap();
+        std::thread::sleep(idle / 3);
+        // A trickle does not restart the clock: the line as a whole is due.
+        loris.write_all(b" ").unwrap();
+        assert_eq!(read_to_close(&loris), "");
+        let waited = started.elapsed();
+        assert!(waited >= idle, "{waited:?}");
+        assert!(waited < idle * 10, "{waited:?}");
+
+        // A peer that keeps up is served across several idle periods, and
+        // a request's own service time does not count against it.
+        let patient = TcpStream::connect(handle.addr()).unwrap();
+        for _ in 0..3 {
+            assert_eq!(stats(&patient).as_deref(), Some("ok"));
+            std::thread::sleep(idle / 2);
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn peers_past_the_cap_are_refused_until_one_leaves() {
+        let handle = server(Limits {
+            max_connections: 2,
+            idle_timeout: Duration::from_secs(60),
+        });
+        let first = TcpStream::connect(handle.addr()).unwrap();
+        let second = TcpStream::connect(handle.addr()).unwrap();
+        // Both are admitted (and idle from here on).
+        assert_eq!(stats(&first).as_deref(), Some("ok"));
+        assert_eq!(stats(&second).as_deref(), Some("ok"));
+
+        let third = TcpStream::connect(handle.addr()).unwrap();
+        let refusal = read_to_close(&third);
+        assert_eq!(refusal.lines().count(), 1, "{refusal}");
+        let v = Value::parse(refusal.trim()).unwrap();
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+        let message = v.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("busy"), "{message}");
+        // The idle peers were not disturbed.
+        assert_eq!(stats(&first).as_deref(), Some("ok"));
+
+        // Once one leaves, its slot frees up as soon as its thread sees the
+        // close.
+        drop(second);
+        let started = Instant::now();
+        let admitted = loop {
+            let peer = TcpStream::connect(handle.addr()).unwrap();
+            if stats(&peer).as_deref() == Some("ok") {
+                break peer;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "never admitted"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(stats(&admitted).as_deref(), Some("ok"));
+        assert_eq!(stats(&first).as_deref(), Some("ok"));
+        handle.shutdown();
     }
 }

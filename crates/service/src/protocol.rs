@@ -10,6 +10,16 @@
 //! * `evict` — `{"verb":"evict"}` → clears the cache (memory + disk).
 //!
 //! Responses always carry `"status": "ok" | "error"`.
+//!
+//! Both directions skip the `Value` tree on the hot path. A request line is
+//! decoded straight off its text by [`parse_request`]: the `teccl-util`
+//! pull reader lends out the keys and the escape-free strings, and
+//! [`SolveRequest::decode`] puts each member in its slot, so a line that is
+//! only keyed and looked up costs one pass over its bytes plus building its
+//! topology. A `solve` reply ([`solve_response`]) is written as events
+//! straight into the connection's buffer, and its schedule, the bulk of the
+//! text, is copied from the text the entry kept when it was first served
+//! (`Schedule::json_text`).
 
 use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Reader, Value};
 

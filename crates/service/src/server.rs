@@ -6,10 +6,19 @@
 //! N (cheap) parked threads — the single-flight logic lives in the service,
 //! not here.
 //!
-//! A connection owns one line buffer and one reply buffer for its lifetime;
-//! a reply is rendered into the latter straight from the cache entry
-//! ([`crate::protocol::solve_response`]), so a hit allocates for neither.
-//! Capacity past [`KEEP_BUFFER_BYTES`] is handed back after each request.
+//! A connection owns one line buffer and one reply buffer for its lifetime,
+//! and capacity past [`KEEP_BUFFER_BYTES`] is handed back after each
+//! request. What a cache hit allocates is what decoding its line builds: the
+//! request's `Topology` (its node names, link and adjacency lists), the
+//! decoder's per-node and per-link member slots, and the boxed request.
+//! Neither the line nor the reply allocates: the reply is rendered into the
+//! connection's buffer ([`crate::protocol::solve_response`]), its schedule
+//! copied from the entry's kept text.
+//!
+//! The server bounds its peers: at most [`MAX_CONNECTIONS`] are open at
+//! once (a peer past the cap gets one error line and is closed), and a
+//! connection must deliver each request line within [`IDLE_TIMEOUT`] of
+//! the server starting to wait for it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -179,16 +179,15 @@ fn restyled_lines(req: &SolveRequest, topology_name: &str) -> Vec<String> {
     ]
 }
 
-/// Decodes a line both ways; a line that is no `solve` request, or that
-/// one of the decoders refuses, is returned as an error.
+/// Decodes a solve line both ways, text first and tree second.
 fn both_ways(
     line: &str,
 ) -> (
     Result<SolveRequest, RequestError>,
     Result<SolveRequest, RequestError>,
 ) {
-    let text = parse_request(line).and_then(|r| match r {
-        Request::Solve(req) => Ok(*req),
+    let text = parse_request(line).map(|r| match r {
+        Request::Solve(req) => *req,
         other => panic!("{line}: not a solve: {other:?}"),
     });
     let tree = Value::parse(line.trim())

@@ -90,7 +90,7 @@ impl Topology {
 
     /// Parses a topology from a JSON string.
     pub fn from_json_str(text: &str) -> Result<Topology, JsonError> {
-        json::decode_text(text, Topology::decode)?
+        Self::from_json_value(&Value::parse(text)?)
     }
 }
 

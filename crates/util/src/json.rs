@@ -154,7 +154,7 @@ impl Value {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut reader = Reader::new(text);
-        let first = reader.next()?;
+        let first = reader.step()?;
         let v = Value::read(first, &mut reader)?;
         reader.finish()?;
         Ok(v)
@@ -171,7 +171,7 @@ impl Value {
             Event::BeginArr => {
                 let mut items = Vec::new();
                 loop {
-                    match reader.next()? {
+                    match reader.step()? {
                         Event::EndArr => break Value::Arr(items),
                         item => items.push(Value::read(item, reader)?),
                     }
@@ -180,8 +180,8 @@ impl Value {
             Event::BeginObj => {
                 let mut pairs = Vec::new();
                 // The reader yields a key or the end here, and a value after a key.
-                while let Event::Key(key) = reader.next()? {
-                    let first = reader.next()?;
+                while let Event::Key(key) = reader.step()? {
+                    let first = reader.step()?;
                     pairs.push((key.into_owned(), Value::read(first, reader)?));
                 }
                 Value::Obj(pairs)
@@ -673,7 +673,7 @@ pub trait JsonSource<'a> {
     where
         Self: Sized,
     {
-        if first != Event::BeginObj {
+        if !matches!(first, Event::BeginObj) {
             self.skip(&first)?;
             return Ok(false);
         }
@@ -696,7 +696,7 @@ pub trait JsonSource<'a> {
     where
         Self: Sized,
     {
-        if first != Event::BeginArr {
+        if !matches!(first, Event::BeginArr) {
             self.skip(&first)?;
             return Ok(false);
         }
@@ -707,21 +707,6 @@ pub trait JsonSource<'a> {
             }
         }
     }
-}
-
-/// Decodes the one document `text` holds with `decode` (see
-/// [`JsonSource`]). Malformed JSON anywhere in the text, trailing
-/// characters included, is the outer error, even when `decode` found the
-/// value wanting before it.
-pub fn decode_text<'a, T, E>(
-    text: &'a str,
-    decode: impl FnOnce(Event<'a>, &mut Reader<'a>) -> Result<Result<T, E>, JsonError>,
-) -> Result<Result<T, E>, JsonError> {
-    let mut reader = Reader::new(text);
-    let first = reader.next()?;
-    let decoded = decode(first, &mut reader)?;
-    reader.finish()?;
-    Ok(decoded)
 }
 
 /// Decodes `value` with `decode` (see [`JsonSource`]); a tree holds no
@@ -1133,6 +1118,15 @@ impl<'a> Reader<'a> {
 
 impl<'a> JsonSource<'a> for Reader<'a> {
     fn next(&mut self) -> Result<Event<'a>, JsonError> {
+        self.step()
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// [`JsonSource::next`]; forced inline so that [`Value::read`], which
+    /// calls it for every token of every parse, has it in its own body.
+    #[inline(always)]
+    fn step(&mut self) -> Result<Event<'a>, JsonError> {
         self.skip_ws();
         match self.expect {
             Expect::Value => self.value(),

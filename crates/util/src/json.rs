@@ -1603,6 +1603,71 @@ mod tests {
         assert_eq!(tree.to_json(), text);
     }
 
+    /// Every event of a source, to the end of its root value.
+    fn events<'a>(src: &mut impl JsonSource<'a>) -> Vec<Event<'a>> {
+        let mut out = Vec::new();
+        let mut depth = 0usize;
+        loop {
+            let event = src.next().unwrap();
+            match event {
+                Event::BeginArr | Event::BeginObj => depth += 1,
+                Event::EndArr | Event::EndObj => depth -= 1,
+                _ => {}
+            }
+            out.push(event);
+            if depth == 0 {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn reader_and_tree_yield_the_same_events() {
+        let mut rng = Rng64::seed_from_u64(0x45);
+        for _ in 0..2_000 {
+            let text = restyle(&random_value(&mut rng, 0).to_json(), &mut rng);
+            let tree = Value::parse(&text).unwrap();
+            let from_text = events(&mut Reader::new(&text));
+            assert_eq!(from_text, events(&mut tree.events()), "{text}");
+        }
+        // Strings without escapes are lent out of the text; keys too.
+        let mut reader = Reader::new(r#"{"plain":"a\"b"}"#);
+        assert_eq!(reader.next(), Ok(Event::BeginObj));
+        assert!(matches!(
+            reader.next(),
+            Ok(Event::Key(Cow::Borrowed("plain")))
+        ));
+        assert!(matches!(reader.next(), Ok(Event::Str(Cow::Owned(s))) if s == "a\"b"));
+        assert_eq!(reader.next(), Ok(Event::EndObj));
+        assert_eq!(reader.finish(), Ok(()));
+    }
+
+    #[test]
+    fn raw_text_is_copied_into_text_and_parsed_into_trees() {
+        struct Wrapped<'a>(&'a str);
+        impl Emit for Wrapped<'_> {
+            fn emit<S: JsonSink>(&self, sink: &mut S) {
+                sink.begin_arr();
+                sink.uint(1);
+                sink.raw(self.0);
+                sink.end_arr();
+            }
+        }
+        let mut inner = String::new();
+        write_json(&Doc, &mut inner);
+        let mut out = String::new();
+        write_json(&Wrapped(&inner), &mut out);
+        assert_eq!(out, format!("[1,{inner}]"));
+        assert_eq!(to_value(&Wrapped(&inner)).to_json(), out);
+
+        // A kept text is rendered once; a clone starts without it.
+        let kept = RenderedOnce::default();
+        assert_eq!(kept.text(&Doc), inner);
+        assert_eq!(kept.text(&Value::Null), inner);
+        assert_eq!(kept.clone().text(&Value::Null), "null");
+        assert!(kept == RenderedOnce::default());
+    }
+
     #[test]
     fn text_sink_uint_is_the_number_value_from_holds() {
         struct Count(usize);

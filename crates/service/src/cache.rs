@@ -143,7 +143,7 @@ impl CacheEntry {
                 .get("chunk_bytes")
                 .and_then(Value::as_f64)
                 .ok_or(bad("missing chunk_bytes"))?,
-            stats: stats_from_json(v.get("stats")),
+            stats: stats_from_json(v.get("stats")).ok_or_else(|| bad("bad solve_time_s"))?,
             // Files written before quality tags existed are all exact solves.
             quality: v
                 .get("quality")
@@ -174,14 +174,17 @@ fn stats_to_json(s: &SolveStats) -> Value {
 }
 
 /// Reads back the counters written by [`stats_to_json`] (missing fields are
-/// zero — old cache files stay loadable as counters are added).
-fn stats_from_json(v: Option<&Value>) -> SolveStats {
+/// zero — old cache files stay loadable as counters are added). `None` for a
+/// solve time no `Duration` holds (negative or past `Duration::MAX`): the
+/// entry is corrupt.
+fn stats_from_json(v: Option<&Value>) -> Option<SolveStats> {
     let mut s = SolveStats::default();
-    let Some(v) = v else { return s };
+    let Some(v) = v else { return Some(s) };
     let num = |k: &str| v.get(k).and_then(Value::as_usize).unwrap_or(0);
-    s.solve_time = std::time::Duration::from_secs_f64(
+    s.solve_time = std::time::Duration::try_from_secs_f64(
         v.get("solve_time_s").and_then(Value::as_f64).unwrap_or(0.0),
-    );
+    )
+    .ok()?;
     s.simplex_iterations = num("simplex_iterations");
     s.dual_iterations = num("dual_iterations");
     s.nodes_explored = num("nodes_explored");
@@ -192,7 +195,7 @@ fn stats_from_json(v: Option<&Value>) -> SolveStats {
         .get("iteration_limit_hit")
         .and_then(Value::as_bool)
         .unwrap_or(false);
-    s
+    Some(s)
 }
 
 /// A bounded in-memory LRU cache keyed by request hash.

@@ -393,3 +393,75 @@ fn injected_corrupt_disk_read_is_quarantined() {
     assert_eq!(svc.stats().disk_quarantined, 1);
     svc.shutdown();
 }
+
+/// A stored solve time that no `Duration` holds (negative, or past
+/// `Duration::MAX`) is a corrupt entry like any other: the request is
+/// answered as a miss over TCP, the file is quarantined, and the connection
+/// that probed the store keeps answering. Converting it with the panicking
+/// `Duration::from_secs_f64` killed the connection thread instead, on every
+/// request for the key.
+#[test]
+fn unrepresentable_stored_solve_time_is_quarantined() {
+    use std::io::{BufRead, BufReader, Write};
+    use teccl_service::protocol::{parse_solve_reply, solve_request_line};
+    use teccl_util::json::Value;
+
+    let scratch = ScratchDir::new("solve-time");
+    let req = small_request();
+    let path = scratch.entry_path(&req);
+    let config = || ServiceConfig {
+        workers: 1,
+        disk_dir: Some(scratch.0.clone()),
+        fault_plan: Some(String::new()),
+        ..Default::default()
+    };
+    for bad in [-1.0, 1e300] {
+        // Solve (or re-solve) the key so that a healthy entry is on disk.
+        let svc = ScheduleService::start(config()).unwrap();
+        svc.request(req.clone()).unwrap();
+        svc.shutdown();
+        let mut entry = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Value::Obj(members) = &mut entry else {
+            panic!("an entry is an object")
+        };
+        let (_, stats) = members.iter_mut().find(|(k, _)| k == "stats").unwrap();
+        let Value::Obj(stats) = stats else {
+            panic!("stats is an object")
+        };
+        stats
+            .iter_mut()
+            .find(|(k, _)| k == "solve_time_s")
+            .unwrap()
+            .1 = Value::from(bad);
+        std::fs::write(&path, entry.to_json()).unwrap();
+
+        let service = std::sync::Arc::new(ScheduleService::start(config()).unwrap());
+        let handle = teccl_service::serve("127.0.0.1:0", std::sync::Arc::clone(&service)).unwrap();
+        let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut round_trip = |line: &str| {
+            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        };
+        let reply = parse_solve_reply(&round_trip(&solve_request_line(&req)))
+            .unwrap_or_else(|e| panic!("solve_time_s {bad}: no reply ({e})"));
+        assert_eq!(reply.cache, CacheStatus::Miss, "solve_time_s {bad}");
+        assert_eq!(reply.quality, Quality::Exact);
+        let stats = Value::parse(round_trip(r#"{"verb":"stats"}"#).trim())
+            .unwrap_or_else(|e| panic!("solve_time_s {bad}: the connection died ({e})"));
+        let quarantined = stats
+            .get("stats")
+            .and_then(|s| s.get("disk_quarantined"))
+            .and_then(Value::as_f64);
+        assert_eq!(quarantined, Some(1.0), "solve_time_s {bad}");
+        assert!(path.with_extension("json.corrupt").exists());
+        handle.shutdown();
+        service.shutdown();
+    }
+}

@@ -32,6 +32,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource};
+
 use crate::error::LpError;
 use crate::sparse::{IndexedVec, SparseMatrix, SparseVec};
 
@@ -121,12 +123,92 @@ impl CarriedFactors {
 }
 
 impl SimplexBasis {
-    /// Serializes the basis to JSON: the `basic` column list plus a compact
-    /// status string (one char per column: `B`asic, `L`ower, `U`pper,
-    /// `F`ree). Used by the schedule service to persist warm-start hints
-    /// alongside cached schedules.
-    pub fn to_json_value(&self) -> teccl_util::json::Value {
-        use teccl_util::json::Value;
+    /// Serializes the basis to JSON: the tree form of
+    /// [`SimplexBasis::emit`].
+    pub fn to_json_value(&self) -> json::Value {
+        json::to_value(self)
+    }
+
+    /// Deserializes a basis from the JSON produced by
+    /// [`SimplexBasis::to_json_value`].
+    pub fn from_json_value(v: &json::Value) -> Result<SimplexBasis, JsonError> {
+        json::decode_tree(v, SimplexBasis::decode)
+    }
+
+    /// Reads the basis document whose first event is `first` from `src`, to
+    /// its end (see [`JsonSource`] for the two errors); `basic` is checked
+    /// before `status`. A shape- or content-invalid document is an error
+    /// here; a shape-*mismatched* (but well-formed) basis is fine — the
+    /// warm-start path falls back to a cold solve on its own.
+    pub fn decode<'a, S: JsonSource<'a>>(
+        first: Event<'a>,
+        src: &mut S,
+    ) -> Result<Result<SimplexBasis, JsonError>, JsonError> {
+        let mut basic = None;
+        let mut status = None;
+        src.object(first, |key, value, src| {
+            match key {
+                "basic" if basic.is_none() => {
+                    let mut columns = Vec::new();
+                    let mut whole = true;
+                    let is_array = src.array(value, |item, src| {
+                        match src.scalar(item, |v| v.as_usize())? {
+                            Some(j) => columns.push(j),
+                            None => whole = false,
+                        }
+                        Ok(())
+                    })?;
+                    basic = Some(match (is_array, whole) {
+                        (false, _) => Err("missing basic"),
+                        (true, false) => Err("bad basic entry"),
+                        (true, true) => Ok(columns),
+                    });
+                }
+                "status" if status.is_none() => {
+                    status = Some(src.scalar(value, |v| {
+                        v.as_str()
+                            .map(|s| s.chars().map(status_of).collect::<Option<Vec<_>>>())
+                    })?)
+                }
+                _ => src.skip(&value)?,
+            }
+            Ok(())
+        })?;
+        let bad = |msg: &str| JsonError {
+            pos: 0,
+            msg: msg.to_string(),
+        };
+        let basic = match basic.unwrap_or(Err("missing basic")) {
+            Ok(basic) => basic,
+            Err(msg) => return Ok(Err(bad(msg))),
+        };
+        let status = match status.flatten() {
+            None => return Ok(Err(bad("missing status"))),
+            Some(None) => return Ok(Err(bad("bad status char"))),
+            Some(Some(status)) => status,
+        };
+        Ok(Ok(SimplexBasis {
+            basic,
+            status,
+            factors: None,
+        }))
+    }
+}
+
+/// The basis as a document: the `basic` column list plus a compact status
+/// string (one char per column: `B`asic, `L`ower, `U`pper, `F`ree). The
+/// schedule service persists it beside a cached schedule as a warm-start
+/// hint.
+impl Emit for SimplexBasis {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_obj();
+        sink.key("basic");
+        sink.begin_arr();
+        for &j in &self.basic {
+            sink.uint(j);
+        }
+        sink.end_arr();
+        sink.key("status");
         let status: String = self
             .status
             .iter()
@@ -137,53 +219,20 @@ impl SimplexBasis {
                 VarStatus::Free => 'F',
             })
             .collect();
-        Value::obj(vec![
-            (
-                "basic",
-                Value::Arr(self.basic.iter().map(|&b| Value::from(b)).collect()),
-            ),
-            ("status", Value::from(status)),
-        ])
+        sink.str(&status);
+        sink.end_obj();
     }
+}
 
-    /// Deserializes a basis from the JSON produced by
-    /// [`SimplexBasis::to_json_value`]. A shape- or content-invalid document
-    /// is an error here; a shape-*mismatched* (but well-formed) basis is fine
-    /// — the warm-start path falls back to a cold solve on its own.
-    pub fn from_json_value(
-        v: &teccl_util::json::Value,
-    ) -> Result<SimplexBasis, teccl_util::json::JsonError> {
-        use teccl_util::json::{JsonError, Value};
-        let bad = |msg: &str| JsonError {
-            pos: 0,
-            msg: msg.to_string(),
-        };
-        let basic = v
-            .get("basic")
-            .and_then(Value::as_arr)
-            .ok_or(bad("missing basic"))?
-            .iter()
-            .map(|b| b.as_usize().ok_or(bad("bad basic entry")))
-            .collect::<Result<Vec<usize>, _>>()?;
-        let status = v
-            .get("status")
-            .and_then(Value::as_str)
-            .ok_or(bad("missing status"))?
-            .chars()
-            .map(|c| match c {
-                'B' => Ok(VarStatus::Basic),
-                'L' => Ok(VarStatus::AtLower),
-                'U' => Ok(VarStatus::AtUpper),
-                'F' => Ok(VarStatus::Free),
-                _ => Err(bad("bad status char")),
-            })
-            .collect::<Result<Vec<VarStatus>, _>>()?;
-        Ok(SimplexBasis {
-            basic,
-            status,
-            factors: None,
-        })
-    }
+/// The status a character of the stored status string stands for.
+fn status_of(c: char) -> Option<VarStatus> {
+    Some(match c {
+        'B' => VarStatus::Basic,
+        'L' => VarStatus::AtLower,
+        'U' => VarStatus::AtUpper,
+        'F' => VarStatus::Free,
+        _ => return None,
+    })
 }
 
 /// A basis column borrowed for [`LuFactors::refactor`]: a column of the

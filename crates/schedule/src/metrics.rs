@@ -1,6 +1,6 @@
 //! The paper's evaluation metrics (§6 "Metrics").
 
-use teccl_util::json::{self, Emit, JsonError, JsonSink, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Value};
 
 /// Metrics of one collective run, mirroring §6 and the columns of Table 8:
 /// epoch duration (ED), collective finish / transfer time (CT), solver
@@ -39,30 +39,57 @@ impl CollectiveMetrics {
         json::to_value(self)
     }
 
-    /// Deserializes metrics from the JSON produced by
-    /// [`CollectiveMetrics::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<CollectiveMetrics, JsonError> {
+    /// Reads the metrics document whose first event is `first` from `src`,
+    /// to its end (see [`JsonSource`] for the two errors). Members come in
+    /// any order and the first of duplicate keys wins; `solver` is checked
+    /// before the numbers.
+    pub fn decode<'a, S: JsonSource<'a>>(
+        first: Event<'a>,
+        src: &mut S,
+    ) -> Result<Result<CollectiveMetrics, JsonError>, JsonError> {
+        let mut solver = None;
+        // epoch_duration, transfer_time, solver_time, output_buffer_bytes,
+        // bytes_on_wire.
+        let mut nums: [Option<Option<f64>>; 5] = [None; 5];
+        src.object(first, |key, value, src| {
+            let slot = match key {
+                "solver" if solver.is_none() => {
+                    solver = Some(src.scalar(value, Event::into_str)?);
+                    return Ok(());
+                }
+                "epoch_duration" => 0,
+                "transfer_time" => 1,
+                "solver_time" => 2,
+                "output_buffer_bytes" => 3,
+                "bytes_on_wire" => 4,
+                _ => return src.skip(&value),
+            };
+            if nums[slot].is_some() {
+                return src.skip(&value);
+            }
+            nums[slot] = Some(src.scalar(value, |v| v.as_f64())?);
+            Ok(())
+        })?;
         let bad = |msg: &str| JsonError {
             pos: 0,
             msg: msg.to_string(),
         };
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or(bad("missing numeric field"))
+        let Some(solver) = solver.flatten() else {
+            return Ok(Err(bad("missing solver")));
         };
-        Ok(CollectiveMetrics {
-            solver: v
-                .get("solver")
-                .and_then(Value::as_str)
-                .ok_or(bad("missing solver"))?
-                .to_string(),
-            epoch_duration: num("epoch_duration")?,
-            transfer_time: num("transfer_time")?,
-            solver_time: num("solver_time")?,
-            output_buffer_bytes: num("output_buffer_bytes")?,
-            bytes_on_wire: num("bytes_on_wire")?,
-        })
+        let [Some(epoch_duration), Some(transfer_time), Some(solver_time), Some(output_buffer_bytes), Some(bytes_on_wire)] =
+            nums.map(Option::flatten)
+        else {
+            return Ok(Err(bad("missing numeric field")));
+        };
+        Ok(Ok(CollectiveMetrics {
+            solver: solver.into_owned(),
+            epoch_duration,
+            transfer_time,
+            solver_time,
+            output_buffer_bytes,
+            bytes_on_wire,
+        }))
     }
 }
 
@@ -136,7 +163,10 @@ mod tests {
             bytes_on_wire: 20.0,
         };
         let s = m.to_json_value().to_json();
-        let back = CollectiveMetrics::from_json_value(&Value::parse(&s).unwrap()).unwrap();
+        let back: CollectiveMetrics = json::decode_text(&s, CollectiveMetrics::decode).unwrap();
+        assert_eq!(back, m);
+        let back: CollectiveMetrics =
+            json::decode_tree(&m.to_json_value(), CollectiveMetrics::decode).unwrap();
         assert_eq!(back, m);
     }
 }

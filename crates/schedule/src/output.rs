@@ -9,7 +9,7 @@
 //! formatting, which is what makes bit-exactness possible without a binary
 //! format.
 
-use teccl_util::json::{self, Emit, JsonError, JsonSink, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Value};
 
 use crate::metrics::CollectiveMetrics;
 use crate::schedule::Schedule;
@@ -34,21 +34,47 @@ impl ScheduleOutput {
     /// Deserializes an output from the JSON produced by
     /// [`ScheduleOutput::to_json_value`].
     pub fn from_json_value(v: &Value) -> Result<ScheduleOutput, JsonError> {
-        let bad = |msg: &str| JsonError {
-            pos: 0,
-            msg: msg.to_string(),
-        };
-        Ok(ScheduleOutput {
-            schedule: Schedule::from_json_value(v.get("schedule").ok_or(bad("missing schedule"))?)?,
-            metrics: CollectiveMetrics::from_json_value(
-                v.get("metrics").ok_or(bad("missing metrics"))?,
-            )?,
-        })
+        json::decode_tree(v, ScheduleOutput::decode)
     }
 
     /// Parses an output from a JSON string.
     pub fn from_json_str(text: &str) -> Result<ScheduleOutput, JsonError> {
-        Self::from_json_value(&Value::parse(text)?)
+        json::decode_text(text, ScheduleOutput::decode)
+    }
+
+    /// Reads the output document whose first event is `first` from `src`,
+    /// to its end (see [`JsonSource`] for the two errors): the schedule
+    /// ([`Schedule::decode`]) is checked before the metrics
+    /// ([`CollectiveMetrics::decode`]).
+    pub fn decode<'a, S: JsonSource<'a>>(
+        first: Event<'a>,
+        src: &mut S,
+    ) -> Result<Result<ScheduleOutput, JsonError>, JsonError> {
+        let mut schedule = None;
+        let mut metrics = None;
+        src.object(first, |key, value, src| {
+            match key {
+                "schedule" if schedule.is_none() => schedule = Some(Schedule::decode(value, src)?),
+                "metrics" if metrics.is_none() => {
+                    metrics = Some(CollectiveMetrics::decode(value, src)?)
+                }
+                _ => src.skip(&value)?,
+            }
+            Ok(())
+        })?;
+        let missing = |msg: &str| JsonError {
+            pos: 0,
+            msg: msg.to_string(),
+        };
+        let output = schedule
+            .unwrap_or_else(|| Err(missing("missing schedule")))
+            .and_then(|schedule| {
+                Ok(ScheduleOutput {
+                    schedule,
+                    metrics: metrics.unwrap_or_else(|| Err(missing("missing metrics")))?,
+                })
+            });
+        Ok(output)
     }
 }
 

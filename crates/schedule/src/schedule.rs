@@ -1,7 +1,7 @@
 //! The schedule data model: which chunk crosses which link in which epoch.
 
 use teccl_topology::NodeId;
-use teccl_util::json::{self, Emit, JsonError, JsonSink, RenderedOnce, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, RenderedOnce, Value};
 
 /// Identity of a chunk: the source GPU it originates from plus its per-source
 /// chunk index (`(s, c)` in the paper's notation).
@@ -180,50 +180,138 @@ impl Schedule {
         json::to_value(self)
     }
 
-    /// Deserializes a schedule from the JSON produced by
-    /// [`Schedule::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<Schedule, JsonError> {
+    /// Reads the schedule document whose first event is `first` from
+    /// `src`, to its end (see [`JsonSource`] for the two errors). Members
+    /// come in any order and the first of duplicate keys wins; faults are
+    /// reported in one order: `name`, `chunk_bytes`, `epoch_duration`,
+    /// `sends`, `num_epochs`. A missing or non-numeric `solver_time` is 0.
+    ///
+    /// Read from text in the compact form, the schedule keeps that text as
+    /// its [`Schedule::json_text`], so a schedule loaded from where it was
+    /// written is not formatted again. The compact writer never breaks a
+    /// line and the pretty one always does, so a span without a line break
+    /// is taken for the compact form.
+    pub fn decode<'a, S: JsonSource<'a>>(
+        first: Event<'a>,
+        src: &mut S,
+    ) -> Result<Result<Schedule, JsonError>, JsonError> {
+        let mut f = ScheduleFields::default();
+        let ((), text) = src.with_text(first, |first, src| {
+            src.object(first, |key, value, src| {
+                match key {
+                    "name" if f.name.is_none() => {
+                        f.name = Some(src.scalar(value, Event::into_str)?)
+                    }
+                    "chunk_bytes" if f.chunk_bytes.is_none() => {
+                        f.chunk_bytes = Some(src.scalar(value, |v| v.as_f64())?)
+                    }
+                    "epoch_duration" if f.epoch_duration.is_none() => {
+                        f.epoch_duration = Some(src.scalar(value, |v| v.as_f64())?)
+                    }
+                    "num_epochs" if f.num_epochs.is_none() => {
+                        f.num_epochs = Some(src.scalar(value, |v| v.as_usize())?)
+                    }
+                    "solver_time" if f.solver_time.is_none() => {
+                        f.solver_time = Some(src.scalar(value, |v| v.as_f64())?)
+                    }
+                    "sends" if f.sends.is_none() => f.sends = Some(sends(value, src)?),
+                    _ => src.skip(&value)?,
+                }
+                Ok(())
+            })?;
+            Ok(())
+        })?;
+        Ok(f.build(text.filter(|t| !t.contains('\n'))))
+    }
+}
+
+/// A schedule's members as read: `None` while a key has not been seen,
+/// `Some(None)` for a value of the wrong type.
+#[derive(Default)]
+struct ScheduleFields<'a> {
+    name: Option<Option<std::borrow::Cow<'a, str>>>,
+    chunk_bytes: Option<Option<f64>>,
+    epoch_duration: Option<Option<f64>>,
+    num_epochs: Option<Option<usize>>,
+    solver_time: Option<Option<f64>>,
+    sends: Option<Result<Vec<Send>, &'static str>>,
+}
+
+impl ScheduleFields<'_> {
+    /// The schedule, or the first fault in [`Schedule::decode`]'s order.
+    /// Error messages are built only on the error path.
+    fn build(self, text: Option<&str>) -> Result<Schedule, JsonError> {
         let bad = |msg: &str| JsonError {
             pos: 0,
             msg: msg.to_string(),
         };
-        let mut s = Schedule::new(
-            v.get("name")
-                .and_then(Value::as_str)
-                .ok_or(bad("missing name"))?,
-            v.get("chunk_bytes")
-                .and_then(Value::as_f64)
-                .ok_or(bad("missing chunk_bytes"))?,
-        );
-        s.epoch_duration = v
-            .get("epoch_duration")
-            .and_then(Value::as_f64)
-            .ok_or(bad("missing epoch_duration"))?;
-        s.solver_time = v.get("solver_time").and_then(Value::as_f64).unwrap_or(0.0);
-        for snd in v
-            .get("sends")
-            .and_then(Value::as_arr)
-            .ok_or(bad("missing sends"))?
-        {
-            let field = |k: &str| {
-                snd.get(k)
-                    .and_then(Value::as_usize)
-                    .ok_or(bad("bad send field"))
-            };
-            s.push(
-                ChunkId::new(NodeId(field("source")?), field("chunk")?),
-                NodeId(field("from")?),
-                NodeId(field("to")?),
-                field("epoch")?,
-            );
+        let name = self.name.flatten().ok_or_else(|| bad("missing name"))?;
+        let chunk_bytes = self
+            .chunk_bytes
+            .flatten()
+            .ok_or_else(|| bad("missing chunk_bytes"))?;
+        let mut s = Schedule::new(name, chunk_bytes);
+        s.epoch_duration = self
+            .epoch_duration
+            .flatten()
+            .ok_or_else(|| bad("missing epoch_duration"))?;
+        s.solver_time = self.solver_time.flatten().unwrap_or(0.0);
+        s.sends = self.sends.unwrap_or(Err("missing sends")).map_err(bad)?;
+        let num_epochs = self
+            .num_epochs
+            .flatten()
+            .ok_or_else(|| bad("missing num_epochs"))?;
+        let last = s.sends.iter().map(|snd| snd.epoch + 1).max().unwrap_or(0);
+        s.num_epochs = num_epochs.max(last);
+        if let Some(text) = text {
+            s.text = RenderedOnce::kept(text);
         }
-        s.num_epochs = s.num_epochs.max(
-            v.get("num_epochs")
-                .and_then(Value::as_usize)
-                .ok_or(bad("missing num_epochs"))?,
-        );
         Ok(s)
     }
+}
+
+/// The sends of the array `first` begins, or the fault: the value is no
+/// array, or a send lacks one of its five counts.
+fn sends<'a, S: JsonSource<'a>>(
+    first: Event<'a>,
+    src: &mut S,
+) -> Result<Result<Vec<Send>, &'static str>, JsonError> {
+    let mut sends = Vec::new();
+    let mut whole = true;
+    let is_array = src.array(first, |value, src| {
+        // source, chunk, from, to, epoch; the first of duplicate keys wins.
+        let mut at: [Option<Option<usize>>; 5] = [None; 5];
+        src.object(value, |key, value, src| {
+            let slot = match key {
+                "source" => 0,
+                "chunk" => 1,
+                "from" => 2,
+                "to" => 3,
+                "epoch" => 4,
+                _ => return src.skip(&value),
+            };
+            if at[slot].is_some() {
+                return src.skip(&value);
+            }
+            at[slot] = Some(src.scalar(value, |v| v.as_usize())?);
+            Ok(())
+        })?;
+        match at.map(Option::flatten) {
+            [Some(source), Some(chunk), Some(from), Some(to), Some(epoch)] => sends.push(Send {
+                chunk: ChunkId::new(NodeId(source), chunk),
+                from: NodeId(from),
+                to: NodeId(to),
+                epoch,
+            }),
+            _ => whole = false,
+        }
+        Ok(())
+    })?;
+    Ok(match (is_array, whole) {
+        (false, _) => Err("missing sends"),
+        (true, false) => Err("bad send field"),
+        (true, true) => Ok(sends),
+    })
 }
 
 impl Emit for Schedule {
@@ -300,6 +388,7 @@ impl ChunkSlots {
     /// Panics on a chunk or a node outside the table.
     pub(crate) fn slot(&self, chunk: ChunkId, node: NodeId) -> usize {
         assert!(node.0 < self.nodes, "node {node} outside the replay");
+        // lint:allow(panic-hygiene): `new` lists every chunk a send carries or the demand uses, the only chunks asked for
         let c = self.chunks.binary_search(&chunk).expect("a listed chunk");
         c * self.nodes + node.0
     }
@@ -378,8 +467,33 @@ mod tests {
         let mut s = Schedule::new("round", 8.0);
         s.push(ChunkId::new(NodeId(0), 2), NodeId(0), NodeId(1), 5);
         let json = s.to_json_value().to_json();
-        let back = Schedule::from_json_value(&Value::parse(&json).unwrap()).unwrap();
-        assert_eq!(back.sends, s.sends);
-        assert_eq!(back.num_epochs, 6);
+        let pretty = s.to_json_value().to_json_pretty();
+        let from_tree: Schedule = json::decode_tree(&s.to_json_value(), Schedule::decode).unwrap();
+        for back in [
+            json::decode_text(&json, Schedule::decode).unwrap(),
+            json::decode_text(&pretty, Schedule::decode).unwrap(),
+            from_tree,
+        ] {
+            assert_eq!(back.sends, s.sends);
+            assert_eq!(back.num_epochs, 6);
+            // Kept from the compact text, rendered for the other two.
+            assert_eq!(back.json_text(), json);
+        }
+        let err = |text: &str| {
+            json::decode_text::<Schedule, JsonError>(text, Schedule::decode)
+                .unwrap_err()
+                .msg
+        };
+        assert_eq!(err(r#"{"chunk_bytes":1}"#), "missing name");
+        assert_eq!(
+            err(r#"{"name":"x","chunk_bytes":1,"epoch_duration":0,"num_epochs":1,"sends":{}}"#),
+            "missing sends"
+        );
+        assert_eq!(
+            err(
+                r#"{"name":"x","chunk_bytes":1,"epoch_duration":0,"num_epochs":1,"sends":[{"source":0}]}"#
+            ),
+            "bad send field"
+        );
     }
 }

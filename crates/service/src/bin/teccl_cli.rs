@@ -28,7 +28,7 @@ use teccl_collective::chunk::{format_size, parse_size};
 use teccl_service::protocol::{parse_solve_reply, solve_request_line};
 use teccl_service::{builtin_topology, CacheStatus, Quality, RequestMethod, SolveRequest};
 use teccl_topology::Topology;
-use teccl_util::json::Value;
+use teccl_util::json::{self, Value};
 use teccl_util::rng::Rng64;
 
 /// Total attempts per request (1 initial + retries).
@@ -289,8 +289,7 @@ fn cmd_batch(args: &[String]) {
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
-            let v = Value::parse(l).unwrap_or_else(|e| die(&format!("bad request line: {e}")));
-            let mut req = SolveRequest::from_json_value(&v)
+            let mut req = json::decode_text(l, SolveRequest::decode)
                 .unwrap_or_else(|e| die(&format!("bad request line: {e}")));
             if let Some(d) = deadline {
                 req.deadline = Some(d);

@@ -5,21 +5,44 @@
 //! named by the key hash — content addressing makes invalidation trivial:
 //! a changed request simply hashes elsewhere). Every load is re-validated
 //! with [`teccl_schedule::validate()`] against the demand reconstructed from
-//! the request before it is served; a corrupt or stale file is ignored
+//! the request before it is served; a corrupt or stale file is quarantined
 //! rather than trusted.
+//!
+//! **Format.** [`DiskStore::save`] streams one compact document through a
+//! [`JsonSink`] with no tree in between: the key (hashes as hex strings),
+//! `chunk_bytes`, `topology_used`, `output` with its schedule copied in as
+//! the text the entry kept for its replies ([`Schedule::json_text`]),
+//! `stats`, `quality` and the optional warm-start `basis`. Files written
+//! pretty-printed by earlier builds hold the same members and still load:
+//! the decoder does not care about whitespace.
+//!
+//! **What a disk hit costs.** [`DiskStore::load`] reads the file into one
+//! string and decodes it with one pass of the pull reader
+//! ([`CacheEntry::decode`]): no [`Value`](teccl_util::json::Value) tree is
+//! built. It allocates what the entry holds — the topology's nodes, links
+//! and names, the sends, the metrics, the basis — plus one copy of the
+//! schedule's text, which becomes the entry's kept text when it is the
+//! compact form, so the first reply after a load formats nothing. A
+//! pretty-printed file's schedule is formatted once, at its first reply.
+//! Then the schedule is validated against the request's demand.
+//!
+//! [`Schedule::json_text`]: teccl_schedule::Schedule::json_text
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use teccl_lp::{SimplexBasis, SolveStats};
 use teccl_schedule::ScheduleOutput;
 use teccl_topology::Topology;
-use teccl_util::json::Value;
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource};
 
 use crate::fault::FaultPlan;
 use crate::key::{RequestKey, SolveRequest};
+use crate::protocol::key_hex;
+use crate::sync::{lock_recover, LockRank};
 
 /// How good a schedule is relative to the exact optimum — the rung of the
 /// degradation ladder it was served from. Ordered best-first, so
@@ -87,115 +110,225 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Serializes the entry (plus an optional warm-start basis) to JSON.
-    pub fn to_json_value(&self, basis: Option<&SimplexBasis>) -> Value {
-        // 64-bit hashes do not fit JSON's f64 numbers exactly — hex strings.
-        let mut pairs = vec![
-            (
-                "key_family",
-                Value::from(format!("{:016x}", self.key.family)),
-            ),
-            ("key_bucket", Value::from(self.key.size_bucket)),
-            ("key_hash", Value::from(format!("{:016x}", self.key.hash))),
-            ("chunk_bytes", Value::from(self.chunk_bytes)),
-            ("topology_used", self.topology_used.to_json_value()),
-            ("output", self.output.to_json_value()),
-            ("stats", stats_to_json(&self.stats)),
-            ("quality", Value::from(self.quality.name())),
-        ];
-        if let Some(b) = basis {
-            pairs.push(("basis", b.to_json_value()));
-        }
-        Value::obj(pairs)
+    /// Reads the stored document whose first event is `first` from `src`,
+    /// to its end (see [`JsonSource`] for the two errors): the entry and
+    /// its optional basis. Members come in any order and the first of
+    /// duplicate keys wins. Faults are reported in the order `key_family`,
+    /// `key_bucket`, `key_hash`, `output`, `topology_used`, `chunk_bytes`,
+    /// `stats`, `basis`; semantic validation (does the schedule satisfy the
+    /// request?) is the caller's job. Missing `stats` counters are zero
+    /// and a missing or unknown `quality` is exact, as files written before
+    /// they existed hold; a solve time no [`Duration`] holds is a fault.
+    pub fn decode<'a, S: JsonSource<'a>>(
+        first: Event<'a>,
+        src: &mut S,
+    ) -> Result<Result<(CacheEntry, Option<SimplexBasis>), JsonError>, JsonError> {
+        let mut f = EntryFields::default();
+        src.object(first, |key, value, src| {
+            let hex = |v: Event<'_>| v.as_str().and_then(|s| u64::from_str_radix(s, 16).ok());
+            match key {
+                "key_family" if f.family.is_none() => f.family = Some(src.scalar(value, hex)?),
+                "key_bucket" if f.bucket.is_none() => {
+                    f.bucket = Some(src.scalar(value, |v| v.as_f64())?)
+                }
+                "key_hash" if f.hash.is_none() => f.hash = Some(src.scalar(value, hex)?),
+                "chunk_bytes" if f.chunk_bytes.is_none() => {
+                    f.chunk_bytes = Some(src.scalar(value, |v| v.as_f64())?)
+                }
+                "topology_used" if f.topology.is_none() => {
+                    f.topology = Some(Topology::decode(value, src)?)
+                }
+                "output" if f.output.is_none() => {
+                    f.output = Some(ScheduleOutput::decode(value, src)?)
+                }
+                "stats" if f.stats.is_none() => f.stats = Some(decode_stats(value, src)?),
+                "quality" if f.quality.is_none() => {
+                    f.quality =
+                        Some(src.scalar(value, |v| v.as_str().and_then(Quality::from_name))?)
+                }
+                "basis" if f.basis.is_none() => f.basis = Some(SimplexBasis::decode(value, src)?),
+                _ => src.skip(&value)?,
+            }
+            Ok(())
+        })?;
+        Ok(f.build())
     }
+}
 
-    /// Deserializes an entry and its optional basis. Fails on malformed
-    /// documents; semantic validation (does the schedule satisfy the
-    /// request?) is the caller's job.
-    pub fn from_json_value(
-        v: &Value,
-    ) -> Result<(CacheEntry, Option<SimplexBasis>), teccl_util::json::JsonError> {
-        let bad = |msg: &str| teccl_util::json::JsonError {
-            pos: 0,
-            msg: msg.to_string(),
-        };
-        let hex = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or(bad("missing/bad key field"))
-        };
+/// A stored entry's members as read: `None` while a key has not been seen,
+/// `Some(None)` for a value of the wrong type.
+#[derive(Default)]
+struct EntryFields {
+    family: Option<Option<u64>>,
+    bucket: Option<Option<f64>>,
+    hash: Option<Option<u64>>,
+    chunk_bytes: Option<Option<f64>>,
+    topology: Option<Result<Topology, JsonError>>,
+    output: Option<Result<ScheduleOutput, JsonError>>,
+    stats: Option<Result<SolveStats, JsonError>>,
+    quality: Option<Option<Quality>>,
+    basis: Option<Result<SimplexBasis, JsonError>>,
+}
+
+impl EntryFields {
+    /// The entry, or the first fault in [`CacheEntry::decode`]'s order.
+    /// Error messages are built only on the error path.
+    fn build(self) -> Result<(CacheEntry, Option<SimplexBasis>), JsonError> {
         let key = RequestKey {
-            family: hex("key_family")?,
-            size_bucket: v
-                .get("key_bucket")
-                .and_then(Value::as_f64)
-                .ok_or(bad("missing key_bucket"))? as i64,
-            hash: hex("key_hash")?,
+            family: self
+                .family
+                .flatten()
+                .ok_or_else(|| bad("missing/bad key field"))?,
+            size_bucket: self
+                .bucket
+                .flatten()
+                .ok_or_else(|| bad("missing key_bucket"))? as i64,
+            hash: self
+                .hash
+                .flatten()
+                .ok_or_else(|| bad("missing/bad key field"))?,
         };
         let entry = CacheEntry {
             key,
-            output: ScheduleOutput::from_json_value(v.get("output").ok_or(bad("missing output"))?)?,
-            topology_used: Topology::from_json_value(
-                v.get("topology_used").ok_or(bad("missing topology_used"))?,
-            )?,
-            chunk_bytes: v
-                .get("chunk_bytes")
-                .and_then(Value::as_f64)
-                .ok_or(bad("missing chunk_bytes"))?,
-            stats: stats_from_json(v.get("stats")).ok_or_else(|| bad("bad solve_time_s"))?,
-            // Files written before quality tags existed are all exact solves.
-            quality: v
-                .get("quality")
-                .and_then(Value::as_str)
-                .and_then(Quality::from_name)
-                .unwrap_or(Quality::Exact),
+            output: self.output.unwrap_or_else(|| Err(bad("missing output")))?,
+            topology_used: self
+                .topology
+                .unwrap_or_else(|| Err(bad("missing topology_used")))?,
+            chunk_bytes: self
+                .chunk_bytes
+                .flatten()
+                .ok_or_else(|| bad("missing chunk_bytes"))?,
+            stats: self.stats.unwrap_or_else(|| Ok(SolveStats::default()))?,
+            quality: self.quality.flatten().unwrap_or(Quality::Exact),
         };
-        let basis = match v.get("basis") {
-            Some(b) => Some(SimplexBasis::from_json_value(b)?),
-            None => None,
-        };
-        Ok((entry, basis))
+        Ok((entry, self.basis.transpose()?))
     }
 }
 
-/// Serializes the solver counters a served entry reports.
-fn stats_to_json(s: &SolveStats) -> Value {
-    Value::obj(vec![
-        ("solve_time_s", Value::from(s.solve_time.as_secs_f64())),
-        ("simplex_iterations", Value::from(s.simplex_iterations)),
-        ("dual_iterations", Value::from(s.dual_iterations)),
-        ("nodes_explored", Value::from(s.nodes_explored)),
-        ("factorizations", Value::from(s.factorizations)),
-        ("warm_starts", Value::from(s.warm_starts)),
-        ("cold_starts", Value::from(s.cold_starts)),
-        ("iteration_limit_hit", Value::from(s.iteration_limit_hit)),
-    ])
+fn bad(msg: &str) -> JsonError {
+    JsonError {
+        pos: 0,
+        msg: msg.to_string(),
+    }
 }
 
-/// Reads back the counters written by [`stats_to_json`] (missing fields are
-/// zero — old cache files stay loadable as counters are added). `None` for a
-/// solve time no `Duration` holds (negative or past `Duration::MAX`): the
-/// entry is corrupt.
-fn stats_from_json(v: Option<&Value>) -> Option<SolveStats> {
-    let mut s = SolveStats::default();
-    let Some(v) = v else { return Some(s) };
-    let num = |k: &str| v.get(k).and_then(Value::as_usize).unwrap_or(0);
-    s.solve_time = std::time::Duration::try_from_secs_f64(
-        v.get("solve_time_s").and_then(Value::as_f64).unwrap_or(0.0),
-    )
-    .ok()?;
-    s.simplex_iterations = num("simplex_iterations");
-    s.dual_iterations = num("dual_iterations");
-    s.nodes_explored = num("nodes_explored");
-    s.factorizations = num("factorizations");
-    s.warm_starts = num("warm_starts");
-    s.cold_starts = num("cold_starts");
-    s.iteration_limit_hit = v
-        .get("iteration_limit_hit")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
-    Some(s)
+/// The counters a stored entry keeps beside `solve_time_s`, in file order.
+const COUNTERS: [&str; 6] = [
+    "simplex_iterations",
+    "dual_iterations",
+    "nodes_explored",
+    "factorizations",
+    "warm_starts",
+    "cold_starts",
+];
+
+/// [`COUNTERS`]' values in `s`.
+fn counts(s: &SolveStats) -> [usize; 6] {
+    [
+        s.simplex_iterations,
+        s.dual_iterations,
+        s.nodes_explored,
+        s.factorizations,
+        s.warm_starts,
+        s.cold_starts,
+    ]
+}
+
+/// Reads the `stats` member: a counter that is missing or not a count is
+/// zero, and so is a value that is no object; a solve time no [`Duration`]
+/// holds (negative, or past `Duration::MAX`) is a fault.
+fn decode_stats<'a, S: JsonSource<'a>>(
+    first: Event<'a>,
+    src: &mut S,
+) -> Result<Result<SolveStats, JsonError>, JsonError> {
+    let mut counts: [Option<usize>; 6] = [None; 6];
+    let mut solve_time_s = None;
+    let mut limit_hit = None;
+    src.object(first, |key, value, src| {
+        match key {
+            "solve_time_s" if solve_time_s.is_none() => {
+                solve_time_s = Some(src.scalar(value, |v| v.as_f64())?)
+            }
+            "iteration_limit_hit" if limit_hit.is_none() => {
+                limit_hit = Some(src.scalar(value, |v| match v {
+                    Event::Bool(b) => Some(b),
+                    _ => None,
+                })?)
+            }
+            _ => match COUNTERS.iter().position(|&c| c == key) {
+                Some(i) if counts[i].is_none() => {
+                    counts[i] = Some(src.scalar(value, |v| v.as_usize())?.unwrap_or(0))
+                }
+                _ => src.skip(&value)?,
+            },
+        }
+        Ok(())
+    })?;
+    let [simplex_iterations, dual_iterations, nodes_explored, factorizations, warm_starts, cold_starts] =
+        counts.map(|n| n.unwrap_or(0));
+    let Ok(solve_time) = Duration::try_from_secs_f64(solve_time_s.flatten().unwrap_or(0.0)) else {
+        return Ok(Err(bad("bad solve_time_s")));
+    };
+    Ok(Ok(SolveStats {
+        solve_time,
+        simplex_iterations,
+        dual_iterations,
+        nodes_explored,
+        factorizations,
+        warm_starts,
+        cold_starts,
+        iteration_limit_hit: limit_hit.flatten().unwrap_or(false),
+        ..SolveStats::default()
+    }))
+}
+
+/// A disk entry as one document, in the order [`CacheEntry::decode`]
+/// documents; the schedule goes in as its kept text.
+struct Stored<'e> {
+    entry: &'e CacheEntry,
+    basis: Option<&'e SimplexBasis>,
+}
+
+impl Emit for Stored<'_> {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        let e = self.entry;
+        // 64-bit hashes do not fit JSON's f64 numbers exactly: hex strings.
+        let hex = |sink: &mut S, hash: u64| {
+            // ASCII by construction.
+            sink.str(std::str::from_utf8(&key_hex(hash)).unwrap_or_default())
+        };
+        sink.begin_obj();
+        sink.key("key_family");
+        hex(sink, e.key.family);
+        sink.key("key_bucket");
+        sink.num(e.key.size_bucket as f64);
+        sink.key("key_hash");
+        hex(sink, e.key.hash);
+        sink.key("chunk_bytes");
+        sink.num(e.chunk_bytes);
+        sink.key("topology_used");
+        e.topology_used.emit(sink);
+        sink.key("output");
+        e.output.emit_rendered(sink);
+        sink.key("stats");
+        sink.begin_obj();
+        sink.key("solve_time_s");
+        sink.num(e.stats.solve_time.as_secs_f64());
+        for (name, n) in COUNTERS.into_iter().zip(counts(&e.stats)) {
+            sink.key(name);
+            sink.uint(n);
+        }
+        sink.key("iteration_limit_hit");
+        sink.bool(e.stats.iteration_limit_hit);
+        sink.end_obj();
+        sink.key("quality");
+        sink.str(e.quality.name());
+        if let Some(b) = self.basis {
+            sink.key("basis");
+            b.emit(sink);
+        }
+        sink.end_obj();
+    }
 }
 
 /// A bounded in-memory LRU cache keyed by request hash.
@@ -287,6 +420,9 @@ pub struct DiskStore {
     dir: PathBuf,
     quarantined: Arc<AtomicU64>,
     fault: Arc<FaultPlan>,
+    /// How many times [`DiskStore::evict_all`] has run. Its lock orders
+    /// each save's rename against an evict: see [`DiskStore::save_since`].
+    evictions: Arc<Mutex<u64>>,
 }
 
 impl DiskStore {
@@ -298,6 +434,7 @@ impl DiskStore {
             dir,
             quarantined: Arc::new(AtomicU64::new(0)),
             fault: Arc::new(FaultPlan::none()),
+            evictions: Arc::new(Mutex::new(0)),
         })
     }
 
@@ -332,12 +469,38 @@ impl DiskStore {
     /// long-lived tier, and a deadline-shaped answer must not outlive the
     /// deadline that shaped it.
     pub fn save(&self, entry: &CacheEntry, basis: Option<&SimplexBasis>) -> std::io::Result<()> {
+        self.save_since(self.evictions(), entry, basis)
+    }
+
+    /// The number of evicts so far, for [`DiskStore::save_since`].
+    pub(crate) fn evictions(&self) -> u64 {
+        *lock_recover(&self.evictions, LockRank::Disk)
+    }
+
+    /// [`DiskStore::save`], made void by any [`DiskStore::evict_all`] that
+    /// begins after [`DiskStore::evictions`] read `evictions`: the rename
+    /// and an evict's deletions run under one lock, so a save taken before
+    /// an evict either lands before the evict deletes or leaves no file.
+    /// A worker reads the count before it answers the request and saves
+    /// after, and a client's evict sent on that answer removes the entry.
+    pub(crate) fn save_since(
+        &self,
+        evictions: u64,
+        entry: &CacheEntry,
+        basis: Option<&SimplexBasis>,
+    ) -> std::io::Result<()> {
         if entry.quality != Quality::Exact {
             return Ok(());
         }
-        let text = entry.to_json_value(basis).to_json_pretty();
+        let mut text = String::with_capacity(entry.output.schedule.json_text().len() + 4096);
+        json::write_json(&Stored { entry, basis }, &mut text);
+        text.push('\n');
         let tmp = self.dir.join(format!("sched-{:016x}.tmp", entry.key.hash));
-        std::fs::write(&tmp, format!("{text}\n"))?;
+        std::fs::write(&tmp, text)?;
+        let now = lock_recover(&self.evictions, LockRank::Disk);
+        if *now != evictions {
+            return std::fs::remove_file(&tmp);
+        }
         std::fs::rename(&tmp, self.path_for(entry.key))
     }
 
@@ -360,10 +523,7 @@ impl DiskStore {
         } else {
             text
         };
-        let parsed = Value::parse(&text)
-            .ok()
-            .and_then(|v| CacheEntry::from_json_value(&v).ok());
-        let Some((entry, basis)) = parsed else {
+        let Ok((entry, basis)) = json::decode_text(&text, CacheEntry::decode) else {
             self.quarantine(&path);
             return None;
         };
@@ -383,7 +543,11 @@ impl DiskStore {
     }
 
     /// Deletes every stored schedule, returning how many files were removed.
+    /// A save read its evict count before this began leaves no file behind
+    /// ([`DiskStore::save_since`]).
     pub fn evict_all(&self) -> usize {
+        let mut evictions = lock_recover(&self.evictions, LockRank::Disk);
+        *evictions += 1;
         let mut n = 0;
         if let Ok(dir) = std::fs::read_dir(&self.dir) {
             for f in dir.flatten() {

@@ -21,6 +21,7 @@
 //! text, is copied from the text the entry kept when it was first served
 //! (`Schedule::json_text`).
 
+use teccl_schedule::ScheduleOutput;
 use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Reader, Value};
 
 use crate::cache::Quality;
@@ -100,7 +101,7 @@ impl SolveResponse<'_> {
 
 /// The 16 lower-case hex digits of a key hash (`{:016x}`) on the stack, so
 /// rendering a reply does not allocate for them.
-fn key_hex(hash: u64) -> [u8; 16] {
+pub(crate) fn key_hex(hash: u64) -> [u8; 16] {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut digits = [0u8; 16];
     for (i, d) in digits.iter_mut().enumerate() {
@@ -193,52 +194,69 @@ pub struct SolveReply {
     /// Chunk size of the served schedule.
     pub chunk_bytes: f64,
     /// The schedule and metrics.
-    pub output: teccl_schedule::ScheduleOutput,
+    pub output: ScheduleOutput,
 }
 
-/// Parses a `solve` response line (client side).
+/// Parses a `solve` response line (client side) with one pass of the pull
+/// reader: the output is read by [`ScheduleOutput::decode`], the decoder
+/// the disk store uses. Malformed JSON is reported first, then the
+/// `status` (an error reply's message), the cache status, `chunk_bytes`
+/// and the output.
 pub fn parse_solve_reply(line: &str) -> Result<SolveReply, String> {
-    let v = Value::parse(line.trim()).map_err(|e| e.to_string())?;
-    match v.get("status").and_then(Value::as_str) {
+    let mut status = None;
+    let mut message = None;
+    let mut cache = None;
+    let mut quality = None;
+    let mut key = None;
+    let mut chunk_bytes = None;
+    let mut output = None;
+    json::decode_text::<(), JsonError>(line, |first, src| {
+        src.object(first, |name, value, src| {
+            match name {
+                "status" if status.is_none() => status = Some(src.scalar(value, Event::into_str)?),
+                "message" if message.is_none() => {
+                    message = Some(src.scalar(value, Event::into_str)?)
+                }
+                "cache" if cache.is_none() => {
+                    cache = Some(src.scalar(value, |v| match v.as_str() {
+                        Some("hit") => Some(CacheStatus::Hit),
+                        Some("disk_hit") => Some(CacheStatus::DiskHit),
+                        Some("coalesced") => Some(CacheStatus::Coalesced),
+                        Some("miss") => Some(CacheStatus::Miss),
+                        _ => None,
+                    })?)
+                }
+                "quality" if quality.is_none() => {
+                    quality = Some(src.scalar(value, |v| v.as_str().and_then(Quality::from_name))?)
+                }
+                "key" if key.is_none() => key = Some(src.scalar(value, Event::into_str)?),
+                "chunk_bytes" if chunk_bytes.is_none() => {
+                    chunk_bytes = Some(src.scalar(value, |v| v.as_f64())?)
+                }
+                "output" if output.is_none() => output = Some(ScheduleOutput::decode(value, src)?),
+                _ => src.skip(&value)?,
+            }
+            Ok(())
+        })?;
+        Ok(Ok(()))
+    })
+    .map_err(|e| e.to_string())?;
+    match status.flatten().as_deref() {
         Some("ok") => {}
         Some("error") => {
-            return Err(v
-                .get("message")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown server error")
-                .to_string())
+            return Err(message
+                .flatten()
+                .map_or_else(|| "unknown server error".to_string(), String::from))
         }
         _ => return Err("malformed response".into()),
     }
-    let cache = match v.get("cache").and_then(Value::as_str) {
-        Some("hit") => CacheStatus::Hit,
-        Some("disk_hit") => CacheStatus::DiskHit,
-        Some("coalesced") => CacheStatus::Coalesced,
-        Some("miss") => CacheStatus::Miss,
-        _ => return Err("missing cache status".into()),
-    };
-    // Older servers predate quality tags; everything they serve is exact.
-    let quality = v
-        .get("quality")
-        .and_then(Value::as_str)
-        .and_then(Quality::from_name)
-        .unwrap_or(Quality::Exact);
     Ok(SolveReply {
-        cache,
-        quality,
-        key: v
-            .get("key")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        chunk_bytes: v
-            .get("chunk_bytes")
-            .and_then(Value::as_f64)
-            .ok_or("missing chunk_bytes")?,
-        output: teccl_schedule::ScheduleOutput::from_json_value(
-            v.get("output").ok_or("missing output")?,
-        )
-        .map_err(|e| e.to_string())?,
+        cache: cache.flatten().ok_or("missing cache status")?,
+        // Older servers predate quality tags; everything they serve is exact.
+        quality: quality.flatten().unwrap_or(Quality::Exact),
+        key: key.flatten().map(String::from).unwrap_or_default(),
+        chunk_bytes: chunk_bytes.flatten().ok_or("missing chunk_bytes")?,
+        output: output.ok_or("missing output")?.map_err(|e| e.to_string())?,
     })
 }
 

@@ -728,19 +728,25 @@ fn worker_loop(inner: &Inner) {
         if upgrade_queued {
             inner.work.notify_one();
         }
-        // Disk IO happens outside the lock; the in-memory entry is already
-        // visible, so a racing identical request hits memory meanwhile.
-        if let Some(store) = &inner.disk {
-            if let Some((entry, basis)) = to_disk {
-                let _ = store.save(&entry, basis.as_ref());
-            }
-        }
+        // The waiters are answered before the write-through save, which
+        // runs outside the lock (the in-memory entry is already visible, so
+        // a racing identical request hits memory meanwhile). The store's
+        // evict count is read before any answer leaves: an evict sent on an
+        // answer then leaves no file of this save behind.
+        let save = inner
+            .disk
+            .as_ref()
+            .zip(to_disk)
+            .map(|(store, entry)| (store, store.evictions(), entry));
         for (tx, status) in waiters {
             let reply = match &result {
                 Ok((entry, _, _, quality)) => Ok((Arc::clone(entry), status, *quality)),
                 Err(e) => Err(e.clone()),
             };
             let _ = tx.send(reply);
+        }
+        if let Some((store, evictions, (entry, basis))) = save {
+            let _ = store.save_since(evictions, &entry, basis.as_ref());
         }
     }
 }

@@ -37,6 +37,9 @@ pub enum LockRank {
     /// The orchestrator state mutex (`Inner::state`): queue, cache, in-flight
     /// map, basis book, active workers, stats.
     State = 1,
+    /// A [`crate::DiskStore`]'s evict count, held across a save's rename
+    /// and an evict's deletions.
+    Disk = 2,
 }
 
 impl LockRank {
@@ -47,6 +50,7 @@ impl LockRank {
         match self {
             LockRank::Workers => "Workers",
             LockRank::State => "State",
+            LockRank::Disk => "Disk",
         }
     }
 }

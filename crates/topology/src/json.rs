@@ -1,4 +1,4 @@
-//! The JSON form of a [`Topology`]: one writer and one decoder.
+//! The JSON form of a [`Topology`]: one writer ([`Emit`]) and one decoder.
 //!
 //! The decoder reads from any [`JsonSource`]: the request line a
 //! `teccld` connection thread is reading, or a tree such as a disk entry's
@@ -11,53 +11,15 @@
 
 use std::borrow::Cow;
 
-use teccl_util::json::{self, Event, JsonError, JsonSource, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Value};
 
 use crate::graph::{NodeId, NodeKind, Topology};
 
 impl Topology {
-    /// Serializes the topology to a JSON document.
+    /// Serializes the topology to a JSON document: the tree form of
+    /// [`Topology::emit`].
     pub fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::from(self.name.clone())),
-            (
-                "nodes",
-                Value::Arr(
-                    self.nodes
-                        .iter()
-                        .map(|n| {
-                            Value::obj(vec![
-                                (
-                                    "kind",
-                                    Value::from(match n.kind {
-                                        NodeKind::Gpu => "gpu",
-                                        NodeKind::Switch => "switch",
-                                    }),
-                                ),
-                                ("name", Value::from(n.name.clone())),
-                                ("chassis", Value::from(n.chassis)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "links",
-                Value::Arr(
-                    self.links
-                        .iter()
-                        .map(|l| {
-                            Value::obj(vec![
-                                ("src", Value::from(l.src.0)),
-                                ("dst", Value::from(l.dst.0)),
-                                ("capacity", Value::from(l.capacity)),
-                                ("alpha", Value::from(l.alpha)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        json::to_value(self)
     }
 
     /// Reads the topology document whose first event is `first` from
@@ -90,7 +52,47 @@ impl Topology {
 
     /// Parses a topology from a JSON string.
     pub fn from_json_str(text: &str) -> Result<Topology, JsonError> {
-        Self::from_json_value(&Value::parse(text)?)
+        json::decode_text(text, Topology::decode)
+    }
+}
+
+impl Emit for Topology {
+    fn emit<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_obj();
+        sink.key("name");
+        sink.str(&self.name);
+        sink.key("nodes");
+        sink.begin_arr();
+        for n in &self.nodes {
+            sink.begin_obj();
+            sink.key("kind");
+            sink.str(match n.kind {
+                NodeKind::Gpu => "gpu",
+                NodeKind::Switch => "switch",
+            });
+            sink.key("name");
+            sink.str(&n.name);
+            sink.key("chassis");
+            sink.uint(n.chassis);
+            sink.end_obj();
+        }
+        sink.end_arr();
+        sink.key("links");
+        sink.begin_arr();
+        for l in &self.links {
+            sink.begin_obj();
+            sink.key("src");
+            sink.uint(l.src.0);
+            sink.key("dst");
+            sink.uint(l.dst.0);
+            sink.key("capacity");
+            sink.num(l.capacity);
+            sink.key("alpha");
+            sink.num(l.alpha);
+            sink.end_obj();
+        }
+        sink.end_arr();
+        sink.end_obj();
     }
 }
 

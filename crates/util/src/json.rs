@@ -685,6 +685,21 @@ pub trait JsonSource<'a> {
         Ok(true)
     }
 
+    /// Reads the value `first` begins with `read`, which must read it to
+    /// its end, and returns the text that value spans when the source reads
+    /// text and the value is a container; a tree has none to give. `first`
+    /// must be the event this source yielded last.
+    fn with_text<T>(
+        &mut self,
+        first: Event<'a>,
+        read: impl FnOnce(Event<'a>, &mut Self) -> Result<T, JsonError>,
+    ) -> Result<(T, Option<&'a str>), JsonError>
+    where
+        Self: Sized,
+    {
+        Ok((read(first, self)?, None))
+    }
+
     /// Reads the array `first` begins, handing the first event of each
     /// item to `item`, which must read that item to its end. Any other
     /// value is skipped, and the result is `false`.
@@ -718,6 +733,20 @@ pub fn decode_tree<'v, T, E: From<JsonError>>(
     let mut events = value.events();
     let first = events.next()?;
     decode(first, &mut events)?
+}
+
+/// Decodes the one document `text` holds with `decode` (see
+/// [`JsonSource`]); malformed JSON anywhere in the text is reported before
+/// the decoder's own error.
+pub fn decode_text<'t, T, E: From<JsonError>>(
+    text: &'t str,
+    decode: impl FnOnce(Event<'t>, &mut Reader<'t>) -> Result<Result<T, E>, JsonError>,
+) -> Result<T, E> {
+    let mut reader = Reader::new(text);
+    let first = reader.next()?;
+    let value = decode(first, &mut reader)?;
+    reader.finish()?;
+    value
 }
 
 /// The events of a [`Value`] ([`Value::events`]), borrowing its strings.
@@ -800,6 +829,15 @@ impl RenderedOnce {
             write_json(doc, &mut out);
             out.into_boxed_str()
         })
+    }
+}
+
+impl RenderedOnce {
+    /// A memo that already holds `text`, which must be the compact text of
+    /// the document that will hold it (read back from where it was written,
+    /// say).
+    pub fn kept(text: &str) -> Self {
+        RenderedOnce(OnceLock::from(Box::from(text)))
     }
 }
 
@@ -1119,6 +1157,24 @@ impl<'a> Reader<'a> {
 impl<'a> JsonSource<'a> for Reader<'a> {
     fn next(&mut self) -> Result<Event<'a>, JsonError> {
         self.step()
+    }
+
+    fn with_text<T>(
+        &mut self,
+        first: Event<'a>,
+        read: impl FnOnce(Event<'a>, &mut Self) -> Result<T, JsonError>,
+    ) -> Result<(T, Option<&'a str>), JsonError> {
+        // Yielding a container's first event consumed its one-byte bracket
+        // and nothing after it.
+        let start = match first {
+            Event::BeginArr | Event::BeginObj => self.pos.checked_sub(1),
+            _ => None,
+        };
+        let value = read(first, self)?;
+        Ok((
+            value,
+            start.and_then(|start| self.text.get(start..self.pos)),
+        ))
     }
 }
 

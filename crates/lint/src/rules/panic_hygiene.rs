@@ -10,9 +10,12 @@
 //!
 //! Scope: `service.rs` (orchestrator + worker path), `server.rs` (TCP
 //! accept/connection threads), `protocol.rs` (wire parsing), `key.rs` (the
-//! request decoder), `topology/src/json.rs` (the topology decoder) and
-//! `util/src/json.rs` — the reader and writer those run on connection
-//! threads and disk-store probes, over bytes an outsider chose.
+//! request decoder), `cache.rs` (the disk store and the stored-entry
+//! decoder), the files holding the other decoders of a stored document
+//! (`topology/src/json.rs`, `schedule/src/{schedule,metrics,output}.rs`,
+//! `lp/src/basis.rs`) and `util/src/json.rs` — the reader and writer those
+//! run on connection threads and disk-store probes, over bytes an outsider
+//! chose.
 //!
 //! Besides `unwrap`/`expect` and the panicking macros, the rule flags calls
 //! that panic on an out-of-range argument: `Duration::from_secs_f64` (and
@@ -36,8 +39,13 @@ const SCOPED_FILES: &[&str] = &[
     "crates/service/src/server.rs",
     "crates/service/src/protocol.rs",
     "crates/service/src/key.rs",
+    "crates/service/src/cache.rs",
     "crates/topology/src/json.rs",
     "crates/util/src/json.rs",
+    "crates/schedule/src/schedule.rs",
+    "crates/schedule/src/metrics.rs",
+    "crates/schedule/src/output.rs",
+    "crates/lp/src/basis.rs",
 ];
 
 /// Method calls that panic.

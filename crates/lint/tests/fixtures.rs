@@ -544,6 +544,57 @@ fn deadline(ms: f64) -> Option<Duration> {
     assert!(errors(&o, "panic-hygiene").is_empty(), "{:?}", o.errors);
 }
 
+#[test]
+fn panic_hygiene_covers_the_stored_document_decoders() {
+    // A disk-store probe runs the stored-entry decoder and the decoders of
+    // the documents inside it on a connection thread; a stored solve time
+    // of -1 once panicked it on every request for the key.
+    let o = analyze_snippets(&[
+        (
+            "crates/service/src/cache.rs",
+            r##"
+fn solve_time(v: &Value) -> Duration {
+    Duration::from_secs_f64(v.get("solve_time_s").and_then(Value::as_f64).unwrap_or(0.0))
+}
+"##,
+        ),
+        (
+            "crates/schedule/src/schedule.rs",
+            "fn name(v: &Value) -> &str { v.as_str().unwrap() }\n",
+        ),
+        (
+            "crates/schedule/src/metrics.rs",
+            "fn solver(v: &Value) -> &str { v.as_str().expect(\"solver\") }\n",
+        ),
+        (
+            "crates/schedule/src/output.rs",
+            "fn schedule(v: &Value) -> &Value { v.get(\"schedule\").unwrap() }\n",
+        ),
+        (
+            "crates/lp/src/basis.rs",
+            "fn status(c: char) -> VarStatus { status_of(c).unwrap() }\n",
+        ),
+    ]);
+    assert_eq!(errors(&o, "panic-hygiene").len(), 5, "{:?}", o.errors);
+
+    // The checked conversion and typed errors pass.
+    let o = analyze_snippets(&[
+        (
+            "crates/service/src/cache.rs",
+            r##"
+fn solve_time(s: f64) -> Result<Duration, JsonError> {
+    Duration::try_from_secs_f64(s).map_err(|_| bad("bad solve_time_s"))
+}
+"##,
+        ),
+        (
+            "crates/lp/src/basis.rs",
+            "fn status(c: char) -> Option<VarStatus> { status_of(c) }\n",
+        ),
+    ]);
+    assert!(errors(&o, "panic-hygiene").is_empty(), "{:?}", o.errors);
+}
+
 // ---------------------------------------------------------------- hash-stability
 
 #[test]

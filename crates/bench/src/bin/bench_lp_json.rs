@@ -4,9 +4,9 @@
 //! `cargo run -p teccl-bench --release --bin bench_lp_json`. The gated rows
 //! abort the run on a regression against the committed file. A top-level
 //! `_machine` object records the CPU model, the logical CPU count and the
-//! CPUs the run was allowed on, and a `_work` object the pivots,
-//! factorizations, nodes and LP starts of one run of each gated row that
-//! solves (see `teccl_bench::gated_row_work`).
+//! CPUs the run was allowed on; `_work` the pivots, factorizations, nodes
+//! and LP starts of each gated row that solves (`tests/work_columns.rs`
+//! compares them exactly).
 
 use std::time::Duration;
 
@@ -77,13 +77,6 @@ fn main() {
         // The machine the medians were taken on; like `_detail`, no gated
         // row reads it.
         pairs.push(("_machine".to_string(), teccl_bench::microbench::machine()));
-        // The gated solving rows' work, each body run once more untimed;
-        // `tests/work_columns.rs` compares it exactly.
-        let work = teccl_bench::gated_row_work()
-            .into_iter()
-            .map(|(name, work)| (name.to_string(), work.to_json_value()))
-            .collect();
-        pairs.push(("_work".to_string(), teccl_util::json::Value::Obj(work)));
     }
 
     let median = |v: &teccl_util::json::Value, name: &str| -> Option<f64> {

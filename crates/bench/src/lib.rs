@@ -17,6 +17,8 @@
 
 pub mod microbench;
 
+pub use microbench::Work;
+
 use std::time::Duration;
 
 use teccl_baselines::{
@@ -146,7 +148,7 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// The run's deterministic solver work.
+    /// The run's solver [`Work`].
     pub fn work(&self) -> Work {
         Work {
             pivots: self.simplex_iterations,
@@ -159,89 +161,24 @@ impl RunResult {
     }
 }
 
-/// The deterministic work of one run of a `BENCH_lp.json` row body that
-/// solves: pivots (all of them, dual ones included), dual pivots, LU
-/// factorizations, branch-and-bound nodes, and the warm and cold LP starts —
-/// on an A\* row one per round. A row that does not run a counter reports
-/// it as 0. Unlike the row's time, the work does not depend on the host, so
-/// `BENCH_lp.json` keeps it under `_work` and a test compares it exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Work {
-    /// Simplex pivots (primal and dual).
-    pub pivots: usize,
-    /// Dual-simplex pivots.
-    pub dual_pivots: usize,
-    /// LU basis (re)factorizations.
-    pub factorizations: usize,
-    /// Branch-and-bound nodes.
-    pub nodes: usize,
-    /// LP solves started warm.
-    pub warm_starts: usize,
-    /// LP solves started cold.
-    pub cold_starts: usize,
-}
-
-impl Work {
-    /// The work `stats` counts.
-    pub fn of(stats: &teccl_lp::SolveStats) -> Work {
-        Work {
-            pivots: stats.simplex_iterations,
-            dual_pivots: stats.dual_iterations,
-            factorizations: stats.factorizations,
-            nodes: stats.nodes_explored,
-            warm_starts: stats.warm_starts,
-            cold_starts: stats.cold_starts,
-        }
-    }
-
-    /// The counters by name, in the order `_work` lists them.
-    pub fn counts(&self) -> [(&'static str, usize); 6] {
-        [
-            ("pivots", self.pivots),
-            ("dual_pivots", self.dual_pivots),
-            ("factorizations", self.factorizations),
-            ("nodes", self.nodes),
-            ("warm_starts", self.warm_starts),
-            ("cold_starts", self.cold_starts),
-        ]
-    }
-
-    /// The `_work` entry of a row.
-    pub fn to_json_value(&self) -> teccl_util::json::Value {
-        teccl_util::json::Value::obj(
-            self.counts()
-                .iter()
-                .map(|&(name, n)| (name, teccl_util::json::Value::from(n)))
-                .collect(),
-        )
-    }
-}
-
-/// The work of every gated `BENCH_lp.json` row that solves, each row body
-/// run once and timed not at all, in the order `bench_lp_json` runs them.
-/// The gated rows left out time no solve: `lp/lu_refactor_fill`,
-/// `lp/btran_unit`, `lp/ftran_col` and `service/wire_hit`.
-pub fn gated_row_work() -> Vec<(&'static str, Work)> {
-    let (sf, nv, basis) = astar_round_fixture();
-    vec![
-        ("lp_form/internal2x2_alltoall", lp_form_alltoall_row()()),
-        ("core/milp_dgx1_allgather", milp_dgx1_allgather_row()()),
-        (
-            "core/astar_internal2x8_allgather",
-            astar_internal2x8_allgather_row()(),
-        ),
-        (
-            "core/lp_internal1x4_alltoall",
-            lp_internal1x4_alltoall_row()(),
-        ),
-        ("lp/degenerate_alltoall", degenerate_alltoall_row()()),
-        (
-            "lp/dual_pivot_astar_round",
-            Work::of(&dual_pivot_astar_round(&sf, nv, &basis).stats),
-        ),
-        ("lp/internal1x2_alltoall", internal1x2_alltoall_row()()),
-        ("lp/presolve_warm_rounds", presolve_warm_rounds_row()()),
-    ]
+/// The [`Work`] of every gated `BENCH_lp.json` row that solves, each row
+/// body run once and timed not at all ([`microbench::Harness::once`]). The
+/// gated rows that time no solve (`lp/lu_refactor_fill`, `lp/btran_unit`,
+/// `lp/ftran_col`, `service/wire_hit`) report none.
+pub fn gated_row_work() -> Vec<(String, Work)> {
+    let mut h = microbench::Harness::once();
+    bench_lp_form_alltoall(&mut h);
+    bench_milp_dgx1_allgather(&mut h);
+    bench_astar_internal2x8_allgather(&mut h);
+    bench_lp_internal1x4_alltoall(&mut h);
+    bench_degenerate_alltoall(&mut h);
+    bench_dual_pivot_rows(&mut h);
+    bench_internal1x2_alltoall(&mut h);
+    bench_presolve_warm_rounds(&mut h);
+    h.results()
+        .iter()
+        .filter_map(|r| Some((r.name.clone(), r.work?)))
+        .collect()
 }
 
 /// A benchmark scenario: a topology, a collective demand, and chunk sizing.
@@ -624,16 +561,19 @@ pub fn astar_round_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::Simple
 /// right-hand sides beside them as `*_dense`.
 pub fn bench_dual_pivot_rows(h: &mut microbench::Harness) {
     let (sf, nv, basis) = astar_round_fixture();
-    let resolve = || dual_pivot_astar_round(&sf, nv, &basis);
+    let resolve = || {
+        let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &[], Some(&basis), None).unwrap();
+        assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
+        assert_eq!(sol.stats.warm_starts, 1, "round re-solve fell cold");
+        sol
+    };
     let sol = resolve();
     let pivots = sol.stats.dual_iterations;
     assert!(
         pivots > 100,
         "round re-solve took only {pivots} dual pivots"
     );
-    h.bench_function("lp/dual_pivot_astar_round", || {
-        resolve();
-    });
+    h.bench_function("lp/dual_pivot_astar_round", || Work::of(&resolve().stats));
     h.per_unit(pivots);
 
     let m = sf.num_rows();
@@ -672,19 +612,6 @@ pub fn bench_dual_pivot_rows(h: &mut microbench::Harness) {
     });
 }
 
-/// The `lp/dual_pivot_astar_round` row body: the warm dual re-solve of the
-/// [`astar_round_fixture`] round from the first round's root basis.
-pub fn dual_pivot_astar_round(
-    sf: &teccl_lp::StandardForm,
-    nv: usize,
-    basis: &teccl_lp::SimplexBasis,
-) -> teccl_lp::Solution {
-    let sol = teccl_lp::solve_standard_form_budgeted(sf, nv, &[], Some(basis), None).unwrap();
-    assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
-    assert_eq!(sol.stats.warm_starts, 1, "round re-solve fell cold");
-    sol
-}
-
 /// Fixture for the **A\* cross-round warm-start** bench
 /// (`lp/presolve_warm_rounds`): a Table-4 A\* scenario forced through several
 /// rounds, each re-optimizing from the previous round's root basis. Presolve
@@ -707,14 +634,6 @@ pub fn warm_rounds_fixture() -> (Scenario, SolverConfig) {
 /// the first horizon tried ([`teccl_core::epochs::estimate_num_epochs`], the
 /// proven copy bound) was refuted and the solve had to climb.
 pub fn bench_milp_dgx1_allgather(h: &mut microbench::Harness) {
-    let mut row = milp_dgx1_allgather_row();
-    h.bench_function("core/milp_dgx1_allgather", || {
-        row();
-    });
-}
-
-/// The [`bench_milp_dgx1_allgather`] row body.
-pub fn milp_dgx1_allgather_row() -> impl FnMut() -> Work {
     let request = teccl_service::SolveRequest::new(
         teccl_topology::dgx1(),
         CollectiveKind::AllGather,
@@ -727,13 +646,13 @@ pub fn milp_dgx1_allgather_row() -> impl FnMut() -> Work {
     let first =
         teccl_core::epochs::estimate_num_epochs(&request.topology, &demand, chunk_bytes, tau);
     let solver = TeCcl::new(request.topology, request.config);
-    move || {
+    h.bench_function("core/milp_dgx1_allgather", || {
         let out = solver
             .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
             .unwrap();
         assert_eq!(out.num_epochs, first, "the first horizon was refuted");
         Work::of(&out.stats)
-    }
+    });
 }
 
 /// The `core/astar_internal2x8_allgather` row: the A\* [`TeCcl::solve`] on the
@@ -742,14 +661,6 @@ pub fn milp_dgx1_allgather_row() -> impl FnMut() -> Work {
 /// A\* rounds over one formulation laid out over the order-16 symmetry
 /// group, so the per-round set-up shows here.
 pub fn bench_astar_internal2x8_allgather(h: &mut microbench::Harness) {
-    let mut row = astar_internal2x8_allgather_row();
-    h.bench_function("core/astar_internal2x8_allgather", || {
-        row();
-    });
-}
-
-/// The [`bench_astar_internal2x8_allgather`] row body.
-pub fn astar_internal2x8_allgather_row() -> impl FnMut() -> Work {
     let request = teccl_service::SolveRequest::new(
         teccl_service::builtin_topology("internal2x8").expect("builtin topology"),
         CollectiveKind::AllGather,
@@ -759,12 +670,10 @@ pub fn astar_internal2x8_allgather_row() -> impl FnMut() -> Work {
     .with_method(RequestMethod::AStar);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
     let solver = TeCcl::new(request.topology, request.config);
-    move || {
-        let out = solver
-            .solve(&demand, chunk_bytes, RequestMethod::AStar, None)
-            .unwrap();
-        Work::of(&out.stats)
-    }
+    h.bench_function("core/astar_internal2x8_allgather", || {
+        let out = solver.solve(&demand, chunk_bytes, RequestMethod::AStar, None);
+        Work::of(&out.unwrap().stats)
+    });
 }
 
 /// The `core/lp_internal1x4_alltoall` row: the LP [`TeCcl::solve`] on the
@@ -773,14 +682,6 @@ pub fn astar_internal2x8_allgather_row() -> impl FnMut() -> Work {
 /// search and the order-16 quotient LP. Over the full LP this solve took
 /// ~300 s and 143 577 pivots.
 pub fn bench_lp_internal1x4_alltoall(h: &mut microbench::Harness) {
-    let mut row = lp_internal1x4_alltoall_row();
-    h.bench_function("core/lp_internal1x4_alltoall", || {
-        row();
-    });
-}
-
-/// The [`bench_lp_internal1x4_alltoall`] row body.
-pub fn lp_internal1x4_alltoall_row() -> impl FnMut() -> Work {
     let request = teccl_service::SolveRequest::new(
         teccl_topology::internal1(4),
         CollectiveKind::AllToAll,
@@ -790,12 +691,10 @@ pub fn lp_internal1x4_alltoall_row() -> impl FnMut() -> Work {
     .with_method(RequestMethod::Lp);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
     let solver = TeCcl::new(request.topology, request.config);
-    move || {
-        let out = solver
-            .solve(&demand, chunk_bytes, RequestMethod::Lp, None)
-            .unwrap();
-        Work::of(&out.stats)
-    }
+    h.bench_function("core/lp_internal1x4_alltoall", || {
+        let out = solver.solve(&demand, chunk_bytes, RequestMethod::Lp, None);
+        Work::of(&out.unwrap().stats)
+    });
 }
 
 /// Fixture for the schedule-service benches (`service/throughput`,
@@ -900,14 +799,6 @@ pub fn degraded_fallback_fixture() -> (teccl_service::ScheduleService, teccl_ser
 /// (horizon, build, presolve, simplex, extract) on internal2 x2 ALLTOALL at a
 /// 1 MB output buffer.
 pub fn bench_lp_form_alltoall(h: &mut microbench::Harness) {
-    let mut row = lp_form_alltoall_row();
-    h.bench_function("lp_form/internal2x2_alltoall", || {
-        row();
-    });
-}
-
-/// The [`bench_lp_form_alltoall`] row body.
-pub fn lp_form_alltoall_row() -> impl FnMut() -> Work {
     let scenario = Scenario::collective(
         "lp-internal2x2-atoa",
         teccl_topology::internal2(2),
@@ -915,11 +806,11 @@ pub fn lp_form_alltoall_row() -> impl FnMut() -> Work {
         1,
         1024.0 * 1024.0,
     );
-    move || {
+    h.bench_function("lp_form/internal2x2_alltoall", || {
         run_teccl(&scenario, &quick_config(), RequestMethod::Lp)
             .unwrap()
             .work()
-    }
+    });
 }
 
 /// The `milp_form/internal1_allgather` row: the general MILP end to end on
@@ -971,16 +862,8 @@ pub fn bench_dual_resolve(h: &mut microbench::Harness) {
 /// machinery (EXPAND ratio test): aborts if the cold solve stalls past its
 /// iteration budget or trips the simplex iteration limit.
 pub fn bench_degenerate_alltoall(h: &mut microbench::Harness) {
-    let mut row = degenerate_alltoall_row();
-    h.bench_function("lp/degenerate_alltoall", || {
-        row();
-    });
-}
-
-/// The [`bench_degenerate_alltoall`] row body.
-pub fn degenerate_alltoall_row() -> impl FnMut() -> Work {
     let (sf, nv, budget) = degenerate_alltoall_fixture();
-    move || {
+    h.bench_function("lp/degenerate_alltoall", || {
         let sol = teccl_lp::solve_standard_form_budgeted(&sf, nv, &[], None, None).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
         assert!(
@@ -993,7 +876,7 @@ pub fn degenerate_alltoall_row() -> impl FnMut() -> Work {
             sol.stats.simplex_iterations
         );
         Work::of(&sol.stats)
-    }
+    });
 }
 
 /// The `lp/internal1x2_alltoall` row: the 8-GPU internal1(2) ALLTOALL
@@ -1001,20 +884,12 @@ pub fn degenerate_alltoall_row() -> impl FnMut() -> Work {
 /// [`Model::solve_lp_relaxation_budgeted`](teccl_lp::Model::solve_lp_relaxation_budgeted)
 /// (presolve + cold simplex) — the one row at that scale.
 pub fn bench_internal1x2_alltoall(h: &mut microbench::Harness) {
-    let mut row = internal1x2_alltoall_row();
-    h.bench_function("lp/internal1x2_alltoall", || {
-        row();
-    });
-}
-
-/// The [`bench_internal1x2_alltoall`] row body.
-pub fn internal1x2_alltoall_row() -> impl FnMut() -> Work {
     let form = internal1x2_alltoall_fixture();
-    move || {
+    h.bench_function("lp/internal1x2_alltoall", || {
         let sol = form.model.solve_lp_relaxation_budgeted(None, None).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
         Work::of(&sol.stats)
-    }
+    });
 }
 
 /// The `lp/lu_refactor_fill` row: the eta-accumulation →
@@ -1049,16 +924,8 @@ pub fn bench_lu_refactor_fill(h: &mut microbench::Harness) {
 /// valid round to round). Aborts unless the run stays on the warm path — at
 /// most the first round may start cold.
 pub fn bench_presolve_warm_rounds(h: &mut microbench::Harness) {
-    let mut row = presolve_warm_rounds_row();
-    h.bench_function("lp/presolve_warm_rounds", || {
-        row();
-    });
-}
-
-/// The [`bench_presolve_warm_rounds`] row body.
-pub fn presolve_warm_rounds_row() -> impl FnMut() -> Work {
     let (scenario, config) = warm_rounds_fixture();
-    move || {
+    h.bench_function("lp/presolve_warm_rounds", || {
         let warm = run_teccl(&scenario, &config, RequestMethod::AStar).unwrap();
         assert!(
             warm.warm_starts > 0,
@@ -1070,7 +937,7 @@ pub fn presolve_warm_rounds_row() -> impl FnMut() -> Work {
             warm.cold_starts
         );
         warm.work()
-    }
+    });
 }
 
 /// The four schedule-service rows. `service/cache_hit_latency` is the

@@ -21,6 +21,73 @@ pub struct BenchResult {
     pub min_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
+    /// What the benchmarked body reported doing, if it solves.
+    pub work: Option<Work>,
+}
+
+/// The deterministic work of one run of a row body that solves: pivots
+/// (dual ones included), dual pivots, LU factorizations, branch-and-bound
+/// nodes, and the LP starts, warm and cold (one per round on an A\* row).
+/// Unlike a row's time it does not depend on the host, so `BENCH_lp.json`
+/// keeps it under `_work` and `tests/work_columns.rs` compares it exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Work {
+    /// Simplex pivots, primal and dual.
+    pub pivots: usize,
+    /// Dual-simplex pivots.
+    pub dual_pivots: usize,
+    /// LU basis (re)factorizations.
+    pub factorizations: usize,
+    /// Branch-and-bound nodes.
+    pub nodes: usize,
+    /// LP solves started warm.
+    pub warm_starts: usize,
+    /// LP solves started cold.
+    pub cold_starts: usize,
+}
+
+impl Work {
+    /// The work `stats` counts.
+    pub fn of(stats: &teccl_lp::SolveStats) -> Work {
+        Work {
+            pivots: stats.simplex_iterations,
+            dual_pivots: stats.dual_iterations,
+            factorizations: stats.factorizations,
+            nodes: stats.nodes_explored,
+            warm_starts: stats.warm_starts,
+            cold_starts: stats.cold_starts,
+        }
+    }
+
+    /// The counters by name, in the order `_work` lists them.
+    pub fn counts(&self) -> [(&'static str, usize); 6] {
+        [
+            ("pivots", self.pivots),
+            ("dual_pivots", self.dual_pivots),
+            ("factorizations", self.factorizations),
+            ("nodes", self.nodes),
+            ("warm_starts", self.warm_starts),
+            ("cold_starts", self.cold_starts),
+        ]
+    }
+}
+
+/// What a benchmarked body returns: nothing, or the [`Work`] it did.
+pub trait Reported {
+    /// The work, if any.
+    fn work(self) -> Option<Work>;
+}
+
+impl Reported for () {
+    fn work(self) -> Option<Work> {
+        None
+    }
+}
+
+impl Reported for Work {
+    fn work(self) -> Option<Work> {
+        Some(self)
+    }
 }
 
 /// Harness configuration.
@@ -49,6 +116,8 @@ impl Default for BenchConfig {
 pub struct Harness {
     config: BenchConfig,
     results: Vec<BenchResult>,
+    /// Run each body once and time nothing ([`Harness::once`]).
+    once: bool,
 }
 
 impl Harness {
@@ -56,12 +125,37 @@ impl Harness {
     pub fn new(config: BenchConfig) -> Self {
         Self {
             config,
-            results: Vec::new(),
+            ..Default::default()
         }
     }
 
-    /// Times `f`, printing the result criterion-style, and records it.
-    pub fn bench_function<F: FnMut()>(&mut self, name: &str, mut f: F) -> &BenchResult {
+    /// A harness that runs each body once and times nothing: it records
+    /// only what the bodies report ([`BenchResult::work`]).
+    pub fn once() -> Self {
+        Self {
+            once: true,
+            ..Default::default()
+        }
+    }
+
+    /// Times `f`, printing the result criterion-style, and records it with
+    /// the work its last call reported.
+    pub fn bench_function<R: Reported, F: FnMut() -> R>(
+        &mut self,
+        name: &str,
+        mut f: F,
+    ) -> &BenchResult {
+        if self.once {
+            let work = f().work();
+            self.results.push(BenchResult {
+                name: name.to_string(),
+                median_ns: 0.0,
+                min_ns: 0.0,
+                samples: 0,
+                work,
+            });
+            return &self.results[self.results.len() - 1];
+        }
         // Warm-up and calibration: how many iterations fit in one sample?
         for _ in 0..self.config.warmup_iters {
             f();
@@ -75,10 +169,11 @@ impl Harness {
             ((per_sample / once.as_secs_f64()).floor() as usize).clamp(1, 1_000_000);
 
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.config.sample_count);
+        let mut work = None;
         for _ in 0..self.config.sample_count {
             let start = Instant::now();
             for _ in 0..iters_per_sample {
-                f();
+                work = f().work();
             }
             samples_ns.push(start.elapsed().as_nanos() as f64 / iters_per_sample as f64);
         }
@@ -97,6 +192,7 @@ impl Harness {
             median_ns,
             min_ns,
             samples: samples_ns.len(),
+            work,
         });
         self.results.last().unwrap()
     }
@@ -120,8 +216,9 @@ impl Harness {
         &self.results
     }
 
-    /// Renders the results as a `{name: median_ns}` JSON object (plus a
-    /// `_detail` block with minima and sample counts).
+    /// Renders the results as a `{name: median_ns}` JSON object, plus a
+    /// `_detail` block with minima and sample counts and a `_work` block
+    /// with the [`Work`] of the rows that report it.
     pub fn to_json(&self) -> Value {
         let mut pairs: Vec<(String, Value)> = self
             .results
@@ -143,6 +240,18 @@ impl Harness {
             })
             .collect();
         pairs.push(("_detail".to_string(), Value::Obj(detail)));
+        let work = self
+            .results
+            .iter()
+            .filter_map(|r| {
+                let counts = r
+                    .work?
+                    .counts()
+                    .map(|(k, n)| (k.to_string(), Value::from(n)));
+                Some((r.name.clone(), Value::Obj(counts.to_vec())))
+            })
+            .collect();
+        pairs.push(("_work".to_string(), Value::Obj(work)));
         Value::Obj(pairs)
     }
 }

@@ -16,8 +16,17 @@ fn gated_rows_do_the_committed_work() {
     let record = committed
         .get("_work")
         .expect("BENCH_lp.json has a _work record");
+    let ran = gated_row_work();
     let mut differs = Vec::new();
-    for (name, work) in gated_row_work() {
+    if let Value::Obj(pinned) = record {
+        let names: Vec<&str> = ran.iter().map(|(name, _)| name.as_str()).collect();
+        for (name, _) in pinned {
+            if !names.contains(&name.as_str()) {
+                differs.push(format!("{name}: committed, but no row reported it"));
+            }
+        }
+    }
+    for (name, work) in &ran {
         let pinned = record
             .get(name)
             .unwrap_or_else(|| panic!("{name} has no _work entry"));

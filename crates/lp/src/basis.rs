@@ -32,7 +32,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource};
+use teccl_util::json::{Emit, Event, JsonError, JsonSink, JsonSource};
 
 use crate::error::LpError;
 use crate::sparse::{IndexedVec, SparseMatrix, SparseVec};
@@ -123,18 +123,6 @@ impl CarriedFactors {
 }
 
 impl SimplexBasis {
-    /// Serializes the basis to JSON: the tree form of
-    /// [`SimplexBasis::emit`].
-    pub fn to_json_value(&self) -> json::Value {
-        json::to_value(self)
-    }
-
-    /// Deserializes a basis from the JSON produced by
-    /// [`SimplexBasis::to_json_value`].
-    pub fn from_json_value(v: &json::Value) -> Result<SimplexBasis, JsonError> {
-        json::decode_tree(v, SimplexBasis::decode)
-    }
-
     /// Reads the basis document whose first event is `first` from `src`, to
     /// its end (see [`JsonSource`] for the two errors); `basic` is checked
     /// before `status`. A shape- or content-invalid document is an error

@@ -86,6 +86,7 @@ pub const INT_TOL: f64 = 1e-6;
 #[cfg(test)]
 mod thread_safety_tests {
     use super::*;
+    use teccl_util::json;
 
     /// Compile-time assertion that everything the schedule service moves
     /// across worker threads is `Send` (+ `Sync` where it is shared by
@@ -121,17 +122,15 @@ mod thread_safety_tests {
                 VarStatus::Free,
             ],
         };
-        let v = b.to_json_value();
-        let back = SimplexBasis::from_json_value(&v).unwrap();
+        let v = json::to_value(&b);
+        let back: SimplexBasis = json::decode_tree(&v, SimplexBasis::decode).unwrap();
         assert_eq!(back, b);
         // And through actual text.
-        let back2 = SimplexBasis::from_json_value(&Value::parse(&v.to_json()).unwrap()).unwrap();
+        let back2: SimplexBasis = json::decode_text(&v.to_json(), SimplexBasis::decode).unwrap();
         assert_eq!(back2, b);
-        assert!(SimplexBasis::from_json_value(&Value::parse("{}").unwrap()).is_err());
-        assert!(SimplexBasis::from_json_value(
-            &Value::parse(r#"{"basic":[],"status":"X"}"#).unwrap()
-        )
-        .is_err());
+        let decode = |text: &str| json::decode_text(text, SimplexBasis::decode);
+        assert!(decode("{}").is_err());
+        assert!(decode(r#"{"basic":[],"status":"X"}"#).is_err());
     }
 
     #[test]
@@ -140,8 +139,8 @@ mod thread_safety_tests {
         let x = m.add_var("x", 0.0, 3.0, 1.0, false);
         m.add_cons("c", &[(x, 1.0)], ConstraintOp::Le, 2.0);
         let sol = m.solve_lp_relaxation_budgeted(None, None).unwrap();
-        let v = sol.basis_to_json().expect("LP solve returns a basis");
-        let back = SimplexBasis::from_json_value(&v).unwrap();
+        let v = json::to_value(sol.basis.as_ref().expect("LP solve returns a basis"));
+        let back: SimplexBasis = json::decode_tree(&v, SimplexBasis::decode).unwrap();
         assert_eq!(Some(&back), sol.basis.as_ref());
     }
 }

@@ -153,15 +153,6 @@ impl Solution {
     pub fn has_solution(&self) -> bool {
         self.status.has_solution()
     }
-
-    /// Exports the warm-start basis as a JSON document (`None` when the solve
-    /// produced no basis, e.g. presolve-trivial problems). The counterpart —
-    /// feeding an imported basis back in — is
-    /// [`crate::basis::SimplexBasis::from_json_value`] plus the `warm`
-    /// argument every solve function takes.
-    pub fn basis_to_json(&self) -> Option<crate::Value> {
-        self.basis.as_ref().map(|b| b.to_json_value())
-    }
 }
 
 #[cfg(test)]

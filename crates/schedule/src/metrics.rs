@@ -1,6 +1,6 @@
 //! The paper's evaluation metrics (§6 "Metrics").
 
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Value};
+use teccl_util::json::{Emit, Event, JsonError, JsonSink, JsonSource};
 
 /// Metrics of one collective run, mirroring §6 and the columns of Table 8:
 /// epoch duration (ED), collective finish / transfer time (CT), solver
@@ -31,12 +31,6 @@ impl CollectiveMetrics {
     /// Algorithmic bandwidth in GB/s (the unit of Table 8).
     pub fn algorithmic_bandwidth_gbps(&self) -> f64 {
         self.algorithmic_bandwidth() / 1e9
-    }
-
-    /// Serializes the metrics to JSON: the tree form of
-    /// [`CollectiveMetrics::emit`].
-    pub fn to_json_value(&self) -> Value {
-        json::to_value(self)
     }
 
     /// Reads the metrics document whose first event is `first` from `src`,
@@ -129,6 +123,7 @@ pub fn percent_reduction(ours: f64, baseline: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teccl_util::json;
 
     #[test]
     fn algorithmic_bandwidth_definition() {
@@ -162,11 +157,11 @@ mod tests {
             output_buffer_bytes: 10.0,
             bytes_on_wire: 20.0,
         };
-        let s = m.to_json_value().to_json();
+        let s = json::to_value(&m).to_json();
         let back: CollectiveMetrics = json::decode_text(&s, CollectiveMetrics::decode).unwrap();
         assert_eq!(back, m);
         let back: CollectiveMetrics =
-            json::decode_tree(&m.to_json_value(), CollectiveMetrics::decode).unwrap();
+            json::decode_tree(&json::to_value(&m), CollectiveMetrics::decode).unwrap();
         assert_eq!(back, m);
     }
 }

@@ -31,12 +31,6 @@ impl ScheduleOutput {
         json::to_value(self)
     }
 
-    /// Deserializes an output from the JSON produced by
-    /// [`ScheduleOutput::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<ScheduleOutput, JsonError> {
-        json::decode_tree(v, ScheduleOutput::decode)
-    }
-
     /// Parses an output from a JSON string.
     pub fn from_json_str(text: &str) -> Result<ScheduleOutput, JsonError> {
         json::decode_text(text, ScheduleOutput::decode)

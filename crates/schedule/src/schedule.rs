@@ -1,7 +1,7 @@
 //! The schedule data model: which chunk crosses which link in which epoch.
 
 use teccl_topology::NodeId;
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, RenderedOnce, Value};
+use teccl_util::json::{Emit, Event, JsonError, JsonSink, JsonSource, RenderedOnce, Value};
 
 /// Identity of a chunk: the source GPU it originates from plus its per-source
 /// chunk index (`(s, c)` in the paper's notation).
@@ -172,12 +172,6 @@ impl Schedule {
     /// without it.
     pub fn json_text(&self) -> &str {
         self.text.text(self)
-    }
-
-    /// Serializes the full schedule (not the MSCCL export) to JSON: the
-    /// tree form of [`Schedule::emit`].
-    pub fn to_json_value(&self) -> Value {
-        json::to_value(self)
     }
 
     /// Reads the schedule document whose first event is `first` from
@@ -403,6 +397,7 @@ impl ChunkSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teccl_util::json;
 
     #[test]
     fn push_tracks_epochs() {
@@ -466,9 +461,9 @@ mod tests {
     fn serde_roundtrip() {
         let mut s = Schedule::new("round", 8.0);
         s.push(ChunkId::new(NodeId(0), 2), NodeId(0), NodeId(1), 5);
-        let json = s.to_json_value().to_json();
-        let pretty = s.to_json_value().to_json_pretty();
-        let from_tree: Schedule = json::decode_tree(&s.to_json_value(), Schedule::decode).unwrap();
+        let tree = json::to_value(&s);
+        let (json, pretty) = (tree.to_json(), tree.to_json_pretty());
+        let from_tree: Schedule = json::decode_tree(&tree, Schedule::decode).unwrap();
         for back in [
             json::decode_text(&json, Schedule::decode).unwrap(),
             json::decode_text(&pretty, Schedule::decode).unwrap(),

@@ -44,12 +44,6 @@ impl Topology {
         Ok(build(name.flatten(), nodes.flatten(), links.flatten()))
     }
 
-    /// Deserializes a topology from the JSON produced by
-    /// [`Topology::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<Topology, JsonError> {
-        json::decode_tree(v, Topology::decode)
-    }
-
     /// Parses a topology from a JSON string.
     pub fn from_json_str(text: &str) -> Result<Topology, JsonError> {
         json::decode_text(text, Topology::decode)

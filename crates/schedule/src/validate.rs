@@ -190,7 +190,8 @@ pub fn validate(
     // Demand satisfaction: every arrival counts, however late.
     for (s, c, d) in demand.iter() {
         let chunk = ChunkId::new(s, c);
-        if visible[slots.slot(chunk, d)] == usize::MAX {
+        // A destination outside the topology is never reached.
+        if d.0 >= n || visible[slots.slot(chunk, d)] == usize::MAX {
             report.errors.push(ValidationError::DemandUnsatisfied {
                 chunk,
                 destination: d,

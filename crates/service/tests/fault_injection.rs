@@ -465,3 +465,58 @@ fn unrepresentable_stored_solve_time_is_quarantined() {
         service.shutdown();
     }
 }
+
+/// A stored entry whose `topology_used` has fewer nodes than the request's
+/// demand names is quarantined like any other invalid schedule; checking
+/// its demand used to index past the replay table and panic the thread
+/// that probed the store.
+#[test]
+fn stored_topology_smaller_than_the_demand_is_quarantined() {
+    use teccl_util::json::Value;
+
+    let scratch = ScratchDir::new("small-topology");
+    let req = small_request();
+    let path = scratch.entry_path(&req);
+    let config = || ServiceConfig {
+        workers: 1,
+        disk_dir: Some(scratch.0.clone()),
+        fault_plan: Some(String::new()),
+        ..Default::default()
+    };
+    let svc = ScheduleService::start(config()).unwrap();
+    svc.request(req.clone()).unwrap();
+    svc.shutdown();
+    // Keep the first two of the ring's three GPUs and the links between
+    // them.
+    let mut entry = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Value::Obj(members) = &mut entry else {
+        panic!("an entry is an object")
+    };
+    let (_, topology) = members
+        .iter_mut()
+        .find(|(k, _)| k == "topology_used")
+        .unwrap();
+    let Value::Obj(topology) = topology else {
+        panic!("a topology is an object")
+    };
+    for (key, value) in topology.iter_mut() {
+        let Value::Arr(items) = value else { continue };
+        match key.as_str() {
+            "nodes" => items.truncate(2),
+            "links" => items.retain(|l| {
+                ["src", "dst"]
+                    .iter()
+                    .all(|end| l.get(end).and_then(Value::as_usize) < Some(2))
+            }),
+            _ => {}
+        }
+    }
+    std::fs::write(&path, entry.to_json()).unwrap();
+
+    let svc = ScheduleService::start(config()).unwrap();
+    let served = svc.request(req).unwrap();
+    assert_eq!(served.cache, CacheStatus::Miss);
+    assert_eq!(svc.stats().disk_quarantined, 1);
+    assert!(path.with_extension("json.corrupt").exists());
+    svc.shutdown();
+}

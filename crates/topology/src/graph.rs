@@ -250,7 +250,10 @@ impl Topology {
 
     /// The first link from `src` to `dst`, if any.
     pub fn link_between(&self, src: NodeId, dst: NodeId) -> Option<&Link> {
-        self.out_links(src).find(|l| l.dst == dst)
+        // A node outside the topology has no links (a stored schedule may
+        // name one).
+        let out = self.out_links.get(src.0)?;
+        out.iter().map(|l| &self.links[l.0]).find(|l| l.dst == dst)
     }
 
     /// Capacity of the fastest link (bytes/s).

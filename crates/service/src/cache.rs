@@ -543,8 +543,9 @@ impl DiskStore {
     }
 
     /// Deletes every stored schedule, returning how many files were removed.
-    /// A save read its evict count before this began leaves no file behind
-    /// ([`DiskStore::save_since`]).
+    /// A save that read the evict count before this began leaves no file
+    /// behind: the count and the deletions are one critical section, which
+    /// the save's rename also takes.
     pub fn evict_all(&self) -> usize {
         let mut evictions = lock_recover(&self.evictions, LockRank::Disk);
         *evictions += 1;

@@ -830,9 +830,7 @@ impl RenderedOnce {
             out.into_boxed_str()
         })
     }
-}
 
-impl RenderedOnce {
     /// A memo that already holds `text`, which must be the compact text of
     /// the document that will hold it (read back from where it was written,
     /// say).
@@ -1696,6 +1694,36 @@ mod tests {
         assert!(matches!(reader.next(), Ok(Event::Str(Cow::Owned(s))) if s == "a\"b"));
         assert_eq!(reader.next(), Ok(Event::EndObj));
         assert_eq!(reader.finish(), Ok(()));
+    }
+
+    #[test]
+    fn a_reader_lends_the_text_of_a_container_and_a_tree_none() {
+        let text = r#"{"a": [1, {"b": "x"}], "c": 2}"#;
+        let mut reader = Reader::new(text);
+        let mut spans = Vec::new();
+        let first = reader.next().unwrap();
+        reader
+            .object(first, |_, value, src| {
+                let ((), span) = src.with_text(value, |value, src| src.skip(&value))?;
+                spans.push(span);
+                Ok(())
+            })
+            .unwrap();
+        reader.finish().unwrap();
+        assert_eq!(spans, [Some(r#"[1, {"b": "x"}]"#), None]);
+
+        let tree = Value::parse(text).unwrap();
+        let mut events = tree.events();
+        let first = events.next().unwrap();
+        let ((), span) = events.with_text(first, |v, src| src.skip(&v)).unwrap();
+        assert_eq!(span, None);
+
+        let kept = RenderedOnce::kept("[1]");
+        assert_eq!(
+            kept.text(&Value::Null),
+            "[1]",
+            "kept text is not rendered again"
+        );
     }
 
     #[test]

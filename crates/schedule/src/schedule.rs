@@ -184,7 +184,8 @@ impl Schedule {
     /// its [`Schedule::json_text`], so a schedule loaded from where it was
     /// written is not formatted again. The compact writer never breaks a
     /// line and the pretty one always does, so a span without a line break
-    /// is taken for the compact form.
+    /// is taken for the compact form. As with [`Schedule::json_text`], a
+    /// change made to the decoded schedule is not seen by that text.
     pub fn decode<'a, S: JsonSource<'a>>(
         first: Event<'a>,
         src: &mut S,

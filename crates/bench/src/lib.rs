@@ -19,6 +19,7 @@ pub mod microbench;
 
 pub use microbench::Work;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use teccl_baselines::{
@@ -645,7 +646,7 @@ pub fn bench_milp_dgx1_allgather(h: &mut microbench::Harness) {
     let tau = teccl_core::epochs::epoch_duration(&request.topology, chunk_bytes, &request.config);
     let first =
         teccl_core::epochs::estimate_num_epochs(&request.topology, &demand, chunk_bytes, tau);
-    let solver = TeCcl::new(request.topology, request.config);
+    let solver = TeCcl::new(Arc::unwrap_or_clone(request.topology), request.config);
     h.bench_function("core/milp_dgx1_allgather", || {
         let out = solver
             .solve(&demand, chunk_bytes, RequestMethod::Milp, None)
@@ -669,7 +670,7 @@ pub fn bench_astar_internal2x8_allgather(h: &mut microbench::Harness) {
     )
     .with_method(RequestMethod::AStar);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
-    let solver = TeCcl::new(request.topology, request.config);
+    let solver = TeCcl::new(Arc::unwrap_or_clone(request.topology), request.config);
     h.bench_function("core/astar_internal2x8_allgather", || {
         let out = solver.solve(&demand, chunk_bytes, RequestMethod::AStar, None);
         Work::of(&out.unwrap().stats)
@@ -690,7 +691,7 @@ pub fn bench_lp_internal1x4_alltoall(h: &mut microbench::Harness) {
     )
     .with_method(RequestMethod::Lp);
     let (demand, chunk_bytes) = (request.demand(), request.chunk_bytes());
-    let solver = TeCcl::new(request.topology, request.config);
+    let solver = TeCcl::new(Arc::unwrap_or_clone(request.topology), request.config);
     h.bench_function("core/lp_internal1x4_alltoall", || {
         let out = solver.solve(&demand, chunk_bytes, RequestMethod::Lp, None);
         Work::of(&out.unwrap().stats)

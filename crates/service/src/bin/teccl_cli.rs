@@ -232,7 +232,9 @@ fn cmd_solve(args: &[String]) {
         }
     }
     let request = SolveRequest {
-        topology: topology.unwrap_or_else(|| die("--topology is required")),
+        topology: topology
+            .unwrap_or_else(|| die("--topology is required"))
+            .into(),
         collective: collective.unwrap_or_else(|| die("--collective is required")),
         chunks,
         output_buffer: buffer.unwrap_or_else(|| die("--buffer is required")),

@@ -95,7 +95,7 @@ pub struct CacheEntry {
     pub output: ScheduleOutput,
     /// The topology the schedule runs on — identical to the request topology
     /// unless the hyper-edge switch model transformed it.
-    pub topology_used: Topology,
+    pub topology_used: Arc<Topology>,
     /// Chunk size the schedule was solved for (the bucket representative's,
     /// which may differ slightly from a coalesced request's own).
     pub chunk_bytes: f64,
@@ -191,9 +191,10 @@ impl EntryFields {
         let entry = CacheEntry {
             key,
             output: self.output.unwrap_or_else(|| Err(bad("missing output")))?,
-            topology_used: self
-                .topology
-                .unwrap_or_else(|| Err(bad("missing topology_used")))?,
+            topology_used: Arc::new(
+                self.topology
+                    .unwrap_or_else(|| Err(bad("missing topology_used")))?,
+            ),
             chunk_bytes: self
                 .chunk_bytes
                 .flatten()

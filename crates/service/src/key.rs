@@ -19,6 +19,8 @@
 //! so completed solves can publish their final LP basis to *neighbouring*
 //! buckets for warm starting.
 
+use std::sync::Arc;
+
 use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::{BufferMode, EpochStrategy, RequestMethod, SolverConfig, SwitchModel};
 use teccl_topology::{NodeId, Topology};
@@ -127,8 +129,9 @@ pub struct RequestKey {
 /// [`teccl_core::SolveOutcome`] from scratch.
 #[derive(Debug, Clone)]
 pub struct SolveRequest {
-    /// The cluster topology.
-    pub topology: Topology,
+    /// The cluster topology, shared: a connection that was sent the same
+    /// topology text before hands out the one it decoded then.
+    pub topology: Arc<Topology>,
     /// Which collective to schedule.
     pub collective: CollectiveKind,
     /// Chunks per source/destination pair (finer pipelining for more chunks).
@@ -152,13 +155,13 @@ pub struct SolveRequest {
 impl SolveRequest {
     /// A request with the default configuration and automatic dispatch.
     pub fn new(
-        topology: Topology,
+        topology: impl Into<Arc<Topology>>,
         collective: CollectiveKind,
         chunks: usize,
         output_buffer: f64,
     ) -> Self {
         Self {
-            topology,
+            topology: topology.into(),
             collective,
             chunks,
             output_buffer,
@@ -206,8 +209,14 @@ impl SolveRequest {
 
     /// The canonical content-addressed key of this request.
     pub fn key(&self) -> RequestKey {
+        self.key_with(self.topology.fingerprint())
+    }
+
+    /// [`SolveRequest::key`] given the topology's fingerprint, for a caller
+    /// that already knows it.
+    pub(crate) fn key_with(&self, fingerprint: u64) -> RequestKey {
         let mut h = StableHasher::new();
-        h.write_u64(self.topology.fingerprint());
+        h.write_u64(fingerprint);
         h.write_str(collective_name(self.collective));
         h.write_usize(self.chunks);
         h.write_str(self.method.name());
@@ -269,7 +278,9 @@ impl SolveRequest {
 /// collective, output buffer, chunks, method, config, deadline.
 #[derive(Default)]
 pub(crate) struct RequestFields {
-    topology: Option<Result<Topology, RequestError>>,
+    topology: Option<Result<Arc<Topology>, RequestError>>,
+    /// The topology is one that passed [`Topology::validate`] before.
+    validated: bool,
     collective: Option<Option<CollectiveKind>>,
     output_buffer: Option<Option<f64>>,
     chunks: Option<Option<usize>>,
@@ -291,10 +302,12 @@ impl RequestFields {
         match key {
             "topology" if self.topology.is_none() => {
                 self.topology = Some(match value {
-                    Event::Str(name) => {
-                        builtin_topology(&name).ok_or_else(|| bad_field("unknown builtin topology"))
-                    }
-                    value => Topology::decode(value, src)?.map_err(RequestError::from),
+                    Event::Str(name) => builtin_topology(&name)
+                        .map(Arc::new)
+                        .ok_or_else(|| bad_field("unknown builtin topology")),
+                    value => Topology::decode(value, src)?
+                        .map(Arc::new)
+                        .map_err(RequestError::from),
                 });
             }
             "collective" if self.collective.is_none() => {
@@ -328,15 +341,29 @@ impl RequestFields {
         Ok(())
     }
 
+    /// Whether the `topology` member has been read.
+    pub(crate) fn has_topology(&self) -> bool {
+        self.topology.is_some()
+    }
+
+    /// Fills the `topology` slot with one decoded from the same text
+    /// earlier, which passed [`Topology::validate`] then.
+    pub(crate) fn recall_topology(&mut self, topology: Arc<Topology>) {
+        self.topology = Some(Ok(topology));
+        self.validated = true;
+    }
+
     /// The request the members describe, or the first fault in the order
     /// the type docs give.
     pub(crate) fn build(self) -> Result<SolveRequest, RequestError> {
         let topology = self
             .topology
             .unwrap_or_else(|| Err(bad_field("missing topology")))?;
-        topology
-            .validate()
-            .map_err(|e| bad_field(&format!("invalid topology: {e}")))?;
+        if !self.validated {
+            topology
+                .validate()
+                .map_err(|e| bad_field(&format!("invalid topology: {e}")))?;
+        }
         let collective = self
             .collective
             .flatten()
@@ -708,7 +735,7 @@ mod tests {
         assert_eq!(a, b);
         // Renaming the topology does not change the key.
         let mut renamed = base_request();
-        renamed.topology.name = "prod-cluster-17".into();
+        Arc::make_mut(&mut renamed.topology).name = "prod-cluster-17".into();
         assert_eq!(renamed.key(), a);
     }
 
@@ -719,7 +746,7 @@ mod tests {
         other.collective = CollectiveKind::AllGather;
         assert_ne!(other.key().family, a.family);
         let mut topo = base_request();
-        topo.topology = internal1(2);
+        topo.topology = internal1(2).into();
         assert_ne!(topo.key().family, a.family);
         let mut cfg = base_request();
         cfg.config.epoch_multiplier = 2.0;

@@ -20,12 +20,26 @@
 //! straight into the connection's buffer, and its schedule, the bulk of the
 //! text, is copied from the text the entry kept when it was first served
 //! (`Schedule::json_text`).
+//!
+//! The topology is most of a request line (~2 kB of ~2.4 kB on the
+//! builtin topologies) and most of its decoding, and a client sends the
+//! same few topologies again and again. So a connection reads its lines
+//! through a [`TopologyMemo`]: the topologies it was sent, by their exact
+//! text. A line whose topology text is one of them steps past that text
+//! without tokenizing it ([`Reader::pass_over`]) and shares the topology
+//! decoded then, which was validated then, and its fingerprint, so keying
+//! the request hashes no topology either. Any other text is read as
+//! [`parse_request`] reads it; the memo changes no answer.
+
+use std::sync::Arc;
 
 use teccl_schedule::ScheduleOutput;
+use teccl_topology::Topology;
 use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Reader, Value};
 
 use crate::cache::Quality;
 use crate::key::{RequestError, RequestFields, SolveRequest};
+use crate::server::KEEP_BUFFER_BYTES;
 use crate::service::{CacheStatus, ServedSchedule, ServiceStats};
 
 /// A parsed client request.
@@ -45,27 +59,155 @@ pub enum Request {
 /// client can act on: malformed JSON anywhere in the line (`bad_json`),
 /// then the verb, then the solve fields.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    read_request(line, None).map(|(request, _)| request)
+}
+
+/// [`parse_request`], with the first `topology` member that is an object
+/// looked up in `memo` and, when the line is a valid `solve`, kept there.
+/// Also returns the topology's fingerprint when the memo knows it.
+fn read_request(
+    line: &str,
+    mut memo: Option<&mut TopologyMemo>,
+) -> Result<(Request, Option<u64>), RequestError> {
     let json_error = |e: JsonError| RequestError::Json(e.to_string());
     let mut verb = None;
     let mut fields = RequestFields::default();
+    // The memo entry the topology text matched, or the text it was read from.
+    let mut recalled = None;
+    let mut topology_text = None;
     let mut reader = Reader::new(line.trim());
     let first = reader.next().map_err(json_error)?;
     reader
-        .object(first, |key, value, src| match key {
-            "verb" if verb.is_none() => {
+        .object(first, |key, value, src| match (key, memo.as_deref_mut()) {
+            ("verb", _) if verb.is_none() => {
                 verb = Some(src.scalar(value, Event::into_str)?);
+                Ok(())
+            }
+            ("topology", Some(memo))
+                if !fields.has_topology() && matches!(value, Event::BeginObj) =>
+            {
+                if let Some((topology, fingerprint)) = memo.recall(src) {
+                    fields.recall_topology(topology);
+                    recalled = Some(fingerprint);
+                } else {
+                    let ((), text) =
+                        src.with_text(value, |value, src| fields.read(key, value, src))?;
+                    topology_text = text;
+                }
                 Ok(())
             }
             _ => fields.read(key, value, src),
         })
         .map_err(json_error)?;
     reader.finish().map_err(json_error)?;
-    match verb.flatten().as_deref() {
-        Some("solve") => Ok(Request::Solve(Box::new(fields.build()?))),
-        Some("stats") => Ok(Request::Stats),
-        Some("evict") => Ok(Request::Evict),
-        Some(other) => Err(RequestError::BadVerb(other.to_string())),
-        None => Err(RequestError::BadVerb(String::new())),
+    let request = match verb.flatten().as_deref() {
+        Some("solve") => fields.build()?,
+        Some("stats") => return Ok((Request::Stats, None)),
+        Some("evict") => return Ok((Request::Evict, None)),
+        Some(other) => return Err(RequestError::BadVerb(other.to_string())),
+        None => return Err(RequestError::BadVerb(String::new())),
+    };
+    let fingerprint = match (recalled, topology_text, memo) {
+        (Some(fingerprint), _, _) => Some(fingerprint),
+        (None, Some(text), Some(memo)) => memo.keep(text, &request.topology),
+        _ => None,
+    };
+    Ok((Request::Solve(Box::new(request)), fingerprint))
+}
+
+/// The topologies one connection was sent, by their exact text: at most
+/// [`TopologyMemo::MAX_ENTRIES`] of them, most recently used first, with
+/// at most [`KEEP_BUFFER_BYTES`] of text in all (a larger topology is
+/// decoded on every line that carries it). Each is kept with the topology
+/// decoded from it and its fingerprint, and only once it decoded and passed
+/// [`Topology::validate`] in a valid `solve` line. See the module docs.
+#[derive(Debug, Default)]
+pub struct TopologyMemo {
+    entries: Vec<KnownTopology>,
+    /// The entries' text, in bytes.
+    text_bytes: usize,
+}
+
+#[derive(Debug)]
+struct KnownTopology {
+    text: Box<str>,
+    topology: Arc<Topology>,
+    fingerprint: u64,
+}
+
+impl TopologyMemo {
+    /// Most topologies a memo holds.
+    pub const MAX_ENTRIES: usize = 8;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`parse_request`] through the memo: the same result for every line.
+    pub fn parse(&mut self, line: &str) -> Result<Request, RequestError> {
+        self.read(line).map(|(request, _)| request)
+    }
+
+    /// [`TopologyMemo::parse`], and the fingerprint of a `solve` line's
+    /// topology when the memo holds it.
+    pub(crate) fn read(&mut self, line: &str) -> Result<(Request, Option<u64>), RequestError> {
+        read_request(line, Some(self))
+    }
+
+    /// How many topologies the memo holds.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the memo holds no topology.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The bytes of topology text the memo holds.
+    pub fn text_bytes(&self) -> usize {
+        self.text_bytes
+    }
+
+    /// Steps `reader`, which just opened an object, past it when its text
+    /// is one the memo holds, and returns that entry's topology and
+    /// fingerprint, the entry now the most recently used.
+    fn recall(&mut self, reader: &mut Reader<'_>) -> Option<(Arc<Topology>, u64)> {
+        let at = self
+            .entries
+            .iter()
+            .position(|e| reader.pass_over(&e.text))?;
+        self.entries[..=at].rotate_right(1);
+        let e = &self.entries[0];
+        Some((Arc::clone(&e.topology), e.fingerprint))
+    }
+
+    /// Keeps `topology`, decoded from `text`, as the most recently used
+    /// entry, dropping the least recently used ones past the bounds, and
+    /// returns its fingerprint; a text larger than the byte bound is not
+    /// kept and returns `None`.
+    fn keep(&mut self, text: &str, topology: &Arc<Topology>) -> Option<u64> {
+        if text.len() > KEEP_BUFFER_BYTES {
+            return None;
+        }
+        while self.entries.len() >= Self::MAX_ENTRIES
+            || self.text_bytes + text.len() > KEEP_BUFFER_BYTES
+        {
+            let dropped = self.entries.pop()?;
+            self.text_bytes -= dropped.text.len();
+        }
+        let fingerprint = topology.fingerprint();
+        self.text_bytes += text.len();
+        self.entries.insert(
+            0,
+            KnownTopology {
+                text: text.into(),
+                topology: Arc::clone(topology),
+                fingerprint,
+            },
+        );
+        Some(fingerprint)
     }
 }
 
@@ -308,6 +450,90 @@ mod tests {
         ));
         assert!(parse_request(r#"{"verb":"purge"}"#).is_err());
         assert!(parse_request("not json").is_err());
+    }
+
+    #[test]
+    fn a_repeated_line_is_a_memo_hit_that_decodes_no_topology() {
+        let req = SolveRequest::new(
+            ring_topology(4, 1e9, 1e-6),
+            CollectiveKind::AllGather,
+            1,
+            64.0 * 1024.0,
+        );
+        let line = solve_request_line(&req);
+        let topology = |parsed: &(Request, Option<u64>)| match &parsed.0 {
+            Request::Solve(r) => Arc::clone(&r.topology),
+            other => panic!("wrong verb: {other:?}"),
+        };
+        let mut memo = TopologyMemo::new();
+        let first = memo.read(&line).unwrap();
+        let fingerprint = req.topology.fingerprint();
+        assert_eq!(first.1, Some(fingerprint));
+        assert_eq!(memo.len(), 1);
+
+        // The entry's topology is swapped for another one under the same
+        // text: a hit hands that one out, so it decoded nothing.
+        let decoy = Arc::new(ring_topology(5, 2e9, 0.0));
+        memo.entries[0].topology = Arc::clone(&decoy);
+        let second = memo.read(&line).unwrap();
+        assert!(Arc::ptr_eq(&topology(&second), &decoy));
+        assert_eq!(second.1, Some(fingerprint));
+        memo.entries[0].topology = topology(&first);
+
+        let hit = memo.read(&line).unwrap();
+        assert!(Arc::ptr_eq(&topology(&hit), &topology(&first)));
+        match hit.0 {
+            Request::Solve(r) => assert_eq!(r.key_with(fingerprint), req.key()),
+            other => panic!("wrong verb: {other:?}"),
+        }
+        // A restyled line (the same request) is a miss, kept beside it.
+        let pretty = Value::parse(&line).unwrap().to_json_pretty();
+        let restyled = memo.read(&pretty).unwrap();
+        assert!(!Arc::ptr_eq(&topology(&restyled), &topology(&first)));
+        assert_eq!(restyled.1, Some(fingerprint));
+        assert_eq!(memo.len(), 2);
+        // The memo-less parse knows no fingerprint.
+        assert_eq!(read_request(&line, None).unwrap().1, None);
+    }
+
+    #[test]
+    fn the_memo_keeps_the_most_recent_entries_within_its_bounds() {
+        let mut memo = TopologyMemo::new();
+        let line = |i: usize| {
+            let topology = ring_topology(3, 1e9 * (1 + i) as f64, 0.0);
+            solve_request_line(&SolveRequest::new(
+                topology,
+                CollectiveKind::AllGather,
+                1,
+                1024.0,
+            ))
+        };
+        for i in 0..20 {
+            memo.read(&line(i)).unwrap();
+            assert_eq!(memo.len(), (i + 1).min(TopologyMemo::MAX_ENTRIES));
+            let bytes: usize = memo.entries.iter().map(|e| e.text.len()).sum();
+            assert_eq!(memo.text_bytes(), bytes);
+        }
+        // The last eight, most recent first; touching the oldest moves it
+        // to the front, and the next new one drops the then oldest.
+        let fingerprints = |memo: &TopologyMemo| -> Vec<u64> {
+            memo.entries.iter().map(|e| e.fingerprint).collect()
+        };
+        let expect = |ids: &[usize]| -> Vec<u64> {
+            ids.iter()
+                .map(|&i| ring_topology(3, 1e9 * (1 + i) as f64, 0.0).fingerprint())
+                .collect()
+        };
+        assert_eq!(
+            fingerprints(&memo),
+            expect(&[19, 18, 17, 16, 15, 14, 13, 12])
+        );
+        memo.read(&line(12)).unwrap();
+        memo.read(&line(20)).unwrap();
+        assert_eq!(
+            fingerprints(&memo),
+            expect(&[20, 12, 19, 18, 17, 16, 15, 14])
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crate::key::RequestError;
 use crate::protocol::{
     error_response, evict_response, parse_request, request_error_response, solve_response,
-    stats_response, Request,
+    stats_response, Request, TopologyMemo,
 };
 use crate::service::ScheduleService;
 use teccl_util::json::write_json;
@@ -268,16 +268,40 @@ impl Read for LineReads {
 }
 
 /// Appends the reply to one request line to `reply` (no newline): what a
-/// connection thread does between reading a line and writing the answer.
+/// connection thread does between reading a line and writing the answer,
+/// less the connection's [`TopologyMemo`].
 pub fn respond(service: &ScheduleService, line: &str, reply: &mut String) {
-    match parse_request(line) {
+    answer(service, parse_request(line).map(|r| (r, None)), reply);
+}
+
+/// [`respond`] for a line read through a connection's memo.
+pub(crate) fn respond_with(
+    service: &ScheduleService,
+    memo: &mut TopologyMemo,
+    line: &str,
+    reply: &mut String,
+) {
+    answer(service, memo.read(line), reply);
+}
+
+/// Appends the reply to a parsed request line, keying a `solve` with the
+/// topology fingerprint the memo knew, when it knew one.
+fn answer(
+    service: &ScheduleService,
+    parsed: Result<(Request, Option<u64>), RequestError>,
+    reply: &mut String,
+) {
+    match parsed {
         Err(e) => write_json(&request_error_response(&e), reply),
-        Ok(Request::Stats) => write_json(&stats_response(&service.stats()), reply),
-        Ok(Request::Evict) => write_json(&evict_response(service.evict()), reply),
-        Ok(Request::Solve(req)) => match service.request(*req) {
-            Ok(served) => write_json(&solve_response(&served), reply),
-            Err(e) => write_json(&error_response(&e.to_string()), reply),
-        },
+        Ok((Request::Stats, _)) => write_json(&stats_response(&service.stats()), reply),
+        Ok((Request::Evict, _)) => write_json(&evict_response(service.evict()), reply),
+        Ok((Request::Solve(req), fingerprint)) => {
+            let key = fingerprint.map_or_else(|| req.key(), |f| req.key_with(f));
+            match service.submit_keyed(*req, key).wait() {
+                Ok(served) => write_json(&solve_response(&served), reply),
+                Err(e) => write_json(&error_response(&e.to_string()), reply),
+            }
+        }
     }
 }
 
@@ -292,9 +316,12 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService, idle: Duratio
     };
     let mut reader = BufReader::new(reads);
     // Both buffers live as long as the connection: a request in the steady
-    // state allocates for neither its line nor its reply.
+    // state allocates for neither its line nor its reply. The memo does too:
+    // a line whose topology text the connection sent before decodes no
+    // topology.
     let mut line = Vec::new();
     let mut reply = String::new();
+    let mut memo = TopologyMemo::new();
     // One byte past the cap tells an over-long line from one of exactly the cap.
     const READ_LIMIT: u64 = MAX_LINE_BYTES as u64 + 1;
     loop {
@@ -320,7 +347,7 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService, idle: Duratio
             if text.trim().is_empty() {
                 continue;
             }
-            respond(service, text, &mut reply);
+            respond_with(service, &mut memo, text, &mut reply);
         }
         reply.push('\n');
         // Fault injection: hang up instead of answering (the request itself
@@ -411,6 +438,69 @@ mod tests {
             std::thread::sleep(idle / 2);
         }
         handle.shutdown();
+    }
+
+    /// A reply with its `cache` status taken out.
+    fn without_cache(reply: &str) -> Value {
+        match Value::parse(reply).unwrap() {
+            Value::Obj(pairs) => {
+                Value::Obj(pairs.into_iter().filter(|(k, _)| k != "cache").collect())
+            }
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    #[test]
+    fn a_connection_memo_stays_bounded_and_changes_no_reply() {
+        use crate::key::SolveRequest;
+        use crate::protocol::solve_request_line;
+        use teccl_collective::CollectiveKind;
+        use teccl_topology::ring_topology;
+
+        let service = ScheduleService::start(ServiceConfig {
+            workers: 1,
+            fault_plan: Some(String::new()),
+            ..Default::default()
+        })
+        .unwrap();
+        let request = |topology| SolveRequest::new(topology, CollectiveKind::AllGather, 1, 1024.0);
+        let mut lines: Vec<_> = (0..100)
+            .map(|i| request(ring_topology(3, 1e9 + 1e7 * i as f64, 0.0)))
+            .collect();
+        // Larger than the memo's byte bound: its name alone is.
+        let mut oversized = ring_topology(3, 1e9, 0.0);
+        oversized.name = "n".repeat(KEEP_BUFFER_BYTES + 1);
+        lines.push(request(oversized));
+
+        let mut memo = TopologyMemo::new();
+        for round in 0..2 {
+            for req in &lines {
+                let line = solve_request_line(req);
+                let mut reply = String::new();
+                respond_with(&service, &mut memo, &line, &mut reply);
+                let mut plain = String::new();
+                respond(&service, &line, &mut plain);
+                assert_eq!(without_cache(&reply), without_cache(&plain));
+                let key = format!("{:016x}", req.key().hash);
+                let v = Value::parse(&reply).unwrap();
+                assert_eq!(v.get("key").and_then(Value::as_str), Some(key.as_str()));
+                assert!(memo.len() <= TopologyMemo::MAX_ENTRIES, "round {round}");
+                assert!(memo.text_bytes() <= KEEP_BUFFER_BYTES, "round {round}");
+            }
+            // The oversized topology was never kept: the memo holds the
+            // last eight others, and it is read afresh every time.
+            assert_eq!(memo.len(), TopologyMemo::MAX_ENTRIES);
+            let oversized = solve_request_line(&lines[100]);
+            let (Ok((Request::Solve(a), None)), Ok((Request::Solve(b), None))) =
+                (memo.read(&oversized), memo.read(&oversized))
+            else {
+                panic!("the oversized topology is not decoded afresh");
+            };
+            assert!(!Arc::ptr_eq(&a.topology, &b.topology));
+        }
+        let stats = service.stats();
+        assert_eq!(stats.misses, 100, "the oversized ring shares a key");
+        service.shutdown();
     }
 
     #[test]

@@ -40,7 +40,7 @@ use teccl_collective::CollectiveKind;
 use teccl_core::{TeCcl, TeCclError};
 use teccl_lp::{SimplexBasis, SolveStats};
 use teccl_schedule::{simulate, validate, CollectiveMetrics, ScheduleOutput};
-use teccl_topology::NodeId;
+use teccl_topology::{NodeId, Topology};
 use teccl_util::json::Value;
 use teccl_util::SolveBudget;
 
@@ -442,8 +442,14 @@ impl ScheduleService {
 
     /// Submits a request; returns immediately with a [`Ticket`].
     pub fn submit(&self, request: SolveRequest) -> Ticket {
-        self.ensure_workers();
         let key = request.key();
+        self.submit_keyed(request, key)
+    }
+
+    /// [`ScheduleService::submit`] under `key`, which must be
+    /// `request.key()`: for a caller that keyed the request already.
+    pub(crate) fn submit_keyed(&self, request: SolveRequest, key: RequestKey) -> Ticket {
+        self.ensure_workers();
         let (tx, rx) = channel();
         let (disk, tx) = {
             let mut st = lock_recover(&self.inner.state, LockRank::State);
@@ -901,7 +907,7 @@ fn solve_job(
     let req = &job.request;
     let demand = req.demand();
     let chunk_bytes = req.chunk_bytes();
-    let mut solver = TeCcl::new(req.topology.clone(), req.config.clone());
+    let mut solver = TeCcl::new(Topology::clone(&req.topology), req.config.clone());
     if let Some(b) = budget {
         solver = solver.with_budget(b.clone());
     }
@@ -968,7 +974,7 @@ fn solve_job(
             schedule: outcome.schedule,
             metrics,
         },
-        topology_used: outcome.topology_used,
+        topology_used: Arc::new(outcome.topology_used),
         chunk_bytes,
         stats: outcome.stats,
         quality,
@@ -1098,7 +1104,7 @@ mod tests {
             16.0 * 1024.0 * 1024.0,
         )
         .with_method(RequestMethod::AStar);
-        let cold = TeCcl::new(req.topology.clone(), req.config.clone())
+        let cold = TeCcl::new((*req.topology).clone(), req.config.clone())
             .solve(&req.demand(), req.chunk_bytes(), RequestMethod::AStar, None)
             .unwrap();
         assert!(cold.basis.is_none(), "A* publishes no basis");

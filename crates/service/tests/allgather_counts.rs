@@ -144,7 +144,7 @@ fn benchmark_shapes_keep_their_pivot_counts() {
         let request = SolveRequest::new(topology, collective, chunks, 16.0 * 1024.0 * 1024.0)
             .with_method(method);
         let demand = request.demand();
-        let solver = TeCcl::new(request.topology.clone(), request.config.clone());
+        let solver = TeCcl::new((*request.topology).clone(), request.config.clone());
         let outcome = solver
             .solve(&demand, request.chunk_bytes(), method, None)
             .unwrap_or_else(|e| panic!("{name} c{chunks}: {e}"));

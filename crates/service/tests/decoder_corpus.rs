@@ -3,11 +3,12 @@
 //! after `Value::parse`). Both run the one `SolveRequest::decode`; this
 //! corpus checks that they agree on every request the repository can
 //! express, restyled the ways other writers would write it, and on the
-//! error code of every malformed line.
+//! error code of every malformed line. A connection reads its lines through
+//! a `TopologyMemo`; the corpus checks that the memo changes no answer.
 
 use teccl_collective::CollectiveKind;
 use teccl_core::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
-use teccl_service::protocol::{parse_request, solve_request_line, Request};
+use teccl_service::protocol::{parse_request, solve_request_line, Request, TopologyMemo};
 use teccl_service::{builtin_topology, RequestError, RequestMethod, SolveRequest};
 use teccl_util::json::Value;
 
@@ -205,16 +206,27 @@ fn assert_same(line: &str, text: &SolveRequest, tree: &SolveRequest) {
     );
 }
 
-#[test]
-fn text_and_tree_decoders_agree_on_every_request_and_its_restylings() {
-    let mut lines = 0;
+/// Every corpus line: each request and its restylings, in order.
+fn corpus_lines() -> Vec<(SolveRequest, String)> {
+    let mut out = Vec::new();
     for req in requests() {
         let name = TOPOLOGIES
             .iter()
             .find(|n| builtin_topology(n).unwrap().fingerprint() == req.topology.fingerprint())
             .unwrap();
-        let canonical = req.to_json_value().to_json();
         for line in restyled_lines(&req, name) {
+            out.push((req.clone(), line));
+        }
+    }
+    out
+}
+
+#[test]
+fn text_and_tree_decoders_agree_on_every_request_and_its_restylings() {
+    let mut lines = 0;
+    for (req, line) in corpus_lines() {
+        let canonical = req.to_json_value().to_json();
+        {
             let (text, tree) = both_ways(&line);
             let (text, tree) = (text.unwrap(), tree.unwrap());
             assert_same(&line, &text, &tree);
@@ -360,4 +372,100 @@ fn malformed_lines_get_the_same_code_from_both_decoders() {
             assert_eq!(tree.to_string(), text.to_string(), "{line}");
         }
     }
+}
+
+/// Parses `line` with `memo` and without a memo, and checks that the two
+/// answers are the same: the verb, and for a `solve` the key and the
+/// request written back, for an error its code and message.
+fn assert_memo_agrees(memo: &mut TopologyMemo, line: &str) {
+    match (parse_request(line), memo.parse(line)) {
+        (Ok(Request::Solve(plain)), Ok(Request::Solve(memoized))) => {
+            assert_same(line, &plain, &memoized);
+        }
+        (Ok(Request::Stats), Ok(Request::Stats)) | (Ok(Request::Evict), Ok(Request::Evict)) => {}
+        (Err(plain), Err(memoized)) => {
+            assert_eq!(plain.code(), memoized.code(), "{line}");
+            assert_eq!(plain.to_string(), memoized.to_string(), "{line}");
+        }
+        (plain, memoized) => panic!("{line}: {plain:?} against {memoized:?}"),
+    }
+}
+
+#[test]
+fn a_topology_memo_changes_no_answer_cold_or_warm() {
+    let corpus = corpus_lines();
+    let mut memo = TopologyMemo::new();
+    for pass in 0..2 {
+        for (_, line) in &corpus {
+            assert_memo_agrees(&mut memo, line);
+            assert!(memo.len() <= TopologyMemo::MAX_ENTRIES, "pass {pass}");
+        }
+    }
+    assert!(!memo.is_empty());
+}
+
+#[test]
+fn a_topology_memo_changes_no_answer_on_adversarial_lines() {
+    let dgx1 = builtin_topology("dgx1").unwrap().to_json_value().to_json();
+    let solve = |topology: &str, rest: &str| {
+        format!(
+            r#"{{"verb":"solve","topology":{topology},"collective":"all_gather","output_buffer":1024{rest}}}"#
+        )
+    };
+    let mut memo = TopologyMemo::new();
+    // The memo learns the topology from a valid line.
+    let valid = solve(&dgx1, "");
+    assert_memo_agrees(&mut memo, &valid);
+    assert_eq!(memo.len(), 1);
+    let known_bytes = memo.text_bytes();
+    assert_eq!(known_bytes, dgx1.len());
+
+    // A self-loop: valid JSON, invalid topology. Refused twice, never kept.
+    let looped = format!(
+        r#"{},{{"src":0,"dst":0,"capacity":1e9,"alpha":0}}]}}"#,
+        &dgx1[..dgx1.len() - 2]
+    );
+    assert!(teccl_topology::Topology::from_json_str(&looped).is_ok());
+    for _ in 0..2 {
+        let line = solve(&looped, "");
+        assert_eq!(parse_request(&line).unwrap_err().code(), "bad_field");
+        assert_memo_agrees(&mut memo, &line);
+        assert_eq!((memo.len(), memo.text_bytes()), (1, known_bytes));
+    }
+
+    let last_byte = format!("{}]", &dgx1[..dgx1.len() - 1]);
+    let spaced = format!("{} }}", &dgx1[..dgx1.len() - 1]);
+    let lines = [
+        // The known text, then a malformed tail.
+        format!("{},]", &valid[..valid.len() - 1]),
+        format!("{valid} x"),
+        format!("{valid}}}"),
+        solve(&dgx1, r#","chunks":0"#),
+        solve(&dgx1, r#","collective":"nope""#).replacen(r#""collective":"all_gather","#, "", 1),
+        // The known text under a duplicate `topology` key, first or second.
+        solve(&dgx1, &format!(r#","topology":{dgx1}"#)),
+        solve(&format!(r#""ndv2","topology":{dgx1}"#), ""),
+        solve(&format!(r#"{{"name":"x"}},"topology":{dgx1}"#), ""),
+        solve(&format!(r#"{dgx1},"topology":{looped}"#), ""),
+        // The known text with its last byte changed, or a space added.
+        solve(&last_byte, ""),
+        solve(&spaced, ""),
+        format!(" {valid}\n"),
+        // The known text followed by more than its object.
+        solve(&format!("{dgx1}}}"), ""),
+        solve(&format!("{dgx1}]"), ""),
+        // The known text as another member's value, or as another verb's.
+        format!(r#"{{"verb":"stats","topology":{dgx1}}}"#),
+        format!(r#"{{"verb":"purge","topology":{dgx1}}}"#),
+        format!(
+            r#"{{"verb":"solve","note":{dgx1},"topology":"dgx1","collective":"all_gather","output_buffer":1024}}"#
+        ),
+    ];
+    for _ in 0..2 {
+        for line in &lines {
+            assert_memo_agrees(&mut memo, line);
+        }
+    }
+    // The restyled topology is a valid one of its own, kept beside the first.
+    assert_eq!(memo.len(), 2);
 }

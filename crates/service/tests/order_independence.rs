@@ -61,7 +61,7 @@ fn answer(schedule: &Schedule) -> (Vec<Send>, usize) {
 
 /// `request` solved from `warm`, with no carried factors in its outcome.
 fn solve(request: &SolveRequest, warm: Option<&SimplexBasis>) -> SolveOutcome {
-    let outcome = TeCcl::new(request.topology.clone(), request.config.clone())
+    let outcome = TeCcl::new((*request.topology).clone(), request.config.clone())
         .solve(
             &request.demand(),
             request.chunk_bytes(),

@@ -232,7 +232,7 @@ fn table4_outputs_roundtrip_bit_exactly() {
             CacheEntry {
                 key: request.key(),
                 output: output.clone(),
-                topology_used: outcome.topology_used.clone(),
+                topology_used: outcome.topology_used.clone().into(),
                 chunk_bytes,
                 stats: outcome.stats.clone(),
                 quality: Quality::Exact,
@@ -333,7 +333,7 @@ fn table4_outputs_roundtrip_bit_exactly() {
                         hash: rng.next_u64() >> rng.gen_range_usize(64),
                     },
                     output: out.clone(),
-                    topology_used: internal1(1),
+                    topology_used: internal1(1).into(),
                     chunk_bytes: out.schedule.chunk_bytes,
                     stats,
                     quality: Quality::Baseline,

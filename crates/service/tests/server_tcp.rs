@@ -332,3 +332,63 @@ fn durations_past_the_duration_range_are_refused_on_a_live_connection() {
     }
     handle.shutdown();
 }
+
+/// The reply with the value of its `cache` member blanked out, every other
+/// byte kept.
+fn mask_cache(reply: &str) -> String {
+    let at = reply.find(r#""cache":""#).expect("a solve reply") + r#""cache":""#.len();
+    let end = at + reply[at..].find('"').unwrap();
+    format!("{}{}", &reply[..at], &reply[end..])
+}
+
+/// A connection reads its lines through a topology memo. A repeated line (a
+/// memo hit) and a restyled one with the same key (a memo miss) get the
+/// reply the first line got, byte for byte apart from `cache`, and so does
+/// a second connection, whose memo starts empty.
+#[test]
+fn replies_are_byte_identical_whether_the_topology_was_memoized_or_not() {
+    let handle = quiet_server();
+    let req = SolveRequest::new(
+        teccl_topology::ring_topology(4, 1e9, 1e-6),
+        CollectiveKind::AllGather,
+        1,
+        1024.0 * 1024.0,
+    );
+    let line = solve_request_line(&req);
+    let restyled = Value::parse(&line)
+        .unwrap()
+        .to_json_pretty()
+        .replace('\n', " ");
+    assert_ne!(restyled, line);
+
+    let connect = || {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        (stream.try_clone().unwrap(), BufReader::new(stream))
+    };
+    let round_trip = |(writer, reader): &mut (TcpStream, BufReader<TcpStream>), request: &str| {
+        writer.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let mut first = connect();
+    let miss = round_trip(&mut first, &line);
+    let hit = round_trip(&mut first, &line);
+    let restyled_hit = round_trip(&mut first, &restyled);
+    let mut second = connect();
+    let fresh = round_trip(&mut second, &line);
+    let again = round_trip(&mut second, &line);
+
+    let cache = |reply: &str| parse_solve_reply(reply).unwrap().cache;
+    assert_eq!(cache(&miss), CacheStatus::Miss);
+    for reply in [&hit, &restyled_hit, &fresh, &again] {
+        assert_eq!(cache(reply), CacheStatus::Hit);
+        assert_eq!(mask_cache(reply), mask_cache(&miss));
+    }
+    assert_eq!(hit, restyled_hit);
+    assert_eq!(hit, fresh);
+    assert_eq!(hit, again);
+    let stats = handle.service().stats();
+    assert_eq!((stats.misses, stats.hits), (1, 4));
+    handle.shutdown();
+}

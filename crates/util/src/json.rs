@@ -915,6 +915,39 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Steps past the container whose first event the reader just yielded
+    /// when its text, from the opening bracket, starts with `known`, and
+    /// returns whether it did; otherwise it reads nothing. Nothing inside
+    /// the span is tokenized: the reader ends where reading the container
+    /// to its end would have left it, with the same position, depth and
+    /// expectation.
+    ///
+    /// `known` must be the text of a container that a reader read to its
+    /// end (what [`JsonSource::with_text`] returns), opened no shallower
+    /// than this one, so that its nesting fits under [`MAX_DEPTH`] here
+    /// too. Identical bytes make identical tokens, and a span ends at its
+    /// closing bracket, so whatever follows it is read as it would have
+    /// been.
+    pub fn pass_over(&mut self, known: &str) -> bool {
+        // A container's first event leaves the reader expecting its first
+        // key or item, one byte past its bracket.
+        let bracket = match self.expect {
+            Expect::FirstKey => b'{',
+            Expect::FirstItem => b'[',
+            _ => return false,
+        };
+        let start = self.pos - 1;
+        if known.as_bytes().first() != Some(&bracket)
+            || !self.bytes()[start..].starts_with(known.as_bytes())
+        {
+            return false;
+        }
+        self.pos = start + known.len();
+        self.depth -= 1;
+        self.expect = self.after_value();
+        true
+    }
+
     fn bytes(&self) -> &'a [u8] {
         self.text.as_bytes()
     }
@@ -1724,6 +1757,100 @@ mod tests {
             "[1]",
             "kept text is not rendered again"
         );
+    }
+
+    /// A reader at the `n`-th container opening of `text` (0 = the first),
+    /// with that opening's event.
+    fn at_container(text: &str, n: usize) -> Option<(Reader<'_>, Event<'_>)> {
+        let mut reader = Reader::new(text);
+        let mut seen = 0;
+        loop {
+            let event = reader.next().ok()?;
+            if matches!(event, Event::BeginArr | Event::BeginObj) {
+                if seen == n {
+                    return Some((reader, event));
+                }
+                seen += 1;
+            }
+        }
+    }
+
+    fn state(r: &Reader<'_>) -> (usize, usize, Expect) {
+        (r.pos, r.depth, r.expect)
+    }
+
+    /// The events a reader has left before its root value is complete.
+    fn rest<'a>(r: &mut Reader<'a>) -> Vec<Event<'a>> {
+        let mut out = Vec::new();
+        while r.expect != Expect::Done {
+            out.push(r.next().unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn passing_over_a_known_span_leaves_the_reader_as_reading_it_would() {
+        let mut rng = Rng64::seed_from_u64(47);
+        let mut passed = 0;
+        for _ in 0..600 {
+            let text = restyle(&random_value(&mut rng, 0).to_json(), &mut rng);
+            for n in 0.. {
+                let Some((mut read, first)) = at_container(&text, n) else {
+                    break;
+                };
+                let ((), span) = read.with_text(first, |v, src| src.skip(&v)).unwrap();
+                let span = span.unwrap();
+                let (mut skipped, _) = at_container(&text, n).unwrap();
+                let before = state(&skipped);
+                // A text that differs in its last byte is not the known
+                // one, and nothing is read.
+                let mut wrong = span[..span.len() - 1].to_string();
+                wrong.push(' ');
+                assert!(!skipped.pass_over(&wrong), "{text}");
+                assert_eq!(state(&skipped), before);
+                assert!(skipped.pass_over(span), "{text}");
+                assert_eq!(state(&skipped), state(&read), "{text} at {n}");
+                assert_eq!(rest(&mut skipped), rest(&mut read), "{text}");
+                assert_eq!(skipped.finish(), read.finish());
+                passed += 1;
+            }
+        }
+        assert!(passed > 300, "{passed}");
+
+        // Only right after a container's first event.
+        let mut reader = Reader::new(r#"{"a":[1]}"#);
+        assert!(!reader.pass_over(r#"{"a":[1]}"#), "before the first event");
+        reader.next().unwrap();
+        reader.next().unwrap();
+        assert!(!reader.pass_over("[1]"), "after a key");
+        assert_eq!(reader.next(), Ok(Event::BeginArr));
+        assert!(!reader.pass_over(r#"{"a":[1]}"#), "another bracket");
+        assert!(reader.pass_over("[1]"));
+        assert_eq!(reader.next(), Ok(Event::EndObj));
+        assert_eq!(reader.finish(), Ok(()));
+    }
+
+    #[test]
+    fn a_known_span_is_not_tokenized() {
+        // Text no reader would accept, passed over because it is taken as
+        // known: proof that the span's bytes are compared, not read. (A
+        // caller that keeps the contract never passes such a span.)
+        let text = r#"{"t":{"x":tru},"n":1}"#;
+        let mut reader = Reader::new(text);
+        let first = reader.next().unwrap();
+        let mut n = None;
+        reader
+            .object(first, |key, value, src| {
+                match key {
+                    "t" => assert!(src.pass_over(r#"{"x":tru}"#)),
+                    _ => n = src.scalar(value, |v| v.as_usize())?,
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(reader.finish(), Ok(()));
+        assert_eq!(n, Some(1));
+        assert!(Value::parse(text).is_err());
     }
 
     #[test]

@@ -758,12 +758,17 @@ pub fn wire_hit_fixture() -> (teccl_service::ScheduleService, String) {
 }
 
 /// One cache hit as a connection thread serves it, minus the socket:
-/// [`teccl_service::server::respond`] (parse the line, look the key up,
-/// render the reply) into the connection's buffer. Panics if the reply is
-/// anything but a hit.
-pub fn wire_hit(svc: &teccl_service::ScheduleService, line: &str, reply: &mut String) {
+/// [`teccl_service::server::respond`] (parse the line through the
+/// connection's topology memo, look the key up, render the reply) into the
+/// connection's buffer. Panics if the reply is anything but a hit.
+pub fn wire_hit(
+    svc: &teccl_service::ScheduleService,
+    memo: &mut teccl_service::protocol::TopologyMemo,
+    line: &str,
+    reply: &mut String,
+) {
     reply.clear();
-    teccl_service::server::respond(svc, line, reply);
+    teccl_service::server::respond(svc, memo, line, reply);
     reply.push('\n');
     assert!(
         reply.starts_with(r#"{"status":"ok","cache":"hit","#),
@@ -976,8 +981,9 @@ pub fn bench_service(h: &mut microbench::Harness) {
 
     let (wire_svc, wire_line) = wire_hit_fixture();
     let mut wire_reply = String::new();
+    let mut memo = teccl_service::protocol::TopologyMemo::new();
     h.bench_function("service/wire_hit", || {
-        wire_hit(&wire_svc, &wire_line, &mut wire_reply);
+        wire_hit(&wire_svc, &mut memo, &wire_line, &mut wire_reply);
     });
     wire_svc.shutdown();
 

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use crate::key::RequestError;
 use crate::protocol::{
-    error_response, evict_response, parse_request, request_error_response, solve_response,
-    stats_response, Request, TopologyMemo,
+    error_response, evict_response, request_error_response, solve_response, stats_response,
+    Request, TopologyMemo,
 };
 use crate::service::ScheduleService;
 use teccl_util::json::write_json;
@@ -268,30 +268,11 @@ impl Read for LineReads {
 }
 
 /// Appends the reply to one request line to `reply` (no newline): what a
-/// connection thread does between reading a line and writing the answer,
-/// less the connection's [`TopologyMemo`].
-pub fn respond(service: &ScheduleService, line: &str, reply: &mut String) {
-    answer(service, parse_request(line).map(|r| (r, None)), reply);
-}
-
-/// [`respond`] for a line read through a connection's memo.
-pub(crate) fn respond_with(
-    service: &ScheduleService,
-    memo: &mut TopologyMemo,
-    line: &str,
-    reply: &mut String,
-) {
-    answer(service, memo.read(line), reply);
-}
-
-/// Appends the reply to a parsed request line, keying a `solve` with the
-/// topology fingerprint the memo knew, when it knew one.
-fn answer(
-    service: &ScheduleService,
-    parsed: Result<(Request, Option<u64>), RequestError>,
-    reply: &mut String,
-) {
-    match parsed {
+/// connection thread does between reading a line and writing the answer.
+/// The line is read through the connection's `memo`, and a `solve` whose
+/// topology the memo knows is keyed with the fingerprint kept there.
+pub fn respond(service: &ScheduleService, memo: &mut TopologyMemo, line: &str, reply: &mut String) {
+    match memo.read(line) {
         Err(e) => write_json(&request_error_response(&e), reply),
         Ok((Request::Stats, _)) => write_json(&stats_response(&service.stats()), reply),
         Ok((Request::Evict, _)) => write_json(&evict_response(service.evict()), reply),
@@ -347,7 +328,7 @@ fn handle_connection(stream: TcpStream, service: &ScheduleService, idle: Duratio
             if text.trim().is_empty() {
                 continue;
             }
-            respond_with(service, &mut memo, text, &mut reply);
+            respond(service, &mut memo, text, &mut reply);
         }
         reply.push('\n');
         // Fault injection: hang up instead of answering (the request itself
@@ -477,9 +458,9 @@ mod tests {
             for req in &lines {
                 let line = solve_request_line(req);
                 let mut reply = String::new();
-                respond_with(&service, &mut memo, &line, &mut reply);
+                respond(&service, &mut memo, &line, &mut reply);
                 let mut plain = String::new();
-                respond(&service, &line, &mut plain);
+                respond(&service, &mut TopologyMemo::new(), &line, &mut plain);
                 assert_eq!(without_cache(&reply), without_cache(&plain));
                 let key = format!("{:016x}", req.key().hash);
                 let v = Value::parse(&reply).unwrap();

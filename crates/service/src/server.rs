@@ -8,12 +8,14 @@
 //!
 //! A connection owns one line buffer and one reply buffer for its lifetime,
 //! and capacity past [`KEEP_BUFFER_BYTES`] is handed back after each
-//! request. What a cache hit allocates is what decoding its line builds: the
-//! request's `Topology` (its node names, link and adjacency lists), the
-//! decoder's per-node and per-link member slots, and the boxed request.
-//! Neither the line nor the reply allocates: the reply is rendered into the
-//! connection's buffer ([`crate::protocol::solve_response`]), its schedule
-//! copied from the entry's kept text.
+//! request. It also owns a [`TopologyMemo`]: the last few topologies it was
+//! sent, by their text, each with the `Arc<Topology>` decoded from it and
+//! its fingerprint. A hit whose topology text is one of them decodes no
+//! topology and hashes none; what it allocates is the boxed request and
+//! whatever else its line holds (a `config`, say). Neither the line nor the
+//! reply allocates: the reply is rendered into the connection's buffer
+//! ([`crate::protocol::solve_response`]), its schedule copied from the
+//! entry's kept text.
 //!
 //! The server bounds its peers: at most [`MAX_CONNECTIONS`] are open at
 //! once (a peer past the cap gets one error line and is closed), and a
@@ -72,7 +74,8 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 /// Buffer capacity a connection keeps between requests: above every builtin
 /// request line (~40 kB) and far below [`MAX_LINE_BYTES`], so one outsized
 /// line does not pin megabytes for the life of an idle connection; a larger
-/// line or reply regrows its buffer each time.
+/// line or reply regrows its buffer each time. It also bounds the topology
+/// text a connection's [`TopologyMemo`] keeps.
 pub const KEEP_BUFFER_BYTES: usize = 64 << 10;
 
 /// A running server. Dropping the handle does *not* stop the server; call

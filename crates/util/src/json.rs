@@ -17,7 +17,11 @@
 //! [`Value::parse`] builds a tree from those events; a typed decoder reads
 //! them itself through [`JsonSource`], which [`Value::events`] also
 //! implements, so one decoder serves a request line read straight from the
-//! wire and a document already parsed into a tree.
+//! wire and a document already parsed into a tree. A reader that meets a
+//! container whose text it has read before ([`JsonSource::with_text`] lends
+//! that text) can step past it without tokenizing it again
+//! ([`Reader::pass_over`]): a connection does that for the topology every
+//! request line repeats.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -879,7 +883,8 @@ enum Expect {
 
 /// A pull reader over one JSON text: each [`JsonSource::next`] reads one
 /// token. A syntax error is reported at the byte where it was found, with
-/// the messages [`Value::parse`] has always given.
+/// the messages [`Value::parse`] has always given. [`Reader::pass_over`]
+/// steps past a container whose text is already known in one comparison.
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,

@@ -29,7 +29,8 @@
 //! with copy and ALLTOALL without. For every instance:
 //! * the proven horizon bound (`copy_horizon_bound` with copy,
 //!   `horizon_lower_bound` without), over the trivial group and over the
-//!   group `SymmetryGroup::find` returns, is at most `K*`;
+//!   group `SymmetryGroup::find` returns, is at most `K*`, and without copy
+//!   the LP over either group is feasible at `K*`;
 //! * the MILP built at `K*` is feasible and the one at `K* − 1` is not, over
 //!   the trivial group and over the instance's group where the product
 //!   would use it;
@@ -41,6 +42,7 @@ use std::collections::{HashMap, HashSet};
 
 use teccl_collective::{CollectiveKind, DemandMatrix};
 use teccl_core::epochs::{copy_horizon_bound, epoch_duration, horizon_lower_bound};
+use teccl_core::lp_form::LpFormulation;
 use teccl_core::milp_form::{MilpBuildOptions, MilpFormulation};
 use teccl_core::symmetry::SymmetryGroup;
 use teccl_core::{RequestMethod, SolverConfig, TeCcl, TeCclError};
@@ -529,6 +531,27 @@ fn every_strongly_connected_3_gpu_digraph_meets_the_oracle() {
                     }
                     .unwrap();
                     assert!(bound <= k_star, "{name}: bound {bound} > K* {k_star}");
+                    // Without copy, the LP (continuous flows, κ = 1) is a
+                    // relaxation of the epoch model: feasible at K*.
+                    if !oracle.copy {
+                        let order = group.order();
+                        let config = SolverConfig::default();
+                        let lp = LpFormulation::build_over(
+                            &topo,
+                            &demand,
+                            CHUNK_BYTES,
+                            &config,
+                            k_star,
+                            tau,
+                            group,
+                            None,
+                        )
+                        .unwrap();
+                        assert!(
+                            lp.solve_budgeted(None, None).is_ok(),
+                            "{name}: LP over |G| {order} infeasible at K* {k_star}"
+                        );
+                    }
                 }
 
                 // The MILP is feasible at K* and not below, full and quotient.

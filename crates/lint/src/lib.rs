@@ -19,6 +19,8 @@
 //! | `panic-hygiene` | no panicking constructs outside the `catch_unwind` boundary |
 //! | `hash-stability` | key-derivation code stays deterministic (no `DefaultHasher`, …) |
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
+//! | `no-env-knobs` | solver code reads no environment variable |
+//! | `one-reader` | product code decodes JSON from its text, never through `Value::parse` |
 //!
 //! Run with `cargo run -p teccl-lint --release -- --workspace`.
 

@@ -8,6 +8,7 @@ pub mod hash_stability;
 pub mod lock_discipline;
 pub mod lock_order;
 pub mod no_env_knobs;
+pub mod one_reader;
 pub mod panic_hygiene;
 
 use crate::report::Finding;
@@ -24,6 +25,7 @@ pub const RULE_NAMES: &[&str] = &[
     "hash-stability",
     "forbid-unsafe",
     "no-env-knobs",
+    "one-reader",
     "lint-allow",
 ];
 
@@ -37,5 +39,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     out.extend(hash_stability::check(files));
     out.extend(forbid_unsafe::check(files));
     out.extend(no_env_knobs::check(files));
+    out.extend(one_reader::check(files));
     out
 }

@@ -727,6 +727,58 @@ fn no_env_knobs_passes_tests_and_other_crates() {
     assert!(errors(&o, "no-env-knobs").is_empty(), "{:?}", o.errors);
 }
 
+// ---------------------------------------------------------------- one-reader
+
+#[test]
+fn one_reader_fires_on_tree_parses_in_product_code() {
+    let o = analyze_snippets(&[
+        (
+            "crates/service/src/disk.rs",
+            "fn load(text: &str) -> Option<Value> {\n    Value::parse(text).ok()\n}\n",
+        ),
+        (
+            "crates/schedule/src/output.rs",
+            "fn read(t: &str) -> bool { teccl_util::json::Value::parse(t).is_ok() }\n",
+        ),
+    ]);
+    let f: Vec<_> = errors(&o, "one-reader")
+        .iter()
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        f,
+        [
+            ("crates/schedule/src/output.rs", 1),
+            ("crates/service/src/disk.rs", 2)
+        ],
+        "{:?}",
+        o.errors
+    );
+}
+
+#[test]
+fn one_reader_passes_tests_the_cli_and_other_crates() {
+    let o = analyze_snippets(&[
+        (
+            "crates/service/src/server.rs",
+            "#[cfg(test)]\nmod tests {\n    fn reply(t: &str) -> Value { Value::parse(t).unwrap() }\n}\n",
+        ),
+        (
+            "crates/service/src/bin/teccl_cli.rs",
+            "fn pretty(t: &str) -> String { Value::parse(t).map(|v| v.to_json_pretty()).unwrap_or_default() }\n",
+        ),
+        (
+            "crates/bench/src/bin/bench_lp_json.rs",
+            "fn load(t: &str) -> Option<Value> { Value::parse(t).ok() }\n",
+        ),
+        (
+            "crates/service/src/protocol.rs",
+            "fn decode(t: &str) -> Result<Topology, JsonError> { json::decode_text(t, Topology::decode) }\n",
+        ),
+    ]);
+    assert!(errors(&o, "one-reader").is_empty(), "{:?}", o.errors);
+}
+
 // ---------------------------------------------------------------- lint:allow escapes
 
 #[test]

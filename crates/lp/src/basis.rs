@@ -32,7 +32,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use teccl_util::json::{Emit, Event, JsonError, JsonSink, JsonSource};
+use teccl_util::json::{Emit, Event, JsonError, JsonSink, Reader};
 
 use crate::error::LpError;
 use crate::sparse::{IndexedVec, SparseMatrix, SparseVec};
@@ -124,13 +124,13 @@ impl CarriedFactors {
 
 impl SimplexBasis {
     /// Reads the basis document whose first event is `first` from `src`, to
-    /// its end (see [`JsonSource`] for the two errors); `basic` is checked
+    /// its end (see [`Reader`] for the two errors); `basic` is checked
     /// before `status`. A shape- or content-invalid document is an error
     /// here; a shape-*mismatched* (but well-formed) basis is fine — the
     /// warm-start path falls back to a cold solve on its own.
-    pub fn decode<'a, S: JsonSource<'a>>(
+    pub fn decode<'a>(
         first: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<Result<SimplexBasis, JsonError>, JsonError> {
         let mut basic = None;
         let mut status = None;

@@ -123,11 +123,8 @@ mod thread_safety_tests {
             ],
         };
         let v = json::to_value(&b);
-        let back: SimplexBasis = json::decode_tree(&v, SimplexBasis::decode).unwrap();
+        let back: SimplexBasis = json::decode_text(&v.to_json(), SimplexBasis::decode).unwrap();
         assert_eq!(back, b);
-        // And through actual text.
-        let back2: SimplexBasis = json::decode_text(&v.to_json(), SimplexBasis::decode).unwrap();
-        assert_eq!(back2, b);
         let decode = |text: &str| json::decode_text(text, SimplexBasis::decode);
         assert!(decode("{}").is_err());
         assert!(decode(r#"{"basic":[],"status":"X"}"#).is_err());
@@ -140,7 +137,7 @@ mod thread_safety_tests {
         m.add_cons("c", &[(x, 1.0)], ConstraintOp::Le, 2.0);
         let sol = m.solve_lp_relaxation_budgeted(None, None).unwrap();
         let v = json::to_value(sol.basis.as_ref().expect("LP solve returns a basis"));
-        let back: SimplexBasis = json::decode_tree(&v, SimplexBasis::decode).unwrap();
+        let back: SimplexBasis = json::decode_text(&v.to_json(), SimplexBasis::decode).unwrap();
         assert_eq!(Some(&back), sol.basis.as_ref());
     }
 }

@@ -9,7 +9,7 @@
 //! formatting, which is what makes bit-exactness possible without a binary
 //! format.
 
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, Reader, Value};
 
 use crate::metrics::CollectiveMetrics;
 use crate::schedule::Schedule;
@@ -37,12 +37,12 @@ impl ScheduleOutput {
     }
 
     /// Reads the output document whose first event is `first` from `src`,
-    /// to its end (see [`JsonSource`] for the two errors): the schedule
+    /// to its end (see [`Reader`] for the two errors): the schedule
     /// ([`Schedule::decode`]) is checked before the metrics
     /// ([`CollectiveMetrics::decode`]).
-    pub fn decode<'a, S: JsonSource<'a>>(
+    pub fn decode<'a>(
         first: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<Result<ScheduleOutput, JsonError>, JsonError> {
         let mut schedule = None;
         let mut metrics = None;

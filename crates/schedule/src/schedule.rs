@@ -1,7 +1,7 @@
 //! The schedule data model: which chunk crosses which link in which epoch.
 
 use teccl_topology::NodeId;
-use teccl_util::json::{Emit, Event, JsonError, JsonSink, JsonSource, RenderedOnce, Value};
+use teccl_util::json::{Emit, Event, JsonError, JsonSink, Reader, RenderedOnce, Value};
 
 /// Identity of a chunk: the source GPU it originates from plus its per-source
 /// chunk index (`(s, c)` in the paper's notation).
@@ -175,20 +175,20 @@ impl Schedule {
     }
 
     /// Reads the schedule document whose first event is `first` from
-    /// `src`, to its end (see [`JsonSource`] for the two errors). Members
+    /// `src`, to its end (see [`Reader`] for the two errors). Members
     /// come in any order and the first of duplicate keys wins; faults are
     /// reported in one order: `name`, `chunk_bytes`, `epoch_duration`,
     /// `sends`, `num_epochs`. A missing or non-numeric `solver_time` is 0.
     ///
-    /// Read from text in the compact form, the schedule keeps that text as
+    /// Read in the compact form, the schedule keeps that text as
     /// its [`Schedule::json_text`], so a schedule loaded from where it was
     /// written is not formatted again. The compact writer never breaks a
     /// line and the pretty one always does, so a span without a line break
     /// is taken for the compact form. As with [`Schedule::json_text`], a
     /// change made to the decoded schedule is not seen by that text.
-    pub fn decode<'a, S: JsonSource<'a>>(
+    pub fn decode<'a>(
         first: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<Result<Schedule, JsonError>, JsonError> {
         let mut f = ScheduleFields::default();
         let ((), text) = src.with_text(first, |first, src| {
@@ -267,9 +267,9 @@ impl ScheduleFields<'_> {
 
 /// The sends of the array `first` begins, or the fault: the value is no
 /// array, or a send lacks one of its five counts.
-fn sends<'a, S: JsonSource<'a>>(
+fn sends<'a>(
     first: Event<'a>,
-    src: &mut S,
+    src: &mut Reader<'a>,
 ) -> Result<Result<Vec<Send>, &'static str>, JsonError> {
     let mut sends = Vec::new();
     let mut whole = true;
@@ -464,15 +464,13 @@ mod tests {
         s.push(ChunkId::new(NodeId(0), 2), NodeId(0), NodeId(1), 5);
         let tree = json::to_value(&s);
         let (json, pretty) = (tree.to_json(), tree.to_json_pretty());
-        let from_tree: Schedule = json::decode_tree(&tree, Schedule::decode).unwrap();
         for back in [
             json::decode_text(&json, Schedule::decode).unwrap(),
             json::decode_text(&pretty, Schedule::decode).unwrap(),
-            from_tree,
         ] {
             assert_eq!(back.sends, s.sends);
             assert_eq!(back.num_epochs, 6);
-            // Kept from the compact text, rendered for the other two.
+            // Kept from the compact text, rendered for the pretty one.
             assert_eq!(back.json_text(), json);
         }
         let err = |text: &str| {

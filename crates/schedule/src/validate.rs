@@ -3,8 +3,8 @@
 //! The validator replays a schedule epoch by epoch: a node may forward a chunk
 //! in epoch `k` only if it is the chunk's source or received the chunk in an
 //! earlier epoch (accounting for each link's α-delay in epochs, matching the
-//! flow-conservation constraints of §3.1); per-epoch link usage must fit the
-//! link's capacity; and at the end every `(s, c, d)` demand must be satisfied.
+//! flow-conservation constraints of §3.1); link usage must fit the link's
+//! capacity; and at the end every `(s, c, d)` demand must be satisfied.
 
 use std::fmt;
 
@@ -28,7 +28,9 @@ pub enum ValidationError {
         chunk: ChunkId,
         epoch: usize,
     },
-    /// More chunk-bytes were scheduled on a link in an epoch than it can carry.
+    /// More sends start on a link in the `κ` epochs ending at `epoch` than
+    /// it can carry (Appendix F's window; `κ` is 1 on a link that moves a
+    /// chunk in one epoch).
     CapacityExceeded {
         from: NodeId,
         to: NodeId,
@@ -60,7 +62,7 @@ impl fmt::Display for ValidationError {
             ),
             ValidationError::CapacityExceeded { from, to, epoch, chunks, capacity_chunks } => write!(
                 f,
-                "epoch {epoch}: link {from}->{to} carries {chunks} chunks but only {capacity_chunks} fit"
+                "epoch {epoch}: link {from}->{to} starts {chunks} chunks in its window but only {capacity_chunks} fit"
             ),
             ValidationError::DemandUnsatisfied { chunk, destination } => write!(
                 f,
@@ -92,15 +94,18 @@ impl ValidationReport {
 
 /// Validates `schedule` against `topology` and `demand`.
 ///
-/// `check_capacity` controls whether the per-epoch capacity check runs; it
-/// requires `schedule.epoch_duration > 0` (baselines that only provide causal
-/// step ordering skip it).
+/// `check_capacity` controls whether the capacity check runs; it requires
+/// `schedule.epoch_duration > 0` (baselines that only provide causal step
+/// ordering skip it). A link that takes `κ = ⌈(chunk / capacity) / τ⌉`
+/// epochs to move a chunk may start at most `⌊κ · capacity · τ / chunk⌋`
+/// sends in any `κ` consecutive epochs (Appendix F); for `κ = 1` that is the
+/// chunks one epoch carries.
 ///
 /// One cursor walks the sorted sends. A node holds a chunk from the first
 /// epoch it is visible there (a dense `(chunk, node)` table): 0 at its
 /// source, `k + ⌈α/τ⌉ + 1` after a send in epoch `k` (§3.1). Errors come in
-/// replay order: an epoch's sends, then its over-capacity links by `(from,
-/// to)`; the unsatisfied demands last.
+/// replay order: an epoch's sends, then the links by `(from, to)` whose
+/// window ending there is over capacity; the unsatisfied demands last.
 pub fn validate(
     topology: &Topology,
     demand: &DemandMatrix,
@@ -121,6 +126,8 @@ pub fn validate(
     // `(from, to)` order — the order the sorted sends reach them in.
     let mut load = vec![0usize; topology.links.len()];
     let mut loaded: Vec<usize> = Vec::new();
+    // Per link, `(epoch, sends)` for each epoch it carried any, in order.
+    let mut history: Vec<Vec<(usize, usize)>> = vec![Vec::new(); topology.links.len()];
     let mut at = 0;
     while at < sends.len() {
         let epoch = sends[at].epoch;
@@ -171,14 +178,25 @@ pub fn validate(
                 continue;
             }
             let link = &topology.links[l];
-            let cap_chunks = (link.capacity * schedule.epoch_duration / schedule.chunk_bytes + 1e-9)
-                .floor() as usize;
-            if chunks > cap_chunks {
+            let tau = schedule.epoch_duration;
+            let kappa = ((schedule.chunk_bytes / link.capacity) / tau)
+                .ceil()
+                .max(1.0) as usize;
+            let per_epoch = link.capacity * tau / schedule.chunk_bytes;
+            let cap_chunks = (kappa as f64 * per_epoch + 1e-9).floor() as usize;
+            history[l].push((epoch, chunks));
+            let in_window = history[l]
+                .iter()
+                .rev()
+                .take_while(|&&(e, _)| e + kappa > epoch)
+                .map(|&(_, n)| n)
+                .sum();
+            if in_window > cap_chunks {
                 report.errors.push(ValidationError::CapacityExceeded {
                     from: link.src,
                     to: link.dst,
                     epoch,
-                    chunks,
+                    chunks: in_window,
                     capacity_chunks: cap_chunks,
                 });
             }
@@ -237,6 +255,8 @@ pub(crate) mod tests {
         // pending[(epoch_visible, node)] -> chunks that become available then.
         let mut pending: BTreeMap<(usize, usize), Vec<ChunkId>> = BTreeMap::new();
         let mut seen_sends: BTreeSet<(usize, usize, usize, usize, usize)> = BTreeSet::new();
+        // Sends per (link, epoch), for the capacity windows.
+        let mut started: BTreeMap<(usize, usize, usize), usize> = BTreeMap::new();
 
         // A very long schedule tail is allowed: chunks may still be in flight
         // after the last send epoch; extend the replay horizon accordingly.
@@ -314,15 +334,26 @@ pub(crate) mod tests {
                     .push(snd.chunk);
             }
 
-            // Capacity check.
+            // Capacity check: the sends in the κ epochs ending here.
             if check_capacity && schedule.epoch_duration > 0.0 {
                 for ((from, to), chunks) in link_load {
                     let link = topology
                         .link_between(NodeId(from), NodeId(to))
                         .expect("checked above");
-                    let cap_chunks =
-                        (link.capacity * schedule.epoch_duration / schedule.chunk_bytes + 1e-9)
-                            .floor() as usize;
+                    started.insert((from, to, epoch), chunks);
+                    let seconds_per_chunk = schedule.chunk_bytes / link.capacity;
+                    let kappa = (seconds_per_chunk / schedule.epoch_duration)
+                        .ceil()
+                        .max(1.0) as usize;
+                    let cap_chunks = (kappa as f64 * link.capacity * schedule.epoch_duration
+                        / schedule.chunk_bytes
+                        + 1e-9)
+                        .floor() as usize;
+                    let first = (epoch + 1).saturating_sub(kappa);
+                    let chunks: usize = started
+                        .range((from, to, first)..=(from, to, epoch))
+                        .map(|(_, n)| n)
+                        .sum();
                     if chunks > cap_chunks {
                         report.errors.push(ValidationError::CapacityExceeded {
                             from: NodeId(from),
@@ -451,6 +482,43 @@ pub(crate) mod tests {
             .errors
             .iter()
             .any(|e| matches!(e, ValidationError::CapacityExceeded { .. })));
+    }
+
+    /// A link at half the epoch's speed (κ = 2) may start one send in any
+    /// two consecutive epochs.
+    #[test]
+    fn a_half_speed_link_starts_one_send_per_two_epochs() {
+        let mut topo = Topology::new("half");
+        let a = topo.add_gpu("a", 0);
+        let b = topo.add_gpu("b", 0);
+        topo.add_bilink(a, b, 1e9, 0.0);
+        let demand = DemandMatrix::broadcast(2, &[a, b], a, 3);
+        let with_sends = |epochs: [usize; 3]| {
+            let mut sch = Schedule::new("half", 1e6);
+            sch.epoch_duration = 0.5e-3; // 1 MB at 1 GB/s takes two epochs
+            for (c, epoch) in epochs.into_iter().enumerate() {
+                sch.push(ChunkId::new(a, c), a, b, epoch);
+            }
+            sch
+        };
+        let every_other = with_sends([0, 2, 4]);
+        for check in [validate, btree_validate] {
+            let report = check(&topo, &demand, &every_other, true);
+            assert!(report.is_valid(), "{:?}", report.errors);
+        }
+        let adjacent = with_sends([0, 2, 3]);
+        let over = ValidationError::CapacityExceeded {
+            from: a,
+            to: b,
+            epoch: 3,
+            chunks: 2,
+            capacity_chunks: 1,
+        };
+        for check in [validate, btree_validate] {
+            let report = check(&topo, &demand, &adjacent, true);
+            assert_eq!(report.errors, std::slice::from_ref(&over));
+            assert!(check(&topo, &demand, &adjacent, false).is_valid());
+        }
     }
 
     #[test]

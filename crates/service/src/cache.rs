@@ -37,7 +37,7 @@ use std::time::Duration;
 use teccl_lp::{SimplexBasis, SolveStats};
 use teccl_schedule::ScheduleOutput;
 use teccl_topology::Topology;
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, Reader};
 
 use crate::fault::FaultPlan;
 use crate::key::{RequestKey, SolveRequest};
@@ -111,7 +111,7 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// Reads the stored document whose first event is `first` from `src`,
-    /// to its end (see [`JsonSource`] for the two errors): the entry and
+    /// to its end (see [`Reader`] for the two errors): the entry and
     /// its optional basis. Members come in any order and the first of
     /// duplicate keys wins. Faults are reported in the order `key_family`,
     /// `key_bucket`, `key_hash`, `output`, `topology_used`, `chunk_bytes`,
@@ -119,9 +119,9 @@ impl CacheEntry {
     /// request?) is the caller's job. Missing `stats` counters are zero
     /// and a missing or unknown `quality` is exact, as files written before
     /// they existed hold; a solve time no [`Duration`] holds is a fault.
-    pub fn decode<'a, S: JsonSource<'a>>(
+    pub fn decode<'a>(
         first: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<Result<(CacheEntry, Option<SimplexBasis>), JsonError>, JsonError> {
         let mut f = EntryFields::default();
         src.object(first, |key, value, src| {
@@ -238,9 +238,9 @@ fn counts(s: &SolveStats) -> [usize; 6] {
 /// Reads the `stats` member: a counter that is missing or not a count is
 /// zero, and so is a value that is no object; a solve time no [`Duration`]
 /// holds (negative, or past `Duration::MAX`) is a fault.
-fn decode_stats<'a, S: JsonSource<'a>>(
+fn decode_stats<'a>(
     first: Event<'a>,
-    src: &mut S,
+    src: &mut Reader<'a>,
 ) -> Result<Result<SolveStats, JsonError>, JsonError> {
     let mut counts: [Option<usize>; 6] = [None; 6];
     let mut solve_time_s = None;

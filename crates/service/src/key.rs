@@ -25,7 +25,7 @@ use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::{BufferMode, EpochStrategy, RequestMethod, SolverConfig, SwitchModel};
 use teccl_topology::{NodeId, Topology};
 use teccl_util::hash::{size_bucket, StableHasher};
-use teccl_util::json::{self, Event, JsonError, JsonSource, Value};
+use teccl_util::json::{Event, JsonError, Reader, Value};
 
 use crate::server::{MAX_REQUEST_CHUNKS, MAX_REQUEST_EPOCHS};
 
@@ -248,20 +248,14 @@ impl SolveRequest {
         Value::obj(pairs)
     }
 
-    /// Deserializes a request from a tree; [`SolveRequest::decode`] says
-    /// what is accepted.
-    pub fn from_json_value(v: &Value) -> Result<SolveRequest, RequestError> {
-        json::decode_tree(v, SolveRequest::decode)
-    }
-
     /// Reads the request object whose first event is `first` from `src`,
-    /// to its end (see [`JsonSource`] for the two errors). `topology` may be
+    /// to its end (see [`Reader`] for the two errors). `topology` may be
     /// a full topology document or the string name of a prebuilt one (see
     /// [`builtin_topology`]); every field except `topology`, `collective`
     /// and `output_buffer` is optional, and other members are ignored.
-    pub fn decode<'a, S: JsonSource<'a>>(
+    pub fn decode<'a>(
         first: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<Result<SolveRequest, RequestError>, JsonError> {
         let mut fields = RequestFields::default();
         src.object(first, |key, value, src| fields.read(key, value, src))?;
@@ -293,11 +287,11 @@ impl RequestFields {
     /// Reads the value of member `key`, whose first event is `value`: into
     /// its slot when it is a request field seen for the first time, else
     /// skipped.
-    pub(crate) fn read<'a, S: JsonSource<'a>>(
+    pub(crate) fn read<'a>(
         &mut self,
         key: &str,
         value: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<(), JsonError> {
         match key {
             "topology" if self.topology.is_none() => {
@@ -520,9 +514,9 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
 /// [`SolverConfig`]'s wire names below is reported. The retired solver
 /// switches (`threads`, `decompose`, `warm_start`, `astar_warm_rounds`) are
 /// accepted in any form and ignored.
-fn decode_config<'a, S: JsonSource<'a>>(
+fn decode_config<'a>(
     first: Event<'a>,
-    src: &mut S,
+    src: &mut Reader<'a>,
 ) -> Result<Result<SolverConfig, JsonError>, JsonError> {
     let mut f = ConfigFields::default();
     src.object(first, |key, value, src| f.read(key, value, src))?;
@@ -547,11 +541,11 @@ struct ConfigFields {
 }
 
 impl ConfigFields {
-    fn read<'a, S: JsonSource<'a>>(
+    fn read<'a>(
         &mut self,
         key: &str,
         value: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<(), JsonError> {
         match key {
             "epoch_strategy" if self.epoch_strategy.is_none() => {
@@ -723,6 +717,12 @@ pub fn builtin_topology(spec: &str) -> Option<Topology> {
 mod tests {
     use super::*;
     use teccl_topology::{internal1, internal2, ring_topology};
+    use teccl_util::json;
+
+    /// The request one document's text holds.
+    fn decode(text: &str) -> Result<SolveRequest, RequestError> {
+        json::decode_text(text, SolveRequest::decode)
+    }
 
     fn base_request() -> SolveRequest {
         SolveRequest::new(internal2(2), CollectiveKind::AllToAll, 1, 1024.0 * 1024.0)
@@ -777,7 +777,7 @@ mod tests {
         req.config.early_stop_gap = Some(0.3);
         req.config.buffer_mode = teccl_core::BufferMode::LimitedChunks(4);
         let v = req.to_json_value();
-        let back = SolveRequest::from_json_value(&v).unwrap();
+        let back = decode(&v.to_json()).unwrap();
         assert_eq!(back.key(), req.key());
         assert_eq!(back.chunks, req.chunks);
         assert_eq!(back.method, req.method);
@@ -797,11 +797,8 @@ mod tests {
         assert!(builtin_topology("internal1x0").is_none());
         assert!(builtin_topology("nope").is_none());
         // A request file can name the topology instead of embedding it.
-        let req = SolveRequest::from_json_value(
-            &Value::parse(
-                r#"{"topology":"internal2x2","collective":"all_to_all","output_buffer":1048576}"#,
-            )
-            .unwrap(),
+        let req = decode(
+            r#"{"topology":"internal2x2","collective":"all_to_all","output_buffer":1048576}"#,
         )
         .unwrap();
         assert_eq!(req.key(), base_request().key());
@@ -816,15 +813,15 @@ mod tests {
             patient.key(),
             "deadline must not split the cache"
         );
-        let back = SolveRequest::from_json_value(&hurried.to_json_value()).unwrap();
+        let back = decode(&hurried.to_json_value().to_json()).unwrap();
         assert_eq!(back.deadline, Some(std::time::Duration::from_millis(100)));
-        let back = SolveRequest::from_json_value(&patient.to_json_value()).unwrap();
+        let back = decode(&patient.to_json_value().to_json()).unwrap();
         assert_eq!(back.deadline, None);
         for bad in ["-3", "1.9e22", "1e25", "1e300"] {
             let line = format!(
                 r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"deadline_ms":{bad}}}"#
             );
-            let err = SolveRequest::from_json_value(&Value::parse(&line).unwrap()).unwrap_err();
+            let err = decode(&line).unwrap_err();
             assert_eq!(err.code(), "bad_field", "{bad}");
         }
     }
@@ -839,7 +836,7 @@ mod tests {
         let legacy = format!(
             r#"{{"topology":"internal2x2","collective":"all_to_all","output_buffer":1048576,"config":{config}}}"#
         );
-        let parse = |line: &str| SolveRequest::from_json_value(&Value::parse(line).unwrap());
+        let parse = |line: &str| decode(line);
         let legacy = parse(&legacy).expect("retired knobs must not be rejected");
         assert_eq!(legacy.key(), parse(plain).unwrap().key(), "{config}");
         let echoed = legacy.to_json_value().to_json();
@@ -876,7 +873,7 @@ mod tests {
             let line = format!(
                 r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"config":{config}}}"#
             );
-            SolveRequest::from_json_value(&Value::parse(&line).unwrap())
+            decode(&line)
         };
         for config in [
             // Non-finite: `1e999` parses to infinity.
@@ -926,7 +923,7 @@ mod tests {
             let line = format!(
                 r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":1024,"chunks":{chunks}}}"#
             );
-            SolveRequest::from_json_value(&Value::parse(&line).unwrap())
+            decode(&line)
         };
         for chunks in ["0", "257", "1e9", "1e300", "2.5", "\"6\""] {
             let err = parse(chunks).expect_err(chunks);
@@ -954,7 +951,7 @@ mod tests {
         for bad in ["0", "-1", "-16777216.0"] {
             let line =
                 format!(r#"{{"topology":"dgx1","collective":"all_gather","output_buffer":{bad}}}"#);
-            let err = SolveRequest::from_json_value(&Value::parse(&line).unwrap()).unwrap_err();
+            let err = decode(&line).unwrap_err();
             assert!(
                 matches!(err, RequestError::InvalidBufferSize(_)),
                 "{bad}: {err:?}"
@@ -963,7 +960,7 @@ mod tests {
         }
         // A missing field is a different kind of error.
         let missing = r#"{"topology":"dgx1","collective":"all_gather"}"#;
-        let err = SolveRequest::from_json_value(&Value::parse(missing).unwrap()).unwrap_err();
+        let err = decode(missing).unwrap_err();
         assert!(matches!(err, RequestError::BadField(_)));
     }
 
@@ -982,12 +979,12 @@ mod tests {
 
     #[test]
     fn bad_requests_rejected() {
-        assert!(SolveRequest::from_json_value(&Value::parse("{}").unwrap()).is_err());
+        assert!(decode("{}").is_err());
         let no_buffer = r#"{"topology":"dgx1","collective":"all_gather"}"#;
-        assert!(SolveRequest::from_json_value(&Value::parse(no_buffer).unwrap()).is_err());
+        assert!(decode(no_buffer).is_err());
         let bad_size = r#"{"topology":"dgx1","collective":"all_gather","output_buffer":-5}"#;
-        assert!(SolveRequest::from_json_value(&Value::parse(bad_size).unwrap()).is_err());
+        assert!(decode(bad_size).is_err());
         let bad_coll = r#"{"topology":"dgx1","collective":"all2all","output_buffer":1024}"#;
-        assert!(SolveRequest::from_json_value(&Value::parse(bad_coll).unwrap()).is_err());
+        assert!(decode(bad_coll).is_err());
     }
 }

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use teccl_schedule::ScheduleOutput;
 use teccl_topology::Topology;
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Reader, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, Reader, Value};
 
 use crate::cache::Quality;
 use crate::key::{RequestError, RequestFields, SolveRequest};

@@ -1201,7 +1201,7 @@ mod tests {
             }
         }
         assert!(wire.to_json().contains("\"threads\":4"));
-        let req = SolveRequest::from_json_value(&wire).unwrap();
+        let req = teccl_util::json::decode_text(&wire.to_json(), SolveRequest::decode).unwrap();
         let served = svc.request(req).unwrap();
         assert_eq!(served.cache, CacheStatus::Miss);
         assert_eq!(served.quality, Quality::Exact);

@@ -1,10 +1,12 @@
 //! The request decoder reads a line straight off its text
-//! (`protocol::parse_request`) or from a tree (`SolveRequest::from_json_value`
-//! after `Value::parse`). Both run the one `SolveRequest::decode`; this
-//! corpus checks that they agree on every request the repository can
-//! express, restyled the ways other writers would write it, and on the
-//! error code of every malformed line. A connection reads its lines through
-//! a `TopologyMemo`; the corpus checks that the memo changes no answer.
+//! (`protocol::parse_request`, which runs `SolveRequest::decode`). This
+//! corpus checks that every request the repository can express, restyled
+//! the ways other writers would write it, decodes to the `SolveRequest` it
+//! was written from, and that every malformed line gets the error code
+//! pinned for it. A connection reads its lines through a `TopologyMemo`;
+//! the corpus checks that the memo changes no answer.
+
+use std::collections::BTreeMap;
 
 use teccl_collective::CollectiveKind;
 use teccl_core::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
@@ -180,28 +182,21 @@ fn restyled_lines(req: &SolveRequest, topology_name: &str) -> Vec<String> {
     ]
 }
 
-/// Decodes a solve line both ways, text first and tree second.
-fn both_ways(
-    line: &str,
-) -> (
-    Result<SolveRequest, RequestError>,
-    Result<SolveRequest, RequestError>,
-) {
-    let text = parse_request(line).map(|r| match r {
+/// Decodes a solve line.
+fn decode(line: &str) -> Result<SolveRequest, RequestError> {
+    parse_request(line).map(|r| match r {
         Request::Solve(req) => *req,
         other => panic!("{line}: not a solve: {other:?}"),
-    });
-    let tree = Value::parse(line.trim())
-        .map_err(|e| RequestError::Json(e.to_string()))
-        .and_then(|v| SolveRequest::from_json_value(&v));
-    (text, tree)
+    })
 }
 
-fn assert_same(line: &str, text: &SolveRequest, tree: &SolveRequest) {
-    assert_eq!(text.key(), tree.key(), "{line}");
+/// Checks that `got` is `want`: the same key and the same request written
+/// back.
+fn assert_same(line: &str, got: &SolveRequest, want: &SolveRequest) {
+    assert_eq!(got.key(), want.key(), "{line}");
     assert_eq!(
-        text.to_json_value().to_json(),
-        tree.to_json_value().to_json(),
+        got.to_json_value().to_json(),
+        want.to_json_value().to_json(),
         "{line}"
     );
 }
@@ -222,19 +217,11 @@ fn corpus_lines() -> Vec<(SolveRequest, String)> {
 }
 
 #[test]
-fn text_and_tree_decoders_agree_on_every_request_and_its_restylings() {
+fn every_request_and_its_restylings_decode_to_the_request_written() {
     let mut lines = 0;
     for (req, line) in corpus_lines() {
-        let canonical = req.to_json_value().to_json();
-        {
-            let (text, tree) = both_ways(&line);
-            let (text, tree) = (text.unwrap(), tree.unwrap());
-            assert_same(&line, &text, &tree);
-            // And both read back the request that was written.
-            assert_eq!(text.key(), req.key(), "{line}");
-            assert_eq!(text.to_json_value().to_json(), canonical, "{line}");
-            lines += 1;
-        }
+        assert_same(&line, &decode(&line).unwrap(), &req);
+        lines += 1;
     }
     assert!(lines > 4_000, "{lines}");
 }
@@ -246,13 +233,9 @@ fn with_member(line: &str, extra: &str) -> String {
 }
 
 #[test]
-fn duplicate_keys_take_the_first_value_in_both_decoders() {
-    let req = SolveRequest::new(
-        builtin_topology("dgx1").unwrap(),
-        CollectiveKind::AllGather,
-        2,
-        1048576.0,
-    );
+fn duplicate_keys_take_the_first_value() {
+    let dgx1 = builtin_topology("dgx1").unwrap();
+    let req = SolveRequest::new(dgx1.clone(), CollectiveKind::AllGather, 2, 1048576.0);
     let line = solve_request_line(&req);
     for extra in [
         r#""collective":"nope""#,
@@ -263,10 +246,7 @@ fn duplicate_keys_take_the_first_value_in_both_decoders() {
         r#""method":"lp""#,
     ] {
         let line = with_member(&line, extra);
-        let (text, tree) = both_ways(&line);
-        let (text, tree) = (text.unwrap(), tree.unwrap());
-        assert_same(&line, &text, &tree);
-        assert_eq!(text.key(), req.key(), "{line}");
+        assert_same(&line, &decode(&line).unwrap(), &req);
     }
 
     // Inside the topology and the config, too.
@@ -275,29 +255,30 @@ fn duplicate_keys_take_the_first_value_in_both_decoders() {
             r#"{{"verb":"solve","topology":{inner},"collective":"all_gather","output_buffer":1024}}"#
         )
     };
-    let dgx1 = builtin_topology("dgx1").unwrap().to_json_value().to_json();
-    let topo = format!(r#"{},"name":7,"links":[]}}"#, &dgx1[..dgx1.len() - 1]);
-    let (text, tree) = both_ways(&doubled(&topo));
-    assert_same(&topo, &text.unwrap(), &tree.unwrap());
+    let small = SolveRequest::new(dgx1.clone(), CollectiveKind::AllGather, 1, 1024.0);
+    let text = dgx1.to_json_value().to_json();
+    let topo = doubled(&format!(
+        r#"{},"name":7,"links":[]}}"#,
+        &text[..text.len() - 1]
+    ));
+    assert_same(&topo, &decode(&topo).unwrap(), &small);
 
     let config = r#"{"verb":"solve","topology":"dgx1","collective":"all_gather","output_buffer":1024,"config":{"max_epochs":9,"max_epochs":"x","buffer_mode":{"limited_chunks":3,"limited_chunks":-1}}}"#;
-    let (text, tree) = both_ways(config);
-    let (text, tree) = (text.unwrap(), tree.unwrap());
-    assert_same(config, &text, &tree);
-    assert_eq!(text.config.max_epochs, Some(9));
-    assert_eq!(text.config.buffer_mode, BufferMode::LimitedChunks(3));
+    let written = small.with_config(SolverConfig {
+        max_epochs: Some(9),
+        buffer_mode: BufferMode::LimitedChunks(3),
+        ..SolverConfig::default()
+    });
+    assert_same(config, &decode(config).unwrap(), &written);
 
     // A bad first value is refused even when a good one follows.
     let line = r#"{"verb":"solve","topology":"dgx1","collective":"nope","collective":"all_gather","output_buffer":1024}"#;
-    let (text, tree) = both_ways(line);
-    assert_eq!(text.unwrap_err().code(), "bad_field");
-    assert_eq!(tree.unwrap_err().code(), "bad_field");
+    assert_eq!(decode(line).unwrap_err().code(), "bad_field");
 }
 
-/// Malformed lines and the code each gets: the text decoder and (where the
-/// line is JSON at all) the tree decoder agree.
+/// Malformed lines and the code each gets.
 #[test]
-fn malformed_lines_get_the_same_code_from_both_decoders() {
+fn malformed_lines_get_their_pinned_codes() {
     let solve =
         r#"{"verb":"solve","topology":"dgx1","collective":"all_gather","output_buffer":1024"#;
     let line = |extra: &str| format!("{solve}{extra}}}");
@@ -360,18 +341,20 @@ fn malformed_lines_get_the_same_code_from_both_decoders() {
         (line(r#","config":{"chunk_priorities":[1,"2"]}"#), "bad_field"),
         (line(r#","config":{"buffer_mode":"some"}"#), "bad_field"),
     ];
+    let mut tally = BTreeMap::new();
     for (line, code) in &cases {
-        let text = parse_request(line).expect_err(line);
-        assert_eq!(text.code(), *code, "{line}: {text}");
-        if let Ok(v) = Value::parse(line.trim()) {
-            let tree = match v.get("verb").and_then(Value::as_str) {
-                Some("solve") => SolveRequest::from_json_value(&v).unwrap_err(),
-                _ => continue,
-            };
-            assert_eq!(tree.code(), *code, "{line}: {tree}");
-            assert_eq!(tree.to_string(), text.to_string(), "{line}");
-        }
+        let err = parse_request(line).expect_err(line);
+        assert_eq!(err.code(), *code, "{line}: {err}");
+        *tally.entry(err.code()).or_insert(0) += 1;
     }
+    // The codes these lines got when a tree decoder still checked them.
+    let pinned = [
+        ("bad_field", 14),
+        ("bad_json", 5),
+        ("bad_verb", 4),
+        ("invalid_buffer_size", 2),
+    ];
+    assert_eq!(tally, BTreeMap::from(pinned));
 }
 
 /// Parses `line` with `memo` and without a memo, and checks that the two

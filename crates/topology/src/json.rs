@@ -1,9 +1,9 @@
 //! The JSON form of a [`Topology`]: one writer ([`Emit`]) and one decoder.
 //!
-//! The decoder reads from any [`JsonSource`]: the request line a
-//! `teccld` connection thread is reading, or a tree such as a disk entry's
-//! `topology_used`. It takes the members in any order (the first of
-//! duplicate keys wins, as [`Value::get`] finds it), collects them, and
+//! The decoder reads from a [`Reader`]: the request line a `teccld`
+//! connection thread is reading, or a disk entry's `topology_used`. It
+//! takes the members in any order (the first of duplicate keys wins, as
+//! [`Value::get`] finds it), collects them, and
 //! only then builds the topology, checking in one fixed order: `name`,
 //! each node's `name`, `chassis` and `kind`, then each link's `src`, `dst`,
 //! `capacity` and `alpha`. A link may name a node listed after it in the
@@ -11,7 +11,7 @@
 
 use std::borrow::Cow;
 
-use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, JsonSource, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, Reader, Value};
 
 use crate::graph::{NodeId, NodeKind, Topology};
 
@@ -23,11 +23,11 @@ impl Topology {
     }
 
     /// Reads the topology document whose first event is `first` from
-    /// `src`, to its end (see [`JsonSource`] for the two errors). Any value
-    /// is read; one that is not an object lacks a `name`.
-    pub fn decode<'a, S: JsonSource<'a>>(
+    /// `src`, to its end (see [`Reader`] for the two errors). Any value is
+    /// read; one that is not an object lacks a `name`.
+    pub fn decode<'a>(
         first: Event<'a>,
-        src: &mut S,
+        src: &mut Reader<'a>,
     ) -> Result<Result<Topology, JsonError>, JsonError> {
         let mut name = None;
         let mut nodes = None;
@@ -110,10 +110,10 @@ struct LinkFields {
 
 /// The items of the array `first` begins, each read by `item`; `None` when
 /// the value is no array.
-fn list<'a, S: JsonSource<'a>, T>(
+fn list<'a, T>(
     first: Event<'a>,
-    src: &mut S,
-    item: fn(Event<'a>, &mut S) -> Result<T, JsonError>,
+    src: &mut Reader<'a>,
+    item: fn(Event<'a>, &mut Reader<'a>) -> Result<T, JsonError>,
 ) -> Result<Option<Vec<T>>, JsonError> {
     let mut items = Vec::new();
     let is_array = src.array(first, |value, src| {
@@ -123,7 +123,7 @@ fn list<'a, S: JsonSource<'a>, T>(
     Ok(is_array.then_some(items))
 }
 
-fn node<'a, S: JsonSource<'a>>(first: Event<'a>, src: &mut S) -> Result<NodeFields<'a>, JsonError> {
+fn node<'a>(first: Event<'a>, src: &mut Reader<'a>) -> Result<NodeFields<'a>, JsonError> {
     let mut n = NodeFields::default();
     src.object(first, |key, value, src| {
         match key {
@@ -145,7 +145,7 @@ fn node<'a, S: JsonSource<'a>>(first: Event<'a>, src: &mut S) -> Result<NodeFiel
     Ok(n)
 }
 
-fn link<'a, S: JsonSource<'a>>(first: Event<'a>, src: &mut S) -> Result<LinkFields, JsonError> {
+fn link<'a>(first: Event<'a>, src: &mut Reader<'a>) -> Result<LinkFields, JsonError> {
     let mut l = LinkFields::default();
     src.object(first, |key, value, src| {
         match key {

@@ -10,18 +10,17 @@
 //! rendered earlier (see [`RenderedOnce`]), so a document served many times
 //! is formatted once and copied after that.
 //!
-//! Reading is the mirror image: a [`Reader`] pulls [`Event`]s off a text
-//! one token at a time. It lends keys and strings that need no unescaping
-//! straight from the text, parses plain integers without the float parser,
-//! stops at [`MAX_DEPTH`] and reports byte offsets in its errors.
-//! [`Value::parse`] builds a tree from those events; a typed decoder reads
-//! them itself through [`JsonSource`], which [`Value::events`] also
-//! implements, so one decoder serves a request line read straight from the
-//! wire and a document already parsed into a tree. A reader that meets a
-//! container whose text it has read before ([`JsonSource::with_text`] lends
-//! that text) can step past it without tokenizing it again
-//! ([`Reader::pass_over`]): a connection does that for the topology every
-//! request line repeats.
+//! Reading is the mirror image, and it always starts from text: a
+//! [`Reader`] pulls [`Event`]s off a text one token at a time. It lends
+//! keys and strings that need no unescaping straight from the text, parses
+//! plain integers without the float parser, stops at [`MAX_DEPTH`] and
+//! reports byte offsets in its errors. [`Value::parse`] builds a tree from
+//! those events; a typed decoder reads them itself, from a request line
+//! read off the wire or a file read off disk ([`decode_text`]). A reader
+//! that meets a container whose text it has read before
+//! ([`Reader::with_text`] lends that text) can step past it without
+//! tokenizing it again ([`Reader::pass_over`]): a connection does that for
+//! the topology every request line repeats.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -195,15 +194,6 @@ impl Value {
                 return Err(reader.error("unexpected event"))
             }
         })
-    }
-
-    /// The events of this value, for a decoder written against
-    /// [`JsonSource`].
-    pub fn events(&self) -> ValueEvents<'_> {
-        ValueEvents {
-            root: Some(self),
-            open: Vec::new(),
-        }
     }
 }
 
@@ -623,125 +613,9 @@ impl<'a> Event<'a> {
     }
 }
 
-/// Where a decoder reads a document from: the text on the wire
-/// ([`Reader`]) or a tree parsed earlier ([`Value::events`]). Both yield
-/// the same events for the same document, so one decoder per document type
-/// serves both.
-///
-/// A decoder is handed the first event of its value and reads the value to
-/// its end, whether or not it liked what it read: the caller can then go
-/// on reading its source. That is why decoders return
-/// `Result<Result<T, E>, JsonError>`: the outer error is malformed JSON,
-/// which stops the read; the inner one is a well-formed value that is not a
-/// `T`, which the caller may hold back until the whole document has been
-/// read (malformed JSON later in the text takes precedence).
-pub trait JsonSource<'a> {
-    /// The next event.
-    fn next(&mut self) -> Result<Event<'a>, JsonError>;
-
-    /// Reads and drops the rest of the value that `first` began.
-    fn skip(&mut self, first: &Event<'a>) -> Result<(), JsonError> {
-        if !matches!(first, Event::BeginArr | Event::BeginObj) {
-            return Ok(());
-        }
-        let mut depth = 1usize;
-        while depth > 0 {
-            match self.next()? {
-                Event::BeginArr | Event::BeginObj => depth += 1,
-                Event::EndArr | Event::EndObj => depth -= 1,
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads the value `first` begins as `get` takes a scalar (for example
-    /// [`Event::as_f64`]); a container is skipped and reads as `None`.
-    fn scalar<T>(
-        &mut self,
-        first: Event<'a>,
-        get: impl FnOnce(Event<'a>) -> Option<T>,
-    ) -> Result<Option<T>, JsonError> {
-        self.skip(&first)?;
-        Ok(get(first))
-    }
-
-    /// Reads the object `first` begins, handing each member's key and the
-    /// first event of its value to `member`, which must read that value to
-    /// its end. Any other value is skipped, and the result is `false`.
-    fn object(
-        &mut self,
-        first: Event<'a>,
-        mut member: impl FnMut(&str, Event<'a>, &mut Self) -> Result<(), JsonError>,
-    ) -> Result<bool, JsonError>
-    where
-        Self: Sized,
-    {
-        if !matches!(first, Event::BeginObj) {
-            self.skip(&first)?;
-            return Ok(false);
-        }
-        // A source yields a key or the end here, and a value after a key.
-        while let Event::Key(key) = self.next()? {
-            let value = self.next()?;
-            member(&key, value, self)?;
-        }
-        Ok(true)
-    }
-
-    /// Reads the value `first` begins with `read`, which must read it to
-    /// its end, and returns the text that value spans when the source reads
-    /// text and the value is a container; a tree has none to give. `first`
-    /// must be the event this source yielded last.
-    fn with_text<T>(
-        &mut self,
-        first: Event<'a>,
-        read: impl FnOnce(Event<'a>, &mut Self) -> Result<T, JsonError>,
-    ) -> Result<(T, Option<&'a str>), JsonError>
-    where
-        Self: Sized,
-    {
-        Ok((read(first, self)?, None))
-    }
-
-    /// Reads the array `first` begins, handing the first event of each
-    /// item to `item`, which must read that item to its end. Any other
-    /// value is skipped, and the result is `false`.
-    fn array(
-        &mut self,
-        first: Event<'a>,
-        mut item: impl FnMut(Event<'a>, &mut Self) -> Result<(), JsonError>,
-    ) -> Result<bool, JsonError>
-    where
-        Self: Sized,
-    {
-        if !matches!(first, Event::BeginArr) {
-            self.skip(&first)?;
-            return Ok(false);
-        }
-        loop {
-            match self.next()? {
-                Event::EndArr => return Ok(true),
-                value => item(value, self)?,
-            }
-        }
-    }
-}
-
-/// Decodes `value` with `decode` (see [`JsonSource`]); a tree holds no
-/// malformed JSON, so only the decoder's own error is left.
-pub fn decode_tree<'v, T, E: From<JsonError>>(
-    value: &'v Value,
-    decode: impl FnOnce(Event<'v>, &mut ValueEvents<'v>) -> Result<Result<T, E>, JsonError>,
-) -> Result<T, E> {
-    let mut events = value.events();
-    let first = events.next()?;
-    decode(first, &mut events)?
-}
-
-/// Decodes the one document `text` holds with `decode` (see
-/// [`JsonSource`]); malformed JSON anywhere in the text is reported before
-/// the decoder's own error.
+/// Decodes the one document `text` holds with `decode` (see [`Reader`]
+/// for its two errors); malformed JSON anywhere in the text is reported
+/// before the decoder's own error.
 pub fn decode_text<'t, T, E: From<JsonError>>(
     text: &'t str,
     decode: impl FnOnce(Event<'t>, &mut Reader<'t>) -> Result<Result<T, E>, JsonError>,
@@ -751,66 +625,6 @@ pub fn decode_text<'t, T, E: From<JsonError>>(
     let value = decode(first, &mut reader)?;
     reader.finish()?;
     value
-}
-
-/// The events of a [`Value`] ([`Value::events`]), borrowing its strings.
-pub struct ValueEvents<'v> {
-    /// The value itself, until its first event has been read.
-    root: Option<&'v Value>,
-    /// The open containers, innermost last. An object's slot holds the
-    /// value of the key just read.
-    open: Vec<Open<'v>>,
-}
-
-enum Open<'v> {
-    Arr(std::slice::Iter<'v, Value>),
-    Obj(std::slice::Iter<'v, (String, Value)>, Option<&'v Value>),
-}
-
-impl<'v> JsonSource<'v> for ValueEvents<'v> {
-    fn next(&mut self) -> Result<Event<'v>, JsonError> {
-        let value = match self.open.last_mut() {
-            None => self.root.take(),
-            Some(Open::Arr(items)) => match items.next() {
-                Some(v) => Some(v),
-                None => {
-                    self.open.pop();
-                    return Ok(Event::EndArr);
-                }
-            },
-            Some(Open::Obj(pairs, pending)) => match pending.take() {
-                Some(v) => Some(v),
-                None => {
-                    let Some((key, v)) = pairs.next() else {
-                        self.open.pop();
-                        return Ok(Event::EndObj);
-                    };
-                    *pending = Some(v);
-                    return Ok(Event::Key(Cow::Borrowed(key)));
-                }
-            },
-        };
-        let Some(value) = value else {
-            return Err(JsonError {
-                pos: 0,
-                msg: "read past the end of the value".into(),
-            });
-        };
-        Ok(match value {
-            Value::Null => Event::Null,
-            Value::Bool(b) => Event::Bool(*b),
-            Value::Num(n) => Event::Num(*n),
-            Value::Str(s) => Event::Str(Cow::Borrowed(s)),
-            Value::Arr(items) => {
-                self.open.push(Open::Arr(items.iter()));
-                Event::BeginArr
-            }
-            Value::Obj(pairs) => {
-                self.open.push(Open::Obj(pairs.iter(), None));
-                Event::BeginObj
-            }
-        })
-    }
 }
 
 /// A document's compact text, rendered by the first [`RenderedOnce::text`]
@@ -881,10 +695,18 @@ enum Expect {
     Done,
 }
 
-/// A pull reader over one JSON text: each [`JsonSource::next`] reads one
+/// A pull reader over one JSON text: each [`Reader::next`] reads one
 /// token. A syntax error is reported at the byte where it was found, with
 /// the messages [`Value::parse`] has always given. [`Reader::pass_over`]
 /// steps past a container whose text is already known in one comparison.
+///
+/// A decoder is handed the first event of its value and reads the value to
+/// its end, whether or not it liked what it read: the caller can then go
+/// on reading. That is why decoders return
+/// `Result<Result<T, E>, JsonError>`: the outer error is malformed JSON,
+/// which stops the read; the inner one is a well-formed value that is not a
+/// `T`, which the caller may hold back until the whole document has been
+/// read (malformed JSON later in the text takes precedence).
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
@@ -928,7 +750,7 @@ impl<'a> Reader<'a> {
     /// expectation.
     ///
     /// `known` must be the text of a container that a reader read to its
-    /// end (what [`JsonSource::with_text`] returns), opened no shallower
+    /// end (what [`Reader::with_text`] returns), opened no shallower
     /// than this one, so that its nesting fits under [`MAX_DEPTH`] here
     /// too. Identical bytes make identical tokens, and a span ends at its
     /// closing bracket, so whatever follows it is read as it would have
@@ -1190,12 +1012,86 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl<'a> JsonSource<'a> for Reader<'a> {
-    fn next(&mut self) -> Result<Event<'a>, JsonError> {
+impl<'a> Reader<'a> {
+    /// The next event. Not an [`Iterator`]: a read past the end of the
+    /// document is an error, not the end of a sequence.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Event<'a>, JsonError> {
         self.step()
     }
 
-    fn with_text<T>(
+    /// Reads and drops the rest of the value that `first` began.
+    #[inline]
+    pub fn skip(&mut self, first: &Event<'a>) -> Result<(), JsonError> {
+        if !matches!(first, Event::BeginArr | Event::BeginObj) {
+            return Ok(());
+        }
+        let mut depth = 1usize;
+        while depth > 0 {
+            match self.next()? {
+                Event::BeginArr | Event::BeginObj => depth += 1,
+                Event::EndArr | Event::EndObj => depth -= 1,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the value `first` begins as `get` takes a scalar (for example
+    /// [`Event::as_f64`]); a container is skipped and reads as `None`.
+    pub fn scalar<T>(
+        &mut self,
+        first: Event<'a>,
+        get: impl FnOnce(Event<'a>) -> Option<T>,
+    ) -> Result<Option<T>, JsonError> {
+        self.skip(&first)?;
+        Ok(get(first))
+    }
+
+    /// Reads the object `first` begins, handing each member's key and the
+    /// first event of its value to `member`, which must read that value to
+    /// its end. Any other value is skipped, and the result is `false`.
+    pub fn object(
+        &mut self,
+        first: Event<'a>,
+        mut member: impl FnMut(&str, Event<'a>, &mut Self) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if !matches!(first, Event::BeginObj) {
+            self.skip(&first)?;
+            return Ok(false);
+        }
+        // The reader yields a key or the end here, and a value after a key.
+        while let Event::Key(key) = self.next()? {
+            let value = self.next()?;
+            member(&key, value, self)?;
+        }
+        Ok(true)
+    }
+
+    /// Reads the array `first` begins, handing the first event of each
+    /// item to `item`, which must read that item to its end. Any other
+    /// value is skipped, and the result is `false`.
+    pub fn array(
+        &mut self,
+        first: Event<'a>,
+        mut item: impl FnMut(Event<'a>, &mut Self) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if !matches!(first, Event::BeginArr) {
+            self.skip(&first)?;
+            return Ok(false);
+        }
+        loop {
+            match self.next()? {
+                Event::EndArr => return Ok(true),
+                value => item(value, self)?,
+            }
+        }
+    }
+
+    /// Reads the value `first` begins with `read`, which must read it to
+    /// its end, and returns the text that value spans when it is a
+    /// container. `first` must be the event this reader yielded last.
+    pub fn with_text<T>(
         &mut self,
         first: Event<'a>,
         read: impl FnOnce(Event<'a>, &mut Self) -> Result<T, JsonError>,
@@ -1212,10 +1108,8 @@ impl<'a> JsonSource<'a> for Reader<'a> {
             start.and_then(|start| self.text.get(start..self.pos)),
         ))
     }
-}
 
-impl<'a> Reader<'a> {
-    /// [`JsonSource::next`]; forced inline so that [`Value::read`], which
+    /// [`Reader::next`]; forced inline so that [`Value::read`], which
     /// calls it for every token of every parse, has it in its own body.
     #[inline(always)]
     fn step(&mut self) -> Result<Event<'a>, JsonError> {
@@ -1695,8 +1589,8 @@ mod tests {
         assert_eq!(tree.to_json(), text);
     }
 
-    /// Every event of a source, to the end of its root value.
-    fn events<'a>(src: &mut impl JsonSource<'a>) -> Vec<Event<'a>> {
+    /// Every event of a reader, to the end of its root value.
+    fn events<'a>(src: &mut Reader<'a>) -> Vec<Event<'a>> {
         let mut out = Vec::new();
         let mut depth = 0usize;
         loop {
@@ -1713,14 +1607,42 @@ mod tests {
         }
     }
 
+    /// The events of `v` in document order, written out by hand.
+    fn flatten<'v>(v: &'v Value, out: &mut Vec<Event<'v>>) {
+        match v {
+            Value::Null => out.push(Event::Null),
+            Value::Bool(b) => out.push(Event::Bool(*b)),
+            Value::Num(n) => out.push(Event::Num(*n)),
+            Value::Str(s) => out.push(Event::Str(Cow::Borrowed(s))),
+            Value::Arr(items) => {
+                out.push(Event::BeginArr);
+                for item in items {
+                    flatten(item, out);
+                }
+                out.push(Event::EndArr);
+            }
+            Value::Obj(pairs) => {
+                out.push(Event::BeginObj);
+                for (key, value) in pairs {
+                    out.push(Event::Key(Cow::Borrowed(key)));
+                    flatten(value, out);
+                }
+                out.push(Event::EndObj);
+            }
+        }
+    }
+
     #[test]
     fn reader_and_tree_yield_the_same_events() {
+        // The tree is the reference parser's, which shares no code with
+        // the reader.
         let mut rng = Rng64::seed_from_u64(0x45);
         for _ in 0..2_000 {
             let text = restyle(&random_value(&mut rng, 0).to_json(), &mut rng);
-            let tree = Value::parse(&text).unwrap();
-            let from_text = events(&mut Reader::new(&text));
-            assert_eq!(from_text, events(&mut tree.events()), "{text}");
+            let tree = reference::parse(&text).unwrap();
+            let mut from_tree = Vec::new();
+            flatten(&tree, &mut from_tree);
+            assert_eq!(events(&mut Reader::new(&text)), from_tree, "{text}");
         }
         // Strings without escapes are lent out of the text; keys too.
         let mut reader = Reader::new(r#"{"plain":"a\"b"}"#);
@@ -1735,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn a_reader_lends_the_text_of_a_container_and_a_tree_none() {
+    fn a_reader_lends_the_text_of_a_container() {
         let text = r#"{"a": [1, {"b": "x"}], "c": 2}"#;
         let mut reader = Reader::new(text);
         let mut spans = Vec::new();
@@ -1749,12 +1671,6 @@ mod tests {
             .unwrap();
         reader.finish().unwrap();
         assert_eq!(spans, [Some(r#"[1, {"b": "x"}]"#), None]);
-
-        let tree = Value::parse(text).unwrap();
-        let mut events = tree.events();
-        let first = events.next().unwrap();
-        let ((), span) = events.with_text(first, |v, src| src.skip(&v)).unwrap();
-        assert_eq!(span, None);
 
         let kept = RenderedOnce::kept("[1]");
         assert_eq!(

@@ -188,7 +188,7 @@ impl SimplexBasis {
 /// schedule service persists it beside a cached schedule as a warm-start
 /// hint.
 impl Emit for SimplexBasis {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
         sink.key("basic");
         sink.begin_arr();

@@ -88,7 +88,7 @@ impl CollectiveMetrics {
 }
 
 impl Emit for CollectiveMetrics {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
         sink.key("solver");
         sink.str(&self.solver);

@@ -76,14 +76,14 @@ impl ScheduleOutput {
     /// [`ScheduleOutput::emit`] with the schedule copied in as its kept
     /// text ([`Schedule::json_text`]): one raw event, no formatting after
     /// the first call. For an output that no longer changes.
-    pub fn emit_rendered<S: JsonSink>(&self, sink: &mut S) {
-        self.emit_with(sink, |schedule, sink| sink.raw(schedule.json_text()));
+    pub fn emit_rendered(&self, sink: &mut JsonSink<'_>) {
+        self.emit_with(sink, |sink| sink.raw(self.schedule.json_text()));
     }
 
-    fn emit_with<S: JsonSink>(&self, sink: &mut S, schedule: impl FnOnce(&Schedule, &mut S)) {
+    fn emit_with(&self, sink: &mut JsonSink<'_>, schedule: impl FnOnce(&mut JsonSink<'_>)) {
         sink.begin_obj();
         sink.key("schedule");
-        schedule(&self.schedule, sink);
+        schedule(sink);
         sink.key("metrics");
         self.metrics.emit(sink);
         sink.end_obj();
@@ -91,8 +91,8 @@ impl ScheduleOutput {
 }
 
 impl Emit for ScheduleOutput {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
-        self.emit_with(sink, |schedule, sink| schedule.emit(sink));
+    fn emit(&self, sink: &mut JsonSink<'_>) {
+        self.emit_with(sink, |sink| self.schedule.emit(sink));
     }
 }
 

@@ -310,7 +310,7 @@ fn sends<'a>(
 }
 
 impl Emit for Schedule {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
         sink.key("name");
         sink.str(&self.name);

@@ -291,10 +291,10 @@ struct Stored<'e> {
 }
 
 impl Emit for Stored<'_> {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         let e = self.entry;
         // 64-bit hashes do not fit JSON's f64 numbers exactly: hex strings.
-        let hex = |sink: &mut S, hash: u64| {
+        let hex = |sink: &mut JsonSink<'_>, hash: u64| {
             // ASCII by construction.
             sink.str(std::str::from_utf8(&key_hex(hash)).unwrap_or_default())
         };

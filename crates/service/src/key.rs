@@ -25,7 +25,7 @@ use teccl_collective::{CollectiveKind, CollectiveSizing, DemandMatrix};
 use teccl_core::{BufferMode, EpochStrategy, RequestMethod, SolverConfig, SwitchModel};
 use teccl_topology::{NodeId, Topology};
 use teccl_util::hash::{size_bucket, StableHasher};
-use teccl_util::json::{Event, JsonError, Reader, Value};
+use teccl_util::json::{self, Emit, Event, JsonError, JsonSink, Reader, Value};
 
 use crate::server::{MAX_REQUEST_CHUNKS, MAX_REQUEST_EPOCHS};
 
@@ -232,20 +232,30 @@ impl SolveRequest {
         }
     }
 
-    /// Serializes the request (used by the wire protocol and request files).
+    /// Serializes the request: the tree form of [`SolveRequest::emit`].
     pub fn to_json_value(&self) -> Value {
-        let mut pairs = vec![
-            ("topology", self.topology.to_json_value()),
-            ("collective", Value::from(collective_name(self.collective))),
-            ("chunks", Value::from(self.chunks)),
-            ("output_buffer", Value::from(self.output_buffer)),
-            ("method", Value::from(self.method.name())),
-            ("config", config_to_json(&self.config)),
-        ];
+        json::to_value(self)
+    }
+
+    /// The request's members, in their wire order, into the object `sink`
+    /// has open: a request line writes its verb before them.
+    pub(crate) fn emit_members(&self, sink: &mut JsonSink<'_>) {
+        sink.key("topology");
+        self.topology.emit(sink);
+        sink.key("collective");
+        sink.str(collective_name(self.collective));
+        sink.key("chunks");
+        sink.uint(self.chunks);
+        sink.key("output_buffer");
+        sink.num(self.output_buffer);
+        sink.key("method");
+        sink.str(self.method.name());
+        sink.key("config");
+        emit_config(&self.config, sink);
         if let Some(d) = self.deadline {
-            pairs.push(("deadline_ms", Value::from(d.as_secs_f64() * 1e3)));
+            sink.key("deadline_ms");
+            sink.num(d.as_secs_f64() * 1e3);
         }
-        Value::obj(pairs)
     }
 
     /// Reads the request object whose first event is `first` from `src`,
@@ -260,6 +270,15 @@ impl SolveRequest {
         let mut fields = RequestFields::default();
         src.object(first, |key, value, src| fields.read(key, value, src))?;
         Ok(fields.build())
+    }
+}
+
+/// A request as a request file holds it: a `solve` line without the verb.
+impl Emit for SolveRequest {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
+        sink.begin_obj();
+        self.emit_members(sink);
+        sink.end_obj();
     }
 }
 
@@ -451,57 +470,62 @@ fn hash_config(h: &mut StableHasher, c: &SolverConfig) {
     }
 }
 
-/// Serializes a solver configuration for the wire protocol.
-pub fn config_to_json(c: &SolverConfig) -> Value {
-    let mut pairs = vec![
-        (
-            "epoch_strategy",
-            Value::from(match c.epoch_strategy {
-                EpochStrategy::SlowestLink => "slowest_link",
-                EpochStrategy::FastestLink => "fastest_link",
-            }),
-        ),
-        ("epoch_multiplier", Value::from(c.epoch_multiplier)),
-        (
-            "switch_model",
-            Value::from(match c.switch_model {
-                SwitchModel::CopyCapable => "copy_capable",
-                SwitchModel::NonCopy => "non_copy",
-                SwitchModel::HyperEdge => "hyper_edge",
-            }),
-        ),
-        (
-            "buffer_mode",
-            match c.buffer_mode {
-                BufferMode::Unlimited => Value::from("unlimited"),
-                BufferMode::LimitedChunks(n) => {
-                    Value::obj(vec![("limited_chunks", Value::from(n))])
-                }
-                BufferMode::NoStoreAndForward => Value::from("no_store_and_forward"),
-            },
-        ),
-        ("astar_gamma", Value::from(c.astar_gamma)),
-        ("astar_max_rounds", Value::from(c.astar_max_rounds)),
-    ];
+/// Writes a solver configuration for the wire protocol.
+fn emit_config(c: &SolverConfig, sink: &mut JsonSink<'_>) {
+    sink.begin_obj();
+    sink.key("epoch_strategy");
+    sink.str(match c.epoch_strategy {
+        EpochStrategy::SlowestLink => "slowest_link",
+        EpochStrategy::FastestLink => "fastest_link",
+    });
+    sink.key("epoch_multiplier");
+    sink.num(c.epoch_multiplier);
+    sink.key("switch_model");
+    sink.str(match c.switch_model {
+        SwitchModel::CopyCapable => "copy_capable",
+        SwitchModel::NonCopy => "non_copy",
+        SwitchModel::HyperEdge => "hyper_edge",
+    });
+    sink.key("buffer_mode");
+    match c.buffer_mode {
+        BufferMode::Unlimited => sink.str("unlimited"),
+        BufferMode::LimitedChunks(n) => {
+            sink.begin_obj();
+            sink.key("limited_chunks");
+            sink.uint(n);
+            sink.end_obj();
+        }
+        BufferMode::NoStoreAndForward => sink.str("no_store_and_forward"),
+    }
+    sink.key("astar_gamma");
+    sink.num(c.astar_gamma);
+    sink.key("astar_max_rounds");
+    sink.uint(c.astar_max_rounds);
     if let Some(k) = c.max_epochs {
-        pairs.push(("max_epochs", Value::from(k)));
+        sink.key("max_epochs");
+        sink.uint(k);
     }
     if let Some(g) = c.early_stop_gap {
-        pairs.push(("early_stop_gap", Value::from(g)));
+        sink.key("early_stop_gap");
+        sink.num(g);
     }
     if let Some(d) = c.time_limit {
-        pairs.push(("time_limit_s", Value::from(d.as_secs_f64())));
+        sink.key("time_limit_s");
+        sink.num(d.as_secs_f64());
     }
     if let Some(e) = c.astar_epochs_per_round {
-        pairs.push(("astar_epochs_per_round", Value::from(e)));
+        sink.key("astar_epochs_per_round");
+        sink.uint(e);
     }
     if let Some(p) = &c.chunk_priorities {
-        pairs.push((
-            "chunk_priorities",
-            Value::Arr(p.iter().map(|&w| Value::from(w)).collect()),
-        ));
+        sink.key("chunk_priorities");
+        sink.begin_arr();
+        for &w in p {
+            sink.num(w);
+        }
+        sink.end_arr();
     }
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    sink.end_obj();
 }
 
 /// Reads a solver configuration whose first event is `first` from `src`,

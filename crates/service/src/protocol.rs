@@ -211,13 +211,22 @@ impl TopologyMemo {
     }
 }
 
-/// Builds a `solve` request line from a [`SolveRequest`].
+/// Builds a `solve` request line from a [`SolveRequest`]: the verb, then
+/// the request's members, written straight to text.
 pub fn solve_request_line(req: &SolveRequest) -> String {
-    let mut v = req.to_json_value();
-    if let Value::Obj(pairs) = &mut v {
-        pairs.insert(0, ("verb".to_string(), Value::from("solve")));
+    struct Line<'r>(&'r SolveRequest);
+    impl Emit for Line<'_> {
+        fn emit(&self, sink: &mut JsonSink<'_>) {
+            sink.begin_obj();
+            sink.key("verb");
+            sink.str("solve");
+            self.0.emit_members(sink);
+            sink.end_obj();
+        }
     }
-    v.to_json()
+    let mut out = String::new();
+    json::write_json(&Line(req), &mut out);
+    out
 }
 
 /// The response to a successful `solve`: a view of the served entry that
@@ -253,7 +262,7 @@ pub(crate) fn key_hex(hash: u64) -> [u8; 16] {
 }
 
 impl Emit for SolveResponse<'_> {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         let e = &self.0.entry;
         sink.begin_obj();
         sink.key("status");

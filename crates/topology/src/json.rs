@@ -51,7 +51,7 @@ impl Topology {
 }
 
 impl Emit for Topology {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
         sink.key("name");
         sink.str(&self.name);

@@ -3,12 +3,13 @@
 //!
 //! Numbers are stored as `f64`, objects preserve insertion order.
 //!
-//! A document type describes itself once, as a stream of events into a
-//! [`JsonSink`] ([`Emit`]); [`write_json`] turns that stream into compact
-//! text without building a tree and [`to_value`] turns it into a [`Value`],
-//! so the two forms cannot drift apart. [`JsonSink::raw`] splices in text
-//! rendered earlier (see [`RenderedOnce`]), so a document served many times
-//! is formatted once and copied after that.
+//! Writing has one path. A document type describes itself once
+//! ([`Emit`]), as a stream of events into the one writer, [`JsonSink`],
+//! which appends compact text with no tree in between ([`write_json`]).
+//! [`JsonSink::raw`] splices in text rendered earlier (see
+//! [`RenderedOnce`]), so a document served many times is formatted once and
+//! copied after that. A document's [`Value`] form ([`to_value`]) is a parse
+//! of that text, so the tree cannot drift from it.
 //!
 //! Reading is the mirror image, and it always starts from text: a
 //! [`Reader`] pulls [`Event`]s off a text one token at a time. It lends
@@ -251,60 +252,29 @@ impl From<Vec<Value>> for Value {
     }
 }
 
-/// Receives a JSON document as a stream of events. Values arrive in
-/// document order; inside an object every value is preceded by its
-/// [`key`](JsonSink::key).
-pub trait JsonSink {
-    /// `null`
-    fn null(&mut self);
-    /// `true` / `false`
-    fn bool(&mut self, b: bool);
-    /// A number (non-finite values become `null`, as in [`Value::to_json`]).
-    fn num(&mut self, n: f64);
-    /// A string.
-    fn str(&mut self, s: &str);
-    /// Opens an array.
-    fn begin_arr(&mut self);
-    /// Closes the innermost array.
-    fn end_arr(&mut self);
-    /// Opens an object.
-    fn begin_obj(&mut self);
-    /// The key of the next value of the innermost object.
-    fn key(&mut self, k: &str);
-    /// Closes the innermost object.
-    fn end_obj(&mut self);
-
-    /// A count or index: the number `Value::from(n)` holds.
-    fn uint(&mut self, n: usize) {
-        self.num(n as f64);
-    }
-
-    /// One whole value given as the compact text [`write_json`] made of it:
-    /// copied as it is into text, parsed into a tree.
-    fn raw(&mut self, json: &str);
-}
-
-/// A type with one JSON form, described once as events into a [`JsonSink`].
+/// A type with one JSON form, written once as events into a [`JsonSink`].
 pub trait Emit {
-    /// Sends the document to `sink`.
-    fn emit<S: JsonSink>(&self, sink: &mut S);
+    /// Writes the document to `sink`.
+    fn emit(&self, sink: &mut JsonSink<'_>);
 }
 
 /// Appends the compact JSON text of `doc` to `out`.
 pub fn write_json<T: Emit + ?Sized>(doc: &T, out: &mut String) {
-    doc.emit(&mut TextSink { out, comma: false });
+    doc.emit(&mut JsonSink { out, comma: false });
 }
 
-/// The [`Value`] form of `doc`: `to_value(doc).to_json()` is the text
-/// [`write_json`] produces.
+/// The [`Value`] form of `doc`: [`Value::parse`] of the text
+/// [`write_json`] writes, so `to_value(doc).to_json()` is that text. A
+/// non-finite number, written `null`, reads back as [`Value::Null`]; so
+/// does a whole document the reader refuses (nested past [`MAX_DEPTH`]).
 pub fn to_value<T: Emit + ?Sized>(doc: &T) -> Value {
-    let mut sink = TreeSink::default();
-    doc.emit(&mut sink);
-    sink.root.unwrap_or(Value::Null)
+    let mut text = String::new();
+    write_json(doc, &mut text);
+    Value::parse(&text).unwrap_or(Value::Null)
 }
 
 impl Emit for Value {
-    fn emit<S: JsonSink>(&self, sink: &mut S) {
+    fn emit(&self, sink: &mut JsonSink<'_>) {
         match self {
             Value::Null => sink.null(),
             Value::Bool(b) => sink.bool(*b),
@@ -329,48 +299,36 @@ impl Emit for Value {
     }
 }
 
-/// Writes compact text. `comma` is true exactly when the next value or key
-/// has a sibling before it, which one flag can track: opening a container
-/// or writing a key clears it, finishing any value sets it.
-struct TextSink<'a> {
+/// Writes one document as compact text, an event at a time. Values arrive
+/// in document order; inside an object every value is preceded by its
+/// [`key`](JsonSink::key).
+///
+/// `comma` is true exactly when the next value or key has a sibling before
+/// it, which one flag can track: opening a container or writing a key
+/// clears it, finishing any value sets it.
+pub struct JsonSink<'a> {
     out: &'a mut String,
     comma: bool,
 }
 
-impl TextSink<'_> {
-    fn separate(&mut self) {
-        if self.comma {
-            self.out.push(',');
-        }
-        self.comma = true;
-    }
-
-    fn open(&mut self, bracket: char) {
-        self.separate();
-        self.out.push(bracket);
-        self.comma = false;
-    }
-
-    fn close(&mut self, bracket: char) {
-        self.out.push(bracket);
-        self.comma = true;
-    }
-}
-
-impl JsonSink for TextSink<'_> {
-    fn null(&mut self) {
+impl JsonSink<'_> {
+    /// `null`
+    pub fn null(&mut self) {
         self.separate();
         self.out.push_str("null");
     }
-    fn bool(&mut self, b: bool) {
+    /// `true` / `false`
+    pub fn bool(&mut self, b: bool) {
         self.separate();
         self.out.push_str(if b { "true" } else { "false" });
     }
-    fn num(&mut self, n: f64) {
+    /// A number (non-finite values become `null`, as in [`Value::to_json`]).
+    pub fn num(&mut self, n: f64) {
         self.separate();
         write_number(self.out, n);
     }
-    fn uint(&mut self, n: usize) {
+    /// A count or index: the number `Value::from(n)` holds.
+    pub fn uint(&mut self, n: usize) {
         // Below `write_number`'s integer bound `n as f64` is exact and takes
         // the digit loop; go there without the float round trip.
         match i64::try_from(n) {
@@ -381,94 +339,54 @@ impl JsonSink for TextSink<'_> {
             _ => self.num(n as f64),
         }
     }
-    fn str(&mut self, s: &str) {
+    /// A string.
+    pub fn str(&mut self, s: &str) {
         self.separate();
         write_string(self.out, s);
     }
-    fn raw(&mut self, json: &str) {
+    /// One whole value given as the compact text [`write_json`] made of
+    /// it, copied as it is.
+    pub fn raw(&mut self, json: &str) {
         self.separate();
         self.out.push_str(json);
     }
-    fn begin_arr(&mut self) {
+    /// Opens an array.
+    pub fn begin_arr(&mut self) {
         self.open('[');
     }
-    fn end_arr(&mut self) {
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) {
         self.close(']');
     }
-    fn begin_obj(&mut self) {
+    /// Opens an object.
+    pub fn begin_obj(&mut self) {
         self.open('{');
     }
-    fn key(&mut self, k: &str) {
+    /// The key of the next value of the innermost object.
+    pub fn key(&mut self, k: &str) {
         self.separate();
         write_string(self.out, k);
         self.out.push(':');
         self.comma = false;
     }
-    fn end_obj(&mut self) {
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) {
         self.close('}');
     }
-}
-
-/// Builds a [`Value`]: the open containers, innermost last, and the
-/// finished document.
-#[derive(Default)]
-struct TreeSink {
-    open: Vec<Value>,
-    /// The key announced for the next value of each open object.
-    keys: Vec<String>,
-    root: Option<Value>,
-}
-
-impl TreeSink {
-    fn put(&mut self, v: Value) {
-        match self.open.last_mut() {
-            Some(Value::Arr(items)) => items.push(v),
-            Some(Value::Obj(pairs)) => pairs.push((self.keys.pop().unwrap_or_default(), v)),
-            _ => self.root = Some(v),
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
         }
+        self.comma = true;
     }
-
-    fn close(&mut self) {
-        if let Some(v) = self.open.pop() {
-            self.put(v);
-        }
+    fn open(&mut self, bracket: char) {
+        self.separate();
+        self.out.push(bracket);
+        self.comma = false;
     }
-}
-
-impl JsonSink for TreeSink {
-    fn null(&mut self) {
-        self.put(Value::Null);
-    }
-    fn bool(&mut self, b: bool) {
-        self.put(Value::Bool(b));
-    }
-    fn num(&mut self, n: f64) {
-        self.put(Value::Num(n));
-    }
-    fn str(&mut self, s: &str) {
-        self.put(Value::Str(s.to_string()));
-    }
-    fn raw(&mut self, json: &str) {
-        // The text is `write_json`'s own; were it not JSON, `null` marks
-        // the hole in the tree.
-        self.put(Value::parse(json).unwrap_or(Value::Null));
-    }
-    fn begin_arr(&mut self) {
-        self.open.push(Value::Arr(Vec::new()));
-    }
-    fn end_arr(&mut self) {
-        self.close();
-    }
-    fn begin_obj(&mut self) {
-        // The documents built this way have 5-7 fields per object; a `Vec`
-        // grown from empty would reallocate at the fifth.
-        self.open.push(Value::Obj(Vec::with_capacity(8)));
-    }
-    fn key(&mut self, k: &str) {
-        self.keys.push(k.to_string());
-    }
-    fn end_obj(&mut self) {
-        self.close();
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
     }
 }
 
@@ -1551,7 +1469,7 @@ mod tests {
     struct Doc;
 
     impl Emit for Doc {
-        fn emit<S: JsonSink>(&self, sink: &mut S) {
+        fn emit(&self, sink: &mut JsonSink<'_>) {
             sink.begin_obj();
             sink.key("name");
             sink.str("a\"b");
@@ -1587,6 +1505,19 @@ mod tests {
         let tree = to_value(&Doc);
         assert_eq!(tree, Value::parse(text).unwrap());
         assert_eq!(tree.to_json(), text);
+    }
+
+    #[test]
+    fn a_non_finite_number_reads_back_as_null_in_the_tree() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = Value::obj(vec![
+                ("x", Value::Num(n)),
+                ("xs", vec![Value::Num(n)].into()),
+            ]);
+            assert_eq!(doc.to_json(), r#"{"x":null,"xs":[null]}"#);
+            let tree = Value::obj(vec![("x", Value::Null), ("xs", vec![Value::Null].into())]);
+            assert_eq!(to_value(&doc), tree, "{n}");
+        }
     }
 
     /// Every event of a reader, to the end of its root value.
@@ -1778,7 +1709,7 @@ mod tests {
     fn raw_text_is_copied_into_text_and_parsed_into_trees() {
         struct Wrapped<'a>(&'a str);
         impl Emit for Wrapped<'_> {
-            fn emit<S: JsonSink>(&self, sink: &mut S) {
+            fn emit(&self, sink: &mut JsonSink<'_>) {
                 sink.begin_arr();
                 sink.uint(1);
                 sink.raw(self.0);
@@ -1804,7 +1735,7 @@ mod tests {
     fn text_sink_uint_is_the_number_value_from_holds() {
         struct Count(usize);
         impl Emit for Count {
-            fn emit<S: JsonSink>(&self, sink: &mut S) {
+            fn emit(&self, sink: &mut JsonSink<'_>) {
                 sink.uint(self.0);
             }
         }

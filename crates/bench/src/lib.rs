@@ -713,8 +713,6 @@ pub fn service_bench_fixture() -> (
         workers: 2,
         cache_capacity: 64,
         disk_dir: None,
-        // Benches must be immune to an ambient TECCL_FAULT_PLAN.
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .expect("service starts");
@@ -740,7 +738,6 @@ pub fn wire_hit_fixture() -> (teccl_service::ScheduleService, String) {
     let svc = teccl_service::ScheduleService::start(teccl_service::ServiceConfig {
         workers: 1,
         disk_dir: None,
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .expect("service starts");

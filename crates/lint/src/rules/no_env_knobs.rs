@@ -1,13 +1,17 @@
-//! **no-env-knobs** — the solver reads no environment variables.
+//! **no-env-knobs** — the solver and the service read no environment
+//! variables.
 //!
 //! The LP engine once had a `TECCL_LP_TRACE` variable that switched on
 //! `eprintln!`s and wall-clock laps inside the pivot loops: a knob no test
 //! turned on, a second code path through the hottest loop, and a way for a
 //! stray shell setting to change what a solve prints and costs. Its two walk
-//! counts live on as always-on `SolveStats` counters. Solver behaviour comes
-//! from the request and its config alone, so non-test code in the solver
-//! crates may not name `env::var`, `env::var_os` or `env::vars` (the call
-//! or a `use` of it).
+//! counts live on as always-on `SolveStats` counters. The service once read
+//! its fault plan from the environment when its config left it unset, so a
+//! stray shell setting could arm panics in any service. Behaviour comes from
+//! the request, the service config and the daemon's flags alone, so
+//! non-test code in the solver and service crates may not name `env::var`,
+//! `env::var_os` or `env::vars` (the call or a `use` of it); `env::args`
+//! and `env::temp_dir` are not readers.
 
 use crate::report::Finding;
 use crate::scan::SourceFile;
@@ -15,7 +19,7 @@ use crate::scan::SourceFile;
 const RULE: &str = "no-env-knobs";
 
 /// Directories whose non-test code is audited.
-const SCOPE: &[&str] = &["crates/lp/src/", "crates/core/src/"];
+const SCOPE: &[&str] = &["crates/lp/src/", "crates/core/src/", "crates/service/src/"];
 
 /// The `std::env` readers.
 const READERS: &[&str] = &["var", "var_os", "vars", "vars_os"];
@@ -40,9 +44,9 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                     &file.rel,
                     toks[i].line,
                     format!(
-                        "`env::{}` in solver code — solver behaviour comes from the \
-                         request and its config, not the environment (count what \
-                         you need in `SolveStats`)",
+                        "`env::{}` in solver or service code — behaviour comes from \
+                         the request, its config and the daemon's flags, not the \
+                         environment (count what you need in `SolveStats`)",
                         toks[i + 3].text
                     ),
                 ));

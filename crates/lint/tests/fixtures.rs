@@ -720,8 +720,36 @@ fn no_env_knobs_passes_tests_and_other_crates() {
             "#[cfg(test)]\nmod tests {\n    fn seed() -> bool { std::env::var(\"SEED\").is_ok() }\n}\n",
         ),
         (
-            "crates/service/src/fault.rs",
-            "fn plan() -> Option<String> { std::env::var(\"TECCL_FAULT_PLAN\").ok() }\n",
+            "crates/bench/src/bin/bench_lp_json.rs",
+            "fn out() -> Option<String> { std::env::var(\"BENCH_OUT\").ok() }\n",
+        ),
+    ]);
+    assert!(errors(&o, "no-env-knobs").is_empty(), "{:?}", o.errors);
+}
+
+#[test]
+fn no_env_knobs_fires_on_env_reads_in_service_code() {
+    let o = analyze_snippets(&[(
+        "crates/service/src/fault.rs",
+        "fn plan() -> Option<String> {\n    std::env::var(\"FAULT_PLAN\").ok()\n}\n",
+    )]);
+    let f: Vec<_> = errors(&o, "no-env-knobs")
+        .iter()
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(f, [("crates/service/src/fault.rs", 2)], "{:?}", o.errors);
+}
+
+#[test]
+fn no_env_knobs_passes_args_and_temp_dirs_in_service_code() {
+    let o = analyze_snippets(&[
+        (
+            "crates/service/src/bin/teccld.rs",
+            "fn main() {\n    let args: Vec<String> = std::env::args().skip(1).collect();\n}\n",
+        ),
+        (
+            "crates/service/src/cache.rs",
+            "fn scratch() -> std::path::PathBuf { std::env::temp_dir() }\n",
         ),
     ]);
     assert!(errors(&o, "no-env-knobs").is_empty(), "{:?}", o.errors);

@@ -9,8 +9,8 @@
 //!        [--disk-cache DIR] [--fault-plan SPEC]
 //! ```
 //!
-//! `--fault-plan` (or the `TECCL_FAULT_PLAN` env var) injects deterministic
-//! faults for robustness testing — see `teccl_service::fault`.
+//! `--fault-plan` injects deterministic faults for robustness testing — see
+//! `teccl_service::fault`.
 
 use std::sync::Arc;
 

@@ -19,15 +19,12 @@
 //! * `drop-connection=N` — the server drops the TCP connection instead of
 //!   writing the next N responses.
 //!
-//! The plan comes from [`crate::service::ServiceConfig::fault_plan`] when
-//! set, else from the `TECCL_FAULT_PLAN` environment variable, else it is
-//! inert. Production builds pay one relaxed atomic load per site.
+//! The plan comes from [`crate::service::ServiceConfig::fault_plan`]
+//! (`teccld --fault-plan`); unset, it is inert. Production builds pay one
+//! relaxed atomic load per site.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// The environment variable consulted when no plan is configured.
-pub const FAULT_PLAN_ENV: &str = "TECCL_FAULT_PLAN";
 
 /// Armed fault counters; see the module docs for the spec grammar.
 #[derive(Debug, Default)]
@@ -76,19 +73,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// The plan named by `TECCL_FAULT_PLAN`, or the inert plan if the
-    /// variable is unset. A malformed spec is reported on stderr and treated
-    /// as inert rather than silently arming the wrong fault.
-    pub fn from_env() -> FaultPlan {
-        match std::env::var(FAULT_PLAN_ENV) {
-            Ok(spec) => FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                eprintln!("teccl-service: ignoring {FAULT_PLAN_ENV}: {e}");
-                FaultPlan::none()
-            }),
-            Err(_) => FaultPlan::none(),
-        }
     }
 
     /// Decrements a counter if it is still armed; true means "fire now".

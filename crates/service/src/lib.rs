@@ -23,7 +23,7 @@
 //!   (`solve` / `stats` / `evict`) served by the `teccld` binary and driven
 //!   by the `teccl-cli` batch client.
 //! * [`fault`] / [`sync`] — deterministic fault injection (panics, stalls,
-//!   corrupt reads, dropped connections via `TECCL_FAULT_PLAN`) and
+//!   corrupt reads, dropped connections via `teccld --fault-plan`) and
 //!   poison-recovering lock helpers, so the robustness story — deadline
 //!   degradation ladder, worker respawn, disk quarantine — is testable.
 //!

@@ -368,7 +368,6 @@ mod tests {
     fn server(limits: Limits) -> ServerHandle {
         let service = ScheduleService::start(ServiceConfig {
             workers: 1,
-            fault_plan: Some(String::new()),
             ..Default::default()
         })
         .unwrap();
@@ -443,7 +442,6 @@ mod tests {
 
         let service = ScheduleService::start(ServiceConfig {
             workers: 1,
-            fault_plan: Some(String::new()),
             ..Default::default()
         })
         .unwrap();

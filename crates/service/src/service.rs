@@ -253,9 +253,8 @@ pub struct ServiceConfig {
     /// When a deadline forces a degraded answer, keep solving in the
     /// background and upgrade the cache entry to the exact result.
     pub background_upgrade: bool,
-    /// Fault-injection spec (see [`crate::fault`]). `None` consults the
-    /// `TECCL_FAULT_PLAN` environment variable; `Some("")` is explicitly
-    /// inert regardless of the environment.
+    /// Fault-injection spec (see [`crate::fault`]). `None` and `Some("")`
+    /// are the inert plan.
     pub fault_plan: Option<String>,
 }
 
@@ -379,7 +378,7 @@ impl ScheduleService {
         let fault = Arc::new(match &config.fault_plan {
             Some(spec) => FaultPlan::parse(spec)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
-            None => FaultPlan::from_env(),
+            None => FaultPlan::none(),
         });
         let disk = match &config.disk_dir {
             Some(dir) => Some(DiskStore::open(dir)?.with_fault_plan(Arc::clone(&fault))),
@@ -998,18 +997,9 @@ mod tests {
         )
     }
 
-    /// A config that ignores any ambient `TECCL_FAULT_PLAN` so unit tests
-    /// stay deterministic under a chaos-enabled environment.
-    fn quiet_config() -> ServiceConfig {
-        ServiceConfig {
-            fault_plan: Some(String::new()),
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn hit_returns_validated_schedule_without_solving() {
-        let svc = ScheduleService::start(quiet_config()).unwrap();
+        let svc = ScheduleService::start(ServiceConfig::default()).unwrap();
         let first = svc.request(tiny_request()).unwrap();
         assert_eq!(first.cache, CacheStatus::Miss);
         assert_eq!(first.quality, Quality::Exact);
@@ -1067,7 +1057,7 @@ mod tests {
 
     #[test]
     fn evict_key_forces_resolve_with_published_basis() {
-        let svc = ScheduleService::start(quiet_config()).unwrap();
+        let svc = ScheduleService::start(ServiceConfig::default()).unwrap();
         let req = SolveRequest::new(
             line_topology(3, 1e9, 0.0),
             CollectiveKind::AllToAll,
@@ -1096,7 +1086,7 @@ mod tests {
     /// every time and no solve is hinted.
     #[test]
     fn astar_misses_are_never_hinted() {
-        let svc = ScheduleService::start(quiet_config()).unwrap();
+        let svc = ScheduleService::start(ServiceConfig::default()).unwrap();
         let req = SolveRequest::new(
             teccl_topology::internal1(2),
             CollectiveKind::AllGather,
@@ -1191,7 +1181,7 @@ mod tests {
     /// its cache entry with the plain request.
     #[test]
     fn threaded_request_solves_and_returns_its_grant() {
-        let svc = ScheduleService::start(quiet_config()).unwrap();
+        let svc = ScheduleService::start(ServiceConfig::default()).unwrap();
         let mut wire = tiny_request().to_json_value();
         if let Value::Obj(pairs) = &mut wire {
             for (k, v) in pairs.iter_mut() {

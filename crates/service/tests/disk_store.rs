@@ -46,7 +46,6 @@ fn config(dir: &Path) -> ServiceConfig {
     ServiceConfig {
         workers: 1,
         disk_dir: Some(dir.to_path_buf()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     }
 }

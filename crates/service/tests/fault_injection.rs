@@ -5,17 +5,11 @@
 //! *contained*: exactly one typed error where an error is due, a degraded
 //! but validated schedule where the ladder has a rung, and a service that
 //! keeps serving afterwards.
-//!
-//! CI runs this file once more with `TECCL_FAULT_PLAN` set in the
-//! environment; the panic test switches to the env-driven path when the
-//! variable is present, so both plumbing routes (config spec and env var)
-//! stay covered.
 
 use std::time::{Duration, Instant};
 
 use teccl_collective::CollectiveKind;
 use teccl_schedule::validate;
-use teccl_service::fault::FAULT_PLAN_ENV;
 use teccl_service::{
     CacheStatus, Quality, ScheduleService, ServiceConfig, ServiceError, SolveRequest,
 };
@@ -74,16 +68,9 @@ impl Drop for ScratchDir {
 /// same key — solves normally.
 #[test]
 fn injected_panic_is_contained_and_the_service_keeps_serving() {
-    // When CI exports TECCL_FAULT_PLAN this exercises the env-driven path
-    // (config `None`); standalone runs inject an equivalent plan explicitly.
-    let fault_plan = if std::env::var_os(FAULT_PLAN_ENV).is_some() {
-        None
-    } else {
-        Some("panic-in-solve=1".to_string())
-    };
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
-        fault_plan,
+        fault_plan: Some("panic-in-solve=1".to_string()),
         ..Default::default()
     })
     .unwrap();
@@ -120,7 +107,6 @@ fn deadline_on_large_alltoall_serves_validated_degraded_schedule() {
         // Without this, shutdown below would join the (multi-minute) exact
         // background re-solve; the upgrade path has its own test.
         background_upgrade: false,
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -164,7 +150,6 @@ fn deadline_on_large_alltoall_serves_validated_degraded_schedule() {
 fn acceptance_patient_alltoall_still_certifies_exact() {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 2,
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -192,7 +177,6 @@ fn expired_deadline_serves_stale_family_neighbor_without_touching_simplex() {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
         background_upgrade: false,
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -291,7 +275,6 @@ fn corrupt_entry_is_quarantined(tag: &str, content: &str) {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -304,7 +287,6 @@ fn corrupt_entry_is_quarantined(tag: &str, content: &str) {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -324,7 +306,6 @@ fn corrupt_entry_is_quarantined(tag: &str, content: &str) {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -351,7 +332,6 @@ fn restart_after_crash_mid_disk_write_serves() {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -372,7 +352,6 @@ fn injected_corrupt_disk_read_is_quarantined() {
     let svc = ScheduleService::start(ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     })
     .unwrap();
@@ -412,7 +391,6 @@ fn unrepresentable_stored_solve_time_is_quarantined() {
     let config = || ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     };
     for bad in [-1.0, 1e300] {
@@ -480,7 +458,6 @@ fn stored_topology_smaller_than_the_demand_is_quarantined() {
     let config = || ServiceConfig {
         workers: 1,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     };
     let svc = ScheduleService::start(config()).unwrap();

@@ -152,7 +152,6 @@ fn churn_answers_do_not_depend_on_request_order() {
         workers: 1,
         cache_capacity: 16,
         disk_dir: Some(scratch.0.clone()),
-        fault_plan: Some(String::new()),
         ..Default::default()
     };
     for expected in [CacheStatus::Miss, CacheStatus::DiskHit] {

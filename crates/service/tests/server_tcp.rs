@@ -34,7 +34,6 @@ fn table4_request_roundtrips_over_tcp() {
     let service = Arc::new(
         ScheduleService::start(ServiceConfig {
             workers: 2,
-            fault_plan: Some(String::new()),
             ..Default::default()
         })
         .unwrap(),
@@ -148,7 +147,6 @@ fn quiet_server() -> teccl_service::ServerHandle {
     let service = Arc::new(
         ScheduleService::start(ServiceConfig {
             workers: 1,
-            fault_plan: Some(String::new()),
             ..Default::default()
         })
         .unwrap(),

@@ -65,13 +65,7 @@ fn request_pool() -> Vec<SolveRequest> {
 /// the same time; exactly one solve happens and both get the same entry.
 #[test]
 fn two_thread_identical_race_solves_once() {
-    let svc = Arc::new(
-        ScheduleService::start(ServiceConfig {
-            fault_plan: Some(String::new()),
-            ..Default::default()
-        })
-        .unwrap(),
-    );
+    let svc = Arc::new(ScheduleService::start(ServiceConfig::default()).unwrap());
     let barrier = Arc::new(Barrier::new(2));
     let threads: Vec<_> = (0..2)
         .map(|_| {
@@ -138,7 +132,6 @@ fn eight_thread_mixed_fuzz_single_flight() {
     let svc = Arc::new(
         ScheduleService::start(ServiceConfig {
             workers: 4,
-            fault_plan: Some(String::new()),
             ..Default::default()
         })
         .unwrap(),

@@ -141,7 +141,8 @@ pub fn schedule_from_sends(
 /// order; they are served in node order), `flows[link * num_epochs + k]` is
 /// the per-source flow (in chunks) on a link at epoch `k` (at most `1e-6`
 /// counts as none), and `link_endpoints[link]` is a link's `(from, to)`.
-/// Returns the sends for this source's chunks.
+/// Returns the paths of this source's chunks, destination by destination
+/// and in the order of each destination's chunks.
 pub fn decompose_source_flow(
     source: NodeId,
     chunks_for_dest: &[(NodeId, Vec<usize>)],
@@ -149,9 +150,9 @@ pub fn decompose_source_flow(
     link_endpoints: &[(NodeId, NodeId)],
     delta_of: impl Fn(usize) -> usize,
     num_epochs: usize,
-) -> Vec<Send> {
+) -> Vec<ChunkPath> {
     let mut remaining = flows.to_vec();
-    let mut sends = Vec::new();
+    let mut paths = Vec::new();
 
     // Destinations sorted for determinism.
     let mut dests: Vec<&(NodeId, Vec<usize>)> = chunks_for_dest.iter().collect();
@@ -162,30 +163,44 @@ pub fn decompose_source_flow(
         delta_of: &delta_of,
         num_epochs,
     };
-    for (dest, chunks) in dests {
-        for &chunk in chunks {
+    for &(dest, ref chunks) in dests {
+        for (rank, &chunk) in chunks.iter().enumerate() {
             // Greedy DFS from (source, epoch 0) to `dest` over positive
             // remaining flows; fall back to the original support so a
             // fractional optimum can never leave a demand unscheduled.
-            let path = graph
-                .find_path(source, *dest, &remaining)
-                .or_else(|| graph.find_path(source, *dest, flows));
-            if let Some(path) = path {
-                for &(link, k) in &path {
-                    let (from, to) = link_endpoints[link];
-                    sends.push(Send {
-                        chunk: ChunkId::new(source, chunk),
-                        from,
-                        to,
-                        epoch: k,
-                    });
-                    let f = &mut remaining[link * num_epochs + k];
-                    *f = (*f - 1.0).max(0.0);
-                }
+            let Some(hops) = graph
+                .find_path(source, dest, &remaining)
+                .or_else(|| graph.find_path(source, dest, flows))
+            else {
+                continue;
+            };
+            let mut sends = Vec::with_capacity(hops.len());
+            for (link, k) in hops {
+                let (from, to) = link_endpoints[link];
+                sends.push(Send {
+                    chunk: ChunkId::new(source, chunk),
+                    from,
+                    to,
+                    epoch: k,
+                });
+                let f = &mut remaining[link * num_epochs + k];
+                *f = (*f - 1.0).max(0.0);
             }
+            paths.push(ChunkPath { dest, rank, sends });
         }
     }
-    sends
+    paths
+}
+
+/// One chunk's path, as [`decompose_source_flow`] peels it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkPath {
+    /// The destination the path ends at.
+    pub dest: NodeId,
+    /// The chunk's position among the chunks `dest` reads from the source.
+    pub rank: usize,
+    /// The chunk's sends from the source to `dest`, in path order.
+    pub sends: Vec<Send>,
 }
 
 /// The time-expanded links [`decompose_source_flow`] walks.
@@ -442,13 +457,18 @@ mod tests {
         flows
     }
 
+    /// Every send of `paths`, in path order.
+    fn flat(paths: &[ChunkPath]) -> Vec<Send> {
+        paths.iter().flat_map(|p| p.sends.iter().copied()).collect()
+    }
+
     #[test]
     fn decompose_simple_two_hop_flow() {
         // Source 0 -> dest 2 via node 1, one chunk. Links: 0: (0->1), 1: (1->2).
         let link_endpoints = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
         let flows = dense_flows(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
         let chunks_for_dest = [(NodeId(2), vec![0usize])];
-        let sends = decompose_source_flow(
+        let paths = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
             &flows,
@@ -456,6 +476,7 @@ mod tests {
             |_| 0,
             4,
         );
+        let sends = flat(&paths);
         assert_eq!(sends.len(), 2);
         assert_eq!(sends[0].from, NodeId(0));
         assert_eq!(sends[1].to, NodeId(2));
@@ -473,7 +494,7 @@ mod tests {
         ];
         let flows = dense_flows(4, &[(0, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0), (3, 1, 1.0)]);
         let chunks_for_dest = [(NodeId(3), vec![0usize, 1usize])];
-        let sends = decompose_source_flow(
+        let paths = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
             &flows,
@@ -481,6 +502,24 @@ mod tests {
             |_| 0,
             4,
         );
+        // One path per chunk, each ending at the destination, ranked in the
+        // order of its chunks.
+        let ends: Vec<_> = paths
+            .iter()
+            .map(|p| {
+                (
+                    p.dest,
+                    p.rank,
+                    p.sends[0].chunk.chunk,
+                    p.sends.last().unwrap().to,
+                )
+            })
+            .collect();
+        assert_eq!(
+            ends,
+            [(NodeId(3), 0, 0, NodeId(3)), (NodeId(3), 1, 1, NodeId(3))]
+        );
+        let sends = flat(&paths);
         assert_eq!(sends.len(), 4);
         // Both relays are used (each path has capacity for one chunk).
         let via1 = sends.iter().any(|s| s.to == NodeId(1));
@@ -515,7 +554,7 @@ mod tests {
         );
         // Destinations out of node order: they are served in node order.
         let chunks_for_dest = [(NodeId(3), vec![1usize]), (NodeId(1), vec![0usize])];
-        let sends = decompose_source_flow(
+        let paths = decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
             &flows,
@@ -523,6 +562,9 @@ mod tests {
             |_| 0,
             4,
         );
+        let ends: Vec<_> = paths.iter().map(|p| (p.dest, p.rank)).collect();
+        assert_eq!(ends, [(NodeId(1), 0), (NodeId(3), 0)]);
+        let sends = flat(&paths);
         // Both chunks must arrive, whatever mix of trunk/direct was used.
         for (dest, chunk) in [(NodeId(1), 0usize), (NodeId(3), 1usize)] {
             assert!(
@@ -543,7 +585,7 @@ mod tests {
             |_| 0,
             4,
         );
-        assert_eq!(sends, again);
+        assert_eq!(paths, again);
     }
 
     #[test]
@@ -554,14 +596,14 @@ mod tests {
         let link_endpoints = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
         let flows = dense_flows(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
         let chunks_for_dest = [(NodeId(2), vec![0usize, 1usize])];
-        let sends = decompose_source_flow(
+        let sends = flat(&decompose_source_flow(
             NodeId(0),
             &chunks_for_dest,
             &flows,
             &link_endpoints,
             |_| 0,
             4,
-        );
+        ));
         for chunk in [0usize, 1usize] {
             assert!(
                 sends
@@ -575,7 +617,7 @@ mod tests {
     #[test]
     fn decompose_returns_empty_when_no_flow() {
         let chunks_for_dest = [(NodeId(1), vec![0usize])];
-        let sends = decompose_source_flow(NodeId(0), &chunks_for_dest, &[], &[], |_| 0, 4);
-        assert!(sends.is_empty());
+        let paths = decompose_source_flow(NodeId(0), &chunks_for_dest, &[], &[], |_| 0, 4);
+        assert!(paths.is_empty());
     }
 }

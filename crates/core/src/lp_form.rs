@@ -283,7 +283,7 @@ impl LpFormulation {
                 .map(|d| (d, wanted(s, d).collect::<Vec<_>>()))
                 .filter(|(_, chunks)| !chunks.is_empty())
                 .collect();
-            let sends = decompose_source_flow(
+            let paths = decompose_source_flow(
                 s,
                 &chunks_for_dest,
                 &flows,
@@ -291,45 +291,21 @@ impl LpFormulation {
                 |l| net.grid.delay(&topology.links[l]),
                 k_max,
             );
-            // `decompose_source_flow` emits each chunk's path whole, so the
-            // destination of a send is the end of its path: the last send
-            // of the same chunk before the next path starts.
-            let mut dest = vec![NodeId(0); sends.len()];
-            for i in (0..sends.len()).rev() {
-                let ends_path = i + 1 == sends.len()
-                    || sends[i + 1].chunk != sends[i].chunk
-                    || sends[i + 1].from != sends[i].to;
-                dest[i] = if ends_path { sends[i].to } else { dest[i + 1] };
-            }
-            // The position of each send's chunk among the chunks its
-            // destination reads from `s`.
-            let rank: Vec<usize> = sends
-                .iter()
-                .zip(&dest)
-                .map(|(send, d)| {
-                    let (_, chunks) = chunks_for_dest
-                        .iter()
-                        .find(|(to, _)| to == d)
-                        .expect("a path ends at a destination");
-                    chunks
-                        .iter()
-                        .position(|&c| c == send.chunk.chunk)
-                        .expect("a path ends at a destination of its chunk")
-                })
-                .collect();
             let group = net.group();
             for g in 0..group.order() {
                 let image = group.node(g, s);
-                for ((send, &d), &j) in sends.iter().zip(&dest).zip(&rank) {
-                    let chunk = wanted(image, group.node(g, d))
-                        .nth(j)
+                for path in &paths {
+                    let chunk = wanted(image, group.node(g, path.dest))
+                        .nth(path.rank)
                         .expect("the image reads as many chunks");
-                    all.push(Send {
-                        chunk: ChunkId::new(image, chunk),
-                        from: group.node(g, send.from),
-                        to: group.node(g, send.to),
-                        epoch: send.epoch,
-                    });
+                    for send in &path.sends {
+                        all.push(Send {
+                            chunk: ChunkId::new(image, chunk),
+                            from: group.node(g, send.from),
+                            to: group.node(g, send.to),
+                            epoch: send.epoch,
+                        });
+                    }
                 }
             }
         }

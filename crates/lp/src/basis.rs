@@ -190,8 +190,7 @@ impl SimplexBasis {
 impl Emit for SimplexBasis {
     fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
-        sink.key("basic");
-        sink.begin_arr();
+        sink.key("basic").begin_arr();
         for &j in &self.basic {
             sink.uint(j);
         }

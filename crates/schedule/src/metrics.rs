@@ -90,18 +90,13 @@ impl CollectiveMetrics {
 impl Emit for CollectiveMetrics {
     fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
-        sink.key("solver");
-        sink.str(&self.solver);
-        sink.key("epoch_duration");
-        sink.num(self.epoch_duration);
-        sink.key("transfer_time");
-        sink.num(self.transfer_time);
-        sink.key("solver_time");
-        sink.num(self.solver_time);
-        sink.key("output_buffer_bytes");
-        sink.num(self.output_buffer_bytes);
-        sink.key("bytes_on_wire");
-        sink.num(self.bytes_on_wire);
+        sink.key("solver").str(&self.solver);
+        sink.key("epoch_duration").num(self.epoch_duration);
+        sink.key("transfer_time").num(self.transfer_time);
+        sink.key("solver_time").num(self.solver_time);
+        sink.key("output_buffer_bytes")
+            .num(self.output_buffer_bytes);
+        sink.key("bytes_on_wire").num(self.bytes_on_wire);
         sink.end_obj();
     }
 }

@@ -312,30 +312,19 @@ fn sends<'a>(
 impl Emit for Schedule {
     fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
-        sink.key("name");
-        sink.str(&self.name);
-        sink.key("chunk_bytes");
-        sink.num(self.chunk_bytes);
-        sink.key("epoch_duration");
-        sink.num(self.epoch_duration);
-        sink.key("num_epochs");
-        sink.uint(self.num_epochs);
-        sink.key("solver_time");
-        sink.num(self.solver_time);
-        sink.key("sends");
-        sink.begin_arr();
+        sink.key("name").str(&self.name);
+        sink.key("chunk_bytes").num(self.chunk_bytes);
+        sink.key("epoch_duration").num(self.epoch_duration);
+        sink.key("num_epochs").uint(self.num_epochs);
+        sink.key("solver_time").num(self.solver_time);
+        sink.key("sends").begin_arr();
         for s in &self.sends {
             sink.begin_obj();
-            sink.key("source");
-            sink.uint(s.chunk.source.0);
-            sink.key("chunk");
-            sink.uint(s.chunk.chunk);
-            sink.key("from");
-            sink.uint(s.from.0);
-            sink.key("to");
-            sink.uint(s.to.0);
-            sink.key("epoch");
-            sink.uint(s.epoch);
+            sink.key("source").uint(s.chunk.source.0);
+            sink.key("chunk").uint(s.chunk.chunk);
+            sink.key("from").uint(s.from.0);
+            sink.key("to").uint(s.to.0);
+            sink.key("epoch").uint(s.epoch);
             sink.end_obj();
         }
         sink.end_arr();

@@ -301,29 +301,24 @@ impl Emit for Stored<'_> {
         sink.begin_obj();
         sink.key("key_family");
         hex(sink, e.key.family);
-        sink.key("key_bucket");
-        sink.num(e.key.size_bucket as f64);
+        sink.key("key_bucket").num(e.key.size_bucket as f64);
         sink.key("key_hash");
         hex(sink, e.key.hash);
-        sink.key("chunk_bytes");
-        sink.num(e.chunk_bytes);
+        sink.key("chunk_bytes").num(e.chunk_bytes);
         sink.key("topology_used");
         e.topology_used.emit(sink);
         sink.key("output");
         e.output.emit_rendered(sink);
-        sink.key("stats");
-        sink.begin_obj();
-        sink.key("solve_time_s");
-        sink.num(e.stats.solve_time.as_secs_f64());
+        sink.key("stats").begin_obj();
+        sink.key("solve_time_s")
+            .num(e.stats.solve_time.as_secs_f64());
         for (name, n) in COUNTERS.into_iter().zip(counts(&e.stats)) {
-            sink.key(name);
-            sink.uint(n);
+            sink.key(name).uint(n);
         }
-        sink.key("iteration_limit_hit");
-        sink.bool(e.stats.iteration_limit_hit);
+        sink.key("iteration_limit_hit")
+            .bool(e.stats.iteration_limit_hit);
         sink.end_obj();
-        sink.key("quality");
-        sink.str(e.quality.name());
+        sink.key("quality").str(e.quality.name());
         if let Some(b) = self.basis {
             sink.key("basis");
             b.emit(sink);

@@ -237,27 +237,6 @@ impl SolveRequest {
         json::to_value(self)
     }
 
-    /// The request's members, in their wire order, into the object `sink`
-    /// has open: a request line writes its verb before them.
-    pub(crate) fn emit_members(&self, sink: &mut JsonSink<'_>) {
-        sink.key("topology");
-        self.topology.emit(sink);
-        sink.key("collective");
-        sink.str(collective_name(self.collective));
-        sink.key("chunks");
-        sink.uint(self.chunks);
-        sink.key("output_buffer");
-        sink.num(self.output_buffer);
-        sink.key("method");
-        sink.str(self.method.name());
-        sink.key("config");
-        emit_config(&self.config, sink);
-        if let Some(d) = self.deadline {
-            sink.key("deadline_ms");
-            sink.num(d.as_secs_f64() * 1e3);
-        }
-    }
-
     /// Reads the request object whose first event is `first` from `src`,
     /// to its end (see [`Reader`] for the two errors). `topology` may be
     /// a full topology document or the string name of a prebuilt one (see
@@ -273,11 +252,24 @@ impl SolveRequest {
     }
 }
 
-/// A request as a request file holds it: a `solve` line without the verb.
+/// A request's one JSON form: its `solve` request line, the verb first.
+/// A request file holds the same objects ([`SolveRequest::decode`] passes
+/// the verb over).
 impl Emit for SolveRequest {
     fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
-        self.emit_members(sink);
+        sink.key("verb").str("solve");
+        sink.key("topology");
+        self.topology.emit(sink);
+        sink.key("collective").str(collective_name(self.collective));
+        sink.key("chunks").uint(self.chunks);
+        sink.key("output_buffer").num(self.output_buffer);
+        sink.key("method").str(self.method.name());
+        sink.key("config");
+        emit_config(&self.config, sink);
+        if let Some(d) = self.deadline {
+            sink.key("deadline_ms").num(d.as_secs_f64() * 1e3);
+        }
         sink.end_obj();
     }
 }
@@ -473,15 +465,12 @@ fn hash_config(h: &mut StableHasher, c: &SolverConfig) {
 /// Writes a solver configuration for the wire protocol.
 fn emit_config(c: &SolverConfig, sink: &mut JsonSink<'_>) {
     sink.begin_obj();
-    sink.key("epoch_strategy");
-    sink.str(match c.epoch_strategy {
+    sink.key("epoch_strategy").str(match c.epoch_strategy {
         EpochStrategy::SlowestLink => "slowest_link",
         EpochStrategy::FastestLink => "fastest_link",
     });
-    sink.key("epoch_multiplier");
-    sink.num(c.epoch_multiplier);
-    sink.key("switch_model");
-    sink.str(match c.switch_model {
+    sink.key("epoch_multiplier").num(c.epoch_multiplier);
+    sink.key("switch_model").str(match c.switch_model {
         SwitchModel::CopyCapable => "copy_capable",
         SwitchModel::NonCopy => "non_copy",
         SwitchModel::HyperEdge => "hyper_edge",
@@ -491,35 +480,27 @@ fn emit_config(c: &SolverConfig, sink: &mut JsonSink<'_>) {
         BufferMode::Unlimited => sink.str("unlimited"),
         BufferMode::LimitedChunks(n) => {
             sink.begin_obj();
-            sink.key("limited_chunks");
-            sink.uint(n);
+            sink.key("limited_chunks").uint(n);
             sink.end_obj();
         }
         BufferMode::NoStoreAndForward => sink.str("no_store_and_forward"),
     }
-    sink.key("astar_gamma");
-    sink.num(c.astar_gamma);
-    sink.key("astar_max_rounds");
-    sink.uint(c.astar_max_rounds);
+    sink.key("astar_gamma").num(c.astar_gamma);
+    sink.key("astar_max_rounds").uint(c.astar_max_rounds);
     if let Some(k) = c.max_epochs {
-        sink.key("max_epochs");
-        sink.uint(k);
+        sink.key("max_epochs").uint(k);
     }
     if let Some(g) = c.early_stop_gap {
-        sink.key("early_stop_gap");
-        sink.num(g);
+        sink.key("early_stop_gap").num(g);
     }
     if let Some(d) = c.time_limit {
-        sink.key("time_limit_s");
-        sink.num(d.as_secs_f64());
+        sink.key("time_limit_s").num(d.as_secs_f64());
     }
     if let Some(e) = c.astar_epochs_per_round {
-        sink.key("astar_epochs_per_round");
-        sink.uint(e);
+        sink.key("astar_epochs_per_round").uint(e);
     }
     if let Some(p) = &c.chunk_priorities {
-        sink.key("chunk_priorities");
-        sink.begin_arr();
+        sink.key("chunk_priorities").begin_arr();
         for &w in p {
             sink.num(w);
         }

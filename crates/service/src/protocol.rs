@@ -211,21 +211,10 @@ impl TopologyMemo {
     }
 }
 
-/// Builds a `solve` request line from a [`SolveRequest`]: the verb, then
-/// the request's members, written straight to text.
+/// Builds a `solve` request line from a [`SolveRequest`], straight to text.
 pub fn solve_request_line(req: &SolveRequest) -> String {
-    struct Line<'r>(&'r SolveRequest);
-    impl Emit for Line<'_> {
-        fn emit(&self, sink: &mut JsonSink<'_>) {
-            sink.begin_obj();
-            sink.key("verb");
-            sink.str("solve");
-            self.0.emit_members(sink);
-            sink.end_obj();
-        }
-    }
     let mut out = String::new();
-    json::write_json(&Line(req), &mut out);
+    json::write_json(req, &mut out);
     out
 }
 
@@ -265,34 +254,26 @@ impl Emit for SolveResponse<'_> {
     fn emit(&self, sink: &mut JsonSink<'_>) {
         let e = &self.0.entry;
         sink.begin_obj();
-        sink.key("status");
-        sink.str("ok");
-        sink.key("cache");
-        sink.str(self.0.cache.name());
-        sink.key("quality");
-        sink.str(self.0.quality.name());
+        sink.key("status").str("ok");
+        sink.key("cache").str(self.0.cache.name());
+        sink.key("quality").str(self.0.quality.name());
         sink.key("key");
         let hex = key_hex(e.key.hash);
         // ASCII by construction.
         sink.str(std::str::from_utf8(&hex).unwrap_or_default());
-        sink.key("chunk_bytes");
-        sink.num(e.chunk_bytes);
+        sink.key("chunk_bytes").num(e.chunk_bytes);
         sink.key("output");
         // The schedule is copied from its kept text: a hit formats none of
         // its sends again.
         e.output.emit_rendered(sink);
-        sink.key("solve");
-        sink.begin_obj();
-        sink.key("simplex_iterations");
-        sink.uint(e.stats.simplex_iterations);
-        sink.key("warm_starts");
-        sink.uint(e.stats.warm_starts);
-        sink.key("cold_starts");
-        sink.uint(e.stats.cold_starts);
-        sink.key("nodes_explored");
-        sink.uint(e.stats.nodes_explored);
-        sink.key("iteration_limit_hit");
-        sink.bool(e.stats.iteration_limit_hit);
+        sink.key("solve").begin_obj();
+        sink.key("simplex_iterations")
+            .uint(e.stats.simplex_iterations);
+        sink.key("warm_starts").uint(e.stats.warm_starts);
+        sink.key("cold_starts").uint(e.stats.cold_starts);
+        sink.key("nodes_explored").uint(e.stats.nodes_explored);
+        sink.key("iteration_limit_hit")
+            .bool(e.stats.iteration_limit_hit);
         sink.end_obj();
         sink.end_obj();
     }

@@ -53,36 +53,26 @@ impl Topology {
 impl Emit for Topology {
     fn emit(&self, sink: &mut JsonSink<'_>) {
         sink.begin_obj();
-        sink.key("name");
-        sink.str(&self.name);
-        sink.key("nodes");
-        sink.begin_arr();
+        sink.key("name").str(&self.name);
+        sink.key("nodes").begin_arr();
         for n in &self.nodes {
             sink.begin_obj();
-            sink.key("kind");
-            sink.str(match n.kind {
+            sink.key("kind").str(match n.kind {
                 NodeKind::Gpu => "gpu",
                 NodeKind::Switch => "switch",
             });
-            sink.key("name");
-            sink.str(&n.name);
-            sink.key("chassis");
-            sink.uint(n.chassis);
+            sink.key("name").str(&n.name);
+            sink.key("chassis").uint(n.chassis);
             sink.end_obj();
         }
         sink.end_arr();
-        sink.key("links");
-        sink.begin_arr();
+        sink.key("links").begin_arr();
         for l in &self.links {
             sink.begin_obj();
-            sink.key("src");
-            sink.uint(l.src.0);
-            sink.key("dst");
-            sink.uint(l.dst.0);
-            sink.key("capacity");
-            sink.num(l.capacity);
-            sink.key("alpha");
-            sink.num(l.alpha);
+            sink.key("src").uint(l.src.0);
+            sink.key("dst").uint(l.dst.0);
+            sink.key("capacity").num(l.capacity);
+            sink.key("alpha").num(l.alpha);
             sink.end_obj();
         }
         sink.end_arr();

@@ -362,12 +362,14 @@ impl JsonSink<'_> {
     pub fn begin_obj(&mut self) {
         self.open('{');
     }
-    /// The key of the next value of the innermost object.
-    pub fn key(&mut self, k: &str) {
+    /// The key of the next value of the innermost object; that value is
+    /// written next, on the sink returned (`sink.key("n").uint(n)`).
+    pub fn key(&mut self, k: &str) -> &mut Self {
         self.separate();
         write_string(self.out, k);
         self.out.push(':');
         self.comma = false;
+        self
     }
     /// Closes the innermost object.
     pub fn end_obj(&mut self) {
@@ -1471,26 +1473,20 @@ mod tests {
     impl Emit for Doc {
         fn emit(&self, sink: &mut JsonSink<'_>) {
             sink.begin_obj();
-            sink.key("name");
-            sink.str("a\"b");
-            sink.key("empty");
-            sink.begin_arr();
+            sink.key("name").str("a\"b");
+            sink.key("empty").begin_arr();
             sink.end_arr();
-            sink.key("rows");
-            sink.begin_arr();
+            sink.key("rows").begin_arr();
             for i in 0..2 {
                 sink.begin_obj();
-                sink.key("i");
-                sink.uint(i);
-                sink.key("x");
-                sink.num(0.5);
+                sink.key("i").uint(i);
+                sink.key("x").num(0.5);
                 sink.end_obj();
             }
             sink.null();
             sink.bool(true);
             sink.end_arr();
-            sink.key("none");
-            sink.begin_obj();
+            sink.key("none").begin_obj();
             sink.end_obj();
             sink.end_obj();
         }

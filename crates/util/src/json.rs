@@ -299,9 +299,9 @@ impl Emit for Value {
     }
 }
 
-/// Writes one document as compact text, an event at a time. Values arrive
-/// in document order; inside an object every value is preceded by its
-/// [`key`](JsonSink::key).
+/// Writes one document as compact text, an event at a time. A caller
+/// writes the values in document order, and inside an object each after
+/// its [`key`](JsonSink::key).
 ///
 /// `comma` is true exactly when the next value or key has a sibling before
 /// it, which one flag can track: opening a container or writing a key

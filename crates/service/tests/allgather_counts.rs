@@ -18,6 +18,11 @@
 //! The schedule is pinned too, not only the walk: each shape's send count
 //! and its simulated transfer time to the bit.
 //!
+//! So is each shape's number of epochs: the A\* rows' rounds times the
+//! epochs per round, the MILP and LP rows' horizon. A round loop that adds
+//! or drops a round then fails on that column, not only through the pivot
+//! totals.
+//!
 //! The `alltoall_lp` rows were recorded on the solver before the simplex's
 //! one start ladder, which had to reproduce them, and re-pinned when the LP
 //! became the quotient by its symmetry group (`teccl_core::symmetry`) and
@@ -77,14 +82,15 @@ use teccl_core::TeCcl;
 use teccl_schedule::{simulate, validate};
 use teccl_service::{builtin_topology, RequestMethod, SolveRequest};
 
-/// `(collective, topology, chunks, method, [iterations, dual iterations, B&B
-/// nodes, factorizations, adopted factors], sends, simulated transfer time as
-/// f64 bits)` at a 16 MiB output buffer.
+/// `(collective, topology, chunks, method, epochs, [iterations, dual
+/// iterations, B&B nodes, factorizations, adopted factors], sends, simulated
+/// transfer time as f64 bits)` at a 16 MiB output buffer.
 type Shape = (
     CollectiveKind,
     &'static str,
     usize,
     RequestMethod,
+    usize,
     [usize; 5],
     usize,
     u64,
@@ -95,17 +101,17 @@ const A2A: CollectiveKind = CollectiveKind::AllToAll;
 
 #[rustfmt::skip]
 const SHAPES: [Shape; 11] = [
-    (AG, "internal1x2", 1, RequestMethod::AStar, [105, 88, 3, 4, 2], 64, 0x3f4f706f0389af57),
-    (AG, "internal1x2", 2, RequestMethod::AStar, [242, 116, 6, 7, 5], 128, 0x3f514a52ed4d836d),
-    (AG, "internal1x3", 1, RequestMethod::AStar, [219, 137, 4, 5, 3], 144, 0x3f4c031bea5f7e6c),
-    (AG, "internal2x4", 2, RequestMethod::AStar, [228, 110, 10, 11, 9], 128, 0x3f5d117f841eeb2c),
-    (AG, "internal2x8", 1, RequestMethod::AStar, [251, 139, 9, 10, 8], 256, 0x3f5832f7505da388),
-    (AG, "dgx2", 1, RequestMethod::AStar, [383, 308, 10, 14, 9], 256, 0x3f29d906046709da),
-    (AG, "internal1x4", 1, RequestMethod::AStar, [344, 252, 5, 7, 4], 256, 0x3f4a69b0dea12353),
-    (AG, "dgx1", 1, RequestMethod::Milp, [54, 41, 1, 3, 0], 56, 0x3f32e507848bbf9f),
-    (A2A, "dgx1", 2, RequestMethod::Lp, [154, 0, 0, 5, 0], 192, 0x3f3f75e2e0d11dab),
-    (A2A, "internal2x3", 2, RequestMethod::Lp, [274, 0, 0, 5, 0], 168, 0x3f5836bdae7b6610),
-    (A2A, "internal1x2", 2, RequestMethod::Lp, [382, 0, 0, 5, 0], 280, 0x3f4f76b9a065f390),
+    (AG, "internal1x2", 1, RequestMethod::AStar, 12, [105, 88, 3, 4, 2], 64, 0x3f4f706f0389af57),
+    (AG, "internal1x2", 2, RequestMethod::AStar, 24, [242, 116, 6, 7, 5], 128, 0x3f514a52ed4d836d),
+    (AG, "internal1x3", 1, RequestMethod::AStar, 16, [219, 137, 4, 5, 3], 144, 0x3f4c031bea5f7e6c),
+    (AG, "internal2x4", 2, RequestMethod::AStar, 40, [228, 110, 10, 11, 9], 128, 0x3f5d117f841eeb2c),
+    (AG, "internal2x8", 1, RequestMethod::AStar, 36, [251, 139, 9, 10, 8], 256, 0x3f5832f7505da388),
+    (AG, "dgx2", 1, RequestMethod::AStar, 24, [383, 308, 10, 14, 9], 256, 0x3f29d906046709da),
+    (AG, "internal1x4", 1, RequestMethod::AStar, 20, [344, 252, 5, 7, 4], 256, 0x3f4a69b0dea12353),
+    (AG, "dgx1", 1, RequestMethod::Milp, 4, [54, 41, 1, 3, 0], 56, 0x3f32e507848bbf9f),
+    (A2A, "dgx1", 2, RequestMethod::Lp, 10, [154, 0, 0, 5, 0], 192, 0x3f3f75e2e0d11dab),
+    (A2A, "internal2x3", 2, RequestMethod::Lp, 20, [274, 0, 0, 5, 0], 168, 0x3f5836bdae7b6610),
+    (A2A, "internal1x2", 2, RequestMethod::Lp, 20, [382, 0, 0, 5, 0], 280, 0x3f4f76b9a065f390),
 ];
 
 /// Each row's factorizations before a solve carried its factors out: the
@@ -137,7 +143,7 @@ const FULL_LP_TRANSFER: [(&str, u64); 3] = [
 #[test]
 #[ignore = "release-only"]
 fn benchmark_shapes_keep_their_pivot_counts() {
-    for ((collective, name, chunks, method, pinned, sends, transfer_bits), before) in
+    for ((collective, name, chunks, method, epochs, pinned, sends, transfer_bits), before) in
         SHAPES.into_iter().zip(FACTORIZED_BEFORE_CARRY)
     {
         let topology = builtin_topology(name).expect("builtin topology");
@@ -148,6 +154,10 @@ fn benchmark_shapes_keep_their_pivot_counts() {
         let outcome = solver
             .solve(&demand, request.chunk_bytes(), method, None)
             .unwrap_or_else(|e| panic!("{name} c{chunks}: {e}"));
+        assert_eq!(
+            outcome.num_epochs, epochs,
+            "{name} c{chunks}: the number of epochs moved"
+        );
         let report = validate(&outcome.topology_used, &demand, &outcome.schedule, false);
         assert!(report.is_valid(), "{name} c{chunks}: {report:?}");
         let sim = simulate(&outcome.topology_used, &demand, &outcome.schedule)

@@ -47,7 +47,8 @@ use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::EpochGrid;
 use crate::error::TeCclError;
 use crate::milp_form::{Holders, MilpBuildOptions, MilpFormulation};
-use crate::symmetry::SymmetryGroup;
+use crate::symmetry::{Orbits, SymmetryGroup};
+use crate::time_expanded::source_orbits;
 
 /// Result of an A* solve.
 #[derive(Debug, Clone)]
@@ -99,6 +100,15 @@ pub struct RoundState {
     holders: Holders,
     /// `(source, chunk, node, epochs into the next round)` per flying chunk.
     in_flight: Vec<(NodeId, usize, NodeId, usize)>,
+    /// `reached[(s · chunks + c) · nodes + n]`: node `n` holds chunk `c` of
+    /// `s` or has it in flight. Both only grow, so neither does this.
+    reached: Vec<bool>,
+    nodes: usize,
+    chunks: usize,
+    /// The sources whose terminal rewards and frozen flags a round's model
+    /// reads: every GPU, or the source-orbit representatives once the
+    /// rounds are laid out over a group ([`RoundState::lay_out_over`]).
+    sources: Vec<NodeId>,
 }
 
 impl RoundState {
@@ -114,16 +124,35 @@ impl RoundState {
         let epochs_per_round = config
             .astar_epochs_per_round
             .unwrap_or((grid.max_delay() + 2).max(4));
-        let mut holders = Holders::new(topology.num_nodes(), demand.num_chunks);
-        for (s, c, _d) in demand.iter() {
-            holders.add(s, c, s);
-        }
-        RoundState {
+        let (nodes, chunks) = (topology.num_nodes(), demand.num_chunks);
+        let mut state = RoundState {
             epochs_per_round,
             grid,
-            holders,
+            holders: Holders::new(nodes, chunks),
             in_flight: Vec::new(),
+            reached: vec![false; nodes * chunks * nodes],
+            nodes,
+            chunks,
+            sources: topology.gpus().collect(),
+        };
+        for (s, c, _d) in demand.iter() {
+            state.hold(s, c, s);
         }
+        state
+    }
+
+    /// Narrows the sources whose rewards and frozen flags
+    /// [`RoundState::build_options`] lists to the representatives of
+    /// `orbits`: a round laid out over its group has no commodity for any
+    /// other source, so it reads nothing of theirs.
+    pub(crate) fn lay_out_over(&mut self, orbits: &Orbits) {
+        self.sources.retain(|&s| orbits.is_representative(s));
+    }
+
+    /// Makes `n` a holder of chunk `c` of `s`.
+    fn hold(&mut self, s: NodeId, c: usize, n: NodeId) {
+        self.holders.add(s, c, n);
+        self.reached[(s.0 * self.chunks + c) * self.nodes + n.0] = true;
     }
 
     /// The demands still open — a triple is satisfied once the destination
@@ -149,12 +178,27 @@ impl RoundState {
         config: &SolverConfig,
     ) -> MilpBuildOptions {
         // Terminal rewards: for every unsatisfied commodity and every GPU,
-        // reward ending the round with the chunk near a destination.
+        // reward ending the round with the chunk near a destination. Warm
+        // rounds keep every commodity in the model, so pin the flows of
+        // fully-delivered ones to zero: the layout stays identical (the
+        // carried basis survives) while presolve eliminates their columns
+        // from the actual solve — late rounds then cost what the shrinking
+        // remaining-demand builds used to, without re-shaping the model.
         let mut terminal_rewards = Vec::new();
-        for s in topology.gpus() {
+        let mut frozen: Vec<(NodeId, usize)> = Vec::new();
+        let mut dests: Vec<NodeId> = Vec::new();
+        for &s in &self.sources {
             for c in 0..demand.num_chunks {
-                let dests: Vec<NodeId> = remaining.destinations_of(s, c);
+                dests.clear();
+                dests.extend(
+                    (0..remaining.num_nodes)
+                        .map(NodeId)
+                        .filter(|&d| remaining.wants(s, c, d)),
+                );
                 if dests.is_empty() {
+                    if warm_rounds(config) && demand.chunk_in_use(s, c) {
+                        frozen.push((s, c));
+                    }
                     continue;
                 }
                 for n in topology.gpus() {
@@ -179,22 +223,6 @@ impl RoundState {
                 }
             }
         }
-
-        // Warm rounds keep every commodity in the model, so pin the flows
-        // of fully-delivered ones to zero: the layout stays identical (the
-        // carried basis survives) while presolve eliminates their columns
-        // from the actual solve — late rounds then cost what the shrinking
-        // remaining-demand builds used to, without re-shaping the model.
-        let mut frozen: Vec<(NodeId, usize)> = Vec::new();
-        if warm_rounds(config) {
-            for s in topology.gpus() {
-                for c in 0..demand.num_chunks {
-                    if demand.chunk_in_use(s, c) && remaining.destinations_of(s, c).is_empty() {
-                        frozen.push((s, c));
-                    }
-                }
-            }
-        }
         MilpBuildOptions {
             relax_completion: true,
             extra_initial,
@@ -215,34 +243,28 @@ impl RoundState {
 
     /// Whether node `n` holds chunk `c` of source `s` or has it in flight.
     fn reached(&self, s: NodeId, c: usize, n: NodeId) -> bool {
-        self.holders.get(s, c).contains(&n)
-            || self
-                .in_flight
-                .iter()
-                .any(|&(fs, fc, fd, _)| fs == s && fc == c && fd == n)
+        self.reached[(s.0 * self.chunks + c) * self.nodes + n.0]
     }
 
     /// Applies a round's sends (epochs local to the round): what was in
     /// flight has landed, sends that arrive inside the round land too, the
     /// rest are in flight for the next one.
     pub fn absorb(&mut self, topology: &Topology, round_sends: &[Send]) {
-        for (s, c, n, _vis) in self.in_flight.drain(..) {
-            self.holders.add(s, c, n);
+        for (s, c, n, _vis) in std::mem::take(&mut self.in_flight) {
+            self.hold(s, c, n);
         }
         for snd in round_sends {
             let link = topology
                 .link_between(snd.from, snd.to)
                 .expect("send uses a topology link");
             let arrival = snd.epoch + self.grid.delay(link) + 1;
+            let (s, c) = (snd.chunk.source, snd.chunk.chunk);
             if arrival <= self.epochs_per_round {
-                self.holders.add(snd.chunk.source, snd.chunk.chunk, snd.to);
+                self.hold(s, c, snd.to);
             } else {
-                self.in_flight.push((
-                    snd.chunk.source,
-                    snd.chunk.chunk,
-                    snd.to,
-                    arrival - self.epochs_per_round,
-                ));
+                self.reached[(s.0 * self.chunks + c) * self.nodes + snd.to.0] = true;
+                self.in_flight
+                    .push((s, c, snd.to, arrival - self.epochs_per_round));
             }
         }
     }
@@ -293,6 +315,7 @@ pub fn solve_astar_budgeted(
     } else {
         SymmetryGroup::trivial(topology)
     };
+    state.lay_out_over(&source_orbits(topology, demand, group.clone()));
     let mut carried_basis: Option<SimplexBasis> = initial_basis.cloned();
     let mut final_basis: Option<SimplexBasis> = None;
     let mut cached_form: Option<MilpFormulation> = None;

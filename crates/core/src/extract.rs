@@ -21,6 +21,13 @@ use teccl_topology::NodeId;
 /// * `delta_of(from, to)` — the effective forwarding delay of a link in
 ///   epochs: a chunk sent at epoch `k` can be forwarded by the receiver from
 ///   epoch `k + delta + 1` on.
+///
+/// Each destination's walk goes backwards from it: into the node it stands
+/// at, it keeps the send whose chunk is usable earliest (the first such send
+/// in `sends` order on a tie) among those usable by the epoch the walk
+/// needs it, and goes on to that send's origin by the send's epoch. That
+/// epoch falls strictly along the walk, so it never comes back to a node
+/// at an epoch it has seen, and it ends at a holder or where no send fits.
 pub fn prune_sends<F>(
     sends: &[Send],
     demand: &DemandMatrix,
@@ -30,14 +37,33 @@ pub fn prune_sends<F>(
 where
     F: Fn(NodeId, NodeId) -> usize,
 {
-    // Group sends per commodity: positions into `sends`, each commodity's in
-    // send order.
-    let mut order: Vec<usize> = (0..sends.len()).collect();
-    order.sort_by_key(|&i| sends[i].chunk);
-    let mut keep: Vec<(ChunkId, NodeId, NodeId, usize)> = Vec::new();
-    // The (node, by_epoch) pairs one destination's walk has visited: the
-    // walk is a chain, so a list is a set here.
-    let mut visited: Vec<(NodeId, usize)> = Vec::new();
+    let nodes = sends
+        .iter()
+        .map(|s| s.from.0.max(s.to.0) + 1)
+        .fold(demand.num_nodes, usize::max);
+    let chunks = sends
+        .iter()
+        .map(|s| s.chunk.chunk + 1)
+        .fold(demand.num_chunks, usize::max);
+    // Positions into `sends` by commodity, then receiving node, each group
+    // in send order: one key per send, its position in the low half.
+    let mut keys: Vec<u128> = sends
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let group = (s.chunk.source.0 * chunks + s.chunk.chunk) * nodes + s.to.0;
+            (group as u128) << 64 | i as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    let order: Vec<usize> = keys.iter().map(|&k| k as u64 as usize).collect();
+    // `delta_of` per (from, to), asked at most once each.
+    let mut delays: Vec<Option<usize>> = vec![None; nodes * nodes];
+    // The commodity's sends into each node: `into[n]..into[n + 1]` of its
+    // slice of `order`.
+    let mut into = vec![0usize; nodes + 1];
+    // Every send equal to a chosen one is kept.
+    let mut keep = vec![false; sends.len()];
 
     for chunk_sends in order.chunk_by(|&a, &b| sends[a].chunk == sends[b].chunk) {
         let chunk = sends[chunk_sends[0]].chunk;
@@ -45,55 +71,50 @@ where
         let holders: &[NodeId] = initial_holders
             .get(&(chunk.source.0, chunk.chunk))
             .map_or(&own, Vec::as_slice);
+        into.fill(0);
+        for &i in chunk_sends {
+            into[sends[i].to.0 + 1] += 1;
+        }
+        for n in 0..nodes {
+            into[n + 1] += into[n];
+        }
 
         // Destinations that demand this chunk.
         for dest in demand.destinations_of(chunk.source, chunk.chunk) {
-            if holders.contains(&dest) {
-                continue;
-            }
-            // Walk backwards: find the earliest-arriving send into `node` no
-            // later than `by_epoch`, mark it, and recurse on its origin.
-            let mut stack: Vec<(NodeId, usize)> = vec![(dest, usize::MAX)];
-            visited.clear();
-            while let Some((node, by_epoch)) = stack.pop() {
-                if holders.contains(&node) || visited.contains(&(node, by_epoch)) {
-                    continue;
-                }
-                visited.push((node, by_epoch));
-                // Candidate sends into `node` whose chunk is usable by `by_epoch`.
-                let mut best: Option<(&Send, usize)> = None;
-                for snd in chunk_sends
-                    .iter()
-                    .map(|&i| &sends[i])
-                    .filter(|s| s.to == node)
-                {
-                    let avail = snd.epoch + delta_of(snd.from, snd.to) + 1;
+            let (mut node, mut by_epoch) = (dest, usize::MAX);
+            while !holders.contains(&node) {
+                // The earliest-usable send into `node` by `by_epoch`.
+                let mut best: Option<(usize, usize)> = None;
+                let candidates = &chunk_sends[into[node.0]..into[node.0 + 1]];
+                for &i in candidates {
+                    let snd = &sends[i];
+                    let delay = *delays[snd.from.0 * nodes + snd.to.0]
+                        .get_or_insert_with(|| delta_of(snd.from, snd.to));
+                    let avail = snd.epoch + delay + 1;
                     if by_epoch != usize::MAX && avail > by_epoch {
                         continue;
                     }
-                    match best {
-                        Some((_, best_avail)) if avail >= best_avail => {}
-                        _ => best = Some((snd, avail)),
+                    if best.is_none_or(|(_, best_avail)| avail < best_avail) {
+                        best = Some((i, avail));
                     }
                 }
-                if let Some((snd, _)) = best {
-                    keep.push((snd.chunk, snd.from, snd.to, snd.epoch));
-                    // The sender must have had the chunk by the send epoch.
-                    stack.push((snd.from, snd.epoch));
+                let Some((i, _)) = best else {
+                    break;
+                };
+                let snd = sends[i];
+                for &j in candidates {
+                    keep[j] |= (sends[j].from, sends[j].epoch) == (snd.from, snd.epoch);
                 }
+                // The sender must have had the chunk by the send epoch.
+                (node, by_epoch) = (snd.from, snd.epoch);
             }
         }
     }
 
-    keep.sort_unstable();
-    keep.dedup();
     sends
         .iter()
-        .filter(|s| {
-            keep.binary_search(&(s.chunk, s.from, s.to, s.epoch))
-                .is_ok()
-        })
-        .copied()
+        .zip(keep)
+        .filter_map(|(s, kept)| kept.then_some(*s))
         .collect()
 }
 
@@ -430,6 +451,162 @@ mod tests {
         ];
         let pruned = prune_sends(&sends, &demand, &holders, |_, _| 0);
         assert_eq!(pruned.len(), 4); // everything is needed
+    }
+
+    /// `prune_sends` as it was before it indexed each commodity's sends by
+    /// receiving node and asked each link's delay once, verbatim: the
+    /// reference the rewrite must match send for send.
+    fn prune_sends_reference<F>(
+        sends: &[Send],
+        demand: &DemandMatrix,
+        initial_holders: &HashMap<(usize, usize), Vec<NodeId>>,
+        delta_of: F,
+    ) -> Vec<Send>
+    where
+        F: Fn(NodeId, NodeId) -> usize,
+    {
+        let mut order: Vec<usize> = (0..sends.len()).collect();
+        order.sort_by_key(|&i| sends[i].chunk);
+        let mut keep: Vec<(ChunkId, NodeId, NodeId, usize)> = Vec::new();
+        let mut visited: Vec<(NodeId, usize)> = Vec::new();
+
+        for chunk_sends in order.chunk_by(|&a, &b| sends[a].chunk == sends[b].chunk) {
+            let chunk = sends[chunk_sends[0]].chunk;
+            let own = [chunk.source];
+            let holders: &[NodeId] = initial_holders
+                .get(&(chunk.source.0, chunk.chunk))
+                .map_or(&own, Vec::as_slice);
+
+            for dest in demand.destinations_of(chunk.source, chunk.chunk) {
+                if holders.contains(&dest) {
+                    continue;
+                }
+                let mut stack: Vec<(NodeId, usize)> = vec![(dest, usize::MAX)];
+                visited.clear();
+                while let Some((node, by_epoch)) = stack.pop() {
+                    if holders.contains(&node) || visited.contains(&(node, by_epoch)) {
+                        continue;
+                    }
+                    visited.push((node, by_epoch));
+                    let mut best: Option<(&Send, usize)> = None;
+                    for snd in chunk_sends
+                        .iter()
+                        .map(|&i| &sends[i])
+                        .filter(|s| s.to == node)
+                    {
+                        let avail = snd.epoch + delta_of(snd.from, snd.to) + 1;
+                        if by_epoch != usize::MAX && avail > by_epoch {
+                            continue;
+                        }
+                        match best {
+                            Some((_, best_avail)) if avail >= best_avail => {}
+                            _ => best = Some((snd, avail)),
+                        }
+                    }
+                    if let Some((snd, _)) = best {
+                        keep.push((snd.chunk, snd.from, snd.to, snd.epoch));
+                        stack.push((snd.from, snd.epoch));
+                    }
+                }
+            }
+        }
+
+        keep.sort_unstable();
+        keep.dedup();
+        sends
+            .iter()
+            .filter(|s| {
+                keep.binary_search(&(s.chunk, s.from, s.to, s.epoch))
+                    .is_ok()
+            })
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn prune_matches_the_reference_on_random_send_sets() {
+        let mut rng = teccl_util::Rng64::seed_from_u64(51);
+        for case in 0..2_000 {
+            let nodes = 2 + rng.gen_range_usize(6);
+            let chunks = 1 + rng.gen_range_usize(3);
+            let mut demand = DemandMatrix::new(nodes, chunks);
+            for s in 0..nodes {
+                for c in 0..chunks {
+                    for d in 0..nodes {
+                        if d != s && rng.gen_bool(0.4) {
+                            demand.set(NodeId(s), c, NodeId(d));
+                        }
+                    }
+                }
+            }
+            // Duplicate sends, self-loops and extra holders included.
+            let sends: Vec<Send> = (0..rng.gen_range_usize(60))
+                .map(|_| Send {
+                    chunk: ChunkId::new(
+                        NodeId(rng.gen_range_usize(nodes)),
+                        rng.gen_range_usize(chunks),
+                    ),
+                    from: NodeId(rng.gen_range_usize(nodes)),
+                    to: NodeId(rng.gen_range_usize(nodes)),
+                    epoch: rng.gen_range_usize(8),
+                })
+                .collect();
+            let mut holders = HashMap::new();
+            for s in 0..nodes {
+                for c in 0..chunks {
+                    if rng.gen_bool(0.3) {
+                        holders.insert((s, c), vec![NodeId(s), NodeId(rng.gen_range_usize(nodes))]);
+                    }
+                }
+            }
+            let delay = |a: NodeId, b: NodeId| (a.0 * 7 + b.0 * 3) % 3;
+            assert_eq!(
+                prune_sends(&sends, &demand, &holders, delay),
+                prune_sends_reference(&sends, &demand, &holders, delay),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn prune_matches_the_reference_on_the_astar_benchmark_shapes() {
+        use crate::astar::solve_astar_budgeted;
+        use crate::epochs::{epoch_duration, EpochGrid};
+        use crate::SolverConfig;
+        use teccl_collective::{CollectiveKind, CollectiveSizing};
+        use teccl_topology::{dgx2, internal1, internal2};
+
+        let shapes = [
+            (internal1(2), 1),
+            (internal1(2), 2),
+            (internal1(3), 1),
+            (internal2(4), 2),
+            (internal2(8), 1),
+            (dgx2(1), 1),
+            (internal1(4), 1),
+        ];
+        for (topo, chunks) in shapes {
+            let gpus: Vec<NodeId> = topo.gpus().collect();
+            let kind = CollectiveKind::AllGather;
+            let demand = DemandMatrix::for_collective(kind, topo.num_nodes(), &gpus, chunks);
+            let chunk_bytes = CollectiveSizing::new(kind, gpus.len())
+                .transfer_bytes_for_output_buffer(16.0 * 1024.0 * 1024.0)
+                / chunks as f64;
+            let config = SolverConfig::default();
+            let tau = epoch_duration(&topo, chunk_bytes, &config);
+            let out = solve_astar_budgeted(&topo, &demand, chunk_bytes, &config, tau, None, None)
+                .unwrap_or_else(|e| panic!("{} x{chunks}: {e}", topo.name));
+            let grid = EpochGrid::new(&topo, chunk_bytes, tau);
+            let delay = |a, b| grid.delay_between(&topo, a, b);
+            let pruned = prune_sends(&out.sends, &demand, &out.initial_holders, delay);
+            assert!(pruned.len() < out.sends.len(), "{} x{chunks}", topo.name);
+            assert_eq!(
+                pruned,
+                prune_sends_reference(&out.sends, &demand, &out.initial_holders, delay),
+                "{} x{chunks}",
+                topo.name
+            );
+        }
     }
 
     #[test]

@@ -28,8 +28,7 @@
 
 use crate::basis::VarStatus;
 use crate::error::LpError;
-use crate::simplex::{PivotLoop, PivotRow, ReducedCosts, SimplexState, DTOL, FEAS_TOL, PIV_TOL};
-use crate::sparse::IndexedVec;
+use crate::simplex::{PhaseWork, PivotLoop, ReducedCosts, SimplexState, FEAS_TOL, PIV_TOL};
 use teccl_util::SolveBudget;
 
 /// Result of a dual-simplex run.
@@ -63,7 +62,7 @@ pub(crate) fn make_dual_feasible(state: &mut SimplexState, cost: &mut [f64]) -> 
     let mut flipped = false;
     #[allow(clippy::needless_range_loop)] // cost is indexed and mutated by j
     for j in 0..state.n + state.m {
-        if state.status[j] == VarStatus::Basic || state.ub[j] - state.lb[j] < DTOL {
+        if state.status[j] == VarStatus::Basic || state.pinned[j] {
             continue; // fixed columns are always dual feasible
         }
         let dj = rc.d[j];
@@ -99,6 +98,21 @@ pub(crate) fn make_dual_feasible(state: &mut SimplexState, cost: &mut [f64]) -> 
 pub(crate) fn dual_simplex(
     state: &mut SimplexState,
     cost: &[f64],
+    rc: ReducedCosts,
+    max_iters: usize,
+    budget: Option<&SolveBudget>,
+) -> Result<DualOutcome, LpError> {
+    let mut work = std::mem::take(&mut state.work);
+    let outcome = dual_pivots(state, &mut work, cost, rc, max_iters, budget);
+    state.work = work;
+    outcome
+}
+
+/// [`dual_simplex`] in the state's working vectors.
+fn dual_pivots(
+    state: &mut SimplexState,
+    work: &mut PhaseWork,
+    cost: &[f64],
     mut rc: ReducedCosts,
     max_iters: usize,
     budget: Option<&SolveBudget>,
@@ -113,10 +127,12 @@ pub(crate) fn dual_simplex(
     // Hot-loop buffers. ρ, w and the flip batch travel with their non-zero
     // lists, so every pass below — pivot row, x-update, weights, eta, buffer
     // clearing — runs over what the vectors hold, not over `0..m`.
-    let mut rho = IndexedVec::zeros(m);
-    let mut w = IndexedVec::zeros(m);
-    let mut delta_rhs = IndexedVec::zeros(m);
-    let mut pivot_row = PivotRow::new(ncols);
+    let PhaseWork {
+        w,
+        rho,
+        tau: delta_rhs,
+        pivot_row,
+    } = work;
     let mut alpha: Vec<(usize, f64)> = Vec::new(); // (col, α̂_j) per non-basic
     let mut breakpoints: Vec<(f64, usize, f64)> = Vec::new(); // (ratio, col, α̂_j)
     let mut flips: Vec<usize> = Vec::new();
@@ -249,14 +265,14 @@ pub(crate) fn dual_simplex(
         // the order a scan over all columns would produce and breaks ties
         // the same way.
         rho.set_unit(r);
-        state.lu.btran_sparse(&mut rho);
-        pivot_row.compute(state, &rho);
+        state.lu.btran_sparse(rho);
+        pivot_row.compute(state, rho);
         pivot_row.touched.sort_unstable();
         alpha.clear();
         let mut tiny_capacity = 0.0f64;
         for &ju in &pivot_row.touched {
             let j = ju as usize;
-            if state.status[j] == VarStatus::Basic || state.ub[j] - state.lb[j] < DTOL {
+            if state.status[j] == VarStatus::Basic {
                 continue;
             }
             let a = sigma * pivot_row.alpha[j];
@@ -361,7 +377,7 @@ pub(crate) fn dual_simplex(
                     delta_rhs.add(j - state.n, state.art_sign[j - state.n] * dx);
                 }
             }
-            state.lu.ftran_sparse(&mut delta_rhs);
+            state.lu.ftran_sparse(delta_rhs);
             for i in delta_rhs.indices() {
                 let bvar = state.basis[i];
                 state.x[bvar] -= delta_rhs.values[i];
@@ -369,14 +385,14 @@ pub(crate) fn dual_simplex(
         }
 
         // ---- Pivot: `enter` replaces the row-r basic variable. ----
-        state.ftran_col_into(enter, &mut w);
+        state.ftran_col_into(enter, w);
         if w.values[r].abs() <= PIV_TOL {
             // ρ-based and FTRAN-based pivots disagree badly: refactorize and
             // retry from clean numbers; a second failure hands over to the
             // next rung.
             state.refresh(cost, &mut rc)?;
             infeas_stale = true;
-            state.ftran_col_into(enter, &mut w);
+            state.ftran_col_into(enter, w);
             if w.values[r].abs() <= PIV_TOL {
                 return Err(LpError::Numerical(format!(
                     "dual pivot too small ({:.3e})",
@@ -392,7 +408,7 @@ pub(crate) fn dual_simplex(
         } else {
             state.lb[leaving]
         };
-        state.step(&w, enter, (state.x[leaving] - target) / w.values[r]);
+        state.step(w, enter, (state.x[leaving] - target) / w.values[r]);
         state.exchange(r, enter, violation > 0.0);
 
         // Incremental reduced-cost update: d_j ← d_j − θ_d·α̂_j over the
@@ -422,7 +438,7 @@ pub(crate) fn dual_simplex(
         }
         row_weight[r] = (gamma_r / (wr * wr)).max(1.0);
 
-        if state.update_factors(&w, r)? {
+        if state.update_factors(w, r)? {
             rc.recompute(state, cost);
             infeas_stale = true;
         }

@@ -152,7 +152,7 @@ impl PostSolve {
 #[derive(Debug)]
 pub struct MilpLayout {
     /// Merged `(column, coefficient)` terms of each constraint, by column.
-    rows: Vec<Vec<(usize, f64)>>,
+    rows: MergedRows,
     /// The same terms by column: the rows a bound change can affect.
     cols: ColumnRows,
     a: Arc<SparseMatrix>,
@@ -160,10 +160,11 @@ pub struct MilpLayout {
 }
 
 impl MilpLayout {
-    /// Merges `model`'s rows and assembles its standard-form matrix.
+    /// Assembles `model`'s standard-form matrix and reads the merged rows
+    /// off its row-major copy.
     pub fn new(model: &Model) -> Self {
         let (a, row_major) = standard::matrix(model);
-        let rows = merge_rows(model);
+        let rows = MergedRows::of(&row_major, model.num_vars(), model.num_cons());
         Self {
             cols: ColumnRows::of(&rows, model.num_vars()),
             rows,
@@ -205,26 +206,45 @@ impl MilpLayout {
 }
 
 /// Each constraint's terms with duplicate variables summed (in term order)
-/// and zero sums dropped, ordered by column. Analysis only: the model's rows
-/// are left untouched, and `StandardForm` sums duplicates the same way.
-fn merge_rows(model: &Model) -> Vec<Vec<(usize, f64)>> {
-    let mut sorted: Vec<(usize, f64)> = Vec::new();
-    model
-        .cons
-        .iter()
-        .map(|c| {
-            sorted.clear();
-            sorted.extend(c.terms.iter().map(|&(vid, coef)| (vid.0, coef)));
-            // Stable: a column's terms keep their order, so each sum adds
-            // them up from 0.0 in term order.
-            sorted.sort_by_key(|&(j, _)| j);
-            sorted
-                .chunk_by(|a, b| a.0 == b.0)
-                .map(|run| (run[0].0, run.iter().fold(0.0, |sum, &(_, coef)| sum + coef)))
-                .filter(|(_, c)| c.abs() > 0.0)
-                .collect()
-        })
-        .collect()
+/// and zero sums dropped, ordered by column, in one flat array. Analysis
+/// only: the model's rows are left untouched.
+#[derive(Debug)]
+struct MergedRows {
+    start: Vec<usize>,
+    terms: Vec<(usize, f64)>,
+}
+
+impl MergedRows {
+    /// The structural entries of each of the `num_rows` rows of the
+    /// standard form's row-major matrix over `num_vars` structural columns.
+    /// Its columns sum a row's duplicate terms in term order and drop zero
+    /// sums, and its rows list them by column, so these are the constraint
+    /// terms merged; the slack, the column past the structural ones, is left
+    /// out.
+    fn of(row_major: &RowMajor, num_vars: usize, num_rows: usize) -> Self {
+        let mut start = Vec::with_capacity(num_rows + 1);
+        let mut terms = Vec::new();
+        start.push(0);
+        for i in 0..num_rows {
+            terms.extend(row_major.row(i).filter(|&(j, _)| j < num_vars));
+            start.push(terms.len());
+        }
+        MergedRows { start, terms }
+    }
+
+    /// The merged terms of row `i`.
+    fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.terms[self.start[i]..self.start[i + 1]]
+    }
+
+    /// Every row's merged terms, in row order.
+    fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> + '_ {
+        (0..self.start.len() - 1).map(|i| self.row(i))
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
 }
 
 /// The rows each column has a merged term in: `row[start[j]..start[j + 1]]`.
@@ -235,9 +255,9 @@ struct ColumnRows {
 }
 
 impl ColumnRows {
-    fn of(rows: &[Vec<(usize, f64)>], num_vars: usize) -> Self {
+    fn of(rows: &MergedRows, num_vars: usize) -> Self {
         let mut start = vec![0usize; num_vars + 1];
-        for &(j, _) in rows.iter().flatten() {
+        for &(j, _) in &rows.terms {
             start[j + 1] += 1;
         }
         for j in 0..num_vars {
@@ -430,9 +450,8 @@ fn tighten_from_row(
 /// [`PostSolve`] records the fixings and freed rows. The solvers presolve
 /// over a [`MilpLayout`] instead and never build this model.
 pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
-    let rows = merge_rows(model);
-    let cols = ColumnRows::of(&rows, model.num_vars());
-    let (lb, ub, post) = fixpoint(model, &rows, &cols, None)?;
+    let layout = MilpLayout::new(model);
+    let (lb, ub, post) = fixpoint(model, &layout.rows, &layout.cols, None)?;
     let mut tightened = model.clone();
     if !post.infeasible {
         for (var, (lo, hi)) in tightened.vars.iter_mut().zip(lb.into_iter().zip(ub)) {
@@ -455,7 +474,7 @@ pub fn presolve(model: &Model) -> Result<(Model, PostSolve), LpError> {
 /// sweep's.
 fn fixpoint(
     model: &Model,
-    rows: &[Vec<(usize, f64)>],
+    rows: &MergedRows,
     cols: &ColumnRows,
     budget: Option<&SolveBudget>,
 ) -> Result<(Vec<f64>, Vec<f64>, PostSolve), LpError> {
@@ -498,24 +517,25 @@ fn fixpoint(
             }
         }
 
-        for (i, (terms, c)) in rows.iter().zip(&model.cons).enumerate() {
+        for (i, c) in model.cons.iter().enumerate() {
             if free[i] || !std::mem::replace(&mut dirty[i], false) {
                 continue;
             }
+            let terms = rows.row(i);
             // Split terms into fixed contributions (folded into the rhs of
-            // the *analysis* row) and live terms.
+            // the *analysis* row) and live terms, in one pass. The fixed sum
+            // starts where `Iterator::sum` does, at -0.0, and adds in term
+            // order, so it is that sum to the bit.
             live.clear();
-            live.extend(
-                terms
-                    .iter()
-                    .filter(|&&(j, _)| (ub[j] - lb[j]).abs() > EPS)
-                    .copied(),
-            );
-            let fixed_sum: f64 = terms
-                .iter()
-                .filter(|&&(j, _)| (ub[j] - lb[j]).abs() <= EPS)
-                .map(|&(j, a)| a * lb[j])
-                .sum();
+            let mut fixed_sum = -0.0;
+            for &(j, a) in terms {
+                let range = (ub[j] - lb[j]).abs();
+                if range > EPS {
+                    live.push((j, a));
+                } else if range <= EPS {
+                    fixed_sum += a * lb[j];
+                }
+            }
             let rhs = c.rhs - fixed_sum;
 
             // Empty row: everything fixed — check and free.
@@ -759,7 +779,7 @@ impl<'a> NodePresolver<'a> {
             for &(j, _) in terms {
                 col_rows[j].push(row_idx);
             }
-            rows.push((terms.as_slice(), c.op, c.rhs));
+            rows.push((terms, c.op, c.rhs));
         }
         let integer: Vec<bool> = model.vars.iter().map(|v| v.integer).collect();
         let binaries: Vec<usize> = (0..nv)
@@ -1234,46 +1254,76 @@ mod tests {
         m
     }
 
+    /// Each constraint's terms merged as the presolve did before it read
+    /// them off the standard form's row-major matrix, verbatim: duplicates
+    /// summed from 0.0 in term order, zero sums dropped, by column. The
+    /// layout's rows must equal it to the bit.
+    fn merge_rows_reference(model: &Model) -> Vec<Vec<(usize, f64)>> {
+        let mut sorted: Vec<(usize, f64)> = Vec::new();
+        model
+            .cons
+            .iter()
+            .map(|c| {
+                sorted.clear();
+                sorted.extend(c.terms.iter().map(|&(vid, coef)| (vid.0, coef)));
+                sorted.sort_by_key(|&(j, _)| j);
+                sorted
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|run| (run[0].0, run.iter().fold(0.0, |sum, &(_, coef)| sum + coef)))
+                    .filter(|(_, c)| c.abs() > 0.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A round of `model` as the A\* loop writes one over a reused layout:
+    /// the same terms, with new bounds (some pinned), right-hand sides and
+    /// costs.
+    fn rewrite_round(model: &mut Model, rng: &mut teccl_util::Rng64) {
+        for var in &mut model.vars {
+            if rng.gen_bool(0.5) {
+                let lb = [0.0, -1.0, var.lb][rng.gen_range_usize(3)];
+                let ub = match rng.gen_range_usize(4) {
+                    0 => lb,
+                    1 => f64::INFINITY,
+                    _ => lb + rng.gen_range_usize(4) as f64,
+                };
+                (var.lb, var.ub) = (lb, ub);
+            }
+            if rng.gen_bool(0.5) {
+                var.obj = rng.gen_range_f64(-1.0, 1.0);
+            }
+        }
+        for cons in &mut model.cons {
+            if rng.gen_bool(0.5) {
+                cons.rhs += rng.gen_range_usize(3) as f64 - 1.0;
+            }
+        }
+    }
+
     /// Runs the worklist fixpoint against [`full_sweep`] on `cases` random
-    /// models: the same bounds to the bit, the same freed rows and the same
-    /// counters.
+    /// models, each also re-presolved over its own layout after a
+    /// [`rewrite_round`]: the same bounds to the bit, the same freed rows
+    /// and the same counters. Every fourth model gains a zero term and a
+    /// pair of terms that cancel, which the merged rows drop.
     fn assert_worklist_matches_full_sweep(seed: u64, cases: usize) {
         let mut rng = teccl_util::Rng64::seed_from_u64(seed);
         let (mut infeasible, mut freed, mut fixed) = (0usize, 0usize, 0usize);
         for case in 0..cases {
-            let m = random_presolve_model(&mut rng);
-            let rows = merge_rows(&m);
-            let cols = ColumnRows::of(&rows, m.num_vars());
-            let (lb, ub, post) = fixpoint(&m, &rows, &cols, None).unwrap();
-            let (want_lb, want_ub, want) = full_sweep(&m, &rows);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&lb), bits(&want_lb), "case {case}: lower bounds");
-            assert_eq!(bits(&ub), bits(&want_ub), "case {case}: upper bounds");
-            assert_eq!(post.free_rows, want.free_rows, "case {case}: freed rows");
-            let fixings = |p: &PostSolve| {
-                p.fixed
-                    .iter()
-                    .map(|f| f.map(f64::to_bits))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(fixings(&post), fixings(&want), "case {case}: fixings");
-            assert_eq!(
-                (
-                    post.infeasible,
-                    post.cols_fixed,
-                    post.rows_freed,
-                    post.original_vars,
-                    post.original_cons
-                ),
-                (
-                    want.infeasible,
-                    want.cols_fixed,
-                    want.rows_freed,
-                    want.original_vars,
-                    want.original_cons
-                ),
-                "case {case}: counters"
-            );
+            let mut m = random_presolve_model(&mut rng);
+            if rng.gen_range_usize(4) == 0 {
+                let (i, v) = (
+                    rng.gen_range_usize(m.num_cons()),
+                    VarId(rng.gen_range_usize(m.num_vars())),
+                );
+                let a = rng.gen_range_f64(-3.0, 3.0);
+                m.cons[i].terms.extend([(v, 0.0), (v, a), (v, -a)]);
+            }
+            let layout = MilpLayout::new(&m);
+            let mut round = m.clone();
+            rewrite_round(&mut round, &mut rng);
+            assert_layout_fixpoint_matches_full_sweep(&round, &layout, case);
+            let post = assert_layout_fixpoint_matches_full_sweep(&m, &layout, case);
             infeasible += usize::from(post.infeasible);
             freed += usize::from(!post.infeasible && post.rows_freed > 0);
             fixed += usize::from(!post.infeasible && post.cols_fixed > 0);
@@ -1286,6 +1336,58 @@ mod tests {
         ] {
             assert!(n * 20 > cases, "only {n} of {cases} models {what}");
         }
+    }
+
+    /// The fixpoint over `layout` (built from a model with `m`'s terms)
+    /// against [`full_sweep`] over [`merge_rows_reference`]; returns the
+    /// fixpoint's [`PostSolve`].
+    fn assert_layout_fixpoint_matches_full_sweep(
+        m: &Model,
+        layout: &MilpLayout,
+        case: usize,
+    ) -> PostSolve {
+        let rows = merge_rows_reference(m);
+        let row_bits = |row: &[(usize, f64)]| {
+            row.iter()
+                .map(|&(j, a)| (j, a.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            layout.rows.iter().map(row_bits).collect::<Vec<_>>(),
+            rows.iter().map(|r| row_bits(r)).collect::<Vec<_>>(),
+            "case {case}: merged rows"
+        );
+        let (lb, ub, post) = fixpoint(m, &layout.rows, &layout.cols, None).unwrap();
+        let (want_lb, want_ub, want) = full_sweep(m, &rows);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lb), bits(&want_lb), "case {case}: lower bounds");
+        assert_eq!(bits(&ub), bits(&want_ub), "case {case}: upper bounds");
+        assert_eq!(post.free_rows, want.free_rows, "case {case}: freed rows");
+        let fixings = |p: &PostSolve| {
+            p.fixed
+                .iter()
+                .map(|f| f.map(f64::to_bits))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fixings(&post), fixings(&want), "case {case}: fixings");
+        assert_eq!(
+            (
+                post.infeasible,
+                post.cols_fixed,
+                post.rows_freed,
+                post.original_vars,
+                post.original_cons
+            ),
+            (
+                want.infeasible,
+                want.cols_fixed,
+                want.rows_freed,
+                want.original_vars,
+                want.original_cons
+            ),
+            "case {case}: counters"
+        );
+        post
     }
 
     #[test]

@@ -125,6 +125,10 @@ pub(crate) struct SimplexState<'a> {
     pub(crate) ub: Vec<f64>,
     pub(crate) x: Vec<f64>,
     pub(crate) status: Vec<VarStatus>,
+    /// Columns whose range is under [`DTOL`] — presolve's `lb == ub` pins,
+    /// equality slacks, pinned artificials. Such a column never enters, so
+    /// no pricing, reduced cost or pivot-row entry is computed for it.
+    pub(crate) pinned: Vec<bool>,
     pub(crate) basis: Vec<usize>,
     pub(crate) lu: LuFactors,
     pub(crate) iterations: usize,
@@ -136,15 +140,18 @@ pub(crate) struct SimplexState<'a> {
     bound_flips: usize,
     /// Steepest-edge reference weights `γ_j`, one per column.
     weights: Vec<f64>,
+    pub(crate) work: PhaseWork,
 }
 
-/// The pivot row `α = ρᵀ[A | artificials]`, gathered over the non-zeros of
-/// `ρ = B⁻ᵀe_r` from the standard form's row-major copy of `A` — the one
-/// pivot-row kernel, under the primal's reduced-cost / weight update and the
-/// dual's ratio test alike. Cost is the entries of the rows `ρ` touches, not
-/// `ncols` column dots. Rows are taken in ascending order, so each `α_j`
-/// sums the same products in the same order as `ρ · a_j` over the stored
-/// column ([`SimplexState::row_dot_col`]) and equals it exactly.
+/// The pivot row `α = ρᵀ[A | artificials]` over the columns that are not
+/// pinned, gathered over the non-zeros of `ρ = B⁻ᵀe_r` from the standard
+/// form's row-major copy of `A` — the one pivot-row kernel, under the
+/// primal's reduced-cost / weight update and the dual's ratio test alike.
+/// Cost is the entries of the rows `ρ` touches, not `ncols` column dots.
+/// Rows are taken in ascending order, so each `α_j` sums the same products
+/// in the same order as `ρ · a_j` over the stored column
+/// ([`SimplexState::row_dot_col`]) and equals it exactly.
+#[derive(Default)]
 pub(crate) struct PivotRow {
     /// `α_j` per column; zero outside `touched`.
     pub(crate) alpha: Vec<f64>,
@@ -176,19 +183,36 @@ impl PivotRow {
             }
             self.alpha[j] += term;
         };
+        let pinned = &state.pinned;
         for i in rho.indices() {
             let ri = rho.values[i];
             if ri == 0.0 {
                 continue;
             }
             for (j, v) in state.sf.rows.row(i) {
-                add(j, ri * v);
+                if !pinned[j] {
+                    add(j, ri * v);
+                }
             }
             // Row i's implicit artificial column sits at n + i with the
             // single entry art_sign[i].
-            add(state.n + i, ri * state.art_sign[i]);
+            if !pinned[state.n + i] {
+                add(state.n + i, ri * state.art_sign[i]);
+            }
         }
     }
+}
+
+/// The pivot loops' working vectors — `w = B⁻¹a_q`, `ρ = B⁻ᵀe_r`, a third
+/// m-vector (the primal's `τ`, the dual's flip batch) and the pivot row —
+/// allocated once per state, so a solve's dual repair and certify pass
+/// share them. Every loop resets what it reads before reading it.
+#[derive(Default)]
+pub(crate) struct PhaseWork {
+    pub(crate) w: IndexedVec,
+    pub(crate) rho: IndexedVec,
+    pub(crate) tau: IndexedVec,
+    pub(crate) pivot_row: PivotRow,
 }
 
 /// The frame both pivot loops run in: the iteration cap, the cooperative
@@ -245,8 +269,9 @@ impl Drop for PivotLoop<'_> {
     }
 }
 
-/// Reduced costs `d_j = c_j − yᵀa_j` over every column (zero on basic ones)
-/// and the `y = B⁻ᵀc_B` they were priced from. Both pivot loops keep them
+/// Reduced costs `d_j = c_j − yᵀa_j` over every column (zero on basic and
+/// pinned ones, which no pricing reads) and the `y = B⁻ᵀc_B` they were
+/// priced from. Both pivot loops keep them
 /// incrementally and recompute them at every refresh.
 pub(crate) struct ReducedCosts {
     pub(crate) d: Vec<f64>,
@@ -269,7 +294,7 @@ impl ReducedCosts {
         self.y.extend(state.basis.iter().map(|&j| cost[j]));
         state.lu.btran(&mut self.y);
         for (j, dj) in self.d.iter_mut().enumerate() {
-            *dj = if state.status[j] == VarStatus::Basic {
+            *dj = if state.status[j] == VarStatus::Basic || state.pinned[j] {
                 0.0
             } else {
                 state.price_col(j, cost[j], &self.y)
@@ -471,6 +496,7 @@ fn primal_phase1(
     for j in n..n + m {
         state.lb[j] = 0.0;
         state.ub[j] = 0.0;
+        state.pinned[j] = true;
         if state.status[j] != VarStatus::Basic {
             state.x[j] = 0.0;
             state.status[j] = VarStatus::AtLower;
@@ -817,6 +843,7 @@ impl<'a> SimplexState<'a> {
         carried: Option<&CarriedFactors>,
     ) -> Result<Self, LpError> {
         let (n, m) = (sf.num_cols(), sf.num_rows());
+        let pinned = lb.iter().zip(&ub).map(|(lo, hi)| hi - lo < DTOL).collect();
         let mut state = SimplexState {
             sf,
             n,
@@ -827,6 +854,7 @@ impl<'a> SimplexState<'a> {
             ub,
             x,
             status,
+            pinned,
             basis,
             lu: LuFactors::default(),
             iterations: 0,
@@ -836,6 +864,12 @@ impl<'a> SimplexState<'a> {
             degenerate_pivots: 0,
             bound_flips: 0,
             weights: vec![1.0; n + m],
+            work: PhaseWork {
+                w: IndexedVec::zeros(m),
+                rho: IndexedVec::zeros(m),
+                tau: IndexedVec::zeros(m),
+                pivot_row: PivotRow::new(n + m),
+            },
         };
         match carried.filter(|c| c.fits(&sf.a, &state.basis)) {
             Some(c) => {
@@ -1088,7 +1122,20 @@ fn run_phase(
     max_iters: usize,
     budget: Option<&SolveBudget>,
 ) -> Result<PhaseOutcome, LpError> {
-    let m = state.m;
+    let mut work = std::mem::take(&mut state.work);
+    let outcome = primal_pivots(state, &mut work, cost, max_iters, budget);
+    state.work = work;
+    outcome
+}
+
+/// [`run_phase`] in the state's working vectors.
+fn primal_pivots(
+    state: &mut SimplexState,
+    work: &mut PhaseWork,
+    cost: &[f64],
+    max_iters: usize,
+    budget: Option<&SolveBudget>,
+) -> Result<PhaseOutcome, LpError> {
     let ncols = state.n + state.m;
 
     // No Bland fallback and no stall heuristics: the EXPAND minimum step
@@ -1111,11 +1158,13 @@ fn run_phase(
     let mut rc = ReducedCosts::of(state, cost);
     let mut d_fresh = true;
 
-    // Hot-loop buffers, allocated once per phase and reused every iteration.
-    let mut w = IndexedVec::zeros(m);
-    let mut rho = IndexedVec::zeros(m);
-    let mut tau = IndexedVec::zeros(m);
-    let mut pivot_row = PivotRow::new(ncols);
+    // Hot-loop buffers, allocated once per state and reused every iteration.
+    let PhaseWork {
+        w,
+        rho,
+        tau,
+        pivot_row,
+    } = work;
     // Pricing candidates: every non-basic column that can move (see
     // [`price`] for the maintenance protocol).
     let mut active: Vec<u32> = (0..ncols)
@@ -1150,7 +1199,7 @@ fn run_phase(
         };
 
         // Transformed column w = B⁻¹ A_enter.
-        state.ftran_col_into(enter, &mut w);
+        state.ftran_col_into(enter, w);
 
         // EXPAND / Harris two-pass ratio test. The entering variable moves by
         // `t >= 0` in direction `dir`; the basic variable in row r changes at
@@ -1190,7 +1239,7 @@ fn run_phase(
             f64::INFINITY
         };
         w.indices().for_each(|r| {
-            if let Some((room, rate)) = blocking_room(r, &w) {
+            if let Some((room, rate)) = blocking_room(r, w) {
                 let t = (room + tol_work).max(0.0) / rate.abs();
                 if t < t_exp {
                     t_exp = t;
@@ -1201,7 +1250,7 @@ fn run_phase(
         let mut leave_row: Option<(usize, f64)> = None; // (row, true ratio)
         if t_exp.is_finite() {
             w.indices().for_each(|r| {
-                if let Some((room, rate)) = blocking_room(r, &w) {
+                if let Some((room, rate)) = blocking_room(r, w) {
                     let t = room.max(0.0) / rate.abs();
                     if t <= t_exp
                         && leave_row.is_none_or(|(cur, _)| w.values[r].abs() > w.values[cur].abs())
@@ -1239,7 +1288,7 @@ fn run_phase(
             }
         };
 
-        state.step(&w, enter, dir * t);
+        state.step(w, enter, dir * t);
         if t < 1e-9 {
             state.degenerate_pivots += 1;
         }
@@ -1279,10 +1328,10 @@ fn run_phase(
         let wnorm2: f64 = w.indices().map(|i| w.values[i] * w.values[i]).sum();
         if alpha_q.abs() > PIV_TOL && theta_d.is_finite() && wnorm2.is_finite() {
             rho.set_unit(r);
-            tau.copy_from(&w);
+            tau.copy_from(w);
             // Dense: one lockstep pass over the factors for both solves.
             // Sparse: one list-driven solve each.
-            state.lu.btran2_sparse(&mut rho, &mut tau);
+            state.lu.btran2_sparse(rho, tau);
             // The pivot row α = ρᵀA (and g_j = a_j·τ) has two evaluation
             // strategies keyed on the density of ρ = B⁻ᵀe_r:
             //
@@ -1303,16 +1352,13 @@ fn run_phase(
             // one runs never changes a pivot.
             let d = &mut rc.d;
             if !rho.dense {
-                pivot_row.compute(state, &rho);
+                pivot_row.compute(state, rho);
                 // Scatter: apply the reduced-cost and weight updates to the
                 // touched non-basic columns.
                 for &ju in &pivot_row.touched {
                     let j = ju as usize;
                     let alpha_j = pivot_row.alpha[j];
-                    if state.status[j] == VarStatus::Basic
-                        || state.ub[j] - state.lb[j] < DTOL
-                        || alpha_j == 0.0
-                    {
+                    if state.status[j] == VarStatus::Basic || alpha_j == 0.0 {
                         continue;
                     }
                     d[j] -= theta_d * alpha_j;
@@ -1360,7 +1406,7 @@ fn run_phase(
             need_reset = true;
         }
 
-        need_reset |= state.update_factors(&w, r)?;
+        need_reset |= state.update_factors(w, r)?;
         // Resets run *after* the factors reflect the pivot, so the
         // recomputed reduced costs match the new basis.
         if need_reset {
@@ -1737,7 +1783,8 @@ mod tests {
     fn pivot_row_kernel_matches_per_column_dots() {
         // The shared row-wise gather against `row_dot_col`, column by column
         // (artificials included, some with sign −1), for ρ of every density,
-        // listed and dense alike.
+        // listed and dense alike; pinned columns (equality slacks, the
+        // artificials the crash basis pinned) are neither listed nor summed.
         let mut rng = teccl_util::Rng64::seed_from_u64(0x9e37);
         let mut negative_artificials = 0usize;
         for case in 0..60 {
@@ -1780,6 +1827,10 @@ mod tests {
                         assert!(!std::mem::replace(&mut touched[j as usize], true));
                     }
                     for (j, &listed) in touched.iter().enumerate() {
+                        if state.pinned[j] {
+                            assert!(!listed && row.alpha[j].to_bits() == 0, "pinned column {j}");
+                            continue;
+                        }
                         let (got, want) = (row.alpha[j], state.row_dot_col(j, &rho.values));
                         // Bit for bit; an untouched artificial of sign −1 is
                         // `0·(−1) = −0.0` by the column formula, `+0.0` here.

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use crate::model::{ConstraintOp, Model, Sense};
-use crate::sparse::{RowMajor, SparseMatrix};
+use crate::sparse::{RowMajor, SparseMatrix, SparseVec};
 
 /// A model in computational standard form.
 #[derive(Debug, Clone)]
@@ -119,22 +119,58 @@ impl StandardForm {
 /// The constraint matrix of `model` with one slack column per constraint,
 /// and its row-major copy: the part of the standard form that only the
 /// constraint terms decide.
+///
+/// Each column is filled in place, sized by a first counting pass. Rows are
+/// visited in order, so a column's entries arrive by ascending row and a
+/// row's duplicate terms arrive together: each is summed onto the entry
+/// before it in term order, and a sum that cancels to zero is dropped — the
+/// matrix [`SparseMatrix::from_triplets`] builds from the same terms.
 pub(crate) fn matrix(model: &Model) -> (SparseMatrix, RowMajor) {
     let m = model.cons.len();
     let n_struct = model.vars.len();
-    // One triplet pass over the constraints covers the structural columns
-    // and the per-constraint slack columns (column `n_struct + row`).
-    let nnz: usize = model.cons.iter().map(|c| c.terms.len()).sum();
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz + m);
+    let mut count = vec![1usize; n_struct + m];
+    count[..n_struct].fill(0);
+    for cons in &model.cons {
+        for &(vid, coef) in &cons.terms {
+            count[vid.0] += usize::from(coef != 0.0);
+        }
+    }
+    let mut cols: Vec<SparseVec> = count
+        .iter()
+        .map(|&k| SparseVec {
+            indices: Vec::with_capacity(k),
+            values: Vec::with_capacity(k),
+        })
+        .collect();
+    let mut cancelled = false;
     for (row, cons) in model.cons.iter().enumerate() {
-        for (vid, coef) in &cons.terms {
-            if *coef != 0.0 {
-                triplets.push((row, vid.0, *coef));
+        for &(vid, coef) in &cons.terms {
+            if coef == 0.0 {
+                continue;
+            }
+            let col = &mut cols[vid.0];
+            match (col.indices.last(), col.values.last_mut()) {
+                (Some(&last), Some(sum)) if last == row => {
+                    *sum += coef;
+                    cancelled |= *sum == 0.0;
+                }
+                _ => {
+                    col.indices.push(row);
+                    col.values.push(coef);
+                }
             }
         }
-        triplets.push((row, n_struct + row, 1.0));
+        cols[n_struct + row].indices.push(row);
+        cols[n_struct + row].values.push(1.0);
     }
-    let a = SparseMatrix::from_triplets(m, n_struct + m, &triplets);
+    if cancelled {
+        for col in &mut cols[..n_struct] {
+            if col.values.contains(&0.0) {
+                *col = SparseVec::from_vec(col.iter().filter(|&(_, v)| v != 0.0).collect());
+            }
+        }
+    }
+    let a = SparseMatrix { rows: m, cols };
     let rows = RowMajor::from_columns(&a);
     (a, rows)
 }
@@ -197,6 +233,60 @@ mod tests {
             sf.rows.row(1).collect::<Vec<_>>(),
             vec![(0, 3.0), (1, -1.0), (3, 1.0)]
         );
+    }
+
+    #[test]
+    fn matrix_equals_the_triplet_build() {
+        // Duplicate terms (three of a kind included), zero terms and pairs
+        // that cancel: the in-place columns against the triplet build,
+        // bit for bit.
+        let mut rng = teccl_util::Rng64::seed_from_u64(0x51);
+        for case in 0..500 {
+            let mut m = Model::new(Sense::Minimize);
+            let nv = 1 + rng.gen_range_usize(12);
+            let xs: Vec<_> = (0..nv)
+                .map(|j| m.add_nonneg_var(format!("x{j}"), 1.0))
+                .collect();
+            for i in 0..1 + rng.gen_range_usize(10) {
+                let mut terms = Vec::new();
+                for _ in 0..rng.gen_range_usize(6) {
+                    let v = xs[rng.gen_range_usize(nv)];
+                    let a = [0.0, 1.0, -1.0, 0.1, 0.2, -0.3][rng.gen_range_usize(6)];
+                    terms.push((v, a));
+                    if rng.gen_bool(0.2) {
+                        terms.push((v, -a));
+                    }
+                }
+                m.add_cons(format!("c{i}"), &terms, ConstraintOp::Le, 1.0);
+            }
+            let (a, rows) = matrix(&m);
+            let mut triplets = Vec::new();
+            for (row, cons) in m.cons.iter().enumerate() {
+                for &(vid, coef) in &cons.terms {
+                    if coef != 0.0 {
+                        triplets.push((row, vid.0, coef));
+                    }
+                }
+                triplets.push((row, nv + row, 1.0));
+            }
+            let want = SparseMatrix::from_triplets(m.cons.len(), nv + m.cons.len(), &triplets);
+            let bits = |mat: &SparseMatrix| {
+                mat.cols
+                    .iter()
+                    .map(|c| {
+                        (
+                            c.indices.clone(),
+                            c.values.iter().map(|v| v.to_bits()).collect(),
+                        )
+                    })
+                    .collect::<Vec<(Vec<usize>, Vec<u64>)>>()
+            };
+            assert_eq!(bits(&a), bits(&want), "case {case}");
+            let want_rows = RowMajor::from_columns(&want);
+            for i in 0..m.cons.len() {
+                assert!(rows.row(i).eq(want_rows.row(i)), "case {case} row {i}");
+            }
+        }
     }
 
     #[test]
